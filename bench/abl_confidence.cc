@@ -29,7 +29,7 @@ main(int argc, char **argv)
         specs.push_back(base_spec);
         for (bool confidence : {false, true})
             specs.push_back(RunSpec::Builder(base_spec)
-                                .scheme(PrefetchScheme::Discontinuity)
+                                .scheme("discontinuity")
                                 .bypassL2()
                                 .confidenceFilter(confidence)
                                 .build());

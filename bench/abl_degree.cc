@@ -28,7 +28,7 @@ main(int argc, char **argv)
             specs.push_back(ctx.spec()
                                 .cmp(true)
                                 .workload(k)
-                                .scheme(PrefetchScheme::Discontinuity)
+                                .scheme("discontinuity")
                                 .degree(n)
                                 .bypassL2()
                                 .build());

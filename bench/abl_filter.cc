@@ -32,7 +32,7 @@ main(int argc, char **argv)
     specs.push_back(base_spec);
     for (Cfg c : cfgs)
         specs.push_back(RunSpec::Builder(base_spec)
-                            .scheme(PrefetchScheme::Discontinuity)
+                            .scheme("discontinuity")
                             .bypassL2()
                             .historySize(c.history)
                             .queueSize(c.queue)

@@ -21,20 +21,19 @@ main(int argc, char **argv)
     struct Variant
     {
         std::string label;
-        PrefetchScheme scheme;
+        std::string scheme;
         unsigned degree;
         unsigned ways;
     };
     const std::vector<Variant> variants = {
-        {"next-4-lines (tagged)", PrefetchScheme::NextNLineTagged, 4,
-         2},
-        {"lookahead-4", PrefetchScheme::LookaheadN, 4, 2},
-        {"target (1 way)", PrefetchScheme::TargetHistory, 1, 1},
-        {"target (2 ways)", PrefetchScheme::TargetHistory, 1, 2},
-        {"target (4 ways)", PrefetchScheme::TargetHistory, 1, 4},
-        {"wrong-path", PrefetchScheme::WrongPath, 2, 2},
-        {"call-graph [8]", PrefetchScheme::CallGraph, 2, 2},
-        {"discontinuity", PrefetchScheme::Discontinuity, 4, 2},
+        {"next-4-lines (tagged)", "n4l", 4, 2},
+        {"lookahead-4", "lookahead", 4, 2},
+        {"target (1 way)", "target", 1, 1},
+        {"target (2 ways)", "target", 1, 2},
+        {"target (4 ways)", "target", 1, 4},
+        {"wrong-path", "wrong-path", 2, 2},
+        {"call-graph [8]", "call-graph", 2, 2},
+        {"discontinuity", "discontinuity", 4, 2},
     };
 
     // One batch: baselines first, then the variant grid (row-major).

@@ -146,38 +146,6 @@ struct BenchContext
     }
 
     /**
-     * The schemes this bench compares: the --scheme list (comma
-     * separated registry tokens/aliases), or the paper's Figure 5-9
-     * set when the flag is absent. Throws ConfigError on an unknown
-     * token.
-     */
-    std::vector<PrefetchScheme>
-    schemes() const
-    {
-        if (schemeArg.empty()) {
-            static const std::vector<PrefetchScheme> paper = {
-                PrefetchScheme::NextLineOnMiss,
-                PrefetchScheme::NextLineTagged,
-                PrefetchScheme::NextNLineTagged,
-                PrefetchScheme::Discontinuity,
-            };
-            return paper;
-        }
-        std::vector<PrefetchScheme> out;
-        std::string tok;
-        for (char c : schemeArg + ",") {
-            if (c != ',') {
-                tok += c;
-                continue;
-            }
-            if (!tok.empty())
-                out.push_back(parseScheme(tok));
-            tok.clear();
-        }
-        return out;
-    }
-
-    /**
      * The --scheme list as full registry selections (token + knob
      * values), or @p fallback when the flag is absent. Comma-split,
      * except that a "knob=val" segment with no ':' attaches to the
@@ -332,22 +300,22 @@ speedup(const SimResults &base, const SimResults &x)
     return base.ipc > 0 ? x.ipc / base.ipc : 0.0;
 }
 
-/**
- * The prefetching schemes compared in Figures 5-9.
- * @deprecated Use BenchContext::schemes(), which also honours the
- * --scheme flag; this remains for out-of-tree drivers.
- */
-inline const std::vector<PrefetchScheme> &
-paperSchemes()
+/** Table label of @p sel: its scheme's legend name ("next-4-lines
+ *  (tagged)"), plus any explicit knobs. */
+inline std::string
+schemeLabel(const SchemeSelection &sel)
 {
-    static const std::vector<PrefetchScheme> schemes = {
-        PrefetchScheme::NextLineOnMiss,
-        PrefetchScheme::NextLineTagged,
-        PrefetchScheme::NextNLineTagged,
-        PrefetchScheme::Discontinuity,
-    };
-    return schemes;
+    std::string label =
+        SchemeRegistry::instance().at(sel.token).displayName;
+    if (!sel.knobs.empty())
+        label += ":" + sel.knobs.canonical();
+    return label;
 }
+
+/** The prefetching schemes compared in Figures 5-9, as registry
+ *  tokens (the --scheme default of the figure benches). */
+inline const std::vector<std::string> kPaperSchemes = {
+    "nl-miss", "nl-tagged", "n4l", "discontinuity"};
 
 } // namespace ipref
 

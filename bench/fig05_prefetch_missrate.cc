@@ -23,7 +23,7 @@ missTable(const BenchContext &ctx, const char *title, bool cmp,
     const auto sets = figureWorkloads(include_mix);
 
     // One batch: baselines first, then the scheme grid (row-major).
-    const auto schemes = ctx.schemes();
+    const auto schemes = ctx.schemeSelections(kPaperSchemes);
     std::vector<RunSpec> specs;
     for (const auto &ws : sets)
         specs.push_back(ctx.spec()
@@ -31,7 +31,7 @@ missTable(const BenchContext &ctx, const char *title, bool cmp,
                             .workloads(ws.kinds)
                             .functional()
                             .build());
-    for (PrefetchScheme scheme : schemes) {
+    for (const SchemeSelection &scheme : schemes) {
         for (const auto &ws : sets)
             specs.push_back(ctx.spec()
                                 .cmp(cmp)
@@ -49,8 +49,8 @@ missTable(const BenchContext &ctx, const char *title, bool cmp,
     t.header(header);
 
     std::size_t next = sets.size();
-    for (PrefetchScheme scheme : schemes) {
-        std::vector<std::string> row = {schemeName(scheme)};
+    for (const SchemeSelection &scheme : schemes) {
+        std::vector<std::string> row = {schemeLabel(scheme)};
         for (std::size_t wi = 0; wi < sets.size(); ++wi) {
             const SimResults &r = results[next++];
             double rate = l2 ? r.l2iMissPerInstr()

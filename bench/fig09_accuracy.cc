@@ -16,7 +16,7 @@ namespace
 struct SchemeSpec
 {
     std::string label;
-    PrefetchScheme scheme;
+    std::string scheme;
     unsigned degree;
 };
 
@@ -24,11 +24,11 @@ const std::vector<SchemeSpec> &
 schemesWith2NL()
 {
     static const std::vector<SchemeSpec> schemes = {
-        {"next-line (on miss)", PrefetchScheme::NextLineOnMiss, 1},
-        {"next-line (tagged)", PrefetchScheme::NextLineTagged, 1},
-        {"next-4-lines (tagged)", PrefetchScheme::NextNLineTagged, 4},
-        {"discontinuity", PrefetchScheme::Discontinuity, 4},
-        {"discont (2NL)", PrefetchScheme::Discontinuity, 2},
+        {"next-line (on miss)", "nl-miss", 1},
+        {"next-line (tagged)", "nl-tagged", 1},
+        {"next-4-lines (tagged)", "n4l", 4},
+        {"discontinuity", "discontinuity", 4},
+        {"discont (2NL)", "discontinuity", 2},
     };
     return schemes;
 }

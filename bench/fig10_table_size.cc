@@ -35,16 +35,14 @@ main(int argc, char **argv)
     struct Row
     {
         std::string label;
-        PrefetchScheme scheme;
+        std::string scheme;
         unsigned entries;
     };
     std::vector<Row> rows;
     for (unsigned entries : {8192u, 4096u, 2048u, 1024u, 512u, 256u})
         rows.push_back({std::to_string(entries) + "-entries",
-                        PrefetchScheme::Discontinuity, entries});
-    rows.push_back(
-        {"next-4-lines (tagged)", PrefetchScheme::NextNLineTagged,
-         8192});
+                        "discontinuity", entries});
+    rows.push_back({"next-4-lines (tagged)", "n4l", 8192});
 
     const auto sets = figureWorkloads(true);
 

@@ -27,12 +27,12 @@ namespace
 void
 stackTable(const BenchContext &ctx, const WorkloadSet &ws)
 {
-    const auto schemes = ctx.schemes();
+    const auto schemes = ctx.schemeSelections(kPaperSchemes);
 
     std::vector<RunSpec> specs;
     specs.push_back(
         ctx.spec().cmp(false).workloads(ws.kinds).build());
-    for (PrefetchScheme scheme : schemes)
+    for (const SchemeSelection &scheme : schemes)
         specs.push_back(ctx.spec()
                             .cmp(false)
                             .workloads(ws.kinds)
@@ -52,7 +52,7 @@ stackTable(const BenchContext &ctx, const WorkloadSet &ws)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const SimResults &r = results[i];
         std::vector<std::string> row = {
-            i == 0 ? "none" : schemeName(schemes[i - 1])};
+            i == 0 ? "none" : schemeLabel(schemes[i - 1])};
         for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
             double v = r.instructions
                            ? static_cast<double>(r.cpiStack[b]) /

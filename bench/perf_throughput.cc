@@ -69,14 +69,15 @@ main(int argc, char **argv)
     struct Case
     {
         std::string label;
-        PrefetchScheme scheme;
+        SchemeSelection scheme;
         bool bypass;
     };
-    std::vector<Case> cases = {{"none", PrefetchScheme::None, false}};
-    for (PrefetchScheme s : ctx.schemes())
-        cases.push_back({schemeName(s), s, true});
+    std::vector<Case> cases = {{"none", SchemeSelection{}, false}};
+    for (const SchemeSelection &s : ctx.schemeSelections(kPaperSchemes))
+        cases.push_back({schemeLabel(s), s, true});
 
     std::vector<Sample> samples;
+    std::string workload;
     for (const auto &c : cases) {
         RunSpec spec = ctx.spec()
                            .cmp(true)
@@ -84,11 +85,12 @@ main(int argc, char **argv)
                            .scheme(c.scheme)
                            .bypassL2(c.bypass)
                            .build();
+        workload = makeConfig(spec).workloadSetName();
         samples.push_back(measure(c.label, spec, reps));
     }
 
-    Table t("Simulator throughput (DB, 4-way CMP, best of " +
-            std::to_string(reps) + ")");
+    Table t("Simulator throughput (" + workload +
+            ", 4-way CMP, best of " + std::to_string(reps) + ")");
     t.header({"Scheme", "Minstr/s", "measure secs", "instructions"});
     for (const Sample &s : samples)
         t.row({s.label, Table::num(s.mips, 2),
@@ -101,7 +103,8 @@ main(int argc, char **argv)
         ipref_fatal("cannot write throughput report to '%s'",
                     out_path.c_str());
     out << "{\n  \"benchmark\": \"perf_throughput\",\n"
-        << "  \"workload\": \"DB\",\n  \"cores\": 4,\n"
+        << "  \"workload\": \"" << workload
+        << "\",\n  \"cores\": 4,\n"
         << "  \"scale\": " << ctx.scale << ",\n"
         << "  \"reps\": " << reps << ",\n  \"schemes\": [\n";
     for (std::size_t i = 0; i < samples.size(); ++i) {

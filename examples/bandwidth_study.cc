@@ -38,13 +38,13 @@ try {
                                           40.0};
     struct Variant
     {
-        PrefetchScheme scheme;
+        std::string scheme;
         unsigned degree;
     };
     const std::vector<Variant> variants = {
-        {PrefetchScheme::None, 4},
-        {PrefetchScheme::Discontinuity, 4},
-        {PrefetchScheme::Discontinuity, 2},
+        {"none", 4},
+        {"discontinuity", 4},
+        {"discontinuity", 2},
     };
 
     // One batch: bandwidth-major, {base, disc-4, disc-2} per point.
@@ -57,7 +57,7 @@ try {
                     .workload(kind)
                     .scheme(v.scheme)
                     .degree(v.degree)
-                    .bypassL2(v.scheme != PrefetchScheme::None)
+                    .bypassL2(v.scheme != "none")
                     .instrScale(scale)
                     .memGbPerSec(gbps)
                     .build());

@@ -75,10 +75,10 @@ try {
     // All three configurations as one batch.
     std::vector<RunSpec> specs = {spec};
     specs.push_back(RunSpec::Builder(spec)
-                        .scheme(PrefetchScheme::Discontinuity)
+                        .scheme("discontinuity")
                         .build());
     specs.push_back(RunSpec::Builder(spec)
-                        .scheme(PrefetchScheme::Discontinuity)
+                        .scheme("discontinuity")
                         .bypassL2()
                         .build());
     std::vector<SimResults> results = runSpecs(

@@ -13,6 +13,7 @@
 
 #include <iostream>
 
+#include "prefetch/scheme_registry.hh"
 #include "sim/experiment.hh"
 #include "util/options.hh"
 #include "util/table.hh"
@@ -37,19 +38,19 @@ try {
 
     struct Entry
     {
-        PrefetchScheme scheme;
+        std::string scheme;
         unsigned degree;
         bool bypass;
     };
     const std::vector<Entry> entries = {
-        {PrefetchScheme::NextLineOnMiss, 1, false},
-        {PrefetchScheme::NextLineTagged, 1, false},
-        {PrefetchScheme::NextNLineTagged, 4, false},
-        {PrefetchScheme::NextNLineTagged, 4, true},
-        {PrefetchScheme::TargetHistory, 1, false},
-        {PrefetchScheme::Discontinuity, 4, false},
-        {PrefetchScheme::Discontinuity, 4, true},
-        {PrefetchScheme::Discontinuity, 2, true},
+        {"nl-miss", 1, false},
+        {"nl-tagged", 1, false},
+        {"n4l", 4, false},
+        {"n4l", 4, true},
+        {"target", 1, false},
+        {"discontinuity", 4, false},
+        {"discontinuity", 4, true},
+        {"discontinuity", 2, true},
     };
 
     // One batch: the baseline first, then every scheme variant.
@@ -76,9 +77,9 @@ try {
     std::size_t next = 1;
     for (const auto &e : entries) {
         const SimResults &r = results[next++];
-        std::string label = schemeName(e.scheme);
-        if (e.scheme == PrefetchScheme::Discontinuity &&
-            e.degree == 2)
+        std::string label =
+            SchemeRegistry::instance().at(e.scheme).displayName;
+        if (e.scheme == "discontinuity" && e.degree == 2)
             label += " 2NL";
         t.row({label, e.bypass ? "yes" : "no",
                Table::num(base.l1iMissPerInstr() > 0

@@ -70,7 +70,8 @@ try {
 
     std::cout << "workload: " << system.config().workloadSetName()
               << "  cores: " << system.config().numCores
-              << "  scheme: " << schemeName(spec.scheme)
+              << "  scheme: "
+              << schemeDisplayName(system.config().prefetch)
               << (spec.bypassL2 ? " +bypass" : "") << "\n";
     std::cout << "instructions: " << r.instructions
               << "  cycles: " << r.cycles << "  IPC: " << r.ipc

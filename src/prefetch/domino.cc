@@ -172,8 +172,7 @@ registerDominoScheme(SchemeRegistry &reg)
                  std::make_unique<DominoPrefetcher>(
                      DominoConfig::fromKnobs(cfg, knobs),
                      cfg.lineBytes));
-         },
-         -1});
+         }});
 }
 
 } // namespace ipref

@@ -215,8 +215,7 @@ registerIsbScheme(SchemeRegistry &reg)
                      std::make_unique<IsbPrefetcher>(
                          IsbConfig::fromKnobs(cfg, knobs),
                          cfg.lineBytes));
-             },
-             -1});
+             }});
 }
 
 } // namespace ipref

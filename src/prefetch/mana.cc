@@ -165,8 +165,7 @@ registerManaScheme(SchemeRegistry &reg)
                      std::make_unique<ManaPrefetcher>(
                          ManaConfig::fromKnobs(cfg, knobs),
                          cfg.lineBytes));
-             },
-             -1});
+             }});
 }
 
 } // namespace ipref

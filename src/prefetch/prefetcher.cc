@@ -1,50 +1,9 @@
 #include "prefetch/prefetcher.hh"
 
 #include "prefetch/scheme_registry.hh"
-#include "util/error.hh"
-#include "util/logging.hh"
 
 namespace ipref
 {
-
-const std::vector<SchemeInfo> &
-schemeRegistry()
-{
-    // Tokens and aliases here are a compatibility surface: scripts
-    // and CI pin them, so entries may be added but never renamed.
-    // This is the legacy enum-keyed view; the open registry
-    // (SchemeRegistry::instance()) is the source of truth and also
-    // covers registry-only schemes.
-    static const std::vector<SchemeInfo> registry = [] {
-        std::vector<SchemeInfo> out;
-        for (const SchemeDescriptor *d :
-             SchemeRegistry::instance().all()) {
-            if (d->legacy < 0)
-                continue;
-            out.push_back({static_cast<PrefetchScheme>(d->legacy),
-                           d->token.c_str(), d->displayName.c_str(),
-                           d->aliases});
-        }
-        return out;
-    }();
-    return registry;
-}
-
-const char *
-schemeName(PrefetchScheme scheme)
-{
-    const SchemeDescriptor *d = SchemeRegistry::instance().findLegacy(
-        static_cast<int>(scheme));
-    return d ? d->displayName.c_str() : "?";
-}
-
-const char *
-schemeToken(PrefetchScheme scheme)
-{
-    const SchemeDescriptor *d = SchemeRegistry::instance().findLegacy(
-        static_cast<int>(scheme));
-    return d ? d->token.c_str() : "?";
-}
 
 const char *
 originName(PrefetchOrigin origin)
@@ -59,47 +18,28 @@ originName(PrefetchOrigin origin)
     return "?";
 }
 
-PrefetchScheme
-parseScheme(const std::string &name)
-{
-    const SchemeDescriptor &d = SchemeRegistry::instance().at(name);
-    if (d.legacy < 0)
-        ipref_raise(ConfigError,
-                    "scheme '%s' has no legacy enum value; select it "
-                    "by token (RunSpec::Builder::scheme(\"%s\"))",
-                    d.token.c_str(), d.token.c_str());
-    return static_cast<PrefetchScheme>(d.legacy);
-}
-
 const char *
 PrefetchConfig::effectiveToken() const
 {
-    if (!schemeToken.empty())
-        return SchemeRegistry::instance().at(schemeToken).token.c_str();
-    return ipref::schemeToken(scheme);
+    return SchemeRegistry::instance().at(schemeToken).token.c_str();
 }
 
 const char *
 schemeDisplayName(const PrefetchConfig &cfg)
 {
-    const SchemeDescriptor *d =
-        SchemeRegistry::instance().find(cfg.effectiveToken());
-    return d ? d->displayName.c_str() : "?";
+    return SchemeRegistry::instance()
+        .at(cfg.schemeToken)
+        .displayName.c_str();
 }
 
 std::unique_ptr<InstructionPrefetcher>
 createPrefetcher(const PrefetchConfig &cfg)
 {
-    const SchemeRegistry &reg = SchemeRegistry::instance();
-    const SchemeDescriptor *desc =
-        !cfg.schemeToken.empty()
-            ? &reg.at(cfg.schemeToken)
-            : reg.findLegacy(static_cast<int>(cfg.scheme));
-    if (!desc)
-        ipref_raise(InvariantError, "bad prefetch scheme");
+    const SchemeDescriptor &desc =
+        SchemeRegistry::instance().at(cfg.schemeToken);
     KnobValues knobs = KnobValues::fromCanonical(cfg.schemeKnobs);
-    validateKnobs(*desc, knobs);
-    return desc->factory(cfg, knobs);
+    validateKnobs(desc, knobs);
+    return desc.factory(cfg, knobs);
 }
 
 } // namespace ipref

@@ -94,23 +94,17 @@ registerBuiltins(SchemeRegistry &reg)
     reg.add({"none", "no prefetch", {}, {},
              [](const PrefetchConfig &, const KnobValues &) {
                  return std::unique_ptr<InstructionPrefetcher>();
-             },
-             static_cast<int>(PrefetchScheme::None)});
+             }});
     reg.add({"nl-always", "next-line (always)", {}, withCommonKnobs({}),
-             nl(Policy::Always, true, false),
-             static_cast<int>(PrefetchScheme::NextLineAlways)});
+             nl(Policy::Always, true, false)});
     reg.add({"nl-miss", "next-line (on miss)", {}, withCommonKnobs({}),
-             nl(Policy::OnMiss, true, false),
-             static_cast<int>(PrefetchScheme::NextLineOnMiss)});
+             nl(Policy::OnMiss, true, false)});
     reg.add({"nl-tagged", "next-line (tagged)", {},
-             withCommonKnobs({}), nl(Policy::Tagged, true, false),
-             static_cast<int>(PrefetchScheme::NextLineTagged)});
+             withCommonKnobs({}), nl(Policy::Tagged, true, false)});
     reg.add({"n4l", "next-4-lines (tagged)", {"nnl-tagged"},
-             withCommonKnobs({}), nl(Policy::Tagged, false, false),
-             static_cast<int>(PrefetchScheme::NextNLineTagged)});
+             withCommonKnobs({}), nl(Policy::Tagged, false, false)});
     reg.add({"lookahead", "lookahead-N", {}, withCommonKnobs({}),
-             nl(Policy::Tagged, false, true),
-             static_cast<int>(PrefetchScheme::LookaheadN)});
+             nl(Policy::Tagged, false, true)});
     reg.add({"discontinuity", "discontinuity", {"disc"},
              withCommonKnobs({{"table_entries", KnobType::Uint, "8192",
                                "discontinuity table entries", 1,
@@ -119,8 +113,7 @@ registerBuiltins(SchemeRegistry &reg)
                  return std::unique_ptr<InstructionPrefetcher>(
                      std::make_unique<DiscontinuityPrefetcher>(
                          cfg.tableEntries, cfg.degree, cfg.lineBytes));
-             },
-             static_cast<int>(PrefetchScheme::Discontinuity)});
+             }});
     reg.add({"target", "target", {},
              withCommonKnobs(
                  {{"table_entries", KnobType::Uint, "8192",
@@ -132,16 +125,14 @@ registerBuiltins(SchemeRegistry &reg)
                      std::make_unique<TargetPrefetcher>(
                          cfg.tableEntries, cfg.targetWays,
                          cfg.lineBytes));
-             },
-             static_cast<int>(PrefetchScheme::TargetHistory)});
+             }});
     reg.add({"wrong-path", "wrong-path", {"wrongpath"},
              withCommonKnobs({}),
              [](const PrefetchConfig &cfg, const KnobValues &) {
                  return std::unique_ptr<InstructionPrefetcher>(
                      std::make_unique<WrongPathPrefetcher>(
                          std::min(cfg.degree, 2u), cfg.lineBytes));
-             },
-             static_cast<int>(PrefetchScheme::WrongPath)});
+             }});
     reg.add({"call-graph", "call-graph", {"cgp"},
              withCommonKnobs({{"table_entries", KnobType::Uint, "8192",
                                "call-graph table entries", 1,
@@ -151,10 +142,9 @@ registerBuiltins(SchemeRegistry &reg)
                      std::make_unique<CallGraphPrefetcher>(
                          cfg.tableEntries, /*calleeSlots=*/8,
                          std::min(cfg.degree, 2u), cfg.lineBytes));
-             },
-             static_cast<int>(PrefetchScheme::CallGraph)});
+             }});
 
-    // Temporal record/replay family: registry-only (no legacy enum).
+    // Temporal record/replay family.
     registerDominoScheme(reg);
     registerIsbScheme(reg);
     registerManaScheme(reg);
@@ -317,16 +307,6 @@ SchemeRegistry::at(const std::string &name) const
     ipref_raise(ConfigError,
                 "unknown prefetch scheme '%s' (valid: %s)",
                 name.c_str(), valid.c_str());
-}
-
-const SchemeDescriptor *
-SchemeRegistry::findLegacy(int legacy) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const SchemeDescriptor &d : entries_)
-        if (d.legacy == legacy)
-            return &d;
-    return nullptr;
 }
 
 std::vector<const SchemeDescriptor *>

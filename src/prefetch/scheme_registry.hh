@@ -7,12 +7,6 @@
  * driven off those descriptors. Out-of-tree schemes call
  * SchemeRegistry::instance().add() at startup and participate in all
  * of the above without touching this library.
- *
- * The closed PrefetchScheme enum survives as a deprecated shim: every
- * built-in scheme descriptor carries its legacy enum value, and
- * parseScheme()/schemeToken()/createPrefetcher() in prefetcher.hh
- * translate through the registry, so pre-registry drivers compile and
- * produce bit-identical results.
  */
 
 #ifndef IPREF_PREFETCH_SCHEME_REGISTRY_HH
@@ -119,12 +113,6 @@ struct SchemeDescriptor
     std::function<std::unique_ptr<InstructionPrefetcher>(
         const PrefetchConfig &cfg, const KnobValues &knobs)>
         factory;
-
-    /**
-     * Legacy PrefetchScheme value for built-in schemes, so the
-     * deprecated enum shims round-trip; -1 for registry-only schemes.
-     */
-    int legacy = -1;
 };
 
 /**
@@ -149,9 +137,6 @@ class SchemeRegistry
 
     /** find() that throws ConfigError listing the valid tokens. */
     const SchemeDescriptor &at(const std::string &name) const;
-
-    /** Descriptor of a legacy enum value; nullptr when unmapped. */
-    const SchemeDescriptor *findLegacy(int legacy) const;
 
     /** Every descriptor, in registration order. */
     std::vector<const SchemeDescriptor *> all() const;

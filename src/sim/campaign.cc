@@ -58,14 +58,6 @@ constexpr U64Field u64Fields[] = {
     {"mem_queue_delay_cycles", &SimResults::memQueueDelayCycles},
     {"branch_ctis", &SimResults::branchCtis},
     {"branch_mispredicts", &SimResults::branchMispredicts},
-};
-
-/**
- * Fields added after manifests already existed in the wild: written
- * by every new manifest, but read as zero when absent so pre-upgrade
- * checkpoints still resume (the cpi_stack pattern).
- */
-constexpr U64Field u64OptionalFields[] = {
     {"pf_meta_entries", &SimResults::pfMetaEntries},
     {"pf_meta_bytes", &SimResults::pfMetaBytes},
     {"pf_meta_offchip_reads", &SimResults::pfMetaOffChipReads},
@@ -94,15 +86,11 @@ parseArray(const JsonValue &v, const char *name,
         return false;
     }
     const JsonValue &a = v.at(name);
-    // Manifests written before an enum grew (a new PrefetchOrigin,
-    // a new CPI bucket) carry shorter arrays; read the prefix and
-    // zero the new tail rather than rejecting the checkpoint.
-    if (a.kind != JsonValue::Array || a.items.size() > N) {
+    if (a.kind != JsonValue::Array || a.items.size() != N) {
         err = std::string("bad array: ") + name;
         return false;
     }
-    arr.fill(0);
-    for (std::size_t i = 0; i < a.items.size(); ++i)
+    for (std::size_t i = 0; i < N; ++i)
         arr[i] = a.items[i].asUint();
     return true;
 }
@@ -143,7 +131,7 @@ fingerprintSpec(const RunSpec &spec)
 {
     // SplitMix64 chain over every result-affecting field; doubles are
     // mixed by bit pattern so the fingerprint is exact, not rounded.
-    std::uint64_t h = hashString("ipref.campaign.v2");
+    std::uint64_t h = hashString("ipref.campaign.v3");
     auto mix = [&h](std::uint64_t v) {
         std::uint64_t s = h ^ v;
         h = splitMix64(s);
@@ -157,7 +145,8 @@ fingerprintSpec(const RunSpec &spec)
     mix(spec.workloads.size());
     for (WorkloadKind k : spec.workloads)
         mix(static_cast<std::uint64_t>(k));
-    mix(static_cast<std::uint64_t>(spec.scheme));
+    mix(hashString(spec.schemeToken));
+    mix(hashString(spec.schemeKnobs));
     mix(spec.degree);
     mix(spec.tableEntries);
     mix(spec.targetWays);
@@ -177,25 +166,15 @@ fingerprintSpec(const RunSpec &spec)
     mix(spec.lineBytes);
     mixDouble(spec.instrScale);
     mix(spec.baseSeed);
-    // The trace input is fingerprinted in its effective (merged)
-    // form, so the deprecated loose-field spelling and an equivalent
-    // TraceSpec hash identically. `shared` is a performance knob with
-    // no effect on results, so it is deliberately excluded.
-    TraceSpec trace = spec.effectiveTrace();
-    mix(hashString(trace.path));
-    mix(hashString(trace.preset));
-    mix(trace.loop ? 1 : 0);
-    mix(trace.tolerant ? 1 : 0);
+    // `shared` is a performance knob with no effect on results, so it
+    // is deliberately excluded.
+    mix(hashString(spec.trace.path));
+    mix(hashString(spec.trace.preset));
+    mix(spec.trace.loop ? 1 : 0);
+    mix(spec.trace.tolerant ? 1 : 0);
     mix(spec.faultAtInstr);
     mix(spec.faultTransient ? 1 : 0);
     mix(spec.faultAttempts);
-    // Registry-token schemes mix their token and knobs; legacy enum
-    // specs skip this block entirely so every pre-registry manifest
-    // fingerprint is unchanged.
-    if (!spec.schemeToken.empty() || !spec.schemeKnobs.empty()) {
-        mix(hashString(spec.schemeToken));
-        mix(hashString(spec.schemeKnobs));
-    }
     return h;
 }
 
@@ -206,11 +185,6 @@ resultsToJson(const SimResults &r)
     os << "{";
     bool first = true;
     for (const U64Field &f : u64Fields) {
-        os << (first ? "" : ", ") << jsonString(f.name) << ": "
-           << jsonString(jsonHex(r.*f.ptr));
-        first = false;
-    }
-    for (const U64Field &f : u64OptionalFields) {
         os << (first ? "" : ", ") << jsonString(f.name) << ": "
            << jsonString(jsonHex(r.*f.ptr));
         first = false;
@@ -242,12 +216,6 @@ resultsFromJson(const JsonValue &v)
                                     f.name);
             r.*f.ptr = v.at(f.name).asUint();
         }
-        // Manifests written before metadata accounting existed lack
-        // these; read them as zero (the cpi_stack pattern).
-        for (const U64Field &f : u64OptionalFields) {
-            if (v.has(f.name))
-                r.*f.ptr = v.at(f.name).asUint();
-        }
         std::string err;
         if (!parseArray(v, "l1i_miss_by_transition",
                         r.l1iMissByTransition, err) ||
@@ -256,12 +224,7 @@ resultsFromJson(const JsonValue &v)
             !parseArray(v, "pf_issued_by_origin", r.pfIssuedByOrigin,
                         err) ||
             !parseArray(v, "pf_useful_by_origin", r.pfUsefulByOrigin,
-                        err))
-            return SimError(SimError::Kind::Io,
-                            "manifest results: " + err);
-        // Manifests written before cycle accounting existed have no
-        // stack; read them as all-zero rather than rejecting them.
-        if (v.has("cpi_stack") &&
+                        err) ||
             !parseArray(v, "cpi_stack", r.cpiStack, err))
             return SimError(SimError::Kind::Io,
                             "manifest results: " + err);
@@ -324,7 +287,8 @@ CampaignManifest::write() const
                            "cannot write campaign manifest '" + tmp +
                                "': " + std::strerror(errno),
                            isTransientErrno(errno));
-        out << "{\n  \"version\": 1,\n  \"runs\": [";
+        out << "{\n  \"version\": " << kManifestVersion
+            << ",\n  \"runs\": [";
         bool first = true;
         for (std::uint64_t fp : order_) {
             const ManifestEntry &e = entries_.at(fp);
@@ -380,10 +344,15 @@ CampaignManifest::load(const std::string &path)
     CampaignManifest m;
     try {
         JsonValue doc = parseJson(buf.str());
-        if (doc.numberOr("version", 0) != 1)
-            return SimError(SimError::Kind::Io,
-                            "campaign manifest '" + path +
-                                "': unsupported version");
+        double version = doc.numberOr("version", 0);
+        if (version != kManifestVersion) {
+            std::ostringstream msg;
+            msg << "campaign manifest '" << path << "' has version "
+                << version << "; this build reads version "
+                << kManifestVersion
+                << " (re-run the campaign without --resume)";
+            return SimError(SimError::Kind::Config, msg.str());
+        }
         for (const JsonValue &run : doc.at("runs").items) {
             ManifestEntry e;
             e.fingerprint = run.at("fingerprint").asUint();
@@ -413,6 +382,18 @@ CampaignManifest::load(const std::string &path)
     }
     m.path_ = path;
     return m;
+}
+
+CampaignManifest
+CampaignManifest::loadForResume(const std::string &path)
+{
+    Expected<CampaignManifest> loaded = load(path);
+    if (loaded.ok())
+        return std::move(loaded.value());
+    if (loaded.error().kind() == SimError::Kind::Config)
+        throw ConfigError(loaded.error().what());
+    ipref_warn("starting campaign fresh: %s", loaded.error().what());
+    return CampaignManifest(path);
 }
 
 ManifestLock::ManifestLock(const std::string &manifestPath)

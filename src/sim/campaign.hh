@@ -54,6 +54,12 @@ std::string resultsToJson(const SimResults &r);
 /** Inverse of resultsToJson (ipc is recomputed, not stored). */
 Expected<SimResults> resultsFromJson(const JsonValue &v);
 
+/**
+ * Campaign manifest format version. Manifests are keyed by
+ * fingerprintSpec(), so this moves with its salt.
+ */
+constexpr int kManifestVersion = 2;
+
 /** One run as remembered by the manifest. */
 struct ManifestEntry
 {
@@ -82,9 +88,18 @@ class CampaignManifest
     /**
      * Read and parse @p path. A missing, unreadable or corrupt file is
      * an answer, not an exception (the caller decides whether to start
-     * fresh), hence Expected.
+     * fresh), hence Expected; so is a manifest of another version,
+     * whose error has kind Config.
      */
     static Expected<CampaignManifest> load(const std::string &path);
+
+    /**
+     * The manifest a --resume run starts from. A missing, unreadable
+     * or corrupt file warns and starts fresh (an empty manifest bound
+     * to @p path); a manifest of another version throws ConfigError
+     * naming both versions, so an old campaign is never overwritten.
+     */
+    static CampaignManifest loadForResume(const std::string &path);
 
     const std::string &path() const { return path_; }
     std::size_t size() const { return order_.size(); }

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "prefetch/scheme_registry.hh"
 #include "util/json.hh"
 #include "workload/presets.hh"
 
@@ -50,23 +49,16 @@ jsonBool(bool b)
 std::string
 specToJson(const RunSpec &spec)
 {
-    // The trace input is serialized in its effective (merged) form,
-    // so the deprecated loose fields never cross the wire and the
-    // fingerprint is preserved (it hashes the same merged form).
-    TraceSpec trace = spec.effectiveTrace();
+    const TraceSpec &trace = spec.trace;
 
     std::ostringstream os;
     os << "{\"cmp\": " << jsonBool(spec.cmp) << ", \"workloads\": [";
     for (std::size_t i = 0; i < spec.workloads.size(); ++i)
         os << (i ? ", " : "")
            << jsonString(workloadName(spec.workloads[i]));
-    os << "], \"scheme\": "
-       << jsonString(spec.schemeToken.empty()
-                         ? schemeToken(spec.scheme)
-                         : spec.schemeToken.c_str());
-    if (!spec.schemeToken.empty())
-        os << ", \"scheme_knobs\": " << jsonString(spec.schemeKnobs);
-    os << ", \"degree\": " << spec.degree
+    os << "], \"scheme\": " << jsonString(spec.schemeToken)
+       << ", \"scheme_knobs\": " << jsonString(spec.schemeKnobs)
+       << ", \"degree\": " << spec.degree
        << ", \"table_entries\": " << spec.tableEntries
        << ", \"target_ways\": " << spec.targetWays
        << ", \"bypass_l2\": " << jsonBool(spec.bypassL2)
@@ -111,22 +103,8 @@ specFromJson(const JsonValue &v)
         s.workloads.clear();
         for (const JsonValue &w : v.at("workloads").items)
             s.workloads.push_back(parseWorkloadKind(w.str));
-        // Resolve through the registry: legacy tokens collapse onto
-        // the deprecated enum (bit-identical fingerprints), registry-
-        // only tokens ("domino", ...) ride the token/knob fields.
-        {
-            const SchemeDescriptor &d =
-                SchemeRegistry::instance().at(v.at("scheme").str);
-            const std::string knobs =
-                v.stringOr("scheme_knobs", "");
-            if (d.legacy >= 0 && knobs.empty()) {
-                s.scheme = static_cast<PrefetchScheme>(d.legacy);
-            } else {
-                s.scheme = PrefetchScheme::None;
-                s.schemeToken = d.token;
-                s.schemeKnobs = knobs;
-            }
-        }
+        s.schemeToken = v.at("scheme").str;
+        s.schemeKnobs = v.stringOr("scheme_knobs", "");
         s.degree = static_cast<unsigned>(v.numberOr("degree", 4));
         s.tableEntries = static_cast<unsigned>(
             v.numberOr("table_entries", 8192));

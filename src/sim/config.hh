@@ -106,28 +106,8 @@ struct SystemConfig
      */
     TraceSpec trace;
 
-    /**
-     * @deprecated Pre-TraceSpec spelling, still honored when trace is
-     * not enabled() — see effectiveTrace(). Use `trace` instead.
-     */
-    std::string tracePath;
-    bool traceReadTolerant = false;
-
-    /**
-     * The trace input after merging the deprecated loose fields: the
-     * TraceSpec wins when set, else tracePath/traceReadTolerant are
-     * lifted into one. Every consumer (System, fingerprints) reads
-     * this, so both spellings behave identically.
-     */
-    TraceSpec
-    effectiveTrace() const
-    {
-        if (trace.enabled() || !trace.preset.empty())
-            return trace;
-        if (!tracePath.empty())
-            return TraceSpec::file(tracePath, traceReadTolerant);
-        return trace;
-    }
+    /** Same as `trace` (perfbench reads the input through this). */
+    TraceSpec effectiveTrace() const { return trace; }
 
     /** Cancellation handle polled by the run loops (may be null). */
     std::shared_ptr<RunControl> control;

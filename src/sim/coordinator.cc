@@ -216,14 +216,8 @@ Coordinator::resumeFromManifest()
 {
     if (opt_.batch.manifestPath.empty() || !opt_.batch.resume)
         return;
-    Expected<CampaignManifest> loaded =
-        CampaignManifest::load(opt_.batch.manifestPath);
-    if (!loaded.ok()) {
-        ipref_warn("starting campaign fresh: %s",
-                   loaded.error().what());
-        return;
-    }
-    CampaignManifest prior = std::move(loaded.value());
+    CampaignManifest prior =
+        CampaignManifest::loadForResume(opt_.batch.manifestPath);
     for (std::size_t i = 0; i < specs_.size(); ++i) {
         const ManifestEntry *e = prior.find(fingerprints_[i]);
         if (!e)

@@ -325,30 +325,8 @@ RunSpec::Builder::scheme(const SchemeSelection &sel)
             residual.set(kv.first, kv.second);
     }
 
-    if (d.legacy >= 0 && residual.empty()) {
-        // Collapse onto the deprecated enum: pre-registry manifests,
-        // fingerprints and wire messages stay bit-identical.
-        spec_.scheme = static_cast<PrefetchScheme>(d.legacy);
-        spec_.schemeToken.clear();
-        spec_.schemeKnobs.clear();
-    } else {
-        spec_.scheme = PrefetchScheme::None;
-        spec_.schemeToken = d.token;
-        spec_.schemeKnobs = residual.canonical();
-    }
-    return *this;
-}
-
-RunSpec::Builder &
-RunSpec::Builder::policy(const PrefetchPolicy &p)
-{
-    spec_.scheme = p.scheme;
-    spec_.degree = p.degree;
-    spec_.tableEntries = p.tableEntries;
-    spec_.targetWays = p.targetWays;
-    spec_.queueSize = p.queueSize;
-    spec_.historySize = p.historySize;
-    spec_.useConfidenceFilter = p.useConfidenceFilter;
+    spec_.schemeToken = d.token;
+    spec_.schemeKnobs = residual.canonical();
     return *this;
 }
 
@@ -356,35 +334,19 @@ RunSpec
 RunSpec::Builder::build() const
 {
     RunSpec s = spec_;
-    TraceSpec trace = s.effectiveTrace();
+    const TraceSpec &trace = s.trace;
 
-    // Registry-token validation: specs can be aggregate-initialized
-    // (the campaign wire protocol does) without going through
-    // Builder::scheme(), so the token/knob checks repeat here. The
-    // token is canonicalized so aliases ("sisb") fingerprint
-    // identically to their canonical spelling ("isb").
-    if (!s.schemeToken.empty() && s.schemeToken != "none") {
-        if (s.scheme != PrefetchScheme::None)
-            ipref_raise(ConfigError,
-                        "RunSpec: both the deprecated scheme enum and "
-                        "schemeToken '%s' are set — use one",
-                        s.schemeToken.c_str());
-        const SchemeDescriptor &d =
-            SchemeRegistry::instance().at(s.schemeToken);
-        KnobValues knobs = KnobValues::fromCanonical(s.schemeKnobs);
-        validateKnobs(d, knobs);
-        s.schemeToken = d.token;
-        s.schemeKnobs = knobs.canonical();
-    } else if (!s.schemeKnobs.empty()) {
-        ipref_raise(ConfigError,
-                    "RunSpec: schemeKnobs '%s' set without a "
-                    "schemeToken",
-                    s.schemeKnobs.c_str());
-    } else {
-        // An explicit "none" is the default; normalize it away so the
-        // spec fingerprints identically to a default-built one.
-        s.schemeToken.clear();
-    }
+    // Specs can be aggregate-initialized (the campaign wire protocol
+    // does) without going through Builder::scheme(), so the token and
+    // knob checks repeat here. The token is canonicalized so aliases
+    // ("sisb") fingerprint identically to their canonical spelling
+    // ("isb").
+    const SchemeDescriptor &d =
+        SchemeRegistry::instance().at(s.schemeToken);
+    KnobValues knobs = KnobValues::fromCanonical(s.schemeKnobs);
+    validateKnobs(d, knobs);
+    s.schemeToken = d.token;
+    s.schemeKnobs = knobs.canonical();
 
     if (!trace.enabled() && trace.preset.empty() &&
         s.workloads.empty())
@@ -397,9 +359,7 @@ RunSpec::Builder::build() const
                     "mutually exclusive");
     if (!trace.preset.empty())
         presetWorkloads(trace.preset); // throws on an unknown name
-    if ((s.scheme != PrefetchScheme::None ||
-         !s.schemeToken.empty()) &&
-        s.degree == 0)
+    if (s.schemeToken != "none" && s.degree == 0)
         ipref_raise(ConfigError,
                     "RunSpec: prefetch degree must be >= 1");
     if (s.instrScale <= 0.0)
@@ -435,9 +395,8 @@ makeConfig(const RunSpec &spec)
     cfg.numCores = spec.cmp ? 4 : 1;
     cfg.workloads = spec.workloads;
 
-    TraceSpec trace = spec.effectiveTrace();
-    if (!trace.preset.empty() && !trace.enabled())
-        cfg.workloads = presetWorkloads(trace.preset);
+    if (!spec.trace.preset.empty() && !spec.trace.enabled())
+        cfg.workloads = presetWorkloads(spec.trace.preset);
     cfg.baseSeed = spec.baseSeed;
     cfg.functional = spec.functional;
 
@@ -456,7 +415,6 @@ makeConfig(const RunSpec &spec)
                                : (spec.cmp ? 20.0 : 10.0);
     cfg.hierarchy.memory.lineBytes = spec.lineBytes;
 
-    cfg.prefetch.scheme = spec.scheme;
     cfg.prefetch.schemeToken = spec.schemeToken;
     cfg.prefetch.schemeKnobs = spec.schemeKnobs;
     cfg.prefetch.degree = spec.degree;
@@ -474,7 +432,7 @@ makeConfig(const RunSpec &spec)
     cfg.profileSites =
         static_cast<unsigned>(g_observability.profileSites);
 
-    cfg.trace = trace;
+    cfg.trace = spec.trace;
     cfg.faultAtInstr = spec.faultAtInstr;
     cfg.faultTransient = spec.faultTransient;
 
@@ -761,16 +719,10 @@ runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
     if (!opt.manifestPath.empty())
         manifestLock = ManifestLock(opt.manifestPath);
 
-    CampaignManifest manifest(opt.manifestPath);
-    if (!opt.manifestPath.empty() && opt.resume) {
-        Expected<CampaignManifest> loaded =
-            CampaignManifest::load(opt.manifestPath);
-        if (loaded.ok())
-            manifest = std::move(loaded.value());
-        else
-            ipref_warn("starting campaign fresh: %s",
-                       loaded.error().what());
-    }
+    CampaignManifest manifest =
+        !opt.manifestPath.empty() && opt.resume
+            ? CampaignManifest::loadForResume(opt.manifestPath)
+            : CampaignManifest(opt.manifestPath);
 
     batchMetrics().specs.add(specs.size());
 

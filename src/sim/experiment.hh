@@ -30,20 +30,11 @@ struct RunSpec
     /** Single-core time-sliced mixed when !cmp and 4 workloads. */
 
     /**
-     * @deprecated Legacy closed-enum scheme selection, still honored
-     * when schemeToken is empty. Builder::scheme(token) resolves
-     * registry tokens to this enum whenever possible, so pre-registry
-     * manifests, fingerprints and wire messages are unchanged.
+     * Registry scheme selection: token (canonicalized by build(), so
+     * aliases fingerprint like their canonical spelling) plus the
+     * canonical "k=v,k2=v2" form of the explicitly-set scheme knobs.
      */
-    PrefetchScheme scheme = PrefetchScheme::None;
-
-    /**
-     * Registry scheme selection: canonical token (empty = use the
-     * legacy enum above) plus the canonical "k=v,k2=v2" form of the
-     * explicitly-set scheme knobs. Exactly one of {scheme != None,
-     * schemeToken non-empty} may be set — build() enforces it.
-     */
-    std::string schemeToken;
+    std::string schemeToken = "none";
     std::string schemeKnobs;
 
     unsigned degree = 4;
@@ -88,13 +79,6 @@ struct RunSpec
     TraceSpec trace;
 
     /**
-     * @deprecated Pre-TraceSpec spelling, still honored when `trace`
-     * is unset — see effectiveTrace(). Use `trace` instead.
-     */
-    std::string tracePath;
-    bool traceTolerant = false;
-
-    /**
      * Fault-injection test hooks (see SystemConfig::faultAtInstr):
      * throw a SimError once aggregate progress reaches faultAtInstr.
      * When faultAttempts > 0 the fault only fires on the first
@@ -104,17 +88,6 @@ struct RunSpec
     std::uint64_t faultAtInstr = 0;
     bool faultTransient = false;
     unsigned faultAttempts = 0;
-
-    /** The trace input after merging the deprecated loose fields. */
-    TraceSpec
-    effectiveTrace() const
-    {
-        if (trace.enabled() || !trace.preset.empty())
-            return trace;
-        if (!tracePath.empty())
-            return TraceSpec::file(tracePath, traceTolerant);
-        return trace;
-    }
 
     class Builder;
 
@@ -153,28 +126,16 @@ class RunSpec::Builder
         return *this;
     }
 
-    Builder &
-    scheme(PrefetchScheme s)
-    {
-        spec_.scheme = s;
-        return *this;
-    }
-
     /**
      * Parse a registry "token" / "token:knob=val,..." spec; throws
      * ConfigError on an unknown token or knob. Common knobs (degree,
      * queue_size, history_size, table_entries, target_ways) land in
-     * the matching spec fields; the rest ride in schemeKnobs. Schemes
-     * with a legacy enum value collapse onto it, keeping pre-registry
-     * fingerprints and wire messages bit-identical.
+     * the matching spec fields; the rest ride in schemeKnobs.
      */
     Builder &scheme(const std::string &token);
 
     /** Apply an already-parsed scheme selection (bench CLI path). */
     Builder &scheme(const SchemeSelection &sel);
-
-    /** Apply a whole policy bundle (scheme + knobs) at once. */
-    Builder &policy(const PrefetchPolicy &p);
 
     Builder &degree(unsigned v) { spec_.degree = v; return *this; }
 

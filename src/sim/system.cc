@@ -93,7 +93,7 @@ cpiMetrics()
 std::string
 SystemConfig::workloadSetName() const
 {
-    if (effectiveTrace().enabled())
+    if (trace.enabled())
         return "trace";
     if (workloads.empty())
         return "none";
@@ -168,7 +168,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.numCores == 0)
         ipref_raise(ConfigError, "numCores must be >= 1");
-    const TraceSpec trace = cfg_.effectiveTrace();
+    const TraceSpec &trace = cfg_.trace;
     if (cfg_.workloads.empty() && !trace.enabled())
         ipref_raise(ConfigError, "no workloads configured");
     if (!trace.enabled() && cfg_.workloads.size() != 1 &&
@@ -456,7 +456,7 @@ System::refillFuncBlock(FuncState &st)
     st.pos = 0;
     if (st.len == 0)
         throw TraceError("instruction stream ended unexpectedly",
-                         {cfg_.effectiveTrace().path, 0, st.emitted,
+                         {cfg_.trace.path, 0, st.emitted,
                           0});
 }
 

@@ -2,10 +2,10 @@
  * @file
  * TraceSpec: the value type naming one instruction-stream input.
  *
- * RunSpec / SystemConfig consume this instead of loose
- * tracePath/tolerant fields: a spec either points at a binary trace
- * file (replayed on every core) or names a synthetic workload preset
- * ("db", "tpcw", "japp", "web", "mixed"), and carries the replay
+ * RunSpec / SystemConfig name their input with this: a spec either
+ * points at a binary trace file (replayed on every core) or names a
+ * synthetic workload preset ("db", "tpcw", "japp", "web", "mixed"),
+ * and carries the replay
  * knobs (loop on exhaustion, tolerant salvage, shared decode through
  * the process-wide TraceCache).
  */

@@ -280,7 +280,7 @@ TEST(Golden, EventDerivedLifecycleMatchesSimulatorCounters)
     RunSpec spec;
     spec.cmp = false;
     spec.workloads = {WorkloadKind::WEB};
-    spec.scheme = PrefetchScheme::Discontinuity;
+    spec.schemeToken = "discontinuity";
     spec.instrScale = 0.1;
     SystemConfig cfg = makeConfig(spec);
     // Fresh-system window: no warm-up, so the lifecycle identity

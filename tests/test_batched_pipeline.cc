@@ -81,13 +81,13 @@ runWithBatch(const RunSpec &spec, unsigned batch,
 }
 
 RunSpec
-spec(bool cmp, PrefetchScheme scheme, WorkloadKind kind,
+spec(bool cmp, const std::string &scheme, WorkloadKind kind,
      double scale = 0.1)
 {
     RunSpec s;
     s.cmp = cmp;
     s.workloads = {kind};
-    s.scheme = scheme;
+    s.schemeToken = scheme;
     s.instrScale = scale;
     return s;
 }
@@ -96,14 +96,14 @@ spec(bool cmp, PrefetchScheme scheme, WorkloadKind kind,
 
 TEST(BatchedPipeline, TimingResultsMatchScalarAcrossSchemes)
 {
-    const PrefetchScheme schemes[] = {
-        PrefetchScheme::None,
-        PrefetchScheme::NextLineTagged,
-        PrefetchScheme::NextNLineTagged,
-        PrefetchScheme::Discontinuity,
+    const char *const schemes[] = {
+        "none",
+        "nl-tagged",
+        "n4l",
+        "discontinuity",
     };
-    for (PrefetchScheme scheme : schemes) {
-        SCOPED_TRACE(static_cast<int>(scheme));
+    for (const char *scheme : schemes) {
+        SCOPED_TRACE(scheme);
         RunSpec s = spec(false, scheme, WorkloadKind::WEB);
         expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
     }
@@ -112,14 +112,14 @@ TEST(BatchedPipeline, TimingResultsMatchScalarAcrossSchemes)
 TEST(BatchedPipeline, TimingResultsMatchScalarOnCmp)
 {
     RunSpec s =
-        spec(true, PrefetchScheme::Discontinuity, WorkloadKind::DB);
+        spec(true, "discontinuity", WorkloadKind::DB);
     expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
 }
 
 TEST(BatchedPipeline, IntervalSamplesMatchScalar)
 {
     RunSpec s =
-        spec(true, PrefetchScheme::NextLineOnMiss, WorkloadKind::TPCW,
+        spec(true, "nl-miss", WorkloadKind::TPCW,
              0.2);
     std::vector<IntervalSample> scalar, batched;
     SimResults a = runWithBatch(s, 1, &scalar);
@@ -138,7 +138,7 @@ TEST(BatchedPipeline, IntervalSamplesMatchScalar)
 TEST(BatchedPipeline, CpiStackConservationHolds)
 {
     RunSpec s =
-        spec(true, PrefetchScheme::Discontinuity, WorkloadKind::WEB);
+        spec(true, "discontinuity", WorkloadKind::WEB);
     SimResults r = runWithBatch(s, 512);
     EXPECT_EQ(r.cpiStackTotal(), r.cycles * 4);
 }
@@ -146,7 +146,7 @@ TEST(BatchedPipeline, CpiStackConservationHolds)
 TEST(BatchedPipeline, FunctionalLockstepMatchesScalar)
 {
     RunSpec s =
-        spec(true, PrefetchScheme::Discontinuity, WorkloadKind::JAPP);
+        spec(true, "discontinuity", WorkloadKind::JAPP);
     s.functional = true;
     expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
 }
@@ -174,7 +174,7 @@ TEST(BatchedPipeline, FunctionalMissRatesTrackTiming)
                                   WorkloadKind::WEB};
     for (WorkloadKind k : kinds) {
         SCOPED_TRACE(workloadName(k));
-        RunSpec s = spec(false, PrefetchScheme::None, k, 0.2);
+        RunSpec s = spec(false, "none", k, 0.2);
         SimResults timing = runSpec(s);
         s.functional = true;
         SimResults functional = runSpec(s);

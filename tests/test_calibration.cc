@@ -10,6 +10,7 @@
 
 #include <map>
 
+#include "scheme_params.hh"
 #include "sim/experiment.hh"
 
 using namespace ipref;
@@ -120,7 +121,7 @@ TEST(CalibrationOrdering, JAppHighestWebLowest)
     EXPECT_GT(japp, tpcw);
 }
 
-class SchemeSweep : public ::testing::TestWithParam<PrefetchScheme>
+class SchemeSweep : public ::testing::TestWithParam<std::string>
 {};
 
 TEST_P(SchemeSweep, ReducesMissesWithSaneAccuracy)
@@ -130,7 +131,7 @@ TEST_P(SchemeSweep, ReducesMissesWithSaneAccuracy)
     s.workloads = {WorkloadKind::DB};
     s.instrScale = 0.25;
     SimResults base = runSpec(s);
-    s.scheme = GetParam();
+    s.schemeToken = GetParam();
     SimResults pf = runSpec(s);
     EXPECT_LT(pf.l1iMissPerInstr(), base.l1iMissPerInstr());
     EXPECT_GT(pf.pfAccuracy(), 0.08);
@@ -139,21 +140,9 @@ TEST_P(SchemeSweep, ReducesMissesWithSaneAccuracy)
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeSweep,
-    ::testing::Values(PrefetchScheme::NextLineOnMiss,
-                      PrefetchScheme::NextLineTagged,
-                      PrefetchScheme::NextNLineTagged,
-                      PrefetchScheme::Discontinuity,
-                      PrefetchScheme::TargetHistory),
-    [](const auto &info) {
-        switch (info.param) {
-          case PrefetchScheme::NextLineOnMiss: return "NLMiss";
-          case PrefetchScheme::NextLineTagged: return "NLTagged";
-          case PrefetchScheme::NextNLineTagged: return "N4L";
-          case PrefetchScheme::Discontinuity: return "Disc";
-          case PrefetchScheme::TargetHistory: return "Target";
-          default: return "Other";
-        }
-    });
+    ::testing::Values("nl-miss", "nl-tagged", "n4l", "discontinuity",
+                      "target"),
+    [](const auto &info) { return test::schemeTestName(info.param); });
 
 TEST(CalibrationPrefetch, CoverageOrdering)
 {
@@ -162,11 +151,11 @@ TEST(CalibrationPrefetch, CoverageOrdering)
     s.cmp = true;
     s.workloads = {WorkloadKind::DB};
     s.instrScale = 0.25;
-    s.scheme = PrefetchScheme::NextLineTagged;
+    s.schemeToken = "nl-tagged";
     double nl = runSpec(s).l1iMissPerInstr();
-    s.scheme = PrefetchScheme::NextNLineTagged;
+    s.schemeToken = "n4l";
     double n4l = runSpec(s).l1iMissPerInstr();
-    s.scheme = PrefetchScheme::Discontinuity;
+    s.schemeToken = "discontinuity";
     double disc = runSpec(s).l1iMissPerInstr();
     EXPECT_LT(n4l, nl);
     EXPECT_LT(disc, n4l);
@@ -180,9 +169,9 @@ TEST(CalibrationPrefetch, AccuracyFallsWithAggressiveness)
     s.cmp = true;
     s.workloads = {WorkloadKind::DB};
     s.instrScale = 0.25;
-    s.scheme = PrefetchScheme::NextLineOnMiss;
+    s.schemeToken = "nl-miss";
     double nl = runSpec(s).pfAccuracy();
-    s.scheme = PrefetchScheme::NextNLineTagged;
+    s.schemeToken = "n4l";
     double n4l = runSpec(s).pfAccuracy();
     EXPECT_GT(nl, n4l);
 }
@@ -195,7 +184,7 @@ TEST(CalibrationPrefetch, Discontinuity2NLMoreAccurate)
     s.cmp = true;
     s.workloads = {WorkloadKind::DB};
     s.instrScale = 0.25;
-    s.scheme = PrefetchScheme::Discontinuity;
+    s.schemeToken = "discontinuity";
     s.degree = 4;
     double d4 = runSpec(s).pfAccuracy();
     s.degree = 2;
@@ -210,7 +199,7 @@ TEST(CalibrationPrefetch, SmallTablesStillCover)
     s.cmp = true;
     s.workloads = {WorkloadKind::DB};
     s.instrScale = 0.25;
-    s.scheme = PrefetchScheme::Discontinuity;
+    s.schemeToken = "discontinuity";
     s.tableEntries = 8192;
     double big = runSpec(s).l1iCoverage();
     s.tableEntries = 2048;
@@ -228,7 +217,7 @@ TEST(CalibrationBypass, RecoversPollutionWithoutLosingSpeed)
     s.workloads = {WorkloadKind::DB};
     s.instrScale = 0.3;
     SimResults base = runSpec(s);
-    s.scheme = PrefetchScheme::Discontinuity;
+    s.schemeToken = "discontinuity";
     SimResults noBypass = runSpec(s);
     s.bypassL2 = true;
     SimResults bypass = runSpec(s);

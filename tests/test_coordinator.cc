@@ -25,7 +25,7 @@
 #include "sim/campaign_proto.hh"
 #include "sim/coordinator.hh"
 #include "sim/experiment.hh"
-#include "prefetch/prefetcher.hh"
+#include "prefetch/scheme_registry.hh"
 #include "util/fault_inject.hh"
 #include "util/json.hh"
 
@@ -36,8 +36,8 @@ namespace
 
 /** A fast functional spec the end-to-end tests can run in ~10ms. */
 RunSpec
-quickSpec(PrefetchScheme scheme = PrefetchScheme::NextLineTagged,
-          unsigned degree = 2, std::uint64_t seed = 1)
+quickSpec(const std::string &scheme = "nl-tagged", unsigned degree = 2,
+          std::uint64_t seed = 1)
 {
     return RunSpec::builder()
         .workload(WorkloadKind::DB)
@@ -54,7 +54,7 @@ quickSpecs(std::size_t n)
 {
     std::vector<RunSpec> specs;
     for (std::size_t i = 0; i < n; ++i)
-        specs.push_back(quickSpec(PrefetchScheme::NextLineTagged,
+        specs.push_back(quickSpec("nl-tagged",
                                   1u + static_cast<unsigned>(i % 4),
                                   1 + i / 4));
     return specs;
@@ -108,11 +108,11 @@ haveWorker()
 
 TEST(CampaignProto, SpecRoundTripsEverySchemeExactly)
 {
-    for (const SchemeInfo &info : schemeRegistry()) {
+    for (const SchemeDescriptor *d : SchemeRegistry::instance().all()) {
         RunSpec spec = RunSpec::builder()
                            .workloads({WorkloadKind::WEB,
                                        WorkloadKind::JAPP})
-                           .scheme(info.scheme)
+                           .scheme(d->token)
                            .degree(3)
                            .tableEntries(4096)
                            .targetWays(1)
@@ -130,7 +130,7 @@ TEST(CampaignProto, SpecRoundTripsEverySchemeExactly)
         ASSERT_TRUE(back.ok()) << back.error().what();
         EXPECT_EQ(fingerprintSpec(spec),
                   fingerprintSpec(back.value()))
-            << "scheme " << info.token;
+            << "scheme " << d->token;
     }
 }
 

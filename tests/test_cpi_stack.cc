@@ -12,6 +12,7 @@
 
 #include "analysis/analyzer.hh"
 #include "sim/campaign.hh"
+#include "scheme_params.hh"
 #include "sim/experiment.hh"
 #include "util/trace_event.hh"
 
@@ -29,32 +30,25 @@ busyIdx()
 } // namespace
 
 // Every timing-mode cycle is charged to exactly one bucket, on every
-// core, for every scheme/workload/core-count combination. System::run
+// core, for every registered scheme, workload and core count. System::run
 // itself raises InvariantError on a per-core mismatch, so merely
 // completing each run is half the assertion.
 TEST(CpiStack, ConservationFuzzAcrossSchemesAndWorkloads)
 {
-    const PrefetchScheme schemes[] = {
-        PrefetchScheme::None,
-        PrefetchScheme::NextLineTagged,
-        PrefetchScheme::NextNLineTagged,
-        PrefetchScheme::Discontinuity,
-    };
     const WorkloadKind workloads[] = {WorkloadKind::DB,
                                       WorkloadKind::WEB};
     for (bool cmp : {false, true}) {
-        for (PrefetchScheme scheme : schemes) {
+        for (const std::string &scheme : test::allSchemeTokens()) {
             for (WorkloadKind w : workloads) {
                 RunSpec spec;
                 spec.cmp = cmp;
                 spec.workloads = {w};
-                spec.scheme = scheme;
+                spec.schemeToken = scheme;
                 spec.instrScale = 0.02;
                 SimResults r = runSpec(spec);
                 std::uint64_t cores = cmp ? 4 : 1;
                 EXPECT_EQ(r.cpiStackTotal(), r.cycles * cores)
-                    << "scheme " << schemeName(scheme) << " cmp "
-                    << cmp;
+                    << "scheme " << scheme << " cmp " << cmp;
                 EXPECT_GT(r.cpiStack[busyIdx()], 0u);
             }
         }
@@ -85,7 +79,7 @@ TEST(CpiStack, TraceEventsResumToLedger)
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::DB};
-    spec.scheme = PrefetchScheme::Discontinuity;
+    spec.schemeToken = "discontinuity";
     spec.instrScale = 0.05;
     SystemConfig cfg = makeConfig(spec);
     cfg.traceCapacity = 1u << 22; // ample: the ring must not wrap
@@ -130,7 +124,7 @@ TEST(CpiStack, IntervalDeltasSumToTotal)
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::WEB};
-    spec.scheme = PrefetchScheme::NextLineTagged;
+    spec.schemeToken = "nl-tagged";
     spec.instrScale = 0.1;
     SystemConfig cfg = makeConfig(spec);
     cfg.statsIntervalInstrs = 30'000;
@@ -159,7 +153,7 @@ TEST(CpiStack, JsonReportSection)
     RunSpec spec;
     spec.cmp = false;
     spec.workloads = {WorkloadKind::JAPP};
-    spec.scheme = PrefetchScheme::NextLineOnMiss;
+    spec.schemeToken = "nl-miss";
     spec.instrScale = 0.05;
     System system(makeConfig(spec));
     system.run();
@@ -190,15 +184,14 @@ TEST(CpiStack, JsonReportSection)
     }
 }
 
-// Campaign manifests round-trip the stack exactly, and manifests
-// written before cycle accounting existed (no cpi_stack key) still
-// parse, as all-zero.
-TEST(CpiStack, ManifestRoundTripAndBackCompat)
+// Campaign manifests round-trip the stack exactly; results without a
+// stack (an older manifest) are rejected, not read as all-zero.
+TEST(CpiStack, ManifestRoundTripRequiresStack)
 {
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::TPCW};
-    spec.scheme = PrefetchScheme::NextNLineTagged;
+    spec.schemeToken = "n4l";
     spec.instrScale = 0.02;
     SimResults r = runSpec(spec);
     ASSERT_GT(r.cpiStackTotal(), 0u);
@@ -209,10 +202,7 @@ TEST(CpiStack, ManifestRoundTripAndBackCompat)
     EXPECT_EQ(back.value().cpiStack, r.cpiStack);
     EXPECT_EQ(resultsToJson(back.value()), resultsToJson(r));
 
-    JsonValue legacy = parseJson(resultsToJson(r));
-    legacy.fields.erase("cpi_stack");
-    Expected<SimResults> old = resultsFromJson(legacy);
-    ASSERT_TRUE(old.ok());
-    EXPECT_EQ(old.value().cpiStackTotal(), 0u);
-    EXPECT_EQ(old.value().cycles, r.cycles);
+    JsonValue noStack = parseJson(resultsToJson(r));
+    noStack.fields.erase("cpi_stack");
+    EXPECT_FALSE(resultsFromJson(noStack).ok());
 }

@@ -31,7 +31,7 @@ PrefetchConfig
 n4lConfig()
 {
     PrefetchConfig cfg;
-    cfg.scheme = PrefetchScheme::NextNLineTagged;
+    cfg.schemeToken = "n4l";
     cfg.degree = 4;
     return cfg;
 }
@@ -156,7 +156,7 @@ TEST(Engine, DiscontinuityCreditPath)
 {
     CacheHierarchy h(functionalParams());
     PrefetchConfig cfg;
-    cfg.scheme = PrefetchScheme::Discontinuity;
+    cfg.schemeToken = "discontinuity";
     cfg.degree = 4;
     cfg.tableEntries = 256;
     PrefetchEngine e(cfg, 0, h);

@@ -74,12 +74,12 @@ sampleSpecs()
     specs.push_back(base);
 
     RunSpec disc = base;
-    disc.scheme = PrefetchScheme::Discontinuity;
+    disc.schemeToken = "discontinuity";
     disc.bypassL2 = true;
     specs.push_back(disc);
 
     RunSpec tagged = base;
-    tagged.scheme = PrefetchScheme::NextNLineTagged;
+    tagged.schemeToken = "n4l";
     tagged.workloads = {WorkloadKind::JAPP};
     specs.push_back(tagged);
 

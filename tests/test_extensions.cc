@@ -12,6 +12,7 @@
 #include "prefetch/confidence_filter.hh"
 #include "prefetch/call_graph.hh"
 #include "prefetch/engine.hh"
+#include "prefetch/scheme_registry.hh"
 #include "prefetch/wrong_path.hh"
 #include "sim/experiment.hh"
 
@@ -135,7 +136,7 @@ TEST(ConfidenceEngine, ReplacesTagProbing)
     hp.makeFunctional();
     CacheHierarchy h(hp);
     PrefetchConfig cfg;
-    cfg.scheme = PrefetchScheme::NextNLineTagged;
+    cfg.schemeToken = "n4l";
     cfg.useConfidenceFilter = true;
     PrefetchEngine e(cfg, 0, h);
 
@@ -155,7 +156,7 @@ TEST(ConfidenceEngine, LearnsResidentLines)
     hp.makeFunctional();
     CacheHierarchy h(hp);
     PrefetchConfig cfg;
-    cfg.scheme = PrefetchScheme::NextLineOnMiss;
+    cfg.schemeToken = "nl-miss";
     cfg.useConfidenceFilter = true;
     cfg.confidenceEntries = 1; // one shared counter, for the test
     cfg.historySize = 0;       // isolate the confidence path
@@ -184,7 +185,7 @@ TEST(ConfidenceEngine, EndToEndStillCoversMisses)
     spec.instrScale = 0.15;
     SimResults base = runSpec(spec);
 
-    spec.scheme = PrefetchScheme::Discontinuity;
+    spec.schemeToken = "discontinuity";
     SystemConfig cfg = makeConfig(spec);
     cfg.prefetch.useConfidenceFilter = true;
     System system(cfg);
@@ -200,7 +201,7 @@ TEST(WrongPathEngine, EndToEndReducesMisses)
     spec.workloads = {WorkloadKind::WEB};
     spec.instrScale = 0.15;
     SimResults base = runSpec(spec);
-    spec.scheme = PrefetchScheme::WrongPath;
+    spec.schemeToken = "wrong-path";
     SimResults r = runSpec(spec);
     EXPECT_LT(r.l1iMissPerInstr(), base.l1iMissPerInstr());
     EXPECT_GT(r.pfIssued, 0u);
@@ -208,9 +209,9 @@ TEST(WrongPathEngine, EndToEndReducesMisses)
 
 TEST(WrongPathEngine, ParseAndFactory)
 {
-    EXPECT_EQ(parseScheme("wrong-path"), PrefetchScheme::WrongPath);
+    EXPECT_EQ(parseSchemeSpec("wrongpath").token, "wrong-path");
     PrefetchConfig cfg;
-    cfg.scheme = PrefetchScheme::WrongPath;
+    cfg.schemeToken = "wrong-path";
     auto p = createPrefetcher(cfg);
     ASSERT_NE(p, nullptr);
     EXPECT_STREQ(p->name(), "wrong-path");
@@ -275,9 +276,9 @@ TEST(CallGraph, EndToEndReducesMisses)
     spec.workloads = {WorkloadKind::WEB};
     spec.instrScale = 0.15;
     SimResults base = runSpec(spec);
-    spec.scheme = PrefetchScheme::CallGraph;
+    spec.schemeToken = "call-graph";
     SimResults r = runSpec(spec);
     EXPECT_LT(r.l1iMissPerInstr(), base.l1iMissPerInstr());
     EXPECT_GT(r.pfIssued, 0u);
-    EXPECT_EQ(parseScheme("cgp"), PrefetchScheme::CallGraph);
+    EXPECT_EQ(parseSchemeSpec("cgp").token, "call-graph");
 }

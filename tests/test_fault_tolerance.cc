@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/campaign.hh"
+#include "sim/coordinator.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_file.hh"
 #include "util/json.hh"
@@ -249,7 +250,7 @@ TEST(FaultTolerance, BatchIsolatesFailures)
     RunSpec good1 = quickSpec(11);
     RunSpec good2 = quickSpec(22);
     RunSpec corrupt = quickSpec(33);
-    corrupt.tracePath = corruptPath;
+    corrupt.trace = TraceSpec::file(corruptPath);
     RunSpec faulty = quickSpec(44);
     faulty.faultAtInstr = 5000;
 
@@ -313,8 +314,7 @@ TEST(FaultTolerance, TolerantTraceRunSalvages)
     writeFileBytes(path, bytes);
 
     RunSpec spec = quickSpec(5);
-    spec.tracePath = path;
-    spec.traceTolerant = true;
+    spec.trace = TraceSpec::file(path, /*tolerantRead=*/true);
     BatchOptions opt;
     opt.maxAttempts = 1;
     std::vector<RunOutcome> outcomes = runBatch({spec}, opt);
@@ -407,6 +407,40 @@ TEST(FaultTolerance, ResumeSkipsCompletedRuns)
     EXPECT_EQ(resultsToJson(third[1].results),
               resultsToJson(second[1].results));
     std::remove(manifestPath.c_str());
+}
+
+TEST(FaultTolerance, ResumeRefusesAnotherManifestVersion)
+{
+    // A manifest written before the fingerprint bump: --resume must
+    // fail loudly, in-process and on workers, and leave the file as
+    // it was rather than starting fresh over it.
+    std::string path = ::testing::TempDir() + "old_version.json";
+    std::remove((path + ".lock").c_str());
+    const std::string text =
+        "{\n  \"version\": 1,\n  \"runs\": [\n    {\"fingerprint\": "
+        "\"0x1\", \"status\": \"failed\", \"attempts\": 1, "
+        "\"wall_ms\": 5, \"error_kind\": \"io\", \"error\": \"x\"}\n"
+        "  ]\n}\n";
+    const std::vector<unsigned char> old(text.begin(), text.end());
+    writeFileBytes(path, old);
+
+    BatchOptions opt;
+    opt.maxAttempts = 1;
+    opt.manifestPath = path;
+    opt.resume = true;
+    const std::string needle = "has version 1; this build reads version 2";
+    test::expectThrows<ConfigError>(
+        [&] { runBatch({quickSpec(1)}, opt); }, needle);
+
+    CampaignOptions campaign;
+    campaign.batch = opt;
+    campaign.workers = 2;
+    test::expectThrows<ConfigError>(
+        [&] { runCampaign({quickSpec(1)}, campaign); }, needle);
+
+    EXPECT_EQ(readFileBytes(path), old);
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
 }
 
 TEST(FaultTolerance, WatchdogTimesOutRunawayRuns)

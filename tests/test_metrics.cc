@@ -288,7 +288,7 @@ TEST(MetricsReconciliation, MeasureCountersMatchRunResults)
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::DB};
-    spec.scheme = PrefetchScheme::NextNLineTagged;
+    spec.schemeToken = "n4l";
     spec.instrScale = 0.02;
 
     Snapshot before = registry().snapshot();

@@ -186,7 +186,7 @@ observedConfig(std::uint64_t interval, std::uint64_t warmup = 0)
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::WEB};
-    spec.scheme = PrefetchScheme::Discontinuity;
+    spec.schemeToken = "discontinuity";
     spec.instrScale = 0.1;
     SystemConfig cfg = makeConfig(spec);
     cfg.warmupInstrs = warmup;

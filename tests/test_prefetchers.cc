@@ -12,6 +12,7 @@
 
 #include "prefetch/discontinuity.hh"
 #include "prefetch/next_line.hh"
+#include "prefetch/scheme_registry.hh"
 #include "prefetch/target_prefetcher.hh"
 
 using namespace ipref;
@@ -304,32 +305,27 @@ TEST(TargetPrefetcher, SequentialSuccessorsNotRecorded)
 
 TEST(Factory, CreatesAllSchemes)
 {
-    for (PrefetchScheme s :
-         {PrefetchScheme::NextLineAlways, PrefetchScheme::NextLineOnMiss,
-          PrefetchScheme::NextLineTagged,
-          PrefetchScheme::NextNLineTagged, PrefetchScheme::LookaheadN,
-          PrefetchScheme::Discontinuity,
-          PrefetchScheme::TargetHistory}) {
+    for (const SchemeDescriptor *d : SchemeRegistry::instance().all()) {
         PrefetchConfig cfg;
-        cfg.scheme = s;
+        cfg.schemeToken = d->token;
         auto p = createPrefetcher(cfg);
-        ASSERT_NE(p, nullptr) << schemeName(s);
+        if (d->token == "none") {
+            EXPECT_EQ(p, nullptr);
+            continue;
+        }
+        ASSERT_NE(p, nullptr) << d->token;
         EXPECT_NE(p->name(), nullptr);
     }
-    PrefetchConfig none;
-    EXPECT_EQ(createPrefetcher(none), nullptr);
 }
 
 TEST(Factory, ParseSchemeRoundTrip)
 {
-    EXPECT_EQ(parseScheme("none"), PrefetchScheme::None);
-    EXPECT_EQ(parseScheme("nl-miss"), PrefetchScheme::NextLineOnMiss);
-    EXPECT_EQ(parseScheme("nl-tagged"),
-              PrefetchScheme::NextLineTagged);
-    EXPECT_EQ(parseScheme("n4l"), PrefetchScheme::NextNLineTagged);
-    EXPECT_EQ(parseScheme("discontinuity"),
-              PrefetchScheme::Discontinuity);
-    EXPECT_EQ(parseScheme("target"), PrefetchScheme::TargetHistory);
-    test::expectThrows<ConfigError>([] { parseScheme("bogus"); },
+    for (const SchemeDescriptor *d : SchemeRegistry::instance().all()) {
+        EXPECT_EQ(parseSchemeSpec(d->token).token, d->token);
+        for (const std::string &alias : d->aliases)
+            EXPECT_EQ(parseSchemeSpec(alias).token, d->token);
+    }
+    EXPECT_EQ(parseSchemeSpec("disc").token, "discontinuity");
+    test::expectThrows<ConfigError>([] { parseSchemeSpec("bogus"); },
                                     "unknown prefetch scheme");
 }

@@ -9,6 +9,7 @@
 
 #include <tuple>
 
+#include "scheme_params.hh"
 #include "sim/experiment.hh"
 
 using namespace ipref;
@@ -31,7 +32,7 @@ sumTransitions(const std::array<
 } // namespace
 
 using PropertyParams =
-    std::tuple<WorkloadKind, PrefetchScheme, bool /*cmp*/,
+    std::tuple<WorkloadKind, std::string, bool /*cmp*/,
                bool /*bypass*/>;
 
 class SimInvariants
@@ -45,7 +46,7 @@ class SimInvariants
         RunSpec spec;
         spec.cmp = cmp;
         spec.workloads = {kind};
-        spec.scheme = scheme;
+        spec.schemeToken = scheme;
         spec.bypassL2 = bypass;
         spec.instrScale = 0.08;
         return runSpec(spec);
@@ -90,7 +91,7 @@ TEST_P(SimInvariants, AccountingHolds)
     auto [kind, scheme, cmp, bypass] = GetParam();
     (void)kind;
     (void)cmp;
-    if (scheme == PrefetchScheme::None) {
+    if (scheme == "none") {
         EXPECT_EQ(r.pfIssued, 0u);
         // Without prefetching, off-chip reads are exactly the
         // demand L2 misses (modulo in-flight at the window edges).
@@ -118,27 +119,15 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SimInvariants,
     ::testing::Combine(
         ::testing::Values(WorkloadKind::TPCW, WorkloadKind::WEB),
-        ::testing::Values(PrefetchScheme::None,
-                          PrefetchScheme::NextLineTagged,
-                          PrefetchScheme::Discontinuity,
-                          PrefetchScheme::TargetHistory,
-                          PrefetchScheme::WrongPath),
+        ::testing::ValuesIn(test::allSchemeTokens()),
         ::testing::Bool(), ::testing::Bool()),
     [](const auto &info) {
         WorkloadKind kind = std::get<0>(info.param);
-        PrefetchScheme scheme = std::get<1>(info.param);
         bool cmp = std::get<2>(info.param);
         bool bypass = std::get<3>(info.param);
         std::string n = workloadName(kind);
         n.erase(std::remove(n.begin(), n.end(), '-'), n.end());
-        switch (scheme) {
-          case PrefetchScheme::None: n += "None"; break;
-          case PrefetchScheme::NextLineTagged: n += "NL"; break;
-          case PrefetchScheme::Discontinuity: n += "Disc"; break;
-          case PrefetchScheme::TargetHistory: n += "Target"; break;
-          case PrefetchScheme::WrongPath: n += "WrongPath"; break;
-          default: n += "X"; break;
-        }
+        n += "_" + test::schemeTestName(std::get<1>(info.param)) + "_";
         n += cmp ? "Cmp" : "Single";
         n += bypass ? "Bypass" : "Install";
         return n;
@@ -169,7 +158,7 @@ TEST(SimProperties, DegreeIncreasesCoverage)
         RunSpec spec;
         spec.cmp = true;
         spec.workloads = {WorkloadKind::DB};
-        spec.scheme = PrefetchScheme::NextNLineTagged;
+        spec.schemeToken = "n4l";
         spec.degree = n;
         spec.instrScale = 0.15;
         SimResults r = runSpec(spec);

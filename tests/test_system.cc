@@ -20,12 +20,12 @@ namespace
 
 /** Small-budget spec so integration tests stay fast. */
 RunSpec
-fastSpec(bool cmp, PrefetchScheme scheme = PrefetchScheme::None)
+fastSpec(bool cmp, const std::string &scheme = "none")
 {
     RunSpec s;
     s.cmp = cmp;
     s.workloads = {WorkloadKind::WEB};
-    s.scheme = scheme;
+    s.schemeToken = scheme;
     s.instrScale = 0.2;
     return s;
 }
@@ -60,9 +60,9 @@ TEST(System, PrefetchingReducesInstructionMisses)
 {
     SimResults base = runSpec(fastSpec(true));
     SimResults nl =
-        runSpec(fastSpec(true, PrefetchScheme::NextLineTagged));
+        runSpec(fastSpec(true, "nl-tagged"));
     SimResults disc =
-        runSpec(fastSpec(true, PrefetchScheme::Discontinuity));
+        runSpec(fastSpec(true, "discontinuity"));
     EXPECT_LT(nl.l1iMissPerInstr(), base.l1iMissPerInstr());
     EXPECT_LT(disc.l1iMissPerInstr(), nl.l1iMissPerInstr());
     EXPECT_GT(disc.ipc, base.ipc);
@@ -72,13 +72,13 @@ TEST(System, AggressivePrefetchingPollutesL2)
 {
     SimResults base = runSpec(fastSpec(true));
     SimResults disc =
-        runSpec(fastSpec(true, PrefetchScheme::Discontinuity));
+        runSpec(fastSpec(true, "discontinuity"));
     EXPECT_GT(disc.l2dMisses, base.l2dMisses);
 }
 
 TEST(System, BypassEliminatesPollution)
 {
-    RunSpec s = fastSpec(true, PrefetchScheme::Discontinuity);
+    RunSpec s = fastSpec(true, "discontinuity");
     SimResults noBypass = runSpec(s);
     s.bypassL2 = true;
     SimResults bypass = runSpec(s);
@@ -161,7 +161,7 @@ TEST(System, TimeSlicedSingleCoreMix)
 
 TEST(System, StatsDump)
 {
-    RunSpec s = fastSpec(false, PrefetchScheme::Discontinuity);
+    RunSpec s = fastSpec(false, "discontinuity");
     System system(makeConfig(s));
     system.run();
     std::ostringstream os;
@@ -182,7 +182,7 @@ TEST(System, MemoryBandwidthAccounted)
 TEST(System, CoverageAndAccuracyInRange)
 {
     SimResults r =
-        runSpec(fastSpec(true, PrefetchScheme::Discontinuity));
+        runSpec(fastSpec(true, "discontinuity"));
     EXPECT_GT(r.pfAccuracy(), 0.05);
     EXPECT_LE(r.pfAccuracy(), 1.0);
     EXPECT_GT(r.l1iCoverage(), 0.3);

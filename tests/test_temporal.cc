@@ -13,8 +13,8 @@
  *    parseSchemeSpec / RunSpec::Builder / fingerprintSpec;
  *  - unknown tokens, unknown knobs and out-of-range values raise
  *    ConfigError at parse/build time;
- *  - the deprecated PrefetchScheme enum shim is observationally
- *    equivalent to the registry token path (same fingerprint, bit
+ *  - an alias builds the same spec as its canonical token, through
+ *    Builder::scheme() or an aggregate (same fingerprint, bit
  *    identical results);
  *  - the batched fetch pipeline and functional-mode lockstep remain
  *    observational no-ops (cap 1 == cap 512) for the stateful
@@ -149,8 +149,7 @@ customScheme()
                  return std::unique_ptr<InstructionPrefetcher>(
                      std::make_unique<ManaPrefetcher>(ManaConfig{},
                                                       cfg.lineBytes));
-             },
-             -1});
+             }});
         return true;
     }();
     (void)registered;
@@ -242,7 +241,6 @@ TEST(SchemeRegistry, CustomSchemeRoundTrips)
                     .workload(WorkloadKind::WEB)
                     .scheme(sel)
                     .build();
-    EXPECT_EQ(s.scheme, PrefetchScheme::None);
     EXPECT_EQ(s.schemeToken, "unit-custom");
     EXPECT_EQ(s.schemeKnobs, "boost=3");
 
@@ -279,40 +277,33 @@ TEST(SchemeRegistry, BadSelectionsRaiseConfigError)
     raw.schemeKnobs = "bogus=1";
     expectThrows<ConfigError>(
         [&] { RunSpec::Builder(raw).build(); }, "bogus");
-    RunSpec both;
-    both.scheme = PrefetchScheme::Discontinuity;
-    both.schemeToken = "domino";
+    RunSpec noneWithKnobs;
+    noneWithKnobs.schemeKnobs = "history=16";
     expectThrows<ConfigError>(
-        [&] { RunSpec::Builder(both).build(); }, "deprecated");
+        [&] { RunSpec::Builder(noneWithKnobs).build(); }, "history");
 }
 
-TEST(SchemeRegistry, DeprecatedEnumShimIsEquivalent)
+TEST(SchemeRegistry, AliasBuildsTheCanonicalSpec)
 {
-    // Every legacy enum value round-trips through its token.
-    for (const SchemeDescriptor *d : SchemeRegistry::instance().all())
-        if (d->legacy >= 0)
-            EXPECT_EQ(parseScheme(d->token),
-                      static_cast<PrefetchScheme>(d->legacy))
-                << d->token;
-
-    // A legacy token collapses onto the enum: same spec, same
-    // fingerprint, bit-identical results as the enum path.
-    RunSpec viaToken = RunSpec::Builder()
-                           .cmp(false)
-                           .workload(WorkloadKind::WEB)
-                           .scheme("n4l")
-                           .instrScale(0.05)
-                           .build();
-    RunSpec viaEnum = RunSpec::Builder()
-                          .cmp(false)
-                          .workload(WorkloadKind::WEB)
-                          .scheme(PrefetchScheme::NextNLineTagged)
-                          .instrScale(0.05)
-                          .build();
-    EXPECT_EQ(viaToken.scheme, PrefetchScheme::NextNLineTagged);
-    EXPECT_TRUE(viaToken.schemeToken.empty());
-    EXPECT_EQ(fingerprintSpec(viaToken), fingerprintSpec(viaEnum));
-    expectIdentical(runSpec(viaToken), runSpec(viaEnum));
+    // build() canonicalizes an alias whether it came through
+    // Builder::scheme() or an aggregate-initialized spec (the wire
+    // decoder's path): same spec, same fingerprint, same results.
+    RunSpec viaBuilder = RunSpec::Builder()
+                             .cmp(false)
+                             .workload(WorkloadKind::WEB)
+                             .scheme("disc")
+                             .instrScale(0.05)
+                             .build();
+    RunSpec raw;
+    raw.cmp = false;
+    raw.workloads = {WorkloadKind::WEB};
+    raw.schemeToken = "disc";
+    raw.instrScale = 0.05;
+    RunSpec viaAggregate = RunSpec::Builder(raw).build();
+    EXPECT_EQ(viaBuilder.schemeToken, "discontinuity");
+    EXPECT_EQ(viaAggregate.schemeToken, "discontinuity");
+    EXPECT_EQ(fingerprintSpec(viaBuilder), fingerprintSpec(viaAggregate));
+    expectIdentical(runSpec(viaBuilder), runSpec(viaAggregate));
 }
 
 TEST(TemporalBatchedPipeline, TimingResultsMatchScalar)

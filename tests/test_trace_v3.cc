@@ -561,7 +561,7 @@ TEST(RunSpecBuilder, BuildsEquivalentSpecToLooseFields)
     RunSpec loose;
     loose.cmp = true;
     loose.workloads = {WorkloadKind::TPCW};
-    loose.scheme = PrefetchScheme::Discontinuity;
+    loose.schemeToken = "discontinuity";
     loose.degree = 2;
     loose.bypassL2 = true;
     loose.instrScale = 0.05;
@@ -577,30 +577,6 @@ TEST(RunSpecBuilder, BuildsEquivalentSpecToLooseFields)
                         .baseSeed(42)
                         .build();
     EXPECT_EQ(fingerprintSpec(loose), fingerprintSpec(built));
-}
-
-TEST(RunSpecBuilder, DeprecatedTracePathFingerprintsLikeTraceSpec)
-{
-    RunSpec loose;
-    loose.tracePath = "/tmp/x.trc";
-    loose.traceTolerant = true;
-    RunSpec modern = RunSpec::builder()
-                         .trace(TraceSpec::file("/tmp/x.trc", true))
-                         .build();
-    EXPECT_EQ(fingerprintSpec(loose), fingerprintSpec(modern));
-}
-
-TEST(RunSpecBuilder, PolicyAppliesAllKnobs)
-{
-    PrefetchPolicy p = PrefetchPolicy::of(
-        PrefetchScheme::NextNLineTagged, 6);
-    p.tableEntries = 1024;
-    p.useConfidenceFilter = true;
-    RunSpec spec = RunSpec::builder().policy(p).build();
-    EXPECT_EQ(spec.scheme, PrefetchScheme::NextNLineTagged);
-    EXPECT_EQ(spec.degree, 6u);
-    EXPECT_EQ(spec.tableEntries, 1024u);
-    EXPECT_TRUE(spec.useConfidenceFilter);
 }
 
 TEST(RunSpecBuilder, ValidationRejectsBadSpecs)
@@ -628,18 +604,4 @@ TEST(RunSpecBuilder, ValidationRejectsBadSpecs)
     test::expectThrows<ConfigError>(
         [] { RunSpec::builder().scheme("warp-drive").build(); },
         "unknown prefetch scheme");
-}
-
-TEST(SchemeRegistry, TokensRoundTripAndAliasesResolve)
-{
-    for (const SchemeInfo &info : schemeRegistry()) {
-        EXPECT_EQ(parseScheme(info.token), info.scheme);
-        EXPECT_EQ(schemeToken(info.scheme), info.token);
-        for (const std::string &alias : info.aliases)
-            EXPECT_EQ(parseScheme(alias), info.scheme);
-    }
-    EXPECT_EQ(parseScheme("discontinuity"),
-              PrefetchScheme::Discontinuity);
-    EXPECT_EQ(parseScheme("disc"), PrefetchScheme::Discontinuity);
-    EXPECT_EQ(parseScheme("n4l"), PrefetchScheme::NextNLineTagged);
 }

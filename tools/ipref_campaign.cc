@@ -69,20 +69,20 @@ std::vector<RunSpec>
 buildGrid(std::size_t count, double scale, std::uint64_t baseSeed,
           bool functional)
 {
-    static const PrefetchScheme schemes[] = {
-        PrefetchScheme::None,
-        PrefetchScheme::NextLineOnMiss,
-        PrefetchScheme::NextLineTagged,
-        PrefetchScheme::NextNLineTagged,
-        PrefetchScheme::Discontinuity,
-        PrefetchScheme::TargetHistory,
+    static const char *const schemes[] = {
+        "none",
+        "nl-miss",
+        "nl-tagged",
+        "n4l",
+        "discontinuity",
+        "target",
     };
     static const unsigned degrees[] = {1, 2, 4, 8};
     static const std::uint64_t seeds = 10;
 
     std::vector<RunSpec> specs;
     for (std::uint64_t s = 0; s < seeds && specs.size() < count; ++s) {
-        for (PrefetchScheme scheme : schemes) {
+        for (const char *scheme : schemes) {
             if (specs.size() >= count)
                 break;
             for (WorkloadKind wk : allWorkloadKinds()) {
