@@ -34,17 +34,18 @@ OoOCore::done() const
 }
 
 void
-OoOCore::chargeCycle(CycleBucket b, Cycle now, Addr line)
+OoOCore::chargeCycle(CycleBucket b, Cycle now, Addr line,
+                     std::uint64_t n)
 {
-    ledger_.charge(b);
+    ledger_.charge(b, n);
     if (epOpen_ && epBucket_ == b) {
-        ++epCycles_;
+        epCycles_ += n;
         return;
     }
     closeEpisode(now);
     epOpen_ = true;
     epBucket_ = b;
-    epCycles_ = 1;
+    epCycles_ = n;
     epLine_ = line;
     if (b == CycleBucket::PrefetchPartial)
         epPartialOrigin_ = stallPartialOrigin_;
@@ -94,6 +95,51 @@ OoOCore::tick(Cycle now)
     // Prefetches take the L1I tag port only on cycles with no demand
     // fetch access.
     engine_.tick(now, !demandFetchedThisCycle_);
+}
+
+Cycle
+OoOCore::wakeAt(Cycle now) const
+{
+    // A waiting prefetch takes the tag port a quiet cycle leaves free.
+    if (engine_.queue().hasWaiting())
+        return now;
+    Cycle wake = neverCycle;
+    if (blockedOnSeq_) {
+        // Fetch resumes only once the CTI issues (issue wake below).
+    } else if (now < fetchResumeAt_) {
+        wake = fetchResumeAt_;
+        // The fill portion of the wait and its I-TLB remainder charge
+        // to different buckets. The switch cycle itself is ticked, so
+        // the closing episode's trace event keeps its place in the
+        // cycle's core order.
+        if (!stallIsRedirect_ && now <= stallFillReady_)
+            wake = std::min(wake, stallFillReady_);
+    } else if (fetchBuf_.size() < params_.fetchBufferEntries) {
+        // Fetch can pull; an exhausted trace charges its drain tail
+        // one tick at a time.
+        return now;
+    }
+    if (!rob_.empty() && rob_.front().issued)
+        wake = std::min(wake, rob_.front().execDone);
+    if (robUnissued_)
+        wake = std::min(wake, issueWakeAt_);
+    if (!fetchBuf_.empty() && rob_.size() < params_.robEntries)
+        wake = std::min(wake, fetchBuf_.front().availAt);
+    return std::max(wake, now);
+}
+
+void
+OoOCore::skipQuiet(Cycle from, Cycle to)
+{
+    if (to <= from)
+        return;
+    const std::uint64_t n = to - from;
+    if (rob_.size() >= params_.robEntries)
+        robFullCycles += n;
+    if (blockedOnSeq_ || from < fetchResumeAt_)
+        chargeFetchWait(from, n);
+    else // a quiet fetch with no wait pending has a full buffer
+        chargeCycle(CycleBucket::Backpressure, from, curFetchLine_, n);
 }
 
 void
@@ -353,18 +399,24 @@ OoOCore::fetchFromSpan(std::span<const InstrRecord> recs, Cycle now,
 }
 
 void
+OoOCore::chargeFetchWait(Cycle now, std::uint64_t n)
+{
+    if (blockedOnSeq_) {
+        branchStallCycles += n;
+        chargeCycle(CycleBucket::BranchRedirect, now, curFetchLine_, n);
+    } else {
+        fetchStallCycles += n;
+        chargeCycle(stallBucket(now), now, stallLine_, n);
+    }
+}
+
+void
 OoOCore::fetchStage(Cycle now)
 {
     demandFetchedThisCycle_ = false;
 
-    if (blockedOnSeq_) {
-        ++branchStallCycles;
-        chargeCycle(CycleBucket::BranchRedirect, now, curFetchLine_);
-        return;
-    }
-    if (now < fetchResumeAt_) {
-        ++fetchStallCycles;
-        chargeCycle(stallBucket(now), now, stallLine_);
+    if (blockedOnSeq_ || now < fetchResumeAt_) {
+        chargeFetchWait(now, 1);
         return;
     }
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Trace-driven, cycle-stepped out-of-order core model.
+ * Trace-driven, cycle-accurate out-of-order core model.
  *
  * Models the paper's core (Section 5): 8-wide fetch, 3-wide issue,
  * 64-entry window/ROB, 16-stage pipeline, gshare + BTB + RAS front
  * end, two-level TLBs. Each tick() advances one cycle through
- * commit -> issue -> dispatch -> fetch.
+ * commit -> issue -> dispatch -> fetch. A stalled core sleeps:
+ * wakeAt() names the next cycle a tick can change state, and
+ * skipQuiet() charges the cycles before it in one step.
  *
  * Trace-driven approximations (documented in DESIGN.md): no wrong
  * path is simulated; a mispredicted CTI blocks fetch until it issues,
@@ -78,6 +80,20 @@ class OoOCore
 
     /** Advance one cycle at time @p now. */
     void tick(Cycle now);
+
+    /**
+     * First cycle >= @p now at which tick() can change anything
+     * besides cycle accounting. Depends only on this core's own
+     * state: no other core's tick can move it (DESIGN.md §13).
+     */
+    Cycle wakeAt(Cycle now) const;
+
+    /**
+     * Charge the quiet cycles [@p from, @p to) in one step, exactly
+     * as ticking each of them would. Requires @p to <=
+     * wakeAt(@p from).
+     */
+    void skipQuiet(Cycle from, Cycle to);
 
     /** Trace exhausted and pipeline drained. */
     bool done() const;
@@ -172,8 +188,14 @@ class OoOCore
 
     Cycle execute(const RobEntry &entry, Cycle now);
 
-    /** Charge this tick to @p b; extends or opens a stall episode. */
-    void chargeCycle(CycleBucket b, Cycle now, Addr line);
+    /** Charge @p n cycles from @p now to @p b; extends or opens a
+     *  stall episode. */
+    void chargeCycle(CycleBucket b, Cycle now, Addr line,
+                     std::uint64_t n = 1);
+
+    /** Charge @p n cycles from @p now of fetch blocked on a
+     *  mispredicted branch or waiting on a fill. */
+    void chargeFetchWait(Cycle now, std::uint64_t n);
 
     /** Close the open episode (emits its fetch_stall trace event). */
     void closeEpisode(Cycle now);

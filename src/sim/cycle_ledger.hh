@@ -75,7 +75,11 @@ cycleBucketName(CycleBucket b)
 class CycleLedger
 {
   public:
-    void charge(CycleBucket b) { ++buckets_[idx(b)]; }
+    void
+    charge(CycleBucket b, std::uint64_t n = 1)
+    {
+        buckets_[idx(b)] += n;
+    }
 
     std::uint64_t
     value(CycleBucket b) const

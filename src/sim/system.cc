@@ -23,7 +23,9 @@ namespace
  * Publishing stride for the live instruction counters: coarse enough
  * that the run loops see one predictable branch per iteration and an
  * atomic add only every ~16k instructions, fine enough that ipref_top
- * sampling at tens of milliseconds still tracks real progress.
+ * sampling at tens of milliseconds still tracks real progress. Runs
+ * with a RunControl also poll it at least this often, so cancellation
+ * stays prompt when metrics are compiled out.
  */
 constexpr std::uint64_t kMetricsStride = 16384;
 
@@ -301,7 +303,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 System::~System() = default;
 
 void
-System::checkControl(std::uint64_t p, std::uint64_t &ctl) const
+System::checkControl(std::uint64_t p) const
 {
     if (cfg_.faultAtInstr && p >= cfg_.faultAtInstr)
         throw SimError(cfg_.faultTransient ? SimError::Kind::Io
@@ -310,7 +312,7 @@ System::checkControl(std::uint64_t p, std::uint64_t &ctl) const
                            "injected fault at instruction %llu",
                            static_cast<unsigned long long>(p)),
                        cfg_.faultTransient);
-    if (!cfg_.control || (ctl++ & 1023) != 0)
+    if (!cfg_.control)
         return;
     int s = cfg_.control->stop.load(std::memory_order_relaxed);
     if (s == RunControl::stopTimeout)
@@ -319,6 +321,24 @@ System::checkControl(std::uint64_t p, std::uint64_t &ctl) const
     if (s == RunControl::stopInterrupt)
         throw SimError(SimError::Kind::Interrupted,
                        "run interrupted");
+}
+
+std::uint64_t
+System::nextCheckAt(std::uint64_t p, std::uint64_t targetInstrs) const
+{
+    std::uint64_t next = targetInstrs;
+    if (cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0)
+        next = std::min(next, nextSampleAt_);
+    if constexpr (metrics::kCompiled)
+        next = std::min(next, metricsNextAt_);
+    if (cfg_.faultAtInstr)
+        next = std::min(next, cfg_.faultAtInstr);
+    if (cfg_.control)
+        next = std::min(next, p + kMetricsStride);
+    if (cfg_.numCores == 1 && workloads_.size() > 1) // slice rotation
+        next = std::min(next, std::max(p + 1, sliceStart_ +
+                                                  cfg_.timeSliceInstrs));
+    return next;
 }
 
 std::uint64_t
@@ -388,11 +408,8 @@ System::maybeSample(std::uint64_t p)
 void
 System::runTiming(std::uint64_t targetInstrs)
 {
-    bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
-    bool sampling = cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0;
-    bool guarded = cfg_.faultAtInstr > 0 || cfg_.control != nullptr;
-    std::uint64_t ctl = 0;
-    Cycle guard =
+    const bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
+    const Cycle guard =
         now_ + 1000 + 400 * (targetInstrs - std::min(targetInstrs,
                                                      progress()));
     // Progress grows by at most this much per cycle, which bounds how
@@ -400,41 +417,58 @@ System::runTiming(std::uint64_t targetInstrs)
     const std::uint64_t maxStep = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(cfg_.numCores) *
                cfg_.core.commitWidth);
+    // Each core sleeps until its own wake cycle; charged[c] is the
+    // first cycle not yet accounted for on core c. Every core is
+    // settled (charged up to now_) between calls.
+    const std::size_t nc = cores_.size();
+    std::vector<Cycle> wake(nc), charged(nc, now_);
+    for (std::size_t c = 0; c < nc; ++c)
+        wake[c] = cores_[c]->wakeAt(now_);
     while (true) {
+        // Settle sleeping cores first: everything below reads the
+        // cycle ledgers, and the caller may reset them.
+        for (std::size_t c = 0; c < nc; ++c) {
+            cores_[c]->skipQuiet(charged[c], now_);
+            charged[c] = now_;
+        }
+        if (now_ > guard)
+            ipref_raise(InvariantError,
+                        "timing simulation is not making "
+                        "progress (IPC < 0.0025)");
         std::uint64_t p = progress();
         if (p >= targetInstrs)
             break;
-        if (guarded)
-            checkControl(p, ctl);
-        if (sampling)
+        checkControl(p);
+        if (cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0)
             maybeSample(p);
         if constexpr (metrics::kCompiled)
             if (p >= metricsNextAt_)
                 publishProgressMetrics(p);
 
         // Run check-free until progress could reach the nearest
-        // threshold: the intermediate per-cycle checks are provably
-        // no-ops, so skipping them cannot change when a sample or a
-        // control poll happens. Guarded and time-sliced runs keep the
-        // original cycle-at-a-time cadence (their per-cycle hooks
-        // observe intermediate progress).
-        std::uint64_t steps = 1;
-        if (!guarded && !sliced) {
-            std::uint64_t nextEvent = targetInstrs;
-            if (sampling)
-                nextEvent = std::min(nextEvent, nextSampleAt_);
-            if constexpr (metrics::kCompiled)
-                nextEvent = std::min(nextEvent, metricsNextAt_);
-            steps = (nextEvent - p - 1) / maxStep + 1;
-        }
-        for (std::uint64_t s = 0; s < steps; ++s) {
-            for (auto &core : cores_)
-                core->tick(now_);
-            ++now_;
-            if (now_ > guard)
-                ipref_raise(InvariantError,
-                            "timing simulation is not making "
-                            "progress (IPC < 0.0025)");
+        // threshold: the skipped per-cycle checks are provably
+        // no-ops. Within the stretch, tick each core only at its wake
+        // cycle, in core order, and jump straight over cycles where
+        // every core sleeps.
+        const Cycle end = std::min(
+            now_ + (nextCheckAt(p, targetInstrs) - p - 1) / maxStep + 1,
+            guard + 1);
+        while (true) {
+            const Cycle t = *std::min_element(wake.begin(), wake.end());
+            if (t >= end) {
+                now_ = end;
+                break;
+            }
+            for (std::size_t c = 0; c < nc; ++c) {
+                if (wake[c] != t)
+                    continue;
+                OoOCore &core = *cores_[c];
+                core.skipQuiet(charged[c], t);
+                core.tick(t);
+                charged[c] = t + 1;
+                wake[c] = core.wakeAt(t + 1);
+            }
+            now_ = t + 1;
         }
         if (sliced) {
             std::uint64_t done = cores_[0]->committed();
@@ -512,18 +546,14 @@ System::funcStep(unsigned c, FuncState &st, const InstrRecord &rec)
 void
 System::runFunctional(std::uint64_t targetInstrs)
 {
-    bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
-    bool sampling = cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0;
-    bool guarded = cfg_.faultAtInstr > 0 || cfg_.control != nullptr;
-    std::uint64_t ctl = 0;
+    const bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
     const unsigned nc = cfg_.numCores;
     while (true) {
         std::uint64_t p = progress();
         if (p >= targetInstrs)
             break;
-        if (guarded)
-            checkControl(p, ctl);
-        if (sampling)
+        checkControl(p);
+        if (cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0)
             maybeSample(p);
         if constexpr (metrics::kCompiled)
             if (p >= metricsNextAt_)
@@ -533,17 +563,9 @@ System::runFunctional(std::uint64_t targetInstrs)
         // round-robin order (the shared-L2 interleaving the schemes
         // see). Run as many rounds as the buffered blocks allow
         // before the next threshold check could fire; the skipped
-        // per-round checks are provably no-ops. Guarded and sliced
-        // runs keep round-at-a-time cadence.
-        std::uint64_t rounds = 1;
-        if (!guarded && !sliced) {
-            std::uint64_t nextEvent = targetInstrs;
-            if (sampling)
-                nextEvent = std::min(nextEvent, nextSampleAt_);
-            if constexpr (metrics::kCompiled)
-                nextEvent = std::min(nextEvent, metricsNextAt_);
-            rounds = (nextEvent - p - 1) / nc + 1;
-        }
+        // per-round checks are provably no-ops.
+        std::uint64_t rounds =
+            (nextCheckAt(p, targetInstrs) - p - 1) / nc + 1;
         for (unsigned c = 0; c < nc; ++c) {
             FuncState &st = funcState_[c];
             if (st.pos == st.len)

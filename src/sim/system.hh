@@ -132,12 +132,20 @@ class System
 
     /**
      * Fault-injection / cancellation poll, called from the run loops
-     * when either hook is armed. Throws SimError (Io/Invariant on an
+     * at every threshold check. Throws SimError (Io/Invariant on an
      * injected fault, Timeout/Interrupted when the RunControl stop
-     * flag is raised). @p ctl rate-limits the atomic load to every
-     * 1024th call.
+     * flag is raised).
      */
-    void checkControl(std::uint64_t p, std::uint64_t &ctl) const;
+    void checkControl(std::uint64_t p) const;
+
+    /**
+     * The smallest progress value above @p p at which a run loop must
+     * stop and check again: the target, the next interval sample,
+     * metrics publish, injected fault, RunControl poll or time-slice
+     * rotation.
+     */
+    std::uint64_t nextCheckAt(std::uint64_t p,
+                              std::uint64_t targetInstrs) const;
 
     /** Total committed (timing) or emitted (functional). */
     std::uint64_t progress() const;

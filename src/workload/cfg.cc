@@ -55,6 +55,17 @@ ProgramCfg::ProgramCfg(const WorkloadConfig &cfg) : cfg_(cfg)
     layoutCode();
 }
 
+const ZipfSampler &
+ProgramCfg::hotDataZipf() const
+{
+    std::call_once(hotZipfOnce_, [this] {
+        hotZipf_.emplace(
+            std::max<std::size_t>(1, cfg_.hotDataBytes / 64),
+            cfg_.hotDataZipfAlpha);
+    });
+    return *hotZipf_;
+}
+
 void
 ProgramCfg::buildFunctions(Rng &rng)
 {

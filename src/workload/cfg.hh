@@ -16,6 +16,8 @@
 #define IPREF_WORKLOAD_CFG_HH
 
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "trace/record.hh"
@@ -117,6 +119,13 @@ class ProgramCfg
     /** Indices of trap-handler functions. */
     const std::vector<std::uint32_t> &trapFuncs() const { return traps_; }
 
+    /**
+     * Zipf sampler over the hot heap lines, built on first use (its
+     * CDF is 2 MiB of pow() results) and shared by every walker of
+     * this program. Thread-safe.
+     */
+    const ZipfSampler &hotDataZipf() const;
+
     /** Total bytes of generated code (including trap handlers). */
     Addr codeBytes() const { return codeBytes_; }
 
@@ -146,6 +155,9 @@ class ProgramCfg
     std::vector<std::uint32_t> traps_;
     std::vector<std::vector<std::uint32_t>> layerFuncs_;
     Addr codeBytes_ = 0;
+
+    mutable std::once_flag hotZipfOnce_;
+    mutable std::optional<ZipfSampler> hotZipf_;
 };
 
 } // namespace ipref

@@ -14,9 +14,7 @@ Workload::Workload(std::shared_ptr<const ProgramCfg> prog,
       walkSeed_(walkSeed),
       dataOffset_(dataOffset),
       rng_(walkSeed ^ hashString("workload-walk")),
-      hotZipf_(std::max<std::size_t>(
-                   1, prog_->config().hotDataBytes / 64),
-               prog_->config().hotDataZipfAlpha)
+      hotZipf_(prog_->hotDataZipf())
 {
     const WorkloadConfig &cfg = prog_->config();
     coldWrap_ = std::max<std::uint64_t>(64, cfg.coldDataBytes);

@@ -111,7 +111,7 @@ class Workload : public TraceSource
     /** Consecutive-taken counters for loop back-edges (safety cap). */
     std::vector<std::uint8_t> loopTaken_;
 
-    ZipfSampler hotZipf_;
+    const ZipfSampler &hotZipf_; //!< shared by the program's walkers
     std::uint64_t coldCursor_ = 0;
     std::uint64_t coldWrap_ = 64; //!< cold-region size (cursor modulus)
 

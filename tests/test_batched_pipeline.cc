@@ -8,11 +8,17 @@
  * schemes, workloads, core counts and both execution modes. Also
  * pins down the contract the functional-mode bench conversions
  * (fig01/fig05) rely on: functional miss rates track timing-mode
- * miss rates closely.
+ * miss rates closely. Also locks the quiet-cycle contract the
+ * sleeping timing loop relies on (QuietCycles).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <tuple>
+
+#include "scheme_params.hh"
 #include "sim/experiment.hh"
 
 using namespace ipref;
@@ -184,3 +190,123 @@ TEST(BatchedPipeline, FunctionalMissRatesTrackTiming)
                     timing.l2iMissPerInstr(), 0.01);
     }
 }
+
+namespace
+{
+
+/** Every counter one core's skipQuiet() may charge, plus the rest. */
+std::vector<std::uint64_t>
+coreCounters(const OoOCore &core)
+{
+    std::vector<std::uint64_t> v = {
+        core.committed_.value(),      core.fetchedInstrs.value(),
+        core.fetchStallCycles.value(), core.branchStallCycles.value(),
+        core.robFullCycles.value(),    core.loadsIssued.value(),
+        core.storesIssued.value()};
+    for (std::size_t b = 0; b < kNumCycleBuckets; ++b)
+        v.push_back(core.ledger().value(static_cast<CycleBucket>(b)));
+    return v;
+}
+
+/** The whole stats tree of a manually driven System, as text. */
+std::string
+statsText(System &sys)
+{
+    StatGroup root("sys");
+    StatGroup hier("hierarchy");
+    sys.hierarchy().registerStats(hier);
+    sys.hierarchy().memory().registerStats(hier);
+    root.addChild(&hier);
+    std::vector<std::unique_ptr<StatGroup>> groups;
+    for (unsigned c = 0; c < sys.config().numCores; ++c) {
+        auto g = std::make_unique<StatGroup>("core" + std::to_string(c));
+        sys.engine(c).registerStats(*g);
+        sys.cpuCore(c).registerStats(*g);
+        root.addChild(g.get());
+        groups.push_back(std::move(g));
+    }
+    std::ostringstream os;
+    root.dump(os);
+    return os.str();
+}
+
+using QuietParam = std::tuple<std::string, bool, bool>;
+
+class QuietCycles : public ::testing::TestWithParam<QuietParam>
+{};
+
+} // namespace
+
+/**
+ * Whenever OoOCore::wakeAt(now) > now, ticking the core until its
+ * wake cycle must change nothing but what one skipQuiet() call
+ * charges. A reference System ticks every core on every cycle; an
+ * identical System ticks each core only at its wake cycle, in core
+ * order, and bulk-charges the cycles before it. Each core's counters
+ * and wake cycle must agree every time it wakes, and the whole stats
+ * tree at the end. Dropping any wake source from wakeAt() breaks it.
+ */
+TEST_P(QuietCycles, TickChangesOnlyWhatSkipQuietCharges)
+{
+    const auto &[scheme, cmp, bypass] = GetParam();
+    RunSpec s;
+    s.cmp = cmp;
+    s.workloads = {WorkloadKind::DB};
+    s.schemeToken = scheme;
+    s.bypassL2 = bypass;
+    SystemConfig cfg = makeConfig(s);
+    System ref(cfg), sleepy(cfg);
+    const unsigned nc = cfg.numCores;
+
+    std::vector<Cycle> wake(nc), charged(nc, 0);
+    for (unsigned c = 0; c < nc; ++c)
+        wake[c] = sleepy.cpuCore(c).wakeAt(0);
+    auto committed = [&] {
+        std::uint64_t n = 0;
+        for (unsigned c = 0; c < nc; ++c)
+            n += ref.cpuCore(c).committed();
+        return n;
+    };
+    Cycle now = 0;
+    std::uint64_t skipped = 0;
+    while (committed() < 30'000) {
+        const Cycle t = *std::min_element(wake.begin(), wake.end());
+        ASSERT_LT(t, Cycle{2'000'000}) << "no core ever wakes";
+        for (; now < t; ++now)
+            for (unsigned c = 0; c < nc; ++c)
+                ref.cpuCore(c).tick(now);
+        for (unsigned c = 0; c < nc; ++c) {
+            OoOCore &r = ref.cpuCore(c);
+            if (wake[c] == t) {
+                OoOCore &q = sleepy.cpuCore(c);
+                q.skipQuiet(charged[c], t);
+                skipped += t - charged[c];
+                ASSERT_EQ(coreCounters(q), coreCounters(r))
+                    << "core " << c << " woken at cycle " << t;
+                ASSERT_EQ(q.wakeAt(t), r.wakeAt(t));
+                q.tick(t);
+                charged[c] = t + 1;
+                wake[c] = q.wakeAt(t + 1);
+                ASSERT_GT(wake[c], t);
+            }
+            r.tick(t);
+        }
+        now = t + 1;
+    }
+    for (unsigned c = 0; c < nc; ++c)
+        sleepy.cpuCore(c).skipQuiet(charged[c], now);
+    EXPECT_EQ(statsText(sleepy), statsText(ref));
+    // The run must actually exercise sleeping.
+    EXPECT_GT(skipped * 10, now * nc);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, QuietCycles,
+    ::testing::Combine(::testing::ValuesIn(test::allSchemeTokens()),
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const auto &p) {
+        std::string n = test::schemeTestName(std::get<0>(p.param));
+        n += std::get<1>(p.param) ? "_Cmp" : "_Single";
+        n += std::get<2>(p.param) ? "Bypass" : "Install";
+        return n;
+    });

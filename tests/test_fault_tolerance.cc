@@ -460,6 +460,28 @@ TEST(FaultTolerance, WatchdogTimesOutRunawayRuns)
     EXPECT_LT(outcomes[0].wallMs, 30000u);
 }
 
+TEST(FaultTolerance, WatchdogTimesOutRunawayTimingRuns)
+{
+    // The timing loop sleeps stalled cores and runs long check-free
+    // stretches; the RunControl poll must still come often enough to
+    // stop the run promptly, also when no metrics stride bounds the
+    // stretches (-DIPREF_METRICS=OFF).
+    RunSpec runaway = quickSpec(9);
+    runaway.functional = false;
+    runaway.instrScale = 500.0; // far longer than the deadline
+
+    BatchOptions opt;
+    opt.maxAttempts = 3;
+    opt.runTimeoutMs = 50;
+
+    std::vector<RunOutcome> outcomes = runBatch({runaway}, opt);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].status, RunStatus::TimedOut);
+    EXPECT_EQ(outcomes[0].errorKind, SimError::Kind::Timeout);
+    EXPECT_EQ(outcomes[0].attempts, 1u);
+    EXPECT_LT(outcomes[0].wallMs, 2000u);
+}
+
 TEST(FaultTolerance, ManifestRoundTrip)
 {
     std::string path = ::testing::TempDir() + "manifest_rt.json";
