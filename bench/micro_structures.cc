@@ -2,15 +2,26 @@
  * @file
  * google-benchmark micro-benchmarks of the core data structures:
  * cache access, predictor probe/allocate, prefetch queue operations,
- * branch predictor updates and workload-generation throughput.
+ * the in-flight line table, branch predictor updates and
+ * workload-generation throughput.
+ *
+ * Optimised structures are paired with the naive layout they
+ * replaced (pointer-chasing cache sets, the std::deque prefetch
+ * queue, std::unordered_map) on one operation stream each; CI checks
+ * that no optimised side is slower than its reference.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <unordered_map>
 
 #include "cache/cache.hh"
 #include "cpu/branch_predictor.hh"
 #include "prefetch/discontinuity.hh"
 #include "prefetch/prefetch_queue.hh"
+#include "tests/reference_models.hh"
+#include "util/line_map.hh"
 #include "util/rng.hh"
 #include "workload/presets.hh"
 
@@ -175,10 +186,11 @@ BM_DiscontinuityAllocate(benchmark::State &state)
 }
 BENCHMARK(BM_DiscontinuityAllocate);
 
+template <typename Queue>
 void
-BM_PrefetchQueueChurn(benchmark::State &state)
+prefetchQueueChurn(benchmark::State &state)
 {
-    PrefetchQueue q(32);
+    Queue q(32);
     Rng rng(4);
     for (auto _ : state) {
         PrefetchCandidate c;
@@ -190,7 +202,84 @@ BM_PrefetchQueueChurn(benchmark::State &state)
             q.demandFetched(rng.below(4096) * 64);
     }
 }
+
+void
+BM_PrefetchQueueChurn(benchmark::State &state)
+{
+    prefetchQueueChurn<PrefetchQueue>(state);
+}
 BENCHMARK(BM_PrefetchQueueChurn);
+
+void
+BM_PrefetchQueueChurnDeque(benchmark::State &state)
+{
+    prefetchQueueChurn<ref::DequePrefetchQueue>(state);
+}
+BENCHMARK(BM_PrefetchQueueChurnDeque);
+
+using FlatLineTable = LineMap<std::uint32_t>;
+using NodeLineTable = std::unordered_map<Addr, std::uint32_t>;
+
+bool
+tableHas(const FlatLineTable &t, Addr line)
+{
+    return t.find(line) != nullptr;
+}
+
+bool
+tableHas(const NodeLineTable &t, Addr line)
+{
+    return t.find(line) != t.end();
+}
+
+void tablePut(FlatLineTable &t, Addr line, std::uint32_t v) { t.put(line, v); }
+void tablePut(NodeLineTable &t, Addr line, std::uint32_t v) { t[line] = v; }
+
+/**
+ * The MSHR table's access mix: every step looks a line up (a merge
+ * check), starts a fill when it is absent, and completes the oldest
+ * of up to 16 in-flight fills to make room.
+ */
+template <typename Table>
+void
+lineTableChurn(benchmark::State &state)
+{
+    Table table;
+    std::array<Addr, 16> live{};
+    std::size_t head = 0;
+    std::size_t count = 0;
+    std::uint32_t next = 0;
+    Rng rng(9);
+    for (auto _ : state) {
+        Addr line = 0x10000000 + rng.below(256) * 64;
+        bool hit = tableHas(table, line);
+        benchmark::DoNotOptimize(hit);
+        if (hit)
+            continue;
+        if (count == live.size()) {
+            table.erase(live[head]);
+            head = (head + 1) % live.size();
+            --count;
+        }
+        tablePut(table, line, next++);
+        live[(head + count) % live.size()] = line;
+        ++count;
+    }
+}
+
+void
+BM_LineMapChurn(benchmark::State &state)
+{
+    lineTableChurn<FlatLineTable>(state);
+}
+BENCHMARK(BM_LineMapChurn);
+
+void
+BM_UnorderedMapChurn(benchmark::State &state)
+{
+    lineTableChurn<NodeLineTable>(state);
+}
+BENCHMARK(BM_UnorderedMapChurn);
 
 void
 BM_GshareUpdate(benchmark::State &state)

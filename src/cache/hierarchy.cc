@@ -45,33 +45,42 @@ CacheHierarchy::probeL1I(CoreId core, Addr addr) const
     return l1i_[core]->probe(addr);
 }
 
-CacheHierarchy::FillPtr
+void
 CacheHierarchy::startFill(Addr lineAddr, Cycle ready, bool isPrefetch,
                           bool isInstr, bool installL2, bool dirty,
-                          CoreId core)
+                          bool fromMemory, CoreId core)
 {
-    FillPtr fill;
-    if (!fillPool_.empty()) {
-        fill = std::move(fillPool_.back());
-        fillPool_.pop_back();
-        fill->demandMerged = false;
-        fill->fromMemory = false;
-        fill->targets.clear();
+    FillId id;
+    if (!freeFills_.empty()) {
+        id = freeFills_.back();
+        freeFills_.pop_back();
     } else {
-        fill = std::make_shared<Fill>();
+        id = static_cast<FillId>(fills_.size());
+        fills_.emplace_back();
     }
-    fill->lineAddr = lineAddr;
-    fill->ready = ready;
-    fill->isPrefetch = isPrefetch;
-    fill->isInstr = isInstr;
-    fill->installL2 = installL2;
-    fill->dirty = dirty;
-    fill->srcCore = core;
-    fill->targets.push_back(core);
-    inflight_[lineAddr] = fill;
-    fillQueue_.push(fill);
+    Fill &fill = fills_[id];
+    fill.lineAddr = lineAddr;
+    fill.ready = ready;
+    fill.isPrefetch = isPrefetch;
+    fill.demandMerged = false;
+    fill.isInstr = isInstr;
+    fill.installL2 = installL2;
+    fill.dirty = dirty;
+    fill.fromMemory = fromMemory;
+    fill.srcCore = core;
+    fill.targets.clear();
+    fill.targets.push_back(core);
+    inflight_.put(lineAddr, id);
+    fillHeap_.push(ready, id);
     nextFillAt_ = std::min(nextFillAt_, ready);
-    return fill;
+}
+
+void
+CacheHierarchy::addTarget(Fill &fill, CoreId core)
+{
+    if (std::find(fill.targets.begin(), fill.targets.end(), core) ==
+        fill.targets.end())
+        fill.targets.push_back(core);
 }
 
 void
@@ -86,43 +95,43 @@ CacheHierarchy::insertL2(Addr lineAddr, const InsertFlags &flags,
 }
 
 void
-CacheHierarchy::install(const FillPtr &fill)
+CacheHierarchy::install(Fill &fill)
 {
     // A fill that a demand access merged with installs as a demand
     // line (used); a pure prefetch installs with the prefetched bit.
-    bool as_prefetch = fill->isPrefetch && !fill->demandMerged;
+    bool as_prefetch = fill.isPrefetch && !fill.demandMerged;
 
     // A bypassing prefetch that a demand access merged with has
     // proven itself useful while still in flight: install it into
     // the L2 like any demand fill (the selective-install policy only
     // excludes *unproven* prefetches).
-    if (fill->isPrefetch && fill->demandMerged && !fill->installL2)
-        fill->installL2 = true;
+    if (fill.isPrefetch && fill.demandMerged && !fill.installL2)
+        fill.installL2 = true;
 
-    if (fill->installL2) {
+    if (fill.installL2) {
         InsertFlags f;
         f.prefetched = as_prefetch;
-        f.isInstr = fill->isInstr;
-        f.dirty = fill->dirty;
-        f.srcCore = fill->srcCore;
-        insertL2(fill->lineAddr, f, fill->ready);
+        f.isInstr = fill.isInstr;
+        f.dirty = fill.dirty;
+        f.srcCore = fill.srcCore;
+        insertL2(fill.lineAddr, f, fill.ready);
     }
 
-    for (CoreId core : fill->targets) {
+    for (CoreId core : fill.targets) {
         SetAssocCache &l1 =
-            fill->isInstr ? *l1i_[core] : *l1d_[core];
+            fill.isInstr ? *l1i_[core] : *l1d_[core];
         InsertFlags f;
-        f.prefetched = as_prefetch && fill->isInstr;
-        f.isInstr = fill->isInstr;
-        f.dirty = fill->dirty && !fill->isInstr;
+        f.prefetched = as_prefetch && fill.isInstr;
+        f.isInstr = fill.isInstr;
+        f.dirty = fill.dirty && !fill.isInstr;
         f.srcCore = core;
         IPREF_TRACE(f.prefetched ? TraceEventType::PrefetchFill
                                  : TraceEventType::CacheFill,
-                    static_cast<std::uint16_t>(core), fill->lineAddr,
+                    static_cast<std::uint16_t>(core), fill.lineAddr,
                     0,
-                    fill->isInstr ? traceLevelL1I : traceLevelL1D,
-                    fill->ready);
-        Eviction ev = l1.insert(fill->lineAddr, f);
+                    fill.isInstr ? traceLevelL1I : traceLevelL1D,
+                    fill.ready);
+        Eviction ev = l1.insert(fill.lineAddr, f);
         if (!ev.valid)
             continue;
         IPREF_TRACE(TraceEventType::CacheEvict,
@@ -130,9 +139,9 @@ CacheHierarchy::install(const FillPtr &fill)
                     static_cast<std::uint64_t>(ev.used) |
                         (static_cast<std::uint64_t>(ev.prefetched)
                          << 1),
-                    fill->isInstr ? traceLevelL1I : traceLevelL1D,
-                    fill->ready);
-        if (fill->isInstr) {
+                    fill.isInstr ? traceLevelL1I : traceLevelL1D,
+                    fill.ready);
+        if (fill.isInstr) {
             if (listeners_[core])
                 listeners_[core]->instrLineEvicted(core,
                                                    ev.lineAddr);
@@ -148,7 +157,7 @@ CacheHierarchy::install(const FillPtr &fill)
                         InsertFlags lf;
                         lf.isInstr = true;
                         lf.srcCore = core;
-                        insertL2(ev.lineAddr, lf, fill->ready);
+                        insertL2(ev.lineAddr, lf, fill.ready);
                     } else {
                         ++bypassDrops;
                     }
@@ -160,9 +169,24 @@ CacheHierarchy::install(const FillPtr &fill)
             lf.isInstr = false;
             lf.dirty = true;
             lf.srcCore = core;
-            insertL2(ev.lineAddr, lf, fill->ready);
+            insertL2(ev.lineAddr, lf, fill.ready);
         }
     }
+}
+
+void
+CacheHierarchy::completeFills(Cycle limit)
+{
+    while (!fillHeap_.empty() && fillHeap_.nextReady() <= limit) {
+        FillId id = fillHeap_.pop();
+        Fill &fill = fills_[id];
+        const FillId *cur = inflight_.find(fill.lineAddr);
+        if (cur && *cur == id)
+            inflight_.erase(fill.lineAddr);
+        install(fill);
+        freeFills_.push_back(id);
+    }
+    nextFillAt_ = fillHeap_.empty() ? neverCycle : fillHeap_.nextReady();
 }
 
 void
@@ -173,32 +197,13 @@ CacheHierarchy::drain(Cycle now)
     IPREF_TRACE_SETNOW(now);
     if (now < nextFillAt_)
         return;
-    while (!fillQueue_.empty() && fillQueue_.top()->ready <= now) {
-        FillPtr fill = fillQueue_.top();
-        fillQueue_.pop();
-        auto it = inflight_.find(fill->lineAddr);
-        if (it != inflight_.end() && it->second == fill)
-            inflight_.erase(it);
-        install(fill);
-        if (fill.use_count() == 1)
-            fillPool_.push_back(std::move(fill));
-    }
-    nextFillAt_ =
-        fillQueue_.empty() ? neverCycle : fillQueue_.top()->ready;
+    completeFills(now);
 }
 
 void
 CacheHierarchy::drainAll()
 {
-    while (!fillQueue_.empty()) {
-        FillPtr fill = fillQueue_.top();
-        fillQueue_.pop();
-        auto it = inflight_.find(fill->lineAddr);
-        if (it != inflight_.end() && it->second == fill)
-            inflight_.erase(it);
-        install(fill);
-    }
-    nextFillAt_ = neverCycle;
+    completeFills(neverCycle);
 }
 
 FetchResult
@@ -231,18 +236,14 @@ CacheHierarchy::fetchAccess(CoreId core, Addr pc,
                                     static_cast<std::uint8_t>(transition)), now, pc);
 
     // Merge with an in-flight fill?
-    auto it = inflight_.find(line);
-    if (it != inflight_.end()) {
-        FillPtr fill = it->second;
-        if (std::find(fill->targets.begin(), fill->targets.end(),
-                      core) == fill->targets.end()) {
-            fill->targets.push_back(core);
-        }
-        if (fill->isPrefetch && !fill->demandMerged) {
-            fill->demandMerged = true;
+    if (const FillId *id = inflight_.find(line)) {
+        Fill &fill = fills_[*id];
+        addTarget(fill, core);
+        if (fill.isPrefetch && !fill.demandMerged) {
+            fill.demandMerged = true;
             res.latePrefetchHit = true;
             ++l1iLateHits;
-        } else if (fill->isPrefetch) {
+        } else if (fill.isPrefetch) {
             // an already-merged prefetch still covers this access
             res.latePrefetchHit = true;
         } else {
@@ -252,8 +253,8 @@ CacheHierarchy::fetchAccess(CoreId core, Addr pc,
             ++l1iMisses;
             ++l1iMissByTransition[static_cast<std::size_t>(transition)];
         }
-        res.fromMemory = fill->fromMemory;
-        res.ready = std::max(fill->ready, now + params_.l1Latency);
+        res.fromMemory = fill.fromMemory;
+        res.ready = std::max(fill.ready, now + params_.l1Latency);
         return res;
     }
 
@@ -273,7 +274,7 @@ CacheHierarchy::fetchAccess(CoreId core, Addr pc,
     AccessOutcome l2out = l2_.access(line);
     if (l2out.hit) {
         Cycle ready = now + params_.l2Latency;
-        startFill(line, ready, false, true, false, false, core);
+        startFill(line, ready, false, true, false, false, false, core);
         res.ready = ready;
         IPREF_TRACE(TraceEventType::CacheHit,
                     static_cast<std::uint16_t>(core), line, 0,
@@ -291,9 +292,7 @@ CacheHierarchy::fetchAccess(CoreId core, Addr pc,
                 traceDetailPack(traceLevelL2,
                                     static_cast<std::uint8_t>(transition)), now, pc);
     Cycle ready = memory_.read(now, false);
-    FillPtr fill = startFill(line, ready, false, true, true, false,
-                             core);
-    fill->fromMemory = true;
+    startFill(line, ready, false, true, true, false, true, core);
     res.fromMemory = true;
     res.ready = ready;
     return res;
@@ -323,25 +322,21 @@ CacheHierarchy::dataAccess(CoreId core, Addr addr, bool isWrite,
                 static_cast<std::uint16_t>(core), line, 0,
                 traceLevelL1D, now);
 
-    auto it = inflight_.find(line);
-    if (it != inflight_.end()) {
-        FillPtr fill = it->second;
-        if (std::find(fill->targets.begin(), fill->targets.end(),
-                      core) == fill->targets.end())
-            fill->targets.push_back(core);
-        fill->demandMerged = true;
+    if (const FillId *id = inflight_.find(line)) {
+        Fill &fill = fills_[*id];
+        addTarget(fill, core);
+        fill.demandMerged = true;
         if (isWrite)
-            fill->dirty = true;
-        res.ready = std::max(fill->ready, now + params_.l1Latency);
+            fill.dirty = true;
+        res.ready = std::max(fill.ready, now + params_.l1Latency);
         return res;
     }
 
     AccessOutcome l2out = l2_.access(line, false);
     if (l2out.hit) {
         Cycle ready = now + params_.l2Latency;
-        FillPtr f = startFill(line, ready, false, false, false,
-                              isWrite, core);
-        (void)f;
+        startFill(line, ready, false, false, false, isWrite, false,
+                  core);
         res.ready = ready;
         return res;
     }
@@ -349,9 +344,7 @@ CacheHierarchy::dataAccess(CoreId core, Addr addr, bool isWrite,
     res.l2Miss = true;
     ++l2dMisses;
     Cycle ready = memory_.read(now, false);
-    FillPtr fill = startFill(line, ready, false, false, true, isWrite,
-                             core);
-    fill->fromMemory = true;
+    startFill(line, ready, false, false, true, isWrite, true, core);
     res.ready = ready;
     return res;
 }
@@ -368,24 +361,23 @@ CacheHierarchy::prefetchRequest(CoreId core, Addr addr, Cycle now)
         return res;
     }
 
-    auto it = inflight_.find(line);
-    if (it != inflight_.end()) {
-        FillPtr fill = it->second;
-        if (std::find(fill->targets.begin(), fill->targets.end(),
-                      core) != fill->targets.end()) {
+    if (const FillId *id = inflight_.find(line)) {
+        Fill &fill = fills_[*id];
+        if (std::find(fill.targets.begin(), fill.targets.end(),
+                      core) != fill.targets.end()) {
             res.outcome = PrefetchOutcome::DroppedInFlight;
             return res;
         }
-        fill->targets.push_back(core);
+        fill.targets.push_back(core);
         res.outcome = PrefetchOutcome::Merged;
-        res.ready = fill->ready;
+        res.ready = fill.ready;
         return res;
     }
 
     AccessOutcome l2out = l2_.access(line);
     if (l2out.hit) {
         Cycle ready = now + params_.l2Latency;
-        startFill(line, ready, true, true, false, false, core);
+        startFill(line, ready, true, true, false, false, false, core);
         res.outcome = PrefetchOutcome::Issued;
         res.ready = ready;
         return res;
@@ -395,9 +387,7 @@ CacheHierarchy::prefetchRequest(CoreId core, Addr addr, Cycle now)
     // Selective install: in bypass mode instruction prefetches do not
     // enter the L2 until proven useful.
     bool install_l2 = !params_.prefetchBypassL2;
-    FillPtr fill = startFill(line, ready, true, true, install_l2,
-                             false, core);
-    fill->fromMemory = true;
+    startFill(line, ready, true, true, install_l2, false, true, core);
     res.outcome = PrefetchOutcome::Issued;
     res.ready = ready;
     res.fromMemory = true;

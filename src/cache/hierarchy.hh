@@ -17,15 +17,16 @@
 #ifndef IPREF_CACHE_HIERARCHY_HH
 #define IPREF_CACHE_HIERARCHY_HH
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "memory/memory.hh"
 #include "trace/record.hh"
+#include "util/line_map.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -119,6 +120,60 @@ struct PrefetchResult
     bool fromMemory = false; //!< missed L2 and went off chip
 };
 
+/** Index of an in-flight fill in the hierarchy's fill slab. */
+using FillId = std::uint32_t;
+
+/**
+ * Completion order of in-flight fills: a binary min-heap of (ready,
+ * id) entries driven by std::push_heap/std::pop_heap with a
+ * ready-only comparator. That is the algorithm std::priority_queue
+ * runs, so fills sharing a ready cycle pop, and install (which
+ * decides evictions), in the same order a priority_queue of fills
+ * would give. A fill's ready cycle never changes once started, so
+ * the heap carries it and sifting never touches the slab.
+ */
+class FillHeap
+{
+  public:
+    bool empty() const { return heap_.empty(); }
+
+    /** Ready cycle of the next fill to complete; the heap must not
+     *  be empty. */
+    Cycle nextReady() const { return heap_.front().ready; }
+
+    void
+    push(Cycle ready, FillId id)
+    {
+        heap_.push_back({ready, id});
+        std::push_heap(heap_.begin(), heap_.end(), later);
+    }
+
+    /** Remove and return the fill that completes first. */
+    FillId
+    pop()
+    {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        FillId id = heap_.back().id;
+        heap_.pop_back();
+        return id;
+    }
+
+  private:
+    struct Entry
+    {
+        Cycle ready;
+        FillId id;
+    };
+
+    static bool
+    later(const Entry &a, const Entry &b)
+    {
+        return a.ready > b.ready;
+    }
+
+    std::vector<Entry> heap_;
+};
+
 /**
  * The full on-chip hierarchy shared by all cores of one chip.
  *
@@ -202,6 +257,7 @@ class CacheHierarchy
     void registerStats(StatGroup &group);
 
   private:
+    /** One MSHR: a line being filled and the caches it lands in. */
     struct Fill
     {
         Addr lineAddr = 0;
@@ -216,21 +272,27 @@ class CacheHierarchy
         /** cores whose L1I (instr) or L1D (data) receive the line */
         std::vector<CoreId> targets;
     };
-    using FillPtr = std::shared_ptr<Fill>;
+
+    /** Complete, in heap order, every fill ready by @p limit. */
+    void completeFills(Cycle limit);
 
     /** Complete fills whose ready time has passed. */
     void drain(Cycle now);
 
-    /** Install a completed fill into its targets. */
-    void install(const FillPtr &fill);
+    /** Install a completed fill into its targets. Starts no fill,
+     *  so the slab slot @p fill stays put throughout. */
+    void install(Fill &fill);
 
     /** Insert into L2, handling dirty-victim writeback. */
     void insertL2(Addr lineAddr, const InsertFlags &flags, Cycle now);
 
-    /** Start a fill and register it in the in-flight map. */
-    FillPtr startFill(Addr lineAddr, Cycle ready, bool isPrefetch,
-                      bool isInstr, bool installL2, bool dirty,
-                      CoreId core);
+    /** Start a fill and register it in the MSHR table. */
+    void startFill(Addr lineAddr, Cycle ready, bool isPrefetch,
+                   bool isInstr, bool installL2, bool dirty,
+                   bool fromMemory, CoreId core);
+
+    /** Add @p core to @p fill's targets unless already there. */
+    static void addTarget(Fill &fill, CoreId core);
 
     HierarchyParams params_;
     std::vector<std::unique_ptr<SetAssocCache>> l1i_;
@@ -239,21 +301,17 @@ class CacheHierarchy
     MemoryChannel memory_;
     std::vector<PrefetchEvictionListener *> listeners_;
 
-    std::unordered_map<Addr, FillPtr> inflight_;
-    /** Completed Fill objects recycled by startFill (the control
-     *  block and targets capacity survive, so the steady state runs
-     *  allocation-free). */
-    std::vector<FillPtr> fillPool_;
-    struct FillLater
-    {
-        bool
-        operator()(const FillPtr &a, const FillPtr &b) const
-        {
-            return a->ready > b->ready;
-        }
-    };
-    std::priority_queue<FillPtr, std::vector<FillPtr>, FillLater>
-        fillQueue_;
+    /**
+     * The MSHR table. Fills live in a slab addressed by FillId;
+     * completed slots go on a free list and keep their targets
+     * capacity, so the steady state runs allocation-free. startFill
+     * can grow the slab, so code that may start a fill holds ids,
+     * never Fill references.
+     */
+    std::vector<Fill> fills_;
+    std::vector<FillId> freeFills_;
+    LineMap<FillId> inflight_; //!< line -> its in-flight fill
+    FillHeap fillHeap_;
     /** Earliest in-flight ready time: drain() — called on every
      *  hierarchy entry point — early-outs on one plain compare
      *  without touching the fill heap. */

@@ -75,10 +75,10 @@ PrefetchEngine::~PrefetchEngine()
 void
 PrefetchEngine::credit(Addr lineAddr, Cycle now)
 {
-    auto it = origins_.find(lineAddr);
-    if (it == origins_.end())
+    const LivePrefetch *found = origins_.find(lineAddr);
+    if (!found)
         return;
-    const LivePrefetch &lp = it->second;
+    const LivePrefetch &lp = *found;
     ++usefulPrefetches;
     engineMetrics().useful.add(1);
     ++usefulByOrigin[static_cast<std::size_t>(lp.origin)];
@@ -94,7 +94,7 @@ PrefetchEngine::credit(Addr lineAddr, Cycle now)
         profiler_->prefetchResolved(lp.trigger, lineAddr, lp.origin,
                                     true);
     lastCredit_ = {lineAddr, lp.origin, lp.id};
-    origins_.erase(it);
+    origins_.erase(lineAddr);
     engineMetrics().inFlight.sub(1);
 }
 
@@ -217,16 +217,13 @@ PrefetchEngine::issueOne(Cycle now)
         if (res.ready >= now)
             fillLatency_.add(res.ready - now);
         Addr line = hierarchy_.lineOf(cand->lineAddr);
-        auto it = origins_.find(line);
-        if (it != origins_.end()) {
+        if (const LivePrefetch *old = origins_.find(line)) {
             // A previous lifecycle for this line is still unresolved:
             // the new issue supersedes it.
             ++replacedInFlight;
             IPREF_TRACE(TraceEventType::PrefetchReplaced, core_, line,
-                        it->second.id,
-                        static_cast<std::uint8_t>(it->second.origin),
-                        now, it->second.trigger);
-            origins_.erase(it);
+                        old->id, static_cast<std::uint8_t>(old->origin),
+                        now, old->trigger);
             engineMetrics().inFlight.sub(1);
         }
         LivePrefetch lp;
@@ -242,7 +239,7 @@ PrefetchEngine::issueOne(Cycle now)
                     lp.trigger);
         if (profiler_)
             profiler_->prefetchIssued(lp.trigger, line, lp.origin);
-        origins_.emplace(line, lp);
+        origins_.put(line, lp);
         engineMetrics().inFlight.add(1);
         break;
       }
@@ -276,40 +273,40 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
                                       bool used)
 {
     (void)core;
-    auto it = origins_.find(lineAddr);
+    const LivePrefetch *found = origins_.find(lineAddr);
     if (!used) {
         ++uselessPrefetches;
         engineMetrics().useless.add(1);
-        if (it != origins_.end()) {
+        if (found) {
+            const LivePrefetch &lp = *found;
             IPREF_TRACE(TraceEventType::PrefetchUseless, core_,
-                        lineAddr, it->second.id,
-                        static_cast<std::uint8_t>(it->second.origin),
-                        TraceSink::traceNowHint, it->second.trigger);
+                        lineAddr, lp.id,
+                        static_cast<std::uint8_t>(lp.origin),
+                        TraceSink::traceNowHint, lp.trigger);
             if (profiler_)
-                profiler_->prefetchResolved(it->second.trigger,
-                                            lineAddr,
-                                            it->second.origin, false);
-            origins_.erase(it);
+                profiler_->prefetchResolved(lp.trigger, lineAddr,
+                                            lp.origin, false);
+            origins_.erase(lineAddr);
             engineMetrics().inFlight.sub(1);
         } else {
             IPREF_TRACE(TraceEventType::PrefetchUseless, core_,
                         lineAddr, 0, 0, TraceSink::traceNowHint);
         }
-    } else if (it != origins_.end()) {
+    } else if (found) {
         // Normally credited (and erased) at first use; the line was
         // used but the use event was not observed — close the
         // lifecycle as useful without a latency sample.
+        const LivePrefetch &lp = *found;
         ++uncreditedUseful;
         engineMetrics().useful.add(1);
-        ++usefulByOrigin[static_cast<std::size_t>(it->second.origin)];
+        ++usefulByOrigin[static_cast<std::size_t>(lp.origin)];
         IPREF_TRACE(TraceEventType::PrefetchUseful, core_, lineAddr,
-                    it->second.id,
-                    static_cast<std::uint8_t>(it->second.origin),
-                    TraceSink::traceNowHint, it->second.trigger);
+                    lp.id, static_cast<std::uint8_t>(lp.origin),
+                    TraceSink::traceNowHint, lp.trigger);
         if (profiler_)
-            profiler_->prefetchResolved(it->second.trigger, lineAddr,
-                                        it->second.origin, true);
-        origins_.erase(it);
+            profiler_->prefetchResolved(lp.trigger, lineAddr,
+                                        lp.origin, true);
+        origins_.erase(lineAddr);
         engineMetrics().inFlight.sub(1);
     }
 }

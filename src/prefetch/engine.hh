@@ -15,7 +15,6 @@
 
 #include <array>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -25,6 +24,7 @@
 #include "prefetch/prefetcher.hh"
 #include "prefetch/call_graph.hh"
 #include "prefetch/wrong_path.hh"
+#include "util/line_map.hh"
 #include "util/stats.hh"
 
 namespace ipref
@@ -249,7 +249,7 @@ class PrefetchEngine : public PrefetchEvictionListener
     FetchHistory history_;
     std::unique_ptr<ConfidenceFilter> confidence_;
     std::vector<PrefetchCandidate> scratch_;
-    std::unordered_map<Addr, LivePrefetch> origins_;
+    LineMap<LivePrefetch> origins_;
     std::uint64_t nextPrefetchId_ = 1;
     Log2Histogram issueToUse_;
     Log2Histogram fillLatency_;

@@ -8,8 +8,7 @@
 #ifndef IPREF_PREFETCH_FETCH_HISTORY_HH
 #define IPREF_PREFETCH_FETCH_HISTORY_HH
 
-#include <vector>
-
+#include "util/split_addrs.hh"
 #include "util/types.hh"
 
 namespace ipref
@@ -20,16 +19,17 @@ class FetchHistory
 {
   public:
     explicit FetchHistory(unsigned capacity)
-        : ring_(capacity, invalidAddr)
-    {}
+    {
+        ring_.assign(capacity, invalidAddr);
+    }
 
     /** Record a demand fetch of @p lineAddr. */
     void
     push(Addr lineAddr)
     {
-        if (ring_.empty())
+        if (ring_.size() == 0) // history filter disabled
             return;
-        ring_[head_] = lineAddr;
+        ring_.set(head_, lineAddr);
         // Conditional wrap: this runs once per demand fetch, so avoid
         // the integer divide of a modulo.
         if (++head_ == ring_.size())
@@ -37,19 +37,12 @@ class FetchHistory
     }
 
     /** Was @p lineAddr demand fetched recently? */
-    bool
-    contains(Addr lineAddr) const
-    {
-        for (Addr a : ring_)
-            if (a == lineAddr)
-                return true;
-        return false;
-    }
+    bool contains(Addr lineAddr) const { return ring_.contains(lineAddr); }
 
     unsigned capacity() const { return static_cast<unsigned>(ring_.size()); }
 
   private:
-    std::vector<Addr> ring_;
+    SplitAddrs ring_;
     std::size_t head_ = 0;
 };
 

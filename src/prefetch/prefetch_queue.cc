@@ -10,6 +10,15 @@ namespace ipref
 PrefetchQueue::PrefetchQueue(unsigned capacity) : capacity_(capacity)
 {
     ipref_assert(capacity_ >= 1);
+    slots_.reserve(capacity_);
+    lines_.reserve(capacity_);
+}
+
+void
+PrefetchQueue::erase(std::size_t i)
+{
+    slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(i));
+    lines_.erase(i);
 }
 
 void
@@ -19,14 +28,15 @@ PrefetchQueue::makeRoom()
         return;
     // Prefer reclaiming the oldest issued/invalidated record; those
     // only exist opportunistically in "unused" entries.
-    for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) {
-        if (it->state != State::Waiting) {
-            slots_.erase(std::next(it).base());
-            return;
-        }
+    if (waitingCount_ < slots_.size()) {
+        std::size_t i = 0;
+        while (slots_[i].state == State::Waiting)
+            ++i;
+        erase(i);
+        return;
     }
     // All slots hold waiting prefetches: drop the oldest one.
-    slots_.pop_back();
+    erase(0);
     --waitingCount_;
     ++overflowDrops;
 }
@@ -35,15 +45,19 @@ PrefetchQueue::PushResult
 PrefetchQueue::push(const PrefetchCandidate &cand)
 {
     ++pushes;
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-        if (it->cand.lineAddr != cand.lineAddr)
-            continue;
-        switch (it->state) {
+    std::size_t i = lines_.find(cand.lineAddr);
+    if (i < slots_.size()) {
+        switch (slots_[i].state) {
           case State::Waiting: {
             // Hoist the existing entry to the head of the queue.
-            Slot s = *it;
-            slots_.erase(it);
-            slots_.push_front(s);
+            // (A move, not std::rotate: Slot is trivially copyable
+            // but not trivial, and rotate only memmoves trivial types.)
+            Slot s = slots_[i];
+            std::move(slots_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                      slots_.end(),
+                      slots_.begin() + static_cast<std::ptrdiff_t>(i));
+            slots_.back() = s;
+            lines_.moveToBack(i);
             ++hoists;
             return PushResult::Hoisted;
           }
@@ -56,7 +70,8 @@ PrefetchQueue::push(const PrefetchCandidate &cand)
         }
     }
     makeRoom();
-    slots_.push_front(Slot{cand, State::Waiting});
+    slots_.push_back(Slot{cand, State::Waiting});
+    lines_.push_back(cand.lineAddr);
     ++waitingCount_;
     if (waitingCount_ > waitingHighWater_)
         waitingHighWater_ = waitingCount_;
@@ -66,7 +81,8 @@ PrefetchQueue::push(const PrefetchCandidate &cand)
 std::optional<PrefetchCandidate>
 PrefetchQueue::popForIssue()
 {
-    for (auto &slot : slots_) {
+    for (std::size_t i = slots_.size(); i-- > 0;) {
+        Slot &slot = slots_[i];
         if (slot.state == State::Waiting) {
             slot.state = State::Issued;
             --waitingCount_;
@@ -83,15 +99,12 @@ PrefetchQueue::demandFetched(Addr lineAddr)
     // is nothing to invalidate.
     if (waitingCount_ == 0)
         return;
-    for (auto &slot : slots_) {
-        if (slot.state == State::Waiting &&
-            slot.cand.lineAddr == lineAddr) {
-            slot.state = State::Invalidated;
-            --waitingCount_;
-            ++demandInvalidations;
-        }
+    std::size_t i = lines_.find(lineAddr);
+    if (i < slots_.size() && slots_[i].state == State::Waiting) {
+        slots_[i].state = State::Invalidated;
+        --waitingCount_;
+        ++demandInvalidations;
     }
 }
-
 
 } // namespace ipref

@@ -12,15 +12,21 @@
  *  - demand fetches invalidate matching waiting entries;
  *  - unused slots retain records of issued/invalidated prefetches so
  *    near-future duplicates can be suppressed.
+ *
+ * Slots are stored oldest-first in one flat array, with a parallel
+ * array of their line addresses for the push and invalidation scans.
+ * A push never creates a second slot for a line, so each line owns at
+ * most one slot and a scan's direction cannot change its outcome.
  */
 
 #ifndef IPREF_PREFETCH_PREFETCH_QUEUE_HH
 #define IPREF_PREFETCH_PREFETCH_QUEUE_HH
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "prefetch/prefetcher.hh"
+#include "util/split_addrs.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -91,7 +97,11 @@ class PrefetchQueue
     /** Make room for one more slot; drops records before prefetches. */
     void makeRoom();
 
-    std::deque<Slot> slots_; //!< front = newest
+    /** Remove the slot at index @p i, keeping the order of the rest. */
+    void erase(std::size_t i);
+
+    std::vector<Slot> slots_; //!< front = oldest, back = newest
+    SplitAddrs lines_;        //!< lines_[i] == slots_[i].cand.lineAddr
     unsigned capacity_;
     unsigned waitingCount_ = 0; //!< slots in State::Waiting
     unsigned waitingHighWater_ = 0;

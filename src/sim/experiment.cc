@@ -362,6 +362,16 @@ RunSpec::Builder::build() const
     if (s.schemeToken != "none" && s.degree == 0)
         ipref_raise(ConfigError,
                     "RunSpec: prefetch degree must be >= 1");
+    if (s.queueSize == 0 || s.queueSize < -1)
+        ipref_raise(ConfigError,
+                    "RunSpec: queueSize must be >= 1, or -1 for the "
+                    "default (got %d)",
+                    s.queueSize);
+    if (s.historySize < -1)
+        ipref_raise(ConfigError,
+                    "RunSpec: historySize must be >= 0, or -1 for the "
+                    "default (got %d)",
+                    s.historySize);
     if (s.instrScale <= 0.0)
         ipref_raise(ConfigError,
                     "RunSpec: instrScale must be > 0 (got %g)",

@@ -50,7 +50,8 @@ struct RunSpec
     bool useConfidenceFilter = false;
 
     /** Recent-fetch filter / prefetch queue sizes (-1 = default;
-     *  history 0 is a real value meaning "no filter"). */
+     *  history 0 is a real value meaning "no filter", a queue needs
+     *  at least one slot; build() rejects anything else). */
     int historySize = -1;
     int queueSize = -1;
 

@@ -153,6 +153,39 @@ TEST(CampaignProto, SpecRoundTripPreservesIdealEliminateAndFaults)
     EXPECT_EQ(back.value().faultAttempts, 2u);
 }
 
+TEST(CampaignProto, SpecWithBadQueueOrHistorySizeIsAnIoError)
+{
+    // A campaign line reaches RunSpec::Builder::build() through
+    // specFromJson; a bad size must come back as an error the worker
+    // reports, not abort the worker process.
+    const std::string good = specToJson(RunSpec::builder()
+                                            .scheme("n4l")
+                                            .historySize(16)
+                                            .queueSize(12)
+                                            .build());
+    ASSERT_TRUE(specFromJson(parseJson(good)).ok());
+    const struct
+    {
+        std::string from, to;
+    } edits[] = {
+        {"\"queue_size\": 12", "\"queue_size\": 0"},
+        {"\"queue_size\": 12", "\"queue_size\": -7"},
+        {"\"history_size\": 16", "\"history_size\": -3"},
+    };
+    for (const auto &e : edits) {
+        std::string line = good;
+        std::size_t at = line.find(e.from);
+        ASSERT_NE(at, std::string::npos) << e.from;
+        line.replace(at, e.from.size(), e.to);
+        Expected<RunSpec> back = specFromJson(parseJson(line));
+        ASSERT_FALSE(back.ok()) << e.to;
+        EXPECT_EQ(back.error().kind(), SimError::Kind::Io) << e.to;
+        EXPECT_NE(std::string(back.error().what()).find("Size"),
+                  std::string::npos)
+            << back.error().what();
+    }
+}
+
 TEST(CampaignProto, ControlMessagesRoundTrip)
 {
     Expected<ProtoMessage> hello = parseProtoLine(helloLine(42, 7));

@@ -605,3 +605,41 @@ TEST(RunSpecBuilder, ValidationRejectsBadSpecs)
         [] { RunSpec::builder().scheme("warp-drive").build(); },
         "unknown prefetch scheme");
 }
+
+TEST(RunSpecBuilder, ValidationRejectsBadQueueAndHistorySizes)
+{
+    // A zero-slot queue used to reach PrefetchQueue's constructor and
+    // abort the process; negative sizes other than -1 silently meant
+    // the default.
+    for (int q : {0, -2, -7}) {
+        test::expectThrows<ConfigError>(
+            [q] {
+                RunSpec::builder().scheme("n4l").queueSize(q).build();
+            },
+            "queueSize");
+    }
+    for (int h : {-2, -7}) {
+        test::expectThrows<ConfigError>(
+            [h] {
+                RunSpec::builder().scheme("n4l").historySize(h).build();
+            },
+            "historySize");
+    }
+    test::expectThrows<ConfigError>(
+        [] { RunSpec::builder().scheme("n4l:queue_size=0").build(); },
+        "queue_size");
+
+    // The boundary values stay legal: one queue slot, no history
+    // filter, and -1 for the defaults.
+    RunSpec ok = RunSpec::builder()
+                     .scheme("n4l")
+                     .queueSize(1)
+                     .historySize(0)
+                     .build();
+    EXPECT_EQ(ok.queueSize, 1);
+    EXPECT_EQ(ok.historySize, 0);
+    RunSpec defaults =
+        RunSpec::builder().queueSize(-1).historySize(-1).build();
+    EXPECT_EQ(defaults.queueSize, -1);
+    EXPECT_EQ(defaults.historySize, -1);
+}
