@@ -1,49 +1,10 @@
 #include "prefetch/engine.hh"
 
 #include "prefetch/fetch_profiler.hh"
-#include "util/metrics.hh"
 #include "util/trace_event.hh"
 
 namespace ipref
 {
-
-namespace
-{
-
-/**
- * Process-wide prefetch telemetry, summed across every engine (all
- * cores, all concurrent runs). Per-run attribution stays in the
- * StatGroup counters; these exist so ipref_top can show aggregate
- * issue/useful rates while a campaign executes.
- */
-struct EngineMetricRefs
-{
-    metrics::Counter &issued;
-    metrics::Counter &useful;
-    metrics::Counter &useless;
-    metrics::Gauge &inFlight;
-};
-
-EngineMetricRefs &
-engineMetrics()
-{
-    static EngineMetricRefs refs{
-        metrics::registry().counter("ipref_prefetch_issued_total",
-                                    "prefetch fills started"),
-        metrics::registry().counter(
-            "ipref_prefetch_useful_total",
-            "prefetched lines credited at first use"),
-        metrics::registry().counter(
-            "ipref_prefetch_useless_total",
-            "prefetched lines evicted without use"),
-        metrics::registry().gauge(
-            "ipref_prefetch_in_flight",
-            "issued, not yet used / evicted / replaced"),
-    };
-    return refs;
-}
-
-} // namespace
 
 PrefetchEngine::PrefetchEngine(const PrefetchConfig &cfg, CoreId core,
                                CacheHierarchy &hierarchy)
@@ -64,14 +25,6 @@ PrefetchEngine::PrefetchEngine(const PrefetchConfig &cfg, CoreId core,
             cfg.confidenceThreshold);
 }
 
-PrefetchEngine::~PrefetchEngine()
-{
-    // Lifecycles still unresolved at teardown leave the process-wide
-    // in-flight gauge; without this, destroyed runs would pin it high.
-    engineMetrics().inFlight.sub(
-        static_cast<std::int64_t>(origins_.size()));
-}
-
 void
 PrefetchEngine::credit(Addr lineAddr, Cycle now)
 {
@@ -80,7 +33,6 @@ PrefetchEngine::credit(Addr lineAddr, Cycle now)
         return;
     const LivePrefetch &lp = *found;
     ++usefulPrefetches;
-    engineMetrics().useful.add(1);
     ++usefulByOrigin[static_cast<std::size_t>(lp.origin)];
     if (now >= lp.issuedAt)
         issueToUse_.add(now - lp.issuedAt);
@@ -95,7 +47,6 @@ PrefetchEngine::credit(Addr lineAddr, Cycle now)
                                     true);
     lastCredit_ = {lineAddr, lp.origin, lp.id};
     origins_.erase(lineAddr);
-    engineMetrics().inFlight.sub(1);
 }
 
 void
@@ -210,7 +161,6 @@ PrefetchEngine::issueOne(Cycle now)
       case PrefetchOutcome::Issued:
       case PrefetchOutcome::Merged: {
         ++issued;
-        engineMetrics().issued.add(1);
         ++issuedByOrigin[static_cast<std::size_t>(cand->origin)];
         if (res.fromMemory)
             ++issuedOffChip;
@@ -224,7 +174,6 @@ PrefetchEngine::issueOne(Cycle now)
             IPREF_TRACE(TraceEventType::PrefetchReplaced, core_, line,
                         old->id, static_cast<std::uint8_t>(old->origin),
                         now, old->trigger);
-            engineMetrics().inFlight.sub(1);
         }
         LivePrefetch lp;
         lp.origin = cand->origin;
@@ -240,7 +189,6 @@ PrefetchEngine::issueOne(Cycle now)
         if (profiler_)
             profiler_->prefetchIssued(lp.trigger, line, lp.origin);
         origins_.put(line, lp);
-        engineMetrics().inFlight.add(1);
         break;
       }
       case PrefetchOutcome::DroppedPresent:
@@ -276,7 +224,6 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
     const LivePrefetch *found = origins_.find(lineAddr);
     if (!used) {
         ++uselessPrefetches;
-        engineMetrics().useless.add(1);
         if (found) {
             const LivePrefetch &lp = *found;
             IPREF_TRACE(TraceEventType::PrefetchUseless, core_,
@@ -287,7 +234,6 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
                 profiler_->prefetchResolved(lp.trigger, lineAddr,
                                             lp.origin, false);
             origins_.erase(lineAddr);
-            engineMetrics().inFlight.sub(1);
         } else {
             IPREF_TRACE(TraceEventType::PrefetchUseless, core_,
                         lineAddr, 0, 0, TraceSink::traceNowHint);
@@ -298,7 +244,6 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
         // lifecycle as useful without a latency sample.
         const LivePrefetch &lp = *found;
         ++uncreditedUseful;
-        engineMetrics().useful.add(1);
         ++usefulByOrigin[static_cast<std::size_t>(lp.origin)];
         IPREF_TRACE(TraceEventType::PrefetchUseful, core_, lineAddr,
                     lp.id, static_cast<std::uint8_t>(lp.origin),
@@ -307,7 +252,6 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
             profiler_->prefetchResolved(lp.trigger, lineAddr,
                                         lp.origin, true);
         origins_.erase(lineAddr);
-        engineMetrics().inFlight.sub(1);
     }
 }
 

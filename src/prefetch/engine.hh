@@ -46,9 +46,6 @@ class PrefetchEngine : public PrefetchEvictionListener
     PrefetchEngine(const PrefetchConfig &cfg, CoreId core,
                    CacheHierarchy &hierarchy);
 
-    /** Drains the live in-flight telemetry gauge. */
-    ~PrefetchEngine() override;
-
     /** Is a prefetcher configured? */
     bool enabled() const { return prefetcher_ != nullptr; }
 

@@ -1,6 +1,7 @@
 #include "sim/experiment.hh"
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdlib>
@@ -372,13 +373,18 @@ RunSpec::Builder::build() const
                     "RunSpec: historySize must be >= 0, or -1 for the "
                     "default (got %d)",
                     s.historySize);
-    if (s.instrScale <= 0.0)
+    // makeConfig() casts budget * instrScale to uint64_t; the largest
+    // budget (3M functional measure instructions) must stay in range.
+    if (!std::isfinite(s.instrScale) || s.instrScale <= 0.0 ||
+        s.instrScale * 3'000'000 >= 0x1p64)
         ipref_raise(ConfigError,
-                    "RunSpec: instrScale must be > 0 (got %g)",
-                    s.instrScale);
-    if (s.memGbPerSec < 0.0)
+                    "RunSpec: instrScale must be finite, > 0 and < "
+                    "%g (got %g)",
+                    0x1p64 / 3'000'000, s.instrScale);
+    if (!std::isfinite(s.memGbPerSec) || s.memGbPerSec < 0.0)
         ipref_raise(ConfigError,
-                    "RunSpec: memGbPerSec must be >= 0 (got %g)",
+                    "RunSpec: memGbPerSec must be finite and >= 0 "
+                    "(got %g)",
                     s.memGbPerSec);
     if (s.l1iBytes == 0 || s.l2Bytes == 0)
         ipref_raise(ConfigError,
@@ -891,8 +897,14 @@ envScale()
     const char *s = std::getenv("IPREF_SCALE");
     if (!s)
         return 1.0;
-    double v = std::strtod(s, nullptr);
-    return v > 0 ? v : 1.0;
+    char *end = nullptr;
+    double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+        ipref_raise(ConfigError,
+                    "IPREF_SCALE must be a finite number > 0 (got "
+                    "\"%s\")",
+                    s);
+    return v;
 }
 
 } // namespace ipref

@@ -518,6 +518,8 @@ std::vector<WorkloadSet> figureWorkloads(bool includeMix);
 /**
  * Benchmark scale factor: from the IPREF_SCALE environment variable
  * (default 1.0). Larger values run longer and smooth the curves.
+ * Throws ConfigError when the variable is set but is not a finite
+ * number > 0.
  */
 double envScale();
 

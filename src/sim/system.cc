@@ -20,12 +20,12 @@ namespace
 {
 
 /**
- * Publishing stride for the live instruction counters: coarse enough
+ * Publishing stride for the live telemetry counters: coarse enough
  * that the run loops see one predictable branch per iteration and an
  * atomic add only every ~16k instructions, fine enough that ipref_top
- * sampling at tens of milliseconds still tracks real progress. Runs
- * with a RunControl also poll it at least this often, so cancellation
- * stays prompt when metrics are compiled out.
+ * sampling at tens of milliseconds still tracks real progress. The
+ * publish bounds every check-free stretch of the run loops, so a
+ * RunControl is polled at least this often too.
  */
 constexpr std::uint64_t kMetricsStride = 16384;
 
@@ -39,6 +39,10 @@ struct SystemMetricRefs
     metrics::Counter &runsFinished;
     metrics::Counter &measureBegins;
     metrics::Gauge &activeRuns;
+    metrics::Counter &prefetchIssued;
+    metrics::Counter &prefetchUseful;
+    metrics::Counter &prefetchUseless;
+    metrics::Gauge &prefetchInFlight;
 };
 
 SystemMetricRefs &
@@ -64,6 +68,17 @@ systemMetrics()
             "warm-up/measurement boundary crossings"),
         metrics::registry().gauge("ipref_sim_active_runs",
                                   "System::run() calls in flight"),
+        metrics::registry().counter("ipref_prefetch_issued_total",
+                                    "prefetch fills started"),
+        metrics::registry().counter(
+            "ipref_prefetch_useful_total",
+            "prefetched lines credited at first use"),
+        metrics::registry().counter(
+            "ipref_prefetch_useless_total",
+            "prefetched lines evicted without use"),
+        metrics::registry().gauge(
+            "ipref_prefetch_in_flight",
+            "issued, not yet used / evicted / replaced"),
     };
     return refs;
 }
@@ -329,12 +344,9 @@ System::nextCheckAt(std::uint64_t p, std::uint64_t targetInstrs) const
     std::uint64_t next = targetInstrs;
     if (cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0)
         next = std::min(next, nextSampleAt_);
-    if constexpr (metrics::kCompiled)
-        next = std::min(next, metricsNextAt_);
+    next = std::min(next, metricsNextAt_);
     if (cfg_.faultAtInstr)
         next = std::min(next, cfg_.faultAtInstr);
-    if (cfg_.control)
-        next = std::min(next, p + kMetricsStride);
     if (cfg_.numCores == 1 && workloads_.size() > 1) // slice rotation
         next = std::min(next, std::max(p + 1, sliceStart_ +
                                                   cfg_.timeSliceInstrs));
@@ -384,6 +396,26 @@ System::publishProgressMetrics(std::uint64_t p)
             metricsLastStack_[i] = cur;
         }
     }
+
+    // So do the prefetch lifecycle deltas: the engines' StatGroup
+    // counters are the only count of these events. The in-flight
+    // gauge follows the live lifecycle records, which the boundary
+    // reset leaves alone.
+    PrefetchEngine::Lifecycle cur;
+    for (const auto &engine : engines_) {
+        PrefetchEngine::Lifecycle lc = engine->lifecycle();
+        cur.issued += lc.issued;
+        cur.useful += lc.useful;
+        cur.useless += lc.useless;
+        cur.inFlight += lc.inFlight;
+    }
+    PrefetchEngine::Lifecycle &last = metricsLastPrefetch_;
+    m.prefetchIssued.add(cur.issued - last.issued);
+    m.prefetchUseful.add(cur.useful - last.useful);
+    m.prefetchUseless.add(cur.useless - last.useless);
+    m.prefetchInFlight.add(static_cast<std::int64_t>(cur.inFlight) -
+                           static_cast<std::int64_t>(last.inFlight));
+    last = cur;
 }
 
 void
@@ -441,9 +473,8 @@ System::runTiming(std::uint64_t targetInstrs)
         checkControl(p);
         if (cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0)
             maybeSample(p);
-        if constexpr (metrics::kCompiled)
-            if (p >= metricsNextAt_)
-                publishProgressMetrics(p);
+        if (p >= metricsNextAt_)
+            publishProgressMetrics(p);
 
         // Run check-free until progress could reach the nearest
         // threshold: the skipped per-cycle checks are provably
@@ -555,9 +586,8 @@ System::runFunctional(std::uint64_t targetInstrs)
         checkControl(p);
         if (cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0)
             maybeSample(p);
-        if constexpr (metrics::kCompiled)
-            if (p >= metricsNextAt_)
-                publishProgressMetrics(p);
+        if (p >= metricsNextAt_)
+            publishProgressMetrics(p);
 
         // Each round emits exactly one instruction per core in
         // round-robin order (the shared-L2 interleaving the schemes
@@ -687,10 +717,12 @@ System::beginMeasurement()
 
     // Cycle accounting restarts with the reset ledgers: open stall
     // episodes forget their pre-boundary cycles (the sink was just
-    // cleared) and the live-metrics cursor re-syncs at zero.
+    // cleared) and the live-metrics cursors re-sync at zero. The
+    // in-flight cursor stays: the lifecycle records survive the reset.
     for (auto &core : cores_)
         core->onMeasureBegin();
     metricsLastStack_.fill(0);
+    metricsLastPrefetch_ = {.inFlight = metricsLastPrefetch_.inFlight};
 
     samples_.clear();
     lastSample_ = SimResults{};
@@ -714,8 +746,9 @@ System::run()
     TraceSinkScope traceScope(traceSink_.get());
 
     // Live run accounting, exception-safe: a run that throws (fault
-    // injection, cancellation, trace damage) still decrements the
-    // active-runs gauge and flushes its final instruction delta.
+    // injection, cancellation, trace damage) still flushes its final
+    // deltas and takes itself back out of the active-runs and
+    // prefetch in-flight gauges.
     systemMetrics().runsStarted.add(1);
     systemMetrics().activeRuns.add(1);
     metricsInMeasure_ = false;
@@ -725,8 +758,12 @@ System::run()
         ~MetricsRunScope()
         {
             sys.publishProgressMetrics(sys.progress());
-            systemMetrics().runsFinished.add(1);
-            systemMetrics().activeRuns.sub(1);
+            SystemMetricRefs &m = systemMetrics();
+            m.runsFinished.add(1);
+            m.activeRuns.sub(1);
+            m.prefetchInFlight.sub(static_cast<std::int64_t>(
+                sys.metricsLastPrefetch_.inFlight));
+            sys.metricsLastPrefetch_.inFlight = 0;
         }
     } metricsScope{*this};
 

@@ -151,10 +151,11 @@ class System
     std::uint64_t progress() const;
 
     /**
-     * Publish the instruction delta since the last publish into the
-     * process-wide telemetry counters (phase-attributed). Called on a
-     * coarse stride from the run loops and at phase boundaries so the
-     * counters track live progress without per-instruction atomics.
+     * Publish the instruction, CPI-stack and prefetch-lifecycle deltas
+     * since the last publish into the process-wide telemetry
+     * instruments (instructions phase-attributed). Called on a coarse
+     * stride from the run loops and at phase boundaries so the live
+     * counters track progress without per-event atomics.
      */
     void publishProgressMetrics(std::uint64_t p);
 
@@ -220,6 +221,8 @@ class System
     bool metricsInMeasure_ = false;
     /** Last CPI-stack totals published to the process-wide gauges. */
     std::array<std::uint64_t, kNumCycleBuckets> metricsLastStack_{};
+    /** Last prefetch lifecycle totals (all engines) published. */
+    PrefetchEngine::Lifecycle metricsLastPrefetch_;
 };
 
 } // namespace ipref

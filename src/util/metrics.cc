@@ -51,7 +51,7 @@ defaultMsBounds()
             300000};
 }
 
-// --- serialization (always compiled) ---------------------------------
+// --- serialization ----------------------------------------------------
 
 std::string
 snapshotToJsonLine(const Snapshot &s)
@@ -248,8 +248,6 @@ parsePrometheus(const std::string &text)
     }
     return s;
 }
-
-#if IPREF_METRICS
 
 // --- LatencyHistogram -------------------------------------------------
 
@@ -455,64 +453,6 @@ Registry::resetAll()
     for (auto &h : im->histograms)
         h.reset();
 }
-
-#else // !IPREF_METRICS
-
-struct Registry::Impl
-{};
-
-Registry::Impl *
-Registry::impl() const
-{
-    return nullptr;
-}
-
-Registry &
-Registry::instance()
-{
-    static Registry r;
-    return r;
-}
-
-Registry &
-registry()
-{
-    return Registry::instance();
-}
-
-Counter &
-Registry::counter(const std::string &, const std::string &)
-{
-    static Counter c;
-    return c;
-}
-
-Gauge &
-Registry::gauge(const std::string &, const std::string &)
-{
-    static Gauge g;
-    return g;
-}
-
-LatencyHistogram &
-Registry::histogram(const std::string &, std::vector<double>,
-                    const std::string &)
-{
-    static LatencyHistogram h{{}};
-    return h;
-}
-
-Snapshot
-Registry::snapshot() const
-{
-    return {};
-}
-
-void
-Registry::resetAll()
-{}
-
-#endif // IPREF_METRICS
 
 // --- exporters --------------------------------------------------------
 

@@ -10,9 +10,9 @@
  * completes — these instruments are process-wide and readable *while*
  * a campaign executes, so `ipref_top` can watch a `runBatch --jobs N`
  * sweep live. Instruments are updated with relaxed atomics (no locks
- * on the hot side) and the whole layer compiles down to no-ops when
- * IPREF_METRICS is defined to 0; the snapshot/serialization types
- * stay available either way so tooling builds unconditionally.
+ * on the hot side). Simulation events are not counted here one by
+ * one: System publishes deltas of the per-run StatGroup counters on a
+ * coarse instruction stride (see System::publishProgressMetrics).
  *
  * Naming follows Prometheus conventions: `ipref_<subsystem>_<what>`
  * with a `_total` suffix on counters.
@@ -27,21 +27,17 @@
 #include <string>
 #include <vector>
 
-#ifndef IPREF_METRICS
-#define IPREF_METRICS 1
-#endif
-
 namespace ipref::metrics
 {
 
-/** True when the instrument layer is compiled in. */
-#if IPREF_METRICS
+/**
+ * The instrument layer is always compiled in. This constant stays only
+ * because the repository benchmark's harness prints it; it goes with
+ * the next change to that harness.
+ */
 inline constexpr bool kCompiled = true;
-#else
-inline constexpr bool kCompiled = false;
-#endif
 
-// --- snapshots (always compiled; tooling depends on them) -------------
+// --- snapshots --------------------------------------------------------
 
 /** Instrument taxonomy. */
 enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
@@ -102,8 +98,6 @@ std::string renderPrometheus(const Snapshot &s);
 Snapshot parsePrometheus(const std::string &text);
 
 // --- instruments ------------------------------------------------------
-
-#if IPREF_METRICS
 
 /** Monotonic counter; relaxed atomic add, safe from any thread. */
 class Counter
@@ -180,45 +174,6 @@ class LatencyHistogram
     std::atomic<std::uint64_t> count_{0};
     std::atomic<std::uint64_t> sumBits_{0}; //!< double, CAS-updated
 };
-
-#else // !IPREF_METRICS — no-op stand-ins, identical call surface
-
-class Counter
-{
-  public:
-    void add(std::uint64_t = 1) {}
-    std::uint64_t value() const { return 0; }
-    void reset() {}
-};
-
-class Gauge
-{
-  public:
-    void add(std::int64_t = 1) {}
-    void sub(std::int64_t = 1) {}
-    void set(std::int64_t) {}
-    std::int64_t value() const { return 0; }
-    void reset() {}
-};
-
-class LatencyHistogram
-{
-  public:
-    explicit LatencyHistogram(std::vector<double>) {}
-    void observe(double) {}
-
-    const std::vector<double> &
-    bounds() const
-    {
-        static const std::vector<double> none;
-        return none;
-    }
-
-    HistogramSample sample() const { return {}; }
-    void reset() {}
-};
-
-#endif // IPREF_METRICS
 
 /** Default wall-time bucket ladder in milliseconds (1ms .. 5min). */
 std::vector<double> defaultMsBounds();

@@ -1,5 +1,7 @@
 #include "util/options.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/error.hh"
@@ -7,6 +9,31 @@
 
 namespace ipref
 {
+
+namespace
+{
+
+/**
+ * Convert all of option @p name's value @p v with @p conv (a strto*
+ * call). Leading space, trailing characters and out-of-range values
+ * raise a ConfigError naming the flag.
+ */
+template <typename Conv>
+auto
+parseWhole(const std::string &name, const std::string &v, Conv conv)
+{
+    const char *s = v.c_str();
+    char *end = nullptr;
+    errno = 0;
+    auto x = conv(s, &end);
+    if (end == s || *end != '\0' ||
+        std::isspace(static_cast<unsigned char>(*s)) || errno == ERANGE)
+        ipref_raise(ConfigError, "--%s: \"%s\" is not a valid number",
+                    name.c_str(), s);
+    return x;
+}
+
+} // namespace
 
 Options::Options(int argc, char **argv,
                  const std::map<std::string, std::string> &known)
@@ -53,24 +80,37 @@ std::int64_t
 Options::getInt(const std::string &name, std::int64_t def) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? def : std::strtoll(it->second.c_str(),
-                                                    nullptr, 0);
+    if (it == values_.end())
+        return def;
+    return parseWhole(name, it->second, [](const char *s, char **e) {
+        return std::strtoll(s, e, 0);
+    });
 }
 
 std::uint64_t
 Options::getUint(const std::string &name, std::uint64_t def) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? def : std::strtoull(it->second.c_str(),
-                                                     nullptr, 0);
+    if (it == values_.end())
+        return def;
+    // strtoull would wrap "-1" to 2^64 - 1.
+    if (it->second.starts_with('-'))
+        ipref_raise(ConfigError, "--%s: \"%s\" is negative",
+                    name.c_str(), it->second.c_str());
+    return parseWhole(name, it->second, [](const char *s, char **e) {
+        return std::strtoull(s, e, 0);
+    });
 }
 
 double
 Options::getDouble(const std::string &name, double def) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? def : std::strtod(it->second.c_str(),
-                                                   nullptr);
+    if (it == values_.end())
+        return def;
+    return parseWhole(name, it->second, [](const char *s, char **e) {
+        return std::strtod(s, e);
+    });
 }
 
 bool

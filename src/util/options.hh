@@ -33,6 +33,11 @@ class Options
 
     std::string getString(const std::string &name,
                           const std::string &def = "") const;
+    /**
+     * Numeric accessors: the whole value must parse (getInt/getUint
+     * take 0x / 0 prefixes) or a ConfigError naming the flag is
+     * raised; getUint also rejects negative values.
+     */
     std::int64_t getInt(const std::string &name, std::int64_t def) const;
     std::uint64_t getUint(const std::string &name, std::uint64_t def) const;
     double getDouble(const std::string &name, double def) const;

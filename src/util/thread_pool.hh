@@ -129,18 +129,14 @@ class ThreadPool
     static void
     runInstrumented(Fn &&fn)
     {
-        if constexpr (!metrics::kCompiled) {
-            fn();
-        } else {
-            PoolMetricRefs &m = poolMetrics();
-            m.busyWorkers.add(1);
-            auto t0 = std::chrono::steady_clock::now();
-            fn();
-            std::chrono::duration<double, std::milli> elapsed =
-                std::chrono::steady_clock::now() - t0;
-            m.taskMs.observe(elapsed.count());
-            m.busyWorkers.sub(1);
-        }
+        PoolMetricRefs &m = poolMetrics();
+        m.busyWorkers.add(1);
+        auto t0 = std::chrono::steady_clock::now();
+        fn();
+        std::chrono::duration<double, std::milli> elapsed =
+            std::chrono::steady_clock::now() - t0;
+        m.taskMs.observe(elapsed.count());
+        m.busyWorkers.sub(1);
     }
 
     void

@@ -156,7 +156,8 @@ TEST(CampaignProto, SpecRoundTripPreservesIdealEliminateAndFaults)
 TEST(CampaignProto, SpecWithBadQueueOrHistorySizeIsAnIoError)
 {
     // A campaign line reaches RunSpec::Builder::build() through
-    // specFromJson; a bad size must come back as an error the worker
+    // specFromJson; a bad size, or a scale or bandwidth whose raw bits
+    // are not a usable double, must come back as an error the worker
     // reports, not abort the worker process.
     const std::string good = specToJson(RunSpec::builder()
                                             .scheme("n4l")
@@ -166,11 +167,25 @@ TEST(CampaignProto, SpecWithBadQueueOrHistorySizeIsAnIoError)
     ASSERT_TRUE(specFromJson(parseJson(good)).ok());
     const struct
     {
-        std::string from, to;
+        std::string from, to, why;
     } edits[] = {
-        {"\"queue_size\": 12", "\"queue_size\": 0"},
-        {"\"queue_size\": 12", "\"queue_size\": -7"},
-        {"\"history_size\": 16", "\"history_size\": -3"},
+        {"\"queue_size\": 12", "\"queue_size\": 0", "queueSize"},
+        {"\"queue_size\": 12", "\"queue_size\": -7", "queueSize"},
+        {"\"history_size\": 16", "\"history_size\": -3",
+         "historySize"},
+        // NaN, +inf, -inf and 1e30.
+        {"\"instr_scale_bits\": \"0x3ff0000000000000\"",
+         "\"instr_scale_bits\": \"0x7ff8000000000000\"", "instrScale"},
+        {"\"instr_scale_bits\": \"0x3ff0000000000000\"",
+         "\"instr_scale_bits\": \"0x7ff0000000000000\"", "instrScale"},
+        {"\"instr_scale_bits\": \"0x3ff0000000000000\"",
+         "\"instr_scale_bits\": \"0xfff0000000000000\"", "instrScale"},
+        {"\"instr_scale_bits\": \"0x3ff0000000000000\"",
+         "\"instr_scale_bits\": \"0x46293e5939a08cea\"", "instrScale"},
+        {"\"mem_gb_bits\": \"0x0\"",
+         "\"mem_gb_bits\": \"0x7ff8000000000000\"", "memGbPerSec"},
+        {"\"mem_gb_bits\": \"0x0\"",
+         "\"mem_gb_bits\": \"0x7ff0000000000000\"", "memGbPerSec"},
     };
     for (const auto &e : edits) {
         std::string line = good;
@@ -180,7 +195,7 @@ TEST(CampaignProto, SpecWithBadQueueOrHistorySizeIsAnIoError)
         Expected<RunSpec> back = specFromJson(parseJson(line));
         ASSERT_FALSE(back.ok()) << e.to;
         EXPECT_EQ(back.error().kind(), SimError::Kind::Io) << e.to;
-        EXPECT_NE(std::string(back.error().what()).find("Size"),
+        EXPECT_NE(std::string(back.error().what()).find(e.why),
                   std::string::npos)
             << back.error().what();
     }

@@ -464,8 +464,7 @@ TEST(FaultTolerance, WatchdogTimesOutRunawayTimingRuns)
 {
     // The timing loop sleeps stalled cores and runs long check-free
     // stretches; the RunControl poll must still come often enough to
-    // stop the run promptly, also when no metrics stride bounds the
-    // stretches (-DIPREF_METRICS=OFF).
+    // stop the run promptly.
     RunSpec runaway = quickSpec(9);
     runaway.functional = false;
     runaway.instrScale = 500.0; // far longer than the deadline

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "util/error.hh"
 #include "util/metrics.hh"
 
 using namespace ipref;
@@ -46,6 +47,53 @@ sampleSnapshot()
     h.sum = 42.5;
     s.histograms = {h};
     return s;
+}
+
+/** Change of a counter between two snapshots. */
+std::uint64_t
+counterDelta(const Snapshot &before, const Snapshot &after,
+             const char *name)
+{
+    const std::uint64_t *b = before.counter(name);
+    const std::uint64_t *a = after.counter(name);
+    return (a ? *a : 0) - (b ? *b : 0);
+}
+
+/** A gauge's value in @p s (0 when not yet registered). */
+std::int64_t
+gaugeValue(const Snapshot &s, const char *name)
+{
+    const std::int64_t *v = s.gauge(name);
+    return v ? *v : 0;
+}
+
+/** Prefetch lifecycle totals over every core of @p system. */
+PrefetchEngine::Lifecycle
+summedLifecycle(System &system)
+{
+    PrefetchEngine::Lifecycle sum;
+    for (unsigned c = 0; c < system.config().numCores; ++c) {
+        PrefetchEngine::Lifecycle lc = system.engine(c).lifecycle();
+        sum.issued += lc.issued;
+        sum.useful += lc.useful;
+        sum.useless += lc.useless;
+        sum.inFlight += lc.inFlight;
+    }
+    return sum;
+}
+
+/** 4-core prefetching config whose lifecycle stats cover the run. */
+SystemConfig
+prefetchingConfig()
+{
+    RunSpec spec;
+    spec.cmp = true;
+    spec.workloads = {WorkloadKind::DB};
+    spec.schemeToken = "discontinuity";
+    spec.instrScale = 0.02;
+    SystemConfig cfg = makeConfig(spec);
+    cfg.warmupInstrs = 0;
+    return cfg;
 }
 
 } // namespace
@@ -184,9 +232,6 @@ TEST(MetricsRegistry, SameNameReturnsSameInstrument)
 
 TEST(MetricsRegistry, ConcurrentUpdatesSumExactly)
 {
-    if constexpr (!kCompiled)
-        GTEST_SKIP() << "metrics compiled out";
-
     metrics::Counter &c = registry().counter("ipref_test_conc_c");
     metrics::Gauge &g = registry().gauge("ipref_test_conc_g");
     LatencyHistogram &h = registry().histogram(
@@ -235,9 +280,6 @@ TEST(MetricsRegistry, ConcurrentUpdatesSumExactly)
 
 TEST(MetricsSampler, FinalSnapshotCarriesFinalTotals)
 {
-    if constexpr (!kCompiled)
-        GTEST_SKIP() << "metrics compiled out";
-
     metrics::Counter &c = registry().counter("ipref_test_sampler_c");
     c.reset();
 
@@ -282,9 +324,6 @@ TEST(MetricsSampler, FinalSnapshotCarriesFinalTotals)
 
 TEST(MetricsReconciliation, MeasureCountersMatchRunResults)
 {
-    if constexpr (!kCompiled)
-        GTEST_SKIP() << "metrics compiled out";
-
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::DB};
@@ -295,10 +334,8 @@ TEST(MetricsReconciliation, MeasureCountersMatchRunResults)
     SimResults r = runSpecs({spec}, 1).at(0);
     Snapshot after = registry().snapshot();
 
-    auto delta = [&](const char *name) -> std::uint64_t {
-        const std::uint64_t *b = before.counter(name);
-        const std::uint64_t *a = after.counter(name);
-        return (a ? *a : 0) - (b ? *b : 0);
+    auto delta = [&](const char *name) {
+        return counterDelta(before, after, name);
     };
 
     // The run loops flush the live instruction counters at the
@@ -322,15 +359,95 @@ TEST(MetricsReconciliation, MeasureCountersMatchRunResults)
     EXPECT_EQ(delta("ipref_batch_runs_ok_total"), 1u);
     EXPECT_EQ(delta("ipref_batch_runs_completed_total"), 1u);
 
-    // Prefetch issue telemetry covers warm-up + measurement, so it
-    // can only exceed the measurement-window counter.
-    EXPECT_GE(delta("ipref_prefetch_issued_total"), r.pfIssued);
+    // Prefetch telemetry spans warm-up + measurement; its exact check
+    // is PrefetchCountersEqualEngineLifecycles below.
 
     // Gauges drain once the run is torn down.
-    const std::int64_t *active =
-        after.gauge("ipref_sim_active_runs");
-    ASSERT_NE(active, nullptr);
-    const std::int64_t *activeBefore =
-        before.gauge("ipref_sim_active_runs");
-    EXPECT_EQ(*active, activeBefore ? *activeBefore : 0);
+    ASSERT_NE(after.gauge("ipref_sim_active_runs"), nullptr);
+    EXPECT_EQ(gaugeValue(after, "ipref_sim_active_runs"),
+              gaugeValue(before, "ipref_sim_active_runs"));
+}
+
+TEST(MetricsReconciliation, PrefetchCountersEqualEngineLifecycles)
+{
+    SystemConfig cfg = prefetchingConfig();
+    ASSERT_EQ(cfg.numCores, 4u);
+
+    Snapshot before = registry().snapshot();
+    System system(cfg);
+    system.run();
+    Snapshot after = registry().snapshot();
+
+    // With no warm-up the lifecycle counters are never reset, so the
+    // published deltas must equal them exactly.
+    PrefetchEngine::Lifecycle sum = summedLifecycle(system);
+    ASSERT_GT(sum.issued, 0u);
+    EXPECT_EQ(counterDelta(before, after, "ipref_prefetch_issued_total"),
+              sum.issued);
+    EXPECT_EQ(counterDelta(before, after, "ipref_prefetch_useful_total"),
+              sum.useful);
+    EXPECT_EQ(
+        counterDelta(before, after, "ipref_prefetch_useless_total"),
+        sum.useless);
+
+    // The finished run takes its unresolved lifecycles back out of
+    // the gauge while the System still holds them.
+    EXPECT_EQ(gaugeValue(after, "ipref_prefetch_in_flight"),
+              gaugeValue(before, "ipref_prefetch_in_flight"));
+}
+
+TEST(MetricsReconciliation, WarmupBoundaryKeepsPrefetchCountersExact)
+{
+    // A functional run steps one instruction per core per round
+    // whatever the phase split, so warming up W then measuring M
+    // simulates exactly what measuring W + M from cold does. The
+    // counters published across the boundary reset must add up to
+    // the cold run's lifecycle totals.
+    SystemConfig warm = prefetchingConfig();
+    warm.functional = true;
+    warm.warmupInstrs = 20'000;
+    warm.measureInstrs = 40'000;
+    SystemConfig cold = warm;
+    cold.warmupInstrs = 0;
+    cold.measureInstrs = warm.warmupInstrs + warm.measureInstrs;
+
+    System coldSystem(cold);
+    coldSystem.run();
+    PrefetchEngine::Lifecycle sum = summedLifecycle(coldSystem);
+    ASSERT_GT(sum.useful, 0u);
+
+    Snapshot before = registry().snapshot();
+    System(warm).run();
+    Snapshot after = registry().snapshot();
+    EXPECT_EQ(counterDelta(before, after, "ipref_prefetch_issued_total"),
+              sum.issued);
+    EXPECT_EQ(counterDelta(before, after, "ipref_prefetch_useful_total"),
+              sum.useful);
+    EXPECT_EQ(
+        counterDelta(before, after, "ipref_prefetch_useless_total"),
+        sum.useless);
+    EXPECT_EQ(gaugeValue(after, "ipref_prefetch_in_flight"),
+              gaugeValue(before, "ipref_prefetch_in_flight"));
+}
+
+TEST(MetricsReconciliation, FailedRunDrainsItsGauges)
+{
+    SystemConfig cfg = prefetchingConfig();
+    cfg.faultAtInstr = cfg.measureInstrs / 2;
+
+    Snapshot before = registry().snapshot();
+    System system(cfg);
+    EXPECT_THROW(system.run(), SimError);
+    Snapshot after = registry().snapshot();
+
+    // The fault struck with prefetches still unresolved, and the run
+    // published some of them before it stopped.
+    EXPECT_GT(summedLifecycle(system).inFlight, 0u);
+    EXPECT_GT(counterDelta(before, after, "ipref_prefetch_issued_total"),
+              0u);
+
+    EXPECT_EQ(gaugeValue(after, "ipref_prefetch_in_flight"),
+              gaugeValue(before, "ipref_prefetch_in_flight"));
+    EXPECT_EQ(gaugeValue(after, "ipref_sim_active_runs"),
+              gaugeValue(before, "ipref_sim_active_runs"));
 }

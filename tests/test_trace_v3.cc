@@ -10,8 +10,11 @@
 
 #include "error_helpers.hh"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -584,9 +587,21 @@ TEST(RunSpecBuilder, ValidationRejectsBadSpecs)
     test::expectThrows<ConfigError>(
         [] { RunSpec::builder().degree(0).scheme("nl-miss").build(); },
         "degree");
-    test::expectThrows<ConfigError>(
-        [] { RunSpec::builder().instrScale(0.0).build(); },
-        "instrScale");
+    // Non-finite or huge scales would make makeConfig's budget casts
+    // undefined behaviour.
+    for (double bad : {0.0, -1.0, std::nan(""),
+                       std::numeric_limits<double>::infinity(), 1e30}) {
+        test::expectThrows<ConfigError>(
+            [bad] { RunSpec::builder().instrScale(bad).build(); },
+            "instrScale");
+    }
+    for (double bad : {-1.0, std::nan(""),
+                       std::numeric_limits<double>::infinity()}) {
+        test::expectThrows<ConfigError>(
+            [bad] { RunSpec::builder().memGbPerSec(bad).build(); },
+            "memGbPerSec");
+    }
+    EXPECT_EQ(RunSpec::builder().instrScale(1e6).build().instrScale, 1e6);
     test::expectThrows<ConfigError>(
         [] {
             TraceSpec both = TraceSpec::file("/tmp/a.trc");
@@ -604,6 +619,19 @@ TEST(RunSpecBuilder, ValidationRejectsBadSpecs)
     test::expectThrows<ConfigError>(
         [] { RunSpec::builder().scheme("warp-drive").build(); },
         "unknown prefetch scheme");
+}
+
+TEST(RunSpecBuilder, EnvScaleRejectsWhatIsNotAFinitePositiveNumber)
+{
+    for (const char *bad : {"inf", "nan", "0", "-2", "abc", "3x", ""}) {
+        ::setenv("IPREF_SCALE", bad, 1);
+        test::expectThrows<ConfigError>([] { envScale(); },
+                                        "IPREF_SCALE");
+    }
+    ::setenv("IPREF_SCALE", "2.5", 1);
+    EXPECT_EQ(envScale(), 2.5);
+    ::unsetenv("IPREF_SCALE");
+    EXPECT_EQ(envScale(), 1.0);
 }
 
 TEST(RunSpecBuilder, ValidationRejectsBadQueueAndHistorySizes)

@@ -358,6 +358,43 @@ TEST(Options, ParseForms)
     EXPECT_EQ(o.positional()[0], "pos1");
 }
 
+TEST(Options, NumbersMustParseWhole)
+{
+    const char *argv[] = {"prog",        "--jobs",   "abc",
+                          "--seed",      "12x",      "--retries",
+                          "-1",          "--scale",  "0.5s",
+                          "--mask",      "0x1f",     "--delta",
+                          "-3",          "--gamma",  "-2.5",
+                          "--empty=",    "--huge",   "99999999999999999999",
+                          "--spaced",    " 4"};
+    Options o(20, const_cast<char **>(argv));
+    test::expectThrows<ConfigError>([&] { o.getUint("jobs", 0); },
+                                    "--jobs");
+    test::expectThrows<ConfigError>([&] { o.getUint("seed", 1); },
+                                    "--seed");
+    test::expectThrows<ConfigError>([&] { o.getInt("seed", 1); },
+                                    "--seed");
+    test::expectThrows<ConfigError>([&] { o.getUint("retries", 1); },
+                                    "--retries");
+    test::expectThrows<ConfigError>([&] { o.getDouble("scale", 1); },
+                                    "--scale");
+    test::expectThrows<ConfigError>([&] { o.getUint("empty", 0); },
+                                    "--empty");
+    test::expectThrows<ConfigError>([&] { o.getDouble("empty", 0); },
+                                    "--empty");
+    test::expectThrows<ConfigError>([&] { o.getUint("huge", 0); },
+                                    "--huge");
+    test::expectThrows<ConfigError>([&] { o.getInt("spaced", 0); },
+                                    "--spaced");
+
+    // Base prefixes and signed values where a sign is allowed.
+    EXPECT_EQ(o.getUint("mask", 0), 31u);
+    EXPECT_EQ(o.getInt("mask", 0), 31);
+    EXPECT_EQ(o.getInt("retries", 0), -1);
+    EXPECT_EQ(o.getInt("delta", 0), -3);
+    EXPECT_DOUBLE_EQ(o.getDouble("gamma", 0), -2.5);
+}
+
 TEST(Options, Defaults)
 {
     const char *argv[] = {"prog"};
