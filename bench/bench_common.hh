@@ -44,9 +44,6 @@
  *                        sample live telemetry every N ms (0 = off)
  *   --metrics-out FILE   JSON-lines telemetry time series (watch it
  *                        live with tools/ipref_top)
- *   --metrics-prom FILE  Prometheus text exposition, rewritten
- *                        atomically on every sample
- *   --metrics-port N     serve the exposition on localhost:N
  *   --workers N          run the batch on N crash-isolated worker
  *                        processes (runCampaign) instead of in-process
  *                        pool threads; results stay bit-identical
@@ -57,6 +54,9 @@
  *   --worker-mode        (internal) become a campaign worker: speak
  *                        the coordinator protocol on stdin/stdout and
  *                        never return
+ *
+ * A malformed flag value (`--jobs abc`) ends the bench with exit
+ * status 1 and an `error (<kind>): <what>` line naming the flag.
  *
  * A failed run no longer kills the whole bench: the failure is
  * reported on stderr, its table cells read zero, and main should
@@ -78,6 +78,7 @@
 #include "sim/coordinator.hh"
 #include "sim/experiment.hh"
 #include "sim/worker.hh"
+#include "util/error.hh"
 #include "util/metrics.hh"
 #include "util/options.hh"
 #include "util/table.hh"
@@ -89,8 +90,7 @@ namespace ipref
 struct BenchContext
 {
     BenchContext(int argc, char **argv, double defaultScale = 0.3)
-        : opts(argc, argv)
-    {
+    try : opts(argc, argv) {
         // A coordinator may have exec'ed this very bench as its
         // worker (see findWorkerBinary); hand the process over before
         // any bench-side flag touches global state.
@@ -123,9 +123,6 @@ struct BenchContext
         metrics::MetricsOptions mopts;
         mopts.intervalMs = opts.getUint("metrics-interval-ms", 0);
         mopts.jsonlPath = opts.getString("metrics-out");
-        mopts.promPath = opts.getString("metrics-prom");
-        mopts.promPort = static_cast<unsigned>(
-            opts.getUint("metrics-port", 0));
         if (mopts.intervalMs > 0 && mopts.anySink())
             metrics::configureMetrics(mopts);
 
@@ -143,6 +140,10 @@ struct BenchContext
         workers = static_cast<unsigned>(opts.getUint("workers", 0));
         workerBin = opts.getString("worker-bin");
         workerFaults = opts.getString("worker-faults");
+    } catch (const SimError &e) {
+        std::cerr << "error (" << errorKindName(e.kind())
+                  << "): " << e.what() << "\n";
+        std::exit(1);
     }
 
     /**

@@ -1,14 +1,13 @@
 /**
  * @file
- * Trace-decode microbenchmark: records/second sustained by each trace
- * reader path, tracking the v3 zero-copy decoder against the v2
- * stdio reader it replaces.
+ * Trace-decode microbenchmark: records/second sustained by the v3
+ * mmap reader.
  *
- * A synthetic DB workload stream is written once in both formats to a
- * scratch directory, then each file is drained through
- * openTraceReader() with large nextBatch() reads. Best-of---reps
- * throughput and the v3/v2 speedup land in a JSON summary (default
- * BENCH_trace_decode.json); the PR-5 acceptance floor is 3x.
+ * A synthetic DB workload stream is written once to a scratch
+ * directory, then drained through openTraceReader() with large
+ * nextBatch() reads. Best-of---reps throughput lands in a JSON summary
+ * (default BENCH_trace_decode.json) that CI compares against the
+ * checked-in floor with scripts/bench_compare.py.
  *
  * Usage:
  *   trace_decode [--records N] [--reps N] [--dir PATH] [--out FILE]
@@ -37,20 +36,18 @@ namespace
 struct Sample
 {
     std::string label;
-    unsigned version = 0;
     double mrecPerSec = 0.0; //!< million records / second
     double seconds = 0.0;
     std::uint64_t records = 0;
     std::uint64_t fileBytes = 0;
 };
 
-/** Write @p n records of a DB workload stream as @p format. */
+/** Write @p n records of a DB workload stream as a v3 trace. */
 std::uint64_t
-writeTrace(const std::string &path, TraceFormat format,
-           std::uint64_t n)
+writeTrace(const std::string &path, std::uint64_t n)
 {
     auto wl = makeWorkload(WorkloadKind::DB, 0);
-    TraceFileWriter writer(path, 0, format);
+    TraceFileWriter writer(path);
     InstrRecord rec;
     for (std::uint64_t i = 0; i < n && wl->next(rec); ++i)
         writer.write(rec);
@@ -67,10 +64,9 @@ fileSize(const std::string &path)
 
 /** Drain @p path once; returns records decoded, sets @p seconds. */
 std::uint64_t
-drainOnce(const std::string &path, double &seconds, unsigned &version)
+drainOnce(const std::string &path, double &seconds)
 {
     auto reader = openTraceReader(path);
-    version = reader->version();
     std::vector<InstrRecord> buf(8192);
     std::uint64_t total = 0;
     auto t0 = std::chrono::steady_clock::now();
@@ -96,8 +92,7 @@ measure(const std::string &label, const std::string &path,
     best.fileBytes = fileSize(path);
     for (unsigned rep = 0; rep < reps; ++rep) {
         double seconds = 0.0;
-        unsigned version = 0;
-        std::uint64_t records = drainOnce(path, seconds, version);
+        std::uint64_t records = drainOnce(path, seconds);
         double mrps = seconds > 0
                           ? static_cast<double>(records) / seconds / 1e6
                           : 0.0;
@@ -105,7 +100,6 @@ measure(const std::string &label, const std::string &path,
             best.mrecPerSec = mrps;
             best.seconds = seconds;
             best.records = records;
-            best.version = version;
         }
     }
     return best;
@@ -123,35 +117,23 @@ try {
     std::string out_path =
         opts.getString("out", "BENCH_trace_decode.json");
 
-    std::string v2_path = dir + "/bench_decode_v2.trc";
-    std::string v3_path = dir + "/bench_decode_v3.trc";
-    records = writeTrace(v2_path, TraceFormat::V2, records);
-    writeTrace(v3_path, TraceFormat::V3, records);
-
-    std::vector<Sample> samples = {
-        measure("v2-stdio", v2_path, reps),
-        measure("v3-mmap", v3_path, reps),
-    };
-    double speedup = samples[0].mrecPerSec > 0
-                         ? samples[1].mrecPerSec / samples[0].mrecPerSec
-                         : 0.0;
+    std::string path = dir + "/bench_decode_v3.trc";
+    records = writeTrace(path, records);
+    Sample s = measure("v3-mmap", path, reps);
 
     Table t("Trace decode throughput (" + std::to_string(records) +
             " records, best of " + std::to_string(reps) + ")");
     t.header({"Reader", "Mrec/s", "seconds", "file MB", "B/record"});
-    for (const Sample &s : samples)
-        t.row({s.label, Table::num(s.mrecPerSec, 2),
-               Table::num(s.seconds, 4),
-               Table::num(static_cast<double>(s.fileBytes) / 1e6, 2),
-               Table::num(static_cast<double>(s.fileBytes) /
-                              static_cast<double>(
-                                  s.records ? s.records : 1),
-                          2)});
+    t.row({s.label, Table::num(s.mrecPerSec, 2),
+           Table::num(s.seconds, 4),
+           Table::num(static_cast<double>(s.fileBytes) / 1e6, 2),
+           Table::num(static_cast<double>(s.fileBytes) /
+                          static_cast<double>(s.records ? s.records : 1),
+                      2)});
     if (opts.getBool("csv"))
         t.printCsv(std::cout);
     else
         t.print(std::cout);
-    std::cout << "\nv3 speedup over v2: " << speedup << "x\n";
 
     std::ofstream out(out_path);
     if (!out)
@@ -160,22 +142,15 @@ try {
     out << "{\n  \"benchmark\": \"trace_decode\",\n"
         << "  \"records\": " << records << ",\n"
         << "  \"reps\": " << reps << ",\n"
-        << "  \"speedup_v3_over_v2\": " << speedup
-        << ",\n  \"readers\": [\n";
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        const Sample &s = samples[i];
-        out << "    {\"reader\": \"" << s.label
-            << "\", \"version\": " << s.version
-            << ", \"mrec_per_sec\": " << s.mrecPerSec
-            << ", \"seconds\": " << s.seconds
-            << ", \"file_bytes\": " << s.fileBytes << "}"
-            << (i + 1 < samples.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "decode report written to " << out_path << "\n";
+        << "  \"readers\": [\n"
+        << "    {\"reader\": \"" << s.label
+        << "\", \"mrec_per_sec\": " << s.mrecPerSec
+        << ", \"seconds\": " << s.seconds
+        << ", \"file_bytes\": " << s.fileBytes << "}\n"
+        << "  ]\n}\n";
+    std::cout << "\ndecode report written to " << out_path << "\n";
 
-    std::remove(v2_path.c_str());
-    std::remove(v3_path.c_str());
+    std::remove(path.c_str());
     return 0;
 } catch (const SimError &e) {
     std::cerr << "error (" << errorKindName(e.kind())

@@ -10,7 +10,6 @@
  *              [--trace-events N] [--trace-out FILE]
  *              [--profile-sites K]
  *              [--metrics-interval-ms N] [--metrics-out FILE]
- *              [--metrics-prom FILE] [--metrics-port P]
  */
 
 #include <iostream>
@@ -40,9 +39,6 @@ try {
     metrics::MetricsOptions mopts;
     mopts.intervalMs = opts.getUint("metrics-interval-ms", 0);
     mopts.jsonlPath = opts.getString("metrics-out");
-    mopts.promPath = opts.getString("metrics-prom");
-    mopts.promPort =
-        static_cast<unsigned>(opts.getUint("metrics-port", 0));
     if (mopts.intervalMs > 0 && mopts.anySink())
         metrics::configureMetrics(mopts);
 

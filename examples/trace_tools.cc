@@ -6,7 +6,9 @@
  *
  * Usage:
  *   trace_tools [--workload db] [--instrs N] [--save path]
- *               [--format v2|v3] [--load path] [--tolerant]
+ *               [--load path] [--tolerant]
+ *
+ * --save writes a v3 trace file; --load reads one back.
  *
  * --tolerant salvages the valid prefix of a damaged trace (with a
  * warning) instead of failing; any error exits 1 with a message.
@@ -69,8 +71,6 @@ try {
         TraceReadMode mode = opts.getBool("tolerant")
                                  ? TraceReadMode::Tolerant
                                  : TraceReadMode::Strict;
-        // openTraceReader sniffs the version: v1/v2 get the stdio
-        // reader, v3 the mmap-backed zero-copy one.
         auto reader = openTraceReader(opts.getString("load"), mode);
         TraceSummary s = summarizeTrace(*reader, n);
         s.print(std::cout);
@@ -87,13 +87,7 @@ try {
     auto wl = makeWorkload(kind, 0);
 
     if (opts.has("save")) {
-        std::string fmt = opts.getString("format", "v3");
-        if (fmt != "v2" && fmt != "v3")
-            throw ConfigError("unknown --format '" + fmt +
-                              "' (valid: v2, v3)");
-        TraceFileWriter writer(opts.getString("save"), 0,
-                               fmt == "v2" ? TraceFormat::V2
-                                           : TraceFormat::V3);
+        TraceFileWriter writer(opts.getString("save"));
         InstrRecord rec;
         for (std::uint64_t i = 0; i < n && wl->next(rec); ++i)
             writer.write(rec);

@@ -3,7 +3,7 @@
 
 Works on the reports bench/perf_throughput and bench/trace_decode
 write with --out.  Throughput-style metrics (minstr_per_sec,
-mrec_per_sec, speedup_v3_over_v2) are higher-is-better; the fresh
+mrec_per_sec) are higher-is-better; the fresh
 value must stay within --tolerance of the baseline:
 
     fresh >= baseline * (1 - tolerance)
@@ -38,7 +38,7 @@ import json
 import sys
 
 # Higher-is-better metrics tracked across commits.
-TRACKED = ("minstr_per_sec", "mrec_per_sec", "speedup_v3_over_v2")
+TRACKED = ("minstr_per_sec", "mrec_per_sec")
 
 # Keys that identify a row inside a report's series array.
 IDENTITY_KEYS = ("scheme", "reader", "label", "name")

@@ -83,10 +83,13 @@ decodeFile(const std::string &path, const FileFingerprint &fp)
     // strict and tolerant acquirers, so damage is recorded here and
     // re-raised per-acquire for strict callers.
     auto reader = openTraceReader(path, TraceReadMode::Tolerant);
-    out->version = reader->version();
     out->headerCount = reader->count();
-    out->records.reserve(
-        static_cast<std::size_t>(reader->count()));
+    // The header's count is untrusted: reserve no more records than
+    // the mapped file can hold.
+    out->records.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(reader->count(),
+                                reader->fileBytes() /
+                                    traceV3MinRecordBytes)));
     std::size_t chunk = 8192;
     std::size_t used = 0;
     for (;;) {

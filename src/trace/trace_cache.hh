@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "trace/trace_file.hh"
+#include "trace/trace_source.hh"
 #include "util/mmap_file.hh"
 
 namespace ipref
@@ -38,7 +39,6 @@ struct DecodedTrace
 {
     std::string path;
     FileFingerprint fingerprint;
-    unsigned version = 0;       //!< on-disk format (1, 2 or 3)
     bool corrupt = false;       //!< the file had a damaged suffix
     std::string corruptionDetail;
     std::uint64_t headerCount = 0; //!< records promised by the header

@@ -1,6 +1,5 @@
 #include "trace/trace_file.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -17,32 +16,6 @@ using namespace tracewire;
 namespace
 {
 
-void
-packRecord(const InstrRecord &rec, unsigned char *buf)
-{
-    put64(buf + 0, rec.pc);
-    put64(buf + 8, rec.target);
-    put64(buf + 16, rec.dataAddr);
-    buf[24] = static_cast<unsigned char>(rec.op);
-    buf[25] = rec.taken ? 1 : 0;
-    buf[26] = rec.srcReg[0];
-    buf[27] = rec.srcReg[1];
-    buf[28] = rec.dstReg;
-}
-
-void
-unpackRecord(const unsigned char *buf, InstrRecord &rec)
-{
-    rec.pc = get64(buf + 0);
-    rec.target = get64(buf + 8);
-    rec.dataAddr = get64(buf + 16);
-    rec.op = static_cast<OpClass>(buf[24]);
-    rec.taken = buf[25] != 0;
-    rec.srcReg[0] = buf[26];
-    rec.srcReg[1] = buf[27];
-    rec.dstReg = buf[28];
-}
-
 TraceError::Context
 fileContext(const std::string &path, std::uint64_t byteOffset,
             std::uint64_t recordIndex, int sysErrno = 0)
@@ -57,18 +30,12 @@ fileContext(const std::string &path, std::uint64_t byteOffset,
 
 } // namespace
 
-// --- writer ----------------------------------------------------------
-
 TraceFileWriter::TraceFileWriter(const std::string &path,
                                  std::uint32_t blockRecords,
-                                 TraceFormat format, bool dataAddresses)
+                                 bool dataAddresses)
     : path_(path),
-      blockRecords_(blockRecords
-                        ? blockRecords
-                        : (format == TraceFormat::V3
-                               ? traceV3DefaultBlockRecords
-                               : traceDefaultBlockRecords)),
-      format_(format),
+      blockRecords_(blockRecords ? blockRecords
+                                 : traceV3DefaultBlockRecords),
       dataAddresses_(dataAddresses)
 {
     file_ = std::fopen(path.c_str(), "wb");
@@ -76,10 +43,7 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
         throw TraceError("cannot open trace file for writing",
                          fileContext(path_, 0, 0, errno),
                          isTransientErrno(errno));
-    if (format_ == TraceFormat::V3)
-        pending_.reserve(blockRecords_);
-    else
-        block_.reserve(blockRecords_ * traceRecordBytes);
+    pending_.reserve(blockRecords_);
     writeHeader();
 }
 
@@ -97,29 +61,15 @@ TraceFileWriter::~TraceFileWriter()
 void
 TraceFileWriter::writeHeader()
 {
-    if (format_ == TraceFormat::V3) {
-        unsigned char hdr[traceV3HeaderBytes] = {};
-        std::memcpy(hdr, magicV3, magicBytes);
-        put64(hdr + 8, count_);
-        put32(hdr + 16, blockRecords_);
-        put32(hdr + 20, dataAddresses_ ? traceV3FlagDataAddr : 0u);
-        // bytes [24, 44) reserved; CRC covers everything before itself.
-        put32(hdr + 44, crc32(hdr, 44));
-        if (std::fwrite(hdr, 1, traceV3HeaderBytes, file_) !=
-            traceV3HeaderBytes)
-            throw TraceError("short write on trace header",
-                             fileContext(path_, 0, count_, errno),
-                             isTransientErrno(errno));
-        return;
-    }
-    unsigned char hdr[headerBytesV2] = {};
-    std::memcpy(hdr, magicV2, magicBytes);
+    unsigned char hdr[traceV3HeaderBytes] = {};
+    std::memcpy(hdr, magicV3, magicBytes);
     put64(hdr + 8, count_);
     put32(hdr + 16, blockRecords_);
-    put32(hdr + 20, static_cast<std::uint32_t>(traceRecordBytes));
-    // bytes [24, 40) reserved; CRC covers everything before itself.
-    put32(hdr + 40, crc32(hdr, 40));
-    if (std::fwrite(hdr, 1, headerBytesV2, file_) != headerBytesV2)
+    put32(hdr + 20, dataAddresses_ ? traceV3FlagDataAddr : 0u);
+    // bytes [24, 44) reserved; CRC covers everything before itself.
+    put32(hdr + 44, crc32(hdr, 44));
+    if (std::fwrite(hdr, 1, traceV3HeaderBytes, file_) !=
+        traceV3HeaderBytes)
         throw TraceError("short write on trace header",
                          fileContext(path_, 0, count_, errno),
                          isTransientErrno(errno));
@@ -128,39 +78,21 @@ TraceFileWriter::writeHeader()
 void
 TraceFileWriter::flushBlock()
 {
-    if (format_ == TraceFormat::V3) {
-        if (pending_.empty())
-            return;
-        long at = std::ftell(file_);
-        std::uint64_t off = at > 0 ? static_cast<std::uint64_t>(at) : 0;
-        encodeTraceBlockV3(pending_, dataAddresses_, encoded_);
-        unsigned char frame[8];
-        put32(frame,
-              static_cast<std::uint32_t>(encoded_.size()));
-        put32(frame + 4, crc32(encoded_.data(), encoded_.size()));
-        if (std::fwrite(frame, 1, sizeof(frame), file_) !=
-                sizeof(frame) ||
-            std::fwrite(encoded_.data(), 1, encoded_.size(), file_) !=
-                encoded_.size())
-            throw TraceError("short write on trace block",
-                             fileContext(path_, off, count_, errno),
-                             isTransientErrno(errno));
-        pending_.clear();
-        return;
-    }
-    if (block_.empty())
+    if (pending_.empty())
         return;
     long at = std::ftell(file_);
     std::uint64_t off = at > 0 ? static_cast<std::uint64_t>(at) : 0;
-    unsigned char tail[blockCrcBytes];
-    put32(tail, crc32(block_.data(), block_.size()));
-    if (std::fwrite(block_.data(), 1, block_.size(), file_) !=
-            block_.size() ||
-        std::fwrite(tail, 1, blockCrcBytes, file_) != blockCrcBytes)
+    encodeTraceBlockV3(pending_, dataAddresses_, encoded_);
+    unsigned char frame[8];
+    put32(frame, static_cast<std::uint32_t>(encoded_.size()));
+    put32(frame + 4, crc32(encoded_.data(), encoded_.size()));
+    if (std::fwrite(frame, 1, sizeof(frame), file_) != sizeof(frame) ||
+        std::fwrite(encoded_.data(), 1, encoded_.size(), file_) !=
+            encoded_.size())
         throw TraceError("short write on trace block",
                          fileContext(path_, off, count_, errno),
                          isTransientErrno(errno));
-    block_.clear();
+    pending_.clear();
 }
 
 void
@@ -168,16 +100,8 @@ TraceFileWriter::write(const InstrRecord &rec)
 {
     ipref_assert(!closed_);
     ++count_;
-    if (format_ == TraceFormat::V3) {
-        pending_.push_back(rec);
-        if (pending_.size() >= blockRecords_)
-            flushBlock();
-        return;
-    }
-    unsigned char buf[traceRecordBytes];
-    packRecord(rec, buf);
-    block_.insert(block_.end(), buf, buf + traceRecordBytes);
-    if (block_.size() >= blockRecords_ * traceRecordBytes)
+    pending_.push_back(rec);
+    if (pending_.size() >= blockRecords_)
         flushBlock();
 }
 
@@ -221,166 +145,6 @@ TraceFileWriter::close()
     file_ = nullptr;
     if (std::fclose(f) != 0)
         fail("close failed on trace file");
-}
-
-// --- reader ----------------------------------------------------------
-
-TraceFileReader::TraceFileReader(const std::string &path,
-                                 TraceReadMode mode)
-    : path_(path), mode_(mode)
-{
-    file_ = std::fopen(path.c_str(), "rb");
-    if (!file_)
-        throw TraceError("cannot open trace file",
-                         fileContext(path_, 0, 0, errno),
-                         isTransientErrno(errno));
-
-    unsigned char hdr[headerBytesV2];
-    std::size_t got = std::fread(hdr, 1, magicBytes, file_);
-    if (got != magicBytes)
-        throw TraceError("trace file too short for a header",
-                         fileContext(path_, got, 0));
-
-    if (isMagic(hdr, magicV1)) {
-        version_ = 1;
-        if (std::fread(hdr + 8, 1, headerBytesV1 - 8, file_) !=
-            headerBytesV1 - 8)
-            throw TraceError("trace file too short for a header",
-                             fileContext(path_, 8, 0));
-        count_ = get64(hdr + 8);
-        dataStart_ = headerBytesV1;
-    } else if (isMagic(hdr, magicV2)) {
-        version_ = 2;
-        if (std::fread(hdr + 8, 1, headerBytesV2 - 8, file_) !=
-            headerBytesV2 - 8)
-            throw TraceError("trace file too short for a header",
-                             fileContext(path_, 8, 0));
-        // A damaged header leaves nothing trustworthy to salvage, so
-        // this throws even in tolerant mode.
-        if (get32(hdr + 40) != crc32(hdr, 40))
-            throw TraceError("trace header CRC mismatch",
-                             fileContext(path_, 40, 0));
-        count_ = get64(hdr + 8);
-        blockRecords_ = get32(hdr + 16);
-        if (get32(hdr + 20) != traceRecordBytes)
-            throw TraceError("unsupported trace record size",
-                             fileContext(path_, 20, 0));
-        if (blockRecords_ == 0)
-            throw TraceError("invalid trace block size",
-                             fileContext(path_, 16, 0));
-        dataStart_ = headerBytesV2;
-    } else if (isMagic(hdr, magicV3)) {
-        throw TraceError(
-            "v3 trace file: read it through openTraceReader() / "
-            "MappedTraceReader, not the stdio v1/v2 reader",
-            fileContext(path_, 0, 0));
-    } else {
-        throw TraceError("bad trace magic", fileContext(path_, 0, 0));
-    }
-}
-
-TraceFileReader::~TraceFileReader()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-bool
-TraceFileReader::damaged(const TraceError &err)
-{
-    if (mode_ == TraceReadMode::Strict)
-        throw err;
-    corrupt_ = true;
-    ended_ = true;
-    detail_ = err.what();
-    return false;
-}
-
-bool
-TraceFileReader::loadBlock()
-{
-    std::uint64_t remaining = count_ - pos_;
-    if (remaining == 0)
-        return false;
-    std::uint64_t records =
-        std::min<std::uint64_t>(remaining, blockRecords_);
-    std::size_t payload =
-        static_cast<std::size_t>(records) * traceRecordBytes;
-
-    long at = std::ftell(file_);
-    blockFileOff_ = at > 0 ? static_cast<std::uint64_t>(at) : 0;
-
-    std::vector<unsigned char> buf(payload + blockCrcBytes);
-    std::size_t got = std::fread(buf.data(), 1, buf.size(), file_);
-    if (got != buf.size())
-        return damaged(TraceError(
-            "truncated trace file",
-            fileContext(path_, blockFileOff_ + got, pos_)));
-    if (get32(buf.data() + payload) != crc32(buf.data(), payload))
-        return damaged(TraceError(
-            "trace block CRC mismatch",
-            fileContext(path_, blockFileOff_, pos_)));
-    buf.resize(payload);
-    block_ = std::move(buf);
-    blockPos_ = 0;
-    return true;
-}
-
-bool
-TraceFileReader::next(InstrRecord &out)
-{
-    if (ended_ || pos_ >= count_)
-        return false;
-
-    const unsigned char *rec = nullptr;
-    std::uint64_t recOff = 0;
-    unsigned char v1buf[traceRecordBytes];
-
-    if (version_ == 1) {
-        recOff = dataStart_ + pos_ * traceRecordBytes;
-        std::size_t got =
-            std::fread(v1buf, 1, traceRecordBytes, file_);
-        if (got != traceRecordBytes)
-            return damaged(TraceError(
-                "truncated trace file",
-                fileContext(path_, recOff + got, pos_)));
-        rec = v1buf;
-    } else {
-        if (blockPos_ >= block_.size() && !loadBlock())
-            return false;
-        rec = block_.data() + blockPos_;
-        recOff = blockFileOff_ + blockPos_;
-    }
-
-    // An untrusted byte from disk: an out-of-range op class must
-    // surface as TraceError, never reach transitionType()/missGroup()
-    // as garbage (satellite of the CRC check, and the only line of
-    // defense for v1 files).
-    if (rec[24] >=
-        static_cast<unsigned char>(OpClass::NumOpClasses))
-        return damaged(TraceError(
-            detail::formatMessage("invalid op class byte 0x%02x",
-                                  rec[24]),
-            fileContext(path_, recOff + 24, pos_)));
-
-    unpackRecord(rec, out);
-    if (version_ == 2)
-        blockPos_ += traceRecordBytes;
-    ++pos_;
-    return true;
-}
-
-void
-TraceFileReader::reset()
-{
-    std::fseek(file_, static_cast<long>(dataStart_), SEEK_SET);
-    pos_ = 0;
-    block_.clear();
-    blockPos_ = 0;
-    blockFileOff_ = 0;
-    ended_ = false;
-    corrupt_ = false;
-    detail_.clear();
 }
 
 } // namespace ipref

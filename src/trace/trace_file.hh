@@ -1,21 +1,13 @@
 /**
  * @file
- * Binary trace files: writer and the stdio streaming reader.
+ * Binary trace files: the writer and the shared read options.
  *
- * Three on-disk formats:
- *
- *   v3 (magic "IPRTRC03", default for new files): columnar
- *   delta+varint blocks — see trace_v3.hh for the layout. Written by
- *   TraceFileWriter, decoded by the mmap-backed MappedTraceReader.
- *
- *   v2 (magic "IPRTRC02"): fixed-width 29-byte records in
- *   CRC32-protected blocks behind a 44-byte header.
- *
- *   v1 (magic "IPRTRC01", still readable): 32-byte header with no
- *   checksums, records back to back.
- *
- * Use openTraceReader() (trace_v3.hh) to read a file of any version
- * through the common TraceReader interface.
+ * One on-disk format, v3 (magic "IPRTRC03"): columnar delta+varint
+ * blocks, each CRC32-protected, behind a checksummed header — see
+ * trace_v3.hh for the layout. TraceFileWriter writes it; the
+ * mmap-backed MappedTraceReader (trace_v3.hh, via openTraceReader())
+ * reads it. A file with any other magic, including captures in the
+ * retired v1/v2 formats, is rejected with a TraceError.
  *
  * Corruption, truncation and undecodable bytes surface as TraceError
  * (with byte offset and record index) — never as a process abort and
@@ -27,32 +19,17 @@
 #define IPREF_TRACE_TRACE_FILE_HH
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "trace/record.hh"
-#include "trace/trace_source.hh"
 #include "util/error.hh"
 
 namespace ipref
 {
 
-/** Size in bytes of one on-disk v1/v2 record. */
-inline constexpr std::size_t traceRecordBytes = 29;
-
-/** Default records per CRC-protected block (v2). */
-inline constexpr std::uint32_t traceDefaultBlockRecords = 256;
-
 /** Default records per columnar block (v3; larger = better batching). */
 inline constexpr std::uint32_t traceV3DefaultBlockRecords = 4096;
-
-/** On-disk format selector for TraceFileWriter. */
-enum class TraceFormat
-{
-    V2, //!< fixed-width records, per-block CRC32
-    V3, //!< columnar delta+varint blocks, per-block CRC32
-};
 
 /** How a trace reader treats a damaged file. */
 enum class TraceReadMode
@@ -61,47 +38,20 @@ enum class TraceReadMode
     Tolerant //!< end the stream at the valid prefix; see corrupt()
 };
 
-/**
- * Common read interface over every trace file version: a TraceSource
- * plus the header/damage introspection shared by the stdio reader
- * (v1/v2) and the mmap reader (v3). Obtain one via openTraceReader().
- */
-class TraceReader : public TraceSource
-{
-  public:
-    /** Total records promised by the header. */
-    virtual std::uint64_t count() const = 0;
-
-    /** On-disk format version (1, 2 or 3). */
-    virtual unsigned version() const = 0;
-
-    /** Tolerant mode: did the stream end early on corruption? */
-    virtual bool corrupt() const = 0;
-
-    /** Tolerant mode: human-readable description of the damage. */
-    virtual const std::string &corruptionDetail() const = 0;
-
-    /** Records successfully delivered since open/reset. */
-    virtual std::uint64_t delivered() const = 0;
-
-    std::uint64_t sizeHint() const override { return count(); }
-};
-
-/** Streams InstrRecords into a binary trace file (v3 by default). */
+/** Streams InstrRecords into a v3 trace file. */
 class TraceFileWriter
 {
   public:
     /**
      * Open @p path for writing; throws TraceError (with errno
      * context) on failure. @p blockRecords sets the CRC block
-     * granularity (0 = the format's default) — smaller blocks waste
-     * more bytes but salvage more data from a damaged file.
-     * @p dataAddresses controls the v3 data-address column; dropping
-     * it shrinks files that only feed instruction-side studies.
+     * granularity (0 = traceV3DefaultBlockRecords) — smaller blocks
+     * waste more bytes but salvage more data from a damaged file.
+     * @p dataAddresses controls the data-address column; dropping it
+     * shrinks files that only feed instruction-side studies.
      */
     explicit TraceFileWriter(const std::string &path,
                              std::uint32_t blockRecords = 0,
-                             TraceFormat format = TraceFormat::V3,
                              bool dataAddresses = true);
     ~TraceFileWriter();
 
@@ -121,9 +71,6 @@ class TraceFileWriter
     /** Records written so far. */
     std::uint64_t count() const { return count_; }
 
-    /** The format being written. */
-    TraceFormat format() const { return format_; }
-
   private:
     void writeHeader();
     void flushBlock();
@@ -132,70 +79,10 @@ class TraceFileWriter
     std::string path_;
     std::uint64_t count_ = 0;
     std::uint32_t blockRecords_;
-    TraceFormat format_;
     bool dataAddresses_;
-    std::vector<unsigned char> block_;  //!< pending v2 block payload
-    std::vector<InstrRecord> pending_;  //!< pending v3 block records
-    std::vector<unsigned char> encoded_; //!< v3 encode scratch
+    std::vector<InstrRecord> pending_;   //!< pending block records
+    std::vector<unsigned char> encoded_; //!< block encode scratch
     bool closed_ = false;
-};
-
-/** Streaming stdio reader for v1/v2 trace files. */
-class TraceFileReader : public TraceReader
-{
-  public:
-    /**
-     * Open @p path; throws TraceError on a missing file, a bad /
-     * corrupt header (a damaged header leaves nothing to salvage,
-     * even in tolerant mode), or a v3 file (read those through
-     * MappedTraceReader / openTraceReader).
-     */
-    explicit TraceFileReader(const std::string &path,
-                             TraceReadMode mode = TraceReadMode::Strict);
-    ~TraceFileReader() override;
-
-    TraceFileReader(const TraceFileReader &) = delete;
-    TraceFileReader &operator=(const TraceFileReader &) = delete;
-
-    /**
-     * Produce the next record. On corruption: throws TraceError
-     * (Strict) or ends the stream and sets corrupt() (Tolerant).
-     */
-    bool next(InstrRecord &out) override;
-    void reset() override;
-
-    std::uint64_t count() const override { return count_; }
-    unsigned version() const override { return version_; }
-    bool corrupt() const override { return corrupt_; }
-    const std::string &corruptionDetail() const override
-    {
-        return detail_;
-    }
-    std::uint64_t delivered() const override { return pos_; }
-
-  private:
-    /** Load and verify the next block into block_; false on EOF. */
-    bool loadBlock();
-
-    /** Raise @p err (Strict) or record it and end the stream. */
-    bool damaged(const TraceError &err);
-
-    std::FILE *file_ = nullptr;
-    std::string path_;
-    TraceReadMode mode_;
-    unsigned version_ = 2;
-    std::uint64_t count_ = 0;
-    std::uint64_t pos_ = 0;       //!< records delivered
-    std::uint32_t blockRecords_ = 0;
-    std::uint64_t dataStart_ = 0; //!< file offset of the first block
-
-    std::vector<unsigned char> block_; //!< verified block payload
-    std::size_t blockPos_ = 0;         //!< consumed bytes in block_
-    std::uint64_t blockFileOff_ = 0;   //!< file offset of block_
-
-    bool corrupt_ = false;
-    bool ended_ = false;
-    std::string detail_;
 };
 
 } // namespace ipref

@@ -64,6 +64,20 @@ fileContext(const std::string &path, std::uint64_t byteOffset,
     return ctx;
 }
 
+/** The 8 magic bytes at @p p, non-printable ones as \xNN escapes. */
+std::string
+printableMagic(const unsigned char *p)
+{
+    std::string out;
+    for (std::size_t i = 0; i < magicBytes; ++i) {
+        if (p[i] >= 0x20 && p[i] < 0x7f)
+            out += static_cast<char>(p[i]);
+        else
+            out += detail::formatMessage("\\x%02x", p[i]);
+    }
+    return out;
+}
+
 } // namespace
 
 void
@@ -295,15 +309,18 @@ decodeTraceBlockV3(const unsigned char *payload,
 
 MappedTraceReader::MappedTraceReader(const std::string &path,
                                      TraceReadMode mode)
-    : map_(path), path_(path), mode_(mode)
-{
+try : map_(path), path_(path), mode_(mode) {
+    const unsigned char *hdr = map_.data();
+    if (map_.size() >= magicBytes && !isMagic(hdr, magicV3))
+        throw TraceError(
+            detail::formatMessage(
+                "unsupported trace magic \"%s\": only IPRTRC03 (v3) "
+                "trace files are readable",
+                printableMagic(hdr).c_str()),
+            fileContext(path_, 0, 0));
     if (map_.size() < traceV3HeaderBytes)
         throw TraceError("trace file too short for a v3 header",
                          fileContext(path_, map_.size(), 0));
-    const unsigned char *hdr = map_.data();
-    if (!isMagic(hdr, magicV3))
-        throw TraceError("not a v3 trace file (bad magic)",
-                         fileContext(path_, 0, 0));
     // A damaged header leaves nothing trustworthy to salvage, so this
     // throws even in tolerant mode.
     if (get32(hdr + 44) != crc32(hdr, 44))
@@ -317,6 +334,12 @@ MappedTraceReader::MappedTraceReader(const std::string &path,
         throw TraceError("invalid trace block size",
                          fileContext(path_, 16, 0));
     reset();
+} catch (const TraceError &) {
+    throw;
+} catch (const SimError &e) {
+    // MappedFile reports an unopenable file as an I/O error; to the
+    // caller it is a trace that cannot be read.
+    throw TraceError(e.what(), fileContext(path, 0, 0), e.transient());
 }
 
 bool
@@ -349,11 +372,13 @@ MappedTraceReader::decodeBlockAt(std::uint64_t fileOff,
     std::uint32_t payloadBytes = get32(frame);
     std::uint32_t payloadCrc = get32(frame + 4);
 
-    // The frame header is not separately checksummed: bound it before
-    // trusting it, so a flipped size byte reads as damage instead of
-    // a wild allocation or out-of-bounds CRC scan.
-    if (payloadBytes >
-            static_cast<std::uint64_t>(n) * v3MaxRecordEncoded ||
+    // The frame is not separately checksummed, and a CRC-valid header
+    // can still carry an absurd block size: bound the payload between
+    // the fewest and the most bytes n records can take, so a flipped
+    // size byte or a crafted block size reads as damage instead of a
+    // wild allocation or an out-of-bounds CRC scan.
+    if (payloadBytes < n * traceV3MinRecordBytes ||
+        payloadBytes > n * v3MaxRecordEncoded ||
         fileOff + v3FrameBytes + payloadBytes > map_.size())
         return damaged(TraceError(
             "implausible v3 block size (corrupt frame header or "
@@ -453,24 +478,10 @@ MappedTraceReader::reset()
     }
 }
 
-// --- version-sniffing factory ----------------------------------------
-
-std::unique_ptr<TraceReader>
+std::unique_ptr<MappedTraceReader>
 openTraceReader(const std::string &path, TraceReadMode mode)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw TraceError("cannot open trace file",
-                         fileContext(path, 0, 0));
-    unsigned char magic[magicBytes] = {};
-    std::size_t got = std::fread(magic, 1, magicBytes, f);
-    std::fclose(f);
-    if (got != magicBytes)
-        throw TraceError("trace file too short for a header",
-                         fileContext(path, got, 0));
-    if (isMagic(magic, magicV3))
-        return std::make_unique<MappedTraceReader>(path, mode);
-    return std::make_unique<TraceFileReader>(path, mode);
+    return std::make_unique<MappedTraceReader>(path, mode);
 }
 
 } // namespace ipref

@@ -30,8 +30,8 @@
  *
  * Every block decodes independently (PC and data-address deltas
  * restart per block), so tolerant mode salvages the intact prefix at
- * block granularity — the same semantics as v2. Typical instruction
- * streams encode in ~3-4 bytes/record against v2's fixed 29.
+ * block granularity. Typical instruction streams encode in ~3-4
+ * bytes/record against the 29 bytes of a record's raw fields.
  */
 
 #ifndef IPREF_TRACE_TRACE_V3_HH
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "trace/trace_file.hh"
+#include "trace/trace_source.hh"
 #include "util/mmap_file.hh"
 
 namespace ipref
@@ -50,6 +51,12 @@ namespace ipref
 
 /** v3 header size in bytes. */
 inline constexpr std::size_t traceV3HeaderBytes = 48;
+
+/**
+ * Fewest payload bytes one record can occupy: its register triple.
+ * Bounds how many records a file of a given size can hold.
+ */
+inline constexpr std::size_t traceV3MinRecordBytes = 3;
 
 /** v3 header flags. */
 inline constexpr std::uint32_t traceV3FlagDataAddr = 1u << 0;
@@ -79,13 +86,13 @@ void decodeTraceBlockV3(const unsigned char *payload,
  * out of that buffer — no per-record syscalls, no steady-state
  * allocation.
  */
-class MappedTraceReader final : public TraceReader
+class MappedTraceReader final : public TraceSource
 {
   public:
     /**
-     * Map @p path; throws TraceError on a missing file, a non-v3
-     * magic, or a corrupt header (nothing trustworthy to salvage,
-     * even in tolerant mode).
+     * Map @p path; throws TraceError on a missing file, any magic but
+     * IPRTRC03 (the message names the bytes found), or a corrupt
+     * header (nothing trustworthy to salvage, even in tolerant mode).
      */
     explicit MappedTraceReader(const std::string &path,
                                TraceReadMode mode =
@@ -94,15 +101,19 @@ class MappedTraceReader final : public TraceReader
     bool next(InstrRecord &out) override;
     std::size_t nextBatch(std::span<InstrRecord> out) override;
     void reset() override;
+    std::uint64_t sizeHint() const override { return count_; }
 
-    std::uint64_t count() const override { return count_; }
-    unsigned version() const override { return 3; }
-    bool corrupt() const override { return corrupt_; }
-    const std::string &corruptionDetail() const override
-    {
-        return detail_;
-    }
-    std::uint64_t delivered() const override { return deliveredTotal_; }
+    /** Total records promised by the header. */
+    std::uint64_t count() const { return count_; }
+
+    /** Tolerant mode: did the stream end early on corruption? */
+    bool corrupt() const { return corrupt_; }
+
+    /** Tolerant mode: human-readable description of the damage. */
+    const std::string &corruptionDetail() const { return detail_; }
+
+    /** Records successfully delivered since open/reset. */
+    std::uint64_t delivered() const { return deliveredTotal_; }
 
     /** Mapped file size in bytes. */
     std::uint64_t fileBytes() const { return map_.size(); }
@@ -150,11 +161,8 @@ class MappedTraceReader final : public TraceReader
     std::string detail_;
 };
 
-/**
- * Open a trace file of any version (sniffs the magic): v3 through
- * MappedTraceReader, v1/v2 through the stdio TraceFileReader.
- */
-std::unique_ptr<TraceReader>
+/** Open the v3 trace file @p path (see MappedTraceReader). */
+std::unique_ptr<MappedTraceReader>
 openTraceReader(const std::string &path,
                 TraceReadMode mode = TraceReadMode::Strict);
 

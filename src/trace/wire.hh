@@ -1,7 +1,7 @@
 /**
  * @file
- * Internal on-disk helpers shared by the trace writers/readers:
- * little-endian scalar packing and the per-version magic strings.
+ * Internal on-disk helpers shared by the trace writer and reader:
+ * little-endian scalar packing and the v3 magic string.
  * Not part of the public trace API.
  */
 
@@ -16,13 +16,8 @@ namespace ipref
 namespace tracewire
 {
 
-inline constexpr char magicV1[8] = {'I', 'P', 'R', 'T', 'R', 'C', '0', '1'};
-inline constexpr char magicV2[8] = {'I', 'P', 'R', 'T', 'R', 'C', '0', '2'};
 inline constexpr char magicV3[8] = {'I', 'P', 'R', 'T', 'R', 'C', '0', '3'};
 inline constexpr std::size_t magicBytes = 8;
-inline constexpr std::size_t headerBytesV1 = 32;
-inline constexpr std::size_t headerBytesV2 = 44;
-inline constexpr std::size_t blockCrcBytes = 4;
 
 inline void
 put64(unsigned char *p, std::uint64_t v)

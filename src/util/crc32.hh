@@ -1,8 +1,8 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), used by the
- * v2 trace format to detect block corruption. Table-driven, one byte
- * at a time — plenty fast for trace I/O, zero dependencies.
+ * trace format to detect header and block corruption. Table-driven,
+ * one byte at a time — plenty fast for trace I/O, zero dependencies.
  */
 
 #ifndef IPREF_UTIL_CRC32_HH

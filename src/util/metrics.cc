@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -11,11 +11,6 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -115,136 +110,6 @@ parseSnapshotLine(const std::string &line)
             h.sum = v.numberOr("sum", 0.0);
             s.histograms.push_back(std::move(h));
         }
-    }
-    return s;
-}
-
-namespace
-{
-
-/** Prometheus `le` label rendering for a bucket bound. */
-std::string
-leLabel(double bound)
-{
-    std::string n = jsonNumber(bound);
-    return n;
-}
-
-} // namespace
-
-std::string
-renderPrometheus(const Snapshot &s)
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : s.counters) {
-        os << "# TYPE " << name << " counter\n"
-           << name << " " << value << "\n";
-    }
-    for (const auto &[name, value] : s.gauges) {
-        os << "# TYPE " << name << " gauge\n"
-           << name << " " << value << "\n";
-    }
-    for (const HistogramSample &h : s.histograms) {
-        os << "# TYPE " << h.name << " histogram\n";
-        std::uint64_t cum = 0;
-        for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-            cum += b < h.counts.size() ? h.counts[b] : 0;
-            os << h.name << "_bucket{le=\"" << leLabel(h.bounds[b])
-               << "\"} " << cum << "\n";
-        }
-        os << h.name << "_bucket{le=\"+Inf\"} " << h.count << "\n"
-           << h.name << "_sum " << jsonNumber(h.sum) << "\n"
-           << h.name << "_count " << h.count << "\n";
-    }
-    return os.str();
-}
-
-Snapshot
-parsePrometheus(const std::string &text)
-{
-    Snapshot s;
-    std::map<std::string, std::string> types; //!< name -> type token
-    std::map<std::string, HistogramSample> hists;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            // "# TYPE <name> <type>"
-            std::istringstream ls(line);
-            std::string hash, kw, name, type;
-            ls >> hash >> kw >> name >> type;
-            if (kw == "TYPE")
-                types[name] = type;
-            continue;
-        }
-        // "<name>[{le="B"}] <value>"
-        std::size_t sp = line.rfind(' ');
-        if (sp == std::string::npos)
-            throw std::runtime_error("metrics: bad exposition line: " +
-                                     line);
-        std::string key = line.substr(0, sp);
-        double value = std::strtod(line.c_str() + sp + 1, nullptr);
-
-        std::string le;
-        std::size_t brace = key.find('{');
-        if (brace != std::string::npos) {
-            std::size_t q1 = key.find('"', brace);
-            std::size_t q2 = q1 == std::string::npos
-                                 ? std::string::npos
-                                 : key.find('"', q1 + 1);
-            if (q2 == std::string::npos)
-                throw std::runtime_error(
-                    "metrics: bad label in exposition line: " + line);
-            le = key.substr(q1 + 1, q2 - q1 - 1);
-            key = key.substr(0, brace);
-        }
-
-        auto baseOf = [&](const std::string &suffix) {
-            return key.size() > suffix.size() &&
-                           key.compare(key.size() - suffix.size(),
-                                       suffix.size(), suffix) == 0
-                       ? key.substr(0, key.size() - suffix.size())
-                       : std::string();
-        };
-        std::string bucketBase = baseOf("_bucket");
-        std::string sumBase = baseOf("_sum");
-        std::string countBase = baseOf("_count");
-
-        if (!bucketBase.empty() &&
-            types[bucketBase] == "histogram") {
-            HistogramSample &h = hists[bucketBase];
-            h.name = bucketBase;
-            if (le != "+Inf") {
-                h.bounds.push_back(std::strtod(le.c_str(), nullptr));
-                h.counts.push_back(static_cast<std::uint64_t>(value));
-            }
-        } else if (!sumBase.empty() && types[sumBase] == "histogram") {
-            hists[sumBase].sum = value;
-        } else if (!countBase.empty() &&
-                   types[countBase] == "histogram") {
-            hists[countBase].count =
-                static_cast<std::uint64_t>(value);
-        } else if (types[key] == "gauge") {
-            s.gauges.emplace_back(key,
-                                  static_cast<std::int64_t>(value));
-        } else {
-            s.counters.emplace_back(key,
-                                    static_cast<std::uint64_t>(value));
-        }
-    }
-    for (auto &[name, h] : hists) {
-        // De-cumulate the bucket series back to per-bucket counts and
-        // append the +Inf bucket (count minus the last cumulative).
-        std::uint64_t prev = 0;
-        for (std::uint64_t &c : h.counts) {
-            std::uint64_t cum = c;
-            c = cum - prev;
-            prev = cum;
-        }
-        h.counts.push_back(h.count - prev);
-        s.histograms.push_back(h);
     }
     return s;
 }
@@ -494,123 +359,6 @@ JsonLinesExporter::flush()
         impl_->out.flush();
 }
 
-struct PrometheusExporter::Impl
-{
-    std::mutex mu;
-    std::string path;
-    std::string latest; //!< most recent rendered exposition
-    int listenFd = -1;
-    unsigned port = 0;
-    std::thread server;
-
-    void
-    serveLoop()
-    {
-        for (;;) {
-            int fd = ::accept(listenFd, nullptr, nullptr);
-            if (fd < 0)
-                return; // listener closed: shutting down
-            std::string body;
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                body = latest;
-            }
-            std::ostringstream resp;
-            resp << "HTTP/1.0 200 OK\r\n"
-                 << "Content-Type: text/plain; version=0.0.4\r\n"
-                 << "Content-Length: " << body.size() << "\r\n"
-                 << "Connection: close\r\n\r\n"
-                 << body;
-            std::string text = resp.str();
-            std::size_t off = 0;
-            while (off < text.size()) {
-                ssize_t n = ::send(fd, text.data() + off,
-                                   text.size() - off, MSG_NOSIGNAL);
-                if (n <= 0)
-                    break;
-                off += static_cast<std::size_t>(n);
-            }
-            ::close(fd);
-        }
-    }
-};
-
-PrometheusExporter::PrometheusExporter(std::string path, unsigned port)
-    : impl_(std::make_unique<Impl>())
-{
-    impl_->path = std::move(path);
-    if (port == 0 && impl_->path.empty())
-        return;
-    if (port == 0)
-        return;
-
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        ipref_warn("metrics: socket() failed; exposition endpoint "
-                   "disabled");
-        return;
-    }
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(fd, 8) != 0) {
-        ipref_warn("metrics: cannot bind localhost:%u; exposition "
-                   "endpoint disabled", port);
-        ::close(fd);
-        return;
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
-    impl_->listenFd = fd;
-    impl_->port = ntohs(addr.sin_port);
-    impl_->server = std::thread([this] { impl_->serveLoop(); });
-}
-
-PrometheusExporter::~PrometheusExporter()
-{
-    if (impl_->listenFd >= 0) {
-        ::shutdown(impl_->listenFd, SHUT_RDWR);
-        ::close(impl_->listenFd);
-        impl_->server.join();
-    }
-}
-
-unsigned
-PrometheusExporter::boundPort() const
-{
-    return impl_->port;
-}
-
-void
-PrometheusExporter::consume(const Snapshot &s)
-{
-    std::string text = renderPrometheus(s);
-    {
-        std::lock_guard<std::mutex> lock(impl_->mu);
-        impl_->latest = text;
-    }
-    if (impl_->path.empty())
-        return;
-    // Atomic rewrite: readers never observe a torn exposition.
-    std::string tmp = impl_->path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out) {
-            ipref_warn("metrics: cannot write '%s'", tmp.c_str());
-            return;
-        }
-        out << text;
-    }
-    if (std::rename(tmp.c_str(), impl_->path.c_str()) != 0)
-        ipref_warn("metrics: cannot rename '%s' into place",
-                   tmp.c_str());
-}
-
 struct SnapshotRing::Impl
 {
     mutable std::mutex mu;
@@ -791,9 +539,6 @@ configureMetrics(const MetricsOptions &opts)
     if (!opts.jsonlPath.empty())
         sampler->addExporter(
             std::make_shared<JsonLinesExporter>(opts.jsonlPath));
-    if (!opts.promPath.empty() || opts.promPort != 0)
-        sampler->addExporter(std::make_shared<PrometheusExporter>(
-            opts.promPath, opts.promPort));
     if (opts.ringCapacity != 0)
         sampler->addExporter(
             std::make_shared<SnapshotRing>(opts.ringCapacity));

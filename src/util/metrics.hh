@@ -3,8 +3,7 @@
  * Live telemetry: a process-wide registry of lock-free instruments
  * (Counter, Gauge, LatencyHistogram), a background sampler that
  * snapshots the registry on a wall-clock interval, and pluggable
- * exporters (JSON-lines time series, Prometheus text exposition with
- * an optional localhost TCP endpoint, an in-process snapshot ring).
+ * exporters (a JSON-lines time series, an in-process snapshot ring).
  *
  * Unlike util/stats.hh — per-run StatGroup trees dumped after a run
  * completes — these instruments are process-wide and readable *while*
@@ -14,8 +13,8 @@
  * one: System publishes deltas of the per-run StatGroup counters on a
  * coarse instruction stride (see System::publishProgressMetrics).
  *
- * Naming follows Prometheus conventions: `ipref_<subsystem>_<what>`
- * with a `_total` suffix on counters.
+ * Naming: `ipref_<subsystem>_<what>`, with a `_total` suffix on
+ * counters.
  */
 
 #ifndef IPREF_UTIL_METRICS_HH
@@ -86,17 +85,6 @@ std::string snapshotToJsonLine(const Snapshot &s);
  */
 Snapshot parseSnapshotLine(const std::string &line);
 
-/** Render @p s in the Prometheus text exposition format. */
-std::string renderPrometheus(const Snapshot &s);
-
-/**
- * Parse a Prometheus text exposition produced by renderPrometheus
- * back into a Snapshot (counters/gauges only; histogram series are
- * reconstructed from their _bucket/_sum/_count samples). Used by
- * `ipref_top --prom` and the golden-format tests.
- */
-Snapshot parsePrometheus(const std::string &text);
-
 // --- instruments ------------------------------------------------------
 
 /** Monotonic counter; relaxed atomic add, safe from any thread. */
@@ -150,8 +138,7 @@ class Gauge
 /**
  * Fixed-bucket latency histogram: bucket upper bounds are set at
  * registration and never change, so observation is a linear scan over
- * a handful of bounds plus two relaxed atomic adds. Cumulative
- * rendering (Prometheus `le` semantics) happens at snapshot time.
+ * a handful of bounds plus two relaxed atomic adds.
  */
 class LatencyHistogram
 {
@@ -256,31 +243,6 @@ class JsonLinesExporter final : public Exporter
     std::unique_ptr<Impl> impl_;
 };
 
-/**
- * Rewrites @p path atomically (temp + rename) with the latest
- * Prometheus text exposition on every snapshot, and — when @p port is
- * non-zero — serves the same text over a localhost TCP listener to
- * any client that connects (minimal HTTP/1.0 response, one exposition
- * per connection; `curl localhost:PORT/metrics` works). Either the
- * file (empty path = none) or the endpoint can be used alone.
- */
-class PrometheusExporter final : public Exporter
-{
-  public:
-    explicit PrometheusExporter(std::string path, unsigned port = 0);
-    ~PrometheusExporter() override;
-
-    void consume(const Snapshot &s) override;
-
-    /** The port actually bound (0 = no endpoint; useful with port
-     *  auto-assignment in tests). */
-    unsigned boundPort() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
 /** Keeps the most recent @p capacity snapshots in memory. */
 class SnapshotRing final : public Exporter
 {
@@ -346,20 +308,13 @@ struct MetricsOptions
     /** JSON-lines time-series destination (empty = off). */
     std::string jsonlPath;
 
-    /** Prometheus exposition file (empty = off). */
-    std::string promPath;
-
-    /** Localhost TCP port for the exposition endpoint (0 = off). */
-    unsigned promPort = 0;
-
     /** In-process ring capacity (0 = no ring). */
     std::size_t ringCapacity = 0;
 
     bool
     anySink() const
     {
-        return !jsonlPath.empty() || !promPath.empty() ||
-               promPort != 0 || ringCapacity != 0;
+        return !jsonlPath.empty() || ringCapacity != 0;
     }
 };
 

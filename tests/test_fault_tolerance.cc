@@ -1,7 +1,7 @@
 /**
  * @file
  * Fault-tolerance tests: trace-corruption fuzzing (truncation at
- * every record boundary, single-bit flips over every byte), the
+ * every byte past the header, single-bit flips over every byte), the
  * crash-isolated batch runner (injected faults, retries, timeouts),
  * and campaign checkpoint/resume.
  */
@@ -18,6 +18,7 @@
 #include "sim/coordinator.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_file.hh"
+#include "trace/trace_v3.hh"
 #include "util/json.hh"
 
 using namespace ipref;
@@ -63,9 +64,7 @@ writeTrace(const std::string &path,
            const std::vector<InstrRecord> &recs,
            std::uint32_t blockRecords)
 {
-    // These tests exercise the v2 stdio reader's damage semantics,
-    // so pin the v2 format (the writer default is now v3).
-    TraceFileWriter writer(path, blockRecords, TraceFormat::V2);
+    TraceFileWriter writer(path, blockRecords);
     for (const InstrRecord &rec : recs)
         writer.write(rec);
     writer.close();
@@ -90,35 +89,67 @@ writeFileBytes(const std::string &path,
               static_cast<std::streamsize>(bytes.size()));
 }
 
-/**
- * Drain @p reader, asserting every delivered record equals the
- * original stream (never garbage). @return records delivered before
- * the stream ended or threw.
- */
-std::uint64_t
-drainChecked(TraceFileReader &reader,
-             const std::vector<InstrRecord> &truth, bool *threw)
+/** What draining one trace file delivered. */
+struct Drained
 {
-    InstrRecord r;
-    std::uint64_t n = 0;
-    *threw = false;
+    std::uint64_t records = 0; //!< delivered before the end or a throw
+    bool threw = false;        //!< open or read raised TraceError
+    bool corrupt = false;      //!< tolerant reader flagged damage
+    std::string detail;        //!< the reader's corruption detail
+    std::uint64_t delivered = 0; //!< the reader's own count
+};
+
+/**
+ * Open @p path in @p mode and drain it, asserting every delivered
+ * record equals the original stream (never garbage).
+ */
+Drained
+drainChecked(const std::string &path, TraceReadMode mode,
+             const std::vector<InstrRecord> &truth)
+{
+    Drained d;
     try {
-        while (reader.next(r)) {
-            if (n >= truth.size()) {
+        auto reader = openTraceReader(path, mode);
+        InstrRecord r;
+        while (reader->next(r)) {
+            if (d.records >= truth.size()) {
                 ADD_FAILURE() << "more records than written";
                 break;
             }
-            EXPECT_EQ(r.pc, truth[n].pc);
-            EXPECT_EQ(r.target, truth[n].target);
+            const InstrRecord &want = truth[d.records];
+            EXPECT_EQ(r.pc, want.pc);
+            EXPECT_EQ(r.target, want.target);
+            EXPECT_EQ(r.dataAddr, want.dataAddr);
             EXPECT_EQ(static_cast<int>(r.op),
-                      static_cast<int>(truth[n].op));
-            EXPECT_EQ(r.taken, truth[n].taken);
-            ++n;
+                      static_cast<int>(want.op));
+            EXPECT_EQ(r.taken, want.taken);
+            ++d.records;
         }
+        d.corrupt = reader->corrupt();
+        d.detail = reader->corruptionDetail();
+        d.delivered = reader->delivered();
     } catch (const TraceError &) {
-        *threw = true;
+        d.threw = true;
     }
-    return n;
+    return d;
+}
+
+/** File offset just past each block of the intact v3 file @p bytes. */
+std::vector<std::size_t>
+blockEnds(const std::vector<unsigned char> &bytes)
+{
+    std::vector<std::size_t> ends;
+    std::size_t off = traceV3HeaderBytes;
+    while (off + 8 <= bytes.size()) {
+        std::size_t payload = bytes[off] | bytes[off + 1] << 8 |
+                              bytes[off + 2] << 16 |
+                              static_cast<std::size_t>(bytes[off + 3])
+                                  << 24;
+        off += 8 + payload;
+        ends.push_back(off);
+    }
+    EXPECT_EQ(off, bytes.size());
+    return ends;
 }
 
 /** A cheap functional run spec for batch tests. */
@@ -151,41 +182,35 @@ TEST(FaultTolerance, TruncationFuzz)
     std::vector<InstrRecord> truth = sampleRecords(kRecords);
     writeTrace(path, truth, kBlock);
     std::vector<unsigned char> whole = readFileBytes(path);
+    std::vector<std::size_t> ends = blockEnds(whole);
+    ASSERT_EQ(ends.size(), kRecords / kBlock);
 
-    const std::size_t headerBytes = 44;
-    const std::size_t blockBytes = kBlock * traceRecordBytes + 4;
-
-    for (unsigned t = 0; t < kRecords; ++t) {
-        // File offset of record t's boundary in the blocked layout.
-        std::size_t off = headerBytes + (t / kBlock) * blockBytes +
-                          (t % kBlock) * traceRecordBytes;
-        ASSERT_LT(off, whole.size());
+    // Cut the file at every byte past the header: inside a frame,
+    // inside a payload, and exactly on each block boundary.
+    for (std::size_t off = traceV3HeaderBytes; off < whole.size();
+         ++off) {
         writeFileBytes(path, std::vector<unsigned char>(
                                  whole.begin(),
                                  whole.begin() +
                                      static_cast<std::ptrdiff_t>(off)));
+        std::uint64_t intact = 0;
+        for (std::size_t end : ends)
+            intact += end <= off ? kBlock : 0;
 
         // Strict: the promised record count cannot be delivered, so
         // the reader must throw — after a correct prefix only.
-        {
-            TraceFileReader reader(path, TraceReadMode::Strict);
-            bool threw = false;
-            std::uint64_t got = drainChecked(reader, truth, &threw);
-            EXPECT_TRUE(threw) << "truncation at record " << t;
-            EXPECT_LE(got, t);
-        }
-        // Tolerant: ends cleanly at the last intact block.
-        {
-            TraceFileReader reader(path, TraceReadMode::Tolerant);
-            bool threw = false;
-            std::uint64_t got = drainChecked(reader, truth, &threw);
-            EXPECT_FALSE(threw) << "truncation at record " << t;
-            EXPECT_TRUE(reader.corrupt());
-            EXPECT_FALSE(reader.corruptionDetail().empty());
-            EXPECT_LE(got, t);
-            EXPECT_EQ(got % kBlock, 0u) << "partial block salvaged";
-            EXPECT_EQ(got, reader.delivered());
-        }
+        Drained strict = drainChecked(path, TraceReadMode::Strict, truth);
+        EXPECT_TRUE(strict.threw) << "truncation at byte " << off;
+        EXPECT_LE(strict.records, intact);
+
+        // Tolerant: ends cleanly after the last intact block.
+        Drained tolerant =
+            drainChecked(path, TraceReadMode::Tolerant, truth);
+        EXPECT_FALSE(tolerant.threw) << "truncation at byte " << off;
+        EXPECT_TRUE(tolerant.corrupt);
+        EXPECT_FALSE(tolerant.detail.empty());
+        EXPECT_EQ(tolerant.records, intact) << "truncation at " << off;
+        EXPECT_EQ(tolerant.records, tolerant.delivered);
     }
     std::remove(path.c_str());
 }
@@ -205,31 +230,24 @@ TEST(FaultTolerance, BitFlipFuzz)
         writeFileBytes(path, damaged);
 
         // Strict: every byte is covered by the magic check, the
-        // header CRC, or a block CRC — a flip anywhere must surface
-        // as TraceError (from open or from a read), never as garbage.
-        bool threw = false;
-        try {
-            TraceFileReader reader(path, TraceReadMode::Strict);
-            drainChecked(reader, truth, &threw);
-        } catch (const TraceError &) {
-            threw = true;
-        }
-        EXPECT_TRUE(threw) << "undetected bit flip at byte " << i;
+        // header CRC, a block frame's bounds or a block CRC — a flip
+        // anywhere must surface as TraceError (from open or from a
+        // read), never as garbage.
+        Drained strict = drainChecked(path, TraceReadMode::Strict, truth);
+        EXPECT_TRUE(strict.threw) << "undetected bit flip at byte " << i;
 
         // Tolerant: a damaged header still throws (nothing to
         // salvage); body damage ends the stream at a block boundary.
-        try {
-            TraceFileReader reader(path, TraceReadMode::Tolerant);
-            bool tolerantThrew = false;
-            std::uint64_t got =
-                drainChecked(reader, truth, &tolerantThrew);
-            EXPECT_FALSE(tolerantThrew);
-            EXPECT_TRUE(reader.corrupt());
-            EXPECT_EQ(got % kBlock, 0u);
-        } catch (const TraceError &) {
-            EXPECT_LT(i, 44u) << "only header damage may throw in "
-                                 "tolerant mode (byte "
-                              << i << ")";
+        Drained tolerant =
+            drainChecked(path, TraceReadMode::Tolerant, truth);
+        if (tolerant.threw) {
+            EXPECT_LT(i, traceV3HeaderBytes)
+                << "only header damage may throw in tolerant mode "
+                   "(byte "
+                << i << ")";
+        } else {
+            EXPECT_TRUE(tolerant.corrupt) << "byte " << i;
+            EXPECT_EQ(tolerant.records % kBlock, 0u) << "byte " << i;
         }
     }
     std::remove(path.c_str());

@@ -3,18 +3,12 @@
  * Tests for the live telemetry layer: registry concurrency (the
  * serial sum must equal N threads' worth of relaxed-atomic updates),
  * sampler reconciliation (the stream's final record carries final
- * instrument totals), the Prometheus text exposition golden format,
- * the JSON-lines round trip ipref_top depends on, and end-to-end
- * reconciliation between the live counters and a run's reported
- * results.
+ * instrument totals), the JSON-lines round trip ipref_top depends
+ * on, and end-to-end reconciliation between the live counters and a
+ * run's reported results.
  */
 
 #include <gtest/gtest.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <string>
 #include <thread>
@@ -115,107 +109,6 @@ TEST(MetricsSnapshot, ParseRejectsDamagedLines)
         parseSnapshotLine(line.substr(0, line.size() / 2)));
     EXPECT_ANY_THROW(parseSnapshotLine("not json at all"));
     EXPECT_ANY_THROW(parseSnapshotLine("[1, 2, 3]"));
-}
-
-TEST(MetricsSnapshot, PrometheusGoldenFormat)
-{
-    Snapshot s = sampleSnapshot();
-    const std::string expected =
-        "# TYPE ipref_test_c counter\n"
-        "ipref_test_c 3\n"
-        "# TYPE ipref_test_c2 counter\n"
-        "ipref_test_c2 1099511627776\n"
-        "# TYPE ipref_test_g gauge\n"
-        "ipref_test_g -2\n"
-        "# TYPE ipref_test_h histogram\n"
-        "ipref_test_h_bucket{le=\"1\"} 2\n"
-        "ipref_test_h_bucket{le=\"5\"} 3\n"
-        "ipref_test_h_bucket{le=\"+Inf\"} 7\n"
-        "ipref_test_h_sum 42.5\n"
-        "ipref_test_h_count 7\n";
-    EXPECT_EQ(renderPrometheus(s), expected);
-}
-
-// --- localhost exposition endpoint (--metrics-port) -------------------
-
-TEST(MetricsSnapshot, PrometheusTcpEndpointServesGoldenExposition)
-{
-    // The exporter binds a fixed localhost port (0 = endpoint off),
-    // so probe a small candidate range; a machine with the whole
-    // range occupied skips rather than fails.
-    std::unique_ptr<PrometheusExporter> exporter;
-    for (unsigned port = 18500; port <= 18530; ++port) {
-        auto e = std::make_unique<PrometheusExporter>("", port);
-        if (e->boundPort() != 0) {
-            exporter = std::move(e);
-            break;
-        }
-    }
-    if (!exporter)
-        GTEST_SKIP() << "no free port in 18500-18530";
-
-    Snapshot s = sampleSnapshot();
-    exporter->consume(s);
-
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port =
-        htons(static_cast<std::uint16_t>(exporter->boundPort()));
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    const std::string req = "GET /metrics HTTP/1.0\r\n\r\n";
-    ASSERT_EQ(::send(fd, req.data(), req.size(), 0),
-              static_cast<ssize_t>(req.size()));
-
-    std::string resp;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-        resp.append(buf, static_cast<std::size_t>(n));
-    ::close(fd);
-
-    // Status line, scrape-compatible content type, and a body that is
-    // exactly the golden text exposition of the consumed snapshot.
-    EXPECT_NE(resp.find("HTTP/1.0 200 OK\r\n"), std::string::npos);
-    EXPECT_NE(resp.find("Content-Type: text/plain; version=0.0.4"),
-              std::string::npos);
-    std::size_t split = resp.find("\r\n\r\n");
-    ASSERT_NE(split, std::string::npos);
-    std::string body = resp.substr(split + 4);
-    EXPECT_EQ(body, renderPrometheus(s));
-    EXPECT_NE(resp.find("Content-Length: " +
-                        std::to_string(body.size())),
-              std::string::npos);
-
-    // A second scrape sees the refreshed exposition, not a stale one.
-    s.counters.push_back({"ipref_test_c3", 9});
-    exporter->consume(s);
-    int fd2 = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd2, 0);
-    ASSERT_EQ(::connect(fd2, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    ASSERT_EQ(::send(fd2, req.data(), req.size(), 0),
-              static_cast<ssize_t>(req.size()));
-    std::string resp2;
-    while ((n = ::recv(fd2, buf, sizeof(buf), 0)) > 0)
-        resp2.append(buf, static_cast<std::size_t>(n));
-    ::close(fd2);
-    EXPECT_NE(resp2.find("ipref_test_c3 9\n"), std::string::npos);
-}
-
-TEST(MetricsSnapshot, PrometheusRoundTripRecoversSeries)
-{
-    Snapshot s = sampleSnapshot();
-    // The exposition does not carry seq / timestamp.
-    s.seq = 0;
-    s.unixMs = 0;
-    Snapshot back = parsePrometheus(renderPrometheus(s));
-    EXPECT_EQ(back, s);
 }
 
 // --- instruments ------------------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the trace layer: record semantics, sources, binary file
- * round-trips and the summarizer.
+ * Tests for the trace layer: record semantics, sources, opening
+ * trace files and the summarizer. Round trips through the v3 format
+ * live in test_trace_v3.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "trace/trace_file.hh"
 #include "trace/trace_source.hh"
 #include "trace/trace_stats.hh"
+#include "trace/trace_v3.hh"
 
 using namespace ipref;
 
@@ -140,219 +142,56 @@ TEST(LoopingSource, WrapsAround)
     }
 }
 
-TEST(TraceFile, RoundTrip)
-{
-    std::string path = ::testing::TempDir() + "roundtrip.trc";
-    InstrRecord w;
-    w.pc = 0x123456789abcULL;
-    w.target = 0xfedcba987654ULL;
-    w.dataAddr = 0x1122334455ULL;
-    w.op = OpClass::CondBranch;
-    w.taken = true;
-    w.srcReg[0] = 7;
-    w.srcReg[1] = 8;
-    w.dstReg = 9;
-    {
-        TraceFileWriter writer(path, 0, TraceFormat::V2);
-        for (int i = 0; i < 100; ++i) {
-            w.pc += instrBytes;
-            writer.write(w);
-        }
-        writer.close();
-        EXPECT_EQ(writer.count(), 100u);
-    }
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.count(), 100u);
-    InstrRecord r;
-    Addr pc = 0x123456789abcULL;
-    int n = 0;
-    while (reader.next(r)) {
-        pc += instrBytes;
-        EXPECT_EQ(r.pc, pc);
-        EXPECT_EQ(r.target, w.target);
-        EXPECT_EQ(r.dataAddr, w.dataAddr);
-        EXPECT_EQ(r.op, OpClass::CondBranch);
-        EXPECT_TRUE(r.taken);
-        EXPECT_EQ(r.srcReg[0], 7);
-        EXPECT_EQ(r.srcReg[1], 8);
-        EXPECT_EQ(r.dstReg, 9);
-        ++n;
-    }
-    EXPECT_EQ(n, 100);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, ResetRewinds)
-{
-    std::string path = ::testing::TempDir() + "rewind.trc";
-    {
-        TraceFileWriter writer(path, 0, TraceFormat::V2);
-        writer.write(makeInstr(0x42, OpClass::IntAlu));
-        writer.close();
-    }
-    TraceFileReader reader(path);
-    InstrRecord r;
-    ASSERT_TRUE(reader.next(r));
-    EXPECT_FALSE(reader.next(r));
-    reader.reset();
-    ASSERT_TRUE(reader.next(r));
-    EXPECT_EQ(r.pc, 0x42u);
-    std::remove(path.c_str());
-}
-
 TEST(TraceFile, MissingFileThrows)
 {
     test::expectThrows<TraceError>(
-        [] { TraceFileReader r("/nonexistent/path/x.trc"); },
+        [] { openTraceReader("/nonexistent/path/x.trc"); },
         "cannot open");
-}
-
-TEST(TraceFile, BadMagicIsFatal)
-{
-    std::string path = ::testing::TempDir() + "bad.trc";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const char junk[64] = "not a trace file at all............";
-    std::fwrite(junk, 1, sizeof(junk), f);
-    std::fclose(f);
-    test::expectThrows<TraceError>([&] { TraceFileReader r{path}; },
-                                   "bad trace magic");
-    std::remove(path.c_str());
 }
 
 namespace
 {
 
-/** Little-endian u64 into a raw byte buffer. */
 void
-putLe64(unsigned char *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-/** Pack one record exactly as the v1/v2 on-disk layout does. */
-void
-packRaw(const InstrRecord &rec, unsigned char *buf)
-{
-    putLe64(buf + 0, rec.pc);
-    putLe64(buf + 8, rec.target);
-    putLe64(buf + 16, rec.dataAddr);
-    buf[24] = static_cast<unsigned char>(rec.op);
-    buf[25] = rec.taken ? 1 : 0;
-    buf[26] = rec.srcReg[0];
-    buf[27] = rec.srcReg[1];
-    buf[28] = rec.dstReg;
-}
-
-/** Hand-write a legacy v1 file: 32B header, raw records, no CRCs. */
-void
-writeV1File(const std::string &path,
-            const std::vector<InstrRecord> &recs)
+writeRawFile(const std::string &path, const void *bytes, std::size_t n)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    unsigned char hdr[32] = {'I', 'P', 'R', 'T', 'R', 'C', '0', '1'};
-    putLe64(hdr + 8, recs.size());
-    std::fwrite(hdr, 1, sizeof(hdr), f);
-    for (const InstrRecord &rec : recs) {
-        unsigned char buf[traceRecordBytes];
-        packRaw(rec, buf);
-        std::fwrite(buf, 1, sizeof(buf), f);
-    }
+    std::fwrite(bytes, 1, n, f);
     std::fclose(f);
 }
 
 } // namespace
 
-TEST(TraceFile, ReadsLegacyV1Files)
+TEST(TraceFile, BadMagicIsFatal)
 {
-    std::string path = ::testing::TempDir() + "legacy.trc";
-    std::vector<InstrRecord> recs;
-    for (int i = 0; i < 5; ++i)
-        recs.push_back(makeInstr(0x1000 + 4u * i, OpClass::IntAlu));
-    recs.push_back(
-        makeInstr(0x1014, OpClass::CondBranch, true, 0x2000));
-    writeV1File(path, recs);
-
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.version(), 1u);
-    EXPECT_EQ(reader.count(), recs.size());
-    InstrRecord r;
-    for (const InstrRecord &want : recs) {
-        ASSERT_TRUE(reader.next(r));
-        EXPECT_EQ(r.pc, want.pc);
-        EXPECT_EQ(r.op, want.op);
-        EXPECT_EQ(r.taken, want.taken);
-        EXPECT_EQ(r.target, want.target);
-    }
-    EXPECT_FALSE(reader.next(r));
+    std::string path = ::testing::TempDir() + "bad.trc";
+    const char junk[64] = "not a trace file at all............";
+    writeRawFile(path, junk, sizeof(junk));
+    for (TraceReadMode mode :
+         {TraceReadMode::Strict, TraceReadMode::Tolerant})
+        test::expectThrows<TraceError>(
+            [&] { openTraceReader(path, mode); },
+            "unsupported trace magic \"not a tr\"");
     std::remove(path.c_str());
 }
 
-TEST(TraceFile, V1InvalidOpByteThrows)
+TEST(TraceFile, RetiredFormatsAreRejected)
 {
-    // v1 has no checksums, so the decode-time op validation is the
-    // only line of defense against garbage bytes.
-    std::string path = ::testing::TempDir() + "legacy_bad_op.trc";
-    std::vector<InstrRecord> recs = {makeInstr(0x42, OpClass::IntAlu)};
-    recs.push_back(recs[0]);
-    recs[1].op = static_cast<OpClass>(0xee);
-    writeV1File(path, recs);
-
-    TraceFileReader reader(path);
-    InstrRecord r;
-    ASSERT_TRUE(reader.next(r));
-    test::expectThrows<TraceError>(
-        [&] {
-            while (reader.next(r)) {
-            }
-        },
-        "invalid op class");
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, WritesVersion2)
-{
-    std::string path = ::testing::TempDir() + "v2.trc";
-    {
-        // v2 must stay writable for compatibility studies.
-        TraceFileWriter writer(path, 0, TraceFormat::V2);
-        // Spill past one CRC block to cover the multi-block path.
-        for (unsigned i = 0; i < traceDefaultBlockRecords + 10; ++i)
-            writer.write(makeInstr(0x1000 + 4u * i, OpClass::IntAlu));
-        writer.close();
+    // Files in the retired v1/v2 layouts: a well-formed header of
+    // either is still refused, naming the magic it found.
+    std::string path = ::testing::TempDir() + "retired.trc";
+    for (char version : {'1', '2'}) {
+        unsigned char bytes[128] = {'I', 'P', 'R', 'T', 'R', 'C', '0'};
+        bytes[7] = static_cast<unsigned char>(version);
+        bytes[8] = 1; // record count
+        writeRawFile(path, bytes, sizeof(bytes));
+        std::string found = std::string("IPRTRC0") + version;
+        test::expectThrows<TraceError>(
+            [&] { openTraceReader(path, TraceReadMode::Tolerant); },
+            "unsupported trace magic \"" + found +
+                "\": only IPRTRC03 (v3) trace files are readable");
     }
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.version(), 2u);
-    EXPECT_EQ(reader.count(), traceDefaultBlockRecords + 10u);
-    InstrRecord r;
-    std::uint64_t n = 0;
-    while (reader.next(r)) {
-        EXPECT_EQ(r.pc, 0x1000 + 4u * n);
-        ++n;
-    }
-    EXPECT_EQ(n, reader.count());
-    EXPECT_FALSE(reader.corrupt());
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, SmallBlocksRoundTrip)
-{
-    std::string path = ::testing::TempDir() + "smallblk.trc";
-    {
-        TraceFileWriter writer(path, /*blockRecords=*/4,
-                               TraceFormat::V2);
-        for (unsigned i = 0; i < 11; ++i) // partial trailing block
-            writer.write(makeInstr(0x1000 + 4u * i, OpClass::IntAlu));
-        writer.close();
-    }
-    TraceFileReader reader(path);
-    InstrRecord r;
-    std::uint64_t n = 0;
-    while (reader.next(r))
-        ++n;
-    EXPECT_EQ(n, 11u);
     std::remove(path.c_str());
 }
 

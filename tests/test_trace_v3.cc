@@ -2,8 +2,8 @@
  * @file
  * Tests for the v3 columnar trace format, the mmap reader, the shared
  * TraceCache and the redesigned TraceSource/RunSpec APIs: round-trip
- * fidelity, v2->v3 conversion replay equivalence, corruption fuzzing,
- * decode sharing under a parallel batch, and Builder validation.
+ * fidelity, corruption fuzzing and crafted headers, decode sharing
+ * under a parallel batch, and Builder validation.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <random>
@@ -73,11 +74,10 @@ syntheticStream(std::size_t n, std::uint32_t seed = 1)
 void
 writeTraceFile(const std::string &path,
                const std::vector<InstrRecord> &recs,
-               TraceFormat format = TraceFormat::V3,
                std::uint32_t blockRecords = 0,
                bool dataAddresses = true)
 {
-    TraceFileWriter writer(path, blockRecords, format, dataAddresses);
+    TraceFileWriter writer(path, blockRecords, dataAddresses);
     for (const InstrRecord &rec : recs)
         writer.write(rec);
     writer.close();
@@ -155,38 +155,72 @@ TEST(TraceV3, WriterDefaultsToV3)
 {
     std::string path = ::testing::TempDir() + "v3_default.trc";
     writeTraceFile(path, syntheticStream(100));
+    std::vector<unsigned char> bytes = readFileBytes(path);
+    ASSERT_GE(bytes.size(), traceV3HeaderBytes);
+    EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 8), "IPRTRC03");
     auto reader = openTraceReader(path);
-    EXPECT_EQ(reader->version(), 3u);
-    EXPECT_NE(dynamic_cast<MappedTraceReader *>(reader.get()),
-              nullptr);
+    EXPECT_EQ(reader->blockRecords(), traceV3DefaultBlockRecords);
     std::remove(path.c_str());
 }
+
+namespace
+{
+
+/** 100 copies of one record with every column set, pc stepping. */
+std::vector<InstrRecord>
+everyColumnStream()
+{
+    InstrRecord w;
+    w.pc = 0x123456789abcULL;
+    w.target = 0xfedcba987654ULL;
+    w.dataAddr = 0x1122334455ULL;
+    w.op = OpClass::CondBranch;
+    w.taken = true;
+    w.srcReg[0] = 7;
+    w.srcReg[1] = 8;
+    w.dstReg = 9;
+    std::vector<InstrRecord> recs;
+    for (int i = 0; i < 100; ++i) {
+        w.pc += instrBytes;
+        recs.push_back(w);
+    }
+    return recs;
+}
+
+} // namespace
 
 TEST(TraceV3, RoundTripAllColumns)
 {
     std::string path = ::testing::TempDir() + "v3_rt.trc";
-    // Multiple blocks plus a partial trailing block.
-    std::vector<InstrRecord> truth =
-        syntheticStream(3 * traceV3DefaultBlockRecords / 2);
-    writeTraceFile(path, truth);
-
-    auto reader = openTraceReader(path);
-    EXPECT_EQ(reader->count(), truth.size());
-    expectSameRecords(drainNext(*reader), truth);
-    EXPECT_EQ(reader->delivered(), truth.size());
-    EXPECT_FALSE(reader->corrupt());
+    // Multiple blocks plus a partial trailing block, and a short
+    // stream with every field far from zero.
+    for (const std::vector<InstrRecord> &truth :
+         {syntheticStream(3 * traceV3DefaultBlockRecords / 2),
+          everyColumnStream()}) {
+        writeTraceFile(path, truth);
+        auto reader = openTraceReader(path);
+        EXPECT_EQ(reader->count(), truth.size());
+        expectSameRecords(drainNext(*reader), truth);
+        EXPECT_EQ(reader->delivered(), truth.size());
+        EXPECT_FALSE(reader->corrupt());
+    }
     std::remove(path.c_str());
 }
 
 TEST(TraceV3, ResetRewinds)
 {
     std::string path = ::testing::TempDir() + "v3_reset.trc";
-    std::vector<InstrRecord> truth = syntheticStream(1000);
-    writeTraceFile(path, truth, TraceFormat::V3, 64);
-    auto reader = openTraceReader(path);
-    expectSameRecords(drainNext(*reader), truth);
-    reader->reset();
-    expectSameRecords(drainBatch(*reader), truth);
+    // A multi-block stream, and a single record read to its end.
+    for (const std::vector<InstrRecord> &truth :
+         {syntheticStream(1000), syntheticStream(1, 42)}) {
+        writeTraceFile(path, truth, 64);
+        auto reader = openTraceReader(path);
+        expectSameRecords(drainNext(*reader), truth);
+        InstrRecord r;
+        EXPECT_FALSE(reader->next(r));
+        reader->reset();
+        expectSameRecords(drainBatch(*reader), truth);
+    }
     std::remove(path.c_str());
 }
 
@@ -204,10 +238,21 @@ TEST(TraceV3, EmptyFileRoundTrips)
 TEST(TraceV3, SingleRecordAndTinyBlocks)
 {
     std::string path = ::testing::TempDir() + "v3_tiny.trc";
-    std::vector<InstrRecord> truth = syntheticStream(11, 7);
-    writeTraceFile(path, truth, TraceFormat::V3, /*blockRecords=*/4);
-    auto reader = openTraceReader(path);
-    expectSameRecords(drainNext(*reader), truth);
+    // 11 records in blocks of 4 leave a partial trailing block; the
+    // second stream is straight-line code (one op run per block).
+    std::vector<InstrRecord> straight;
+    for (unsigned i = 0; i < 11; ++i) {
+        InstrRecord r;
+        r.pc = 0x1000 + 4u * i;
+        r.op = OpClass::IntAlu;
+        straight.push_back(r);
+    }
+    for (const std::vector<InstrRecord> &truth :
+         {syntheticStream(11, 7), straight, syntheticStream(1, 3)}) {
+        writeTraceFile(path, truth, /*blockRecords=*/4);
+        auto reader = openTraceReader(path);
+        expectSameRecords(drainNext(*reader), truth);
+    }
     std::remove(path.c_str());
 }
 
@@ -215,24 +260,13 @@ TEST(TraceV3, DroppedDataAddressColumn)
 {
     std::string path = ::testing::TempDir() + "v3_nodata.trc";
     std::vector<InstrRecord> truth = syntheticStream(500);
-    writeTraceFile(path, truth, TraceFormat::V3, 0,
+    writeTraceFile(path, truth, 0,
                    /*dataAddresses=*/false);
     for (InstrRecord &r : truth)
         r.dataAddr = 0; // the column was dropped on write
     auto reader = openTraceReader(path);
-    auto *mapped = dynamic_cast<MappedTraceReader *>(reader.get());
-    ASSERT_NE(mapped, nullptr);
-    EXPECT_FALSE(mapped->hasDataAddresses());
+    EXPECT_FALSE(reader->hasDataAddresses());
     expectSameRecords(drainNext(*reader), truth);
-    std::remove(path.c_str());
-}
-
-TEST(TraceV3, StdioReaderRejectsV3Files)
-{
-    std::string path = ::testing::TempDir() + "v3_reject.trc";
-    writeTraceFile(path, syntheticStream(10));
-    test::expectThrows<TraceError>([&] { TraceFileReader r{path}; },
-                                   "v3 trace file");
     std::remove(path.c_str());
 }
 
@@ -253,53 +287,13 @@ TEST(TraceV3, SlicedCrcMatchesBytewise)
               crc32(data.data() + 100, 999, a));
 }
 
-// --- conversion golden ------------------------------------------------
-
-TEST(TraceV3, ConvertedV2ReplaysBitIdentically)
-{
-    std::string v2 = ::testing::TempDir() + "conv_v2.trc";
-    std::string v3 = ::testing::TempDir() + "conv_v3.trc";
-    std::vector<InstrRecord> truth = syntheticStream(20000, 5);
-    writeTraceFile(v2, truth, TraceFormat::V2);
-
-    // Convert exactly as `ipref_trace convert` does.
-    {
-        auto reader = openTraceReader(v2);
-        TraceFileWriter writer(v3);
-        InstrRecord r;
-        while (reader->next(r))
-            writer.write(r);
-        writer.close();
-    }
-    {
-        auto r2 = openTraceReader(v2);
-        auto r3 = openTraceReader(v3);
-        expectSameRecords(drainBatch(*r3), drainBatch(*r2));
-    }
-
-    // Replaying either file produces bit-identical SimResults.
-    auto replay = [](const std::string &path) {
-        return runSpec(RunSpec::builder()
-                           .cmp(false)
-                           .functional()
-                           .traceFile(path)
-                           .instrScale(0.02)
-                           .build());
-    };
-    SimResults a = replay(v2);
-    SimResults b = replay(v3);
-    EXPECT_EQ(resultsToJson(a), resultsToJson(b));
-    std::remove(v2.c_str());
-    std::remove(v3.c_str());
-}
-
 // --- damage -----------------------------------------------------------
 
 TEST(TraceV3, TruncationStrictThrowsTolerantSalvages)
 {
     std::string path = ::testing::TempDir() + "v3_trunc.trc";
     std::vector<InstrRecord> truth = syntheticStream(2000, 3);
-    writeTraceFile(path, truth, TraceFormat::V3, 256);
+    writeTraceFile(path, truth, 256);
     std::vector<unsigned char> intact = readFileBytes(path);
 
     // Clip at several depths, from mid-payload to mid-frame-header.
@@ -340,7 +334,7 @@ TEST(TraceV3, BitFlipFuzzNeverYieldsGarbage)
 {
     std::string path = ::testing::TempDir() + "v3_fuzz.trc";
     std::vector<InstrRecord> truth = syntheticStream(3000, 11);
-    writeTraceFile(path, truth, TraceFormat::V3, 128);
+    writeTraceFile(path, truth, 128);
     std::vector<unsigned char> intact = readFileBytes(path);
 
     std::mt19937 rng(1234);
@@ -384,7 +378,81 @@ TEST(TraceV3, HeaderDamageIsFatalEvenTolerant)
     std::remove(path.c_str());
 }
 
+namespace
+{
+
+void
+putLe(unsigned char *p, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+/**
+ * A 120-byte v3 file whose header is CRC-valid but promises 2^40
+ * records in blocks of @p blockRecords, followed by one framed,
+ * CRC-valid 64-byte payload — far too small for such a block.
+ */
+void
+writeCraftedHeaderFile(const std::string &path,
+                       std::uint32_t blockRecords)
+{
+    std::vector<unsigned char> bytes(traceV3HeaderBytes + 8 + 64, 0);
+    std::memcpy(bytes.data(), "IPRTRC03", 8);
+    putLe(bytes.data() + 8, std::uint64_t{1} << 40, 8);
+    putLe(bytes.data() + 16, blockRecords, 4);
+    putLe(bytes.data() + 20, traceV3FlagDataAddr, 4);
+    putLe(bytes.data() + 44, crc32(bytes.data(), 44), 4);
+    unsigned char *frame = bytes.data() + traceV3HeaderBytes;
+    putLe(frame, 64, 4);
+    putLe(frame + 4, crc32(frame + 8, 64), 4);
+    writeFileBytes(path, bytes);
+}
+
+} // namespace
+
+TEST(TraceV3, CraftedBlockSizeStrictThrows)
+{
+    std::string path = ::testing::TempDir() + "v3_crafted_strict.trc";
+    writeCraftedHeaderFile(path, 0xFFFFFFFFu);
+    test::expectThrows<TraceError>(
+        [&] {
+            auto r = openTraceReader(path, TraceReadMode::Strict);
+            drainNext(*r);
+        },
+        "implausible v3 block size");
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3, CraftedBlockSizeTolerantIsCorrupt)
+{
+    std::string path = ::testing::TempDir() + "v3_crafted_tolerant.trc";
+    writeCraftedHeaderFile(path, 0xFFFFFFFFu);
+    auto reader = openTraceReader(path, TraceReadMode::Tolerant);
+    EXPECT_TRUE(drainBatch(*reader).empty());
+    EXPECT_TRUE(reader->corrupt());
+    EXPECT_NE(reader->corruptionDetail().find("implausible"),
+              std::string::npos)
+        << reader->corruptionDetail();
+    std::remove(path.c_str());
+}
+
 // --- TraceCache -------------------------------------------------------
+
+TEST(TraceCache, TolerantAcquireOfCraftedHeaderIsCorrupt)
+{
+    // The header's 2^40-record count must not size the decode buffer.
+    std::string path = ::testing::TempDir() + "cache_crafted.trc";
+    writeCraftedHeaderFile(path, 4096);
+    TraceCache::instance().clear();
+    auto t = TraceCache::instance().acquire(path,
+                                            TraceReadMode::Tolerant);
+    EXPECT_TRUE(t->corrupt);
+    EXPECT_TRUE(t->records.empty());
+    EXPECT_EQ(t->headerCount, std::uint64_t{1} << 40);
+    TraceCache::instance().clear();
+    std::remove(path.c_str());
+}
 
 TEST(TraceCache, SharesOneDecodeAcrossAcquires)
 {
@@ -432,7 +500,7 @@ TEST(TraceCache, RewrittenFileIsReloaded)
 TEST(TraceCache, StrictAcquireOfDamagedFileThrows)
 {
     std::string path = ::testing::TempDir() + "cache_damaged.trc";
-    writeTraceFile(path, syntheticStream(1000), TraceFormat::V3, 128);
+    writeTraceFile(path, syntheticStream(1000), 128);
     std::vector<unsigned char> bytes = readFileBytes(path);
     bytes[bytes.size() - 3] ^= 0x40;
     writeFileBytes(path, bytes);
@@ -499,12 +567,9 @@ TEST(TraceSourceApi, NextAndNextBatchAgreeAcrossSources)
 {
     std::vector<InstrRecord> truth = syntheticStream(701, 13);
 
-    std::string v2 = ::testing::TempDir() + "agree_v2.trc";
-    std::string v3 = ::testing::TempDir() + "agree_v3.trc";
-    writeTraceFile(v2, truth, TraceFormat::V2);
-    writeTraceFile(v3, truth, TraceFormat::V3, 64);
-
-    for (const std::string &path : {v2, v3}) {
+    std::string path = ::testing::TempDir() + "agree_v3.trc";
+    writeTraceFile(path, truth, 64);
+    {
         auto a = openTraceReader(path);
         auto b = openTraceReader(path);
         expectSameRecords(drainNext(*a), drainBatch(*b));
@@ -524,8 +589,7 @@ TEST(TraceSourceApi, NextAndNextBatchAgreeAcrossSources)
               viaBatch.size());
     expectSameRecords(viaBatch, viaNext);
 
-    std::remove(v2.c_str());
-    std::remove(v3.c_str());
+    std::remove(path.c_str());
 }
 
 TEST(TraceSourceApi, SizeHintReportsHeaderCount)

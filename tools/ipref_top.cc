@@ -3,8 +3,7 @@
  * ipref_top — live campaign monitor.
  *
  * Tails the JSON-lines telemetry stream a campaign writes with
- * `--metrics-out` (or reads a Prometheus exposition file written with
- * `--metrics-prom`) and renders a refreshing progress panel: runs done
+ * `--metrics-out` and renders a refreshing progress panel: runs done
  * / total with failure counts, aggregate simulation speed (Minstr/s,
  * instantaneous and cumulative), worker-pool occupancy, trace-cache
  * hit rate and an ETA. Point it at the same files the campaign is
@@ -17,7 +16,6 @@
  * Flags:
  *   --jsonl FILE       JSON-lines telemetry stream (default
  *                      metrics.jsonl)
- *   --prom FILE        read a Prometheus exposition file instead
  *   --manifest FILE    campaign checkpoint; adds a wall-time-based
  *                      per-run average to the ETA estimate
  *   --total N          expected total runs (default: the campaign's
@@ -56,6 +54,7 @@
 
 #include "sim/campaign.hh"
 #include "sim/cycle_ledger.hh"
+#include "util/error.hh"
 #include "util/json.hh"
 #include "util/metrics.hh"
 #include "util/options.hh"
@@ -501,10 +500,9 @@ renderFleet(const std::vector<FleetMember> &fleet,
 
 int
 main(int argc, char **argv)
-{
+try {
     Options opts(argc, argv);
     std::string jsonl = opts.getString("jsonl", "metrics.jsonl");
-    std::string prom = opts.getString("prom");
     std::string manifest = opts.getString("manifest");
     std::uint64_t total = opts.getUint("total", 0);
     std::uint64_t refreshMs = opts.getUint("refresh-ms", 1000);
@@ -523,37 +521,16 @@ main(int argc, char **argv)
         }
     }
 
-    const std::string source = prom.empty() ? jsonl : prom;
-    // Prometheus files hold only the latest exposition, so rates need
-    // history carried across refreshes.
-    std::vector<metrics::Snapshot> promHistory;
-
     while (true) {
-        std::vector<metrics::Snapshot> snaps;
-        if (!prom.empty()) {
-            std::ifstream in(prom);
-            if (in) {
-                std::stringstream buf;
-                buf << in.rdbuf();
-                try {
-                    metrics::Snapshot s =
-                        metrics::parsePrometheus(buf.str());
-                    if (promHistory.empty() ||
-                        promHistory.back().seq != s.seq)
-                        promHistory.push_back(std::move(s));
-                } catch (const std::exception &) {
-                    // racing the atomic rewrite; keep the history
-                }
-            }
-            snaps = promHistory;
-        } else {
-            snaps = readJsonl(jsonl);
-        }
-
-        render(snaps, source, total, manifest, !once);
+        std::vector<metrics::Snapshot> snaps = readJsonl(jsonl);
+        render(snaps, jsonl, total, manifest, !once);
         if (once)
             return snaps.empty() ? 1 : 0;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(refreshMs));
     }
+} catch (const SimError &e) {
+    std::cerr << "error (" << errorKindName(e.kind())
+              << "): " << e.what() << "\n";
+    return 1;
 }

@@ -1,22 +1,21 @@
 /**
  * @file
- * ipref_trace: inspect, verify and convert binary trace files.
+ * ipref_trace: inspect, verify and re-encode v3 trace files.
  *
  * Usage:
  *   ipref_trace info IN                     print header + per-block
- *                                           stats (version, count,
+ *                                           stats (count, block size,
  *                                           bytes/record)
  *   ipref_trace verify IN [--tolerant]      decode every record; exit
  *                                           0 iff the file is intact
  *                                           (tolerant: report salvage
  *                                           instead of failing)
- *   ipref_trace convert IN OUT [--format v2|v3] [--block N]
- *                  [--tolerant] [--no-data-addresses]
- *                                           re-encode IN as OUT
+ *   ipref_trace convert IN OUT [--block N] [--tolerant]
+ *                  [--no-data-addresses]    re-encode IN as OUT
  *
- * convert defaults to v3, the columnar zero-copy format; converting a
- * v2 capture to v3 typically shrinks it ~8x and replays bit-identically
- * (the record stream is preserved exactly).
+ * convert re-blocks a capture or drops its data-address column. The
+ * record stream is preserved exactly, so re-encoding an intact capture
+ * with its own block size and columns reproduces it byte for byte.
  */
 
 #include <cinttypes>
@@ -40,15 +39,14 @@ usage()
     std::cerr
         << "usage: ipref_trace info IN\n"
         << "       ipref_trace verify IN [--tolerant]\n"
-        << "       ipref_trace convert IN OUT [--format v2|v3]\n"
-        << "               [--block N] [--tolerant]"
-        << " [--no-data-addresses]\n";
+        << "       ipref_trace convert IN OUT [--block N] [--tolerant]\n"
+        << "               [--no-data-addresses]\n";
     return 2;
 }
 
 /** Drain @p reader, returning the records delivered. */
 std::uint64_t
-drain(TraceReader &reader)
+drain(MappedTraceReader &reader)
 {
     std::vector<InstrRecord> buf(8192);
     std::uint64_t total = 0;
@@ -68,22 +66,18 @@ cmdInfo(const std::string &path)
     std::uint64_t delivered = drain(*reader);
 
     std::cout << "file:        " << path << "\n";
-    std::cout << "version:     v" << reader->version() << "\n";
     std::cout << "records:     " << reader->count() << " (header), "
               << delivered << " decodable\n";
-    if (auto *m = dynamic_cast<MappedTraceReader *>(reader.get())) {
-        std::cout << "block:       " << m->blockRecords()
-                  << " records\n";
-        std::cout << "data column: "
-                  << (m->hasDataAddresses() ? "yes" : "no") << "\n";
-        std::cout << "size:        " << m->fileBytes() << " bytes";
-        if (delivered > 0)
-            std::printf(" (%.2f bytes/record vs %zu raw)",
-                        static_cast<double>(m->fileBytes()) /
-                            static_cast<double>(delivered),
-                        traceRecordBytes);
-        std::cout << "\n";
-    }
+    std::cout << "block:       " << reader->blockRecords()
+              << " records\n";
+    std::cout << "data column: "
+              << (reader->hasDataAddresses() ? "yes" : "no") << "\n";
+    std::cout << "size:        " << reader->fileBytes() << " bytes";
+    if (delivered > 0)
+        std::printf(" (%.2f bytes/record)",
+                    static_cast<double>(reader->fileBytes()) /
+                        static_cast<double>(delivered));
+    std::cout << "\n";
     if (reader->corrupt())
         std::cout << "damage:      " << reader->corruptionDetail()
                   << "\n";
@@ -109,8 +103,7 @@ cmdVerify(const std::string &path, bool tolerant)
                   << " records promised by the header\n";
         return 1;
     }
-    std::cout << path << ": OK (v" << reader->version() << ", "
-              << delivered << " records)\n";
+    std::cout << path << ": OK (" << delivered << " records)\n";
     return 0;
 }
 
@@ -118,18 +111,11 @@ int
 cmdConvert(const std::string &in, const std::string &out,
            const Options &opts)
 {
-    std::string fmt = opts.getString("format", "v3");
-    if (fmt != "v2" && fmt != "v3") {
-        std::cerr << "unknown --format '" << fmt
-                  << "' (valid: v2, v3)\n";
-        return 2;
-    }
     auto reader = openTraceReader(in, opts.getBool("tolerant")
                                           ? TraceReadMode::Tolerant
                                           : TraceReadMode::Strict);
     TraceFileWriter writer(
         out, static_cast<std::uint32_t>(opts.getUint("block", 0)),
-        fmt == "v2" ? TraceFormat::V2 : TraceFormat::V3,
         !opts.getBool("no-data-addresses"));
 
     std::vector<InstrRecord> buf(8192);
@@ -144,8 +130,7 @@ cmdConvert(const std::string &in, const std::string &out,
     writer.close();
 
     std::cout << "converted " << writer.count() << " records: " << in
-              << " (v" << reader->version() << ") -> " << out << " ("
-              << fmt << ")\n";
+              << " -> " << out << "\n";
     if (reader->corrupt())
         std::cerr << "warning: input damaged, converted the salvaged "
                   << "prefix (" << reader->corruptionDetail()

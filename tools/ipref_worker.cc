@@ -12,12 +12,19 @@
  *   --worker-metrics-interval-ms N   sampling period (default 200)
  */
 
+#include <iostream>
+
 #include "sim/worker.hh"
+#include "util/error.hh"
 #include "util/options.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     ipref::Options opts(argc, argv);
     ipref::workerMain(opts); // never returns
+} catch (const ipref::SimError &e) {
+    std::cerr << "error (" << ipref::errorKindName(e.kind())
+              << "): " << e.what() << "\n";
+    return 1;
 }
