@@ -7,14 +7,18 @@
  *
  * Optimised structures are paired with the naive layout they
  * replaced (pointer-chasing cache sets, the std::deque prefetch
- * queue, std::unordered_map) on one operation stream each; CI checks
+ * queue, std::unordered_map, a whole-CDF Zipf lower_bound, the
+ * scalar workload step) on one operation stream each; CI checks
  * that no optimised side is slower than its reference.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <unordered_map>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cpu/branch_predictor.hh"
@@ -303,18 +307,58 @@ BM_ZipfSample(benchmark::State &state)
 }
 BENCHMARK(BM_ZipfSample);
 
+/** Reference: std::lower_bound over the whole CDF, no guide table. */
+void
+BM_ZipfSampleLowerBound(benchmark::State &state)
+{
+    std::vector<double> cdf(262144);
+    double sum = 0.0;
+    for (std::size_t i = 0; i < cdf.size(); ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), 1.3);
+        cdf[i] = sum;
+    }
+    for (auto &v : cdf)
+        v /= sum;
+    cdf.back() = 1.0;
+    Rng rng(6);
+    for (auto _ : state) {
+        auto it = std::lower_bound(cdf.begin(), cdf.end(), rng.uniform());
+        benchmark::DoNotOptimize(it);
+    }
+}
+BENCHMARK(BM_ZipfSampleLowerBound);
+
+/** One 512-record nextBatch pull (a core's fetch block) per
+ *  iteration, over preset kind range(0). */
 void
 BM_WorkloadGeneration(benchmark::State &state)
 {
-    auto wl = makeWorkload(WorkloadKind::WEB, 0);
-    InstrRecord rec;
+    auto wl = makeWorkload(static_cast<WorkloadKind>(state.range(0)), 0);
+    std::vector<InstrRecord> block(512);
     for (auto _ : state) {
-        wl->next(rec);
-        benchmark::DoNotOptimize(rec);
+        wl->nextBatch(block);
+        benchmark::DoNotOptimize(block.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(state.iterations() * 512);
 }
-BENCHMARK(BM_WorkloadGeneration);
+BENCHMARK(BM_WorkloadGeneration)->DenseRange(0, 3);
+
+/** Reference: the same 512 records, one scalar next() at a time. */
+void
+BM_WorkloadGenerationScalar(benchmark::State &state)
+{
+    auto wl = makeWorkload(static_cast<WorkloadKind>(state.range(0)), 0);
+    std::vector<InstrRecord> block(512);
+    for (auto _ : state) {
+        for (InstrRecord &rec : block)
+            wl->Workload::next(rec);
+        benchmark::DoNotOptimize(block.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 512);
+}
+BENCHMARK(BM_WorkloadGenerationScalar)->DenseRange(0, 3);
 
 } // namespace
 

@@ -1,7 +1,9 @@
 #include "util/rng.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 namespace ipref
 {
@@ -18,16 +20,20 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha)
     for (auto &v : cdf_)
         v /= sum;
     cdf_.back() = 1.0;
-}
 
-std::size_t
-ZipfSampler::sample(Rng &rng) const
-{
-    double u = rng.uniform();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end())
-        --it;
-    return static_cast<std::size_t>(it - cdf_.begin());
+    // One guide entry per 8 ranks, rounded down to a power of two.
+    ipref_assert(n <= std::numeric_limits<std::uint32_t>::max());
+    const std::size_t buckets = std::min<std::size_t>(
+        std::size_t{1} << 15, std::bit_floor(n / 8));
+    guide_.resize(buckets);
+    std::size_t i = 0;
+    for (std::size_t j = 0; j < buckets; ++j) {
+        const double edge =
+            static_cast<double>(j) / static_cast<double>(buckets);
+        while (cdf_[i] < edge)
+            ++i;
+        guide_[j] = static_cast<std::uint32_t>(i);
+    }
 }
 
 } // namespace ipref

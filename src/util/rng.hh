@@ -145,8 +145,18 @@ class Rng
 /**
  * Precomputed Zipf(alpha) sampler over {0, ..., n-1}.
  *
- * Uses an inverse-CDF table with binary search; construction is
- * O(n), sampling is O(log n). Rank 0 is the most popular item.
+ * Inverse-CDF sampling: a draw u in [0, 1) maps to the first rank
+ * whose CDF value is >= u, exactly what std::lower_bound over the CDF
+ * returns. Rank 0 is the most popular item. Construction is O(n).
+ *
+ * A guide table narrows each search. With B = 2^b buckets (a power of
+ * two, about one per 8 ranks, at most 2^15), guide[j] is the
+ * lower_bound of j/B. Because u*B is exact in binary floating point,
+ * u lies in bucket j = floor(u*B), and its rank lies in
+ * [guide[j], guide[j+1]] (or [guide[B-1], n-1] for the last bucket);
+ * a branchless binary search there finds the same rank as a search of
+ * the whole CDF. The guide takes at most 1/16 of the CDF's bytes;
+ * samplers under 8 ranks have none and search the whole CDF.
  */
 class ZipfSampler
 {
@@ -154,14 +164,47 @@ class ZipfSampler
     /** Build a sampler over @p n items with exponent @p alpha. */
     ZipfSampler(std::size_t n, double alpha);
 
-    /** Draw a rank in [0, n). */
-    std::size_t sample(Rng &rng) const;
+    /** Draw a rank in [0, n); consumes one uniform(). */
+    std::size_t sample(Rng &rng) const { return rank(rng.uniform()); }
+
+    /** The rank of @p u in [0, 1): the first i with cdf[i] >= u. */
+    std::size_t
+    rank(double u) const
+    {
+        std::size_t lo = 0;
+        std::size_t hi = cdf_.size() - 1;
+        if (!guide_.empty()) {
+            const auto j = static_cast<std::size_t>(
+                u * static_cast<double>(guide_.size()));
+            lo = guide_[j];
+            if (j + 1 < guide_.size())
+                hi = guide_[j + 1];
+        }
+        // cdf[hi] >= u, so the answer is in [lo, hi]: halve the range
+        // with a conditional move per step, then settle the last one.
+        const double *base = cdf_.data() + lo;
+        for (std::size_t len = hi - lo + 1; len > 1;) {
+            const std::size_t half = len / 2;
+            base = base[half] < u ? base + half : base;
+            len -= half;
+        }
+        return static_cast<std::size_t>(base - cdf_.data()) +
+               (*base < u);
+    }
 
     /** Number of items. */
     std::size_t size() const { return cdf_.size(); }
 
+    /** Bytes held by the guide table. */
+    std::size_t
+    guideBytes() const
+    {
+        return guide_.size() * sizeof(std::uint32_t);
+    }
+
   private:
     std::vector<double> cdf_;
+    std::vector<std::uint32_t> guide_; //!< B entries: lower_bound of j/B
 };
 
 } // namespace ipref

@@ -171,7 +171,6 @@ ProgramCfg::buildFunctions(Rng &rng)
         traps_.push_back(build_one(layers - 1, true, false));
 
     // Transaction popularity CDF over root functions.
-    ZipfSampler zipf(roots_.size(), cfg_.transactionZipfAlpha);
     rootCdf_.resize(roots_.size());
     {
         double sum = 0.0;

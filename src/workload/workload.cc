@@ -93,9 +93,8 @@ Workload::genDataAddr()
 }
 
 void
-Workload::emitStatic(const BasicBlock &bb, InstrRecord &out)
+Workload::emitStatic(const BasicBlock &bb, unsigned idx, InstrRecord &out)
 {
-    unsigned idx = inTrap_ ? trapInstr_ : contexts_[active_].instrIdx;
     const StaticInstr &si = prog_->instrs()[bb.instrBase + idx];
     out.pc = bb.startPc + static_cast<Addr>(idx) * instrBytes;
     out.op = si.op;
@@ -128,29 +127,74 @@ Workload::takeTrap(InstrRecord &out, std::size_t resumeCtx)
 }
 
 bool
-Workload::next(InstrRecord &out)
+Workload::takeAsync(InstrRecord &out)
 {
-    const auto &blocks = prog_->blocks();
-    const auto &funcs = prog_->functions();
-    const WorkloadConfig &cfg = prog_->config();
-
     // Asynchronous events, taken "at" the address of the instruction
     // about to execute: timer-interrupt context switches and plain
     // traps. Both run a trap-handler function; the handler's return
     // resumes either the next context (switch) or the same one.
-    if (!inTrap_ && !prog_->trapFuncs().empty()) {
-        if (switchProb_ > 0 && rng_.chance(switchProb_)) {
-            ++switches_;
-            takeTrap(out, (active_ + 1) % contexts_.size());
-            ++emitted_;
-            return true;
+    if (prog_->trapFuncs().empty())
+        return false;
+    if (switchProb_ > 0 && rng_.chance(switchProb_)) {
+        ++switches_;
+        takeTrap(out, (active_ + 1) % contexts_.size());
+        return true;
+    }
+    const double trapProb = prog_->config().trapProbability;
+    if (trapProb > 0 && rng_.chance(trapProb)) {
+        takeTrap(out, active_);
+        return true;
+    }
+    return false;
+}
+
+std::size_t
+Workload::nextBatch(std::span<InstrRecord> out)
+{
+    const auto &blocks = prog_->blocks();
+    std::size_t i = 0;
+    while (i < out.size()) {
+        if (inTrap_) {
+            Workload::next(out[i++]);
+            continue;
         }
-        if (cfg.trapProbability > 0 &&
-            rng_.chance(cfg.trapProbability)) {
-            takeTrap(out, active_);
-            ++emitted_;
-            return true;
+        Context &ctx = contexts_[active_];
+        const BasicBlock &bb = blocks[ctx.curBlock];
+        // Static slots: all of a fall-through block, else all but
+        // the terminator.
+        const unsigned end = bb.term == TermKind::FallThrough
+                                 ? bb.numInstrs
+                                 : bb.numInstrs - 1u;
+        if (ctx.instrIdx >= end) {
+            Workload::next(out[i++]);
+            continue;
         }
+        const std::size_t stop =
+            std::min<std::size_t>(out.size(), i + (end - ctx.instrIdx));
+        while (i < stop) {
+            InstrRecord &rec = out[i++];
+            ++emitted_;
+            if (takeAsync(rec))
+                break;
+            emitStatic(bb, ctx.instrIdx++, rec);
+        }
+        if (ctx.instrIdx >= bb.numInstrs) {
+            ++ctx.curBlock; // blocks are contiguous
+            ctx.instrIdx = 0;
+        }
+    }
+    return out.size();
+}
+
+bool
+Workload::next(InstrRecord &out)
+{
+    const auto &blocks = prog_->blocks();
+    const auto &funcs = prog_->functions();
+
+    if (!inTrap_ && takeAsync(out)) {
+        ++emitted_;
+        return true;
     }
 
     if (inTrap_) {
@@ -158,7 +202,7 @@ Workload::next(InstrRecord &out)
         const BasicBlock &bb = blocks[trapBlock_];
         bool is_term = trapInstr_ + 1u >= bb.numInstrs;
         if (!is_term || bb.term == TermKind::FallThrough) {
-            emitStatic(bb, out);
+            emitStatic(bb, trapInstr_, out);
             if (++trapInstr_ >= bb.numInstrs) {
                 ++trapBlock_;
                 trapInstr_ = 0;
@@ -227,7 +271,7 @@ Workload::next(InstrRecord &out)
     bool is_term = ctx.instrIdx + 1u >= bb.numInstrs;
 
     if (!is_term || bb.term == TermKind::FallThrough) {
-        emitStatic(bb, out);
+        emitStatic(bb, ctx.instrIdx, out);
         ++ctx.instrIdx;
         if (ctx.instrIdx >= bb.numInstrs) {
             ++ctx.curBlock; // blocks are contiguous

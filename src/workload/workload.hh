@@ -43,15 +43,14 @@ class Workload : public TraceSource
 
     bool next(InstrRecord &out) override;
 
-    /** Bulk pull. The walk never ends, so this always fills @p out;
-     *  the qualified call devirtualizes the per-record step. */
-    std::size_t
-    nextBatch(std::span<InstrRecord> out) override
-    {
-        for (std::size_t i = 0; i < out.size(); ++i)
-            Workload::next(out[i]);
-        return out.size();
-    }
+    /**
+     * Bulk pull, record for record and draw for draw the same as
+     * calling next() out.size() times. The walk never ends, so this
+     * always fills @p out. The non-terminator slots left in the
+     * current block are emitted in one run; terminators, async traps
+     * and trap-handler bodies take the scalar step.
+     */
+    std::size_t nextBatch(std::span<InstrRecord> out) override;
 
     void reset() override;
 
@@ -84,8 +83,13 @@ class Workload : public TraceSource
     /** Address of instruction slot @p idx in block @p gb. */
     Addr addrOf(std::uint32_t gb, unsigned idx) const;
 
-    /** Fill a record from a static (non-CTI) instruction slot. */
-    void emitStatic(const BasicBlock &bb, InstrRecord &out);
+    /** Fill a record from static (non-CTI) slot @p idx of @p bb. */
+    void emitStatic(const BasicBlock &bb, unsigned idx, InstrRecord &out);
+
+    /** Draw the asynchronous events due before a non-handler
+     *  instruction (a context switch, then a plain trap); if one
+     *  fires, fill @p out with its trap record and return true. */
+    bool takeAsync(InstrRecord &out);
 
     /** Generate a data effective address for a memory op. */
     Addr genDataAddr();

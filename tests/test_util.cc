@@ -8,8 +8,10 @@
 
 #include "error_helpers.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -127,6 +129,57 @@ TEST(Zipf, SingleItem)
     Rng rng(19);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(zipf.sample(rng), 0u);
+}
+
+TEST(Zipf, GuidedRankMatchesLowerBound)
+{
+    for (std::size_t n : {1u, 2u, 3u, 127u, 2507u, 4096u, 262144u}) {
+        for (double alpha : {0.46, 0.9, 1.28, 1.35}) {
+            SCOPED_TRACE(testing::Message() << "n=" << n
+                                            << " alpha=" << alpha);
+            ZipfSampler zipf(n, alpha);
+            ASSERT_EQ(zipf.size(), n);
+            EXPECT_LE(zipf.guideBytes(), n * sizeof(double) / 16);
+
+            // The CDF by its definition, and the rank it gives u.
+            std::vector<double> cdf(n);
+            double sum = 0.0;
+            for (std::size_t i = 0; i < n; ++i) {
+                sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+                cdf[i] = sum;
+            }
+            for (auto &v : cdf)
+                v /= sum;
+            cdf.back() = 1.0;
+            auto expected = [&](double u) {
+                auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+                if (it == cdf.end())
+                    --it;
+                return static_cast<std::size_t>(it - cdf.begin());
+            };
+
+            // Each sample takes exactly one uniform() from the stream.
+            Rng rng(n * 131 + static_cast<std::uint64_t>(alpha * 100));
+            Rng twin = rng;
+            std::size_t mismatches = 0;
+            for (int k = 0; k < 1'000'000; ++k)
+                mismatches += zipf.sample(rng) != expected(twin.uniform());
+            EXPECT_EQ(mismatches, 0u);
+            EXPECT_EQ(rng.next(), twin.next());
+
+            // Every bucket edge, and the largest double below it.
+            const std::size_t buckets = zipf.guideBytes() / 4;
+            std::vector<double> edges = {0.0, std::nextafter(1.0, 0.0)};
+            for (std::size_t j = 1; j < buckets; ++j) {
+                const double u = static_cast<double>(j) /
+                                 static_cast<double>(buckets);
+                edges.push_back(u);
+                edges.push_back(std::nextafter(u, 0.0));
+            }
+            for (double u : edges)
+                ASSERT_EQ(zipf.rank(u), expected(u)) << "u=" << u;
+        }
+    }
 }
 
 TEST(BitUtil, PowersOfTwo)

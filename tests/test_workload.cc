@@ -9,7 +9,9 @@
 
 #include "error_helpers.hh"
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <unordered_set>
 
 #include "trace/trace_stats.hh"
@@ -32,6 +34,36 @@ smallProgram()
     static std::shared_ptr<const ProgramCfg> prog =
         std::make_shared<const ProgramCfg>(cfg);
     return prog;
+}
+
+/** FNV-1a over a record's fields, little-endian, in declaration order. */
+std::uint64_t
+foldRecord(std::uint64_t h, const InstrRecord &r)
+{
+    auto fold = [&h](std::uint64_t v, int bytes) {
+        for (int b = 0; b < bytes; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    fold(r.pc, 8);
+    fold(r.target, 8);
+    fold(r.dataAddr, 8);
+    fold(static_cast<std::uint8_t>(r.op), 1);
+    fold(r.taken, 1);
+    fold(r.srcReg[0], 1);
+    fold(r.srcReg[1], 1);
+    fold(r.dstReg, 1);
+    return h;
+}
+
+bool
+sameRecord(const InstrRecord &a, const InstrRecord &b)
+{
+    return a.pc == b.pc && a.target == b.target &&
+           a.dataAddr == b.dataAddr && a.op == b.op &&
+           a.taken == b.taken && a.srcReg[0] == b.srcReg[0] &&
+           a.srcReg[1] == b.srcReg[1] && a.dstReg == b.dstReg;
 }
 
 } // namespace
@@ -270,6 +302,84 @@ TEST(Workload, TrapsAreRare)
     // switches (1/500) dominate the plain trap rate here
     EXPECT_GT(traps, 0.0005);
     EXPECT_LT(traps, 0.01);
+}
+
+TEST(Workload, BatchMatchesScalarStep)
+{
+    // nextBatch's block-run fast path against next() on a twin
+    // walker: every record, in every span size, whether a run ends
+    // at a terminator, a span boundary or an async trap.
+    const std::size_t spans[] = {1, 3, 512, 4096};
+    std::vector<InstrRecord> buf(4096);
+    std::uint64_t plainTraps = 0;
+    for (WorkloadKind kind : allWorkloadKinds()) {
+        for (CoreId core = 0; core < 4; ++core) {
+            SCOPED_TRACE(testing::Message() << workloadName(kind)
+                                            << " core " << core);
+            auto batched = makeWorkload(kind, core, 1);
+            auto scalar = makeWorkload(kind, core, 1);
+            std::uint64_t traps = 0;
+            std::uint64_t pulled = 0;
+            for (std::size_t k = 0; pulled < (1u << 17); ++k) {
+                std::span<InstrRecord> span(buf.data(), spans[k % 4]);
+                ASSERT_EQ(batched->nextBatch(span), span.size());
+                for (const InstrRecord &got : span) {
+                    InstrRecord want;
+                    ASSERT_TRUE(scalar->next(want));
+                    ASSERT_TRUE(sameRecord(got, want))
+                        << "record " << pulled;
+                    traps += got.op == OpClass::Trap;
+                    ++pulled;
+                }
+            }
+            EXPECT_EQ(batched->instructionsEmitted(), pulled);
+            EXPECT_EQ(batched->instructionsEmitted(),
+                      scalar->instructionsEmitted());
+            EXPECT_EQ(batched->transactionsCompleted(),
+                      scalar->transactionsCompleted());
+            EXPECT_EQ(batched->contextSwitches(),
+                      scalar->contextSwitches());
+            EXPECT_GT(batched->contextSwitches(), 0u);
+            plainTraps += traps - batched->contextSwitches();
+        }
+    }
+    EXPECT_GT(plainTraps, 0u);
+}
+
+TEST(Workload, GoldenStreamDigests)
+{
+    // FNV-1a of the first 1M records of every preset and core at seed
+    // 1, pulled in 512-record batches like the core's fetch block.
+    // The values predate the block-run fast path and the guided Zipf
+    // search, so a change shared by next() and nextBatch() shows too.
+    const std::uint64_t golden[4][4] = {
+        {0xe2e9463b9ba0c462ULL, 0x6d2b64f69bf9a302ULL,
+         0x34eb647581ba5deaULL, 0x4ba2914f8e3881ddULL}, // DB
+        {0xd2a95e25daf0402bULL, 0x78bf6a6214cfb79cULL,
+         0x0074e5539e6d547fULL, 0x33e5d455bb461e4cULL}, // TPC-W
+        {0xbcdea10d5f835f81ULL, 0x40a6bf9236920d81ULL,
+         0x6bf9b7105d4acb5dULL, 0x80b3ea1b8a60798eULL}, // jApp
+        {0xa063ef16b0df67d6ULL, 0xf6d1af69c2c2fa60ULL,
+         0xb6614274ab7f05c4ULL, 0xc42c47615030c07eULL}, // Web
+    };
+    constexpr std::size_t records = 1'000'000;
+    std::vector<InstrRecord> buf(512);
+    for (WorkloadKind kind : allWorkloadKinds()) {
+        for (CoreId core = 0; core < 4; ++core) {
+            auto wl = makeWorkload(kind, core, 1);
+            std::uint64_t h = 0xcbf29ce484222325ULL;
+            for (std::size_t done = 0; done < records;) {
+                std::span<InstrRecord> span(
+                    buf.data(), std::min(buf.size(), records - done));
+                wl->nextBatch(span);
+                for (const InstrRecord &r : span)
+                    h = foldRecord(h, r);
+                done += span.size();
+            }
+            EXPECT_EQ(h, golden[static_cast<int>(kind)][core])
+                << workloadName(kind) << " core " << core;
+        }
+    }
 }
 
 TEST(Presets, AllBuildAndRun)
