@@ -62,7 +62,15 @@ try {
                     .memGbPerSec(gbps)
                     .build());
     }
-    std::vector<SimResults> results = runSpecs(specs, jobs);
+    BatchOptions batch;
+    batch.jobs = jobs;
+    batch.maxAttempts = 1;
+    std::vector<SimResults> results;
+    for (const RunOutcome &o : runBatch(specs, batch)) {
+        if (!o.ok())
+            throw SimError(o.errorKind, o.error);
+        results.push_back(o.results);
+    }
 
     Table t("speedup and prefetch behaviour vs channel bandwidth");
     t.header({"GB/s", "base IPC", "disc speedup", "2NL speedup",

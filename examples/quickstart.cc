@@ -12,8 +12,8 @@
  *              [--metrics-interval-ms N] [--metrics-out FILE]
  */
 
+#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "prefetch/fetch_profiler.hh"
 #include "sim/experiment.hh"
@@ -140,9 +140,6 @@ try {
     if (opts.getBool("stats"))
         system.dumpStats(std::cout);
 
-    // All report output is funneled through the installed
-    // ReportSink; the default FileReportSink honors the same
-    // --stats-json / --trace-out paths the old inline code wrote.
     if (!obs.jsonPath.empty()) {
         commitSystemReport(system);
         flushObservability();
@@ -151,9 +148,8 @@ try {
     }
     if (const TraceSink *sink = system.traceSink();
         sink && !obs.tracePath.empty()) {
-        std::ostringstream lines;
+        std::ofstream lines(obs.tracePath);
         sink->writeJsonLines(lines);
-        reportSink()->recordTrace(lines.str());
         std::cout << "trace events written to " << obs.tracePath
                   << " (" << sink->size() << " of "
                   << sink->recorded() << " recorded)\n";

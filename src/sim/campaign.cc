@@ -1,5 +1,6 @@
 #include "sim/campaign.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "util/fault_inject.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/metrics.hh"
 #include "util/rng.hh"
 
 namespace ipref
@@ -240,6 +242,42 @@ resultsFromJson(const JsonValue &v)
     return r;
 }
 
+void
+writeOutcomeFields(std::ostream &os, const RunOutcome &o)
+{
+    os << ", \"status\": " << jsonString(runStatusName(o.status))
+       << ", \"attempts\": " << o.attempts
+       << ", \"wall_ms\": " << o.wallMs;
+    if (o.ok())
+        os << ", \"results\": " << resultsToJson(o.results);
+    else
+        os << ", \"error_kind\": "
+           << jsonString(errorKindName(o.errorKind))
+           << ", \"error\": " << jsonString(o.error);
+    if (!o.jsonReport.empty())
+        os << ", \"json_report\": " << jsonString(o.jsonReport);
+}
+
+Expected<RunOutcome>
+outcomeFromJson(const JsonValue &v)
+{
+    RunOutcome o;
+    o.status = parseRunStatus(v.stringOr("status", ""));
+    o.attempts = static_cast<unsigned>(v.numberOr("attempts", 0));
+    o.wallMs = static_cast<std::uint64_t>(v.numberOr("wall_ms", 0));
+    if (o.ok()) {
+        Expected<SimResults> res = resultsFromJson(v.at("results"));
+        if (!res.ok())
+            return res.error();
+        o.results = res.value();
+    } else {
+        o.errorKind = parseErrorKind(v.stringOr("error_kind", ""));
+        o.error = v.stringOr("error", "");
+    }
+    o.jsonReport = v.stringOr("json_report", "");
+    return o;
+}
+
 const ManifestEntry *
 CampaignManifest::find(std::uint64_t fingerprint) const
 {
@@ -291,22 +329,9 @@ CampaignManifest::write() const
             << ",\n  \"runs\": [";
         bool first = true;
         for (std::uint64_t fp : order_) {
-            const ManifestEntry &e = entries_.at(fp);
             out << (first ? "\n" : ",\n") << "    {\"fingerprint\": "
-                << jsonString(jsonHex(e.fingerprint))
-                << ", \"status\": "
-                << jsonString(runStatusName(e.status))
-                << ", \"attempts\": " << e.attempts
-                << ", \"wall_ms\": " << e.wallMs;
-            if (e.status == RunStatus::Ok)
-                out << ", \"results\": " << resultsToJson(e.results);
-            else
-                out << ", \"error_kind\": "
-                    << jsonString(errorKindName(e.errorKind))
-                    << ", \"error\": " << jsonString(e.errorMessage);
-            if (!e.jsonReport.empty())
-                out << ", \"json_report\": "
-                    << jsonString(e.jsonReport);
+                << jsonString(jsonHex(fp));
+            writeOutcomeFields(out, entries_.at(fp).outcome);
             out << "}";
             first = false;
         }
@@ -354,26 +379,11 @@ CampaignManifest::load(const std::string &path)
             return SimError(SimError::Kind::Config, msg.str());
         }
         for (const JsonValue &run : doc.at("runs").items) {
-            ManifestEntry e;
-            e.fingerprint = run.at("fingerprint").asUint();
-            e.status = parseRunStatus(run.stringOr("status", ""));
-            e.attempts = static_cast<unsigned>(
-                run.numberOr("attempts", 0));
-            e.wallMs = static_cast<std::uint64_t>(
-                run.numberOr("wall_ms", 0));
-            if (e.status == RunStatus::Ok) {
-                Expected<SimResults> res =
-                    resultsFromJson(run.at("results"));
-                if (!res.ok())
-                    return res.error();
-                e.results = res.value();
-            } else {
-                e.errorKind =
-                    parseErrorKind(run.stringOr("error_kind", ""));
-                e.errorMessage = run.stringOr("error", "");
-            }
-            e.jsonReport = run.stringOr("json_report", "");
-            m.record(std::move(e));
+            Expected<RunOutcome> outcome = outcomeFromJson(run);
+            if (!outcome.ok())
+                return outcome.error();
+            m.record({run.at("fingerprint").asUint(),
+                      std::move(outcome.value())});
         }
     } catch (const std::exception &e) {
         return SimError(SimError::Kind::Io,
@@ -382,18 +392,6 @@ CampaignManifest::load(const std::string &path)
     }
     m.path_ = path;
     return m;
-}
-
-CampaignManifest
-CampaignManifest::loadForResume(const std::string &path)
-{
-    Expected<CampaignManifest> loaded = load(path);
-    if (loaded.ok())
-        return std::move(loaded.value());
-    if (loaded.error().kind() == SimError::Kind::Config)
-        throw ConfigError(loaded.error().what());
-    ipref_warn("starting campaign fresh: %s", loaded.error().what());
-    return CampaignManifest(path);
 }
 
 ManifestLock::ManifestLock(const std::string &manifestPath)
@@ -430,6 +428,122 @@ ManifestLock::release()
         ::flock(fd_, LOCK_UN);
         ::close(fd_);
         fd_ = -1;
+    }
+}
+
+BatchMetrics &
+batchMetrics()
+{
+    metrics::Registry &reg = metrics::registry();
+    static BatchMetrics refs{
+        reg.counter("ipref_batch_specs_total",
+                    "specs submitted to runBatch"),
+        reg.counter("ipref_batch_runs_started_total",
+                    "runs entering their failure domain"),
+        reg.counter("ipref_batch_runs_ok_total", "runs finishing Ok"),
+        reg.counter("ipref_batch_runs_failed_total",
+                    "runs finishing Failed"),
+        reg.counter("ipref_batch_runs_timeout_total",
+                    "runs finishing TimedOut"),
+        reg.counter("ipref_batch_runs_interrupted_total",
+                    "runs finishing Interrupted"),
+        reg.counter("ipref_batch_runs_restored_total",
+                    "runs restored from a campaign checkpoint"),
+        reg.counter("ipref_batch_runs_completed_total",
+                    "fresh runs reaching any final status"),
+        reg.counter("ipref_batch_attempts_total",
+                    "produceRun attempts (incl. retries)"),
+        reg.counter("ipref_batch_retries_total",
+                    "attempts beyond a run's first"),
+        reg.gauge("ipref_batch_active_runs", "runs currently executing"),
+        reg.histogram("ipref_batch_run_wall_ms",
+                      metrics::defaultMsBounds(),
+                      "per-run wall time incl. retries (ms)"),
+    };
+    return refs;
+}
+
+CampaignLedger::CampaignLedger(const BatchOptions &opt)
+{
+    if (opt.manifestPath.empty())
+        return;
+    // Single-writer guard: a second coordinator or batch pointed at
+    // the same manifest fails fast instead of interleaving writes.
+    lock_ = ManifestLock(opt.manifestPath);
+    manifest_ = CampaignManifest(opt.manifestPath);
+    if (!opt.resume)
+        return;
+    Expected<CampaignManifest> loaded =
+        CampaignManifest::load(opt.manifestPath);
+    if (loaded.ok())
+        manifest_ = std::move(loaded.value());
+    else if (loaded.error().kind() == SimError::Kind::Config)
+        throw ConfigError(loaded.error().what());
+    else
+        ipref_warn("starting campaign fresh: %s",
+                   loaded.error().what());
+}
+
+bool
+CampaignLedger::restore(std::uint64_t fingerprint, RunOutcome &out,
+                        unsigned &priorAttempts)
+{
+    const ManifestEntry *e = manifest_.find(fingerprint);
+    priorAttempts = e ? e->outcome.attempts : 0;
+    if (!e || !e->outcome.ok())
+        return false;
+    out = e->outcome;
+    out.wallMs = 0;
+    out.fromCheckpoint = true;
+    batchMetrics().restored.add(1);
+    return true;
+}
+
+void
+CampaignLedger::record(std::uint64_t fingerprint,
+                       const RunOutcome &outcome)
+{
+    if (manifest_.path().empty())
+        return;
+    try {
+        manifest_.record({fingerprint, outcome});
+    } catch (const SimError &err) {
+        ipref_warn("checkpoint write failed: %s", err.what());
+    }
+}
+
+std::uint64_t
+CampaignLedger::backoffMs(const BatchOptions &opt,
+                          std::uint64_t fingerprint, unsigned attempt)
+{
+    std::uint64_t base = opt.retryBaseMs ? opt.retryBaseMs : 1;
+    unsigned shift = attempt > 1 ? std::min(attempt - 1, 20u) : 0;
+    std::uint64_t delay = base << shift;
+    if (opt.retryCapMs && delay > opt.retryCapMs)
+        delay = opt.retryCapMs;
+    Rng rng(fingerprint ^ (0x9e3779b97f4a7c15ULL * attempt));
+    return delay / 2 + rng.below(delay / 2 + 1);
+}
+
+void
+CampaignLedger::countFinal(RunStatus s)
+{
+    BatchMetrics &bm = batchMetrics();
+    bm.completed.add(1);
+    switch (s) {
+      case RunStatus::Ok:
+        bm.ok.add(1);
+        break;
+      case RunStatus::TimedOut:
+        bm.timedOut.add(1);
+        break;
+      case RunStatus::Interrupted:
+        bm.interrupted.add(1);
+        break;
+      case RunStatus::Failed:
+      case RunStatus::Quarantined:
+        bm.failed.add(1);
+        break;
     }
 }
 

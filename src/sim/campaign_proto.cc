@@ -195,19 +195,8 @@ outcomeLine(std::int64_t id, std::uint64_t fingerprint,
 {
     std::ostringstream os;
     os << "{\"type\": \"outcome\", \"id\": " << id
-       << ", \"fingerprint\": " << jsonString(jsonHex(fingerprint))
-       << ", \"status\": "
-       << jsonString(runStatusName(outcome.status))
-       << ", \"attempts\": " << outcome.attempts
-       << ", \"wall_ms\": " << outcome.wallMs;
-    if (outcome.ok())
-        os << ", \"results\": " << resultsToJson(outcome.results);
-    else
-        os << ", \"error_kind\": "
-           << jsonString(errorKindName(outcome.errorKind))
-           << ", \"error\": " << jsonString(outcome.error);
-    if (!outcome.jsonReport.empty())
-        os << ", \"json_report\": " << jsonString(outcome.jsonReport);
+       << ", \"fingerprint\": " << jsonString(jsonHex(fingerprint));
+    writeOutcomeFields(os, outcome);
     os << "}";
     return os.str();
 }
@@ -282,24 +271,10 @@ parseProtoLine(const std::string &line)
             m.type = ProtoMessage::Type::Outcome;
             m.id = static_cast<std::int64_t>(v.numberOr("id", -1));
             m.fingerprint = v.at("fingerprint").asUint();
-            m.outcome.status =
-                parseRunStatus(v.stringOr("status", ""));
-            m.outcome.attempts = static_cast<unsigned>(
-                v.numberOr("attempts", 0));
-            m.outcome.wallMs = static_cast<std::uint64_t>(
-                v.numberOr("wall_ms", 0));
-            if (m.outcome.ok()) {
-                Expected<SimResults> res =
-                    resultsFromJson(v.at("results"));
-                if (!res.ok())
-                    return res.error();
-                m.outcome.results = std::move(res.value());
-            } else {
-                m.outcome.errorKind =
-                    parseErrorKind(v.stringOr("error_kind", ""));
-                m.outcome.error = v.stringOr("error", "");
-            }
-            m.outcome.jsonReport = v.stringOr("json_report", "");
+            Expected<RunOutcome> outcome = outcomeFromJson(v);
+            if (!outcome.ok())
+                return outcome.error();
+            m.outcome = std::move(outcome.value());
         } else if (type == "heartbeat") {
             m.type = ProtoMessage::Type::Heartbeat;
             m.pid = static_cast<int>(v.numberOr("pid", 0));

@@ -20,7 +20,6 @@
 #include "util/fault_inject.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
-#include "util/rng.hh"
 
 extern char **environ;
 
@@ -148,13 +147,12 @@ class Coordinator
     Coordinator(const std::vector<RunSpec> &specs,
                 const CampaignOptions &opt)
         : specs_(specs), opt_(opt),
-          workers_(std::max(1u, opt.workers))
+          workers_(std::max(1u, opt.workers)), ledger_(opt.batch)
     {}
 
     std::vector<RunOutcome> run();
 
   private:
-    void resumeFromManifest();
     void spawnWorker(std::size_t slot);
     void dispatch();
     void pump(int timeoutMs);
@@ -165,11 +163,9 @@ class Coordinator
     void reapExited();
     void beginDrain();
     void finalize(std::size_t idx, RunOutcome outcome);
-    void recordManifest(std::size_t idx);
     void requeueAfterDeath(std::size_t idx, const char *why);
     void closeWorker(WorkerProc &w);
     void shutdownFleet();
-    std::uint64_t backoffMs(std::size_t idx, unsigned attempt) const;
 
     const std::vector<RunSpec> &specs_;
     const CampaignOptions &opt_;
@@ -188,64 +184,10 @@ class Coordinator
     std::vector<Delayed> delayed_;
     std::size_t remaining_ = 0;
 
-    CampaignManifest manifest_;
+    CampaignLedger ledger_;
     bool draining_ = false;
     Clock::time_point drainDeadline_;
 };
-
-std::uint64_t
-Coordinator::backoffMs(std::size_t idx, unsigned attempt) const
-{
-    // Identical shape (and deterministic jitter) to the in-process
-    // retry loop in experiment.cc, keyed on (fingerprint, attempt).
-    std::uint64_t base =
-        opt_.batch.retryBaseMs ? opt_.batch.retryBaseMs : 1;
-    unsigned shift = attempt >= 1 ? attempt - 1 : 0;
-    if (shift > 20)
-        shift = 20;
-    std::uint64_t delay = base << shift;
-    if (opt_.batch.retryCapMs && delay > opt_.batch.retryCapMs)
-        delay = opt_.batch.retryCapMs;
-    Rng rng(fingerprints_[idx] ^
-            (0x9e3779b97f4a7c15ULL * (attempt + 1)));
-    return delay / 2 + rng.below(delay / 2 + 1);
-}
-
-void
-Coordinator::resumeFromManifest()
-{
-    if (opt_.batch.manifestPath.empty() || !opt_.batch.resume)
-        return;
-    CampaignManifest prior =
-        CampaignManifest::loadForResume(opt_.batch.manifestPath);
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-        const ManifestEntry *e = prior.find(fingerprints_[i]);
-        if (!e)
-            continue;
-        if (e->status == RunStatus::Ok) {
-            RunOutcome o;
-            o.status = RunStatus::Ok;
-            o.results = e->results;
-            o.attempts = e->attempts;
-            o.wallMs = 0;
-            o.fromCheckpoint = true;
-            o.jsonReport = e->jsonReport;
-            outcomes_[i] = std::move(o);
-            finalized_[i] = true;
-            metrics::registry()
-                .counter("ipref_batch_runs_restored_total")
-                .add(1);
-            // Keep the completed entry in the rewritten manifest.
-            manifest_.record(*e);
-        } else {
-            // Failed / timed out / interrupted / quarantined specs
-            // re-run with continued attempt counts, exactly like a
-            // runBatch resume. Quarantine death counters reset: a
-            // resume is a fresh chance.
-            priorAttempts_[i] = e->attempts;
-        }
-    }
-}
 
 void
 Coordinator::spawnWorker(std::size_t slot)
@@ -376,55 +318,13 @@ Coordinator::finalize(std::size_t idx, RunOutcome outcome)
     finalized_[idx] = true;
     --remaining_;
 
-    const RunOutcome &o = outcomes_[idx];
-    metrics::Registry &reg = metrics::registry();
-    reg.counter("ipref_batch_runs_completed_total").add(1);
-    switch (o.status) {
-      case RunStatus::Ok:
-        reg.counter("ipref_batch_runs_ok_total").add(1);
-        break;
-      case RunStatus::TimedOut:
-        reg.counter("ipref_batch_runs_timeout_total").add(1);
-        break;
-      case RunStatus::Interrupted:
-        reg.counter("ipref_batch_runs_interrupted_total").add(1);
-        break;
-      case RunStatus::Quarantined:
-        campMetrics().quarantined.add(1);
-        reg.counter("ipref_batch_runs_failed_total").add(1);
-        break;
-      case RunStatus::Failed:
-      default:
-        reg.counter("ipref_batch_runs_failed_total").add(1);
-        break;
-    }
-    recordManifest(idx);
-}
-
-void
-Coordinator::recordManifest(std::size_t idx)
-{
-    if (opt_.batch.manifestPath.empty())
-        return;
-    const RunOutcome &o = outcomes_[idx];
-    ManifestEntry e;
-    e.fingerprint = fingerprints_[idx];
-    e.status = o.status;
-    e.attempts = o.attempts;
-    e.wallMs = o.wallMs;
-    e.errorKind = o.errorKind;
-    e.errorMessage = o.error;
-    e.results = o.results;
-    e.jsonReport = o.jsonReport;
-    try {
-        manifest_.record(std::move(e));
-    } catch (const SimError &err) {
-        ipref_warn("checkpoint write failed: %s", err.what());
-    }
+    CampaignLedger::countFinal(outcomes_[idx].status);
+    ledger_.record(fingerprints_[idx], outcomes_[idx]);
     // Chaos hook: the coordinator dies right after persisting an
     // outcome — the worst moment short of mid-rename (which the
     // temp+rename write already makes atomic).
-    if (fault::shouldFire("coord.exit_record"))
+    if (!opt_.batch.manifestPath.empty() &&
+        fault::shouldFire("coord.exit_record"))
         ::_exit(137);
 }
 
@@ -447,6 +347,7 @@ Coordinator::requeueAfterDeath(std::size_t idx, const char *why)
                   " worker deaths on this spec (last: " + why + ")";
         o.attempts = priorAttempts_[idx];
         ipref_warn("campaign: quarantining spec %zu (%s)", idx, why);
+        campMetrics().quarantined.add(1);
         finalize(idx, std::move(o));
         return;
     }
@@ -464,8 +365,9 @@ Coordinator::requeueAfterDeath(std::size_t idx, const char *why)
     Delayed d;
     d.idx = idx;
     d.eligibleAt = Clock::now() +
-                   std::chrono::milliseconds(
-                       backoffMs(idx, priorAttempts_[idx]));
+                   std::chrono::milliseconds(CampaignLedger::backoffMs(
+                       opt_.batch, fingerprints_[idx],
+                       priorAttempts_[idx]));
     delayed_.push_back(d);
 }
 
@@ -537,18 +439,15 @@ Coordinator::handleOutcome(std::size_t slot, ProtoMessage &m)
     w.runningIdx = -1;
     w.lastBeat = Clock::now();
 
-    metrics::Registry &reg = metrics::registry();
+    BatchMetrics &bm = batchMetrics();
     unsigned consumed =
         m.outcome.attempts > priorAttempts_[idx]
             ? m.outcome.attempts - priorAttempts_[idx]
             : 1;
-    reg.counter("ipref_batch_attempts_total").add(consumed);
+    bm.attempts.add(consumed);
     if (consumed > 1)
-        reg.counter("ipref_batch_retries_total").add(consumed - 1);
-    metrics::registry()
-        .histogram("ipref_batch_run_wall_ms",
-                   metrics::defaultMsBounds())
-        .observe(static_cast<double>(m.outcome.wallMs));
+        bm.retries.add(consumed - 1);
+    bm.wallMs.observe(static_cast<double>(m.outcome.wallMs));
 
     finalize(idx, std::move(m.outcome));
 }
@@ -645,9 +544,7 @@ Coordinator::dispatch()
                     specs_[idx]) +
             "\n";
         w.runningIdx = static_cast<std::int64_t>(idx);
-        metrics::registry()
-            .counter("ipref_batch_runs_started_total")
-            .add(1);
+        batchMetrics().started.add(1);
         campMetrics().dispatches.add(1);
         if (!writeAll(w.toFd, line))
             handleWorkerDeath(slot, "pipe closed on dispatch");
@@ -913,22 +810,19 @@ Coordinator::run()
     priorAttempts_.assign(specs_.size(), 0);
     deathCount_.assign(specs_.size(), 0);
 
-    metrics::registry()
-        .counter("ipref_batch_specs_total")
-        .add(specs_.size());
+    batchMetrics().specs.add(specs_.size());
 
-    // Single-writer guard + (optional) resume, sharing the runBatch
-    // manifest format and semantics.
-    ManifestLock lock;
-    if (!opt_.batch.manifestPath.empty()) {
-        lock = ManifestLock(opt_.batch.manifestPath);
-        manifest_ = CampaignManifest(opt_.batch.manifestPath);
-    }
-    resumeFromManifest();
-
-    for (std::size_t i = 0; i < specs_.size(); ++i)
-        if (!finalized_[i])
+    // The ledger (locked, and loaded on resume, at construction)
+    // restores Ok entries; the rest re-run with their lifetime
+    // attempt counts. Quarantine death counters reset: a resume is a
+    // fresh chance.
+    for (std::size_t i = 0; i < specs_.size(); ++i) {
+        if (ledger_.restore(fingerprints_[i], outcomes_[i],
+                            priorAttempts_[i]))
+            finalized_[i] = true;
+        else
             pending_.push_back(i);
+    }
     remaining_ = pending_.size();
 
     if (remaining_ > 0) {

@@ -17,7 +17,6 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
-#include "util/rng.hh"
 #include "util/thread_pool.hh"
 #include "util/trace_event.hh"
 
@@ -27,86 +26,38 @@ namespace ipref
 namespace
 {
 
-/**
- * Live campaign telemetry: batch-level progress counters ipref_top
- * renders as "done / total" plus per-run wall-time distribution.
- * `completed` counts fresh runs reaching a final status this process;
- * `restored` counts checkpoint restores (done = completed + restored).
- */
-struct BatchMetricRefs
-{
-    metrics::Counter &specs;
-    metrics::Counter &started;
-    metrics::Counter &ok;
-    metrics::Counter &failed;
-    metrics::Counter &timedOut;
-    metrics::Counter &interrupted;
-    metrics::Counter &restored;
-    metrics::Counter &completed;
-    metrics::Counter &attempts;
-    metrics::Counter &retries;
-    metrics::Gauge &active;
-    metrics::LatencyHistogram &wallMs;
-};
-
-BatchMetricRefs &
-batchMetrics()
-{
-    static BatchMetricRefs refs{
-        metrics::registry().counter("ipref_batch_specs_total",
-                                    "specs submitted to runBatch"),
-        metrics::registry().counter("ipref_batch_runs_started_total",
-                                    "runs entering their failure "
-                                    "domain"),
-        metrics::registry().counter("ipref_batch_runs_ok_total",
-                                    "runs finishing Ok"),
-        metrics::registry().counter("ipref_batch_runs_failed_total",
-                                    "runs finishing Failed"),
-        metrics::registry().counter("ipref_batch_runs_timeout_total",
-                                    "runs finishing TimedOut"),
-        metrics::registry().counter(
-            "ipref_batch_runs_interrupted_total",
-            "runs finishing Interrupted"),
-        metrics::registry().counter(
-            "ipref_batch_runs_restored_total",
-            "runs restored from a campaign checkpoint"),
-        metrics::registry().counter(
-            "ipref_batch_runs_completed_total",
-            "fresh runs reaching any final status"),
-        metrics::registry().counter("ipref_batch_attempts_total",
-                                    "produceRun attempts (incl. "
-                                    "retries)"),
-        metrics::registry().counter("ipref_batch_retries_total",
-                                    "attempts beyond a run's first"),
-        metrics::registry().gauge("ipref_batch_active_runs",
-                                  "runs currently executing"),
-        metrics::registry().histogram(
-            "ipref_batch_run_wall_ms", metrics::defaultMsBounds(),
-            "per-run wall time incl. retries (ms)"),
-    };
-    return refs;
-}
-
 ObservabilityOptions g_observability;
 
 /**
- * The installed report sink. g_reportMutex guards the pointer itself;
- * sinks are internally thread-safe, so holders may use a grabbed
- * shared_ptr without the lock. Lazily defaults to a FileReportSink
- * over the (empty) default ObservabilityOptions.
+ * Report output, guarded by g_reportMutex: JSON report documents
+ * accumulate in commit (input) order until flushObservability()
+ * writes them to ObservabilityOptions::jsonPath as one array.
  */
 std::mutex g_reportMutex;
-std::shared_ptr<ReportSink> g_reportSink;
+std::vector<std::string> g_reports;
+bool g_reportsDirty = false;
 bool g_flushRegistered = false;
 
-std::shared_ptr<ReportSink>
-currentSink()
+/** Buffer one JSON report document (a run's, or a failure object). */
+void
+recordReport(std::string json)
 {
     std::lock_guard<std::mutex> lock(g_reportMutex);
-    if (!g_reportSink)
-        g_reportSink = std::make_shared<FileReportSink>(
-            g_observability.jsonPath, g_observability.tracePath);
-    return g_reportSink;
+    g_reports.push_back(std::move(json));
+    g_reportsDirty = true;
+}
+
+/**
+ * Overwrite the trace file with @p jsonl, so it holds the event tail
+ * of the most recently committed run (the sequential behaviour).
+ */
+void
+recordTrace(const std::string &jsonl)
+{
+    std::lock_guard<std::mutex> lock(g_reportMutex);
+    std::ofstream trace(g_observability.tracePath);
+    if (trace)
+        trace << jsonl;
 }
 
 /** Everything one run emits besides its SimResults. */
@@ -148,72 +99,38 @@ produceRun(const RunSpec &spec, unsigned attempt = 1,
     return out;
 }
 
-/**
- * Commit one run's side effects, in input order: buffer the JSON
- * report and hand the trace tail to the sink (which, for the default
- * file sink, overwrites the trace file so it holds the most recent
- * run — the sequential behaviour).
- */
-void
-commitRun(RunOutput &&out)
-{
-    std::shared_ptr<ReportSink> sink = currentSink();
-    if (!out.jsonReport.empty())
-        sink->recordReport(out.jsonReport);
-    if (out.traced)
-        sink->recordTrace(out.traceJsonl);
-}
-
 } // namespace
 
-// --- report sink ------------------------------------------------------
-
-FileReportSink::FileReportSink(std::string jsonPath,
-                               std::string tracePath)
-    : jsonPath_(std::move(jsonPath)), tracePath_(std::move(tracePath))
-{}
-
 void
-FileReportSink::recordReport(const std::string &json)
+commitSystemReport(const System &system)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    reports_.push_back(json);
-    dirty_ = true;
+    std::ostringstream report;
+    system.dumpJson(report);
+    recordReport(report.str());
 }
 
 void
-FileReportSink::recordTrace(const std::string &jsonl)
+flushObservability()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tracePath_.empty())
+    std::lock_guard<std::mutex> lock(g_reportMutex);
+    const std::string &path = g_observability.jsonPath;
+    if (!g_reportsDirty || path.empty())
         return;
-    std::ofstream trace(tracePath_);
-    if (trace)
-        trace << jsonl;
-}
-
-void
-FileReportSink::flush()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!dirty_ || jsonPath_.empty())
-        return;
-    std::ofstream out(jsonPath_);
+    std::ofstream out(path);
     if (!out) {
         // Runs from atexit(): aborting the whole process over a report
         // it was already exiting from helps nobody — warn and keep the
         // buffered reports for a later explicit flush.
-        ipref_warn("cannot write JSON report to '%s'",
-                   jsonPath_.c_str());
+        ipref_warn("cannot write JSON report to '%s'", path.c_str());
         return;
     }
     out << "[\n";
-    for (std::size_t i = 0; i < reports_.size(); ++i)
-        out << (i ? ",\n" : "") << reports_[i];
+    for (std::size_t i = 0; i < g_reports.size(); ++i)
+        out << (i ? ",\n" : "") << g_reports[i];
     // Trailing campaign-summary document: process-wide shared-decode
     // effectiveness for the whole report. Tooling distinguishes it
     // from per-run reports by the absence of a "results" section.
-    if (!reports_.empty()) {
+    if (!g_reports.empty()) {
         TraceCache::Stats tc = TraceCache::instance().stats();
         out << ",\n{\"campaign_summary\": {\"trace_cache\": "
             << "{\"decodes\": " << tc.decodes
@@ -222,34 +139,7 @@ FileReportSink::flush()
             << ", \"stale_reloads\": " << tc.staleReloads << "}}}\n";
     }
     out << "]\n";
-    dirty_ = false;
-}
-
-void
-setReportSink(std::shared_ptr<ReportSink> sink)
-{
-    std::lock_guard<std::mutex> lock(g_reportMutex);
-    g_reportSink = std::move(sink);
-}
-
-std::shared_ptr<ReportSink>
-reportSink()
-{
-    return currentSink();
-}
-
-void
-commitSystemReport(const System &system)
-{
-    std::ostringstream report;
-    system.dumpJson(report);
-    currentSink()->recordReport(report.str());
-}
-
-void
-flushObservability()
-{
-    currentSink()->flush();
+    g_reportsDirty = false;
 }
 
 void
@@ -257,10 +147,9 @@ setObservability(const ObservabilityOptions &opts)
 {
     std::lock_guard<std::mutex> lock(g_reportMutex);
     g_observability = opts;
-    // Installing options resets the sink: buffered reports from a
-    // previous configuration are dropped, as before.
-    g_reportSink = std::make_shared<FileReportSink>(opts.jsonPath,
-                                                    opts.tracePath);
+    // Reports buffered under the previous options are dropped.
+    g_reports.clear();
+    g_reportsDirty = false;
     if (!opts.jsonPath.empty() && !g_flushRegistered) {
         std::atexit(flushObservability);
         g_flushRegistered = true;
@@ -471,9 +360,11 @@ SimResults
 runSpec(const RunSpec &spec)
 {
     RunOutput out = produceRun(spec);
-    SimResults results = out.results;
-    commitRun(std::move(out));
-    return results;
+    if (!out.jsonReport.empty())
+        recordReport(std::move(out.jsonReport));
+    if (out.traced)
+        recordTrace(out.traceJsonl);
+    return out.results;
 }
 
 namespace
@@ -570,18 +461,18 @@ class BatchWatchdog
     std::thread thread_;
 };
 
-/** A worker's full product: the public outcome + buffered output. */
+/** A worker's full product: the outcome and the run's trace tail. */
 struct WorkerResult
 {
     RunOutcome outcome;
-    RunOutput output;
+    RunOutput output; //!< jsonReport already moved into the outcome
 };
 
 /**
  * One spec's failure domain: run, catch, classify, retry transient
- * failures with capped exponential backoff and deterministic jitter.
- * Attempt numbers continue from @p priorAttempts (a resumed failed
- * entry), keeping fault gating and jitter reproducible across resume.
+ * failures after the ledger's backoff. Attempt numbers continue from
+ * @p priorAttempts (a resumed failed entry), keeping fault gating and
+ * jitter reproducible across resume.
  */
 WorkerResult
 runOne(const RunSpec &spec, std::uint64_t fingerprint,
@@ -592,7 +483,7 @@ runOne(const RunSpec &spec, std::uint64_t fingerprint,
     auto t0 = std::chrono::steady_clock::now();
     unsigned maxAttempts = opt.maxAttempts ? opt.maxAttempts : 1;
 
-    BatchMetricRefs &bm = batchMetrics();
+    BatchMetrics &bm = batchMetrics();
     bm.started.add(1);
     bm.active.add(1);
 
@@ -616,6 +507,7 @@ runOne(const RunSpec &spec, std::uint64_t fingerprint,
             watchdog.remove(control);
             wr.outcome.status = RunStatus::Ok;
             wr.outcome.results = wr.output.results;
+            wr.outcome.jsonReport = std::move(wr.output.jsonReport);
             break;
         } catch (const SimError &e) {
             watchdog.remove(control);
@@ -632,20 +524,8 @@ runOne(const RunSpec &spec, std::uint64_t fingerprint,
             wr.outcome.status = RunStatus::Failed;
             if (!e.transient() || local == maxAttempts)
                 break;
-            // Capped exponential backoff; the jitter comes from the
-            // project's deterministic RNG keyed on (fingerprint,
-            // attempt), so a replayed campaign waits identically.
-            std::uint64_t base = opt.retryBaseMs ? opt.retryBaseMs : 1;
-            unsigned shift = local - 1 < 20 ? local - 1 : 20;
-            std::uint64_t delay = base << shift;
-            if (opt.retryCapMs && delay > opt.retryCapMs)
-                delay = opt.retryCapMs;
-            Rng rng(fingerprint ^
-                    (0x9e3779b97f4a7c15ULL * attempt));
-            std::uint64_t jittered =
-                delay / 2 + rng.below(delay / 2 + 1);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(jittered));
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                CampaignLedger::backoffMs(opt, fingerprint, attempt)));
         } catch (const std::exception &e) {
             watchdog.remove(control);
             wr.outcome.status = RunStatus::Failed;
@@ -661,57 +541,9 @@ runOne(const RunSpec &spec, std::uint64_t fingerprint,
             .count());
 
     bm.active.sub(1);
-    bm.completed.add(1);
     bm.wallMs.observe(static_cast<double>(wr.outcome.wallMs));
-    switch (wr.outcome.status) {
-      case RunStatus::Ok:
-        bm.ok.add(1);
-        break;
-      case RunStatus::Failed:
-        bm.failed.add(1);
-        break;
-      case RunStatus::TimedOut:
-        bm.timedOut.add(1);
-        break;
-      case RunStatus::Interrupted:
-        bm.interrupted.add(1);
-        break;
-      case RunStatus::Quarantined:
-        // runOne never quarantines (that is a coordinator decision);
-        // count it as a failure if it ever shows up here.
-        bm.failed.add(1);
-        break;
-    }
+    CampaignLedger::countFinal(wr.outcome.status);
     return wr;
-}
-
-/**
- * A failed run still appears in the JSON report array, as a small
- * object carrying the failure instead of results, so a campaign's
- * report accounts for every spec.
- */
-void
-commitFailure(std::uint64_t fingerprint, const RunOutcome &outcome)
-{
-    std::ostringstream report;
-    report << "{\"fingerprint\": " << jsonString(jsonHex(fingerprint))
-           << ", \"status\": "
-           << jsonString(runStatusName(outcome.status))
-           << ", \"error_kind\": "
-           << jsonString(errorKindName(outcome.errorKind))
-           << ", \"error\": " << jsonString(outcome.error)
-           << ", \"attempts\": " << outcome.attempts
-           << ", \"wall_ms\": " << outcome.wallMs << "}";
-    currentSink()->recordReport(report.str());
-}
-
-/** Re-commit a checkpointed run's buffered report, in input order. */
-void
-commitCheckpointed(const ManifestEntry &entry)
-{
-    if (entry.jsonReport.empty())
-        return;
-    currentSink()->recordReport(entry.jsonReport);
 }
 
 } // namespace
@@ -729,17 +561,7 @@ runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
     if (jobs == 0)
         jobs = 1;
 
-    // Single-writer guard: a second coordinator/batch pointed at the
-    // same manifest fails fast instead of interleaving checkpoints.
-    ManifestLock manifestLock;
-    if (!opt.manifestPath.empty())
-        manifestLock = ManifestLock(opt.manifestPath);
-
-    CampaignManifest manifest =
-        !opt.manifestPath.empty() && opt.resume
-            ? CampaignManifest::loadForResume(opt.manifestPath)
-            : CampaignManifest(opt.manifestPath);
-
+    CampaignLedger ledger(opt);
     batchMetrics().specs.add(specs.size());
 
     std::vector<std::uint64_t> fingerprints;
@@ -755,20 +577,11 @@ runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
         BatchWatchdog watchdog;
         ThreadPool pool(jobs);
         std::vector<std::future<WorkerResult>> futures(specs.size());
-        std::vector<const ManifestEntry *> checkpointed(specs.size(),
-                                                        nullptr);
 
         for (std::size_t i = 0; i < specs.size(); ++i) {
             unsigned prior = 0;
-            if (opt.resume) {
-                const ManifestEntry *e =
-                    manifest.find(fingerprints[i]);
-                if (e && e->status == RunStatus::Ok) {
-                    checkpointed[i] = e;
-                    continue;
-                }
-                prior = e ? e->attempts : 0;
-            }
+            if (ledger.restore(fingerprints[i], outcomes[i], prior))
+                continue;
             const RunSpec &spec = specs[i];
             std::uint64_t fp = fingerprints[i];
             futures[i] = pool.submit([&spec, fp, prior, &opt,
@@ -782,43 +595,14 @@ runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
         // report is identical whether runs were live, retried, or
         // restored from the checkpoint.
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            if (checkpointed[i]) {
-                const ManifestEntry &e = *checkpointed[i];
-                RunOutcome &o = outcomes[i];
-                o.status = RunStatus::Ok;
-                o.results = e.results;
-                o.attempts = e.attempts;
-                o.wallMs = 0;
-                o.fromCheckpoint = true;
-                o.jsonReport = e.jsonReport;
-                batchMetrics().restored.add(1);
-                commitCheckpointed(e);
-                continue;
+            if (!outcomes[i].fromCheckpoint) {
+                WorkerResult wr = futures[i].get();
+                outcomes[i] = std::move(wr.outcome);
+                ledger.record(fingerprints[i], outcomes[i]);
+                if (wr.output.traced)
+                    recordTrace(wr.output.traceJsonl);
             }
-            WorkerResult wr = futures[i].get();
-            wr.outcome.jsonReport = wr.output.jsonReport;
-            outcomes[i] = wr.outcome;
-
-            if (!opt.manifestPath.empty()) {
-                ManifestEntry e;
-                e.fingerprint = fingerprints[i];
-                e.status = wr.outcome.status;
-                e.attempts = wr.outcome.attempts;
-                e.wallMs = wr.outcome.wallMs;
-                e.errorKind = wr.outcome.errorKind;
-                e.errorMessage = wr.outcome.error;
-                e.results = wr.outcome.results;
-                e.jsonReport = wr.output.jsonReport;
-                try {
-                    manifest.record(std::move(e));
-                } catch (const SimError &err) {
-                    ipref_warn("checkpoint write failed: %s",
-                               err.what());
-                }
-            }
-            if (!wr.outcome.ok())
-                commitFailure(fingerprints[i], wr.outcome);
-            commitRun(std::move(wr.output));
+            commitOutcomeReport(fingerprints[i], outcomes[i]);
         }
     }
 
@@ -833,10 +617,9 @@ runIsolated(const RunSpec &spec, const BatchOptions &opt,
     // No signal-handler swap and no latch reset: the caller (the
     // campaign worker) owns interruption policy across runs.
     BatchWatchdog watchdog;
-    WorkerResult wr = runOne(spec, fingerprintSpec(spec),
-                             priorAttempts, opt, watchdog);
-    wr.outcome.jsonReport = std::move(wr.output.jsonReport);
-    return wr.outcome;
+    return runOne(spec, fingerprintSpec(spec), priorAttempts, opt,
+                  watchdog)
+        .outcome;
 }
 
 void
@@ -849,32 +632,23 @@ void
 commitOutcomeReport(std::uint64_t fingerprint,
                     const RunOutcome &outcome)
 {
-    if (!outcome.ok())
-        commitFailure(fingerprint, outcome);
-    if (!outcome.jsonReport.empty())
-        currentSink()->recordReport(outcome.jsonReport);
-}
-
-std::vector<SimResults>
-runSpecs(const std::vector<RunSpec> &specs, unsigned jobs)
-{
-    // Compatibility wrapper over the fault-tolerant runner: every run
-    // still executes in its own failure domain (so one bad spec can't
-    // abort in-flight work), but the first failure surfaces as an
-    // exception once the batch has drained.
-    BatchOptions opt;
-    opt.jobs = jobs;
-    opt.maxAttempts = 1;
-    std::vector<RunOutcome> outcomes = runBatch(specs, opt);
-
-    std::vector<SimResults> results;
-    results.reserve(outcomes.size());
-    for (const RunOutcome &outcome : outcomes) {
-        if (!outcome.ok())
-            throw SimError(outcome.errorKind, outcome.error);
-        results.push_back(outcome.results);
+    // A failed run still appears in the report array, as a small
+    // object carrying the failure instead of results, so a campaign's
+    // report accounts for every spec.
+    if (!outcome.ok()) {
+        std::ostringstream report;
+        report << "{\"fingerprint\": "
+               << jsonString(jsonHex(fingerprint)) << ", \"status\": "
+               << jsonString(runStatusName(outcome.status))
+               << ", \"error_kind\": "
+               << jsonString(errorKindName(outcome.errorKind))
+               << ", \"error\": " << jsonString(outcome.error)
+               << ", \"attempts\": " << outcome.attempts
+               << ", \"wall_ms\": " << outcome.wallMs << "}";
+        recordReport(report.str());
     }
-    return results;
+    if (!outcome.jsonReport.empty())
+        recordReport(outcome.jsonReport);
 }
 
 std::vector<WorkloadSet>

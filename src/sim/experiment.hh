@@ -7,8 +7,6 @@
 #ifndef IPREF_SIM_EXPERIMENT_HH
 #define IPREF_SIM_EXPERIMENT_HH
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -265,20 +263,6 @@ SystemConfig makeConfig(const RunSpec &spec);
 /** Build, run, and return measurement results for @p spec. */
 SimResults runSpec(const RunSpec &spec);
 
-/**
- * Run every spec, fanning out across a thread pool of @p jobs workers
- * (0 = hardware_concurrency), and return results in input order.
- *
- * Each run is fully self-contained (its own System, stats tree, RNG
- * streams and — when tracing is on — its own TraceSink ring), so the
- * returned SimResults are bit-identical to a sequential runSpec()
- * loop regardless of jobs. Observability side effects (JSON reports,
- * the trace tail) are committed in input order under a mutex, so the
- * report array is also identical to the sequential one.
- */
-std::vector<SimResults> runSpecs(const std::vector<RunSpec> &specs,
-                                 unsigned jobs = 0);
-
 /** Knobs for the fault-tolerant batch runner. */
 struct BatchOptions
 {
@@ -314,34 +298,15 @@ struct BatchOptions
     bool resume = false;
 };
 
-/** What one spec's failure domain produced. */
-struct RunOutcome
-{
-    RunStatus status = RunStatus::Failed;
-    SimResults results;              //!< valid when ok()
-    std::string error;               //!< what() of the final failure
-    SimError::Kind errorKind = SimError::Kind::Invariant;
-    unsigned attempts = 0;           //!< lifetime attempts (spans resume)
-    std::uint64_t wallMs = 0;        //!< this invocation's wall time
-    bool fromCheckpoint = false;     //!< restored, not re-run
-
-    /**
-     * The run's buffered JSON report ("" when reporting is off or the
-     * run never produced one). Carried on the outcome so a remote
-     * worker can ship it back to the coordinator, which re-commits
-     * reports in input order for a bit-identical report array.
-     */
-    std::string jsonReport;
-
-    bool ok() const { return status == RunStatus::Ok; }
-};
-
 /**
  * Fault-tolerant batch runner: every spec runs in its own failure
  * domain, so a corrupt trace, a thrown SimError or a runaway run
  * produces a RunOutcome instead of killing the batch. Outcomes are
  * returned in input order and successful runs are bit-identical to a
- * sequential runSpec() loop at any job count. SIGINT cancels in-flight
+ * sequential runSpec() loop at any job count: each run owns its
+ * System, stats tree, RNG streams and trace ring, and reports are
+ * committed in input order, so the report array does not depend on
+ * the job count either. SIGINT cancels in-flight
  * runs cooperatively, flushes the manifest, and returns with the
  * remaining outcomes marked Interrupted.
  */
@@ -350,8 +315,8 @@ std::vector<RunOutcome> runBatch(const std::vector<RunSpec> &specs,
 
 /**
  * One spec in its own failure domain, without batch machinery: no
- * signal handlers are installed, no manifest is touched and nothing
- * is committed to the report sink — the caller owns the outcome
+ * signal handlers are installed, no manifest is touched and no
+ * report is buffered — the caller owns the outcome
  * (including its buffered jsonReport). Retry/timeout semantics match
  * runBatch, with attempt numbering continuing from @p priorAttempts.
  * This is the campaign worker's entry point; the batch SIGINT latch
@@ -370,7 +335,7 @@ RunOutcome runIsolated(const RunSpec &spec, const BatchOptions &opt,
 void requestBatchInterrupt();
 
 /**
- * Buffer @p outcome's report document into the installed sink: the
+ * Buffer @p outcome's report document for the JSON report: the
  * run's own jsonReport when it has one, or the small failure object
  * runBatch emits for specs that never produced results. Campaign
  * coordinators call this in input order so the distributed report
@@ -400,7 +365,7 @@ struct ObservabilityOptions
     /**
      * SystemConfig::traceCapacity for every run (0 = off): each
      * System owns a private ring of this capacity, and the captured
-     * tail of the most recent run (input order under runSpecs) is
+     * tail of the most recent run (input order under runBatch) is
      * written to tracePath (JSON lines). The ring is cleared at the
      * warm-up / measure boundary, so the retained events cover the
      * same measurement window as the counters.
@@ -434,72 +399,7 @@ const ObservabilityOptions &observability();
 void flushObservability();
 
 /**
- * Where a run's observability output goes. The old trio of loose
- * outputs (--stats-json report array, --trace-events tail file,
- * campaign failure entries) all funnel through one installed sink,
- * so drivers can redirect everything at once (in-memory for tests, a
- * socket, ...). Implementations must be thread-safe: the batch runner
- * commits from its collector under its own ordering guarantee, but
- * commitSystemReport() may be called from anywhere.
- */
-class ReportSink
-{
-  public:
-    virtual ~ReportSink() = default;
-
-    /**
-     * Buffer one JSON report document — a run's full report, or a
-     * small failure object for a spec that never produced results.
-     * Documents arrive in commit (input) order.
-     */
-    virtual void recordReport(const std::string &json) = 0;
-
-    /**
-     * Store the event-trace tail (JSON lines) of the most recent
-     * traced run.
-     */
-    virtual void recordTrace(const std::string &jsonl) = 0;
-
-    /** Write buffered output to its destination; idempotent. */
-    virtual void flush() = 0;
-};
-
-/**
- * The default sink: reports accumulate and flush() writes them to
- * @p jsonPath as one JSON array (matching --stats-json); each trace
- * tail overwrites @p tracePath immediately (matching --trace-events).
- * Either path may be empty to drop that output.
- */
-class FileReportSink final : public ReportSink
-{
-  public:
-    FileReportSink(std::string jsonPath, std::string tracePath);
-
-    void recordReport(const std::string &json) override;
-    void recordTrace(const std::string &jsonl) override;
-    void flush() override;
-
-  private:
-    std::mutex mu_;
-    std::string jsonPath_;
-    std::string tracePath_;
-    std::vector<std::string> reports_;
-    bool dirty_ = false;
-};
-
-/**
- * Install @p sink as the process-wide report destination (replacing
- * the FileReportSink that setObservability() installs). Passing
- * nullptr reverts to a FileReportSink over the current
- * ObservabilityOptions paths.
- */
-void setReportSink(std::shared_ptr<ReportSink> sink);
-
-/** The currently installed sink (never null). */
-std::shared_ptr<ReportSink> reportSink();
-
-/**
- * Buffer @p system's JSON report into the installed sink — for
+ * Buffer @p system's JSON report for flushObservability() — for
  * drivers that run a System directly instead of going through
  * runSpec()/runBatch() (e.g. the quickstart example).
  */

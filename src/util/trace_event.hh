@@ -6,9 +6,7 @@
  * (cache hits/misses/fills/evictions, prefetch issue/drop/fill, queue
  * hoist/invalidate, discontinuity-table traffic) with cycle
  * timestamps. Recording is a single branch plus a store when the sink
- * is enabled and exactly one predictable branch when it is not; with
- * IPREF_TRACE_EVENTS defined to 0 every IPREF_TRACE() site compiles
- * away entirely.
+ * is enabled and exactly one predictable branch when it is not.
  *
  * Events are drained as JSON lines (one object per line) so external
  * tooling can consume them without a schema.
@@ -277,14 +275,14 @@ class TraceSinkScope
 } // namespace ipref
 
 /**
- * Instrumentation entry point. Compiles to nothing when
- * IPREF_TRACE_EVENTS is 0; otherwise a single enabled() branch.
+ * Event tracing is always compiled in. This macro stays only because
+ * the repository benchmark's harness (perfbench/harness.cc) prints it
+ * as a provenance field; it goes with that field in the next change
+ * to that harness.
  */
-#ifndef IPREF_TRACE_EVENTS
 #define IPREF_TRACE_EVENTS 1
-#endif
 
-#if IPREF_TRACE_EVENTS
+/** Instrumentation entry point: a single enabled() branch. */
 #define IPREF_TRACE(...)                                               \
     do {                                                               \
         ::ipref::TraceSink &ts_ = ::ipref::TraceSink::current();       \
@@ -297,9 +295,5 @@ class TraceSinkScope
         if (ts_.enabled())                                             \
             ts_.setNow(now);                                           \
     } while (0)
-#else
-#define IPREF_TRACE(...) ((void)0)
-#define IPREF_TRACE_SETNOW(now) ((void)0)
-#endif
 
 #endif // IPREF_UTIL_TRACE_EVENT_HH

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "results_helpers.hh"
 #include "scheme_params.hh"
 #include "sim/experiment.hh"
 
@@ -25,50 +26,6 @@ using namespace ipref;
 
 namespace
 {
-
-/** Every field of SimResults, compared exactly. */
-void
-expectIdentical(const SimResults &a, const SimResults &b)
-{
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.fetchLineAccesses, b.fetchLineAccesses);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l1iEliminated, b.l1iEliminated);
-    EXPECT_EQ(a.l1iFirstUseHits, b.l1iFirstUseHits);
-    EXPECT_EQ(a.l1iLateHits, b.l1iLateHits);
-    EXPECT_EQ(a.l2iMisses, b.l2iMisses);
-    EXPECT_EQ(a.l1dAccesses, b.l1dAccesses);
-    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
-    EXPECT_EQ(a.l2dMisses, b.l2dMisses);
-    EXPECT_EQ(a.l1iMissByTransition, b.l1iMissByTransition);
-    EXPECT_EQ(a.l2iMissByTransition, b.l2iMissByTransition);
-    EXPECT_EQ(a.pfCandidates, b.pfCandidates);
-    EXPECT_EQ(a.pfIssued, b.pfIssued);
-    EXPECT_EQ(a.pfIssuedOffChip, b.pfIssuedOffChip);
-    EXPECT_EQ(a.pfUseful, b.pfUseful);
-    EXPECT_EQ(a.pfLate, b.pfLate);
-    EXPECT_EQ(a.pfUseless, b.pfUseless);
-    EXPECT_EQ(a.pfFiltered, b.pfFiltered);
-    EXPECT_EQ(a.pfTagProbes, b.pfTagProbes);
-    EXPECT_EQ(a.pfTagProbeHits, b.pfTagProbeHits);
-    EXPECT_EQ(a.pfIssuedByOrigin, b.pfIssuedByOrigin);
-    EXPECT_EQ(a.pfUsefulByOrigin, b.pfUsefulByOrigin);
-    EXPECT_EQ(a.pfMetaEntries, b.pfMetaEntries);
-    EXPECT_EQ(a.pfMetaBytes, b.pfMetaBytes);
-    EXPECT_EQ(a.pfMetaOffChipReads, b.pfMetaOffChipReads);
-    EXPECT_EQ(a.pfMetaOffChipWrites, b.pfMetaOffChipWrites);
-    EXPECT_EQ(a.bypassInstalls, b.bypassInstalls);
-    EXPECT_EQ(a.bypassDrops, b.bypassDrops);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memPrefetchReads, b.memPrefetchReads);
-    EXPECT_EQ(a.memWrites, b.memWrites);
-    EXPECT_EQ(a.memQueueDelayCycles, b.memQueueDelayCycles);
-    EXPECT_EQ(a.branchCtis, b.branchCtis);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.cpiStack, b.cpiStack);
-}
 
 /** Run @p spec with the given record-batch capacity. */
 SimResults
@@ -111,7 +68,7 @@ TEST(BatchedPipeline, TimingResultsMatchScalarAcrossSchemes)
     for (const char *scheme : schemes) {
         SCOPED_TRACE(scheme);
         RunSpec s = spec(false, scheme, WorkloadKind::WEB);
-        expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
+        test::expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
     }
 }
 
@@ -119,7 +76,7 @@ TEST(BatchedPipeline, TimingResultsMatchScalarOnCmp)
 {
     RunSpec s =
         spec(true, "discontinuity", WorkloadKind::DB);
-    expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
+    test::expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
 }
 
 TEST(BatchedPipeline, IntervalSamplesMatchScalar)
@@ -130,14 +87,14 @@ TEST(BatchedPipeline, IntervalSamplesMatchScalar)
     std::vector<IntervalSample> scalar, batched;
     SimResults a = runWithBatch(s, 1, &scalar);
     SimResults b = runWithBatch(s, 512, &batched);
-    expectIdentical(a, b);
+    test::expectIdentical(a, b);
     ASSERT_GE(scalar.size(), 2u);
     ASSERT_EQ(scalar.size(), batched.size());
     for (std::size_t i = 0; i < scalar.size(); ++i) {
         SCOPED_TRACE(i);
         EXPECT_EQ(scalar[i].endInstructions,
                   batched[i].endInstructions);
-        expectIdentical(scalar[i].delta, batched[i].delta);
+        test::expectIdentical(scalar[i].delta, batched[i].delta);
     }
 }
 
@@ -154,7 +111,7 @@ TEST(BatchedPipeline, FunctionalLockstepMatchesScalar)
     RunSpec s =
         spec(true, "discontinuity", WorkloadKind::JAPP);
     s.functional = true;
-    expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
+    test::expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
 }
 
 TEST(BatchedPipeline, TimeSlicedMixMatchesScalar)
@@ -167,7 +124,7 @@ TEST(BatchedPipeline, TimeSlicedMixMatchesScalar)
     s.workloads = {WorkloadKind::DB, WorkloadKind::TPCW,
                    WorkloadKind::JAPP, WorkloadKind::WEB};
     s.instrScale = 0.1;
-    expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
+    test::expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
 }
 
 TEST(BatchedPipeline, FunctionalMissRatesTrackTiming)

@@ -334,7 +334,7 @@ TEST(FaultInject, ManifestWritePointInjectsTransientIoError)
     CampaignManifest manifest(path);
     ManifestEntry entry;
     entry.fingerprint = 7;
-    entry.status = RunStatus::Ok;
+    entry.outcome.status = RunStatus::Ok;
     try {
         manifest.record(entry);
         FAIL() << "injected manifest.write fault did not throw";
@@ -366,7 +366,7 @@ TEST(ManifestLockTest, SecondHolderFailsFastWithIoError)
     }
     first.release();
     EXPECT_FALSE(first.held());
-    EXPECT_NO_THROW(ManifestLock(path));
+    EXPECT_NO_THROW(ManifestLock{path});
     std::remove((path + ".lock").c_str());
 }
 
@@ -513,7 +513,7 @@ TEST(CampaignE2E, PoisonSpecIsQuarantinedAfterRepeatedDeaths)
     const ManifestEntry *entry =
         loaded.value().find(fingerprintSpec(specs[0]));
     ASSERT_NE(entry, nullptr);
-    EXPECT_EQ(entry->status, RunStatus::Quarantined);
+    EXPECT_EQ(entry->outcome.status, RunStatus::Quarantined);
 
     // ...and a --resume re-runs it like any failed entry, succeeding
     // now that no faults are scheduled.

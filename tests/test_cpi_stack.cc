@@ -73,9 +73,6 @@ TEST(CpiStack, FunctionalModeReportsZeroStack)
 // stall bucket matches, and busy is derivable as the remainder.
 TEST(CpiStack, TraceEventsResumToLedger)
 {
-#if !IPREF_TRACE_EVENTS
-    GTEST_SKIP() << "trace events compiled out";
-#endif
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::DB};

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the experiment runner: the parallel runSpecs() path must
+ * Tests for the experiment runner: the parallel runBatch() path must
  * produce bit-identical SimResults to a sequential runSpec() loop —
  * with and without observability features enabled — and buffered JSON
  * reports must flush as one well-formed array in input order.
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "results_helpers.hh"
 #include "sim/experiment.hh"
 
 using namespace ipref;
@@ -21,45 +22,19 @@ using namespace ipref;
 namespace
 {
 
-/** Field-by-field equality over every SimResults counter. */
-void
-expectIdentical(const SimResults &a, const SimResults &b,
-                const std::string &what)
+/** Run @p specs through runBatch on @p jobs threads; all must be Ok. */
+std::vector<SimResults>
+batchResults(const std::vector<RunSpec> &specs, unsigned jobs)
 {
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.ipc, b.ipc); // bit-identical, not just close
-    EXPECT_EQ(a.fetchLineAccesses, b.fetchLineAccesses);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l1iEliminated, b.l1iEliminated);
-    EXPECT_EQ(a.l1iFirstUseHits, b.l1iFirstUseHits);
-    EXPECT_EQ(a.l1iLateHits, b.l1iLateHits);
-    EXPECT_EQ(a.l2iMisses, b.l2iMisses);
-    EXPECT_EQ(a.l1dAccesses, b.l1dAccesses);
-    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
-    EXPECT_EQ(a.l2dMisses, b.l2dMisses);
-    EXPECT_EQ(a.l1iMissByTransition, b.l1iMissByTransition);
-    EXPECT_EQ(a.l2iMissByTransition, b.l2iMissByTransition);
-    EXPECT_EQ(a.pfCandidates, b.pfCandidates);
-    EXPECT_EQ(a.pfIssued, b.pfIssued);
-    EXPECT_EQ(a.pfIssuedOffChip, b.pfIssuedOffChip);
-    EXPECT_EQ(a.pfUseful, b.pfUseful);
-    EXPECT_EQ(a.pfLate, b.pfLate);
-    EXPECT_EQ(a.pfUseless, b.pfUseless);
-    EXPECT_EQ(a.pfFiltered, b.pfFiltered);
-    EXPECT_EQ(a.pfTagProbes, b.pfTagProbes);
-    EXPECT_EQ(a.pfTagProbeHits, b.pfTagProbeHits);
-    EXPECT_EQ(a.pfIssuedByOrigin, b.pfIssuedByOrigin);
-    EXPECT_EQ(a.pfUsefulByOrigin, b.pfUsefulByOrigin);
-    EXPECT_EQ(a.bypassInstalls, b.bypassInstalls);
-    EXPECT_EQ(a.bypassDrops, b.bypassDrops);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memPrefetchReads, b.memPrefetchReads);
-    EXPECT_EQ(a.memWrites, b.memWrites);
-    EXPECT_EQ(a.memQueueDelayCycles, b.memQueueDelayCycles);
-    EXPECT_EQ(a.branchCtis, b.branchCtis);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
+    BatchOptions opt;
+    opt.jobs = jobs;
+    opt.maxAttempts = 1;
+    std::vector<SimResults> results;
+    for (const RunOutcome &o : runBatch(specs, opt)) {
+        EXPECT_TRUE(o.ok()) << o.error;
+        results.push_back(o.results);
+    }
+    return results;
 }
 
 /** A small but non-trivial mixed batch (timing + prefetchers). */
@@ -98,7 +73,7 @@ struct ObservabilityGuard
 
 } // namespace
 
-TEST(RunSpecs, ParallelMatchesSequentialBitForBit)
+TEST(RunBatch, ParallelMatchesSequentialBitForBit)
 {
     ObservabilityGuard guard;
     setObservability({});
@@ -108,14 +83,15 @@ TEST(RunSpecs, ParallelMatchesSequentialBitForBit)
     for (const RunSpec &spec : specs)
         sequential.push_back(runSpec(spec));
 
-    std::vector<SimResults> parallel = runSpecs(specs, 4);
+    std::vector<SimResults> parallel = batchResults(specs, 4);
     ASSERT_EQ(parallel.size(), sequential.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        expectIdentical(sequential[i], parallel[i],
-                        "spec " + std::to_string(i));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE("spec " + std::to_string(i));
+        test::expectIdentical(sequential[i], parallel[i]);
+    }
 }
 
-TEST(RunSpecs, DeterministicWithObservabilityEnabled)
+TEST(RunBatch, DeterministicWithObservabilityEnabled)
 {
     ObservabilityGuard guard;
     ObservabilityOptions obs;
@@ -128,14 +104,15 @@ TEST(RunSpecs, DeterministicWithObservabilityEnabled)
     for (const RunSpec &spec : specs)
         sequential.push_back(runSpec(spec));
 
-    std::vector<SimResults> parallel = runSpecs(specs, 4);
+    std::vector<SimResults> parallel = batchResults(specs, 4);
     ASSERT_EQ(parallel.size(), sequential.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        expectIdentical(sequential[i], parallel[i],
-                        "spec " + std::to_string(i));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE("spec " + std::to_string(i));
+        test::expectIdentical(sequential[i], parallel[i]);
+    }
 }
 
-TEST(RunSpecs, JobsOneFallsBackToSequential)
+TEST(RunBatch, JobsOneFallsBackToSequential)
 {
     ObservabilityGuard guard;
     setObservability({});
@@ -146,14 +123,15 @@ TEST(RunSpecs, JobsOneFallsBackToSequential)
     for (const RunSpec &spec : specs)
         sequential.push_back(runSpec(spec));
 
-    std::vector<SimResults> one = runSpecs(specs, 1);
+    std::vector<SimResults> one = batchResults(specs, 1);
     ASSERT_EQ(one.size(), sequential.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        expectIdentical(sequential[i], one[i],
-                        "spec " + std::to_string(i));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE("spec " + std::to_string(i));
+        test::expectIdentical(sequential[i], one[i]);
+    }
 }
 
-TEST(RunSpecs, FlushWritesBufferedReportsInInputOrder)
+TEST(RunBatch, FlushWritesBufferedReportsInInputOrder)
 {
     ObservabilityGuard guard;
     const std::string path = "test_experiment_reports.json";
@@ -163,7 +141,7 @@ TEST(RunSpecs, FlushWritesBufferedReportsInInputOrder)
 
     std::vector<RunSpec> specs = sampleSpecs();
     specs.resize(3);
-    runSpecs(specs, 3);
+    batchResults(specs, 3);
     flushObservability();
 
     std::ifstream in(path);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "error_helpers.hh"
+#include "results_helpers.hh"
 
 #include <cstdio>
 #include <fstream>
@@ -508,18 +509,18 @@ TEST(FaultTolerance, ManifestRoundTrip)
 
     ManifestEntry ok;
     ok.fingerprint = fingerprintSpec(quickSpec(3));
-    ok.status = RunStatus::Ok;
-    ok.attempts = 2;
-    ok.wallMs = 17;
-    ok.results = results;
-    ok.jsonReport = "{\"x\": 1}\n";
+    ok.outcome.status = RunStatus::Ok;
+    ok.outcome.attempts = 2;
+    ok.outcome.wallMs = 17;
+    ok.outcome.results = results;
+    ok.outcome.jsonReport = "{\"x\": 1}\n";
 
     ManifestEntry failed;
     failed.fingerprint = 0xdeadbeef;
-    failed.status = RunStatus::Failed;
-    failed.attempts = 3;
-    failed.errorKind = SimError::Kind::Trace;
-    failed.errorMessage = "truncated trace file [/tmp/x.trc]";
+    failed.outcome.status = RunStatus::Failed;
+    failed.outcome.attempts = 3;
+    failed.outcome.errorKind = SimError::Kind::Trace;
+    failed.outcome.error = "truncated trace file [/tmp/x.trc]";
 
     {
         CampaignManifest m(path);
@@ -534,18 +535,17 @@ TEST(FaultTolerance, ManifestRoundTrip)
 
     const ManifestEntry *e = m.find(ok.fingerprint);
     ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->status, RunStatus::Ok);
-    EXPECT_EQ(e->attempts, 2u);
-    EXPECT_EQ(e->wallMs, 17u);
-    EXPECT_EQ(e->jsonReport, ok.jsonReport);
-    EXPECT_EQ(resultsToJson(e->results), resultsToJson(results));
-    EXPECT_EQ(e->results.ipc, results.ipc); // bit-exact recompute
+    EXPECT_EQ(e->outcome.status, RunStatus::Ok);
+    EXPECT_EQ(e->outcome.attempts, 2u);
+    EXPECT_EQ(e->outcome.wallMs, 17u);
+    EXPECT_EQ(e->outcome.jsonReport, ok.outcome.jsonReport);
+    test::expectIdentical(e->outcome.results, results);
 
     const ManifestEntry *f = m.find(0xdeadbeef);
     ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->status, RunStatus::Failed);
-    EXPECT_EQ(f->errorKind, SimError::Kind::Trace);
-    EXPECT_EQ(f->errorMessage, failed.errorMessage);
+    EXPECT_EQ(f->outcome.status, RunStatus::Failed);
+    EXPECT_EQ(f->outcome.errorKind, SimError::Kind::Trace);
+    EXPECT_EQ(f->outcome.error, failed.outcome.error);
     std::remove(path.c_str());
 }
 
@@ -577,15 +577,6 @@ TEST(FaultTolerance, ResultsJsonRoundTrip)
     // Missing counters surface as errors, not zeros.
     Expected<SimResults> bad = resultsFromJson(parseJson("{}"));
     EXPECT_FALSE(bad.ok());
-}
-
-TEST(FaultTolerance, RunSpecsSurfacesFirstFailureAfterDraining)
-{
-    RunSpec good = quickSpec(61);
-    RunSpec bad = quickSpec(62);
-    bad.faultAtInstr = 2000;
-    test::expectThrows<SimError>(
-        [&] { runSpecs({good, bad, good}, 2); }, "injected fault");
 }
 
 TEST(FaultTolerance, ExpectedBasics)

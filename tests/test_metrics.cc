@@ -224,7 +224,11 @@ TEST(MetricsReconciliation, MeasureCountersMatchRunResults)
     spec.instrScale = 0.02;
 
     Snapshot before = registry().snapshot();
-    SimResults r = runSpecs({spec}, 1).at(0);
+    BatchOptions opt;
+    opt.jobs = 1;
+    RunOutcome outcome = runBatch({spec}, opt).at(0);
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+    const SimResults &r = outcome.results;
     Snapshot after = registry().snapshot();
 
     auto delta = [&](const char *name) {

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "error_helpers.hh"
+#include "results_helpers.hh"
 
 #include <set>
 #include <vector>
@@ -93,34 +94,6 @@ runCoverage(InstructionPrefetcher &p, const std::vector<Addr> &seq,
     }
     EXPECT_GT(total, 0u);
     return static_cast<double>(covered) / static_cast<double>(total);
-}
-
-/** Every field of SimResults, compared exactly. */
-void
-expectIdentical(const SimResults &a, const SimResults &b)
-{
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.fetchLineAccesses, b.fetchLineAccesses);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l1iFirstUseHits, b.l1iFirstUseHits);
-    EXPECT_EQ(a.l1iLateHits, b.l1iLateHits);
-    EXPECT_EQ(a.l2iMisses, b.l2iMisses);
-    EXPECT_EQ(a.pfCandidates, b.pfCandidates);
-    EXPECT_EQ(a.pfIssued, b.pfIssued);
-    EXPECT_EQ(a.pfUseful, b.pfUseful);
-    EXPECT_EQ(a.pfLate, b.pfLate);
-    EXPECT_EQ(a.pfUseless, b.pfUseless);
-    EXPECT_EQ(a.pfFiltered, b.pfFiltered);
-    EXPECT_EQ(a.pfIssuedByOrigin, b.pfIssuedByOrigin);
-    EXPECT_EQ(a.pfUsefulByOrigin, b.pfUsefulByOrigin);
-    EXPECT_EQ(a.pfMetaEntries, b.pfMetaEntries);
-    EXPECT_EQ(a.pfMetaBytes, b.pfMetaBytes);
-    EXPECT_EQ(a.pfMetaOffChipReads, b.pfMetaOffChipReads);
-    EXPECT_EQ(a.pfMetaOffChipWrites, b.pfMetaOffChipWrites);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memPrefetchReads, b.memPrefetchReads);
-    EXPECT_EQ(a.cpiStack, b.cpiStack);
 }
 
 /** Run @p spec with the given record-batch capacity. */
@@ -303,7 +276,7 @@ TEST(SchemeRegistry, AliasBuildsTheCanonicalSpec)
     EXPECT_EQ(viaBuilder.schemeToken, "discontinuity");
     EXPECT_EQ(viaAggregate.schemeToken, "discontinuity");
     EXPECT_EQ(fingerprintSpec(viaBuilder), fingerprintSpec(viaAggregate));
-    expectIdentical(runSpec(viaBuilder), runSpec(viaAggregate));
+    test::expectIdentical(runSpec(viaBuilder), runSpec(viaAggregate));
 }
 
 TEST(TemporalBatchedPipeline, TimingResultsMatchScalar)
@@ -316,7 +289,7 @@ TEST(TemporalBatchedPipeline, TimingResultsMatchScalar)
                         .scheme(token)
                         .instrScale(0.1)
                         .build();
-        expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
+        test::expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
     }
 }
 
@@ -332,5 +305,5 @@ TEST(TemporalBatchedPipeline, FunctionalLockstepMatchesScalar)
                     .functional()
                     .instrScale(0.1)
                     .build();
-    expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
+    test::expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));
 }

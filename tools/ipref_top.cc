@@ -225,8 +225,8 @@ render(const std::vector<metrics::Snapshot> &snaps,
             std::uint64_t wallSum = 0, n = 0;
             for (const ManifestEntry *e :
                  m.value().entriesInOrder()) {
-                if (e->status == RunStatus::Ok && e->wallMs) {
-                    wallSum += e->wallMs;
+                if (e->outcome.ok() && e->outcome.wallMs) {
+                    wallSum += e->outcome.wallMs;
                     ++n;
                 }
             }
@@ -284,11 +284,10 @@ render(const std::vector<metrics::Snapshot> &snaps,
         if (m.ok()) {
             std::map<std::string, unsigned> byScheme;
             for (const ManifestEntry *e : m.value().entriesInOrder()) {
-                if (e->status != RunStatus::Ok ||
-                    e->jsonReport.empty())
+                if (!e->outcome.ok() || e->outcome.jsonReport.empty())
                     continue;
                 try {
-                    JsonValue doc = parseJson(e->jsonReport);
+                    JsonValue doc = parseJson(e->outcome.jsonReport);
                     if (doc.has("config"))
                         ++byScheme[doc.at("config").stringOr(
                             "scheme_token", "?")];
