@@ -1,13 +1,15 @@
 /**
  * @file
- * Trace-decode microbenchmark: records/second sustained by the v3
- * mmap reader.
+ * Trace-path microbenchmark: records/second sustained by the v3
+ * writer, the mmap reader and the shared-cache load.
  *
- * A synthetic DB workload stream is written once to a scratch
- * directory, then drained through openTraceReader() with large
- * nextBatch() reads. Best-of---reps throughput lands in a JSON summary
- * (default BENCH_trace_decode.json) that CI compares against the
- * checked-in floor with scripts/bench_compare.py.
+ * A synthetic DB workload stream is generated once in memory, then
+ * timed three ways: written by TraceFileWriter ("v3-write"), drained
+ * through openTraceReader() with large nextBatch() reads ("v3-mmap"),
+ * and loaded by TraceCache::acquire() into a cleared cache
+ * ("cache-load"). Best-of---reps throughput of each lands in a JSON
+ * summary (default BENCH_trace_decode.json) that CI compares against
+ * the checked-in floor with scripts/bench_compare.py.
  *
  * Usage:
  *   trace_decode [--records N] [--reps N] [--dir PATH] [--out FILE]
@@ -17,10 +19,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "trace/trace_cache.hh"
 #include "trace/trace_file.hh"
 #include "trace/trace_v3.hh"
 #include "util/logging.hh"
@@ -39,20 +43,19 @@ struct Sample
     double mrecPerSec = 0.0; //!< million records / second
     double seconds = 0.0;
     std::uint64_t records = 0;
-    std::uint64_t fileBytes = 0;
 };
 
-/** Write @p n records of a DB workload stream as a v3 trace. */
-std::uint64_t
-writeTrace(const std::string &path, std::uint64_t n)
+/** The first @p n records of a DB workload stream. */
+std::vector<InstrRecord>
+generate(std::uint64_t n)
 {
     auto wl = makeWorkload(WorkloadKind::DB, 0);
-    TraceFileWriter writer(path);
+    std::vector<InstrRecord> recs;
+    recs.reserve(static_cast<std::size_t>(n));
     InstrRecord rec;
-    for (std::uint64_t i = 0; i < n && wl->next(rec); ++i)
-        writer.write(rec);
-    writer.close();
-    return writer.count();
+    while (recs.size() < n && wl->next(rec))
+        recs.push_back(rec);
+    return recs;
 }
 
 std::uint64_t
@@ -62,37 +65,21 @@ fileSize(const std::string &path)
     return in ? static_cast<std::uint64_t>(in.tellg()) : 0;
 }
 
-/** Drain @p path once; returns records decoded, sets @p seconds. */
-std::uint64_t
-drainOnce(const std::string &path, double &seconds)
-{
-    auto reader = openTraceReader(path);
-    std::vector<InstrRecord> buf(8192);
-    std::uint64_t total = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    for (;;) {
-        std::size_t got = reader->nextBatch(
-            std::span<InstrRecord>(buf.data(), buf.size()));
-        total += got;
-        if (got < buf.size())
-            break;
-    }
-    seconds = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-    return total;
-}
+/** One timed pass: returns the records it moved. */
+using Pass = std::function<std::uint64_t()>;
 
+/** Best throughput of @p reps runs of @p pass. */
 Sample
-measure(const std::string &label, const std::string &path,
-        unsigned reps)
+measure(const std::string &label, unsigned reps, const Pass &pass)
 {
     Sample best;
     best.label = label;
-    best.fileBytes = fileSize(path);
     for (unsigned rep = 0; rep < reps; ++rep) {
-        double seconds = 0.0;
-        std::uint64_t records = drainOnce(path, seconds);
+        auto t0 = std::chrono::steady_clock::now();
+        std::uint64_t records = pass();
+        double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
         double mrps = seconds > 0
                           ? static_cast<double>(records) / seconds / 1e6
                           : 0.0;
@@ -103,6 +90,44 @@ measure(const std::string &label, const std::string &path,
         }
     }
     return best;
+}
+
+/** Write @p recs as a v3 trace at @p path. */
+std::uint64_t
+writeOnce(const std::string &path, const std::vector<InstrRecord> &recs)
+{
+    TraceFileWriter writer(path);
+    for (const InstrRecord &rec : recs)
+        writer.write(rec);
+    writer.close();
+    return writer.count();
+}
+
+/** Drain @p path once through the mmap reader. */
+std::uint64_t
+drainOnce(const std::string &path)
+{
+    auto reader = openTraceReader(path);
+    std::vector<InstrRecord> buf(8192);
+    std::uint64_t total = 0;
+    for (;;) {
+        std::size_t got = reader->nextBatch(
+            std::span<InstrRecord>(buf.data(), buf.size()));
+        total += got;
+        if (got < buf.size())
+            return total;
+    }
+}
+
+/** Load @p path into a cleared TraceCache, then drop it again. */
+std::uint64_t
+loadOnce(const std::string &path)
+{
+    TraceCache::instance().clear();
+    std::uint64_t records =
+        TraceCache::instance().acquire(path)->records.size();
+    TraceCache::instance().clear();
+    return records;
 }
 
 } // namespace
@@ -118,18 +143,26 @@ try {
         opts.getString("out", "BENCH_trace_decode.json");
 
     std::string path = dir + "/bench_decode_v3.trc";
-    records = writeTrace(path, records);
-    Sample s = measure("v3-mmap", path, reps);
+    std::vector<InstrRecord> recs = generate(records);
+    records = recs.size();
+    std::vector<Sample> samples = {
+        measure("v3-write", reps, [&] { return writeOnce(path, recs); }),
+        measure("v3-mmap", reps, [&] { return drainOnce(path); }),
+        measure("cache-load", reps, [&] { return loadOnce(path); }),
+    };
+    const std::uint64_t fileBytes = fileSize(path);
 
-    Table t("Trace decode throughput (" + std::to_string(records) +
+    Table t("Trace path throughput (" + std::to_string(records) +
             " records, best of " + std::to_string(reps) + ")");
-    t.header({"Reader", "Mrec/s", "seconds", "file MB", "B/record"});
-    t.row({s.label, Table::num(s.mrecPerSec, 2),
-           Table::num(s.seconds, 4),
-           Table::num(static_cast<double>(s.fileBytes) / 1e6, 2),
-           Table::num(static_cast<double>(s.fileBytes) /
-                          static_cast<double>(s.records ? s.records : 1),
-                      2)});
+    t.header({"Path", "Mrec/s", "seconds", "file MB", "B/record"});
+    for (const Sample &s : samples)
+        t.row({s.label, Table::num(s.mrecPerSec, 2),
+               Table::num(s.seconds, 4),
+               Table::num(static_cast<double>(fileBytes) / 1e6, 2),
+               Table::num(static_cast<double>(fileBytes) /
+                              static_cast<double>(
+                                  s.records ? s.records : 1),
+                          2)});
     if (opts.getBool("csv"))
         t.printCsv(std::cout);
     else
@@ -142,12 +175,14 @@ try {
     out << "{\n  \"benchmark\": \"trace_decode\",\n"
         << "  \"records\": " << records << ",\n"
         << "  \"reps\": " << reps << ",\n"
-        << "  \"readers\": [\n"
-        << "    {\"reader\": \"" << s.label
-        << "\", \"mrec_per_sec\": " << s.mrecPerSec
-        << ", \"seconds\": " << s.seconds
-        << ", \"file_bytes\": " << s.fileBytes << "}\n"
-        << "  ]\n}\n";
+        << "  \"paths\": [\n";
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        out << "    {\"name\": \"" << samples[i].label
+            << "\", \"mrec_per_sec\": " << samples[i].mrecPerSec
+            << ", \"seconds\": " << samples[i].seconds
+            << ", \"file_bytes\": " << fileBytes << "}"
+            << (i + 1 < samples.size() ? ",\n" : "\n");
+    out << "  ]\n}\n";
     std::cout << "\ndecode report written to " << out_path << "\n";
 
     std::remove(path.c_str());

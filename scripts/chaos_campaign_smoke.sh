@@ -9,11 +9,14 @@
 # single-process run, modulo the wall-clock "profile" subtree and the
 # process-global campaign_summary trailer.
 #
-# The coordinator kill uses the deterministic coord.exit_record fault
-# point rather than a racy external kill -9: the process dies with no
-# unwinding at an exactly known point (right after the Nth outcome is
-# recorded), which is the same failure mode at the worst possible
-# moment, reproducibly.
+# The coordinator kill uses the deterministic coord.exit_after_death
+# fault point rather than a racy external kill -9: the process dies
+# with no unwinding at an exactly known point (right after the first
+# outcome recorded after the third worker death), which is the same
+# failure mode at the worst possible moment, reproducibly. Counting
+# from worker deaths instead of a fixed outcome index keeps the kill
+# behind the heartbeat-deadline reap of the wedged worker on hosts of
+# any speed.
 #
 # Usage: scripts/chaos_campaign_smoke.sh [build-dir]
 set -euo pipefail
@@ -22,7 +25,6 @@ BUILD=${1:-build}
 CAMPAIGN=$BUILD/tools/ipref_campaign
 WORKER=$BUILD/tools/ipref_worker
 SPECS=${IPREF_CHAOS_SPECS:-200}
-KILL_AT=$((SPECS / 3))
 
 if [ ! -x "$CAMPAIGN" ] || [ ! -x "$WORKER" ]; then
     echo "error: $CAMPAIGN / $WORKER not built" >&2
@@ -38,9 +40,9 @@ echo "== sequential single-process baseline ($SPECS specs)"
     --manifest "$tmp/clean_manifest.json" > "$tmp/clean.log"
 
 echo "== chaos campaign: 4 workers, 3 scheduled worker kills," \
-     "coordinator _exit after outcome $KILL_AT"
+     "coordinator _exit after the outcome that follows the third"
 set +e
-IPREF_FAULTS="coord.exit_record@$KILL_AT" \
+IPREF_FAULTS="coord.exit_after_death@3" \
 "$CAMPAIGN" --specs "$SPECS" --workers 4 --worker-bin "$WORKER" \
     --worker-faults "worker.crash_run@4/spawn0,worker.crash_run@7/spawn1,worker.heartbeat_stall@1/spawn2,worker.wedge_run@5/spawn2:60000" \
     --heartbeat-ms 25 --heartbeat-timeout-ms 1000 \

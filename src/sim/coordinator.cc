@@ -187,6 +187,7 @@ class Coordinator
     CampaignLedger ledger_;
     bool draining_ = false;
     Clock::time_point drainDeadline_;
+    bool exitAtNextRecord_ = false; //!< coord.exit_after_death fired
 };
 
 void
@@ -324,7 +325,7 @@ Coordinator::finalize(std::size_t idx, RunOutcome outcome)
     // outcome — the worst moment short of mid-rename (which the
     // temp+rename write already makes atomic).
     if (!opt_.batch.manifestPath.empty() &&
-        fault::shouldFire("coord.exit_record"))
+        (exitAtNextRecord_ || fault::shouldFire("coord.exit_record")))
         ::_exit(137);
 }
 
@@ -396,6 +397,12 @@ Coordinator::handleWorkerDeath(std::size_t slot, const char *why)
     ipref_warn("campaign: worker spawn %u (pid %d) died (%s)%s",
                w.spawn, static_cast<int>(pid), why,
                inFlight >= 0 ? "; requeueing its spec" : "");
+    // Chaos hook: arm the coordinator's own death for the next
+    // outcome it records. Counted in worker deaths rather than
+    // outcomes, it lands after the worker faults it is scheduled
+    // behind however fast the host runs specs.
+    if (fault::shouldFire("coord.exit_after_death"))
+        exitAtNextRecord_ = true;
 
     if (inFlight >= 0) {
         std::size_t idx = static_cast<std::size_t>(inFlight);

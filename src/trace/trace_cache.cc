@@ -79,30 +79,32 @@ decodeFile(const std::string &path, const FileFingerprint &fp)
     out->path = path;
     out->fingerprint = fp;
 
-    // Always decode tolerantly: the one stored entry must serve both
-    // strict and tolerant acquirers, so damage is recorded here and
-    // re-raised per-acquire for strict callers.
-    auto reader = openTraceReader(path, TraceReadMode::Tolerant);
-    out->headerCount = reader->count();
-    // The header's count is untrusted: reserve no more records than
-    // the mapped file can hold.
-    out->records.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(reader->count(),
-                                reader->fileBytes() /
-                                    traceV3MinRecordBytes)));
-    std::size_t chunk = 8192;
+    TraceV3Blocks file(path);
+    out->headerCount = file.count();
+    // Reserve the array once — the header's count is untrusted, so
+    // no more records than the mapped file can hold — and decode every
+    // block straight into it; no block ever reallocates it. Block
+    // damage is always recorded, never thrown: the one stored entry
+    // must serve both strict and tolerant acquirers, and strict ones
+    // get it re-raised per acquire.
+    std::vector<InstrRecord> &records = out->records;
+    records.reserve(static_cast<std::size_t>(file.recordBound()));
+    std::uint64_t off = traceV3HeaderBytes;
     std::size_t used = 0;
-    for (;;) {
-        out->records.resize(used + chunk);
-        std::size_t got = reader->nextBatch(
-            std::span<InstrRecord>(out->records.data() + used, chunk));
-        used += got;
-        if (got < chunk)
-            break;
+    try {
+        while (file.blockSize(used) != 0) {
+            off = file.decode(off, used, [&](std::size_t n) {
+                records.resize(used + n);
+                return records.data() + used;
+            });
+            used = records.size();
+        }
+    } catch (const TraceError &e) {
+        // Roll back the damaged block: only the intact prefix stays.
+        out->corrupt = true;
+        out->corruptionDetail = e.what();
     }
-    out->records.resize(used);
-    out->corrupt = reader->corrupt();
-    out->corruptionDetail = reader->corruptionDetail();
+    records.resize(used);
     return out;
 }
 

@@ -33,7 +33,7 @@ fileContext(const std::string &path, std::uint64_t byteOffset,
 TraceFileWriter::TraceFileWriter(const std::string &path,
                                  std::uint32_t blockRecords,
                                  bool dataAddresses)
-    : path_(path),
+    : path_(path), fileOff_(traceV3HeaderBytes),
       blockRecords_(blockRecords ? blockRecords
                                  : traceV3DefaultBlockRecords),
       dataAddresses_(dataAddresses)
@@ -80,18 +80,17 @@ TraceFileWriter::flushBlock()
 {
     if (pending_.empty())
         return;
-    long at = std::ftell(file_);
-    std::uint64_t off = at > 0 ? static_cast<std::uint64_t>(at) : 0;
     encodeTraceBlockV3(pending_, dataAddresses_, encoded_);
-    unsigned char frame[8];
+    unsigned char frame[traceV3FrameBytes];
     put32(frame, static_cast<std::uint32_t>(encoded_.size()));
-    put32(frame + 4, crc32(encoded_.data(), encoded_.size()));
+    put32(frame + 4, crc32Sliced(encoded_.data(), encoded_.size()));
     if (std::fwrite(frame, 1, sizeof(frame), file_) != sizeof(frame) ||
         std::fwrite(encoded_.data(), 1, encoded_.size(), file_) !=
             encoded_.size())
         throw TraceError("short write on trace block",
-                         fileContext(path_, off, count_, errno),
+                         fileContext(path_, fileOff_, count_, errno),
                          isTransientErrno(errno));
+    fileOff_ += sizeof(frame) + encoded_.size();
     pending_.clear();
 }
 

@@ -78,6 +78,7 @@ class TraceFileWriter
     std::FILE *file_ = nullptr;
     std::string path_;
     std::uint64_t count_ = 0;
+    std::uint64_t fileOff_;      //!< byte offset of the next frame
     std::uint32_t blockRecords_;
     bool dataAddresses_;
     std::vector<InstrRecord> pending_;   //!< pending block records

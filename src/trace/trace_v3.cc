@@ -15,16 +15,6 @@ using namespace tracewire;
 namespace
 {
 
-/** Block frame: u32 payload bytes + u32 payload CRC. */
-constexpr std::size_t v3FrameBytes = 8;
-
-/**
- * Upper bound on one record's encoded size (worst case: 10-byte
- * varints everywhere) — used to sanity-check frame headers before
- * trusting their payload size.
- */
-constexpr std::size_t v3MaxRecordEncoded = 36;
-
 /**
  * Unchecked LEB128 decode for the hot column loops. Only legal while
  * the cursor is at least 10 bytes (one maximal varint) from the end
@@ -84,16 +74,19 @@ void
 encodeTraceBlockV3(std::span<const InstrRecord> records,
                    bool dataAddresses, std::vector<unsigned char> &out)
 {
-    out.clear();
+    // Size the buffer for the worst case once, write through a raw
+    // pointer with no per-byte capacity checks, and trim once.
     const std::size_t n = records.size();
+    out.resize(static_cast<std::size_t>(traceV3MaxBlockBytes(n)));
     if (n == 0)
         return;
+    unsigned char *p = out.data();
 
     // pc column: absolute first, deltas after.
-    putVarint(out, records[0].pc);
+    p = putVarint(p, records[0].pc);
     for (std::size_t i = 1; i < n; ++i)
-        putSvarint(out, static_cast<std::int64_t>(records[i].pc -
-                                                  records[i - 1].pc));
+        p = putSvarint(p, static_cast<std::int64_t>(records[i].pc -
+                                                    records[i - 1].pc));
 
     // op column: run-length pairs.
     std::size_t i = 0;
@@ -101,69 +94,63 @@ encodeTraceBlockV3(std::span<const InstrRecord> records,
         std::size_t run = 1;
         while (i + run < n && records[i + run].op == records[i].op)
             ++run;
-        out.push_back(static_cast<unsigned char>(records[i].op));
-        putVarint(out, run);
+        *p++ = static_cast<unsigned char>(records[i].op);
+        p = putVarint(p, run);
         i += run;
     }
 
-    // taken bitmap.
-    std::size_t bitmapAt = out.size();
-    out.resize(out.size() + (n + 7) / 8, 0);
-    for (std::size_t r = 0; r < n; ++r) {
-        if (records[r].taken)
-            out[bitmapAt + r / 8] |=
-                static_cast<unsigned char>(1u << (r % 8));
-    }
+    // One LSB-first bitmap byte per 8 records, assembled in a
+    // register (the buffer is not zeroed).
+    auto bitmap = [&](auto &&bit) {
+        for (std::size_t r = 0; r < n; r += 8) {
+            unsigned bits = 0;
+            std::size_t lim = std::min<std::size_t>(8, n - r);
+            for (std::size_t k = 0; k < lim; ++k)
+                bits |= static_cast<unsigned>(bit(records[r + k])) << k;
+            *p++ = static_cast<unsigned char>(bits);
+        }
+    };
+
+    bitmap([](const InstrRecord &rec) { return rec.taken; });
 
     // target column: presence bitmap + per-present pc-relative delta.
-    bitmapAt = out.size();
-    out.resize(out.size() + (n + 7) / 8, 0);
+    bitmap([](const InstrRecord &rec) { return rec.target != 0; });
     for (std::size_t r = 0; r < n; ++r) {
         if (records[r].target != 0)
-            out[bitmapAt + r / 8] |=
-                static_cast<unsigned char>(1u << (r % 8));
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-        if (records[r].target != 0)
-            putSvarint(out,
-                       static_cast<std::int64_t>(records[r].target -
-                                                 records[r].pc));
+            p = putSvarint(p, static_cast<std::int64_t>(
+                                  records[r].target - records[r].pc));
     }
 
     // data-address column (optional): presence bitmap + deltas from
     // the previous present address (strided data encodes small).
     if (dataAddresses) {
-        bitmapAt = out.size();
-        out.resize(out.size() + (n + 7) / 8, 0);
-        for (std::size_t r = 0; r < n; ++r) {
-            if (records[r].dataAddr != 0)
-                out[bitmapAt + r / 8] |=
-                    static_cast<unsigned char>(1u << (r % 8));
-        }
+        bitmap([](const InstrRecord &rec) { return rec.dataAddr != 0; });
         Addr prev = 0;
         for (std::size_t r = 0; r < n; ++r) {
             if (records[r].dataAddr == 0)
                 continue;
-            putSvarint(out, static_cast<std::int64_t>(
-                                records[r].dataAddr - prev));
+            p = putSvarint(p, static_cast<std::int64_t>(
+                                  records[r].dataAddr - prev));
             prev = records[r].dataAddr;
         }
     }
 
     // register column: raw (src0, src1, dst) triples.
     for (std::size_t r = 0; r < n; ++r) {
-        out.push_back(records[r].srcReg[0]);
-        out.push_back(records[r].srcReg[1]);
-        out.push_back(records[r].dstReg);
+        p[0] = records[r].srcReg[0];
+        p[1] = records[r].srcReg[1];
+        p[2] = records[r].dstReg;
+        p += 3;
     }
+
+    out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 void
 decodeTraceBlockV3(const unsigned char *payload,
                    std::size_t payloadBytes, std::size_t n,
-                   bool dataAddresses, std::vector<InstrRecord> &out)
+                   bool dataAddresses, InstrRecord *out)
 {
-    out.resize(n);
     if (n == 0)
         return;
     VarintCursor cur(payload, payload + payloadBytes);
@@ -305,11 +292,10 @@ decodeTraceBlockV3(const unsigned char *payload,
         malformed("trailing bytes after the register column");
 }
 
-// --- MappedTraceReader ------------------------------------------------
+// --- TraceV3Blocks ---------------------------------------------------
 
-MappedTraceReader::MappedTraceReader(const std::string &path,
-                                     TraceReadMode mode)
-try : map_(path), path_(path), mode_(mode) {
+TraceV3Blocks::TraceV3Blocks(const std::string &path)
+try : map_(path), path_(path) {
     const unsigned char *hdr = map_.data();
     if (map_.size() >= magicBytes && !isMagic(hdr, magicV3))
         throw TraceError(
@@ -333,13 +319,78 @@ try : map_(path), path_(path), mode_(mode) {
     if (blockRecords_ == 0)
         throw TraceError("invalid trace block size",
                          fileContext(path_, 16, 0));
-    reset();
 } catch (const TraceError &) {
     throw;
 } catch (const SimError &e) {
     // MappedFile reports an unopenable file as an I/O error; to the
     // caller it is a trace that cannot be read.
     throw TraceError(e.what(), fileContext(path, 0, 0), e.transient());
+}
+
+std::uint64_t
+TraceV3Blocks::recordBound() const
+{
+    return std::min<std::uint64_t>(count_,
+                                   map_.size() / traceV3MinRecordBytes);
+}
+
+std::size_t
+TraceV3Blocks::blockSize(std::uint64_t firstRecord) const
+{
+    if (firstRecord >= count_)
+        return 0;
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(count_ - firstRecord, blockRecords_));
+}
+
+std::uint64_t
+TraceV3Blocks::decode(
+    std::uint64_t fileOff, std::uint64_t firstRecord,
+    const std::function<InstrRecord *(std::size_t)> &room) const
+{
+    const std::uint64_t n = blockSize(firstRecord);
+    if (fileOff + traceV3FrameBytes > map_.size())
+        throw TraceError("truncated trace file (missing block frame)",
+                         fileContext(path_, map_.size(), firstRecord));
+    const unsigned char *frame = map_.data() + fileOff;
+    std::uint32_t payloadBytes = get32(frame);
+    std::uint32_t payloadCrc = get32(frame + 4);
+
+    // The frame is not separately checksummed, and a CRC-valid header
+    // can still carry an absurd block size: bound the payload between
+    // the fewest and the most bytes n records can take, so a flipped
+    // size byte or a crafted block size reads as damage instead of a
+    // wild allocation or an out-of-bounds CRC scan.
+    if (payloadBytes < n * traceV3MinRecordBytes ||
+        payloadBytes > traceV3MaxBlockBytes(n) ||
+        fileOff + traceV3FrameBytes + payloadBytes > map_.size())
+        throw TraceError("implausible v3 block size (corrupt frame "
+                         "header or truncated file)",
+                         fileContext(path_, fileOff, firstRecord));
+
+    const unsigned char *payload = frame + traceV3FrameBytes;
+    if (crc32Sliced(payload, payloadBytes) != payloadCrc)
+        throw TraceError("trace block CRC mismatch",
+                         fileContext(path_, fileOff, firstRecord));
+
+    try {
+        decodeTraceBlockV3(payload, payloadBytes,
+                           static_cast<std::size_t>(n), hasData_,
+                           room(static_cast<std::size_t>(n)));
+    } catch (const TraceError &e) {
+        throw TraceError(e.what(),
+                         fileContext(path_, fileOff, firstRecord));
+    }
+    return fileOff + traceV3FrameBytes + payloadBytes;
+}
+
+// --- MappedTraceReader ------------------------------------------------
+
+MappedTraceReader::MappedTraceReader(const std::string &path,
+                                     TraceReadMode mode)
+    : blocks_(path), mode_(mode)
+{
+    reset();
 }
 
 bool
@@ -359,46 +410,17 @@ MappedTraceReader::decodeBlockAt(std::uint64_t fileOff,
                                  std::vector<InstrRecord> &out,
                                  std::uint64_t &nextOff)
 {
-    std::uint64_t remaining = count_ - firstRecord;
-    if (remaining == 0)
+    if (blocks_.blockSize(firstRecord) == 0)
         return false;
-    std::uint64_t n = std::min<std::uint64_t>(remaining, blockRecords_);
-
-    if (fileOff + v3FrameBytes > map_.size())
-        return damaged(TraceError(
-            "truncated trace file (missing block frame)",
-            fileContext(path_, map_.size(), firstRecord)));
-    const unsigned char *frame = map_.data() + fileOff;
-    std::uint32_t payloadBytes = get32(frame);
-    std::uint32_t payloadCrc = get32(frame + 4);
-
-    // The frame is not separately checksummed, and a CRC-valid header
-    // can still carry an absurd block size: bound the payload between
-    // the fewest and the most bytes n records can take, so a flipped
-    // size byte or a crafted block size reads as damage instead of a
-    // wild allocation or an out-of-bounds CRC scan.
-    if (payloadBytes < n * traceV3MinRecordBytes ||
-        payloadBytes > n * v3MaxRecordEncoded ||
-        fileOff + v3FrameBytes + payloadBytes > map_.size())
-        return damaged(TraceError(
-            "implausible v3 block size (corrupt frame header or "
-            "truncated file)",
-            fileContext(path_, fileOff, firstRecord)));
-
-    const unsigned char *payload = frame + v3FrameBytes;
-    if (crc32Sliced(payload, payloadBytes) != payloadCrc)
-        return damaged(
-            TraceError("trace block CRC mismatch",
-                       fileContext(path_, fileOff, firstRecord)));
-
     try {
-        decodeTraceBlockV3(payload, payloadBytes,
-                           static_cast<std::size_t>(n), hasData_, out);
+        nextOff = blocks_.decode(fileOff, firstRecord,
+                                 [&](std::size_t n) {
+                                     out.resize(n);
+                                     return out.data();
+                                 });
     } catch (const TraceError &e) {
-        return damaged(TraceError(
-            e.what(), fileContext(path_, fileOff, firstRecord)));
+        return damaged(e);
     }
-    nextOff = fileOff + v3FrameBytes + payloadBytes;
     return true;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Trace format v3: columnar delta+varint block codec and the
- * mmap-backed zero-copy reader.
+ * Trace format v3: columnar delta+varint block codec, the block layer
+ * every reader decodes through, and the mmap-backed zero-copy reader.
  *
  * v3 layout (all integers little-endian):
  *
@@ -37,6 +37,7 @@
 #ifndef IPREF_TRACE_TRACE_V3_HH
 #define IPREF_TRACE_TRACE_V3_HH
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -52,41 +53,57 @@ namespace ipref
 /** v3 header size in bytes. */
 inline constexpr std::size_t traceV3HeaderBytes = 48;
 
+/** v3 block frame: u32 payload bytes + u32 payload CRC. */
+inline constexpr std::size_t traceV3FrameBytes = 8;
+
 /**
  * Fewest payload bytes one record can occupy: its register triple.
  * Bounds how many records a file of a given size can hold.
  */
 inline constexpr std::size_t traceV3MinRecordBytes = 3;
 
+/**
+ * Most payload bytes a block of @p n records can occupy: per record a
+ * 10-byte varint each for pc, target and data address, a 2-byte op
+ * run pair and the register triple (35 bytes), plus the three
+ * ceil(n/8)-byte bitmaps. The encoder sizes its output buffer with it
+ * and the reader rejects any frame claiming more.
+ */
+constexpr std::uint64_t
+traceV3MaxBlockBytes(std::uint64_t n)
+{
+    return n * 35 + 3 * ((n + 7) / 8);
+}
+
 /** v3 header flags. */
 inline constexpr std::uint32_t traceV3FlagDataAddr = 1u << 0;
 
 /**
- * Encode @p records as one v3 block payload into @p out (cleared
- * first). Framing (payload size + CRC) is the caller's job.
+ * Encode @p records as one v3 block payload into @p out (replacing its
+ * contents). Framing (payload size + CRC) is the caller's job.
  */
 void encodeTraceBlockV3(std::span<const InstrRecord> records,
                         bool dataAddresses,
                         std::vector<unsigned char> &out);
 
 /**
- * Decode one v3 block payload of @p n records into @p out (resized).
+ * Decode one v3 block payload of @p n records into @p out[0, n).
  * Throws TraceError (without file context — the caller decorates) on
- * malformed input.
+ * malformed input, leaving @p out partly written.
  */
 void decodeTraceBlockV3(const unsigned char *payload,
                         std::size_t payloadBytes, std::size_t n,
-                        bool dataAddresses,
-                        std::vector<InstrRecord> &out);
+                        bool dataAddresses, InstrRecord *out);
 
 /**
- * Zero-copy v3 reader: the file is mmap()ed, blocks are
- * CRC-verified and decoded into a reusable record buffer one block
- * ahead of the consumer, and nextBatch() serves straight memcpy()s
- * out of that buffer — no per-record syscalls, no steady-state
- * allocation.
+ * The block layer of one mapped v3 file: the header is validated on
+ * open, then any block's frame is validated (size bounds, CRC) and
+ * its columns decoded straight into caller memory. It keeps no
+ * cursor, so one routine serves both consumers: MappedTraceReader
+ * decodes one block ahead of its reader into a vector, and TraceCache
+ * decodes a whole file in place into its record array.
  */
-class MappedTraceReader final : public TraceSource
+class TraceV3Blocks
 {
   public:
     /**
@@ -94,6 +111,64 @@ class MappedTraceReader final : public TraceSource
      * IPRTRC03 (the message names the bytes found), or a corrupt
      * header (nothing trustworthy to salvage, even in tolerant mode).
      */
+    explicit TraceV3Blocks(const std::string &path);
+
+    /** Total records promised by the (untrusted) header. */
+    std::uint64_t count() const { return count_; }
+
+    /**
+     * Most records the file can actually hold: the header count,
+     * capped by what the mapped bytes can encode (every valid frame
+     * spends at least traceV3MinRecordBytes per record). Decoding a
+     * file's blocks in sequence never yields more.
+     */
+    std::uint64_t recordBound() const;
+
+    /** Records per block from the header. */
+    std::uint32_t blockRecords() const { return blockRecords_; }
+
+    /** Does the file carry the data-address column? */
+    bool hasDataAddresses() const { return hasData_; }
+
+    /** Mapped file size in bytes. */
+    std::uint64_t fileBytes() const { return map_.size(); }
+
+    /** Records in the block whose first record is @p firstRecord
+     *  (0 past the end of the stream). */
+    std::size_t blockSize(std::uint64_t firstRecord) const;
+
+    /**
+     * Validate the frame at byte @p fileOff (size bounds, CRC), then
+     * decode the blockSize(@p firstRecord) records behind it into the
+     * storage @p room(n) returns for them. The consumer sizes its
+     * storage only once the frame has proven plausible, so a crafted
+     * size never drives an allocation. Returns the offset of the
+     * next frame. Any damage throws a TraceError carrying the path,
+     * frame offset and record index.
+     */
+    std::uint64_t
+    decode(std::uint64_t fileOff, std::uint64_t firstRecord,
+           const std::function<InstrRecord *(std::size_t)> &room) const;
+
+  private:
+    MappedFile map_;
+    std::string path_;
+    std::uint64_t count_ = 0;
+    std::uint32_t blockRecords_ = 0;
+    bool hasData_ = false;
+};
+
+/**
+ * Zero-copy v3 reader: the file is mmap()ed, blocks are
+ * CRC-verified and decoded (by TraceV3Blocks) into a reusable record
+ * buffer one block ahead of the consumer, and nextBatch() serves
+ * straight memcpy()s out of that buffer — no per-record syscalls, no
+ * steady-state allocation.
+ */
+class MappedTraceReader final : public TraceSource
+{
+  public:
+    /** Open @p path; throws as TraceV3Blocks does. */
     explicit MappedTraceReader(const std::string &path,
                                TraceReadMode mode =
                                    TraceReadMode::Strict);
@@ -101,10 +176,10 @@ class MappedTraceReader final : public TraceSource
     bool next(InstrRecord &out) override;
     std::size_t nextBatch(std::span<InstrRecord> out) override;
     void reset() override;
-    std::uint64_t sizeHint() const override { return count_; }
+    std::uint64_t sizeHint() const override { return count(); }
 
     /** Total records promised by the header. */
-    std::uint64_t count() const { return count_; }
+    std::uint64_t count() const { return blocks_.count(); }
 
     /** Tolerant mode: did the stream end early on corruption? */
     bool corrupt() const { return corrupt_; }
@@ -116,19 +191,22 @@ class MappedTraceReader final : public TraceSource
     std::uint64_t delivered() const { return deliveredTotal_; }
 
     /** Mapped file size in bytes. */
-    std::uint64_t fileBytes() const { return map_.size(); }
+    std::uint64_t fileBytes() const { return blocks_.fileBytes(); }
 
     /** Records per block from the header. */
-    std::uint32_t blockRecords() const { return blockRecords_; }
+    std::uint32_t blockRecords() const
+    {
+        return blocks_.blockRecords();
+    }
 
     /** Does the file carry the data-address column? */
-    bool hasDataAddresses() const { return hasData_; }
+    bool hasDataAddresses() const { return blocks_.hasDataAddresses(); }
 
   private:
     /**
-     * Decode the block at @p fileOff into @p out; returns false at
-     * end of stream or (tolerant) on damage. @p firstRecord is the
-     * index of the block's first record (error context).
+     * Decode the block at @p fileOff into @p out (resized); returns
+     * false at end of stream or (tolerant) on damage. @p firstRecord
+     * is the index of the block's first record.
      */
     bool decodeBlockAt(std::uint64_t fileOff,
                        std::uint64_t firstRecord,
@@ -141,12 +219,8 @@ class MappedTraceReader final : public TraceSource
     /** Raise @p err (Strict) or record it and end the stream. */
     bool damaged(const TraceError &err);
 
-    MappedFile map_;
-    std::string path_;
+    TraceV3Blocks blocks_;
     TraceReadMode mode_;
-    std::uint64_t count_ = 0;
-    std::uint32_t blockRecords_ = 0;
-    bool hasData_ = false;
 
     std::vector<InstrRecord> cur_;   //!< block being consumed
     std::vector<InstrRecord> ahead_; //!< decoded one block ahead

@@ -25,6 +25,8 @@
  *   worker.truncate_outcome write half the outcome line, then _exit
  *   manifest.write        fail CampaignManifest::write() transiently
  *   coord.exit_record     _exit(137) after recording outcome N
+ *   coord.exit_after_death _exit(137) after recording the first
+ *                         outcome that follows worker death N
  */
 
 #ifndef IPREF_UTIL_FAULT_INJECT_HH

@@ -1,8 +1,10 @@
 /**
  * @file
  * LEB128 variable-length integers and zigzag signed mapping, used by
- * the columnar v3 trace block codec. Encoders append to a byte
- * vector; decoders consume from a bounds-checked cursor and report
+ * the columnar v3 trace block codec. Encoders write through a raw
+ * pointer into a buffer the caller sized for the worst case (10 bytes
+ * per value) and return the advanced pointer; decoders consume from a
+ * bounds-checked cursor and report
  * malformed input by returning false (the caller owns the error
  * policy — the trace layer turns it into a TraceError).
  */
@@ -10,21 +12,28 @@
 #ifndef IPREF_UTIL_VARINT_HH
 #define IPREF_UTIL_VARINT_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace ipref
 {
 
-/** Append @p v as an unsigned LEB128 varint (1-10 bytes). */
-inline void
-putVarint(std::vector<unsigned char> &out, std::uint64_t v)
+/** Largest encoded varint: ceil(64 / 7) bytes. */
+inline constexpr std::size_t maxVarintBytes = 10;
+
+/**
+ * Write @p v as an unsigned LEB128 varint (1-10 bytes) at @p p;
+ * returns the byte after it.
+ */
+inline unsigned char *
+putVarint(unsigned char *p, std::uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<unsigned char>(v) | 0x80);
+        *p++ = static_cast<unsigned char>(v) | 0x80;
         v >>= 7;
     }
-    out.push_back(static_cast<unsigned char>(v));
+    *p++ = static_cast<unsigned char>(v);
+    return p;
 }
 
 /** Map a signed delta onto small unsigned values (-1 -> 1, 1 -> 2). */
@@ -43,11 +52,11 @@ zigzagDecode(std::uint64_t v)
            -static_cast<std::int64_t>(v & 1);
 }
 
-/** Append a signed value as a zigzag varint. */
-inline void
-putSvarint(std::vector<unsigned char> &out, std::int64_t v)
+/** Write a signed value as a zigzag varint at @p p (see putVarint). */
+inline unsigned char *
+putSvarint(unsigned char *p, std::int64_t v)
 {
-    putVarint(out, zigzagEncode(v));
+    return putVarint(p, zigzagEncode(v));
 }
 
 /**

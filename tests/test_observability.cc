@@ -9,8 +9,10 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "scheme_params.hh"
 #include "sim/experiment.hh"
 #include "util/json.hh"
 #include "util/stats.hh"
@@ -254,14 +256,32 @@ TEST(SystemReport, IntervalDeltasSumToTotals)
 
 // --- lifecycle reconciliation ----------------------------------------
 
-TEST(Lifecycle, IssuedEqualsUsefulPlusUselessPlusInFlightPlusDropped)
+/** (scheme token, functional?, cores) */
+using LifecycleParam = std::tuple<std::string, bool, unsigned>;
+
+class Lifecycle : public ::testing::TestWithParam<LifecycleParam>
+{};
+
+TEST_P(Lifecycle, IssuedEqualsUsefulPlusUselessPlusInFlightPlusDropped)
 {
     ObservabilityGuard guard;
+    const auto &[scheme, functional, cores] = GetParam();
+    RunSpec spec;
+    spec.cmp = cores > 1;
+    spec.workloads = {WorkloadKind::DB};
+    spec.schemeToken = scheme;
+    spec.functional = functional;
+    spec.instrScale = 0.05;
+    SystemConfig cfg = makeConfig(spec);
+    ASSERT_EQ(cfg.numCores, cores);
     // No warm-up: a mid-run stats reset would orphan in-flight
     // lifecycle entries and the identity below would not hold.
-    System system(observedConfig(0, 0));
+    cfg.warmupInstrs = 0;
+    System system(cfg);
     SimResults r = system.run();
-    ASSERT_GT(r.pfIssued, 0u);
+    if (scheme != "none") {
+        ASSERT_GT(r.pfIssued, 0u);
+    }
 
     std::uint64_t issued = 0, accounted = 0;
     for (unsigned c = 0; c < system.config().numCores; ++c) {
@@ -278,7 +298,18 @@ TEST(Lifecycle, IssuedEqualsUsefulPlusUselessPlusInFlightPlusDropped)
     EXPECT_EQ(issued, r.pfIssued);
 }
 
-TEST(Lifecycle, PerOriginAttributionSumsToTotals)
+INSTANTIATE_TEST_SUITE_P(
+    EveryScheme, Lifecycle,
+    ::testing::Combine(::testing::ValuesIn(test::allSchemeTokens()),
+                       ::testing::Bool(), ::testing::Values(1u, 4u)),
+    [](const auto &p) {
+        std::string n = test::schemeTestName(std::get<0>(p.param));
+        n += std::get<1>(p.param) ? "_Functional" : "_Timing";
+        n += "_" + std::to_string(std::get<2>(p.param)) + "Core";
+        return n;
+    });
+
+TEST(LifecycleOrigin, PerOriginAttributionSumsToTotals)
 {
     ObservabilityGuard guard;
     System system(observedConfig(0, 0));

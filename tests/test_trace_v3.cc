@@ -437,6 +437,229 @@ TEST(TraceV3, CraftedBlockSizeTolerantIsCorrupt)
     std::remove(path.c_str());
 }
 
+// --- column decoder behind a valid CRC --------------------------------
+
+namespace
+{
+
+/** One block frame of a v3 file, as laid out on disk. */
+struct BlockFrame
+{
+    std::size_t off;     //!< frame offset in the file
+    std::size_t bytes;   //!< payload bytes
+    std::size_t first;   //!< index of the block's first record
+    std::size_t records; //!< records in the block
+};
+
+std::vector<BlockFrame>
+blockFrames(const std::vector<unsigned char> &file, std::size_t total,
+            std::size_t blockRecords)
+{
+    std::vector<BlockFrame> frames;
+    std::size_t off = traceV3HeaderBytes;
+    for (std::size_t first = 0; first < total; first += blockRecords) {
+        std::size_t bytes = file[off] | file[off + 1] << 8 |
+                            file[off + 2] << 16 |
+                            static_cast<std::size_t>(file[off + 3]) << 24;
+        frames.push_back(BlockFrame{
+            off, bytes, first, std::min(blockRecords, total - first)});
+        off += traceV3FrameBytes + bytes;
+    }
+    return frames;
+}
+
+/**
+ * @p file with block @p b 's payload replaced by @p payload, its frame
+ * size and CRC recomputed so the damage reaches the column decoder.
+ */
+std::vector<unsigned char>
+withPayload(const std::vector<unsigned char> &file, const BlockFrame &b,
+            const std::vector<unsigned char> &payload)
+{
+    std::vector<unsigned char> out(
+        file.begin(), file.begin() + static_cast<std::ptrdiff_t>(b.off));
+    unsigned char frame[traceV3FrameBytes];
+    putLe(frame, payload.size(), 4);
+    putLe(frame + 4, crc32(payload.data(), payload.size()), 4);
+    out.insert(out.end(), frame, frame + traceV3FrameBytes);
+    out.insert(out.end(), payload.begin(), payload.end());
+    out.insert(out.end(),
+               file.begin() + static_cast<std::ptrdiff_t>(
+                                  b.off + traceV3FrameBytes + b.bytes),
+               file.end());
+    return out;
+}
+
+std::vector<InstrRecord>
+slice(const std::vector<InstrRecord> &v, std::size_t from, std::size_t to)
+{
+    return std::vector<InstrRecord>(
+        v.begin() + static_cast<std::ptrdiff_t>(from),
+        v.begin() + static_cast<std::ptrdiff_t>(to));
+}
+
+/**
+ * Read @p path through the mmap reader and through strict and
+ * tolerant TraceCache acquires (each a fresh decode). A strict read
+ * must throw TraceError when @p damaged, else deliver @p full; a
+ * tolerant one must deliver exactly @p prefix with the corrupt flag
+ * when @p damaged, else @p full.
+ */
+void
+expectEveryReader(const std::string &path, bool damaged,
+                  const std::vector<InstrRecord> &full,
+                  const std::vector<InstrRecord> &prefix)
+{
+    const std::vector<InstrRecord> &salvage = damaged ? prefix : full;
+
+    auto tolerant = openTraceReader(path, TraceReadMode::Tolerant);
+    expectSameRecords(drainBatch(*tolerant, 100), salvage);
+    EXPECT_EQ(tolerant->corrupt(), damaged);
+
+    TraceCache &cache = TraceCache::instance();
+    cache.clear();
+    auto loaded = cache.acquire(path, TraceReadMode::Tolerant);
+    expectSameRecords(loaded->records, salvage);
+    EXPECT_EQ(loaded->corrupt, damaged);
+
+    cache.clear();
+    if (damaged) {
+        EXPECT_THROW(drainNext(*openTraceReader(path)), TraceError);
+        EXPECT_THROW(cache.acquire(path), TraceError);
+    } else {
+        expectSameRecords(drainNext(*openTraceReader(path)), full);
+        expectSameRecords(cache.acquire(path)->records, full);
+    }
+    cache.clear();
+}
+
+} // namespace
+
+TEST(TraceV3, ColumnDecoderFuzzBehindValidCrc)
+{
+    const std::size_t kBlock = 128;
+    std::string path = ::testing::TempDir() + "v3_colfuzz.trc";
+    std::vector<InstrRecord> truth = syntheticStream(3000, 17);
+    writeTraceFile(path, truth, kBlock);
+    const std::vector<unsigned char> intact = readFileBytes(path);
+    const std::vector<BlockFrame> frames =
+        blockFrames(intact, truth.size(), kBlock);
+
+    std::mt19937 rng(4242);
+    unsigned rejected = 0, trials = 300;
+    for (unsigned trial = 0; trial < trials; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial);
+        const BlockFrame &b = frames[rng() % frames.size()];
+        std::vector<unsigned char> payload(
+            intact.begin() +
+                static_cast<std::ptrdiff_t>(b.off + traceV3FrameBytes),
+            intact.begin() + static_cast<std::ptrdiff_t>(
+                                 b.off + traceV3FrameBytes + b.bytes));
+        switch (trial % 4) {
+          case 0: // one bit
+            payload[rng() % payload.size()] ^=
+                static_cast<unsigned char>(1u << (rng() % 8));
+            break;
+          case 1: // one byte, any value
+            payload[rng() % payload.size()] =
+                static_cast<unsigned char>(rng());
+            break;
+          case 2: // a byte dropped from anywhere
+            payload.erase(payload.begin() + static_cast<std::ptrdiff_t>(
+                                                rng() % payload.size()));
+            break;
+          default: // a byte inserted anywhere
+            payload.insert(payload.begin() +
+                               static_cast<std::ptrdiff_t>(
+                                   rng() % (payload.size() + 1)),
+                           static_cast<unsigned char>(rng()));
+            break;
+        }
+        writeFileBytes(path, withPayload(intact, b, payload));
+
+        // The oracle: the column decoder run directly on the payload.
+        std::vector<InstrRecord> mutant(b.records);
+        bool damaged = false;
+        try {
+            decodeTraceBlockV3(payload.data(), payload.size(), b.records,
+                               true, mutant.data());
+        } catch (const TraceError &) {
+            damaged = true;
+        }
+        rejected += damaged;
+        std::vector<InstrRecord> full = slice(truth, 0, b.first);
+        full.insert(full.end(), mutant.begin(), mutant.end());
+        std::vector<InstrRecord> rest =
+            slice(truth, b.first + b.records, truth.size());
+        full.insert(full.end(), rest.begin(), rest.end());
+        expectEveryReader(path, damaged, full, slice(truth, 0, b.first));
+    }
+    // Most mutations must actually reach a decoder rejection path.
+    EXPECT_GT(rejected, trials / 2);
+    std::remove(path.c_str());
+}
+
+TEST(TraceCache, TolerantLoadDamagedInBlockKHoldsBlocksBeforeK)
+{
+    // A trailing byte behind a recomputed CRC passes the frame checks
+    // and fails only the column decoder, after the block's records
+    // were decoded in place: the load must roll them back.
+    const std::size_t kBlock = 100;
+    std::string path = ::testing::TempDir() + "cache_rollback.trc";
+    std::vector<InstrRecord> truth = syntheticStream(1050, 29);
+    writeTraceFile(path, truth, kBlock);
+    const std::vector<unsigned char> intact = readFileBytes(path);
+    const std::vector<BlockFrame> frames =
+        blockFrames(intact, truth.size(), kBlock);
+    ASSERT_EQ(frames.size(), 11u);
+
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+        SCOPED_TRACE(::testing::Message() << "block " << k);
+        const BlockFrame &b = frames[k];
+        std::vector<unsigned char> payload(
+            intact.begin() +
+                static_cast<std::ptrdiff_t>(b.off + traceV3FrameBytes),
+            intact.begin() + static_cast<std::ptrdiff_t>(
+                                 b.off + traceV3FrameBytes + b.bytes));
+        payload.push_back(0);
+        writeFileBytes(path, withPayload(intact, b, payload));
+
+        TraceCache::instance().clear();
+        auto t = TraceCache::instance().acquire(path,
+                                                TraceReadMode::Tolerant);
+        EXPECT_NE(t->corruptionDetail.find("trailing bytes"),
+                  std::string::npos)
+            << t->corruptionDetail;
+        expectEveryReader(path, true, truth,
+                          slice(truth, 0, k * kBlock));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3, WorstCaseSingleRecordBlocksRoundTrip)
+{
+    // One-record blocks of maximal varints are larger per record than
+    // long blocks (each carries three whole bitmap bytes); the frame
+    // check must still accept them.
+    std::vector<InstrRecord> truth(5);
+    const Addr wide = (Addr{1} << 62) + 1;
+    for (std::size_t i = 0; i < truth.size(); ++i) {
+        truth[i].pc = ~Addr{0} - i * instrBytes;
+        truth[i].op = OpClass::Call;
+        truth[i].taken = true;
+        truth[i].target = truth[i].pc + wide;
+        truth[i].dataAddr = wide + i;
+    }
+    std::string path = ::testing::TempDir() + "v3_worst.trc";
+    writeTraceFile(path, truth, 1);
+    EXPECT_EQ(readFileBytes(path).size(),
+              traceV3HeaderBytes +
+                  truth.size() *
+                      (traceV3FrameBytes + traceV3MaxBlockBytes(1)));
+    expectEveryReader(path, false, truth, {});
+    std::remove(path.c_str());
+}
+
 // --- TraceCache -------------------------------------------------------
 
 TEST(TraceCache, TolerantAcquireOfCraftedHeaderIsCorrupt)
