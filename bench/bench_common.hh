@@ -41,9 +41,10 @@
  *                        campaigns with the same seed are
  *                        bit-identical)
  *   --metrics-interval-ms N
- *                        sample live telemetry every N ms (0 = off)
+ *                        telemetry sampling period (default 1000)
  *   --metrics-out FILE   JSON-lines telemetry time series (watch it
- *                        live with tools/ipref_top)
+ *                        live with tools/ipref_top); this flag alone
+ *                        turns the sampler on
  *   --workers N          run the batch on N crash-isolated worker
  *                        processes (runCampaign) instead of in-process
  *                        pool threads; results stay bit-identical
@@ -123,8 +124,7 @@ struct BenchContext
         metrics::MetricsOptions mopts;
         mopts.intervalMs = opts.getUint("metrics-interval-ms", 0);
         mopts.jsonlPath = opts.getString("metrics-out");
-        if (mopts.intervalMs > 0 && mopts.anySink())
-            metrics::configureMetrics(mopts);
+        metrics::configureMetrics(mopts);
 
         std::string tracePath = opts.getString("trace");
         if (!tracePath.empty())

@@ -39,8 +39,7 @@ try {
     metrics::MetricsOptions mopts;
     mopts.intervalMs = opts.getUint("metrics-interval-ms", 0);
     mopts.jsonlPath = opts.getString("metrics-out");
-    if (mopts.intervalMs > 0 && mopts.anySink())
-        metrics::configureMetrics(mopts);
+    metrics::configureMetrics(mopts);
 
     RunSpec::Builder builder =
         RunSpec::builder()

@@ -456,9 +456,6 @@ batchMetrics()
         reg.counter("ipref_batch_retries_total",
                     "attempts beyond a run's first"),
         reg.gauge("ipref_batch_active_runs", "runs currently executing"),
-        reg.histogram("ipref_batch_run_wall_ms",
-                      metrics::defaultMsBounds(),
-                      "per-run wall time incl. retries (ms)"),
     };
     return refs;
 }

@@ -32,7 +32,6 @@ namespace metrics
 {
 class Counter;
 class Gauge;
-class LatencyHistogram;
 } // namespace metrics
 
 /** Terminal status of one run in a batch. */
@@ -212,11 +211,10 @@ class ManifestLock
 
 /**
  * Live batch telemetry (the ipref_batch_* instruments ipref_top
- * renders as "done / total" plus the per-run wall-time
- * distribution), shared by runBatch, its workers and the campaign
- * coordinator. `completed` counts fresh runs reaching a final status
- * in this process; `restored` counts checkpoint restores (done =
- * completed + restored).
+ * renders as "done / total"), shared by runBatch, its workers and
+ * the campaign coordinator. `completed` counts fresh runs reaching a
+ * final status in this process; `restored` counts checkpoint
+ * restores (done = completed + restored).
  */
 struct BatchMetrics
 {
@@ -231,7 +229,6 @@ struct BatchMetrics
     metrics::Counter &attempts;
     metrics::Counter &retries;
     metrics::Gauge &active;
-    metrics::LatencyHistogram &wallMs;
 };
 
 /** The process-wide batch instruments (registered on first use). */

@@ -1,7 +1,10 @@
 #include "sim/campaign_proto.hh"
 
+#include <cerrno>
 #include <cstring>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "util/json.hh"
 #include "workload/presets.hh"
@@ -298,6 +301,35 @@ parseProtoLine(const std::string &line)
                         std::string("protocol: bad line: ") +
                             e.what());
     }
+}
+
+bool
+writeAll(int fd, std::string_view data)
+{
+    while (!data.empty()) {
+        ssize_t n = ::write(fd, data.data(), data.size());
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        data.remove_prefix(static_cast<std::size_t>(n));
+    }
+    return true;
+}
+
+std::vector<std::string>
+takeLines(std::string &buf)
+{
+    std::vector<std::string> lines;
+    std::size_t start = 0, nl;
+    while ((nl = buf.find('\n', start)) != std::string::npos) {
+        if (nl > start)
+            lines.push_back(buf.substr(start, nl - start));
+        start = nl + 1;
+    }
+    buf.erase(0, start);
+    return lines;
 }
 
 } // namespace ipref

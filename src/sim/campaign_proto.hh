@@ -23,6 +23,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "sim/experiment.hh"
 #include "util/error.hh"
@@ -100,6 +102,18 @@ std::string byeLine();
 
 /** Parse one line; never throws. */
 Expected<ProtoMessage> parseProtoLine(const std::string &line);
+
+// Transport: both ends frame messages as lines on a pipe.
+
+/** Write all of @p data to @p fd, retrying EINTR; false on a dead pipe. */
+bool writeAll(int fd, std::string_view data);
+
+/**
+ * Cut every complete line off the front of @p buf (a pipe's read
+ * buffer) and return them without their newlines, empty lines
+ * dropped; a partial trailing line stays in @p buf for the next read.
+ */
+std::vector<std::string> takeLines(std::string &buf);
 
 } // namespace ipref
 

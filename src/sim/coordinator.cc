@@ -41,6 +41,7 @@ struct CampMetricRefs
     metrics::Counter &dispatches;
     metrics::Counter &heartbeats;
     metrics::Counter &protoErrors;
+    metrics::Counter &instructions;
     metrics::Gauge &workersAlive;
 };
 
@@ -69,6 +70,7 @@ campMetrics()
         metrics::registry().counter(
             "ipref_campaign_protocol_errors_total",
             "undecodable or unexpected protocol lines"),
+        metrics::registry().counter("ipref_sim_instructions_total"),
         metrics::registry().gauge("ipref_campaign_workers_alive",
                                   "live worker processes"),
     };
@@ -82,25 +84,6 @@ void
 campaignSignalHandler(int)
 {
     g_campaignSignal = 1;
-}
-
-/** Full write with EINTR retry; false on a dead pipe. */
-bool
-writeAll(int fd, const std::string &data)
-{
-    const char *p = data.data();
-    std::size_t len = data.size();
-    while (len > 0) {
-        ssize_t n = ::write(fd, p, len);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
 }
 
 std::string
@@ -125,6 +108,8 @@ struct WorkerProc
     std::int64_t runningIdx = -1; //!< dispatched spec index, -1 idle
     Clock::time_point lastBeat;
     std::uint64_t lastInstrs = 0;
+    /** ipref_campaign_worker<slot>_instrs: last heartbeat's count. */
+    metrics::Gauge *instrsGauge = nullptr;
     bool helloSeen = false;
     bool shutdownSent = false;
     bool abortSent = false;
@@ -216,14 +201,6 @@ Coordinator::spawnWorker(std::size_t slot)
     std::vector<std::string> argStore;
     argStore.push_back(workerBin_);
     argStore.push_back("--worker-mode");
-    if (!opt_.workerMetricsPrefix.empty()) {
-        argStore.push_back("--worker-metrics-out");
-        argStore.push_back(opt_.workerMetricsPrefix + ".w" +
-                           std::to_string(spawn) + ".jsonl");
-        argStore.push_back("--worker-metrics-interval-ms");
-        argStore.push_back(
-            std::to_string(opt_.workerMetricsIntervalMs));
-    }
     std::vector<char *> argv;
     for (std::string &a : argStore)
         argv.push_back(a.data());
@@ -277,6 +254,8 @@ Coordinator::spawnWorker(std::size_t slot)
     w.fromFd = fromPipe[0];
     w.spawn = spawn;
     w.lastBeat = Clock::now(); // startup grace = heartbeat timeout
+    w.instrsGauge = &metrics::registry().gauge(
+        "ipref_campaign_worker" + std::to_string(slot) + "_instrs");
 
     WorkerConfig cfg;
     cfg.wantReport = !observability().jsonPath.empty() ||
@@ -454,7 +433,6 @@ Coordinator::handleOutcome(std::size_t slot, ProtoMessage &m)
     bm.attempts.add(consumed);
     if (consumed > 1)
         bm.retries.add(consumed - 1);
-    bm.wallMs.observe(static_cast<double>(m.outcome.wallMs));
 
     finalize(idx, std::move(m.outcome));
 }
@@ -480,18 +458,13 @@ Coordinator::handleLine(std::size_t slot, const std::string &line)
         w.lastBeat = Clock::now();
         campMetrics().heartbeats.add(1);
         // Fold worker progress into the process-wide instruction
-        // counter and a per-slot gauge so ipref_top sees the fleet
-        // even without per-worker metrics files.
+        // counter and the slot's gauge: this stream is the fleet view
+        // ipref_top renders.
         if (m.instrs >= w.lastInstrs) {
-            metrics::registry()
-                .counter("ipref_sim_instructions_total")
-                .add(m.instrs - w.lastInstrs);
+            campMetrics().instructions.add(m.instrs - w.lastInstrs);
             w.lastInstrs = m.instrs;
         }
-        metrics::registry()
-            .gauge("ipref_campaign_worker" + std::to_string(slot) +
-                   "_instrs")
-            .set(static_cast<std::int64_t>(m.instrs));
+        w.instrsGauge->set(static_cast<std::int64_t>(m.instrs));
         break;
       }
       case ProtoMessage::Type::Outcome:
@@ -629,20 +602,11 @@ Coordinator::pump(int timeoutMs)
             eof = true; // 0 = closed; other errors treated the same
             break;
         }
-        std::size_t start = 0;
-        for (;;) {
-            std::size_t nl = w.rbuf.find('\n', start);
-            if (nl == std::string::npos)
-                break;
-            std::string line = w.rbuf.substr(start, nl - start);
-            start = nl + 1;
-            if (!line.empty())
-                handleLine(slot, line);
+        for (const std::string &line : takeLines(w.rbuf)) {
+            handleLine(slot, line);
             if (!w.alive())
                 break; // handleLine may have killed the slot
         }
-        if (w.alive())
-            w.rbuf.erase(0, start);
         if (eof && w.alive()) {
             if (!w.rbuf.empty()) {
                 // A partial trailing line is a truncated message —
@@ -686,16 +650,8 @@ Coordinator::reapExited()
                 break;
             w.rbuf.append(chunk, static_cast<std::size_t>(n));
         }
-        std::size_t start = 0;
-        for (;;) {
-            std::size_t nl = w.rbuf.find('\n', start);
-            if (nl == std::string::npos)
-                break;
-            std::string line = w.rbuf.substr(start, nl - start);
-            start = nl + 1;
-            if (!line.empty())
-                handleLine(slot, line);
-        }
+        for (const std::string &line : takeLines(w.rbuf))
+            handleLine(slot, line);
         w.pid = -1; // already reaped; death handler must not waitpid
         if (w.byeSeen && w.runningIdx < 0) {
             closeWorker(w);

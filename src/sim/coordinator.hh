@@ -8,6 +8,14 @@
  * deadline, SIGKILL, requeue), poison specs (quarantine after
  * repeated deaths on one fingerprint), protocol corruption (count and
  * drop), and its own death (--resume from the manifest).
+ *
+ * Telemetry: workers write no metrics file of their own. The
+ * coordinator's process-wide stream (--metrics-out) is the fleet
+ * view: it folds each heartbeat's instruction count into
+ * ipref_sim_instructions_total and the slot's
+ * ipref_campaign_worker<N>_instrs gauge, and counts spawns, deaths,
+ * requeues and quarantines (ipref_campaign_*), which `ipref_top`
+ * renders as its `workers` line.
  */
 
 #ifndef IPREF_SIM_COORDINATOR_HH
@@ -71,14 +79,6 @@ struct CampaignOptions
 
     /** IPREF_FAULTS schedule installed in spawned workers (chaos). */
     std::string workerFaults;
-
-    /**
-     * When set, each worker writes JSON-lines telemetry to
-     * "<prefix>.w<spawn>.jsonl" (watch the fleet with
-     * `ipref_top --fleet '<prefix>.w*.jsonl'`).
-     */
-    std::string workerMetricsPrefix;
-    std::uint64_t workerMetricsIntervalMs = 200;
 };
 
 /**

@@ -541,7 +541,6 @@ runOne(const RunSpec &spec, std::uint64_t fingerprint,
             .count());
 
     bm.active.sub(1);
-    bm.wallMs.observe(static_cast<double>(wr.outcome.wallMs));
     CampaignLedger::countFinal(wr.outcome.status);
     return wr;
 }

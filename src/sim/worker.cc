@@ -17,7 +17,6 @@
 #include "util/fault_inject.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
-#include "util/options.hh"
 
 namespace ipref
 {
@@ -35,23 +34,6 @@ workerSignalHandler(int)
     // Unwinds any in-flight run with Interrupted; setting the batch
     // latch is a plain sig_atomic_t store, so this is signal-safe.
     requestBatchInterrupt();
-}
-
-/** Full write with EINTR retry; false on a dead pipe. */
-bool
-writeAll(int fd, const char *data, std::size_t len)
-{
-    while (len > 0) {
-        ssize_t n = ::write(fd, data, len);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
 }
 
 /** Everything the worker's three threads share. */
@@ -81,7 +63,7 @@ sendLine(WorkerState &st, const std::string &line)
 {
     std::string framed = line + "\n";
     std::lock_guard<std::mutex> lock(st.writeMu);
-    return writeAll(st.protoOut, framed.data(), framed.size());
+    return writeAll(st.protoOut, framed);
 }
 
 /** Pipe-reader thread: parse lines, sort them into the state. */
@@ -97,15 +79,7 @@ readerLoop(WorkerState &st)
         if (n <= 0)
             break; // EOF: the coordinator is gone
         buf.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        for (;;) {
-            std::size_t nl = buf.find('\n', start);
-            if (nl == std::string::npos)
-                break;
-            std::string line = buf.substr(start, nl - start);
-            start = nl + 1;
-            if (line.empty())
-                continue;
+        for (const std::string &line : takeLines(buf)) {
             Expected<ProtoMessage> msg = parseProtoLine(line);
             if (!msg.ok()) {
                 ipref_warn("worker: dropping bad protocol line: %s",
@@ -134,7 +108,6 @@ readerLoop(WorkerState &st)
             }
             st.cv.notify_all();
         }
-        buf.erase(0, start);
     }
     std::lock_guard<std::mutex> lock(st.mu);
     st.abortRequested = true;
@@ -176,11 +149,10 @@ heartbeatLoop(WorkerState &st, std::uint64_t periodMs)
     }
 }
 
-/** Flush telemetry and leave without tearing down blocked threads. */
+/** Leave without tearing down blocked threads. */
 [[noreturn]] void
 workerExit(int code)
 {
-    metrics::shutdownMetrics();
     // The reader thread may be parked in read(2) forever; a normal
     // exit() would run static destructors under it. _exit is the
     // honest way out of a process whose lifetime the coordinator
@@ -191,7 +163,7 @@ workerExit(int code)
 } // namespace
 
 void
-workerMain(const Options &opts)
+workerMain(const Options &)
 {
     // The protocol owns stdout. Re-route fd 1 to stderr so any stray
     // printf from library code lands in the log, not the stream.
@@ -203,15 +175,6 @@ workerMain(const Options &opts)
     std::signal(SIGPIPE, SIG_IGN);
     std::signal(SIGINT, workerSignalHandler);
     std::signal(SIGTERM, workerSignalHandler);
-
-    std::string metricsOut = opts.getString("worker-metrics-out");
-    if (!metricsOut.empty()) {
-        metrics::MetricsOptions mopts;
-        mopts.jsonlPath = metricsOut;
-        mopts.intervalMs =
-            opts.getUint("worker-metrics-interval-ms", 200);
-        metrics::configureMetrics(mopts);
-    }
 
     WorkerState st;
     st.protoOut = protoOut;
@@ -321,12 +284,13 @@ workerMain(const Options &opts)
         if (fault::shouldFire("worker.truncate_outcome")) {
             // Protocol-truncation chaos: half a line, then vanish.
             std::lock_guard<std::mutex> lock(st.writeMu);
-            writeAll(st.protoOut, line.data(), line.size() / 2);
+            writeAll(st.protoOut,
+                     std::string_view(line).substr(0, line.size() / 2));
             ::_exit(3);
         }
         {
             std::lock_guard<std::mutex> lock(st.writeMu);
-            if (!writeAll(st.protoOut, line.data(), line.size()))
+            if (!writeAll(st.protoOut, line))
                 break; // coordinator gone
         }
     }

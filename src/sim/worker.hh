@@ -20,11 +20,11 @@ class Options;
 
 /**
  * Run the worker protocol loop until the coordinator shuts us down,
- * the pipe dies (orphaned worker), or a signal arrives. Recognized
- * flags (all optional):
- *
- *   --worker-metrics-out FILE        per-worker JSON-lines telemetry
- *   --worker-metrics-interval-ms N   sampling period (default 200)
+ * the pipe dies (orphaned worker), or a signal arrives. No flag
+ * changes its behaviour; @p opts is the caller's parsed command line.
+ * The worker writes no telemetry file of its own: its heartbeats
+ * carry its instruction count, which the coordinator folds into its
+ * stream (see coordinator.hh).
  *
  * Never returns control to a caller mid-protocol: exits the process.
  */

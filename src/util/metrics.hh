@@ -1,9 +1,8 @@
 /**
  * @file
  * Live telemetry: a process-wide registry of lock-free instruments
- * (Counter, Gauge, LatencyHistogram), a background sampler that
- * snapshots the registry on a wall-clock interval, and pluggable
- * exporters (a JSON-lines time series, an in-process snapshot ring).
+ * (Counter, Gauge) and one background sampler that appends a snapshot
+ * of the registry to a JSON-lines file on a wall-clock interval.
  *
  * Unlike util/stats.hh — per-run StatGroup trees dumped after a run
  * completes — these instruments are process-wide and readable *while*
@@ -22,8 +21,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ipref::metrics
@@ -38,21 +37,6 @@ inline constexpr bool kCompiled = true;
 
 // --- snapshots --------------------------------------------------------
 
-/** Instrument taxonomy. */
-enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
-
-/** One histogram's state at snapshot time. */
-struct HistogramSample
-{
-    std::string name;
-    std::vector<double> bounds;         //!< bucket upper bounds, ascending
-    std::vector<std::uint64_t> counts;  //!< bounds.size() + 1 (+Inf last)
-    std::uint64_t count = 0;            //!< total observations
-    double sum = 0.0;                   //!< sum of observed values
-
-    bool operator==(const HistogramSample &) const = default;
-};
-
 /**
  * A point-in-time view of every registered instrument, ordered by
  * name within each section (deterministic rendering).
@@ -63,7 +47,6 @@ struct Snapshot
     std::uint64_t unixMs = 0; //!< wall-clock timestamp (ms since epoch)
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, std::int64_t>> gauges;
-    std::vector<HistogramSample> histograms;
 
     /** Value of counter @p name, or nullptr when absent. */
     const std::uint64_t *counter(const std::string &name) const;
@@ -136,36 +119,6 @@ class Gauge
 };
 
 /**
- * Fixed-bucket latency histogram: bucket upper bounds are set at
- * registration and never change, so observation is a linear scan over
- * a handful of bounds plus two relaxed atomic adds.
- */
-class LatencyHistogram
-{
-  public:
-    explicit LatencyHistogram(std::vector<double> bounds);
-
-    /** Record one observation (any unit; pick one per instrument). */
-    void observe(double v);
-
-    const std::vector<double> &bounds() const { return bounds_; }
-
-    /** Snapshot helper (per-bucket counts, non-cumulative). */
-    HistogramSample sample() const;
-
-    void reset();
-
-  private:
-    std::vector<double> bounds_;
-    std::vector<std::atomic<std::uint64_t>> counts_; //!< bounds+1
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sumBits_{0}; //!< double, CAS-updated
-};
-
-/** Default wall-time bucket ladder in milliseconds (1ms .. 5min). */
-std::vector<double> defaultMsBounds();
-
-/**
  * The process-wide instrument registry. Registration deduplicates by
  * name — asking for the same name (with the same kind) returns the
  * same instrument, so call sites can hold `static` references without
@@ -185,19 +138,8 @@ class Registry
     /** Register (or look up) a gauge. */
     Gauge &gauge(const std::string &name, const std::string &help = "");
 
-    /**
-     * Register (or look up) a histogram. @p bounds applies on first
-     * registration only; later lookups ignore it.
-     */
-    LatencyHistogram &histogram(const std::string &name,
-                                std::vector<double> bounds,
-                                const std::string &help = "");
-
     /** Point-in-time view of every instrument (name-ordered). */
     Snapshot snapshot() const;
-
-    /** Zero every instrument (tests; not atomic across instruments). */
-    void resetAll();
 
   private:
     Registry() = default;
@@ -209,127 +151,30 @@ class Registry
 /** Shorthand for Registry::instance(). */
 Registry &registry();
 
-// --- exporters --------------------------------------------------------
-
-/** Where sampled snapshots go. Implementations must be thread-safe. */
-class Exporter
-{
-  public:
-    virtual ~Exporter() = default;
-
-    /** Consume one snapshot (called from the sampler thread). */
-    virtual void consume(const Snapshot &s) = 0;
-
-    /** Push buffered output to its destination; idempotent. */
-    virtual void flush() {}
-};
-
-/**
- * Appends one JSON-lines record per snapshot to @p path (truncated at
- * construction) and flushes after every record, so `ipref_top` and
- * `tail -f` see snapshots as they land.
- */
-class JsonLinesExporter final : public Exporter
-{
-  public:
-    explicit JsonLinesExporter(std::string path);
-    ~JsonLinesExporter() override;
-
-    void consume(const Snapshot &s) override;
-    void flush() override;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
-/** Keeps the most recent @p capacity snapshots in memory. */
-class SnapshotRing final : public Exporter
-{
-  public:
-    explicit SnapshotRing(std::size_t capacity);
-    ~SnapshotRing() override;
-
-    void consume(const Snapshot &s) override;
-
-    /** Buffered snapshots, oldest first. */
-    std::vector<Snapshot> recent() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
 // --- sampler ----------------------------------------------------------
-
-/**
- * Background thread snapshotting the registry every @p intervalMs and
- * fanning each snapshot out to the attached exporters. stop() (and
- * destruction) takes one final snapshot before joining, so the last
- * exported record always reflects final instrument totals — interval
- * deltas summed over the stream reconcile exactly with the registry.
- */
-class Sampler
-{
-  public:
-    explicit Sampler(std::uint64_t intervalMs);
-    ~Sampler();
-
-    Sampler(const Sampler &) = delete;
-    Sampler &operator=(const Sampler &) = delete;
-
-    /** Attach an exporter (before start()). */
-    void addExporter(std::shared_ptr<Exporter> exporter);
-
-    /** Start the sampling thread (idempotent). */
-    void start();
-
-    /** Final snapshot, flush exporters, join (idempotent). */
-    void stop();
-
-    /** Snapshot + export immediately (any thread; also pre-start). */
-    void sampleNow();
-
-    std::uint64_t intervalMs() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
-// --- process-wide wiring ---------------------------------------------
 
 /** CLI-facing sampler configuration (see bench_common.hh flags). */
 struct MetricsOptions
 {
-    /** Sampling period; 0 disables the sampler entirely. */
+    /** Sampling period in ms; 0 means the 1000 ms default. */
     std::uint64_t intervalMs = 0;
 
-    /** JSON-lines time-series destination (empty = off). */
+    /** JSON-lines time-series destination; empty = no sampler. */
     std::string jsonlPath;
-
-    /** In-process ring capacity (0 = no ring). */
-    std::size_t ringCapacity = 0;
-
-    bool
-    anySink() const
-    {
-        return !jsonlPath.empty() || ringCapacity != 0;
-    }
 };
 
 /**
- * Install the process-wide sampler described by @p opts, replacing
- * (and stopping) any previous one. With intervalMs == 0 or no sinks
- * the sampler is simply torn down. Registered atexit: the active
- * sampler is stopped — final snapshot included — at process exit.
+ * Replace (and stop) any running sampler, then, when
+ * opts.jsonlPath is set, start one that truncates that file and
+ * appends one flushed JSON line per snapshot every opts.intervalMs.
+ * Stopping it — shutdownMetrics(), the next configureMetrics() or
+ * process exit (registered atexit) — joins its thread and appends one
+ * final snapshot, so the file's last record carries final instrument
+ * totals and interval deltas summed over the stream reconcile exactly.
  */
 void configureMetrics(const MetricsOptions &opts);
 
-/** The active process-wide sampler (nullptr when not configured). */
-Sampler *globalSampler();
-
-/** Stop and drop the process-wide sampler (final snapshot + flush). */
+/** Stop and drop the process-wide sampler (final snapshot included). */
 void shutdownMetrics();
 
 } // namespace ipref::metrics

@@ -14,7 +14,6 @@
 #ifndef IPREF_UTIL_THREAD_POOL_HH
 #define IPREF_UTIL_THREAD_POOL_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -33,13 +32,12 @@ namespace ipref
 /**
  * Process-wide pool telemetry, aggregated across every ThreadPool in
  * the process (ipref_top reads these as "the worker fleet"): queued
- * tasks, tasks currently executing, and per-task wall time.
+ * tasks and tasks currently executing.
  */
 struct PoolMetricRefs
 {
     metrics::Gauge &queueDepth;
     metrics::Gauge &busyWorkers;
-    metrics::LatencyHistogram &taskMs;
 };
 
 inline PoolMetricRefs &
@@ -50,9 +48,6 @@ poolMetrics()
                                   "tasks waiting in pool queues"),
         metrics::registry().gauge("ipref_pool_busy_workers",
                                   "pool tasks currently executing"),
-        metrics::registry().histogram(
-            "ipref_pool_task_ms", metrics::defaultMsBounds(),
-            "pool task execution wall time (ms)"),
     };
     return refs;
 }
@@ -124,18 +119,14 @@ class ThreadPool
     }
 
   private:
-    /** Run @p fn inside the busy-workers gauge + task-latency timer. */
+    /** Run @p fn inside the busy-workers gauge. */
     template <typename Fn>
     static void
     runInstrumented(Fn &&fn)
     {
         PoolMetricRefs &m = poolMetrics();
         m.busyWorkers.add(1);
-        auto t0 = std::chrono::steady_clock::now();
         fn();
-        std::chrono::duration<double, std::milli> elapsed =
-            std::chrono::steady_clock::now() - t0;
-        m.taskMs.observe(elapsed.count());
         m.busyWorkers.sub(1);
     }
 

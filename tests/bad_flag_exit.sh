@@ -3,7 +3,7 @@
 # with exit status 1 and an error naming the flag on stderr, never an
 # uncaught exception (SIGABRT, exit 134).
 #
-# Usage: bad_flag_exit.sh BENCH IPREF_TOP IPREF_WORKER
+# Usage: bad_flag_exit.sh BENCH IPREF_TOP IPREF_CAMPAIGN IPREF_ANALYZE
 
 fail=0
 
@@ -25,7 +25,7 @@ check() {
 
 check jobs "$1" --jobs abc
 check refresh-ms "$2" --once --refresh-ms abc
-check worker-metrics-interval-ms "$3" --worker-metrics-out /dev/null \
-    --worker-metrics-interval-ms abc
+check workers "$3" --workers abc
+check top "$4" --top abc
 
 exit $fail

@@ -2,17 +2,22 @@
  * @file
  * Tests for the live telemetry layer: registry concurrency (the
  * serial sum must equal N threads' worth of relaxed-atomic updates),
- * sampler reconciliation (the stream's final record carries final
- * instrument totals), the JSON-lines round trip ipref_top depends
- * on, and end-to-end reconciliation between the live counters and a
+ * sampler reconciliation (the file's final record carries final
+ * instrument totals, and a path alone starts the sampler), the
+ * JSON-lines round trip ipref_top depends on, and end-to-end reconciliation between the live counters and a
  * run's reported results.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "sim/experiment.hh"
 #include "util/error.hh"
@@ -33,14 +38,32 @@ sampleSnapshot()
     s.unixMs = 1700000000123ULL;
     s.counters = {{"ipref_test_c", 3}, {"ipref_test_c2", 1ULL << 40}};
     s.gauges = {{"ipref_test_g", -2}};
-    HistogramSample h;
-    h.name = "ipref_test_h";
-    h.bounds = {1, 5};
-    h.counts = {2, 1, 4}; // per-bucket, +Inf last
-    h.count = 7;
-    h.sum = 42.5;
-    s.histograms = {h};
     return s;
+}
+
+/** A per-process temp path; the file is removed on destruction. */
+struct TempFile
+{
+    std::string path;
+
+    explicit TempFile(const char *stem)
+        : path(::testing::TempDir() + stem + "." +
+               std::to_string(::getpid()) + ".jsonl")
+    {}
+
+    ~TempFile() { std::remove(path.c_str()); }
+};
+
+/** Every snapshot line in @p path, parsed (oldest first). */
+std::vector<Snapshot>
+readSnapshots(const std::string &path)
+{
+    std::vector<Snapshot> out;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line))
+        out.push_back(parseSnapshotLine(line));
+    return out;
 }
 
 /** Change of a counter between two snapshots. */
@@ -127,22 +150,18 @@ TEST(MetricsRegistry, ConcurrentUpdatesSumExactly)
 {
     metrics::Counter &c = registry().counter("ipref_test_conc_c");
     metrics::Gauge &g = registry().gauge("ipref_test_conc_g");
-    LatencyHistogram &h = registry().histogram(
-        "ipref_test_conc_h", {10, 100, 1000});
     c.reset();
     g.reset();
-    h.reset();
 
     constexpr unsigned kThreads = 8;
     constexpr std::uint64_t kIters = 20000;
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
+        threads.emplace_back([&] {
             for (std::uint64_t i = 0; i < kIters; ++i) {
                 c.add(1);
                 g.add(3);
                 g.sub(1);
-                h.observe(static_cast<double>((i + t) % 150));
             }
         });
     }
@@ -152,21 +171,6 @@ TEST(MetricsRegistry, ConcurrentUpdatesSumExactly)
     EXPECT_EQ(c.value(), kThreads * kIters);
     EXPECT_EQ(g.value(),
               static_cast<std::int64_t>(2 * kThreads * kIters));
-
-    HistogramSample hs = h.sample();
-    EXPECT_EQ(hs.count, kThreads * kIters);
-    std::uint64_t bucketSum = 0;
-    for (std::uint64_t b : hs.counts)
-        bucketSum += b;
-    EXPECT_EQ(bucketSum, hs.count);
-
-    // Integral observations below 2^53: the CAS-loop double sum is
-    // exact regardless of addition order.
-    double expectedSum = 0;
-    for (unsigned t = 0; t < kThreads; ++t)
-        for (std::uint64_t i = 0; i < kIters; ++i)
-            expectedSum += static_cast<double>((i + t) % 150);
-    EXPECT_EQ(hs.sum, expectedSum);
 }
 
 // --- sampler ----------------------------------------------------------
@@ -176,22 +180,23 @@ TEST(MetricsSampler, FinalSnapshotCarriesFinalTotals)
     metrics::Counter &c = registry().counter("ipref_test_sampler_c");
     c.reset();
 
-    auto ring = std::make_shared<SnapshotRing>(1024);
-    Sampler sampler(5);
-    sampler.addExporter(ring);
-    sampler.start();
+    TempFile file("sampler_final");
+    MetricsOptions opts;
+    opts.intervalMs = 5;
+    opts.jsonlPath = file.path;
+    configureMetrics(opts);
 
     for (int i = 0; i < 50; ++i) {
         c.add(7);
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     std::uint64_t final = c.value();
-    sampler.stop();
+    shutdownMetrics();
 
-    std::vector<Snapshot> snaps = ring->recent();
+    std::vector<Snapshot> snaps = readSnapshots(file.path);
     ASSERT_FALSE(snaps.empty());
 
-    // stop() exports one last snapshot after joining the thread, so
+    // Stopping appends one last snapshot after joining the thread, so
     // the stream's final record reflects final instrument totals —
     // interval deltas summed over the stream reconcile exactly.
     const std::uint64_t *last =
@@ -211,6 +216,28 @@ TEST(MetricsSampler, FinalSnapshotCarriesFinalTotals)
     // Sequence numbers strictly increase across the stream.
     for (std::size_t i = 1; i < snaps.size(); ++i)
         EXPECT_GT(snaps[i].seq, snaps[i - 1].seq);
+}
+
+TEST(MetricsSampler, PathAloneStartsTheSampler)
+{
+    // No interval given: the path is the only switch, and 0 means the
+    // 1000 ms default. Stopping at once still writes the final record.
+    metrics::Counter &c = registry().counter("ipref_test_sampler_path");
+    c.reset();
+    c.add(3);
+
+    TempFile file("sampler_path");
+    MetricsOptions opts;
+    opts.jsonlPath = file.path;
+    configureMetrics(opts);
+    shutdownMetrics();
+
+    std::vector<Snapshot> snaps = readSnapshots(file.path);
+    ASSERT_FALSE(snaps.empty());
+    const std::uint64_t *v =
+        snaps.back().counter("ipref_test_sampler_path");
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(*v, 3u);
 }
 
 // --- end-to-end reconciliation ---------------------------------------

@@ -16,6 +16,9 @@
  *   ipref_analyze --trace trace_events.jsonl [--stats report.json]
  *                 [--run N] [--top N] [--csv intervals.csv]
  *                 [--buckets N] [--chrome chrome_trace.json]
+ *
+ * A malformed flag value (`--top abc`) ends the program with exit
+ * status 1 and an `error (<kind>): <what>` line naming the flag.
  */
 
 #include <fstream>
@@ -24,6 +27,7 @@
 #include <sstream>
 
 #include "analysis/analyzer.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 
@@ -160,7 +164,7 @@ printSummary(const TraceAnalysis &a, std::size_t topN)
 
 int
 main(int argc, char **argv)
-{
+try {
     Options opts(argc, argv);
     std::string tracePath =
         opts.getString("trace", "trace_events.jsonl");
@@ -263,4 +267,8 @@ main(int argc, char **argv)
             rc = 1;
     }
     return rc;
+} catch (const SimError &e) {
+    std::cerr << "error (" << errorKindName(e.kind()) << "): " << e.what()
+              << "\n";
+    return 1;
 }

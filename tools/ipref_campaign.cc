@@ -35,12 +35,15 @@
  *   --drain-grace-ms N    clean-exit grace on drain (default 5000)
  *   --worker-bin PATH     worker executable (default: auto-discover)
  *   --worker-faults SCHED IPREF_FAULTS schedule installed in workers
- *   --worker-metrics-prefix P
- *                         per-worker telemetry at P.w<spawn>.jsonl
- *                         (watch with `ipref_top --fleet 'P.w*.jsonl'`)
- *   --metrics-out FILE    coordinator JSON-lines telemetry
+ *   --metrics-out FILE    JSON-lines telemetry; the coordinator folds
+ *                         worker heartbeats into it, so it is the
+ *                         fleet view (watch with `ipref_top --jsonl
+ *                         FILE`: its `workers` line)
  *   --metrics-interval-ms N
- *                         coordinator sampling period (default 0=off)
+ *                         sampling period (default 1000)
+ *
+ * A malformed flag value (`--workers abc`) or IPREF_SCALE ends the
+ * program with exit status 1 and an `error (<kind>): <what>` line.
  */
 
 #include <cstdint>
@@ -50,6 +53,7 @@
 
 #include "sim/coordinator.hh"
 #include "sim/experiment.hh"
+#include "util/error.hh"
 #include "util/metrics.hh"
 #include "util/options.hh"
 #include "workload/presets.hh"
@@ -110,7 +114,7 @@ buildGrid(std::size_t count, double scale, std::uint64_t baseSeed,
 
 int
 main(int argc, char **argv)
-{
+try {
     Options opts(argc, argv);
 
     double scale = 0.02 * envScale() * opts.getDouble("scale", 1.0);
@@ -124,8 +128,7 @@ main(int argc, char **argv)
     metrics::MetricsOptions mopts;
     mopts.intervalMs = opts.getUint("metrics-interval-ms", 0);
     mopts.jsonlPath = opts.getString("metrics-out");
-    if (mopts.intervalMs > 0 && mopts.anySink())
-        metrics::configureMetrics(mopts);
+    metrics::configureMetrics(mopts);
 
     CampaignOptions campaign;
     campaign.batch.maxAttempts =
@@ -145,28 +148,19 @@ main(int argc, char **argv)
     campaign.drainGraceMs = opts.getUint("drain-grace-ms", 5000);
     campaign.workerCmd = opts.getString("worker-bin");
     campaign.workerFaults = opts.getString("worker-faults");
-    campaign.workerMetricsPrefix =
-        opts.getString("worker-metrics-prefix");
-    campaign.workerMetricsIntervalMs =
-        opts.getUint("worker-metrics-interval-ms", 200);
 
     std::vector<RunSpec> specs = buildGrid(
         count, scale, opts.getUint("seed", 1), functional);
 
     std::vector<RunOutcome> outcomes;
-    try {
-        if (campaign.workers == 0) {
-            // The single-process baseline: identical batch semantics,
-            // no worker fleet. The chaos smoke test diffs the
-            // distributed run's report against this one.
-            campaign.batch.jobs = 1;
-            outcomes = runBatch(specs, campaign.batch);
-        } else {
-            outcomes = runCampaign(specs, campaign);
-        }
-    } catch (const SimError &e) {
-        std::cerr << "ipref_campaign: " << e.what() << "\n";
-        return 1;
+    if (campaign.workers == 0) {
+        // The single-process baseline: identical batch semantics, no
+        // worker fleet. The chaos smoke test diffs the distributed
+        // run's report against this one.
+        campaign.batch.jobs = 1;
+        outcomes = runBatch(specs, campaign.batch);
+    } else {
+        outcomes = runCampaign(specs, campaign);
     }
 
     flushObservability();
@@ -185,4 +179,8 @@ main(int argc, char **argv)
         if (status != RunStatus::Ok)
             bad += n;
     return bad == 0 ? 0 : 1;
+} catch (const SimError &e) {
+    std::cerr << "error (" << errorKindName(e.kind()) << "): " << e.what()
+              << "\n";
+    return 1;
 }

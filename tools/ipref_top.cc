@@ -13,6 +13,15 @@
  *       --metrics-out metrics.jsonl &
  *   ipref_top --jsonl metrics.jsonl
  *
+ * A distributed campaign (`ipref_campaign`, or a bench's
+ * `--workers N`) needs nothing more: its coordinator folds worker
+ * heartbeats into the same stream, and the panel gains a `workers`
+ * line — alive, spawns, deaths, requeues, quarantined and each
+ * slot's instruction count:
+ *
+ *   ipref_campaign --workers 4 --metrics-out metrics.jsonl &
+ *   ipref_top --jsonl metrics.jsonl
+ *
  * Flags:
  *   --jsonl FILE       JSON-lines telemetry stream (default
  *                      metrics.jsonl)
@@ -22,21 +31,6 @@
  *                      ipref_batch_specs_total counter)
  *   --refresh-ms N     redraw period (default 1000)
  *   --once             render one frame and exit (scripts / CI)
- *
- * Fleet mode (distributed campaigns): aggregate the per-worker
- * telemetry streams a coordinator spawns with
- * `--worker-metrics-prefix P` into one panel, one row per worker,
- * with dead workers marked by snapshot staleness:
- *
- *   ipref_campaign --workers 4 --worker-metrics-prefix /tmp/camp &
- *   ipref_top --fleet '/tmp/camp.w*.jsonl'
- *
- *   --fleet GLOB       per-worker JSON-lines files (shell-quote the
- *                      glob so ipref_top expands it each refresh —
- *                      workers appear as they spawn)
- *   --stale-ms N       mark a worker DEAD when its newest snapshot
- *                      lags the fleet-wide newest by more than N ms
- *                      (default 3000)
  */
 
 #include <algorithm>
@@ -49,8 +43,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <glob.h>
 
 #include "sim/campaign.hh"
 #include "sim/cycle_ledger.hh"
@@ -274,6 +266,29 @@ render(const std::vector<metrics::Snapshot> &snaps,
        << "  runs in flight "
        << gaugeOr(last, "ipref_sim_active_runs") << "\n";
 
+    // --- worker fleet (distributed campaigns only) -------------------
+    if (last.counter("ipref_campaign_worker_spawns_total")) {
+        os << "  workers   alive "
+           << gaugeOr(last, "ipref_campaign_workers_alive") << "  spawns "
+           << counterOr(last, "ipref_campaign_worker_spawns_total")
+           << "  deaths "
+           << counterOr(last, "ipref_campaign_worker_deaths_total")
+           << "  requeues "
+           << counterOr(last, "ipref_campaign_requeues_total")
+           << "  quarantined "
+           << counterOr(last, "ipref_campaign_quarantined_total");
+        // Slot gauges: the coordinator fills slots 0..N-1 in order.
+        os << "  instrs";
+        for (unsigned slot = 0;; ++slot) {
+            const std::int64_t *v = last.gauge(
+                "ipref_campaign_worker" + std::to_string(slot) + "_instrs");
+            if (!v)
+                break;
+            os << " w" << slot << "=" << *v;
+        }
+        os << "\n";
+    }
+
     // --- completed runs by registry scheme token ----------------------
     // The manifest doesn't store specs, but each Ok entry's buffered
     // observability report names its scheme ("config.scheme_token"),
@@ -350,151 +365,6 @@ render(const std::vector<metrics::Snapshot> &snaps,
     std::cout << os.str() << std::flush;
 }
 
-/** One worker's telemetry stream in fleet mode. */
-struct FleetMember
-{
-    std::string path;
-    std::vector<metrics::Snapshot> snaps;
-};
-
-/** Expand @p pattern and read every member's stream (name order). */
-std::vector<FleetMember>
-readFleet(const std::string &pattern)
-{
-    std::vector<FleetMember> fleet;
-    glob_t g{};
-    if (::glob(pattern.c_str(), 0, nullptr, &g) == 0) {
-        for (std::size_t i = 0; i < g.gl_pathc; ++i) {
-            FleetMember m;
-            m.path = g.gl_pathv[i];
-            m.snaps = readJsonl(m.path);
-            fleet.push_back(std::move(m));
-        }
-    }
-    ::globfree(&g);
-    return fleet;
-}
-
-/** Trailing path component without directory or .jsonl suffix. */
-std::string
-memberLabel(const std::string &path)
-{
-    std::size_t slash = path.rfind('/');
-    std::string base =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    const std::string suffix = ".jsonl";
-    if (base.size() > suffix.size() &&
-        base.compare(base.size() - suffix.size(), suffix.size(),
-                     suffix) == 0)
-        base.resize(base.size() - suffix.size());
-    return base;
-}
-
-/**
- * The fleet panel: one row per worker stream, dead workers marked by
- * staleness against the fleet-wide newest snapshot (not wall time, so
- * `--once` output over a finished campaign is deterministic).
- */
-void
-renderFleet(const std::vector<FleetMember> &fleet,
-            const std::string &pattern, std::uint64_t staleMs,
-            bool ansi)
-{
-    std::ostringstream os;
-    if (ansi)
-        os << "\033[H\033[J";
-
-    if (fleet.empty()) {
-        os << "ipref_top: waiting for worker streams matching "
-           << pattern << " ...\n";
-        std::cout << os.str() << std::flush;
-        return;
-    }
-
-    std::uint64_t newest = 0;
-    for (const FleetMember &m : fleet)
-        if (!m.snaps.empty())
-            newest = std::max(newest, m.snaps.back().unixMs);
-
-    std::uint64_t fleetInstrs = 0, fleetOk = 0, fleetFailed = 0;
-    double fleetMips = 0.0;
-    unsigned alive = 0;
-
-    os << "ipref_top — fleet " << pattern << "  (" << fleet.size()
-       << " worker stream(s))\n\n";
-    os << "  worker                    state   runs ok/fail   "
-          "instrs        Minstr/s\n";
-
-    for (const FleetMember &m : fleet) {
-        os << "  ";
-        std::string label = memberLabel(m.path);
-        os << label;
-        for (std::size_t p = label.size(); p < 26; ++p)
-            os << ' ';
-
-        if (m.snaps.empty()) {
-            os << "empty\n";
-            continue;
-        }
-        const metrics::Snapshot &last = m.snaps.back();
-        const metrics::Snapshot &prev =
-            m.snaps.size() > 1 ? m.snaps[m.snaps.size() - 2] : last;
-
-        std::uint64_t age = newest - last.unixMs;
-        bool dead = age > staleMs;
-        if (!dead)
-            ++alive;
-
-        std::uint64_t instrs =
-            counterOr(last, "ipref_sim_instructions_total");
-        double stepSec =
-            static_cast<double>(last.unixMs - prev.unixMs) / 1000.0;
-        double mips =
-            stepSec > 0
-                ? static_cast<double>(
-                      instrs -
-                      counterOr(prev, "ipref_sim_instructions_total")) /
-                      stepSec / 1e6
-                : 0.0;
-        std::uint64_t ok =
-            counterOr(last, "ipref_batch_runs_ok_total");
-        std::uint64_t bad =
-            counterOr(last, "ipref_batch_runs_failed_total") +
-            counterOr(last, "ipref_batch_runs_timeout_total") +
-            counterOr(last, "ipref_batch_runs_interrupted_total");
-
-        fleetInstrs += instrs;
-        fleetOk += ok;
-        fleetFailed += bad;
-        if (!dead)
-            fleetMips += mips;
-
-        if (dead) {
-            os << "DEAD    ";
-        } else {
-            os << "live    ";
-        }
-        os << ok << "/" << bad << "           " << instrs << "  ";
-        os << std::fixed;
-        os.precision(2);
-        os << mips;
-        if (dead)
-            os << "   (last seen " << formatDuration(
-                      static_cast<double>(age) / 1000.0)
-               << " before fleet-newest)";
-        os << "\n";
-    }
-
-    os << "\n  fleet     " << alive << "/" << fleet.size()
-       << " live   runs ok " << fleetOk << " fail " << fleetFailed
-       << "   instrs " << fleetInstrs << "   ";
-    os << std::fixed;
-    os.precision(2);
-    os << fleetMips << " Minstr/s (live workers)\n";
-
-    std::cout << os.str() << std::flush;
-}
-
 } // namespace
 
 int
@@ -506,19 +376,6 @@ try {
     std::uint64_t total = opts.getUint("total", 0);
     std::uint64_t refreshMs = opts.getUint("refresh-ms", 1000);
     bool once = opts.getBool("once");
-    std::string fleetGlob = opts.getString("fleet");
-    std::uint64_t staleMs = opts.getUint("stale-ms", 3000);
-
-    if (!fleetGlob.empty()) {
-        while (true) {
-            std::vector<FleetMember> fleet = readFleet(fleetGlob);
-            renderFleet(fleet, fleetGlob, staleMs, !once);
-            if (once)
-                return fleet.empty() ? 1 : 0;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(refreshMs));
-        }
-    }
 
     while (true) {
         std::vector<metrics::Snapshot> snaps = readJsonl(jsonl);

@@ -7,9 +7,8 @@
  * RunSpec at a time. Not intended for interactive use: run a campaign
  * with `ipref_campaign` (or any bench's `--workers N`) instead.
  *
- * Flags (all optional, normally set by the coordinator):
- *   --worker-metrics-out FILE        per-worker JSON-lines telemetry
- *   --worker-metrics-interval-ms N   sampling period (default 200)
+ * Takes no flags and writes no telemetry of its own: its heartbeats
+ * feed the coordinator's `--metrics-out` stream, the fleet view.
  */
 
 #include <iostream>
