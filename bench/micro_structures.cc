@@ -10,9 +10,15 @@
  * queue, std::unordered_map, a whole-CDF Zipf lower_bound, the
  * scalar workload step) on one operation stream each; CI checks
  * that no optimised side is slower than its reference.
+ *
+ * Two heap probes report a `bytes` counter, the glibc mallinfo2()
+ * in-use delta around a construction: BM_ProgramImageBytes/k for one
+ * preset's ProgramCfg, and BM_SystemHeapBytes/<scheme>/<cores> for a
+ * DB System per registered scheme. CI bounds the DB program image.
  */
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <array>
@@ -24,6 +30,9 @@
 #include "cpu/branch_predictor.hh"
 #include "prefetch/discontinuity.hh"
 #include "prefetch/prefetch_queue.hh"
+#include "prefetch/scheme_registry.hh"
+#include "sim/experiment.hh"
+#include "sim/system.hh"
 #include "tests/reference_models.hh"
 #include "util/line_map.hh"
 #include "util/rng.hh"
@@ -360,6 +369,75 @@ BM_WorkloadGenerationScalar(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadGenerationScalar)->DenseRange(0, 3);
 
+/** Heap bytes allocated and not yet freed, mmap-ed chunks included. */
+std::size_t
+heapInUse()
+{
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+}
+
+/** Heap held by preset range(0)'s static program: blocks, functions,
+ *  instruction slots and indirect tables (the hot-data Zipf CDF is
+ *  built on first use and not counted). */
+void
+BM_ProgramImageBytes(benchmark::State &state)
+{
+    const WorkloadConfig cfg =
+        presetConfig(static_cast<WorkloadKind>(state.range(0)));
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const std::size_t before = heapInUse();
+        ProgramCfg prog(cfg);
+        bytes = heapInUse() - before;
+        benchmark::DoNotOptimize(prog.blocks().data());
+    }
+    state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_ProgramImageBytes)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMillisecond);
+
+/** Heap held by one DB System of scheme @p token on @p cores cores,
+ *  not counting the programs and other state that the first System
+ *  of a process builds and later ones share. */
+void
+BM_SystemHeapBytes(benchmark::State &state, const std::string &token,
+                   bool cmp)
+{
+    const SystemConfig cfg = makeConfig(RunSpec::builder()
+                                            .workload(WorkloadKind::DB)
+                                            .scheme(token)
+                                            .cmp(cmp)
+                                            .instrScale(0.01)
+                                            .build());
+    { System warm(cfg); }
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const std::size_t before = heapInUse();
+        System sys(cfg);
+        bytes = heapInUse() - before;
+        benchmark::DoNotOptimize(&sys);
+    }
+    state.counters["bytes"] = static_cast<double>(bytes);
+}
+
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    for (const SchemeDescriptor *d : SchemeRegistry::instance().all())
+        for (bool cmp : {false, true})
+            benchmark::RegisterBenchmark(
+                ("BM_SystemHeapBytes/" + d->token + (cmp ? "/4" : "/1"))
+                    .c_str(),
+                BM_SystemHeapBytes, d->token, cmp)
+                ->Unit(benchmark::kMicrosecond);
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

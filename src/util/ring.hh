@@ -63,7 +63,8 @@ class FixedRing
         ++count_;
     }
 
-    /** Append a default slot and return it (fill in place). */
+    /** Append a slot and return it. The slot may hold a value popped
+     *  earlier, so the caller fills every field in place. */
     T &
     emplace_back()
     {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/bitutil.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace ipref
@@ -14,6 +16,48 @@ namespace
 
 /** Function address alignment (link-time layout granularity). */
 constexpr Addr funcAlign = 32;
+
+/** Most blocks in one function (the dispatcher has 3). */
+constexpr unsigned maxFuncBlocks = 24;
+
+/** Throw unless @p count items of @p what fit a 32-bit index. */
+void
+checkFits(const WorkloadConfig &cfg, std::uint64_t count, const char *what)
+{
+    if (count > std::numeric_limits<std::uint32_t>::max())
+        ipref_raise(ConfigError,
+                    "workload %s: %llu %s do not fit the program "
+                    "image's 32-bit indices",
+                    cfg.name.c_str(),
+                    static_cast<unsigned long long>(count), what);
+}
+
+/** Reject knobs that the compact block and function fields cannot
+ *  hold, before anything is built. */
+void
+validate(const WorkloadConfig &cfg)
+{
+    if (cfg.callLayers < 2 || cfg.callLayers > 255)
+        ipref_raise(ConfigError,
+                    "workload %s: callLayers %u outside [2, 255]",
+                    cfg.name.c_str(), cfg.callLayers);
+    if (cfg.minBlockInstrs == 0)
+        ipref_raise(ConfigError, "workload %s: minBlockInstrs is 0",
+                    cfg.name.c_str());
+    if (!(cfg.blockCountP > 0.0 && cfg.blockCountP <= 1.0) ||
+        !(cfg.blockSizeP > 0.0 && cfg.blockSizeP <= 1.0))
+        ipref_raise(ConfigError,
+                    "workload %s: blockCountP %g and blockSizeP %g must "
+                    "lie in (0, 1]",
+                    cfg.name.c_str(), cfg.blockCountP, cfg.blockSizeP);
+    if (cfg.maxBlockInstrs < cfg.minBlockInstrs ||
+        cfg.maxBlockInstrs > std::numeric_limits<std::uint16_t>::max())
+        ipref_raise(ConfigError,
+                    "workload %s: maxBlockInstrs %u outside "
+                    "[minBlockInstrs %u, 65535]",
+                    cfg.name.c_str(), cfg.maxBlockInstrs,
+                    cfg.minBlockInstrs);
+}
 
 /** Draw a static instruction for a non-terminator slot. */
 StaticInstr
@@ -48,10 +92,10 @@ drawInstr(const WorkloadConfig &cfg, Rng &rng)
 
 ProgramCfg::ProgramCfg(const WorkloadConfig &cfg) : cfg_(cfg)
 {
-    ipref_assert(cfg_.callLayers >= 2);
+    validate(cfg_);
     Rng rng(cfg_.layoutSeed ^ hashString("cfg-layout"));
-    buildFunctions(rng);
-    assignTargets(rng);
+    const LayerFuncs layerFuncs = buildFunctions(rng);
+    assignTargets(rng, layerFuncs);
     layoutCode();
 }
 
@@ -66,7 +110,7 @@ ProgramCfg::hotDataZipf() const
     return *hotZipf_;
 }
 
-void
+ProgramCfg::LayerFuncs
 ProgramCfg::buildFunctions(Rng &rng)
 {
     // Expected function size from the block distributions, used to
@@ -95,20 +139,40 @@ ProgramCfg::buildFunctions(Rng &rng)
     for (unsigned l = 1; l < layers; ++l)
         layer_size[l] = std::max<std::size_t>(2, rest / (layers - 1));
 
-    layerFuncs_.assign(layers, {});
+    // Every function has at least one block of minBlockInstrs, so a
+    // count too large for the image fails here, before any allocation.
+    std::uint64_t total_funcs = 1 + cfg_.trapHandlers;
+    for (std::size_t n : layer_size)
+        total_funcs += n;
+    checkFits(cfg_, total_funcs, "or more blocks");
+    checkFits(cfg_, total_funcs * cfg_.minBlockInstrs,
+              "or more instructions");
+
+    // Reserve a little over the expected sizes: the totals are sums of
+    // thousands of independent draws and stay close to their means, so
+    // the image carries no doubling slack.
+    const double expect_blocks =
+        std::min(1.03 * mean_blocks, double{maxFuncBlocks}) *
+        static_cast<double>(total_funcs);
+    funcs_.reserve(total_funcs);
+    blocks_.reserve(static_cast<std::size_t>(expect_blocks));
+    instrs_.reserve(static_cast<std::size_t>(expect_blocks * mean_instrs));
+
+    LayerFuncs layerFuncs(layers);
 
     auto build_one = [&](unsigned layer, bool trap_handler,
                          bool dispatcher) {
         Function fn;
-        fn.layer = layer;
+        fn.layer = static_cast<std::uint8_t>(layer);
         fn.isTrapHandler = trap_handler;
         fn.firstBlock = static_cast<std::uint32_t>(blocks_.size());
         unsigned nblocks =
             dispatcher ? 3
                        : 1 + static_cast<unsigned>(
                                  rng.geometric(cfg_.blockCountP));
-        nblocks = std::min(nblocks, 24u);
-        fn.numBlocks = nblocks;
+        nblocks = std::min(nblocks, maxFuncBlocks);
+        fn.numBlocks = static_cast<std::uint16_t>(nblocks);
+        checkFits(cfg_, blocks_.size() + nblocks, "blocks");
         // Addresses are assigned later by layoutCode().
         for (unsigned b = 0; b < nblocks; ++b) {
             BasicBlock bb;
@@ -116,6 +180,7 @@ ProgramCfg::buildFunctions(Rng &rng)
                          static_cast<unsigned>(
                              rng.geometric(cfg_.blockSizeP));
             n = std::min(n, cfg_.maxBlockInstrs);
+            checkFits(cfg_, instrs_.size() + n, "instructions");
             bb.numInstrs = static_cast<std::uint16_t>(n);
             bb.instrBase = static_cast<std::uint32_t>(instrs_.size());
             for (unsigned i = 0; i < n; ++i)
@@ -158,35 +223,33 @@ ProgramCfg::buildFunctions(Rng &rng)
     // Function 0 is the transaction dispatcher loop.
     build_one(0, false, true);
 
-    for (unsigned l = 0; l < layers; ++l) {
-        for (std::size_t i = 0; i < layer_size[l]; ++i) {
-            std::uint32_t idx = build_one(l, false, false);
-            layerFuncs_[l].push_back(idx);
-            if (l == 0)
-                roots_.push_back(idx);
-        }
-    }
+    for (unsigned l = 0; l < layers; ++l)
+        for (std::size_t i = 0; i < layer_size[l]; ++i)
+            layerFuncs[l].push_back(build_one(l, false, false));
 
     for (unsigned i = 0; i < cfg_.trapHandlers; ++i)
         traps_.push_back(build_one(layers - 1, true, false));
 
-    // Transaction popularity CDF over root functions.
-    rootCdf_.resize(roots_.size());
-    {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < roots_.size(); ++i) {
-            sum += 1.0 / std::pow(static_cast<double>(i + 1),
-                                  cfg_.transactionZipfAlpha);
-            rootCdf_[i] = sum;
-        }
-        for (auto &v : rootCdf_)
-            v /= sum;
-        rootCdf_.back() = 1.0;
+    // The roots and their transaction-popularity CDF open the flat
+    // indirect tables; the dispatcher's set points at them.
+    const auto &roots = layerFuncs[0];
+    roots_ = {0, static_cast<std::uint32_t>(roots.size())};
+    indirectFuncs_ = roots;
+    indirectCdf_.resize(roots.size());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1),
+                              cfg_.transactionZipfAlpha);
+        indirectCdf_[i] = sum;
     }
+    for (double &v : indirectCdf_)
+        v /= sum;
+    indirectCdf_.back() = 1.0;
+    return layerFuncs;
 }
 
 void
-ProgramCfg::assignTargets(Rng &rng)
+ProgramCfg::assignTargets(Rng &rng, const LayerFuncs &layerFuncs)
 {
     unsigned layers = cfg_.callLayers;
 
@@ -197,7 +260,7 @@ ProgramCfg::assignTargets(Rng &rng)
     layer_zipf.reserve(layers);
     for (unsigned l = 0; l < layers; ++l) {
         layer_zipf.emplace_back(std::max<std::size_t>(
-                                    1, layerFuncs_[l].size()),
+                                    1, layerFuncs[l].size()),
                                 cfg_.calleeZipfAlpha);
     }
 
@@ -206,7 +269,7 @@ ProgramCfg::assignTargets(Rng &rng)
         unsigned target_layer = caller_layer + 1;
         while (target_layer + 1 < layers && rng.chance(0.25))
             ++target_layer;
-        const auto &cands = layerFuncs_[target_layer];
+        const auto &cands = layerFuncs[target_layer];
         ipref_assert(!cands.empty());
         std::size_t rank = layer_zipf[target_layer].sample(rng);
         return cands[rank % cands.size()];
@@ -224,7 +287,7 @@ ProgramCfg::assignTargets(Rng &rng)
                 if (back) {
                     std::uint32_t off = 1 + static_cast<std::uint32_t>(
                                                 rng.below(b));
-                    bb.targetBlock = gb - off;
+                    bb.target = gb - off;
                     bb.isBackEdge = true;
                     double trips = std::max(1.5, cfg_.meanLoopTrips);
                     bb.takenProb =
@@ -233,9 +296,8 @@ ProgramCfg::assignTargets(Rng &rng)
                     std::uint32_t skip = 2 + static_cast<std::uint32_t>(
                         rng.below(std::min<std::uint32_t>(
                             8, fn.numBlocks - b - 2)));
-                    bb.targetBlock = std::min(gb + skip,
-                                              fn.firstBlock +
-                                                  fn.numBlocks - 1);
+                    bb.target = std::min<std::uint32_t>(
+                        gb + skip, fn.firstBlock + fn.numBlocks - 1);
                     bool mostly_taken =
                         rng.chance(cfg_.fwdTakenSiteFraction);
                     double bias = cfg_.takenBias +
@@ -247,7 +309,7 @@ ProgramCfg::assignTargets(Rng &rng)
                 } else {
                     // no room for a forward skip: make it a rarely
                     // taken exit to the function's last block
-                    bb.targetBlock = fn.firstBlock + fn.numBlocks - 1;
+                    bb.target = fn.firstBlock + fn.numBlocks - 1;
                     bb.takenProb = 0.1f;
                 }
                 break;
@@ -255,53 +317,54 @@ ProgramCfg::assignTargets(Rng &rng)
               case TermKind::UncondBranch: {
                 if (dispatcher) {
                     // dispatcher's final block loops back to its head
-                    bb.targetBlock = fn.firstBlock;
+                    bb.target = fn.firstBlock;
                     break;
                 }
                 // Some unconditional branches are tail calls to a
                 // sibling function: distant targets that create the
                 // branch-class misses of Figure 3.
-                const auto &sibs = layerFuncs_[fn.layer];
+                const auto &sibs = layerFuncs[fn.layer];
                 if (!fn.isTrapHandler && sibs.size() > 1 &&
                     rng.chance(cfg_.tailCallFraction)) {
                     bb.isTailCall = true;
                     std::size_t rank = layer_zipf[fn.layer].sample(rng);
-                    bb.targetFunc = sibs[rank % sibs.size()];
-                    if (bb.targetFunc == fi)
-                        bb.targetFunc =
-                            sibs[(rank + 1) % sibs.size()];
+                    bb.target = sibs[rank % sibs.size()];
+                    if (bb.target == fi)
+                        bb.target = sibs[(rank + 1) % sibs.size()];
                     break;
                 }
                 std::uint32_t last = fn.firstBlock + fn.numBlocks - 1;
                 std::uint32_t skip = 2 + static_cast<std::uint32_t>(
                     rng.below(6));
-                bb.targetBlock = std::min(gb + skip, last);
+                bb.target = std::min(gb + skip, last);
                 break;
               }
               case TermKind::Call:
-                bb.targetFunc = pick_callee(fn.layer);
+                bb.target = pick_callee(fn.layer);
                 break;
               case TermKind::IndirectCall: {
-                IndirectSet iset;
-                if (dispatcher) {
-                    iset.funcs = roots_;
-                    iset.cdf = rootCdf_;
-                } else {
+                IndirectSet iset = roots_;
+                if (!dispatcher) {
                     unsigned k = std::max(2u, cfg_.indirectTargets);
+                    checkFits(cfg_, indirectFuncs_.size() + k,
+                              "indirect-call targets");
+                    iset = {static_cast<std::uint32_t>(
+                                indirectFuncs_.size()),
+                            k};
                     double sum = 0.0;
+                    double weight = 1.0; // skewed: 1, 1/2, 1/4, ...
                     for (unsigned t = 0; t < k; ++t) {
-                        iset.funcs.push_back(pick_callee(fn.layer));
-                        // skewed weights: 1, 1/2, 1/4, ...
-                        sum += 1.0 / static_cast<double>(1u << t);
-                        iset.cdf.push_back(sum);
+                        indirectFuncs_.push_back(pick_callee(fn.layer));
+                        sum += weight;
+                        weight *= 0.5;
+                        indirectCdf_.push_back(sum);
                     }
-                    for (auto &v : iset.cdf)
-                        v /= sum;
-                    iset.cdf.back() = 1.0;
+                    for (std::uint32_t t = 0; t < k; ++t)
+                        indirectCdf_[iset.begin + t] /= sum;
+                    indirectCdf_.back() = 1.0;
                 }
-                bb.indirectSet =
-                    static_cast<std::uint32_t>(isets_.size());
-                isets_.push_back(std::move(iset));
+                bb.target = static_cast<std::uint32_t>(isets_.size());
+                isets_.push_back(iset);
                 break;
               }
               case TermKind::FallThrough:
@@ -342,17 +405,20 @@ ProgramCfg::layoutCode()
             const BasicBlock &bb = blocks_[fn.firstBlock + b];
             switch (bb.term) {
               case TermKind::Call:
-                callees.push_back(bb.targetFunc);
+                callees.push_back(bb.target);
                 break;
               case TermKind::UncondBranch:
                 if (bb.isTailCall)
-                    callees.push_back(bb.targetFunc);
+                    callees.push_back(bb.target);
                 break;
-              case TermKind::IndirectCall:
-                for (std::uint32_t t :
-                     isets_[bb.indirectSet].funcs)
-                    callees.push_back(t);
+              case TermKind::IndirectCall: {
+                const IndirectSet &iset = isets_[bb.target];
+                callees.insert(callees.end(),
+                               indirectFuncs_.begin() + iset.begin,
+                               indirectFuncs_.begin() + iset.begin +
+                                   iset.count);
                 break;
+              }
               default:
                 break;
             }

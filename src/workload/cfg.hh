@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "trace/record.hh"
@@ -32,26 +33,34 @@ namespace ipref
 enum class TermKind : std::uint8_t
 {
     FallThrough, //!< no CTI; execution continues in the next block
-    CondBranch,  //!< conditional branch to targetBlock (else next)
-    UncondBranch,//!< unconditional branch to targetBlock
-    Call,        //!< direct call to targetFunc; resumes at next block
-    IndirectCall,//!< Jump to one of several callee functions
+    CondBranch,  //!< conditional branch to block `target` (else next)
+    UncondBranch,//!< jump to block `target`, or tail call to function
+    Call,        //!< direct call to function `target`; resumes at next
+    IndirectCall,//!< call through indirect set `target`
     Return,      //!< return to caller
 };
 
-/** A basic block: contiguous instructions ending in a terminator. */
+/**
+ * A basic block: contiguous instructions ending in a terminator.
+ *
+ * The one `target` word is read per terminator kind:
+ *  - CondBranch, and UncondBranch without isTailCall: a global block
+ *    index into ProgramCfg::blocks();
+ *  - Call, and UncondBranch with isTailCall: a function index into
+ *    ProgramCfg::functions();
+ *  - IndirectCall: an index into ProgramCfg::indirectSets();
+ *  - FallThrough and Return: unused (0).
+ */
 struct BasicBlock
 {
     Addr startPc = 0;
+    std::uint32_t instrBase = 0;   //!< index into ProgramCfg::instrs
+    std::uint32_t target = 0;      //!< block, function or set index
+    float takenProb = 0.0f;        //!< CondBranch: P(taken)
     std::uint16_t numInstrs = 0;   //!< includes the terminator slot
     TermKind term = TermKind::FallThrough;
-    std::uint32_t targetBlock = 0; //!< global block index (branches)
-    std::uint32_t targetFunc = 0;  //!< callee (Call)
-    std::uint32_t indirectSet = 0; //!< index into indirect target sets
-    float takenProb = 0.0f;        //!< CondBranch: P(taken)
-    bool isBackEdge = false;       //!< CondBranch: loop back-edge?
-    bool isTailCall = false;       //!< UncondBranch to targetFunc
-    std::uint32_t instrBase = 0;   //!< index into ProgramCfg::instrs
+    bool isBackEdge : 1 = false;   //!< CondBranch: loop back-edge?
+    bool isTailCall : 1 = false;   //!< UncondBranch to function target
 
     /** Address of the block's terminator (last instruction). */
     Addr
@@ -67,6 +76,7 @@ struct BasicBlock
         return startPc + static_cast<Addr>(numInstrs) * instrBytes;
     }
 };
+static_assert(sizeof(BasicBlock) <= 24);
 
 /** Static (non-CTI) instruction description. */
 struct StaticInstr
@@ -80,18 +90,23 @@ struct StaticInstr
 /** A function: a contiguous range of blocks; entry is the first. */
 struct Function
 {
-    std::uint32_t firstBlock = 0;
-    std::uint32_t numBlocks = 0;
-    std::uint32_t layer = 0;   //!< call-graph layer (0 = roots)
     Addr entry = 0;
+    std::uint32_t firstBlock = 0;
+    std::uint16_t numBlocks = 0;
+    std::uint8_t layer = 0;    //!< call-graph layer (0 = roots)
     bool isTrapHandler = false;
 };
+static_assert(sizeof(Function) <= 16);
 
-/** A set of candidate targets for one indirect-call site. */
+/**
+ * The candidate callees of one indirect-call site: entries
+ * [begin, begin + count) of ProgramCfg::indirectFuncs() and of the
+ * matching skewed selection CDF, ProgramCfg::indirectCdf().
+ */
 struct IndirectSet
 {
-    std::vector<std::uint32_t> funcs; //!< candidate callees
-    std::vector<double> cdf;          //!< skewed selection CDF
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
 };
 
 /**
@@ -101,7 +116,12 @@ struct IndirectSet
 class ProgramCfg
 {
   public:
-    /** Build a program from the config's layoutSeed. */
+    /**
+     * Build a program from the config's layoutSeed. Throws ConfigError
+     * when a knob is out of range or the program would not fit the
+     * compact layout (2^32 or more blocks, instructions or indirect
+     * targets).
+     */
     explicit ProgramCfg(const WorkloadConfig &cfg);
 
     const WorkloadConfig &config() const { return cfg_; }
@@ -111,10 +131,29 @@ class ProgramCfg
     const std::vector<StaticInstr> &instrs() const { return instrs_; }
     const std::vector<IndirectSet> &indirectSets() const { return isets_; }
 
-    /** Indices of layer-0 functions (transaction entry points). */
-    const std::vector<std::uint32_t> &rootFuncs() const { return roots_; }
+    /** Callees of every indirect set, one run per set. */
+    const std::vector<std::uint32_t> &
+    indirectFuncs() const
+    {
+        return indirectFuncs_;
+    }
+    /** Selection CDFs, parallel to indirectFuncs(); each run ends at
+     *  1.0. */
+    const std::vector<double> &indirectCdf() const { return indirectCdf_; }
+
+    /** Indices of layer-0 functions (transaction entry points); the
+     *  dispatcher's indirect set is this run. */
+    std::span<const std::uint32_t>
+    rootFuncs() const
+    {
+        return {indirectFuncs_.data() + roots_.begin, roots_.count};
+    }
     /** Zipf CDF over rootFuncs (transaction popularity). */
-    const std::vector<double> &rootCdf() const { return rootCdf_; }
+    std::span<const double>
+    rootCdf() const
+    {
+        return {indirectCdf_.data() + roots_.begin, roots_.count};
+    }
 
     /** Indices of trap-handler functions. */
     const std::vector<std::uint32_t> &trapFuncs() const { return traps_; }
@@ -133,8 +172,10 @@ class ProgramCfg
     unsigned layers() const { return cfg_.callLayers; }
 
   private:
-    void buildFunctions(Rng &rng);
-    void assignTargets(Rng &rng);
+    using LayerFuncs = std::vector<std::vector<std::uint32_t>>;
+
+    LayerFuncs buildFunctions(Rng &rng);
+    void assignTargets(Rng &rng, const LayerFuncs &layerFuncs);
 
     /**
      * Assign code addresses in call-affinity order (a Pettis-Hansen
@@ -150,10 +191,10 @@ class ProgramCfg
     std::vector<BasicBlock> blocks_;
     std::vector<StaticInstr> instrs_;
     std::vector<IndirectSet> isets_;
-    std::vector<std::uint32_t> roots_;
-    std::vector<double> rootCdf_;
+    std::vector<std::uint32_t> indirectFuncs_;
+    std::vector<double> indirectCdf_;
+    IndirectSet roots_;
     std::vector<std::uint32_t> traps_;
-    std::vector<std::vector<std::uint32_t>> layerFuncs_;
     Addr codeBytes_ = 0;
 
     mutable std::once_flag hotZipfOnce_;

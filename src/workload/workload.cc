@@ -219,7 +219,7 @@ Workload::next(InstrRecord &out)
         switch (bb.term) {
           case TermKind::CondBranch: {
             out.op = OpClass::CondBranch;
-            out.target = blocks[bb.targetBlock].startPc;
+            out.target = blocks[bb.target].startPc;
             bool taken = rng_.chance(bb.takenProb);
             if (bb.isBackEdge) {
                 std::uint8_t &cnt = loopTaken_[trapBlock_];
@@ -234,7 +234,7 @@ Workload::next(InstrRecord &out)
             }
             out.taken = taken;
             if (taken) {
-                trapBlock_ = bb.targetBlock;
+                trapBlock_ = bb.target;
             } else {
                 ++trapBlock_;
             }
@@ -244,8 +244,8 @@ Workload::next(InstrRecord &out)
           case TermKind::UncondBranch:
             out.op = OpClass::UncondBranch;
             out.taken = true;
-            out.target = blocks[bb.targetBlock].startPc;
-            trapBlock_ = bb.targetBlock;
+            out.target = blocks[bb.target].startPc;
+            trapBlock_ = bb.target;
             trapInstr_ = 0;
             break;
           case TermKind::Return: {
@@ -298,7 +298,7 @@ Workload::next(InstrRecord &out)
     switch (bb.term) {
       case TermKind::CondBranch: {
         out.op = OpClass::CondBranch;
-        out.target = blocks[bb.targetBlock].startPc;
+        out.target = blocks[bb.target].startPc;
         bool taken = rng_.chance(bb.takenProb);
         if (bb.isBackEdge) {
             std::uint8_t &cnt = loopTaken_[ctx.curBlock];
@@ -313,7 +313,7 @@ Workload::next(InstrRecord &out)
         }
         out.taken = taken;
         if (taken)
-            goto_block(bb.targetBlock);
+            goto_block(bb.target);
         else
             goto_block(ctx.curBlock + 1);
         break;
@@ -324,31 +324,31 @@ Workload::next(InstrRecord &out)
         if (bb.isTailCall) {
             // Tail call: jump to the sibling's entry without pushing
             // a frame; its return unwinds to our caller.
-            out.target = funcs[bb.targetFunc].entry;
-            goto_block(funcs[bb.targetFunc].firstBlock);
+            out.target = funcs[bb.target].entry;
+            goto_block(funcs[bb.target].firstBlock);
         } else {
-            out.target = blocks[bb.targetBlock].startPc;
-            goto_block(bb.targetBlock);
+            out.target = blocks[bb.target].startPc;
+            goto_block(bb.target);
         }
         break;
       case TermKind::Call:
         out.op = OpClass::Call;
         out.taken = true;
-        out.target = funcs[bb.targetFunc].entry;
+        out.target = funcs[bb.target].entry;
         out.dstReg = 31; // link register
         ctx.stack.push_back({ctx.curBlock + 1, 0});
-        goto_block(funcs[bb.targetFunc].firstBlock);
+        goto_block(funcs[bb.target].firstBlock);
         break;
       case TermKind::IndirectCall: {
         out.op = OpClass::Jump;
         out.taken = true;
-        const IndirectSet &iset =
-            prog_->indirectSets()[bb.indirectSet];
+        const IndirectSet &iset = prog_->indirectSets()[bb.target];
+        const double *cdf = prog_->indirectCdf().data() + iset.begin;
         double u = rng_.uniform();
-        std::size_t pick = 0;
-        while (pick + 1 < iset.cdf.size() && iset.cdf[pick] < u)
+        std::uint32_t pick = 0;
+        while (pick + 1 < iset.count && cdf[pick] < u)
             ++pick;
-        std::uint32_t callee = iset.funcs[pick];
+        std::uint32_t callee = prog_->indirectFuncs()[iset.begin + pick];
         out.target = funcs[callee].entry;
         out.dstReg = 31;
         ctx.stack.push_back({ctx.curBlock + 1, 0});

@@ -9,6 +9,9 @@
  * at the front, linear walks in deque order, erase-and-reinsert
  * hoists.
  *
+ * DequeRing is the std::deque that FixedRing replaced in the ROB and
+ * the fetch buffer, with FixedRing's capacity contract on top.
+ *
  * encodeTraceBlockV3Bytewise is the v3 block encoder that the
  * pointer-writing encodeTraceBlockV3 replaced: one push_back per
  * output byte and bitmaps or-ed into zeroed bytes.
@@ -17,6 +20,7 @@
 #ifndef IPREF_TESTS_REFERENCE_MODELS_HH
 #define IPREF_TESTS_REFERENCE_MODELS_HH
 
+#include <cstddef>
 #include <deque>
 #include <iterator>
 #include <optional>
@@ -146,6 +150,56 @@ class DequePrefetchQueue
     unsigned capacity_;
     unsigned waitingCount_ = 0;
     unsigned waitingHighWater_ = 0;
+};
+
+template <typename T>
+class DequeRing
+{
+  public:
+    explicit DequeRing(std::size_t capacity) { reset(capacity); }
+
+    void
+    reset(std::size_t capacity)
+    {
+        items_.clear();
+        capacity_ = capacity ? capacity : 1;
+    }
+
+    std::size_t size() const { return items_.size(); }
+    std::size_t capacity() const { return capacity_; }
+    bool empty() const { return items_.empty(); }
+    bool full() const { return items_.size() == capacity_; }
+
+    T &operator[](std::size_t i) { return items_[i]; }
+    const T &operator[](std::size_t i) const { return items_[i]; }
+    const T &front() const { return items_.front(); }
+
+    void
+    push_back(const T &v)
+    {
+        ipref_assert(!full());
+        items_.push_back(v);
+    }
+
+    T &
+    emplace_back()
+    {
+        ipref_assert(!full());
+        return items_.emplace_back();
+    }
+
+    void
+    pop_front()
+    {
+        ipref_assert(!empty());
+        items_.pop_front();
+    }
+
+    void clear() { items_.clear(); }
+
+  private:
+    std::deque<T> items_;
+    std::size_t capacity_ = 1;
 };
 
 inline void

@@ -9,6 +9,7 @@
  *  - LineMap (open addressing, backward-shift erase) vs
  *    std::unordered_map, including degenerate hashes that force long,
  *    wrapping probe chains;
+ *  - FixedRing vs a std::deque with the same capacity contract;
  *  - FillHeap vs a std::priority_queue of shared fills, whose pop
  *    order for equal ready cycles decides install (and so eviction)
  *    order in the hierarchy;
@@ -31,6 +32,7 @@
 #include "reference_models.hh"
 #include "trace/trace_v3.hh"
 #include "util/line_map.hh"
+#include "util/ring.hh"
 #include "util/rng.hh"
 #include "util/split_addrs.hh"
 
@@ -154,6 +156,93 @@ TEST_P(QueueLockstep, MatchesDequeReference)
 
 INSTANTIATE_TEST_SUITE_P(Capacities, QueueLockstep,
                          ::testing::Values(1u, 2u, 3u, 32u, 64u));
+
+// --- fixed ring ----------------------------------------------------
+
+::testing::AssertionResult
+sameRingState(const FixedRing<std::uint64_t> &ring,
+              const ref::DequeRing<std::uint64_t> &r)
+{
+    if (ring.size() != r.size() || ring.capacity() != r.capacity() ||
+        ring.empty() != r.empty() || ring.full() != r.full())
+        return ::testing::AssertionFailure()
+               << "size " << ring.size() << "/" << ring.capacity()
+               << " vs reference " << r.size() << "/" << r.capacity();
+    if (!ring.empty() && ring.front() != r.front())
+        return ::testing::AssertionFailure()
+               << "front " << ring.front() << " vs " << r.front();
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        if (ring[i] != r[i])
+            return ::testing::AssertionFailure()
+                   << "[" << i << "] " << ring[i] << " vs " << r[i];
+    return ::testing::AssertionSuccess();
+}
+
+class RingLockstep
+    : public ::testing::TestWithParam<std::size_t> // capacity
+{};
+
+TEST_P(RingLockstep, MatchesDequeReference)
+{
+    const std::size_t capacity = GetParam();
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << capacity
+                                          << " seed " << seed);
+        FixedRing<std::uint64_t> ring(capacity);
+        ref::DequeRing<std::uint64_t> r(capacity);
+        Rng rng(seed * 104729 + capacity);
+        std::uint64_t next = 1;
+        std::uint64_t fulls = 0, pops = 0, clears = 0, resets = 0;
+        for (int op = 0; op < 6000; ++op) {
+            // Alternate fill-heavy stretches (the ring fills and its
+            // tail wraps) with drain-heavy ones (the head wraps).
+            const std::uint64_t adds = (op / 500) % 2 ? 350 : 600;
+            const std::uint64_t kind = rng.below(1000);
+            if (kind < adds && !ring.full()) {
+                const std::uint64_t v = next++;
+                if (kind % 2) {
+                    ring.push_back(v);
+                    r.push_back(v);
+                } else {
+                    // A recycled slot holds a stale value until the
+                    // caller fills it, as the core's stages do.
+                    ring.emplace_back() = v;
+                    r.emplace_back() = v;
+                }
+                fulls += ring.full();
+            } else if (kind < 997 && !ring.empty()) {
+                if (kind < 900) {
+                    ring.pop_front();
+                    r.pop_front();
+                    ++pops;
+                } else {
+                    const std::size_t i = rng.below(ring.size());
+                    const std::uint64_t v = next++;
+                    ring[i] = v;
+                    r[i] = v;
+                }
+            } else if (kind >= 997 && kind < 999) {
+                ring.clear();
+                r.clear();
+                ++clears;
+            } else if (kind == 999) {
+                ring.reset(capacity);
+                r.reset(capacity);
+                ++resets;
+            }
+            ASSERT_TRUE(sameRingState(ring, r)) << "op " << op;
+        }
+        // The sequences must fill the ring and wrap its head many
+        // times over, and reach clear() and reset().
+        EXPECT_GT(fulls, 0u);
+        EXPECT_GT(pops, 4 * capacity);
+        EXPECT_GT(clears, 0u);
+        EXPECT_GT(resets, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, RingLockstep,
+                         ::testing::Values(1u, 2u, 3u, 24u, 64u));
 
 // --- split address array -------------------------------------------
 

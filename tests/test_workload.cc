@@ -10,6 +10,8 @@
 #include "error_helpers.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <span>
 #include <unordered_set>
@@ -22,8 +24,8 @@ using namespace ipref;
 namespace
 {
 
-std::shared_ptr<const ProgramCfg>
-smallProgram()
+WorkloadConfig
+smallConfig()
 {
     WorkloadConfig cfg;
     cfg.name = "tiny";
@@ -31,9 +33,91 @@ smallProgram()
     cfg.codeFootprintBytes = 256u << 10;
     cfg.concurrentContexts = 2;
     cfg.contextSwitchPeriod = 500;
+    return cfg;
+}
+
+std::shared_ptr<const ProgramCfg>
+smallProgram()
+{
     static std::shared_ptr<const ProgramCfg> prog =
-        std::make_shared<const ProgramCfg>(cfg);
+        std::make_shared<const ProgramCfg>(smallConfig());
     return prog;
+}
+
+/**
+ * Check that every block's one target word indexes the table its
+ * terminator names, and that every indirect set is a well-formed run
+ * of the flat callee and CDF arrays.
+ */
+void
+expectTargetsIndexTheirTable(const ProgramCfg &prog)
+{
+    const auto &funcs = prog.functions();
+    const auto &blocks = prog.blocks();
+    const auto &isets = prog.indirectSets();
+    const auto &calleeOf = prog.indirectFuncs();
+    const auto &cdf = prog.indirectCdf();
+    ASSERT_EQ(calleeOf.size(), cdf.size());
+    std::uint64_t branches = 0, calls = 0, tailCalls = 0, indirect = 0;
+    for (std::uint32_t fi = 0; fi < funcs.size(); ++fi) {
+        const Function &fn = funcs[fi];
+        const std::uint32_t end = fn.firstBlock + fn.numBlocks;
+        for (std::uint32_t gb = fn.firstBlock; gb < end; ++gb) {
+            const BasicBlock &bb = blocks[gb];
+            switch (bb.term) {
+              case TermKind::CondBranch:
+              case TermKind::UncondBranch:
+                if (!bb.isTailCall) {
+                    // The dispatcher's loop-back branch included.
+                    EXPECT_GE(bb.target, fn.firstBlock) << "block " << gb;
+                    EXPECT_LT(bb.target, end) << "block " << gb;
+                    ++branches;
+                    break;
+                }
+                ASSERT_LT(bb.target, funcs.size()) << "block " << gb;
+                EXPECT_NE(bb.target, fi) << "tail call to itself";
+                ++tailCalls;
+                break;
+              case TermKind::Call:
+                ASSERT_LT(bb.target, funcs.size()) << "block " << gb;
+                ++calls;
+                break;
+              case TermKind::IndirectCall: {
+                ASSERT_LT(bb.target, isets.size()) << "block " << gb;
+                const IndirectSet &set = isets[bb.target];
+                ASSERT_GE(set.count, 1u);
+                ASSERT_LE(std::uint64_t{set.begin} + set.count,
+                          calleeOf.size());
+                for (std::uint32_t t = set.begin;
+                     t < set.begin + set.count; ++t) {
+                    EXPECT_LT(calleeOf[t], funcs.size());
+                    if (t > set.begin) {
+                        EXPECT_GE(cdf[t], cdf[t - 1]);
+                    }
+                }
+                EXPECT_EQ(cdf[set.begin + set.count - 1], 1.0);
+                ++indirect;
+                break;
+              }
+              case TermKind::FallThrough:
+              case TermKind::Return:
+                EXPECT_EQ(bb.target, 0u);
+                break;
+            }
+        }
+    }
+    EXPECT_GT(branches, 0u);
+    EXPECT_GT(calls, 0u);
+    EXPECT_GT(tailCalls, 0u);
+    EXPECT_GT(indirect, 0u);
+
+    // The dispatcher's set is the root run, stored once.
+    const BasicBlock &dispatch = blocks[funcs[0].firstBlock + 1];
+    ASSERT_EQ(dispatch.term, TermKind::IndirectCall);
+    const IndirectSet &roots = isets[dispatch.target];
+    EXPECT_EQ(calleeOf.data() + roots.begin, prog.rootFuncs().data());
+    EXPECT_EQ(roots.count, prog.rootFuncs().size());
+    EXPECT_EQ(cdf.data() + roots.begin, prog.rootCdf().data());
 }
 
 /** FNV-1a over a record's fields, little-endian, in declaration order. */
@@ -97,15 +181,116 @@ TEST(Cfg, StructuralInvariants)
             if (bb.term == TermKind::CondBranch ||
                 (bb.term == TermKind::UncondBranch &&
                  !bb.isTailCall && &fn != &funcs[0])) {
-                EXPECT_GE(bb.targetBlock, fn.firstBlock);
-                EXPECT_LT(bb.targetBlock,
-                          fn.firstBlock + fn.numBlocks);
+                EXPECT_GE(bb.target, fn.firstBlock);
+                EXPECT_LT(bb.target, fn.firstBlock + fn.numBlocks);
             }
             if (bb.term == TermKind::Call ||
                 (bb.term == TermKind::UncondBranch && bb.isTailCall))
-                EXPECT_LT(bb.targetFunc, funcs.size());
+                EXPECT_LT(bb.target, funcs.size());
         }
     }
+}
+
+TEST(Cfg, TargetsIndexTheirTable)
+{
+    {
+        SCOPED_TRACE("tiny");
+        expectTargetsIndexTheirTable(*smallProgram());
+    }
+    for (WorkloadKind kind : allWorkloadKinds()) {
+        SCOPED_TRACE(workloadName(kind));
+        expectTargetsIndexTheirTable(*buildProgram(kind));
+    }
+}
+
+TEST(Cfg, RejectsCallLayersOutsideByteRange)
+{
+    for (unsigned layers : {0u, 1u, 256u}) {
+        WorkloadConfig cfg = smallConfig();
+        cfg.callLayers = layers;
+        test::expectThrows<ConfigError>(
+            [&] { ProgramCfg prog(cfg); }, "callLayers");
+    }
+}
+
+TEST(Cfg, RejectsZeroInstructionBlocks)
+{
+    WorkloadConfig cfg = smallConfig();
+    cfg.minBlockInstrs = 0;
+    test::expectThrows<ConfigError>([&] { ProgramCfg prog(cfg); },
+                                    "minBlockInstrs is 0");
+}
+
+TEST(Cfg, RejectsGeometricParamsOutsideUnitInterval)
+{
+    // Both feed Rng::geometric and size the build's reservations.
+    for (double p : {0.0, -0.5, 1.5, std::nan("")}) {
+        WorkloadConfig count = smallConfig();
+        count.blockCountP = p;
+        test::expectThrows<ConfigError>([&] { ProgramCfg prog(count); },
+                                        "must lie in (0, 1]");
+        WorkloadConfig size = smallConfig();
+        size.blockSizeP = p;
+        test::expectThrows<ConfigError>([&] { ProgramCfg prog(size); },
+                                        "must lie in (0, 1]");
+    }
+}
+
+TEST(Cfg, RejectsMaxBlockInstrsOutOfRange)
+{
+    WorkloadConfig below = smallConfig();
+    below.minBlockInstrs = 8;
+    below.maxBlockInstrs = 7;
+    test::expectThrows<ConfigError>([&] { ProgramCfg prog(below); },
+                                    "maxBlockInstrs 7");
+    WorkloadConfig above = smallConfig();
+    above.maxBlockInstrs = 65536;
+    test::expectThrows<ConfigError>([&] { ProgramCfg prog(above); },
+                                    "maxBlockInstrs 65536");
+}
+
+TEST(Cfg, BuildsAtTheLayoutLimits)
+{
+    // The widest knobs the compact fields hold still build: the trap
+    // handlers sit in layer 254.
+    WorkloadConfig cfg = smallConfig();
+    cfg.callLayers = 255;
+    cfg.minBlockInstrs = 1;
+    cfg.maxBlockInstrs = 65535;
+    ProgramCfg prog(cfg);
+    EXPECT_EQ(prog.functions().back().layer, 254u);
+    EXPECT_TRUE(prog.functions().back().isTrapHandler);
+}
+
+TEST(Cfg, RejectsBlockCountAbove32Bits)
+{
+    // About 5e12 functions: refused before anything is allocated.
+    WorkloadConfig cfg = smallConfig();
+    cfg.codeFootprintBytes = std::uint64_t{1} << 50;
+    test::expectThrows<ConfigError>([&] { ProgramCfg prog(cfg); },
+                                    "or more blocks");
+}
+
+TEST(Cfg, RejectsInstructionCountAbove32Bits)
+{
+    // About 1e5 functions of 65535-instruction blocks (1.6 MB each):
+    // few enough blocks, but at least 6.5e9 instructions.
+    WorkloadConfig cfg = smallConfig();
+    cfg.minBlockInstrs = 65535;
+    cfg.maxBlockInstrs = 65535;
+    cfg.codeFootprintBytes = std::uint64_t{100000} * 1'638'400;
+    test::expectThrows<ConfigError>([&] { ProgramCfg prog(cfg); },
+                                    "or more instructions");
+}
+
+TEST(Cfg, RejectsIndirectTargetCountAbove32Bits)
+{
+    // The first non-dispatcher site would push the flat callee table
+    // past 2^32 entries; it is refused before the push.
+    WorkloadConfig cfg = smallConfig();
+    cfg.indirectTargets = std::numeric_limits<std::uint32_t>::max();
+    test::expectThrows<ConfigError>([&] { ProgramCfg prog(cfg); },
+                                    "indirect-call targets");
 }
 
 TEST(Cfg, TrapHandlersAreLeaves)
