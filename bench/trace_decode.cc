@@ -1,26 +1,33 @@
 /**
  * @file
  * Trace-path microbenchmark: records/second sustained by the v3
- * writer, the mmap reader and the shared-cache load.
+ * writer, the mmap reader, the shared-cache load and replay from the
+ * shared cache.
  *
  * A synthetic DB workload stream is generated once in memory, then
- * timed three ways: written by TraceFileWriter ("v3-write"), drained
+ * timed four ways: written by TraceFileWriter ("v3-write"), drained
  * through openTraceReader() with large nextBatch() reads ("v3-mmap"),
- * and loaded by TraceCache::acquire() into a cleared cache
- * ("cache-load"). Best-of---reps throughput of each lands in a JSON
- * summary (default BENCH_trace_decode.json) that CI compares against
- * the checked-in floor with scripts/bench_compare.py.
+ * loaded by TraceCache::acquire() into a cleared cache
+ * ("cache-load"), and drained from one loaded entry through a
+ * CachedTraceSource in nextBatch(512) reads, the replay loop's batch
+ * ("cache-replay"). The cache rows also report the entry's resident
+ * bytes per record (16 when every chunk packs). Best-of---reps
+ * throughput of each lands in a JSON summary (default
+ * BENCH_trace_decode.json) that CI compares against the checked-in
+ * floor with scripts/bench_compare.py.
  *
  * Usage:
  *   trace_decode [--records N] [--reps N] [--dir PATH] [--out FILE]
  *                [--csv]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,6 +50,7 @@ struct Sample
     double mrecPerSec = 0.0; //!< million records / second
     double seconds = 0.0;
     std::uint64_t records = 0;
+    double residentPerRecord = 0.0; //!< cache rows: resident B/record
 };
 
 /** The first @p n records of a DB workload stream. */
@@ -124,10 +132,25 @@ std::uint64_t
 loadOnce(const std::string &path)
 {
     TraceCache::instance().clear();
-    std::uint64_t records =
-        TraceCache::instance().acquire(path)->records.size();
+    std::uint64_t records = TraceCache::instance().acquire(path)->size();
     TraceCache::instance().clear();
     return records;
+}
+
+/** Drain @p trace once through a CachedTraceSource, 512 at a time. */
+std::uint64_t
+replayOnce(const std::shared_ptr<const DecodedTrace> &trace)
+{
+    CachedTraceSource src(trace);
+    std::vector<InstrRecord> buf(512);
+    std::uint64_t total = 0;
+    for (;;) {
+        std::size_t got = src.nextBatch(
+            std::span<InstrRecord>(buf.data(), buf.size()));
+        total += got;
+        if (got < buf.size())
+            return total;
+    }
 }
 
 } // namespace
@@ -150,11 +173,24 @@ try {
         measure("v3-mmap", reps, [&] { return drainOnce(path); }),
         measure("cache-load", reps, [&] { return loadOnce(path); }),
     };
+    TraceCache::instance().clear();
+    auto trace = TraceCache::instance().acquire(path);
+    samples.push_back(
+        measure("cache-replay", reps, [&] { return replayOnce(trace); }));
+    const double resident = static_cast<double>(trace->residentBytes()) /
+                            static_cast<double>(std::max<std::size_t>(
+                                trace->size(), 1));
+    for (Sample &s : samples)
+        if (s.label.starts_with("cache-"))
+            s.residentPerRecord = resident;
+    trace.reset();
+    TraceCache::instance().clear();
     const std::uint64_t fileBytes = fileSize(path);
 
     Table t("Trace path throughput (" + std::to_string(records) +
             " records, best of " + std::to_string(reps) + ")");
-    t.header({"Path", "Mrec/s", "seconds", "file MB", "B/record"});
+    t.header({"Path", "Mrec/s", "seconds", "file MB", "B/record",
+              "resident B/record"});
     for (const Sample &s : samples)
         t.row({s.label, Table::num(s.mrecPerSec, 2),
                Table::num(s.seconds, 4),
@@ -162,7 +198,10 @@ try {
                Table::num(static_cast<double>(fileBytes) /
                               static_cast<double>(
                                   s.records ? s.records : 1),
-                          2)});
+                          2),
+               s.residentPerRecord > 0
+                   ? Table::num(s.residentPerRecord, 2)
+                   : std::string("-")});
     if (opts.getBool("csv"))
         t.printCsv(std::cout);
     else
@@ -180,7 +219,12 @@ try {
         out << "    {\"name\": \"" << samples[i].label
             << "\", \"mrec_per_sec\": " << samples[i].mrecPerSec
             << ", \"seconds\": " << samples[i].seconds
-            << ", \"file_bytes\": " << fileBytes << "}"
+            << ", \"file_bytes\": " << fileBytes
+            << (samples[i].residentPerRecord > 0
+                    ? ", \"resident_bytes_per_record\": " +
+                          std::to_string(samples[i].residentPerRecord)
+                    : std::string())
+            << "}"
             << (i + 1 < samples.size() ? ",\n" : "\n");
     out << "  ]\n}\n";
     std::cout << "\ndecode report written to " << out_path << "\n";

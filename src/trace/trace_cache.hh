@@ -4,14 +4,14 @@
  * same trace file share one decode.
  *
  * TraceCache::instance().acquire(path) returns an immutable,
- * refcounted DecodedTrace — the fully decoded record array plus the
- * file's header metadata. The cache keys entries by (path,
- * fingerprint): a rewritten file (size or mtime changed) is decoded
- * fresh, and concurrent acquirers of the same key block on the one
- * in-flight decode instead of duplicating it. Entries are always
- * decoded tolerantly and remember any damage, so one entry serves
- * both strict and tolerant acquirers (strict ones get the TraceError
- * a direct strict read would have thrown).
+ * refcounted DecodedTrace — the decoded records, packed 16 B apiece
+ * where their fields allow, plus the file's header metadata. The
+ * cache keys entries by (path, fingerprint): a rewritten file (size
+ * or mtime changed) is decoded fresh, and concurrent acquirers of the
+ * same key block on the one in-flight decode instead of duplicating
+ * it. Entries are always decoded tolerantly and remember any damage,
+ * so one entry serves both strict and tolerant acquirers (strict ones
+ * get the TraceError a direct strict read would have thrown).
  *
  * CachedTraceSource adapts a DecodedTrace back into the TraceSource
  * interface — each source carries its own cursor, so any number of
@@ -21,9 +21,10 @@
 #ifndef IPREF_TRACE_TRACE_CACHE_HH
 #define IPREF_TRACE_TRACE_CACHE_HH
 
-#include <cstring>
+#include <algorithm>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,15 +35,94 @@
 namespace ipref
 {
 
-/** One fully decoded, immutable trace file. */
-struct DecodedTrace
+/**
+ * One replay record in 16 bytes. A record carries one address besides
+ * its pc — dataAddr for Load/Store, target for every other op — held
+ * in `operand`; the pc is stored as its offset from the lowest pc of
+ * the record's chunk, the op class in bits 0-6 of `opTaken` and the
+ * taken flag in bit 7.
+ */
+struct PackedRecord
 {
+    Addr operand = 0;
+    std::uint32_t pcOffset = 0;
+    std::uint8_t opTaken = 0;
+    std::uint8_t src0 = 0;
+    std::uint8_t src1 = 0;
+    std::uint8_t dst = 0;
+};
+static_assert(sizeof(PackedRecord) == 16);
+
+/**
+ * One decoded, immutable trace file, stored as fixed chunks of
+ * chunkRecords records. A chunk is packed (PackedRecords) when every
+ * record in it has a zero target (Load/Store) or a zero dataAddr
+ * (every other op) and its pc span is under 2^32; any other chunk
+ * keeps its raw InstrRecords, so no input costs more than 32 B a
+ * record. copy() unpacks either kind exactly.
+ */
+class DecodedTrace
+{
+  public:
+    /** Records per chunk (the last chunk may be shorter). */
+    static constexpr std::size_t chunkRecords = 4096;
+
     std::string path;
     FileFingerprint fingerprint;
     bool corrupt = false;       //!< the file had a damaged suffix
     std::string corruptionDetail;
     std::uint64_t headerCount = 0; //!< records promised by the header
-    std::vector<InstrRecord> records; //!< what actually decoded
+
+    /** Records that actually decoded. */
+    std::size_t size() const { return size_; }
+
+    /** Records held in packed chunks. */
+    std::size_t packedRecords() const { return packed_.size(); }
+
+    /** Bytes of decoded records plus the chunk table. */
+    std::size_t
+    residentBytes() const
+    {
+        return packed_.size() * sizeof(PackedRecord) +
+               raw_.size() * sizeof(InstrRecord) +
+               chunks_.size() * sizeof(Chunk);
+    }
+
+    /**
+     * Unpack records [@p first, @p first + out.size()) into @p out;
+     * the range must lie within size().
+     */
+    void copy(std::size_t first, std::span<InstrRecord> out) const;
+
+  private:
+    friend class TraceCache;
+
+    struct Chunk
+    {
+        Addr basePc = 0;        //!< lowest pc (packed chunks)
+        std::size_t begin = 0;  //!< first index in packed_ or raw_
+        bool packed = false;
+    };
+
+    /**
+     * Decode @p path block by block into chunks. Block damage is
+     * recorded (corrupt, corruptionDetail), never thrown, and the
+     * damaged block is dropped, so the trace holds the intact prefix.
+     */
+    static std::shared_ptr<const DecodedTrace>
+    load(const std::string &path, const FileFingerprint &fp);
+
+    /**
+     * Store @p recs (one whole chunk) packed or raw. @p bound is the
+     * most records the file can hold; the first raw chunk reserves
+     * room for all that remain, so the raw array never reallocates.
+     */
+    void seal(std::span<const InstrRecord> recs, std::size_t bound);
+
+    std::vector<Chunk> chunks_;
+    std::vector<PackedRecord> packed_;
+    std::vector<InstrRecord> raw_;
+    std::size_t size_ = 0;
 };
 
 /**
@@ -113,19 +193,17 @@ class CachedTraceSource final : public TraceSource
     bool
     next(InstrRecord &out) override
     {
-        if (pos_ >= trace_->records.size())
+        if (pos_ >= trace_->size())
             return false;
-        out = trace_->records[pos_++];
+        trace_->copy(pos_++, {&out, 1});
         return true;
     }
 
     std::size_t
     nextBatch(std::span<InstrRecord> out) override
     {
-        std::size_t take = std::min(out.size(),
-                                    trace_->records.size() - pos_);
-        std::memcpy(out.data(), trace_->records.data() + pos_,
-                    take * sizeof(InstrRecord));
+        std::size_t take = std::min(out.size(), trace_->size() - pos_);
+        trace_->copy(pos_, out.first(take));
         pos_ += take;
         return take;
     }
@@ -135,7 +213,7 @@ class CachedTraceSource final : public TraceSource
     std::uint64_t
     sizeHint() const override
     {
-        return trace_->records.size();
+        return trace_->size();
     }
 
     const DecodedTrace &trace() const { return *trace_; }

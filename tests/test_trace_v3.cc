@@ -3,7 +3,8 @@
  * Tests for the v3 columnar trace format, the mmap reader, the shared
  * TraceCache and the redesigned TraceSource/RunSpec APIs: round-trip
  * fidelity, corruption fuzzing and crafted headers, decode sharing
- * under a parallel batch, and Builder validation.
+ * under a parallel batch, the packed cache's exactness against the
+ * mmap reader, and Builder validation.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <random>
 #include <vector>
 
+#include "scheme_params.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_cache.hh"
@@ -26,6 +28,7 @@
 #include "trace/trace_source.hh"
 #include "trace/trace_v3.hh"
 #include "util/crc32.hh"
+#include "util/metrics.hh"
 #include "workload/presets.hh"
 
 using namespace ipref;
@@ -84,8 +87,8 @@ writeTraceFile(const std::string &path,
 }
 
 void
-expectSameRecords(const std::vector<InstrRecord> &got,
-                  const std::vector<InstrRecord> &want)
+expectSameRecords(std::span<const InstrRecord> got,
+                  std::span<const InstrRecord> want)
 {
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -126,6 +129,15 @@ drainBatch(TraceSource &src, std::size_t batch = 37)
         if (got < buf.size())
             return out;
     }
+}
+
+/** Every record of @p trace, unpacked in one copy(). */
+std::vector<InstrRecord>
+unpackAll(const DecodedTrace &trace)
+{
+    std::vector<InstrRecord> out(trace.size());
+    trace.copy(0, out);
+    return out;
 }
 
 std::vector<unsigned char>
@@ -519,7 +531,7 @@ expectEveryReader(const std::string &path, bool damaged,
     TraceCache &cache = TraceCache::instance();
     cache.clear();
     auto loaded = cache.acquire(path, TraceReadMode::Tolerant);
-    expectSameRecords(loaded->records, salvage);
+    expectSameRecords(unpackAll(*loaded), salvage);
     EXPECT_EQ(loaded->corrupt, damaged);
 
     cache.clear();
@@ -528,7 +540,7 @@ expectEveryReader(const std::string &path, bool damaged,
         EXPECT_THROW(cache.acquire(path), TraceError);
     } else {
         expectSameRecords(drainNext(*openTraceReader(path)), full);
-        expectSameRecords(cache.acquire(path)->records, full);
+        expectSameRecords(unpackAll(*cache.acquire(path)), full);
     }
     cache.clear();
 }
@@ -671,7 +683,7 @@ TEST(TraceCache, TolerantAcquireOfCraftedHeaderIsCorrupt)
     auto t = TraceCache::instance().acquire(path,
                                             TraceReadMode::Tolerant);
     EXPECT_TRUE(t->corrupt);
-    EXPECT_TRUE(t->records.empty());
+    EXPECT_EQ(t->size(), 0u);
     EXPECT_EQ(t->headerCount, std::uint64_t{1} << 40);
     TraceCache::instance().clear();
     std::remove(path.c_str());
@@ -705,16 +717,16 @@ TEST(TraceCache, RewrittenFileIsReloaded)
     writeTraceFile(path, syntheticStream(100, 1));
     TraceCache::instance().clear();
     auto a = TraceCache::instance().acquire(path);
-    EXPECT_EQ(a->records.size(), 100u);
+    EXPECT_EQ(a->size(), 100u);
 
     writeTraceFile(path, syntheticStream(150, 2));
     auto b = TraceCache::instance().acquire(path);
-    EXPECT_EQ(b->records.size(), 150u);
+    EXPECT_EQ(b->size(), 150u);
     TraceCache::Stats s = TraceCache::instance().stats();
     EXPECT_EQ(s.decodes, 2u);
     EXPECT_EQ(s.staleReloads, 1u);
     // The old decode stays valid for holders of the old handle.
-    EXPECT_EQ(a->records.size(), 100u);
+    EXPECT_EQ(a->size(), 100u);
 
     TraceCache::instance().clear();
     std::remove(path.c_str());
@@ -735,7 +747,7 @@ TEST(TraceCache, StrictAcquireOfDamagedFileThrows)
     auto t = TraceCache::instance().acquire(path,
                                             TraceReadMode::Tolerant);
     EXPECT_TRUE(t->corrupt);
-    EXPECT_LT(t->records.size(), 1000u);
+    EXPECT_LT(t->size(), 1000u);
 
     TraceCache::instance().clear();
     std::remove(path.c_str());
@@ -783,6 +795,367 @@ TEST(TraceCache, ParallelBatchSharingOneTraceDecodesOnce)
     TraceCache::instance().clear();
     std::remove(path.c_str());
 }
+
+// --- packed TraceCache -------------------------------------------------
+
+namespace
+{
+
+constexpr std::size_t kChunk = DecodedTrace::chunkRecords;
+
+/** The first @p n records core 0 of preset @p kind walks. */
+std::vector<InstrRecord>
+presetStream(WorkloadKind kind, std::size_t n)
+{
+    auto wl = makeWorkload(kind, 0);
+    std::vector<InstrRecord> recs(n);
+    EXPECT_EQ(wl->nextBatch(recs), n);
+    return recs;
+}
+
+std::int64_t
+residentGauge()
+{
+    return metrics::registry()
+        .gauge("ipref_trace_cache_resident_bytes")
+        .value();
+}
+
+/**
+ * Read @p trace through a CachedTraceSource and @p path through a
+ * MappedTraceReader in lockstep, @p batch records a step (0: one
+ * next() a step), requiring equal counts and records to the end.
+ */
+void
+expectLockstep(const std::shared_ptr<const DecodedTrace> &trace,
+               const std::string &path, TraceReadMode mode,
+               std::size_t batch)
+{
+    SCOPED_TRACE(::testing::Message() << "batch " << batch);
+    CachedTraceSource cached(trace);
+    auto reader = openTraceReader(path, mode);
+    std::vector<InstrRecord> got(std::max<std::size_t>(batch, 1));
+    std::vector<InstrRecord> want(got.size());
+    for (std::size_t step = 0;; ++step) {
+        std::size_t n = 0;
+        if (batch == 0) {
+            n = cached.next(got[0]);
+            ASSERT_EQ(reader->next(want[0]), n == 1) << "step " << step;
+        } else {
+            n = cached.nextBatch(got);
+            ASSERT_EQ(reader->nextBatch(want), n) << "step " << step;
+        }
+        expectSameRecords(std::span(got).first(n),
+                          std::span(want).first(n));
+        if (n < got.size())
+            return;
+    }
+}
+
+/**
+ * The packed cache entry for @p path must replay exactly what the
+ * mmap reader delivers: at every batch size and via next(), again
+ * after reset(), and across a LoopingTraceSource wrap.
+ */
+void
+expectCacheMatchesReader(const std::string &path,
+                         TraceReadMode mode = TraceReadMode::Strict)
+{
+    auto trace = TraceCache::instance().acquire(path, mode);
+    for (std::size_t batch : {0u, 1u, 7u, 512u, 4097u})
+        expectLockstep(trace, path, mode, batch);
+
+    // A drained source rewinds to the same stream.
+    CachedTraceSource cached(trace);
+    auto reader = openTraceReader(path, mode);
+    std::vector<InstrRecord> first = drainBatch(cached, 512);
+    cached.reset();
+    reader->reset();
+    std::vector<InstrRecord> again = drainBatch(cached, 7);
+    expectSameRecords(again, first);
+    expectSameRecords(drainBatch(*reader, 7), first);
+
+    // Looping wraps mid-batch at the trace's end.
+    cached.reset();
+    reader->reset();
+    LoopingTraceSource loopCached(cached), loopReader(*reader);
+    std::vector<InstrRecord> a(2 * trace->size() + 5), b(a.size());
+    ASSERT_EQ(loopCached.nextBatch(a), a.size());
+    ASSERT_EQ(loopReader.nextBatch(b), b.size());
+    expectSameRecords(a, b);
+}
+
+/** Write @p recs with @p blockRecords, load it into a cleared cache. */
+std::shared_ptr<const DecodedTrace>
+loadFresh(const std::string &path, const std::vector<InstrRecord> &recs,
+          std::uint32_t blockRecords = 0)
+{
+    writeTraceFile(path, recs, blockRecords);
+    TraceCache::instance().clear();
+    return TraceCache::instance().acquire(path);
+}
+
+} // namespace
+
+TEST(PackedTraceCache, PresetCapturesPackEveryChunk)
+{
+    const std::size_t n = 3 * kChunk + 321;
+    std::vector<std::vector<InstrRecord>> streams;
+    for (WorkloadKind kind : allWorkloadKinds())
+        streams.push_back(presetStream(kind, n));
+    streams.push_back(syntheticStream(n, 5));
+
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "stream " << i);
+        std::string path = ::testing::TempDir() + "packed_preset.trc";
+        auto t = loadFresh(path, streams[i]);
+        ASSERT_EQ(t->size(), n);
+        EXPECT_EQ(t->packedRecords(), n);
+        EXPECT_LE(2 * t->residentBytes(), 33 * n); // <= 16.5 B/record
+        EXPECT_EQ(residentGauge(),
+                  static_cast<std::int64_t>(t->residentBytes()));
+        expectSameRecords(unpackAll(*t), streams[i]);
+        expectCacheMatchesReader(path);
+        std::remove(path.c_str());
+    }
+
+    // Two entries add up in the gauge; clear() empties it.
+    std::string a = ::testing::TempDir() + "packed_gauge_a.trc";
+    std::string b = ::testing::TempDir() + "packed_gauge_b.trc";
+    writeTraceFile(a, streams[0]);
+    writeTraceFile(b, syntheticStream(100, 6));
+    TraceCache::instance().clear();
+    EXPECT_EQ(residentGauge(), 0);
+    std::size_t bytes = TraceCache::instance().acquire(a)->residentBytes() +
+                        TraceCache::instance().acquire(b)->residentBytes();
+    EXPECT_EQ(residentGauge(), static_cast<std::int64_t>(bytes));
+    TraceCache::instance().clear();
+    EXPECT_EQ(residentGauge(), 0);
+    std::remove(a.c_str());
+    std::remove(b.c_str());
+}
+
+TEST(PackedTraceCache, AdversarialChunksFallBackToRaw)
+{
+    // One chunk per case; a chunk packs only if every record carries
+    // at most its op's address and its pc span is under 2^32.
+    std::vector<InstrRecord> recs;
+    std::size_t expectPacked = 0;
+    auto chunk = [&](bool packs, auto &&edit) {
+        std::vector<InstrRecord> c =
+            syntheticStream(kChunk, static_cast<std::uint32_t>(recs.size()));
+        edit(c);
+        recs.insert(recs.end(), c.begin(), c.end());
+        expectPacked += packs ? c.size() : 0;
+    };
+    chunk(true, [](auto &) {});
+    chunk(false, [](auto &c) { // a Load with a target
+        c[100].op = OpClass::Load;
+        c[100].dataAddr = 0x900040;
+        c[100].target = 0x400100;
+    });
+    chunk(false, [](auto &c) { // an IntAlu with a data address
+        c[kChunk - 1].op = OpClass::IntAlu;
+        c[kChunk - 1].target = 0;
+        c[kChunk - 1].dataAddr = 0x900080;
+    });
+    auto lowestPc = [](const std::vector<InstrRecord> &c) {
+        return std::min_element(c.begin(), c.end(),
+                                [](const auto &x, const auto &y) {
+                                    return x.pc < y.pc;
+                                })
+            ->pc;
+    };
+    chunk(false, [&](auto &c) { // a pc span of exactly 2^32
+        c[17].pc = lowestPc(c) + (Addr{1} << 32);
+    });
+    chunk(true, [&](auto &c) { // a pc span of 2^32 - 1 still packs
+        c[9].pc = lowestPc(c) + 0xffffffffULL;
+    });
+    chunk(true, [](auto &c) { // kernel-half pcs and addresses
+        for (std::size_t i = 0; i < c.size(); ++i) {
+            c[i].pc = 0xffffffff80000000ULL + 4 * i;
+            if (c[i].target != 0)
+                c[i].target |= 0xffff800000000000ULL;
+            if (c[i].dataAddr != 0)
+                c[i].dataAddr |= 0xffff800000000000ULL;
+        }
+    });
+    chunk(false, [](auto &c) { // kernel and user pcs in one chunk
+        c[kChunk / 2].pc = 0xffffffff80000000ULL;
+    });
+    std::vector<InstrRecord> tail = syntheticStream(1000, 77);
+    recs.insert(recs.end(), tail.begin(), tail.end());
+    expectPacked += tail.size();
+
+    // Every chunk's layout is fixed by its records, whatever the file
+    // blocking.
+    std::string path = ::testing::TempDir() + "packed_adversarial.trc";
+    for (std::uint32_t block : {7u, 4096u}) {
+        SCOPED_TRACE(::testing::Message() << "block " << block);
+        auto t = loadFresh(path, recs, block);
+        ASSERT_EQ(t->size(), recs.size());
+        EXPECT_EQ(t->packedRecords(), expectPacked);
+        const std::size_t raw = recs.size() - expectPacked;
+        EXPECT_GE(t->residentBytes(),
+                  expectPacked * sizeof(PackedRecord) +
+                      raw * sizeof(InstrRecord));
+        EXPECT_EQ(residentGauge(),
+                  static_cast<std::int64_t>(t->residentBytes()));
+        expectSameRecords(unpackAll(*t), recs);
+        expectCacheMatchesReader(path);
+    }
+    TraceCache::instance().clear();
+    std::remove(path.c_str());
+}
+
+TEST(PackedTraceCache, AllRawTraceCostsOnlyItsRecords)
+{
+    // Every record carries both addresses, so no chunk packs: the
+    // trace must cost its 32 B records plus the chunk table, no more.
+    std::vector<InstrRecord> recs = syntheticStream(3 * kChunk + 5, 41);
+    for (InstrRecord &r : recs) {
+        r.target |= 0x400000;
+        r.dataAddr |= 0x900000;
+    }
+    const std::size_t chunks = (recs.size() + kChunk - 1) / kChunk;
+    std::string path = ::testing::TempDir() + "packed_all_raw.trc";
+    for (std::uint32_t block : {7u, 4096u}) {
+        SCOPED_TRACE(::testing::Message() << "block " << block);
+        auto t = loadFresh(path, recs, block);
+        ASSERT_EQ(t->size(), recs.size());
+        EXPECT_EQ(t->packedRecords(), 0u);
+        EXPECT_GT(t->residentBytes(), recs.size() * sizeof(InstrRecord));
+        EXPECT_LE(t->residentBytes(),
+                  recs.size() * sizeof(InstrRecord) + chunks * 32);
+        EXPECT_EQ(residentGauge(),
+                  static_cast<std::int64_t>(t->residentBytes()));
+        expectSameRecords(unpackAll(*t), recs);
+        expectCacheMatchesReader(path);
+    }
+    TraceCache::instance().clear();
+    std::remove(path.c_str());
+}
+
+TEST(PackedTraceCache, ChunkEdgesAcrossFileBlockSizes)
+{
+    std::string path = ::testing::TempDir() + "packed_edges.trc";
+    for (std::size_t n : {1u, 4095u, 4096u, 4097u}) {
+        for (std::uint32_t block : {1u, 7u, 4096u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << n << " records, block " << block);
+            std::vector<InstrRecord> truth =
+                syntheticStream(n, static_cast<std::uint32_t>(n + block));
+            auto t = loadFresh(path, truth, block);
+            ASSERT_EQ(t->size(), n);
+            EXPECT_EQ(t->packedRecords(), n);
+            expectSameRecords(unpackAll(*t), truth);
+            expectCacheMatchesReader(path);
+        }
+    }
+    TraceCache::instance().clear();
+    std::remove(path.c_str());
+}
+
+TEST(PackedTraceCache, TolerantSalvageCutsMidChunk)
+{
+    // Blocks of 1000 records straddle the 4096-record chunks, so the
+    // damage lands inside a pending chunk; the salvaged prefix must
+    // replay exactly as the tolerant mmap reader delivers it.
+    const std::size_t kBlock = 1000;
+    std::string path = ::testing::TempDir() + "packed_salvage.trc";
+    std::vector<InstrRecord> truth = syntheticStream(10'000, 31);
+    writeTraceFile(path, truth, kBlock);
+    const std::vector<unsigned char> intact = readFileBytes(path);
+    const std::vector<BlockFrame> frames =
+        blockFrames(intact, truth.size(), kBlock);
+
+    for (std::size_t k : {3u, 4u, 9u}) {
+        SCOPED_TRACE(::testing::Message() << "block " << k);
+        const BlockFrame &b = frames[k];
+        std::vector<unsigned char> payload(
+            intact.begin() +
+                static_cast<std::ptrdiff_t>(b.off + traceV3FrameBytes),
+            intact.begin() + static_cast<std::ptrdiff_t>(
+                                 b.off + traceV3FrameBytes + b.bytes));
+        payload.push_back(0);
+        writeFileBytes(path, withPayload(intact, b, payload));
+
+        TraceCache::instance().clear();
+        auto t = TraceCache::instance().acquire(path,
+                                                TraceReadMode::Tolerant);
+        EXPECT_TRUE(t->corrupt);
+        ASSERT_EQ(t->size(), k * kBlock);
+        EXPECT_EQ(t->packedRecords(), t->size());
+        expectSameRecords(unpackAll(*t), slice(truth, 0, k * kBlock));
+        expectCacheMatchesReader(path, TraceReadMode::Tolerant);
+    }
+    TraceCache::instance().clear();
+    std::remove(path.c_str());
+}
+
+/**
+ * Functional replay from the shared packed cache must be bit-identical
+ * to replay through per-core MappedTraceReaders, for every registered
+ * scheme on 1 and 4 cores, and at record batches of 1 and 512 alike.
+ */
+class SharedReplay
+    : public ::testing::TestWithParam<std::tuple<std::string, bool /*cmp*/>>
+{
+  protected:
+    static std::string
+    path()
+    {
+        return ::testing::TempDir() + "shared_replay.trc";
+    }
+
+    /** A DB capture of three and a bit chunks; runs loop over it. */
+    static void
+    SetUpTestSuite()
+    {
+        writeTraceFile(path(), presetStream(WorkloadKind::DB,
+                                            3 * kChunk + 321));
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        TraceCache::instance().clear();
+        std::remove(path().c_str());
+    }
+};
+
+TEST_P(SharedReplay, MatchesUnsharedReaderAtEveryBatch)
+{
+    auto [scheme, cmp] = GetParam();
+    auto run = [&](bool shared, unsigned batch) {
+        TraceSpec trace = TraceSpec::file(path());
+        trace.shared = shared;
+        SystemConfig cfg = makeConfig(RunSpec::builder()
+                                          .cmp(cmp)
+                                          .functional()
+                                          .trace(trace)
+                                          .scheme(scheme)
+                                          .instrScale(0.01)
+                                          .build());
+        cfg.core.fetchBlockRecords = batch;
+        System system(cfg);
+        return resultsToJson(system.run());
+    };
+    const std::string scalar = run(true, 1);
+    EXPECT_EQ(run(false, 1), scalar);
+    EXPECT_EQ(run(true, 512), scalar);
+    EXPECT_EQ(run(false, 512), scalar);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryScheme, SharedReplay,
+    ::testing::Combine(::testing::ValuesIn(test::allSchemeTokens()),
+                       ::testing::Bool()),
+    [](const auto &p) {
+        return test::schemeTestName(std::get<0>(p.param)) +
+               (std::get<1>(p.param) ? "_Cmp" : "_Single");
+    });
 
 // --- TraceSource API --------------------------------------------------
 
