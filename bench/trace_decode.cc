@@ -11,7 +11,7 @@
  * ("cache-load"), and drained from one loaded entry through a
  * CachedTraceSource in nextBatch(512) reads, the replay loop's batch
  * ("cache-replay"). The cache rows also report the entry's resident
- * bytes per record (16 when every chunk packs). Best-of---reps
+ * bytes per record (8 when every chunk packs). Best-of---reps
  * throughput of each lands in a JSON summary (default
  * BENCH_trace_decode.json) that CI compares against the checked-in
  * floor with scripts/bench_compare.py.

@@ -1,6 +1,7 @@
 #include "trace/trace_cache.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <condition_variable>
 #include <cstddef>
@@ -92,41 +93,50 @@ static_assert(sizeof(InstrRecord) == 32 &&
               offsetof(InstrRecord, taken) == 25 &&
               offsetof(InstrRecord, srcReg) == 26 &&
               offsetof(InstrRecord, dstReg) == 28);
-static_assert(offsetof(PackedRecord, opTaken) == 12 &&
-              offsetof(PackedRecord, src0) == 13 &&
-              offsetof(PackedRecord, src1) == 14 &&
-              offsetof(PackedRecord, dst) == 15);
+static_assert(offsetof(PackedRecord, opTaken) == 4);
 
-/**
- * Expand @p p (from a chunk based at @p basePc) into @p out. Every
- * input is read before the first store, so the compiler need not
- * reload them for fear the stores alias.
- */
-inline void
-unpack(const PackedRecord &p, Addr basePc, InstrRecord &out)
+/** Per opTaken byte, from InstrRecord's own predicates, all-ones masks:
+ *  does operandOffset hold a target (code) or a dataAddr (data), and
+ *  does the op send the fetch stream to its target (redirect)? */
+struct Lanes
 {
-    static_assert(static_cast<unsigned>(OpClass::Store) ==
-                  static_cast<unsigned>(OpClass::Load) + 1);
-    const Addr operand = p.operand;
-    const Addr pc = basePc + p.pcOffset;
-    std::uint32_t tail; // opTaken, src0, src1, dst
-    std::memcpy(&tail,
-                reinterpret_cast<const unsigned char *>(&p) +
-                    offsetof(PackedRecord, opTaken),
-                sizeof tail);
-    const std::uint64_t op = tail & 0x7f;
-    const std::uint64_t mem =
-        0 - static_cast<std::uint64_t>(
-                op - static_cast<unsigned>(OpClass::Load) < 2);
+    std::uint64_t code, data, redirect;
+};
+const std::array<Lanes, 256> opLanes = [] {
+    std::array<Lanes, 256> lanes{};
+    for (unsigned b = 0; b < lanes.size(); ++b) {
+        InstrRecord r;
+        r.op = static_cast<OpClass>(b & 0x7f);
+        r.taken = (b & 0x80) != 0;
+        lanes[b] = {0 - std::uint64_t{r.isCti()},
+                    0 - std::uint64_t{r.isMem()},
+                    0 - std::uint64_t{r.redirects()}};
+    }
+    return lanes;
+}();
+
+/** Expand @p p, whose pc is @p pc, into @p out from a chunk based at
+ *  @p codeBase and @p dataBase, branch-free; returns the next pc. */
+inline Addr
+unpack(const PackedRecord &p, Addr pc, Addr codeBase, Addr dataBase,
+       InstrRecord &out)
+{
+    std::uint64_t word; // operandOffset, opTaken, src0, src1, dst
+    std::memcpy(&word, &p, sizeof word);
+    const Addr offset = word & 0xffffffff;
+    const std::uint64_t tail = word >> 32;
+    const Lanes &lanes = opLanes[tail & 0xff];
+    const Addr target = (codeBase + offset) & lanes.code;
     const std::uint64_t last =
-        op | ((tail >> 7) & 1) << 8 |
-        static_cast<std::uint64_t>(tail >> 8) << 16;
+        (tail & 0x7f) | ((tail >> 7) & 1) << 8 | (tail >> 8) << 16;
     out.pc = pc;
-    out.target = operand & ~mem;
-    out.dataAddr = operand & mem;
+    out.target = target;
+    out.dataAddr = (dataBase + offset) & lanes.data;
     std::memcpy(reinterpret_cast<unsigned char *>(&out) +
                     offsetof(InstrRecord, op),
                 &last, sizeof last);
+    return (target & lanes.redirect) |
+           ((pc + instrBytes) & ~lanes.redirect);
 }
 
 } // namespace
@@ -150,69 +160,76 @@ DecodedTrace::load(const std::string &path, const FileFingerprint &fp)
     out->chunks_.reserve(
         (bound + chunkRecords - 1) / chunkRecords);
 
-    // Each block decodes into a scratch buffer first and joins the
-    // pending chunk only once it decoded whole. Block damage is
-    // recorded, never thrown: the one stored entry must serve both
-    // strict and tolerant acquirers, and strict ones get it re-raised
-    // per acquire.
-    std::vector<InstrRecord> block;
-    std::vector<InstrRecord> pending;
-    pending.reserve(chunkRecords);
+    // Blocks decode onto the end of the staged records and count once
+    // whole; full chunks are sealed off the front. Block damage is
+    // recorded, never thrown: the one entry serves strict and tolerant
+    // acquirers, and strict ones get it re-raised per acquire.
+    std::vector<InstrRecord> stage;
+    std::size_t staged = 0;
     std::uint64_t off = traceV3HeaderBytes;
     std::uint64_t used = 0;
     try {
         while (file.blockSize(used) != 0) {
             off = file.decode(off, used, [&](std::size_t n) {
-                block.resize(n);
-                return block.data();
+                stage.resize(std::max(stage.size(), staged + n));
+                return stage.data() + staged;
             });
-            used += block.size();
-            for (std::span<const InstrRecord> rest(block); !rest.empty();) {
-                const std::size_t take =
-                    std::min(rest.size(), chunkRecords - pending.size());
-                pending.insert(pending.end(), rest.begin(),
-                               rest.begin() +
-                                   static_cast<std::ptrdiff_t>(take));
-                rest = rest.subspan(take);
-                if (pending.size() == chunkRecords) {
-                    out->seal(pending, bound);
-                    pending.clear();
-                }
-            }
+            staged += file.blockSize(used);
+            used += file.blockSize(used);
+            std::size_t done = 0;
+            for (; staged - done >= chunkRecords; done += chunkRecords)
+                out->seal({stage.data() + done, chunkRecords}, bound);
+            staged -= done;
+            std::memmove(stage.data(), stage.data() + done,
+                         staged * sizeof(InstrRecord));
+            file.releaseBefore(off); // hold records, not the file too
         }
     } catch (const TraceError &e) {
         out->corrupt = true;
         out->corruptionDetail = e.what();
     }
-    if (!pending.empty())
-        out->seal(pending, bound);
+    if (staged != 0)
+        out->seal({stage.data(), staged}, bound);
     return out;
 }
 
 void
 DecodedTrace::seal(std::span<const InstrRecord> recs, std::size_t bound)
 {
-    Addr lo = recs.front().pc;
-    Addr hi = lo;
-    bool packs = true;
+    Addr pc = recs.front().pc;
+    Addr codeLo = ~Addr{0}, codeHi = 0, dataLo = ~Addr{0}, dataHi = 0;
+    std::uint64_t stray = 0; // nonzero once any record breaks the rule
     for (const InstrRecord &r : recs) {
-        lo = std::min(lo, r.pc);
-        hi = std::max(hi, r.pc);
-        packs &= r.isMem() ? r.target == 0 : r.dataAddr == 0;
+        const Lanes &l = opLanes[static_cast<unsigned>(r.op) | r.taken << 7];
+        stray |= (r.pc ^ pc) | (r.target & ~l.code) |
+                 (r.dataAddr & ~l.data) |
+                 std::uint64_t{r.op >= OpClass::NumOpClasses};
+        codeLo = std::min(codeLo, r.target | ~l.code);
+        codeHi = std::max(codeHi, r.target & l.code);
+        dataLo = std::min(dataLo, r.dataAddr | ~l.data);
+        dataHi = std::max(dataHi, r.dataAddr & l.data);
+        pc = (r.target & l.redirect) | ((r.pc + instrBytes) & ~l.redirect);
     }
-    packs &= hi - lo <= std::numeric_limits<std::uint32_t>::max();
+    // With no CTI (no Load/Store) the span wraps to 1 and passes.
+    constexpr Addr span = std::numeric_limits<std::uint32_t>::max();
+    const bool packs =
+        stray == 0 && codeHi - codeLo <= span && dataHi - dataLo <= span;
 
-    Chunk chunk;
-    chunk.packed = packs;
+    chunks_.push_back({recs.front().pc, codeLo, dataLo,
+                       static_cast<std::uint32_t>(
+                           (packs ? packed_.size() : raw_.size()) /
+                           chunkRecords),
+                       packs});
     if (packs) {
-        chunk.basePc = lo;
-        chunk.begin = packed_.size();
         for (const InstrRecord &r : recs) {
+            const unsigned opTaken =
+                static_cast<unsigned>(r.op) | r.taken << 7;
+            const Lanes &l = opLanes[opTaken];
             PackedRecord p;
-            p.operand = r.isMem() ? r.dataAddr : r.target;
-            p.pcOffset = static_cast<std::uint32_t>(r.pc - lo);
-            p.opTaken = static_cast<std::uint8_t>(
-                static_cast<unsigned>(r.op) | (r.taken ? 0x80u : 0u));
+            p.operandOffset = static_cast<std::uint32_t>(
+                ((r.target - codeLo) & l.code) |
+                ((r.dataAddr - dataLo) & l.data));
+            p.opTaken = static_cast<std::uint8_t>(opTaken);
             p.src0 = r.srcReg[0];
             p.src1 = r.srcReg[1];
             p.dst = r.dstReg;
@@ -221,15 +238,14 @@ DecodedTrace::seal(std::span<const InstrRecord> recs, std::size_t bound)
     } else {
         if (raw_.empty())
             raw_.reserve(bound - size_);
-        chunk.begin = raw_.size();
         raw_.insert(raw_.end(), recs.begin(), recs.end());
     }
-    chunks_.push_back(chunk);
     size_ += recs.size();
 }
 
-void
-DecodedTrace::copy(std::size_t first, std::span<InstrRecord> out) const
+Addr
+DecodedTrace::copy(std::size_t first, Addr pc,
+                   std::span<InstrRecord> out) const
 {
     ipref_assert(first <= size_ && out.size() <= size_ - first);
     InstrRecord *dst = out.data();
@@ -237,19 +253,24 @@ DecodedTrace::copy(std::size_t first, std::span<InstrRecord> out) const
         const Chunk &chunk = chunks_[first / chunkRecords];
         const std::size_t at = first % chunkRecords;
         const std::size_t n = std::min(left, chunkRecords - at);
+        const std::size_t begin = chunk.slot * chunkRecords + at;
         if (chunk.packed) {
-            const PackedRecord *src = packed_.data() + chunk.begin + at;
-            const Addr basePc = chunk.basePc;
+            const PackedRecord *src = packed_.data() + begin;
+            const Addr codeBase = chunk.codeBase;
+            const Addr dataBase = chunk.dataBase;
+            pc = at == 0 ? chunk.firstPc : pc;
             for (std::size_t i = 0; i < n; ++i)
-                unpack(src[i], basePc, dst[i]);
+                pc = unpack(src[i], pc, codeBase, dataBase, dst[i]);
         } else {
-            std::memcpy(dst, raw_.data() + chunk.begin + at,
+            // No pc needed: the next chunk brings its own first pc.
+            std::memcpy(dst, raw_.data() + begin,
                         n * sizeof(InstrRecord));
         }
         dst += n;
         first += n;
         left -= n;
     }
+    return pc;
 }
 
 std::shared_ptr<const DecodedTrace>

@@ -4,7 +4,7 @@
  * same trace file share one decode.
  *
  * TraceCache::instance().acquire(path) returns an immutable,
- * refcounted DecodedTrace — the decoded records, packed 16 B apiece
+ * refcounted DecodedTrace — the decoded records, packed 8 B apiece
  * where their fields allow, plus the file's header metadata. The
  * cache keys entries by (path, fingerprint): a rewritten file (size
  * or mtime changed) is decoded fresh, and concurrent acquirers of the
@@ -14,8 +14,8 @@
  * get the TraceError a direct strict read would have thrown).
  *
  * CachedTraceSource adapts a DecodedTrace back into the TraceSource
- * interface — each source carries its own cursor, so any number of
- * cores/runs iterate one shared decode independently.
+ * interface — each source carries its own cursor (index and pc), so
+ * any number of cores/runs iterate one shared decode independently.
  */
 
 #ifndef IPREF_TRACE_TRACE_CACHE_HH
@@ -36,28 +36,29 @@ namespace ipref
 {
 
 /**
- * One replay record in 16 bytes. A record carries one address besides
- * its pc — dataAddr for Load/Store, target for every other op — held
- * in `operand`; the pc is stored as its offset from the lowest pc of
- * the record's chunk, the op class in bits 0-6 of `opTaken` and the
- * taken flag in bit 7.
+ * One replay record in 8 bytes. The pc is implied: a chunk's first
+ * record takes it from the chunk table and every later one is the
+ * nextPc() of the record before. The op class (bits 0-6 of `opTaken`,
+ * the taken flag in bit 7) says what `operandOffset` holds: a
+ * Load/Store's dataAddr less the chunk's data base, a CTI's target
+ * less its code base, nothing for any other op.
  */
 struct PackedRecord
 {
-    Addr operand = 0;
-    std::uint32_t pcOffset = 0;
+    std::uint32_t operandOffset = 0;
     std::uint8_t opTaken = 0;
     std::uint8_t src0 = 0;
     std::uint8_t src1 = 0;
     std::uint8_t dst = 0;
 };
-static_assert(sizeof(PackedRecord) == 16);
+static_assert(sizeof(PackedRecord) == 8);
 
 /**
  * One decoded, immutable trace file, stored as fixed chunks of
- * chunkRecords records. A chunk is packed (PackedRecords) when every
- * record in it has a zero target (Load/Store) or a zero dataAddr
- * (every other op) and its pc span is under 2^32; any other chunk
+ * chunkRecords records. A chunk is packed (PackedRecords) when each
+ * record's pc is the nextPc() of the one before, only Load/Stores
+ * carry a dataAddr and only CTIs a target, each of those two address
+ * kinds spans less than 2^32 and every op is known; any other chunk
  * keeps its raw InstrRecords, so no input costs more than 32 B a
  * record. copy() unpacks either kind exactly.
  */
@@ -90,17 +91,23 @@ class DecodedTrace
 
     /**
      * Unpack records [@p first, @p first + out.size()) into @p out;
-     * the range must lie within size().
+     * the range must lie within size(). A packed record's pc follows
+     * from the record before it, so @p pc must be the pc of record
+     * @p first unless that record starts a chunk. Returns the @p pc
+     * a call continuing at first + out.size() needs.
      */
-    void copy(std::size_t first, std::span<InstrRecord> out) const;
+    Addr copy(std::size_t first, Addr pc,
+              std::span<InstrRecord> out) const;
 
   private:
     friend class TraceCache;
 
     struct Chunk
     {
-        Addr basePc = 0;        //!< lowest pc (packed chunks)
-        std::size_t begin = 0;  //!< first index in packed_ or raw_
+        Addr firstPc = 0;  //!< pc of the first record (packed chunks)
+        Addr codeBase = 0; //!< lowest CTI target (packed chunks)
+        Addr dataBase = 0; //!< lowest Load/Store dataAddr (packed)
+        std::uint32_t slot = 0; //!< chunk index in packed_ or raw_
         bool packed = false;
     };
 
@@ -195,7 +202,7 @@ class CachedTraceSource final : public TraceSource
     {
         if (pos_ >= trace_->size())
             return false;
-        trace_->copy(pos_++, {&out, 1});
+        pc_ = trace_->copy(pos_++, pc_, {&out, 1});
         return true;
     }
 
@@ -203,7 +210,7 @@ class CachedTraceSource final : public TraceSource
     nextBatch(std::span<InstrRecord> out) override
     {
         std::size_t take = std::min(out.size(), trace_->size() - pos_);
-        trace_->copy(pos_, out.first(take));
+        pc_ = trace_->copy(pos_, pc_, out.first(take));
         pos_ += take;
         return take;
     }
@@ -221,6 +228,7 @@ class CachedTraceSource final : public TraceSource
   private:
     std::shared_ptr<const DecodedTrace> trace_;
     std::size_t pos_ = 0;
+    Addr pc_ = 0; //!< pc of record pos_, as copy() needs it
 };
 
 } // namespace ipref

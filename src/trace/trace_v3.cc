@@ -421,6 +421,7 @@ MappedTraceReader::decodeBlockAt(std::uint64_t fileOff,
     } catch (const TraceError &e) {
         return damaged(e);
     }
+    blocks_.releaseBefore(nextOff);
     return true;
 }
 

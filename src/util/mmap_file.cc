@@ -1,5 +1,6 @@
 #include "util/mmap_file.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 
@@ -85,6 +86,26 @@ MappedFile::~MappedFile()
 #if IPREF_HAVE_MMAP
     if (mapped_ && data_)
         ::munmap(const_cast<unsigned char *>(data_), size_);
+#endif
+}
+
+void
+MappedFile::releaseBefore([[maybe_unused]] std::size_t offset)
+{
+#if IPREF_HAVE_MMAP
+    static const auto page =
+        static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    // A rewound reader starts over: what its last pass left goes too.
+    const bool rewound = offset < released_;
+    const std::size_t from = rewound ? 0 : released_;
+    const std::size_t end =
+        rewound ? size_ : std::min(offset, size_) / page * page;
+    if (mapped_ && (rewound || end >= from + (std::size_t{1} << 20))) {
+        // Advisory: on failure the pages just stay resident.
+        ::madvise(const_cast<unsigned char *>(data_) + from, end - from,
+                  MADV_DONTNEED);
+        released_ = rewound ? 0 : end;
+    }
 #endif
 }
 

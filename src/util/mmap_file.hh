@@ -34,14 +34,20 @@ class MappedFile
     std::size_t size() const { return size_; }
     const std::string &path() const { return path_; }
 
-    /** True when the bytes come from mmap (false: owned buffer). */
-    bool mapped() const { return mapped_; }
+    /**
+     * Drop the mapped pages below byte @p offset from the resident set
+     * (MADV_DONTNEED; a later read faults them back in from the file)
+     * once 1 MiB has passed since the last drop; an offset below that
+     * drop (a rewound reader) drops them all. No-op for a buffer.
+     */
+    void releaseBefore(std::size_t offset);
 
   private:
     std::string path_;
     const unsigned char *data_ = nullptr;
     std::size_t size_ = 0;
     bool mapped_ = false;
+    std::size_t released_ = 0; //!< pages below this were dropped
     std::vector<unsigned char> fallback_; //!< non-mmap hosts
 };
 

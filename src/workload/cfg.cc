@@ -32,11 +32,88 @@ checkFits(const WorkloadConfig &cfg, std::uint64_t count, const char *what)
                     static_cast<unsigned long long>(count), what);
 }
 
-/** Reject knobs that the compact block and function fields cannot
- *  hold, before anything is built. */
+/** A real-valued knob and the closed range it must lie in. */
+struct RealKnob
+{
+    const char *name;
+    double WorkloadConfig::*field;
+    double lo, hi;
+};
+
+constexpr double unbounded = std::numeric_limits<double>::max();
+
+/** Every real knob but blockCountP and blockSizeP, whose range
+ *  (0, 1] is open below. */
+constexpr RealKnob realKnobs[] = {
+    {"rootFraction", &WorkloadConfig::rootFraction, 0, 1},
+    {"condBranchFraction", &WorkloadConfig::condBranchFraction, 0, 1},
+    {"uncondFraction", &WorkloadConfig::uncondFraction, 0, 1},
+    {"callFraction", &WorkloadConfig::callFraction, 0, 1},
+    {"indirectCallFraction", &WorkloadConfig::indirectCallFraction, 0, 1},
+    {"tailCallFraction", &WorkloadConfig::tailCallFraction, 0, 1},
+    {"loopBackFraction", &WorkloadConfig::loopBackFraction, 0, 1},
+    {"meanLoopTrips", &WorkloadConfig::meanLoopTrips, 1, unbounded},
+    {"fwdTakenSiteFraction", &WorkloadConfig::fwdTakenSiteFraction, 0, 1},
+    {"takenBias", &WorkloadConfig::takenBias, 0, 1},
+    {"biasJitter", &WorkloadConfig::biasJitter, 0, 1},
+    {"calleeZipfAlpha", &WorkloadConfig::calleeZipfAlpha, 0, 64},
+    {"transactionZipfAlpha", &WorkloadConfig::transactionZipfAlpha, 0, 64},
+    {"loadFraction", &WorkloadConfig::loadFraction, 0, 1},
+    {"storeFraction", &WorkloadConfig::storeFraction, 0, 1},
+    {"mulFraction", &WorkloadConfig::mulFraction, 0, 1},
+    {"fpFraction", &WorkloadConfig::fpFraction, 0, 1},
+    {"hotDataZipfAlpha", &WorkloadConfig::hotDataZipfAlpha, 0, 64},
+    {"hotAccessFraction", &WorkloadConfig::hotAccessFraction, 0, 1},
+    {"warmAccessFraction", &WorkloadConfig::warmAccessFraction, 0, 1},
+    {"stackAccessFraction", &WorkloadConfig::stackAccessFraction, 0, 1},
+    {"contextSwitchPeriod", &WorkloadConfig::contextSwitchPeriod, 0,
+     unbounded},
+    {"trapProbability", &WorkloadConfig::trapProbability, 0, 1},
+};
+
+/** Fractions that split one draw between outcomes, the remainder
+ *  going to a default; each group must sum to at most 1. */
+struct FractionGroup
+{
+    const char *names;
+    double WorkloadConfig::*parts[4];
+};
+
+constexpr FractionGroup fractionGroups[] = {
+    {"block terminator fractions",
+     {&WorkloadConfig::condBranchFraction, &WorkloadConfig::uncondFraction,
+      &WorkloadConfig::callFraction,
+      &WorkloadConfig::indirectCallFraction}},
+    {"instruction mix fractions",
+     {&WorkloadConfig::loadFraction, &WorkloadConfig::storeFraction,
+      &WorkloadConfig::mulFraction, &WorkloadConfig::fpFraction}},
+    {"heap region fractions",
+     {&WorkloadConfig::hotAccessFraction,
+      &WorkloadConfig::warmAccessFraction}},
+};
+
+/** Reject knobs outside their ranges (NaN and infinities included)
+ *  and knobs that the compact block and function fields cannot hold,
+ *  before anything is built. */
 void
 validate(const WorkloadConfig &cfg)
 {
+    for (const RealKnob &k : realKnobs)
+        if (!(cfg.*k.field >= k.lo && cfg.*k.field <= k.hi))
+            ipref_raise(ConfigError,
+                        "workload %s: %s %g outside [%g, %g]",
+                        cfg.name.c_str(), k.name, cfg.*k.field, k.lo,
+                        k.hi);
+    for (const FractionGroup &g : fractionGroups) {
+        double sum = 0;
+        for (double WorkloadConfig::*part : g.parts)
+            sum += part ? cfg.*part : 0.0;
+        // A little slack for sums such as 0.1 + 0.2 + 0.3 + 0.4.
+        if (sum > 1.0 + 1e-9)
+            ipref_raise(ConfigError,
+                        "workload %s: %s sum to %g, above 1",
+                        cfg.name.c_str(), g.names, sum);
+    }
     if (cfg.callLayers < 2 || cfg.callLayers > 255)
         ipref_raise(ConfigError,
                     "workload %s: callLayers %u outside [2, 255]",

@@ -59,13 +59,7 @@ spec(bool cmp, const std::string &scheme, WorkloadKind kind,
 
 TEST(BatchedPipeline, TimingResultsMatchScalarAcrossSchemes)
 {
-    const char *const schemes[] = {
-        "none",
-        "nl-tagged",
-        "n4l",
-        "discontinuity",
-    };
-    for (const char *scheme : schemes) {
+    for (const std::string &scheme : test::allSchemeTokens()) {
         SCOPED_TRACE(scheme);
         RunSpec s = spec(false, scheme, WorkloadKind::WEB);
         test::expectIdentical(runWithBatch(s, 1), runWithBatch(s, 512));

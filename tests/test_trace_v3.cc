@@ -4,13 +4,15 @@
  * TraceCache and the redesigned TraceSource/RunSpec APIs: round-trip
  * fidelity, corruption fuzzing and crafted headers, decode sharing
  * under a parallel batch, the packed cache's exactness against the
- * mmap reader, and Builder validation.
+ * mmap reader, the reader's bounded page residency, and Builder
+ * validation.
  */
 
 #include <gtest/gtest.h>
 
 #include "error_helpers.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +21,10 @@
 #include <limits>
 #include <random>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "scheme_params.hh"
 #include "sim/campaign.hh"
@@ -29,6 +35,7 @@
 #include "trace/trace_v3.hh"
 #include "util/crc32.hh"
 #include "util/metrics.hh"
+#include "util/mmap_file.hh"
 #include "workload/presets.hh"
 
 using namespace ipref;
@@ -136,7 +143,7 @@ std::vector<InstrRecord>
 unpackAll(const DecodedTrace &trace)
 {
     std::vector<InstrRecord> out(trace.size());
-    trace.copy(0, out);
+    trace.copy(0, 0, out);
     return out;
 }
 
@@ -648,6 +655,96 @@ TEST(TraceCache, TolerantLoadDamagedInBlockKHoldsBlocksBeforeK)
     std::remove(path.c_str());
 }
 
+namespace
+{
+
+/** The address and length of this process's mapping of @p path (as
+ *  /proc/self/maps lists it), or {nullptr, 0}. */
+std::pair<unsigned char *, std::size_t>
+findMapping(const std::string &path)
+{
+    std::ifstream maps("/proc/self/maps");
+    for (std::string line; std::getline(maps, line);) {
+        if (!line.ends_with(" " + path))
+            continue;
+        unsigned long lo = 0, hi = 0;
+        if (std::sscanf(line.c_str(), "%lx-%lx", &lo, &hi) == 2)
+            return {reinterpret_cast<unsigned char *>(lo), hi - lo};
+    }
+    return {nullptr, 0};
+}
+
+/**
+ * Pages of the mapping [@p at, @p at + @p bytes) of file @p fd that
+ * this process holds resident. mincore() also reports pages that are
+ * only in the page cache, so the file's unmapped pages are dropped from
+ * it first; the file must be clean (synced) for that to work.
+ */
+std::size_t
+residentMappedPages(int fd, unsigned char *at, std::size_t bytes)
+{
+    EXPECT_EQ(::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED), 0);
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> vec((bytes + page - 1) / page);
+    EXPECT_EQ(::mincore(at, bytes, vec.data()), 0);
+    return static_cast<std::size_t>(
+        std::count_if(vec.begin(), vec.end(),
+                      [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+} // namespace
+
+TEST(TraceV3, StreamingReaderHoldsABoundedWindowOfTheFile)
+{
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t window = (3u << 19) / page; // 1.5 release strides
+    std::string path = ::testing::TempDir() + "v3_bounded.trc";
+    writeTraceFile(path, syntheticStream(1'000'000, 3));
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::fdatasync(fd), 0);
+
+    // Streaming the whole file, twice over a reset(), the reader holds
+    // no more than about one release stride of it at any time. Its
+    // mapping is made random-access first: readahead (as wide as the
+    // device allows) would leave pages under I/O, which the probe
+    // cannot drop from the page cache.
+    auto reader = openTraceReader(path);
+    auto [at, bytes] = findMapping(path);
+    ASSERT_NE(at, nullptr);
+    ASSERT_GT(bytes, 3 * window * page);
+    ASSERT_EQ(::madvise(at, bytes, MADV_RANDOM), 0);
+    std::vector<InstrRecord> buf(4096);
+    std::size_t most = 0, records = 0, batches = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        reader->reset();
+        for (std::size_t got = buf.size(); got == buf.size();) {
+            got = reader->nextBatch(buf);
+            records += got;
+            if (++batches % 8 == 0)
+                most = std::max(most, residentMappedPages(fd, at, bytes));
+        }
+    }
+    EXPECT_EQ(records, 2'000'000u);
+    EXPECT_GT(most, 0u);
+    EXPECT_LE(most, window);
+    reader.reset();
+
+    // The probe itself: a mapping read end to end keeps every page,
+    // and releaseBefore() past the end drops them all.
+    MappedFile map(path);
+    for (std::size_t off = 0; off < map.size(); off += page)
+        static_cast<void>(
+            *static_cast<const volatile unsigned char *>(map.data() + off));
+    auto *mapped = const_cast<unsigned char *>(map.data());
+    EXPECT_EQ(residentMappedPages(fd, mapped, map.size()),
+              (map.size() + page - 1) / page);
+    map.releaseBefore(map.size());
+    EXPECT_LE(residentMappedPages(fd, mapped, map.size()), 1u);
+    ::close(fd);
+    std::remove(path.c_str());
+}
+
 TEST(TraceV3, WorstCaseSingleRecordBlocksRoundTrip)
 {
     // One-record blocks of maximal varints are larger per record than
@@ -911,7 +1008,7 @@ TEST(PackedTraceCache, PresetCapturesPackEveryChunk)
         auto t = loadFresh(path, streams[i]);
         ASSERT_EQ(t->size(), n);
         EXPECT_EQ(t->packedRecords(), n);
-        EXPECT_LE(2 * t->residentBytes(), 33 * n); // <= 16.5 B/record
+        EXPECT_LE(2 * t->residentBytes(), 17 * n); // <= 8.5 B/record
         EXPECT_EQ(residentGauge(),
                   static_cast<std::int64_t>(t->residentBytes()));
         expectSameRecords(unpackAll(*t), streams[i]);
@@ -935,58 +1032,214 @@ TEST(PackedTraceCache, PresetCapturesPackEveryChunk)
     std::remove(b.c_str());
 }
 
+namespace
+{
+
+constexpr Addr kTwo32 = Addr{1} << 32;
+
+/** The pack rule written plainly: may chunk @p c use 8-byte records? */
+bool
+packsPlainly(std::span<const InstrRecord> c)
+{
+    Addr codeLo = ~Addr{0}, codeHi = 0, dataLo = ~Addr{0}, dataHi = 0;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        const InstrRecord &r = c[i];
+        if (r.op >= OpClass::NumOpClasses)
+            return false;
+        if (i > 0 && r.pc != c[i - 1].nextPc())
+            return false;
+        if (r.isCti()) {
+            codeLo = std::min(codeLo, r.target);
+            codeHi = std::max(codeHi, r.target);
+        } else if (r.target != 0) {
+            return false;
+        }
+        if (r.isMem()) {
+            dataLo = std::min(dataLo, r.dataAddr);
+            dataHi = std::max(dataHi, r.dataAddr);
+        } else if (r.dataAddr != 0) {
+            return false;
+        }
+    }
+    return (codeHi < codeLo || codeHi - codeLo < kTwo32) &&
+           (dataHi < dataLo || dataHi - dataLo < kTwo32);
+}
+
+/** Records of @p recs that sit in chunks packsPlainly() accepts. */
+std::size_t
+plainlyPacked(const std::vector<InstrRecord> &recs)
+{
+    std::size_t packed = 0;
+    for (std::size_t at = 0; at < recs.size(); at += kChunk) {
+        std::span<const InstrRecord> c(
+            recs.data() + at, std::min(kChunk, recs.size() - at));
+        packed += packsPlainly(c) ? c.size() : 0;
+    }
+    return packed;
+}
+
+/** First index in @p c at or after @p from whose record @p pick
+ *  accepts. */
+template <typename Pick>
+std::size_t
+findRecord(const std::vector<InstrRecord> &c, Pick &&pick,
+           std::size_t from = 0)
+{
+    for (std::size_t i = from; i < c.size(); ++i)
+        if (pick(c[i]))
+            return i;
+    ADD_FAILURE() << "no such record";
+    return from;
+}
+
+bool
+isPlainOp(const InstrRecord &r)
+{
+    return r.op == OpClass::IntAlu;
+}
+
+bool
+isLoad(const InstrRecord &r)
+{
+    return r.op == OpClass::Load;
+}
+
+/** A CTI that does not redirect, so its target is free to change. */
+bool
+isNotTakenBranch(const InstrRecord &r)
+{
+    return r.op == OpClass::CondBranch && !r.taken;
+}
+
+/** Move @p c's code by @p delta: pcs and CTI targets shift, so the pc
+ *  chain inside the chunk still holds. */
+void
+translateCode(std::vector<InstrRecord> &c, Addr delta)
+{
+    for (InstrRecord &r : c) {
+        r.pc += delta;
+        if (r.isCti())
+            r.target += delta;
+    }
+}
+
+Addr
+lowestDataAddr(const std::vector<InstrRecord> &c)
+{
+    Addr lo = ~Addr{0};
+    for (const InstrRecord &r : c)
+        if (r.isMem())
+            lo = std::min(lo, r.dataAddr);
+    return lo;
+}
+
+Addr
+lowestTarget(const std::vector<InstrRecord> &c)
+{
+    Addr lo = ~Addr{0};
+    for (const InstrRecord &r : c)
+        if (r.isCti())
+            lo = std::min(lo, r.target);
+    return lo;
+}
+
+/**
+ * A pc-chained stream of @p n records over every op class, any of
+ * which may have its taken bit set; one CTI in eight has a zero target.
+ */
+std::vector<InstrRecord>
+everyOpStream(std::size_t n, std::uint64_t seed, Addr pc = 0x10000000)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<InstrRecord> recs(n);
+    for (InstrRecord &r : recs) {
+        r.pc = pc;
+        r.op = static_cast<OpClass>(
+            rng() % static_cast<unsigned>(OpClass::NumOpClasses));
+        r.taken = (rng() & 1) != 0;
+        if (r.isCti() && rng() % 8 != 0)
+            r.target = 0x10000000 + (rng() % (1u << 20)) * instrBytes;
+        if (r.isMem())
+            r.dataAddr = 0x1000000000ULL + rng() % (1u << 24);
+        r.srcReg[0] = static_cast<std::uint8_t>(rng());
+        r.srcReg[1] = static_cast<std::uint8_t>(rng());
+        r.dstReg = static_cast<std::uint8_t>(rng());
+        pc = r.nextPc();
+    }
+    return recs;
+}
+
+} // namespace
+
 TEST(PackedTraceCache, AdversarialChunksFallBackToRaw)
 {
-    // One chunk per case; a chunk packs only if every record carries
-    // at most its op's address and its pc span is under 2^32.
+    // One chunk per case, each its own stream, so every chunk's first
+    // pc breaks the chain from the chunk before (which must not stop
+    // it packing). A chunk packs only if its pc chain holds, each
+    // record carries at most its op's address and both address kinds
+    // span less than 2^32.
     std::vector<InstrRecord> recs;
     std::size_t expectPacked = 0;
     auto chunk = [&](bool packs, auto &&edit) {
         std::vector<InstrRecord> c =
             syntheticStream(kChunk, static_cast<std::uint32_t>(recs.size()));
         edit(c);
+        EXPECT_EQ(packsPlainly(c), packs) << "chunk " << recs.size() / kChunk;
         recs.insert(recs.end(), c.begin(), c.end());
         expectPacked += packs ? c.size() : 0;
     };
     chunk(true, [](auto &) {});
     chunk(false, [](auto &c) { // a Load with a target
-        c[100].op = OpClass::Load;
-        c[100].dataAddr = 0x900040;
-        c[100].target = 0x400100;
+        c[findRecord(c, isLoad)].target = 0x400100;
     });
     chunk(false, [](auto &c) { // an IntAlu with a data address
-        c[kChunk - 1].op = OpClass::IntAlu;
-        c[kChunk - 1].target = 0;
-        c[kChunk - 1].dataAddr = 0x900080;
+        c[findRecord(c, isPlainOp, kChunk / 2)].dataAddr = 0x900080;
     });
-    auto lowestPc = [](const std::vector<InstrRecord> &c) {
-        return std::min_element(c.begin(), c.end(),
-                                [](const auto &x, const auto &y) {
-                                    return x.pc < y.pc;
-                                })
-            ->pc;
-    };
-    chunk(false, [&](auto &c) { // a pc span of exactly 2^32
-        c[17].pc = lowestPc(c) + (Addr{1} << 32);
+    chunk(false, [](auto &c) { // a CTI with a data address
+        c[findRecord(c, isNotTakenBranch)].dataAddr = 0x900080;
     });
-    chunk(true, [&](auto &c) { // a pc span of 2^32 - 1 still packs
-        c[9].pc = lowestPc(c) + 0xffffffffULL;
+    chunk(false, [](auto &c) { // a data span of exactly 2^32
+        c[findRecord(c, isLoad, 17)].dataAddr = lowestDataAddr(c) + kTwo32;
     });
-    chunk(true, [](auto &c) { // kernel-half pcs and addresses
-        for (std::size_t i = 0; i < c.size(); ++i) {
-            c[i].pc = 0xffffffff80000000ULL + 4 * i;
-            if (c[i].target != 0)
-                c[i].target |= 0xffff800000000000ULL;
-            if (c[i].dataAddr != 0)
-                c[i].dataAddr |= 0xffff800000000000ULL;
-        }
+    chunk(true, [](auto &c) { // a data span of 2^32 - 1 still packs
+        c[findRecord(c, isLoad, 9)].dataAddr =
+            lowestDataAddr(c) + kTwo32 - 1;
     });
-    chunk(false, [](auto &c) { // kernel and user pcs in one chunk
-        c[kChunk / 2].pc = 0xffffffff80000000ULL;
+    chunk(false, [](auto &c) { // a target span of exactly 2^32
+        c[findRecord(c, isNotTakenBranch, 17)].target =
+            lowestTarget(c) + kTwo32;
+    });
+    chunk(true, [](auto &c) { // a target span of 2^32 - 1 still packs
+        c[findRecord(c, isNotTakenBranch, 9)].target =
+            lowestTarget(c) + kTwo32 - 1;
+    });
+    chunk(true, [](auto &c) { // zero-target CTIs pack
+        for (InstrRecord &r : c)
+            if (isNotTakenBranch(r))
+                r.target = 0;
+    });
+    chunk(false, [](auto &c) { // a zero target and a kernel target
+        c[findRecord(c, isNotTakenBranch)].target = 0;
+        c[findRecord(c, isNotTakenBranch, kChunk / 2)].target =
+            0xffffffff80000000ULL;
+    });
+    chunk(true, [](auto &c) { // kernel-half pcs, targets and data
+        translateCode(c, 0xffffffff80000000ULL - 0x400000);
+        for (InstrRecord &r : c)
+            if (r.dataAddr != 0)
+                r.dataAddr |= 0xffff800000000000ULL;
+    });
+    chunk(false, [](auto &c) { // a chain break inside the chunk
+        c[kChunk / 2].pc += instrBytes;
+    });
+    chunk(false, [](auto &c) { // a chain break at its last record
+        c[kChunk - 1].pc = 0xffffffff80000000ULL;
     });
     std::vector<InstrRecord> tail = syntheticStream(1000, 77);
+    translateCode(tail, 0x1000); // the chain breaks into the tail
     recs.insert(recs.end(), tail.begin(), tail.end());
     expectPacked += tail.size();
+    EXPECT_EQ(plainlyPacked(recs), expectPacked);
 
     // Every chunk's layout is fixed by its records, whatever the file
     // blocking.
@@ -1011,28 +1264,122 @@ TEST(PackedTraceCache, AdversarialChunksFallBackToRaw)
 
 TEST(PackedTraceCache, AllRawTraceCostsOnlyItsRecords)
 {
-    // Every record carries both addresses, so no chunk packs: the
-    // trace must cost its 32 B records plus the chunk table, no more.
-    std::vector<InstrRecord> recs = syntheticStream(3 * kChunk + 5, 41);
-    for (InstrRecord &r : recs) {
+    // No chunk packs, whether every record carries both addresses or
+    // no record follows from the one before: the trace must cost its
+    // 32 B records plus the chunk table, no more.
+    std::vector<InstrRecord> bothAddrs = syntheticStream(3 * kChunk + 5, 41);
+    for (InstrRecord &r : bothAddrs) {
         r.target |= 0x400000;
         r.dataAddr |= 0x900000;
     }
-    const std::size_t chunks = (recs.size() + kChunk - 1) / kChunk;
+    std::vector<InstrRecord> unchained = syntheticStream(3 * kChunk + 5, 42);
+    std::reverse(unchained.begin(), unchained.end());
     std::string path = ::testing::TempDir() + "packed_all_raw.trc";
-    for (std::uint32_t block : {7u, 4096u}) {
+    for (const auto *recs : {&bothAddrs, &unchained}) {
+        const std::size_t chunks = (recs->size() + kChunk - 1) / kChunk;
+        EXPECT_EQ(plainlyPacked(*recs), 0u);
+        for (std::uint32_t block : {7u, 4096u}) {
+            SCOPED_TRACE(::testing::Message() << "block " << block);
+            auto t = loadFresh(path, *recs, block);
+            ASSERT_EQ(t->size(), recs->size());
+            EXPECT_EQ(t->packedRecords(), 0u);
+            EXPECT_GT(t->residentBytes(),
+                      recs->size() * sizeof(InstrRecord));
+            EXPECT_LE(t->residentBytes(),
+                      recs->size() * sizeof(InstrRecord) + chunks * 32);
+            EXPECT_EQ(residentGauge(),
+                      static_cast<std::int64_t>(t->residentBytes()));
+            expectSameRecords(unpackAll(*t), *recs);
+            expectCacheMatchesReader(path);
+        }
+    }
+    TraceCache::instance().clear();
+    std::remove(path.c_str());
+}
+
+TEST(PackedTraceCache, RandomAndAdversarialStreamsMatchReader)
+{
+    // Chunk-sized pieces of every-op streams, each damaged one way
+    // (or not at all): the cache must pack exactly the chunks the
+    // plain rule accepts and replay every record as the reader does.
+    std::mt19937_64 rng(2026);
+    std::vector<InstrRecord> recs;
+    for (unsigned piece = 0; piece < 24; ++piece) {
+        std::vector<InstrRecord> c = everyOpStream(
+            piece + 1 < 24 ? kChunk : 777, rng(),
+            0x10000000 + (rng() % 64) * 0x1000);
+        const std::size_t at = 1 + rng() % (c.size() - 1);
+        switch (piece % 8) {
+          case 0: // untouched: the chain breaks only at its edges
+            break;
+          case 1: // a chain break inside
+            c[at].pc += instrBytes;
+            break;
+          case 2: // a data address 2^32 or more above another
+            c[findRecord(c, isLoad, at)].dataAddr += kTwo32;
+            break;
+          case 3: // a target span above 2^32
+            c[findRecord(c, isNotTakenBranch, at)].target |=
+                0xffff800000000000ULL;
+            break;
+          case 4: // a record carrying both a target and a data address
+            c[at].target |= 0x10000040;
+            c[at].dataAddr |= 0x1000000040ULL;
+            break;
+          case 5: // zero targets on every non-redirecting CTI
+            for (InstrRecord &r : c)
+                if (r.isCti() && !r.redirects())
+                    r.target = 0;
+            break;
+          case 6: // a plain op with a data address
+            c[findRecord(c, isPlainOp, at)].dataAddr = 0x1000000100ULL;
+            break;
+          default: // a kernel-half copy of the stream
+            translateCode(c, 0xffffffff00000000ULL);
+            break;
+        }
+        recs.insert(recs.end(), c.begin(), c.end());
+    }
+    const std::size_t expectPacked = plainlyPacked(recs);
+    EXPECT_GT(expectPacked, 0u);
+    EXPECT_LT(expectPacked, recs.size());
+
+    std::string path = ::testing::TempDir() + "packed_random.trc";
+    for (std::uint32_t block : {1000u, 4096u}) {
         SCOPED_TRACE(::testing::Message() << "block " << block);
         auto t = loadFresh(path, recs, block);
         ASSERT_EQ(t->size(), recs.size());
-        EXPECT_EQ(t->packedRecords(), 0u);
-        EXPECT_GT(t->residentBytes(), recs.size() * sizeof(InstrRecord));
-        EXPECT_LE(t->residentBytes(),
-                  recs.size() * sizeof(InstrRecord) + chunks * 32);
-        EXPECT_EQ(residentGauge(),
-                  static_cast<std::int64_t>(t->residentBytes()));
+        EXPECT_EQ(t->packedRecords(), expectPacked);
         expectSameRecords(unpackAll(*t), recs);
         expectCacheMatchesReader(path);
     }
+
+    // A truncated file: the tolerant cache holds the whole blocks
+    // before the cut, exactly as the tolerant reader delivers them.
+    writeTraceFile(path, recs, 1000);
+    std::vector<unsigned char> bytes = readFileBytes(path);
+    const BlockFrame cut = blockFrames(bytes, recs.size(), 1000)[9];
+    bytes.resize(cut.off + traceV3FrameBytes + cut.bytes / 2);
+    writeFileBytes(path, bytes);
+    TraceCache::instance().clear();
+    auto t = TraceCache::instance().acquire(path, TraceReadMode::Tolerant);
+    EXPECT_TRUE(t->corrupt);
+    ASSERT_EQ(t->size(), cut.first);
+    expectSameRecords(unpackAll(*t), slice(recs, 0, cut.first));
+    expectCacheMatchesReader(path, TraceReadMode::Tolerant);
+
+    // An unknown op byte is block damage: nothing from its block on
+    // reaches the cache.
+    std::vector<InstrRecord> unknown = slice(recs, 0, 3 * kChunk);
+    unknown[2 * kChunk + 5].op = OpClass::NumOpClasses;
+    writeTraceFile(path, unknown, 1000);
+    TraceCache::instance().clear();
+    EXPECT_THROW(TraceCache::instance().acquire(path), TraceError);
+    t = TraceCache::instance().acquire(path, TraceReadMode::Tolerant);
+    EXPECT_TRUE(t->corrupt);
+    ASSERT_EQ(t->size(), 8000u);
+    expectSameRecords(unpackAll(*t), slice(unknown, 0, 8000));
+    expectCacheMatchesReader(path, TraceReadMode::Tolerant);
     TraceCache::instance().clear();
     std::remove(path.c_str());
 }

@@ -15,6 +15,7 @@
 #include <set>
 #include <span>
 #include <unordered_set>
+#include <vector>
 
 #include "trace/trace_stats.hh"
 #include "workload/presets.hh"
@@ -247,6 +248,155 @@ TEST(Cfg, RejectsMaxBlockInstrsOutOfRange)
     above.maxBlockInstrs = 65536;
     test::expectThrows<ConfigError>([&] { ProgramCfg prog(above); },
                                     "maxBlockInstrs 65536");
+}
+
+namespace
+{
+
+/** A real-valued knob and the closed range validate() gives it. */
+struct RealKnob
+{
+    const char *name;
+    double WorkloadConfig::*field;
+    double lo, hi;
+};
+
+constexpr double kMax = std::numeric_limits<double>::max();
+
+/** Every double in WorkloadConfig but blockCountP and blockSizeP
+ *  (RejectsGeometricParamsOutsideUnitInterval covers those). */
+const RealKnob kRealKnobs[] = {
+    {"rootFraction", &WorkloadConfig::rootFraction, 0, 1},
+    {"condBranchFraction", &WorkloadConfig::condBranchFraction, 0, 1},
+    {"uncondFraction", &WorkloadConfig::uncondFraction, 0, 1},
+    {"callFraction", &WorkloadConfig::callFraction, 0, 1},
+    {"indirectCallFraction", &WorkloadConfig::indirectCallFraction, 0, 1},
+    {"tailCallFraction", &WorkloadConfig::tailCallFraction, 0, 1},
+    {"loopBackFraction", &WorkloadConfig::loopBackFraction, 0, 1},
+    {"meanLoopTrips", &WorkloadConfig::meanLoopTrips, 1, kMax},
+    {"fwdTakenSiteFraction", &WorkloadConfig::fwdTakenSiteFraction, 0, 1},
+    {"takenBias", &WorkloadConfig::takenBias, 0, 1},
+    {"biasJitter", &WorkloadConfig::biasJitter, 0, 1},
+    {"calleeZipfAlpha", &WorkloadConfig::calleeZipfAlpha, 0, 64},
+    {"transactionZipfAlpha", &WorkloadConfig::transactionZipfAlpha, 0, 64},
+    {"loadFraction", &WorkloadConfig::loadFraction, 0, 1},
+    {"storeFraction", &WorkloadConfig::storeFraction, 0, 1},
+    {"mulFraction", &WorkloadConfig::mulFraction, 0, 1},
+    {"fpFraction", &WorkloadConfig::fpFraction, 0, 1},
+    {"hotDataZipfAlpha", &WorkloadConfig::hotDataZipfAlpha, 0, 64},
+    {"hotAccessFraction", &WorkloadConfig::hotAccessFraction, 0, 1},
+    {"warmAccessFraction", &WorkloadConfig::warmAccessFraction, 0, 1},
+    {"stackAccessFraction", &WorkloadConfig::stackAccessFraction, 0, 1},
+    {"contextSwitchPeriod", &WorkloadConfig::contextSwitchPeriod, 0, kMax},
+    {"trapProbability", &WorkloadConfig::trapProbability, 0, 1},
+};
+
+/** smallConfig() with @p k set to @p v. */
+WorkloadConfig
+withKnob(const RealKnob &k, double v)
+{
+    WorkloadConfig cfg = smallConfig();
+    cfg.*k.field = v;
+    return cfg;
+}
+
+} // namespace
+
+TEST(Cfg, RejectsNonFiniteReals)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const RealKnob &k : kRealKnobs) {
+        for (double v : {std::nan(""), inf, -inf}) {
+            SCOPED_TRACE(::testing::Message() << k.name << " = " << v);
+            WorkloadConfig cfg = withKnob(k, v);
+            test::expectThrows<ConfigError>(
+                [&] { ProgramCfg prog(cfg); },
+                std::string(k.name) + " ");
+        }
+    }
+}
+
+TEST(Cfg, RejectsNanHotDataZipfAlpha)
+{
+    // A NaN exponent once built a sampler with an all-NaN CDF that put
+    // every hot access on one line.
+    WorkloadConfig cfg = smallConfig();
+    cfg.hotDataZipfAlpha = std::nan("");
+    test::expectThrows<ConfigError>([&] { ProgramCfg prog(cfg); },
+                                    "hotDataZipfAlpha nan outside [0, 64]");
+    cfg.hotDataZipfAlpha = -0.5;
+    test::expectThrows<ConfigError>([&] { ProgramCfg prog(cfg); },
+                                    "hotDataZipfAlpha -0.5 outside");
+}
+
+TEST(Cfg, RejectsRealsOutsideTheirRange)
+{
+    for (const RealKnob &k : kRealKnobs) {
+        SCOPED_TRACE(k.name);
+        // Each end of the range builds (alone; a fraction group may
+        // need its other members lowered to make room for a 1).
+        for (double v : {k.lo, std::min(k.hi, 1e6)}) {
+            WorkloadConfig cfg = withKnob(k, v);
+            for (double WorkloadConfig::*f :
+                 {&WorkloadConfig::condBranchFraction,
+                  &WorkloadConfig::uncondFraction,
+                  &WorkloadConfig::callFraction,
+                  &WorkloadConfig::indirectCallFraction,
+                  &WorkloadConfig::loadFraction,
+                  &WorkloadConfig::storeFraction,
+                  &WorkloadConfig::mulFraction, &WorkloadConfig::fpFraction,
+                  &WorkloadConfig::hotAccessFraction,
+                  &WorkloadConfig::warmAccessFraction})
+                if (f != k.field)
+                    cfg.*f = 0;
+            EXPECT_NO_THROW(ProgramCfg prog(cfg)) << "value " << v;
+        }
+        const double below = k.lo - (k.lo == 0 ? 1e-6 : 0.5);
+        test::expectThrows<ConfigError>(
+            [&] { ProgramCfg prog(withKnob(k, below)); },
+            std::string(k.name) + " ");
+        if (k.hi < kMax)
+            test::expectThrows<ConfigError>(
+                [&] { ProgramCfg prog(withKnob(k, k.hi + 0.5)); },
+                std::string(k.name) + " ");
+    }
+}
+
+TEST(Cfg, RejectsFractionGroupsAboveOne)
+{
+    struct Group
+    {
+        const char *message;
+        std::vector<double WorkloadConfig::*> parts;
+    };
+    const Group groups[] = {
+        {"block terminator fractions sum to",
+         {&WorkloadConfig::condBranchFraction,
+          &WorkloadConfig::uncondFraction, &WorkloadConfig::callFraction,
+          &WorkloadConfig::indirectCallFraction}},
+        {"instruction mix fractions sum to",
+         {&WorkloadConfig::loadFraction, &WorkloadConfig::storeFraction,
+          &WorkloadConfig::mulFraction, &WorkloadConfig::fpFraction}},
+        {"heap region fractions sum to",
+         {&WorkloadConfig::hotAccessFraction,
+          &WorkloadConfig::warmAccessFraction}},
+    };
+    for (const Group &g : groups) {
+        SCOPED_TRACE(g.message);
+        // Each part at an even share builds, summing exactly to 1 (up
+        // to rounding)...
+        WorkloadConfig even = smallConfig();
+        for (auto part : g.parts)
+            even.*part = 1.0 / static_cast<double>(g.parts.size());
+        EXPECT_NO_THROW(ProgramCfg prog(even));
+        // ...and any part raised past it does not.
+        for (auto part : g.parts) {
+            WorkloadConfig over = even;
+            over.*part += 0.01;
+            test::expectThrows<ConfigError>([&] { ProgramCfg prog(over); },
+                                            g.message);
+        }
+    }
 }
 
 TEST(Cfg, BuildsAtTheLayoutLimits)
