@@ -309,7 +309,7 @@ schemeLabel(const SchemeSelection &sel)
     std::string label =
         SchemeRegistry::instance().at(sel.token).displayName;
     if (!sel.knobs.empty())
-        label += ":" + sel.knobs.canonical();
+        label.append(":").append(sel.knobs.canonical());
     return label;
 }
 

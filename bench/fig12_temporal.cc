@@ -69,7 +69,7 @@ main(int argc, char **argv)
     auto label = [](const SchemeSelection &sel) {
         std::string l = sel.token;
         if (!sel.knobs.empty())
-            l += ":" + sel.knobs.canonical();
+            l.append(":").append(sel.knobs.canonical());
         return l;
     };
 

@@ -23,8 +23,9 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params)
     for (unsigned c = 0; c < params_.numCores; ++c) {
         CacheParams pi = params_.l1i;
         CacheParams pd = params_.l1d;
-        pi.name += "." + std::to_string(c);
-        pd.name += "." + std::to_string(c);
+        const std::string id = std::to_string(c);
+        pi.name.append(".").append(id);
+        pd.name.append(".").append(id);
         l1i_.push_back(std::make_unique<SetAssocCache>(pi));
         l1d_.push_back(std::make_unique<SetAssocCache>(pd));
     }

@@ -22,8 +22,7 @@ mixAddrs(Addr a, Addr b)
 } // namespace
 
 DominoConfig
-DominoConfig::fromKnobs(const PrefetchConfig &cfg,
-                        const KnobValues &knobs)
+DominoConfig::fromKnobs(const KnobValues &knobs)
 {
     DominoConfig c;
     c.historyEntries = static_cast<unsigned>(
@@ -170,7 +169,7 @@ registerDominoScheme(SchemeRegistry &reg)
          [](const PrefetchConfig &cfg, const KnobValues &knobs) {
              return std::unique_ptr<InstructionPrefetcher>(
                  std::make_unique<DominoPrefetcher>(
-                     DominoConfig::fromKnobs(cfg, knobs),
+                     DominoConfig::fromKnobs(knobs),
                      cfg.lineBytes));
          }});
 }

@@ -34,8 +34,7 @@ struct DominoConfig
     unsigned replay = 12;            //!< knob "replay" (per trigger)
     bool singleFallback = true;      //!< knob "single_fallback"
 
-    static DominoConfig fromKnobs(const PrefetchConfig &cfg,
-                                  const KnobValues &knobs);
+    static DominoConfig fromKnobs(const KnobValues &knobs);
 };
 
 /** Two-miss-indexed record/replay prefetcher. */

@@ -54,7 +54,12 @@ jsonEscape(const std::string &s)
 inline std::string
 jsonString(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    std::string out;
+    out.reserve(s.size() + 2);
+    out += '"';
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 /** "0x..." hex rendering of @p v (JSON has no hex numbers). */

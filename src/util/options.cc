@@ -46,7 +46,7 @@ Options::Options(int argc, char **argv,
             continue;
         }
         std::string name = arg.substr(2);
-        std::string value;
+        std::string value = "1"; // a boolean flag unless a value follows
         auto eq = name.find('=');
         if (eq != std::string::npos) {
             value = name.substr(eq + 1);
@@ -54,8 +54,6 @@ Options::Options(int argc, char **argv,
         } else if (i + 1 < argc &&
                    std::string(argv[i + 1]).rfind("--", 0) != 0) {
             value = argv[++i];
-        } else {
-            value = "1"; // boolean flag
         }
         if (!known.empty() && !known.count(name))
             ipref_raise(ConfigError, "unknown option --%s", name.c_str());

@@ -20,14 +20,18 @@ constexpr Addr funcAlign = 32;
 /** Most blocks in one function (the dispatcher has 3). */
 constexpr unsigned maxFuncBlocks = 24;
 
-/** Throw unless @p count items of @p what fit a 32-bit index. */
+/** Bound on every index the image stores (blocks, instructions,
+ *  functions, indirect sets and targets). */
+constexpr std::uint64_t maxIndex = (std::uint64_t{1} << 24) - 1;
+
+/** Throw unless @p count items of @p what fit a 24-bit index. */
 void
 checkFits(const WorkloadConfig &cfg, std::uint64_t count, const char *what)
 {
-    if (count > std::numeric_limits<std::uint32_t>::max())
+    if (count > maxIndex)
         ipref_raise(ConfigError,
                     "workload %s: %llu %s do not fit the program "
-                    "image's 32-bit indices",
+                    "image's 24-bit indices",
                     cfg.name.c_str(),
                     static_cast<unsigned long long>(count), what);
 }
@@ -128,10 +132,10 @@ validate(const WorkloadConfig &cfg)
                     "lie in (0, 1]",
                     cfg.name.c_str(), cfg.blockCountP, cfg.blockSizeP);
     if (cfg.maxBlockInstrs < cfg.minBlockInstrs ||
-        cfg.maxBlockInstrs > std::numeric_limits<std::uint16_t>::max())
+        cfg.maxBlockInstrs > std::numeric_limits<std::uint8_t>::max())
         ipref_raise(ConfigError,
                     "workload %s: maxBlockInstrs %u outside "
-                    "[minBlockInstrs %u, 65535]",
+                    "[minBlockInstrs %u, 255]",
                     cfg.name.c_str(), cfg.maxBlockInstrs,
                     cfg.minBlockInstrs);
 }
@@ -140,28 +144,29 @@ validate(const WorkloadConfig &cfg)
 StaticInstr
 drawInstr(const WorkloadConfig &cfg, Rng &rng)
 {
-    StaticInstr si;
+    OpClass op = OpClass::IntAlu;
     double u = rng.uniform();
     if (u < cfg.loadFraction) {
-        si.op = OpClass::Load;
+        op = OpClass::Load;
     } else if (u < cfg.loadFraction + cfg.storeFraction) {
-        si.op = OpClass::Store;
+        op = OpClass::Store;
     } else if (u < cfg.loadFraction + cfg.storeFraction +
                        cfg.mulFraction) {
-        si.op = OpClass::IntMul;
+        op = OpClass::IntMul;
     } else if (u < cfg.loadFraction + cfg.storeFraction +
                        cfg.mulFraction + cfg.fpFraction) {
-        si.op = OpClass::FpAlu;
-    } else {
-        si.op = OpClass::IntAlu;
+        op = OpClass::FpAlu;
     }
-    si.dst = static_cast<std::uint8_t>(1 + rng.below(31));
+    unsigned dst = 1 + static_cast<unsigned>(rng.below(31));
+    StaticInstr si;
     si.src0 = static_cast<std::uint8_t>(1 + rng.below(31));
     si.src1 = rng.chance(0.5)
                   ? static_cast<std::uint8_t>(1 + rng.below(31))
                   : 0;
-    if (si.op == OpClass::Store)
-        si.dst = 0; // stores produce no register result
+    if (op == OpClass::Store)
+        dst = 0; // stores produce no register result
+    si.opDst = static_cast<std::uint8_t>(
+        static_cast<unsigned>(op) << 5 | dst);
     return si;
 }
 
@@ -258,7 +263,7 @@ ProgramCfg::buildFunctions(Rng &rng)
                              rng.geometric(cfg_.blockSizeP));
             n = std::min(n, cfg_.maxBlockInstrs);
             checkFits(cfg_, instrs_.size() + n, "instructions");
-            bb.numInstrs = static_cast<std::uint16_t>(n);
+            bb.numInstrs = n;
             bb.instrBase = static_cast<std::uint32_t>(instrs_.size());
             for (unsigned i = 0; i < n; ++i)
                 instrs_.push_back(drawInstr(cfg_, rng));
@@ -507,14 +512,16 @@ ProgramCfg::layoutCode()
         if (!placed[fi] && !funcs_[fi].isTrapHandler)
             order.push_back(fi);
 
+    // Blocks store offsets from codeBase. Under 2^24 instructions of
+    // 4 B, 2^24 functions padded by under 32 B each and a trap gap
+    // under 2^19 B, the span stays under 2^30: startOff cannot overflow.
     Addr pc = cfg_.codeBase;
     auto place = [&](std::uint32_t fi) {
-        Function &fn = funcs_[fi];
+        const Function &fn = funcs_[fi];
         pc = alignUp(pc, funcAlign);
-        fn.entry = pc;
         for (std::uint32_t b = 0; b < fn.numBlocks; ++b) {
             BasicBlock &bb = blocks_[fn.firstBlock + b];
-            bb.startPc = pc;
+            bb.startOff = static_cast<std::uint32_t>(pc - cfg_.codeBase);
             pc += static_cast<Addr>(bb.numInstrs) * instrBytes;
         }
     };
@@ -525,8 +532,8 @@ ProgramCfg::layoutCode()
     pc = alignUp(pc + (256u << 10), 64u << 10);
     for (std::uint32_t fi : traps_)
         place(fi);
-
     codeBytes_ = pc - cfg_.codeBase;
+    ipref_assert(codeBytes_ <= std::numeric_limits<std::uint32_t>::max());
 }
 
 } // namespace ipref

@@ -43,60 +43,74 @@ enum class TermKind : std::uint8_t
 /**
  * A basic block: contiguous instructions ending in a terminator.
  *
- * The one `target` word is read per terminator kind:
+ * The one `target` field is read per terminator kind:
  *  - CondBranch, and UncondBranch without isTailCall: a global block
  *    index into ProgramCfg::blocks();
  *  - Call, and UncondBranch with isTailCall: a function index into
  *    ProgramCfg::functions();
  *  - IndirectCall: an index into ProgramCfg::indirectSets();
  *  - FallThrough and Return: unused (0).
+ *
+ * The block stores its address as an offset from the program's code
+ * base, which startPc(), termPc() and endPc() take. ProgramCfg keeps
+ * every index below 2^24.
  */
 struct BasicBlock
 {
-    Addr startPc = 0;
-    std::uint32_t instrBase = 0;   //!< index into ProgramCfg::instrs
-    std::uint32_t target = 0;      //!< block, function or set index
-    float takenProb = 0.0f;        //!< CondBranch: P(taken)
-    std::uint16_t numInstrs = 0;   //!< includes the terminator slot
-    TermKind term = TermKind::FallThrough;
-    bool isBackEdge : 1 = false;   //!< CondBranch: loop back-edge?
-    bool isTailCall : 1 = false;   //!< UncondBranch to function target
+    std::uint32_t startOff = 0;         //!< byte offset from codeBase
+    std::uint32_t instrBase : 24 = 0;   //!< index into ProgramCfg::instrs
+    std::uint32_t numInstrs : 8 = 0;    //!< includes the terminator slot
+    std::uint32_t target : 24 = 0;      //!< block, function or set index
+    TermKind term : 3 = TermKind::FallThrough;
+    bool isBackEdge : 1 = false;        //!< CondBranch: loop back-edge?
+    bool isTailCall : 1 = false;        //!< UncondBranch to function target
+    float takenProb = 0.0f;             //!< CondBranch: P(taken)
+
+    /** Address of the block's first instruction. */
+    Addr startPc(Addr codeBase) const { return codeBase + startOff; }
 
     /** Address of the block's terminator (last instruction). */
     Addr
-    termPc() const
+    termPc(Addr codeBase) const
     {
-        return startPc + static_cast<Addr>(numInstrs - 1) * instrBytes;
+        return startPc(codeBase) +
+               static_cast<Addr>(numInstrs - 1) * instrBytes;
     }
 
     /** Address just past the block. */
     Addr
-    endPc() const
+    endPc(Addr codeBase) const
     {
-        return startPc + static_cast<Addr>(numInstrs) * instrBytes;
+        return startPc(codeBase) + static_cast<Addr>(numInstrs) * instrBytes;
     }
 };
-static_assert(sizeof(BasicBlock) <= 24);
+static_assert(sizeof(BasicBlock) == 16);
 
-/** Static (non-CTI) instruction description. */
+/**
+ * Static instruction description: the op (IntAlu..Store, all below 8)
+ * in bits 5-7 of opDst and the destination register in bits 0-4.
+ */
 struct StaticInstr
 {
-    OpClass op = OpClass::IntAlu;
+    std::uint8_t opDst = 0;
     std::uint8_t src0 = 0;
     std::uint8_t src1 = 0;
-    std::uint8_t dst = 0;
+
+    OpClass op() const { return static_cast<OpClass>(opDst >> 5); }
+    std::uint8_t dst() const { return opDst & 31; }
 };
+static_assert(sizeof(StaticInstr) == 3);
+static_assert(static_cast<unsigned>(OpClass::Store) < 8);
 
 /** A function: a contiguous range of blocks; entry is the first. */
 struct Function
 {
-    Addr entry = 0;
     std::uint32_t firstBlock = 0;
     std::uint16_t numBlocks = 0;
     std::uint8_t layer = 0;    //!< call-graph layer (0 = roots)
     bool isTrapHandler = false;
 };
-static_assert(sizeof(Function) <= 16);
+static_assert(sizeof(Function) == 8);
 
 /**
  * The candidate callees of one indirect-call site: entries
@@ -119,7 +133,7 @@ class ProgramCfg
     /**
      * Build a program from the config's layoutSeed. Throws ConfigError
      * when a knob is out of range or the program would not fit the
-     * compact layout (2^32 or more blocks, instructions or indirect
+     * compact layout (2^24 or more blocks, instructions or indirect
      * targets).
      */
     explicit ProgramCfg(const WorkloadConfig &cfg);
@@ -164,6 +178,13 @@ class ProgramCfg
      * this program. Thread-safe.
      */
     const ZipfSampler &hotDataZipf() const;
+
+    /** Entry address of function @p fi (its first block's). */
+    Addr
+    entryPc(std::uint32_t fi) const
+    {
+        return blocks_[funcs_[fi].firstBlock].startPc(cfg_.codeBase);
+    }
 
     /** Total bytes of generated code (including trap handlers). */
     Addr codeBytes() const { return codeBytes_; }

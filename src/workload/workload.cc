@@ -13,6 +13,7 @@ Workload::Workload(std::shared_ptr<const ProgramCfg> prog,
     : prog_(std::move(prog)),
       walkSeed_(walkSeed),
       dataOffset_(dataOffset),
+      codeBase_(prog_->config().codeBase),
       rng_(walkSeed ^ hashString("workload-walk")),
       hotZipf_(prog_->hotDataZipf())
 {
@@ -56,7 +57,7 @@ Addr
 Workload::addrOf(std::uint32_t gb, unsigned idx) const
 {
     const BasicBlock &bb = prog_->blocks()[gb];
-    return bb.startPc + static_cast<Addr>(idx) * instrBytes;
+    return bb.startPc(codeBase_) + static_cast<Addr>(idx) * instrBytes;
 }
 
 Addr
@@ -93,17 +94,16 @@ Workload::genDataAddr()
 }
 
 void
-Workload::emitStatic(const BasicBlock &bb, unsigned idx, InstrRecord &out)
+Workload::emitStatic(const StaticInstr &si, Addr pc, InstrRecord &out)
 {
-    const StaticInstr &si = prog_->instrs()[bb.instrBase + idx];
-    out.pc = bb.startPc + static_cast<Addr>(idx) * instrBytes;
-    out.op = si.op;
+    out.pc = pc;
+    out.op = si.op();
     out.taken = false;
     out.target = 0;
     out.srcReg[0] = si.src0;
     out.srcReg[1] = si.src1;
-    out.dstReg = si.dst;
-    out.dataAddr = si.op == OpClass::Load || si.op == OpClass::Store
+    out.dstReg = si.dst();
+    out.dataAddr = out.op == OpClass::Load || out.op == OpClass::Store
                        ? genDataAddr()
                        : 0;
 }
@@ -119,9 +119,9 @@ Workload::takeTrap(InstrRecord &out, std::size_t resumeCtx)
     out.pc = addrOf(ctx.curBlock, ctx.instrIdx);
     out.op = OpClass::Trap;
     out.taken = true;
-    out.target = funcs[h].entry;
     inTrap_ = true;
     trapBlock_ = funcs[h].firstBlock;
+    out.target = addrOf(trapBlock_, 0);
     trapInstr_ = 0;
     trapResumeCtx_ = resumeCtx;
 }
@@ -171,12 +171,16 @@ Workload::nextBatch(std::span<InstrRecord> out)
         }
         const std::size_t stop =
             std::min<std::size_t>(out.size(), i + (end - ctx.instrIdx));
+        // Decode the block once for its run of slots.
+        const StaticInstr *slots = prog_->instrs().data() + bb.instrBase;
+        const Addr startPc = bb.startPc(codeBase_);
         while (i < stop) {
             InstrRecord &rec = out[i++];
             ++emitted_;
             if (takeAsync(rec))
                 break;
-            emitStatic(bb, ctx.instrIdx++, rec);
+            const unsigned idx = ctx.instrIdx++;
+            emitStatic(slots[idx], startPc + idx * instrBytes, rec);
         }
         if (ctx.instrIdx >= bb.numInstrs) {
             ++ctx.curBlock; // blocks are contiguous
@@ -202,7 +206,8 @@ Workload::next(InstrRecord &out)
         const BasicBlock &bb = blocks[trapBlock_];
         bool is_term = trapInstr_ + 1u >= bb.numInstrs;
         if (!is_term || bb.term == TermKind::FallThrough) {
-            emitStatic(bb, trapInstr_, out);
+            emitStatic(prog_->instrs()[bb.instrBase + trapInstr_],
+                       addrOf(trapBlock_, trapInstr_), out);
             if (++trapInstr_ >= bb.numInstrs) {
                 ++trapBlock_;
                 trapInstr_ = 0;
@@ -213,13 +218,13 @@ Workload::next(InstrRecord &out)
         const StaticInstr &si = prog_->instrs()[bb.instrBase +
                                                 trapInstr_];
         out = InstrRecord{};
-        out.pc = bb.termPc();
+        out.pc = bb.termPc(codeBase_);
         out.srcReg[0] = si.src0;
         out.srcReg[1] = si.src1;
         switch (bb.term) {
           case TermKind::CondBranch: {
             out.op = OpClass::CondBranch;
-            out.target = blocks[bb.target].startPc;
+            out.target = addrOf(bb.target, 0);
             bool taken = rng_.chance(bb.takenProb);
             if (bb.isBackEdge) {
                 std::uint8_t &cnt = loopTaken_[trapBlock_];
@@ -244,7 +249,7 @@ Workload::next(InstrRecord &out)
           case TermKind::UncondBranch:
             out.op = OpClass::UncondBranch;
             out.taken = true;
-            out.target = blocks[bb.target].startPc;
+            out.target = addrOf(bb.target, 0);
             trapBlock_ = bb.target;
             trapInstr_ = 0;
             break;
@@ -271,7 +276,8 @@ Workload::next(InstrRecord &out)
     bool is_term = ctx.instrIdx + 1u >= bb.numInstrs;
 
     if (!is_term || bb.term == TermKind::FallThrough) {
-        emitStatic(bb, ctx.instrIdx, out);
+        emitStatic(prog_->instrs()[bb.instrBase + ctx.instrIdx],
+                   addrOf(ctx.curBlock, ctx.instrIdx), out);
         ++ctx.instrIdx;
         if (ctx.instrIdx >= bb.numInstrs) {
             ++ctx.curBlock; // blocks are contiguous
@@ -285,7 +291,7 @@ Workload::next(InstrRecord &out)
     const StaticInstr &si = prog_->instrs()[bb.instrBase +
                                             ctx.instrIdx];
     out = InstrRecord{};
-    out.pc = bb.termPc();
+    out.pc = bb.termPc(codeBase_);
     out.srcReg[0] = si.src0;
     out.srcReg[1] = si.src1;
     out.dstReg = 0;
@@ -298,7 +304,7 @@ Workload::next(InstrRecord &out)
     switch (bb.term) {
       case TermKind::CondBranch: {
         out.op = OpClass::CondBranch;
-        out.target = blocks[bb.target].startPc;
+        out.target = addrOf(bb.target, 0);
         bool taken = rng_.chance(bb.takenProb);
         if (bb.isBackEdge) {
             std::uint8_t &cnt = loopTaken_[ctx.curBlock];
@@ -324,20 +330,20 @@ Workload::next(InstrRecord &out)
         if (bb.isTailCall) {
             // Tail call: jump to the sibling's entry without pushing
             // a frame; its return unwinds to our caller.
-            out.target = funcs[bb.target].entry;
             goto_block(funcs[bb.target].firstBlock);
+            out.target = addrOf(ctx.curBlock, 0);
         } else {
-            out.target = blocks[bb.target].startPc;
+            out.target = addrOf(bb.target, 0);
             goto_block(bb.target);
         }
         break;
       case TermKind::Call:
         out.op = OpClass::Call;
         out.taken = true;
-        out.target = funcs[bb.target].entry;
         out.dstReg = 31; // link register
         ctx.stack.push_back({ctx.curBlock + 1, 0});
         goto_block(funcs[bb.target].firstBlock);
+        out.target = addrOf(ctx.curBlock, 0);
         break;
       case TermKind::IndirectCall: {
         out.op = OpClass::Jump;
@@ -349,10 +355,10 @@ Workload::next(InstrRecord &out)
         while (pick + 1 < iset.count && cdf[pick] < u)
             ++pick;
         std::uint32_t callee = prog_->indirectFuncs()[iset.begin + pick];
-        out.target = funcs[callee].entry;
         out.dstReg = 31;
         ctx.stack.push_back({ctx.curBlock + 1, 0});
         goto_block(funcs[callee].firstBlock);
+        out.target = addrOf(ctx.curBlock, 0);
         break;
       }
       case TermKind::Return: {
@@ -361,8 +367,8 @@ Workload::next(InstrRecord &out)
         out.srcReg[0] = 31;
         if (ctx.stack.empty()) {
             // Should not happen (dispatcher loops), but recover.
-            out.target = funcs[0].entry;
             goto_block(funcs[0].firstBlock);
+            out.target = addrOf(ctx.curBlock, 0);
             break;
         }
         Frame f = ctx.stack.back();

@@ -83,8 +83,8 @@ class Workload : public TraceSource
     /** Address of instruction slot @p idx in block @p gb. */
     Addr addrOf(std::uint32_t gb, unsigned idx) const;
 
-    /** Fill a record from static (non-CTI) slot @p idx of @p bb. */
-    void emitStatic(const BasicBlock &bb, unsigned idx, InstrRecord &out);
+    /** Fill a record from static (non-CTI) slot @p si at @p pc. */
+    void emitStatic(const StaticInstr &si, Addr pc, InstrRecord &out);
 
     /** Draw the asynchronous events due before a non-handler
      *  instruction (a context switch, then a plain trap); if one
@@ -101,6 +101,7 @@ class Workload : public TraceSource
     std::shared_ptr<const ProgramCfg> prog_;
     std::uint64_t walkSeed_;
     Addr dataOffset_;
+    Addr codeBase_; //!< the program's; blocks store offsets from it
 
     Rng rng_;
     std::vector<Context> contexts_;

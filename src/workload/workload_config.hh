@@ -47,7 +47,8 @@ struct WorkloadConfig
     double rootFraction = 0.02;
     /** Basic blocks per function: 1 + geometric(blockCountP). */
     double blockCountP = 0.16;
-    /** Instructions per block: min + geometric(blockSizeP), capped. */
+    /** Instructions per block: min + geometric(blockSizeP), capped
+     *  at maxBlockInstrs, which lies in [minBlockInstrs, 255]. */
     unsigned minBlockInstrs = 3;
     unsigned maxBlockInstrs = 24;
     double blockSizeP = 0.18;

@@ -102,8 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, WorkloadShape,
     ::testing::Values(WorkloadKind::DB, WorkloadKind::TPCW,
                       WorkloadKind::JAPP, WorkloadKind::WEB),
-    [](const auto &info) {
-        std::string n = workloadName(info.param);
+    [](const auto &p) {
+        std::string n = workloadName(p.param);
         n.erase(std::remove(n.begin(), n.end(), '-'), n.end());
         return n;
     });
@@ -142,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeSweep,
     ::testing::Values("nl-miss", "nl-tagged", "n4l", "discontinuity",
                       "target"),
-    [](const auto &info) { return test::schemeTestName(info.param); });
+    [](const auto &p) { return test::schemeTestName(p.param); });
 
 TEST(CalibrationPrefetch, CoverageOrdering)
 {

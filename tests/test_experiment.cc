@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "results_helpers.hh"
+#include "scheme_params.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 
 using namespace ipref;
@@ -128,6 +130,35 @@ TEST(RunBatch, JobsOneFallsBackToSequential)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         SCOPED_TRACE("spec " + std::to_string(i));
         test::expectIdentical(sequential[i], one[i]);
+    }
+}
+
+TEST(RunBatch, EverySchemeMatchesAcrossJobCounts)
+{
+    // One tiny 1-core timing run per registered scheme: the results
+    // at 1 and 4 jobs must serialize to the same bytes.
+    ObservabilityGuard guard;
+    setObservability({});
+    std::vector<RunSpec> specs;
+    for (const std::string &token : test::allSchemeTokens()) {
+        RunSpec spec;
+        spec.cmp = false;
+        spec.schemeToken = token;
+        spec.instrScale = 0.01;
+        specs.push_back(spec);
+    }
+
+    std::vector<SimResults> one = batchResults(specs, 1);
+    std::vector<SimResults> four = batchResults(specs, 4);
+    ASSERT_EQ(one.size(), specs.size());
+    ASSERT_EQ(four.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(specs[i].schemeToken);
+        EXPECT_GT(one[i].instructions, 0u);
+        if (specs[i].schemeToken != "none") {
+            EXPECT_GT(one[i].pfIssued, 0u);
+        }
+        EXPECT_EQ(resultsToJson(one[i]), resultsToJson(four[i]));
     }
 }
 

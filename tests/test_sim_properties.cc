@@ -121,13 +121,13 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(WorkloadKind::TPCW, WorkloadKind::WEB),
         ::testing::ValuesIn(test::allSchemeTokens()),
         ::testing::Bool(), ::testing::Bool()),
-    [](const auto &info) {
-        WorkloadKind kind = std::get<0>(info.param);
-        bool cmp = std::get<2>(info.param);
-        bool bypass = std::get<3>(info.param);
+    [](const auto &p) {
+        WorkloadKind kind = std::get<0>(p.param);
+        bool cmp = std::get<2>(p.param);
+        bool bypass = std::get<3>(p.param);
         std::string n = workloadName(kind);
         n.erase(std::remove(n.begin(), n.end(), '-'), n.end());
-        n += "_" + test::schemeTestName(std::get<1>(info.param)) + "_";
+        n += "_" + test::schemeTestName(std::get<1>(p.param)) + "_";
         n += cmp ? "Cmp" : "Single";
         n += bypass ? "Bypass" : "Install";
         return n;

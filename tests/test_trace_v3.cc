@@ -377,8 +377,9 @@ TEST(TraceV3, BitFlipFuzzNeverYieldsGarbage)
                               truth.begin() +
                                   static_cast<std::ptrdiff_t>(
                                       got.size())));
-        if (got.size() != truth.size())
+        if (got.size() != truth.size()) {
             EXPECT_TRUE(reader->corrupt()) << "trial " << trial;
+        }
     }
 
     std::remove(path.c_str());

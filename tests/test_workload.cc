@@ -10,6 +10,7 @@
 #include "error_helpers.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -121,16 +122,22 @@ expectTargetsIndexTheirTable(const ProgramCfg &prog)
     EXPECT_EQ(cdf.data() + roots.begin, prog.rootCdf().data());
 }
 
+/** Fold the low @p bytes of @p v into FNV-1a hash @p h,
+ *  little-endian. */
+void
+fnvFold(std::uint64_t &h, std::uint64_t v, int bytes)
+{
+    for (int b = 0; b < bytes; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
 /** FNV-1a over a record's fields, little-endian, in declaration order. */
 std::uint64_t
 foldRecord(std::uint64_t h, const InstrRecord &r)
 {
-    auto fold = [&h](std::uint64_t v, int bytes) {
-        for (int b = 0; b < bytes; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
+    auto fold = [&h](std::uint64_t v, int bytes) { fnvFold(h, v, bytes); };
     fold(r.pc, 8);
     fold(r.target, 8);
     fold(r.dataAddr, 8);
@@ -139,6 +146,54 @@ foldRecord(std::uint64_t h, const InstrRecord &r)
     fold(r.srcReg[0], 1);
     fold(r.srcReg[1], 1);
     fold(r.dstReg, 1);
+    return h;
+}
+
+/**
+ * FNV-1a over every field of a program image, read through the public
+ * accessors, so that a change of layout must keep each value.
+ */
+std::uint64_t
+imageDigest(const ProgramCfg &prog)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto fold = [&h](std::uint64_t v, int bytes) { fnvFold(h, v, bytes); };
+    const Addr base = prog.config().codeBase;
+    for (const BasicBlock &bb : prog.blocks()) {
+        fold(bb.startPc(base), 8);
+        fold(bb.instrBase, 4);
+        fold(bb.numInstrs, 2);
+        fold(bb.target, 4);
+        fold(static_cast<std::uint8_t>(bb.term), 1);
+        fold(bb.isBackEdge, 1);
+        fold(bb.isTailCall, 1);
+        fold(std::bit_cast<std::uint32_t>(bb.takenProb), 4);
+    }
+    for (const StaticInstr &si : prog.instrs()) {
+        fold(static_cast<std::uint8_t>(si.op()), 1);
+        fold(si.src0, 1);
+        fold(si.src1, 1);
+        fold(si.dst(), 1);
+    }
+    for (std::uint32_t fi = 0; fi < prog.functions().size(); ++fi) {
+        const Function &fn = prog.functions()[fi];
+        fold(prog.entryPc(fi), 8);
+        fold(fn.firstBlock, 4);
+        fold(fn.numBlocks, 2);
+        fold(fn.layer, 1);
+        fold(fn.isTrapHandler, 1);
+    }
+    for (const IndirectSet &set : prog.indirectSets()) {
+        fold(set.begin, 4);
+        fold(set.count, 4);
+    }
+    for (std::uint32_t callee : prog.indirectFuncs())
+        fold(callee, 4);
+    for (double p : prog.indirectCdf())
+        fold(std::bit_cast<std::uint64_t>(p), 8);
+    for (std::uint32_t t : prog.trapFuncs())
+        fold(t, 4);
+    fold(prog.codeBytes(), 8);
     return h;
 }
 
@@ -160,22 +215,25 @@ TEST(Cfg, StructuralInvariants)
     const auto &blocks = prog->blocks();
     ASSERT_GT(funcs.size(), 16u);
 
-    for (const auto &fn : funcs) {
+    const Addr base = prog->config().codeBase;
+    for (std::uint32_t fi = 0; fi < funcs.size(); ++fi) {
+        const Function &fn = funcs[fi];
         ASSERT_GE(fn.numBlocks, 1u);
         // Entry is the first block's address, function-aligned.
-        EXPECT_EQ(fn.entry, blocks[fn.firstBlock].startPc);
-        EXPECT_EQ(fn.entry % 32, 0u);
+        EXPECT_EQ(prog->entryPc(fi), blocks[fn.firstBlock].startPc(base));
+        EXPECT_EQ(prog->entryPc(fi) % 32, 0u);
         // Blocks are contiguous in memory.
         for (std::uint32_t b = 0; b + 1 < fn.numBlocks; ++b) {
             const BasicBlock &cur = blocks[fn.firstBlock + b];
             const BasicBlock &nxt = blocks[fn.firstBlock + b + 1];
-            EXPECT_EQ(cur.endPc(), nxt.startPc);
+            EXPECT_EQ(cur.endPc(base), nxt.startPc(base));
         }
         // The last block returns (except the dispatcher's loop).
         const BasicBlock &last =
             blocks[fn.firstBlock + fn.numBlocks - 1];
-        if (&fn != &funcs[0])
+        if (&fn != &funcs[0]) {
             EXPECT_EQ(last.term, TermKind::Return);
+        }
         // Branch targets stay inside the function.
         for (std::uint32_t b = 0; b < fn.numBlocks; ++b) {
             const BasicBlock &bb = blocks[fn.firstBlock + b];
@@ -186,8 +244,9 @@ TEST(Cfg, StructuralInvariants)
                 EXPECT_LT(bb.target, fn.firstBlock + fn.numBlocks);
             }
             if (bb.term == TermKind::Call ||
-                (bb.term == TermKind::UncondBranch && bb.isTailCall))
+                (bb.term == TermKind::UncondBranch && bb.isTailCall)) {
                 EXPECT_LT(bb.target, funcs.size());
+            }
         }
     }
 }
@@ -202,6 +261,22 @@ TEST(Cfg, TargetsIndexTheirTable)
         SCOPED_TRACE(workloadName(kind));
         expectTargetsIndexTheirTable(*buildProgram(kind));
     }
+}
+
+TEST(Cfg, GoldenImageDigests)
+{
+    // imageDigest of each preset's image; the values predate the
+    // 16-byte block, 8-byte function and 3-byte instruction layout.
+    const std::uint64_t golden[4] = {
+        0xbba0de3ef3ee8825ULL, // DB
+        0x1c6a944633ba815dULL, // TPC-W
+        0x605770a49501a0c7ULL, // jApp
+        0x05ea9ab03da04087ULL, // Web
+    };
+    for (WorkloadKind kind : allWorkloadKinds())
+        EXPECT_EQ(imageDigest(*buildProgram(kind)),
+                  golden[static_cast<int>(kind)])
+            << workloadName(kind);
 }
 
 TEST(Cfg, RejectsCallLayersOutsideByteRange)
@@ -245,9 +320,9 @@ TEST(Cfg, RejectsMaxBlockInstrsOutOfRange)
     test::expectThrows<ConfigError>([&] { ProgramCfg prog(below); },
                                     "maxBlockInstrs 7");
     WorkloadConfig above = smallConfig();
-    above.maxBlockInstrs = 65536;
+    above.maxBlockInstrs = 256;
     test::expectThrows<ConfigError>([&] { ProgramCfg prog(above); },
-                                    "maxBlockInstrs 65536");
+                                    "maxBlockInstrs 256");
 }
 
 namespace
@@ -406,39 +481,41 @@ TEST(Cfg, BuildsAtTheLayoutLimits)
     WorkloadConfig cfg = smallConfig();
     cfg.callLayers = 255;
     cfg.minBlockInstrs = 1;
-    cfg.maxBlockInstrs = 65535;
+    cfg.maxBlockInstrs = 255;
     ProgramCfg prog(cfg);
     EXPECT_EQ(prog.functions().back().layer, 254u);
     EXPECT_TRUE(prog.functions().back().isTrapHandler);
 }
 
-TEST(Cfg, RejectsBlockCountAbove32Bits)
+TEST(Cfg, RejectsBlockCountAbove24Bits)
 {
-    // About 5e12 functions: refused before anything is allocated.
+    // About 4e7 functions of about 205 B, more than 2^24 but fewer
+    // than 2^32: refused before anything is allocated.
     WorkloadConfig cfg = smallConfig();
-    cfg.codeFootprintBytes = std::uint64_t{1} << 50;
+    cfg.codeFootprintBytes = std::uint64_t{8} << 30;
     test::expectThrows<ConfigError>([&] { ProgramCfg prog(cfg); },
                                     "or more blocks");
 }
 
-TEST(Cfg, RejectsInstructionCountAbove32Bits)
+TEST(Cfg, RejectsInstructionCountAbove24Bits)
 {
-    // About 1e5 functions of 65535-instruction blocks (1.6 MB each):
-    // few enough blocks, but at least 6.5e9 instructions.
+    // About 1e5 functions of 255-instruction blocks (6.4 kB each):
+    // few enough blocks, but at least 2.5e7 instructions. Refused
+    // before anything is allocated.
     WorkloadConfig cfg = smallConfig();
-    cfg.minBlockInstrs = 65535;
-    cfg.maxBlockInstrs = 65535;
-    cfg.codeFootprintBytes = std::uint64_t{100000} * 1'638'400;
+    cfg.minBlockInstrs = 255;
+    cfg.maxBlockInstrs = 255;
+    cfg.codeFootprintBytes = std::uint64_t{100000} * 6400;
     test::expectThrows<ConfigError>([&] { ProgramCfg prog(cfg); },
                                     "or more instructions");
 }
 
-TEST(Cfg, RejectsIndirectTargetCountAbove32Bits)
+TEST(Cfg, RejectsIndirectTargetCountAbove24Bits)
 {
     // The first non-dispatcher site would push the flat callee table
-    // past 2^32 entries; it is refused before the push.
+    // past 2^24 entries; it is refused before the push.
     WorkloadConfig cfg = smallConfig();
-    cfg.indirectTargets = std::numeric_limits<std::uint32_t>::max();
+    cfg.indirectTargets = 1u << 24;
     test::expectThrows<ConfigError>([&] { ProgramCfg prog(cfg); },
                                     "indirect-call targets");
 }
@@ -463,10 +540,12 @@ TEST(Cfg, FunctionsDoNotOverlap)
     auto prog = smallProgram();
     std::vector<std::pair<Addr, Addr>> ranges;
     const auto &blocks = prog->blocks();
-    for (const auto &fn : prog->functions()) {
-        Addr lo = fn.entry;
+    const Addr base = prog->config().codeBase;
+    for (std::uint32_t fi = 0; fi < prog->functions().size(); ++fi) {
+        const Function &fn = prog->functions()[fi];
+        Addr lo = prog->entryPc(fi);
         Addr hi =
-            blocks[fn.firstBlock + fn.numBlocks - 1].endPc();
+            blocks[fn.firstBlock + fn.numBlocks - 1].endPc(base);
         ranges.push_back({lo, hi});
     }
     std::sort(ranges.begin(), ranges.end());
@@ -599,8 +678,9 @@ TEST(Workload, DisjointDataSegmentsPerCore)
     }
     for (int i = 0; i < 50000; ++i) {
         w1->next(r);
-        if (r.isMem())
+        if (r.isMem()) {
             EXPECT_EQ(lines0.count(r.dataAddr >> 6), 0u);
+        }
     }
 }
 
