@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -422,91 +423,98 @@ CrossCheck
 crossCheck(const TraceAnalysis &analysis, const JsonValue &report)
 {
     CrossCheck cc;
-    auto check = [&cc](const std::string &what, std::uint64_t fromTrace,
-                       std::uint64_t fromSim) {
-        if (fromTrace == fromSim)
-            return;
+    auto fail = [&cc](const std::string &msg) {
         cc.ok = false;
-        cc.mismatches.push_back(
-            what + ": trace=" + std::to_string(fromTrace) +
-            " sim=" + std::to_string(fromSim));
+        cc.mismatches.push_back(msg);
+    };
+    for (const char *section : {"config", "results", "prefetch"})
+        if (!report.has(section))
+            fail(std::string(section) + ": missing from the report");
+    if (!cc.ok)
+        return cc;
+
+    // A report counter (element i of an array counter): one that is
+    // missing or malformed is a mismatch of its own, never a zero.
+    using Count = std::optional<std::uint64_t>;
+    auto counter = [&](const std::string &section, const std::string &key,
+                       std::size_t i = std::string::npos) -> Count {
+        bool scalar = i == std::string::npos;
+        try {
+            const JsonValue &v = report.at(section).at(key);
+            return (scalar ? v : v.items.at(i)).asUint();
+        } catch (const std::exception &) {
+            fail(section + "." + key +
+                 (scalar ? "" : "[" + std::to_string(i) + "]") +
+                 ": missing from the report");
+            return std::nullopt;
+        }
+    };
+    auto check = [&](const std::string &what, std::uint64_t fromTrace,
+                     Count fromSim) {
+        if (fromSim && fromTrace != *fromSim)
+            fail(what + ": trace=" + std::to_string(fromTrace) +
+                 " sim=" + std::to_string(*fromSim));
     };
 
-    const JsonValue &pf = report.at("prefetch");
-    std::uint64_t simUseful =
-        static_cast<std::uint64_t>(pf.numberOr("useful", 0)) +
-        static_cast<std::uint64_t>(
-            pf.numberOr("uncredited_useful", 0));
-    std::uint64_t simIssued =
-        static_cast<std::uint64_t>(pf.numberOr("issued", 0));
-    std::uint64_t simUseless =
-        static_cast<std::uint64_t>(pf.numberOr("useless", 0));
-    std::uint64_t simDropped =
-        static_cast<std::uint64_t>(pf.numberOr("dropped", 0));
-    std::uint64_t simInFlight =
-        static_cast<std::uint64_t>(pf.numberOr("in_flight", 0));
-    check("issued", analysis.total.issued, simIssued);
-    check("useful", analysis.total.useful, simUseful);
-    check("useless", analysis.total.useless, simUseless);
+    Count issued = counter("results", "pf_issued");
+    Count credited = counter("results", "pf_useful");
+    Count useless = counter("results", "pf_useless");
+    Count uncredited = counter("prefetch", "uncredited_useful");
+    Count dropped = counter("prefetch", "dropped");
+    Count inFlight = counter("prefetch", "in_flight");
+    Count useful;
+    if (credited && uncredited)
+        useful = *credited + *uncredited;
+    check("issued", analysis.total.issued, issued);
+    check("useful", analysis.total.useful, useful);
+    check("useless", analysis.total.useless, useless);
     check("dropped (replaced in flight)", analysis.total.replaced,
-          simDropped);
+          dropped);
     // in_flight is window-relative: when warm-up-issued prefetches
     // resolve inside the measurement window the simulator's own
     // lifecycle identity does not hold, and neither side's in-flight
     // figure is comparable — only check it on reconciling reports
     // (fresh-system runs, e.g. warmup_instrs = 0).
-    if (simIssued == simUseful + simUseless + simDropped + simInFlight)
-        check("in_flight", analysis.total.inFlight(), simInFlight);
+    if (issued && useful && useless && dropped && inFlight &&
+        *issued == *useful + *useless + *dropped + *inFlight)
+        check("in_flight", analysis.total.inFlight(), inFlight);
 
-    if (pf.has("by_origin")) {
-        const JsonValue &byOrigin = pf.at("by_origin");
-        for (std::size_t i = 0;
-             i < static_cast<std::size_t>(PrefetchOrigin::NumOrigins);
-             ++i) {
-            std::string name =
-                originName(static_cast<PrefetchOrigin>(i));
-            if (!byOrigin.has(name))
-                continue;
-            const JsonValue &o = byOrigin.at(name);
-            check("by_origin." + name + ".issued",
-                  analysis.byOrigin[i].issued,
-                  static_cast<std::uint64_t>(
-                      o.numberOr("issued", 0)));
-            check("by_origin." + name + ".useful",
-                  analysis.byOrigin[i].useful,
-                  static_cast<std::uint64_t>(
-                      o.numberOr("useful", 0)));
-        }
+    for (std::size_t i = 0; i < analysis.byOrigin.size(); ++i) {
+        std::string name = originName(static_cast<PrefetchOrigin>(i));
+        check("by_origin." + name + ".issued",
+              analysis.byOrigin[i].issued,
+              counter("results", "pf_issued_by_origin", i));
+        check("by_origin." + name + ".useful",
+              analysis.byOrigin[i].useful,
+              counter("results", "pf_useful_by_origin", i));
     }
 
     // CPI-stack cross-check: the traced fetch_stall episodes re-sum
     // exactly to the simulator's per-bucket ledger, and the derived
     // busy figure (cycles * cores minus every traced stall) matches
-    // the reported busy bucket. Skipped for functional-mode reports
-    // ("timing": false), which carry no cycle accounting.
-    if (report.has("cpi_stack")) {
-        const JsonValue &cs = report.at("cpi_stack");
-        bool timing = cs.has("timing") && cs.at("timing").boolean;
-        if (timing && cs.has("buckets")) {
-            const JsonValue &buckets = cs.at("buckets");
-            std::uint64_t chipCycles =
-                static_cast<std::uint64_t>(
-                    cs.numberOr("cycles", 0)) *
-                static_cast<std::uint64_t>(cs.numberOr("cores", 1));
-            std::uint64_t stallSum = 0;
-            for (std::size_t b = 1; b < kNumCycleBuckets; ++b) {
-                std::string name =
-                    cycleBucketName(static_cast<CycleBucket>(b));
-                check("cpi_stack." + name, analysis.stallCycles[b],
-                      static_cast<std::uint64_t>(
-                          buckets.numberOr(name, 0)));
-                stallSum += analysis.stallCycles[b];
-            }
-            std::uint64_t derivedBusy =
-                chipCycles >= stallSum ? chipCycles - stallSum : 0;
-            check("cpi_stack.busy (derived)", derivedBusy,
-                  static_cast<std::uint64_t>(
-                      buckets.numberOr("busy", 0)));
+    // the reported busy bucket. Skipped for functional runs, which
+    // carry no cycle accounting.
+    const JsonValue &config = report.at("config");
+    if (!config.has("functional") ||
+        config.at("functional").kind != JsonValue::Bool) {
+        fail("config.functional: missing from the report");
+    } else if (!config.at("functional").boolean) {
+        std::uint64_t stallSum = 0;
+        for (std::size_t b = 1; b < kNumCycleBuckets; ++b) {
+            check("cpi_stack." +
+                      std::string(cycleBucketName(
+                          static_cast<CycleBucket>(b))),
+                  analysis.stallCycles[b],
+                  counter("results", "cpi_stack", b));
+            stallSum += analysis.stallCycles[b];
+        }
+        Count cycles = counter("results", "cycles");
+        Count cores = counter("config", "cores");
+        if (cycles && cores) {
+            std::uint64_t chipCycles = *cycles * *cores;
+            check("cpi_stack.busy (derived)",
+                  chipCycles >= stallSum ? chipCycles - stallSum : 0,
+                  counter("results", "cpi_stack", 0));
         }
     }
     return cc;

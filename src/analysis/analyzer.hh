@@ -202,11 +202,12 @@ struct CrossCheck
 };
 
 /**
- * Compare per-origin issued/useful and the lifecycle totals of
- * @p analysis against one simulator JSON report (an element of the
- * --stats-json array; its "prefetch" section). Exact agreement is
- * expected when the trace ring did not wrap and the report covers
- * the same window as the trace.
+ * Compare the lifecycle totals, per-origin issued/useful and (timing
+ * runs) the CPI stack of @p analysis against one simulator JSON
+ * report (an element of the --stats-json array: its "results"
+ * counters and "prefetch" engine state). A counter the report lacks
+ * is a mismatch. Exact agreement is expected when the trace ring did
+ * not wrap and the report covers the same window as the trace.
  */
 CrossCheck crossCheck(const TraceAnalysis &analysis,
                       const JsonValue &report);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <fcntl.h>
@@ -20,84 +21,6 @@
 
 namespace ipref
 {
-
-namespace
-{
-
-/** Scalar counters of SimResults, by manifest key. */
-struct U64Field
-{
-    const char *name;
-    std::uint64_t SimResults::*ptr;
-};
-
-constexpr U64Field u64Fields[] = {
-    {"instructions", &SimResults::instructions},
-    {"cycles", &SimResults::cycles},
-    {"fetch_line_accesses", &SimResults::fetchLineAccesses},
-    {"l1i_misses", &SimResults::l1iMisses},
-    {"l1i_eliminated", &SimResults::l1iEliminated},
-    {"l1i_first_use_hits", &SimResults::l1iFirstUseHits},
-    {"l1i_late_hits", &SimResults::l1iLateHits},
-    {"l2i_misses", &SimResults::l2iMisses},
-    {"l1d_accesses", &SimResults::l1dAccesses},
-    {"l1d_misses", &SimResults::l1dMisses},
-    {"l2d_misses", &SimResults::l2dMisses},
-    {"pf_candidates", &SimResults::pfCandidates},
-    {"pf_issued", &SimResults::pfIssued},
-    {"pf_issued_off_chip", &SimResults::pfIssuedOffChip},
-    {"pf_useful", &SimResults::pfUseful},
-    {"pf_late", &SimResults::pfLate},
-    {"pf_useless", &SimResults::pfUseless},
-    {"pf_filtered", &SimResults::pfFiltered},
-    {"pf_tag_probes", &SimResults::pfTagProbes},
-    {"pf_tag_probe_hits", &SimResults::pfTagProbeHits},
-    {"bypass_installs", &SimResults::bypassInstalls},
-    {"bypass_drops", &SimResults::bypassDrops},
-    {"mem_reads", &SimResults::memReads},
-    {"mem_prefetch_reads", &SimResults::memPrefetchReads},
-    {"mem_writes", &SimResults::memWrites},
-    {"mem_queue_delay_cycles", &SimResults::memQueueDelayCycles},
-    {"branch_ctis", &SimResults::branchCtis},
-    {"branch_mispredicts", &SimResults::branchMispredicts},
-    {"pf_meta_entries", &SimResults::pfMetaEntries},
-    {"pf_meta_bytes", &SimResults::pfMetaBytes},
-    {"pf_meta_offchip_reads", &SimResults::pfMetaOffChipReads},
-    {"pf_meta_offchip_writes", &SimResults::pfMetaOffChipWrites},
-};
-
-template <std::size_t N>
-void
-emitArray(std::ostream &os, const char *name,
-          const std::array<std::uint64_t, N> &arr, bool &first)
-{
-    os << (first ? "" : ", ") << jsonString(name) << ": [";
-    first = false;
-    for (std::size_t i = 0; i < N; ++i)
-        os << (i ? ", " : "") << jsonString(jsonHex(arr[i]));
-    os << "]";
-}
-
-template <std::size_t N>
-bool
-parseArray(const JsonValue &v, const char *name,
-           std::array<std::uint64_t, N> &arr, std::string &err)
-{
-    if (!v.has(name)) {
-        err = std::string("missing array: ") + name;
-        return false;
-    }
-    const JsonValue &a = v.at(name);
-    if (a.kind != JsonValue::Array || a.items.size() != N) {
-        err = std::string("bad array: ") + name;
-        return false;
-    }
-    for (std::size_t i = 0; i < N; ++i)
-        arr[i] = a.items[i].asUint();
-    return true;
-}
-
-} // namespace
 
 const char *
 runStatusName(RunStatus s)
@@ -183,62 +106,48 @@ fingerprintSpec(const RunSpec &spec)
 std::string
 resultsToJson(const SimResults &r)
 {
-    std::ostringstream os;
-    os << "{";
-    bool first = true;
-    for (const U64Field &f : u64Fields) {
-        os << (first ? "" : ", ") << jsonString(f.name) << ": "
-           << jsonString(jsonHex(r.*f.ptr));
-        first = false;
+    std::string out = "{";
+    for (const ResultsField &f : kResultsFields) {
+        out += out.size() > 1 ? ", " : "";
+        out += jsonString(f.name) + ": " + (f.arrayLen ? "[" : "");
+        std::span<const std::uint64_t> v = f.in(r);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            out += (i ? ", \"" : "\"") + jsonHex(v[i]) + "\"";
+        out += f.arrayLen ? "]" : "";
     }
-    emitArray(os, "l1i_miss_by_transition", r.l1iMissByTransition,
-              first);
-    emitArray(os, "l2i_miss_by_transition", r.l2iMissByTransition,
-              first);
-    emitArray(os, "pf_issued_by_origin", r.pfIssuedByOrigin, first);
-    emitArray(os, "pf_useful_by_origin", r.pfUsefulByOrigin, first);
-    emitArray(os, "cpi_stack", r.cpiStack, first);
-    os << "}";
-    return os.str();
+    return out + "}";
 }
 
 Expected<SimResults>
 resultsFromJson(const JsonValue &v)
 {
+    auto bad = [](const std::string &what) {
+        return SimError(SimError::Kind::Io, "manifest results: " + what);
+    };
     if (v.kind != JsonValue::Object)
-        return SimError(SimError::Kind::Io,
-                        "manifest results: not an object");
+        return bad("not an object");
     SimResults r;
     try {
-        for (const U64Field &f : u64Fields) {
+        for (const ResultsField &f : kResultsFields) {
             if (!v.has(f.name))
-                return SimError(SimError::Kind::Io,
-                                std::string("manifest results: "
-                                            "missing counter: ") +
-                                    f.name);
-            r.*f.ptr = v.at(f.name).asUint();
+                return bad(std::string("missing counter: ") + f.name);
+            const JsonValue &x = v.at(f.name);
+            std::span<std::uint64_t> out = f.in(r);
+            if (!f.arrayLen) {
+                out[0] = x.asUint();
+                continue;
+            }
+            if (x.kind != JsonValue::Array || x.items.size() != out.size())
+                return bad(std::string("bad array: ") + f.name);
+            for (std::size_t i = 0; i < out.size(); ++i)
+                out[i] = x.items[i].asUint();
         }
-        std::string err;
-        if (!parseArray(v, "l1i_miss_by_transition",
-                        r.l1iMissByTransition, err) ||
-            !parseArray(v, "l2i_miss_by_transition",
-                        r.l2iMissByTransition, err) ||
-            !parseArray(v, "pf_issued_by_origin", r.pfIssuedByOrigin,
-                        err) ||
-            !parseArray(v, "pf_useful_by_origin", r.pfUsefulByOrigin,
-                        err) ||
-            !parseArray(v, "cpi_stack", r.cpiStack, err))
-            return SimError(SimError::Kind::Io,
-                            "manifest results: " + err);
     } catch (const std::exception &e) {
-        return SimError(SimError::Kind::Io,
-                        std::string("manifest results: ") + e.what());
+        return bad(e.what());
     }
-    // Recomputed exactly as System::run() does, so a checkpointed
-    // result is bit-identical to a live one.
-    r.ipc = r.cycles ? static_cast<double>(r.instructions) /
-                           static_cast<double>(r.cycles)
-                     : 0.0;
+    // Derived exactly as System::run() does, so a checkpointed result
+    // is bit-identical to a live one.
+    r.deriveIpc();
     return r;
 }
 
@@ -263,8 +172,11 @@ outcomeFromJson(const JsonValue &v)
 {
     RunOutcome o;
     o.status = parseRunStatus(v.stringOr("status", ""));
-    o.attempts = static_cast<unsigned>(v.numberOr("attempts", 0));
-    o.wallMs = static_cast<std::uint64_t>(v.numberOr("wall_ms", 0));
+    std::uint64_t attempts = v.at("attempts").asUint();
+    if (attempts > std::numeric_limits<unsigned>::max())
+        throw std::runtime_error("JSON: attempts out of range");
+    o.attempts = static_cast<unsigned>(attempts);
+    o.wallMs = v.at("wall_ms").asUint();
     if (o.ok()) {
         Expected<SimResults> res = resultsFromJson(v.at("results"));
         if (!res.ok())

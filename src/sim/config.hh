@@ -10,7 +10,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstddef>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,7 +135,16 @@ struct SystemConfig
     }
 };
 
-/** Counter deltas over the measurement window. */
+constexpr std::size_t kNumTransitions =
+    static_cast<std::size_t>(FetchTransition::NumTransitions);
+constexpr std::size_t kNumOrigins =
+    static_cast<std::size_t>(PrefetchOrigin::NumOrigins);
+
+/**
+ * Counter deltas over the measurement window. Every counter is listed
+ * once more, in kResultsFields below, which drives delta(), the
+ * campaign's JSON form and the per-run report.
+ */
 struct SimResults
 {
     std::uint64_t instructions = 0; //!< committed (aggregate)
@@ -149,12 +161,8 @@ struct SimResults
     std::uint64_t l1dMisses = 0;
     std::uint64_t l2dMisses = 0;
 
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(FetchTransition::NumTransitions)>
-        l1iMissByTransition{};
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(FetchTransition::NumTransitions)>
-        l2iMissByTransition{};
+    std::array<std::uint64_t, kNumTransitions> l1iMissByTransition{};
+    std::array<std::uint64_t, kNumTransitions> l2iMissByTransition{};
 
     std::uint64_t pfCandidates = 0;
     std::uint64_t pfIssued = 0;
@@ -167,18 +175,13 @@ struct SimResults
     std::uint64_t pfTagProbeHits = 0;
 
     /** Per-origin lifecycle attribution (index = PrefetchOrigin). */
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(PrefetchOrigin::NumOrigins)>
-        pfIssuedByOrigin{};
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(PrefetchOrigin::NumOrigins)>
-        pfUsefulByOrigin{};
+    std::array<std::uint64_t, kNumOrigins> pfIssuedByOrigin{};
+    std::array<std::uint64_t, kNumOrigins> pfUsefulByOrigin{};
 
     /**
      * Prefetcher metadata storage accounting, summed across engines
-     * (see MetadataCost). Entries/bytes are level gauges (delta()
-     * keeps the end-of-window level); the off-chip access counts are
-     * measurement-window counters like every other pf* field.
+     * (see MetadataCost). Entries/bytes are level gauges; the off-chip
+     * access counts are counters like every other pf* field.
      */
     std::uint64_t pfMetaEntries = 0;
     std::uint64_t pfMetaBytes = 0;
@@ -205,68 +208,171 @@ struct SimResults
      */
     std::array<std::uint64_t, kNumCycleBuckets> cpiStack{};
 
+    // --- derived ------------------------------------------------------
+    /** num / den, or 0 when den is 0. */
+    static double
+    ratio(std::uint64_t num, std::uint64_t den)
+    {
+        return den ? static_cast<double>(num) / static_cast<double>(den)
+                   : 0.0;
+    }
+
     /** Sum of every CPI-stack bucket. */
     std::uint64_t
     cpiStackTotal() const
     {
-        std::uint64_t sum = 0;
-        for (std::uint64_t v : cpiStack)
-            sum += v;
-        return sum;
+        return std::accumulate(cpiStack.begin(), cpiStack.end(),
+                               std::uint64_t{0});
     }
 
-    // --- derived ------------------------------------------------------
-    /** L1I demand misses per committed instruction. */
-    double
-    l1iMissPerInstr() const
-    {
-        return instructions ? static_cast<double>(l1iMisses) /
-                                  static_cast<double>(instructions)
-                            : 0.0;
-    }
-
-    /** L2 demand instruction misses per committed instruction. */
-    double
-    l2iMissPerInstr() const
-    {
-        return instructions ? static_cast<double>(l2iMisses) /
-                                  static_cast<double>(instructions)
-                            : 0.0;
-    }
-
-    /** L2 demand data misses per committed instruction. */
-    double
-    l2dMissPerInstr() const
-    {
-        return instructions ? static_cast<double>(l2dMisses) /
-                                  static_cast<double>(instructions)
-                            : 0.0;
-    }
+    /** L1I / L2I / L2D demand misses per committed instruction. */
+    double l1iMissPerInstr() const { return ratio(l1iMisses, instructions); }
+    double l2iMissPerInstr() const { return ratio(l2iMisses, instructions); }
+    double l2dMissPerInstr() const { return ratio(l2dMisses, instructions); }
 
     /** Prefetch accuracy: useful / issued. */
-    double
-    pfAccuracy() const
-    {
-        return pfIssued ? static_cast<double>(pfUseful) /
-                              static_cast<double>(pfIssued)
-                        : 0.0;
-    }
+    double pfAccuracy() const { return ratio(pfUseful, pfIssued); }
 
     /** Fraction of would-be L1I misses covered by prefetching. */
     double
     l1iCoverage() const
     {
         std::uint64_t covered = l1iFirstUseHits + l1iLateHits;
-        std::uint64_t base = covered + l1iMisses;
-        return base ? static_cast<double>(covered) /
-                          static_cast<double>(base)
-                    : 0.0;
+        return ratio(covered, covered + l1iMisses);
     }
 
-    /** a - b, field-wise (measurement-window delta). */
+    /** ipc = instructions / cycles: the one place it is derived. */
+    void deriveIpc() { ipc = ratio(instructions, cycles); }
+
+    /**
+     * end - start for every counter; a level gauge keeps its end
+     * value. ipc is derived from the differences.
+     */
     static SimResults delta(const SimResults &end,
                             const SimResults &start);
 };
+
+/**
+ * One SimResults member as kResultsFields lists it: its JSON key, its
+ * byte offset, its length (0 for a scalar, else the std::array's
+ * size) and whether it is a level gauge rather than a counter.
+ */
+struct ResultsField
+{
+    const char *name;
+    std::size_t offset;
+    std::size_t arrayLen = 0;
+    bool level = false;
+
+    constexpr std::size_t
+    count() const
+    {
+        return arrayLen ? arrayLen : 1;
+    }
+
+    std::span<std::uint64_t>
+    in(SimResults &r) const
+    {
+        return {reinterpret_cast<std::uint64_t *>(
+                    reinterpret_cast<char *>(&r) + offset),
+                count()};
+    }
+
+    std::span<const std::uint64_t>
+    in(const SimResults &r) const
+    {
+        return in(const_cast<SimResults &>(r));
+    }
+};
+
+/** Every SimResults counter, in resultsToJson() order. */
+inline constexpr ResultsField kResultsFields[] = {
+    {"instructions", offsetof(SimResults, instructions)},
+    {"cycles", offsetof(SimResults, cycles)},
+    {"fetch_line_accesses", offsetof(SimResults, fetchLineAccesses)},
+    {"l1i_misses", offsetof(SimResults, l1iMisses)},
+    {"l1i_eliminated", offsetof(SimResults, l1iEliminated)},
+    {"l1i_first_use_hits", offsetof(SimResults, l1iFirstUseHits)},
+    {"l1i_late_hits", offsetof(SimResults, l1iLateHits)},
+    {"l2i_misses", offsetof(SimResults, l2iMisses)},
+    {"l1d_accesses", offsetof(SimResults, l1dAccesses)},
+    {"l1d_misses", offsetof(SimResults, l1dMisses)},
+    {"l2d_misses", offsetof(SimResults, l2dMisses)},
+    {"pf_candidates", offsetof(SimResults, pfCandidates)},
+    {"pf_issued", offsetof(SimResults, pfIssued)},
+    {"pf_issued_off_chip", offsetof(SimResults, pfIssuedOffChip)},
+    {"pf_useful", offsetof(SimResults, pfUseful)},
+    {"pf_late", offsetof(SimResults, pfLate)},
+    {"pf_useless", offsetof(SimResults, pfUseless)},
+    {"pf_filtered", offsetof(SimResults, pfFiltered)},
+    {"pf_tag_probes", offsetof(SimResults, pfTagProbes)},
+    {"pf_tag_probe_hits", offsetof(SimResults, pfTagProbeHits)},
+    {"bypass_installs", offsetof(SimResults, bypassInstalls)},
+    {"bypass_drops", offsetof(SimResults, bypassDrops)},
+    {"mem_reads", offsetof(SimResults, memReads)},
+    {"mem_prefetch_reads", offsetof(SimResults, memPrefetchReads)},
+    {"mem_writes", offsetof(SimResults, memWrites)},
+    {"mem_queue_delay_cycles", offsetof(SimResults, memQueueDelayCycles)},
+    {"branch_ctis", offsetof(SimResults, branchCtis)},
+    {"branch_mispredicts", offsetof(SimResults, branchMispredicts)},
+    {.name = "pf_meta_entries",
+     .offset = offsetof(SimResults, pfMetaEntries),
+     .level = true},
+    {.name = "pf_meta_bytes",
+     .offset = offsetof(SimResults, pfMetaBytes),
+     .level = true},
+    {"pf_meta_offchip_reads", offsetof(SimResults, pfMetaOffChipReads)},
+    {"pf_meta_offchip_writes", offsetof(SimResults, pfMetaOffChipWrites)},
+    {"l1i_miss_by_transition", offsetof(SimResults, l1iMissByTransition),
+     kNumTransitions},
+    {"l2i_miss_by_transition", offsetof(SimResults, l2iMissByTransition),
+     kNumTransitions},
+    {"pf_issued_by_origin", offsetof(SimResults, pfIssuedByOrigin),
+     kNumOrigins},
+    {"pf_useful_by_origin", offsetof(SimResults, pfUsefulByOrigin),
+     kNumOrigins},
+    {"cpi_stack", offsetof(SimResults, cpiStack), kNumCycleBuckets},
+};
+
+/**
+ * True when the fields, with ipc, cover every byte of SimResults once:
+ * a counter missing from the table fails to compile.
+ */
+constexpr bool
+resultsFieldsCoverSimResults()
+{
+    constexpr std::size_t word = sizeof(std::uint64_t);
+    constexpr std::size_t ipcAt = offsetof(SimResults, ipc);
+    std::size_t bytes = sizeof(SimResults::ipc);
+    for (const ResultsField &f : kResultsFields) {
+        std::size_t end = f.offset + f.count() * word;
+        if (end > sizeof(SimResults) ||
+            (f.offset < ipcAt + sizeof(double) && ipcAt < end))
+            return false;
+        for (const ResultsField &g : kResultsFields)
+            if (&f != &g && f.offset < g.offset + g.count() * word &&
+                g.offset < end)
+                return false;
+        bytes += f.count() * word;
+    }
+    return bytes == sizeof(SimResults);
+}
+static_assert(resultsFieldsCoverSimResults(),
+              "kResultsFields must list every SimResults counter once");
+
+inline SimResults
+SimResults::delta(const SimResults &end, const SimResults &start)
+{
+    SimResults d;
+    for (const ResultsField &f : kResultsFields) {
+        std::span<const std::uint64_t> e = f.in(end), s = f.in(start);
+        std::span<std::uint64_t> out = f.in(d);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = f.level ? e[i] : e[i] - s[i];
+    }
+    d.deriveIpc();
+    return d;
+}
 
 } // namespace ipref
 

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "prefetch/fetch_profiler.hh"
+#include "sim/campaign.hh"
 #include "trace/trace_cache.hh"
 #include "trace/trace_v3.hh"
 #include "util/error.hh"
@@ -117,68 +118,6 @@ SystemConfig::workloadSetName() const
     if (workloads.size() > 1)
         return "Mixed";
     return workloadName(workloads[0]);
-}
-
-SimResults
-SimResults::delta(const SimResults &end, const SimResults &start)
-{
-    SimResults d;
-    d.instructions = end.instructions - start.instructions;
-    d.cycles = end.cycles - start.cycles;
-    d.fetchLineAccesses =
-        end.fetchLineAccesses - start.fetchLineAccesses;
-    d.l1iMisses = end.l1iMisses - start.l1iMisses;
-    d.l1iEliminated = end.l1iEliminated - start.l1iEliminated;
-    d.l1iFirstUseHits = end.l1iFirstUseHits - start.l1iFirstUseHits;
-    d.l1iLateHits = end.l1iLateHits - start.l1iLateHits;
-    d.l2iMisses = end.l2iMisses - start.l2iMisses;
-    d.l1dAccesses = end.l1dAccesses - start.l1dAccesses;
-    d.l1dMisses = end.l1dMisses - start.l1dMisses;
-    d.l2dMisses = end.l2dMisses - start.l2dMisses;
-    for (std::size_t i = 0; i < d.l1iMissByTransition.size(); ++i) {
-        d.l1iMissByTransition[i] = end.l1iMissByTransition[i] -
-                                   start.l1iMissByTransition[i];
-        d.l2iMissByTransition[i] = end.l2iMissByTransition[i] -
-                                   start.l2iMissByTransition[i];
-    }
-    d.pfCandidates = end.pfCandidates - start.pfCandidates;
-    d.pfIssued = end.pfIssued - start.pfIssued;
-    d.pfIssuedOffChip = end.pfIssuedOffChip - start.pfIssuedOffChip;
-    d.pfUseful = end.pfUseful - start.pfUseful;
-    d.pfLate = end.pfLate - start.pfLate;
-    d.pfUseless = end.pfUseless - start.pfUseless;
-    d.pfFiltered = end.pfFiltered - start.pfFiltered;
-    d.pfTagProbes = end.pfTagProbes - start.pfTagProbes;
-    d.pfTagProbeHits = end.pfTagProbeHits - start.pfTagProbeHits;
-    for (std::size_t i = 0; i < d.pfIssuedByOrigin.size(); ++i) {
-        d.pfIssuedByOrigin[i] =
-            end.pfIssuedByOrigin[i] - start.pfIssuedByOrigin[i];
-        d.pfUsefulByOrigin[i] =
-            end.pfUsefulByOrigin[i] - start.pfUsefulByOrigin[i];
-    }
-    // Metadata entries/bytes are level gauges, not counters: a delta
-    // window reports the level at its end, not a meaningless
-    // difference of levels.
-    d.pfMetaEntries = end.pfMetaEntries;
-    d.pfMetaBytes = end.pfMetaBytes;
-    d.pfMetaOffChipReads =
-        end.pfMetaOffChipReads - start.pfMetaOffChipReads;
-    d.pfMetaOffChipWrites =
-        end.pfMetaOffChipWrites - start.pfMetaOffChipWrites;
-    d.bypassInstalls = end.bypassInstalls - start.bypassInstalls;
-    d.bypassDrops = end.bypassDrops - start.bypassDrops;
-    d.memReads = end.memReads - start.memReads;
-    d.memPrefetchReads =
-        end.memPrefetchReads - start.memPrefetchReads;
-    d.memWrites = end.memWrites - start.memWrites;
-    d.memQueueDelayCycles =
-        end.memQueueDelayCycles - start.memQueueDelayCycles;
-    d.branchCtis = end.branchCtis - start.branchCtis;
-    d.branchMispredicts =
-        end.branchMispredicts - start.branchMispredicts;
-    for (std::size_t i = 0; i < d.cpiStack.size(); ++i)
-        d.cpiStack[i] = end.cpiStack[i] - start.cpiStack[i];
-    return d;
 }
 
 System::System(const SystemConfig &cfg) : cfg_(cfg)
@@ -422,19 +361,17 @@ void
 System::maybeSample(std::uint64_t p)
 {
     while (p >= nextSampleAt_) {
-        SimResults cur = collect();
-        IntervalSample s;
-        s.endInstructions = cur.instructions;
-        s.delta = SimResults::delta(cur, lastSample_);
-        s.delta.ipc =
-            s.delta.cycles
-                ? static_cast<double>(s.delta.instructions) /
-                      static_cast<double>(s.delta.cycles)
-                : 0.0;
-        samples_.push_back(s);
-        lastSample_ = cur;
+        pushSample(collect());
         nextSampleAt_ += cfg_.statsIntervalInstrs;
     }
+}
+
+void
+System::pushSample(const SimResults &cur)
+{
+    samples_.push_back({cur.instructions,
+                        SimResults::delta(cur, lastSample_)});
+    lastSample_ = cur;
 }
 
 void
@@ -798,11 +735,7 @@ System::run()
         core->finishAccounting(now_);
 
     results_ = collect();
-    results_.ipc =
-        results_.cycles
-            ? static_cast<double>(results_.instructions) /
-                  static_cast<double>(results_.cycles)
-            : 0.0;
+    results_.deriveIpc();
 
     // Conservation invariant: in timing mode every core charges every
     // measurement cycle to exactly one bucket, so each ledger totals
@@ -837,18 +770,8 @@ System::run()
     // whole measurement window.
     if (cfg_.statsIntervalInstrs > 0 &&
         (samples_.empty() ||
-         lastSample_.instructions < results_.instructions)) {
-        IntervalSample s;
-        s.endInstructions = results_.instructions;
-        s.delta = SimResults::delta(results_, lastSample_);
-        s.delta.ipc =
-            s.delta.cycles
-                ? static_cast<double>(s.delta.instructions) /
-                      static_cast<double>(s.delta.cycles)
-                : 0.0;
-        samples_.push_back(s);
-        lastSample_ = results_;
-    }
+         lastSample_.instructions < results_.instructions))
+        pushSample(results_);
     return results_;
 }
 
@@ -900,7 +823,6 @@ System::dumpStats(std::ostream &os) const
 void
 System::dumpJson(std::ostream &os) const
 {
-    const SimResults &r = results_;
     os << "{\n";
 
     // --- configuration ------------------------------------------------
@@ -927,20 +849,10 @@ System::dumpJson(std::ostream &os) const
        << "    \"base_seed\": " << cfg_.baseSeed << "\n"
        << "  },\n";
 
-    // --- headline results --------------------------------------------
-    os << "  \"results\": {\n"
-       << "    \"instructions\": " << r.instructions << ",\n"
-       << "    \"cycles\": " << r.cycles << ",\n"
-       << "    \"ipc\": " << jsonNumber(r.ipc) << ",\n"
-       << "    \"l1i_miss_per_instr\": "
-       << jsonNumber(r.l1iMissPerInstr()) << ",\n"
-       << "    \"l2i_miss_per_instr\": "
-       << jsonNumber(r.l2iMissPerInstr()) << ",\n"
-       << "    \"l2d_miss_per_instr\": "
-       << jsonNumber(r.l2dMissPerInstr()) << "\n"
-       << "  },\n";
+    // --- counters: the campaign's SimResults form ---------------------
+    os << "  \"results\": " << resultsToJson(results_) << ",\n";
 
-    // --- per-scheme prefetch lifecycle attribution --------------------
+    // --- engine state SimResults does not carry -----------------------
     TimelinessSummary t = timeliness();
     std::uint64_t inFlight = 0, dropped = 0, uncredited = 0;
     for (const auto &e : engines_) {
@@ -948,79 +860,20 @@ System::dumpJson(std::ostream &os) const
         dropped += e->replacedInFlight.value();
         uncredited += e->uncreditedUseful.value();
     }
-    os << "  \"prefetch\": {\n"
-       << "    \"scheme\": "
-       << jsonString(schemeDisplayName(cfg_.prefetch)) << ",\n"
-       << "    \"scheme_token\": "
-       << jsonString(cfg_.prefetch.effectiveToken()) << ",\n"
-       << "    \"issued\": " << r.pfIssued << ",\n"
-       << "    \"useful\": " << r.pfUseful << ",\n"
-       << "    \"uncredited_useful\": " << uncredited << ",\n"
-       << "    \"late\": " << r.pfLate << ",\n"
-       << "    \"useless\": " << r.pfUseless << ",\n"
-       << "    \"in_flight\": " << inFlight << ",\n"
-       << "    \"dropped\": " << dropped << ",\n"
-       << "    \"accuracy\": " << jsonNumber(r.pfAccuracy()) << ",\n"
-       << "    \"coverage\": " << jsonNumber(r.l1iCoverage()) << ",\n"
-       << "    \"timeliness\": {\"count\": " << t.count
+    os << "  \"prefetch\": {\"uncredited_useful\": " << uncredited
+       << ", \"in_flight\": " << inFlight << ", \"dropped\": " << dropped
+       << ",\n    \"timeliness\": {\"count\": " << t.count
        << ", \"mean_cycles\": " << jsonNumber(t.meanCycles)
        << ", \"p50_cycles\": " << t.p50Cycles
        << ", \"p90_cycles\": " << t.p90Cycles
-       << ", \"max_cycles\": " << t.maxCycles << "},\n"
-       << "    \"by_origin\": {";
-    for (std::size_t i = 0; i < r.pfIssuedByOrigin.size(); ++i) {
-        os << (i ? ", " : "")
-           << jsonString(originName(static_cast<PrefetchOrigin>(i)))
-           << ": {\"issued\": " << r.pfIssuedByOrigin[i]
-           << ", \"useful\": " << r.pfUsefulByOrigin[i] << "}";
-    }
-    os << "},\n"
-       << "    \"metadata\": {\"entries\": " << r.pfMetaEntries
-       << ", \"bytes\": " << r.pfMetaBytes
-       << ", \"off_chip_reads\": " << r.pfMetaOffChipReads
-       << ", \"off_chip_writes\": " << r.pfMetaOffChipWrites
-       << "}\n  },\n";
-
-    // --- CPI stack ---------------------------------------------------
-    // Bucket cycles sum exactly to cycles * cores in timing mode (the
-    // run-time invariant); all-zero in functional mode, flagged by
-    // "timing": false so consumers skip the cross-check.
-    os << "  \"cpi_stack\": {\n"
-       << "    \"timing\": " << (cfg_.functional ? "false" : "true")
-       << ",\n"
-       << "    \"cores\": " << cfg_.numCores << ",\n"
-       << "    \"cycles\": " << r.cycles << ",\n"
-       << "    \"total\": " << r.cpiStackTotal() << ",\n"
-       << "    \"buckets\": {";
-    for (std::size_t i = 0; i < kNumCycleBuckets; ++i) {
-        os << (i ? ", " : "")
-           << jsonString(
-                  cycleBucketName(static_cast<CycleBucket>(i)))
-           << ": " << r.cpiStack[i];
-    }
-    os << "}\n  },\n";
+       << ", \"max_cycles\": " << t.maxCycles << "}},\n";
 
     // --- interval samples --------------------------------------------
     os << "  \"intervals\": [";
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        const IntervalSample &s = samples_[i];
+    for (std::size_t i = 0; i < samples_.size(); ++i)
         os << (i ? ",\n" : "\n") << "    {\"end_instructions\": "
-           << s.endInstructions
-           << ", \"instructions\": " << s.delta.instructions
-           << ", \"cycles\": " << s.delta.cycles
-           << ", \"ipc\": " << jsonNumber(s.delta.ipc)
-           << ", \"l1i_misses\": " << s.delta.l1iMisses
-           << ", \"l2i_misses\": " << s.delta.l2iMisses
-           << ", \"l2d_misses\": " << s.delta.l2dMisses
-           << ", \"pf_issued\": " << s.delta.pfIssued
-           << ", \"pf_useful\": " << s.delta.pfUseful
-           << ", \"pf_late\": " << s.delta.pfLate
-           << ", \"mem_reads\": " << s.delta.memReads
-           << ", \"cpi_stack\": [";
-        for (std::size_t b = 0; b < kNumCycleBuckets; ++b)
-            os << (b ? ", " : "") << s.delta.cpiStack[b];
-        os << "]}";
-    }
+           << samples_[i].endInstructions << ", \"results\": "
+           << resultsToJson(samples_[i].delta) << "}";
     os << (samples_.empty() ? "" : "\n  ") << "],\n";
 
     // --- phase profile -----------------------------------------------

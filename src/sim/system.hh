@@ -108,9 +108,10 @@ class System
     void dumpStats(std::ostream &os) const;
 
     /**
-     * Machine-readable report: config, measurement results with
-     * per-scheme prefetch lifecycle attribution, the full stats tree,
-     * interval samples and the phase profile, as one JSON object.
+     * Machine-readable report, one JSON object: config, results (the
+     * resultsToJson() counters), the prefetch engine state SimResults
+     * lacks, interval samples (each a resultsToJson() delta), the
+     * phase profile, profiler, trace summary and full stats tree.
      */
     void dumpJson(std::ostream &os) const;
 
@@ -126,6 +127,9 @@ class System
 
     /** Emit due interval samples given current progress @p p. */
     void maybeSample(std::uint64_t p);
+
+    /** Append the sample ending at @p cur (measure-relative). */
+    void pushSample(const SimResults &cur);
 
     void runTiming(std::uint64_t targetInstrs);
     void runFunctional(std::uint64_t targetInstrs);

@@ -10,6 +10,7 @@
 #ifndef IPREF_UTIL_JSON_HH
 #define IPREF_UTIL_JSON_HH
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -135,17 +136,26 @@ struct JsonValue
     }
 
     /**
-     * This value as a uint64: plain numbers round-trip below 2^53;
-     * "0x..." strings (the writers' address encoding) parse exactly.
+     * This value as a uint64: a finite integral number in [0, 2^64)
+     * (exact below 2^53), or "0x" and 1-16 hex digits (the writers'
+     * counter and address encoding, exact). Anything else throws.
      */
     std::uint64_t
     asUint() const
     {
-        if (kind == Number)
+        if (kind == Number && number >= 0 && number < 0x1p64 &&
+            number == std::floor(number))
             return static_cast<std::uint64_t>(number);
-        if (kind == String && str.rfind("0x", 0) == 0)
-            return std::stoull(str.substr(2), nullptr, 16);
-        throw std::runtime_error("JSON: not a uint: " + str);
+        std::uint64_t v = 0;
+        if (kind == String && str.size() > 2 && str.size() <= 18 &&
+            str.compare(0, 2, "0x") == 0 &&
+            std::from_chars(str.data() + 2, str.data() + str.size(), v,
+                            16)
+                    .ptr == str.data() + str.size())
+            return v;
+        throw std::runtime_error(
+            "JSON: not a uint: " +
+            (kind == Number ? jsonNumber(number) : str));
     }
 };
 

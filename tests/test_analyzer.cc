@@ -326,10 +326,28 @@ TEST(Golden, EventDerivedLifecycleMatchesSimulatorCounters)
     // same comparison tools/ipref_analyze.cc --stats performs.
     std::ostringstream rep;
     system.dumpJson(rep);
-    CrossCheck cc = crossCheck(a, parseJson(rep.str()));
+    JsonValue report = parseJson(rep.str());
+    CrossCheck cc = crossCheck(a, report);
     EXPECT_TRUE(cc.ok);
     for (const std::string &m : cc.mismatches)
         ADD_FAILURE() << "cross-check mismatch: " << m;
+
+    // It cannot pass vacuously: a counter off by one, or a report
+    // without its counters, is a mismatch.
+    JsonValue offByOne = report;
+    offByOne.fields["results"].fields["pf_issued"].str =
+        jsonHex(r.pfIssued + 1);
+    CrossCheck off = crossCheck(a, offByOne);
+    EXPECT_FALSE(off.ok);
+    ASSERT_EQ(off.mismatches.size(), 1u);
+    EXPECT_EQ(off.mismatches[0].rfind("issued: ", 0), 0u)
+        << off.mismatches[0];
+    JsonValue noResults = report;
+    noResults.fields.erase("results");
+    CrossCheck none = crossCheck(a, noResults);
+    EXPECT_FALSE(none.ok);
+    ASSERT_EQ(none.mismatches.size(), 1u);
+    EXPECT_EQ(none.mismatches[0], "results: missing from the report");
 
     // Fig.-3 style breakdown: every L1I miss carries a transition.
     EXPECT_GT(a.l1iMisses, 0u);

@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include "scheme_params.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_proto.hh"
 #include "sim/coordinator.hh"
@@ -403,6 +404,40 @@ TEST(CampaignE2E, MatchesSingleProcessRunBatchBitExactly)
                   resultsToJson(baseline[i].results))
             << "spec " << i;
         EXPECT_EQ(dist[i].attempts, baseline[i].attempts);
+    }
+}
+
+// The outcome wire carries the SimResults counters of every scheme
+// intact: one 1-core timing run per registered scheme on two workers
+// equals the same spec run in-process.
+TEST(CampaignE2E, EverySchemeMatchesRunBatchOnTwoWorkers)
+{
+    REQUIRE_WORKER();
+    std::vector<RunSpec> specs;
+    for (const std::string &token : test::allSchemeTokens())
+        specs.push_back(RunSpec::builder()
+                            .cmp(false)
+                            .workload(WorkloadKind::DB)
+                            .scheme(token)
+                            .instrScale(0.01)
+                            .build());
+
+    BatchOptions seq;
+    seq.jobs = 1;
+    std::vector<RunOutcome> baseline = runBatch(specs, seq);
+    std::vector<RunOutcome> dist = runCampaign(specs, testCampaign(2));
+
+    ASSERT_EQ(dist.size(), specs.size());
+    for (std::size_t i = 0; i < dist.size(); ++i) {
+        ASSERT_EQ(dist[i].status, RunStatus::Ok)
+            << specs[i].schemeToken << ": " << dist[i].error;
+        ASSERT_EQ(baseline[i].status, RunStatus::Ok)
+            << specs[i].schemeToken << ": " << baseline[i].error;
+        EXPECT_GT(dist[i].results.cpiStackTotal(), 0u)
+            << specs[i].schemeToken;
+        EXPECT_EQ(resultsToJson(dist[i].results),
+                  resultsToJson(baseline[i].results))
+            << specs[i].schemeToken;
     }
 }
 

@@ -577,6 +577,74 @@ TEST(FaultTolerance, ResultsJsonRoundTrip)
     // Missing counters surface as errors, not zeros.
     Expected<SimResults> bad = resultsFromJson(parseJson("{}"));
     EXPECT_FALSE(bad.ok());
+
+    // So does a malformed one.
+    JsonValue negative = parseJson(resultsToJson(r));
+    negative.fields["l2i_misses"].str = "0x-1";
+    EXPECT_FALSE(resultsFromJson(negative).ok());
+}
+
+// Every counter goes through the table: distinct values round-trip
+// through the JSON form, and delta() subtracts each one but keeps the
+// end level of the two metadata gauges.
+TEST(FaultTolerance, ResultsTableCoversEveryCounter)
+{
+    SimResults start, end;
+    std::uint64_t next = 1;
+    std::size_t counters = 0;
+    for (const ResultsField &f : kResultsFields) {
+        for (std::uint64_t &v : f.in(start))
+            v = next++;
+        for (std::uint64_t &v : f.in(end))
+            v = 1000 * next++;
+        counters += f.count();
+    }
+    EXPECT_EQ(counters * sizeof(std::uint64_t) + sizeof(double),
+              sizeof(SimResults));
+
+    Expected<SimResults> back = resultsFromJson(parseJson(resultsToJson(end)));
+    ASSERT_TRUE(back.ok()) << back.error().what();
+    for (const ResultsField &f : kResultsFields)
+        for (std::size_t i = 0; i < f.count(); ++i)
+            EXPECT_EQ(f.in(back.value())[i], f.in(end)[i]) << f.name;
+
+    SimResults d = SimResults::delta(end, start);
+    for (const ResultsField &f : kResultsFields)
+        for (std::size_t i = 0; i < f.count(); ++i)
+            EXPECT_EQ(f.in(d)[i],
+                      f.level ? f.in(end)[i]
+                              : f.in(end)[i] - f.in(start)[i])
+                << f.name;
+    EXPECT_EQ(d.pfMetaEntries, end.pfMetaEntries);
+    EXPECT_EQ(d.pfMetaBytes, end.pfMetaBytes);
+    EXPECT_EQ(d.pfMetaOffChipReads,
+              end.pfMetaOffChipReads - start.pfMetaOffChipReads);
+    EXPECT_EQ(d.cpiStack.back(),
+              end.cpiStack.back() - start.cpiStack.back());
+    EXPECT_EQ(d.ipc, static_cast<double>(d.instructions) /
+                         static_cast<double>(d.cycles));
+}
+
+TEST(FaultTolerance, ManifestWithAMalformedCounterIsNotRestored)
+{
+    SimResults r = runSpec(quickSpec(1));
+    std::string results = resultsToJson(r);
+    const std::string key = "\"l1i_misses\": \"";
+    std::size_t at = results.find(key) + key.size();
+    results.replace(at, results.find('"', at) - at, "0x-1");
+
+    std::string path = ::testing::TempDir() + "bad_counter.json";
+    std::ofstream(path)
+        << "{\n  \"version\": 2,\n  \"runs\": [\n    {\"fingerprint\": "
+           "\"0x1\", \"status\": \"ok\", \"attempts\": 1, \"wall_ms\": 5, "
+           "\"results\": "
+        << results << "}\n  ]\n}\n";
+    Expected<CampaignManifest> m = CampaignManifest::load(path);
+    ASSERT_FALSE(m.ok());
+    EXPECT_NE(std::string(m.error().what()).find("0x-1"),
+              std::string::npos)
+        << m.error().what();
+    std::remove(path.c_str());
 }
 
 TEST(FaultTolerance, ExpectedBasics)

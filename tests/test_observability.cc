@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "scheme_params.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "util/json.hh"
 #include "util/stats.hh"
@@ -209,19 +210,45 @@ TEST(SystemReport, JsonParsesWithLifecycleAndIntervals)
     JsonValue v = parseJson(os.str());
 
     EXPECT_EQ(v.at("config").at("scheme").str, "discontinuity");
-    EXPECT_GT(v.at("results").at("instructions").number, 0);
-    EXPECT_GT(v.at("results").at("ipc").number, 0);
+    // The results section is the campaign's counter form, verbatim.
+    const JsonValue &res = v.at("results");
+    EXPECT_GT(res.at("instructions").asUint(), 0u);
+    EXPECT_GT(res.at("pf_issued").asUint(), 0u);
+    Expected<SimResults> back = resultsFromJson(res);
+    ASSERT_TRUE(back.ok()) << back.error().what();
+    EXPECT_EQ(resultsToJson(back.value()), resultsToJson(system.results()));
+    const JsonValue &byOrigin = res.at("pf_issued_by_origin");
+    ASSERT_EQ(byOrigin.items.size(), kNumOrigins);
+    EXPECT_GT(byOrigin.items[static_cast<std::size_t>(
+                                 PrefetchOrigin::Discontinuity)]
+                  .asUint(),
+              0u);
 
+    // Only engine state SimResults lacks stays in "prefetch".
     const JsonValue &pf = v.at("prefetch");
-    EXPECT_GT(pf.at("issued").number, 0);
-    EXPECT_TRUE(pf.at("by_origin").has("sequential"));
-    EXPECT_TRUE(pf.at("by_origin").has("discontinuity"));
+    EXPECT_EQ(pf.fields.size(), 4u);
+    EXPECT_NO_THROW(pf.at("uncredited_useful").asUint());
+    EXPECT_NO_THROW(pf.at("in_flight").asUint());
+    EXPECT_NO_THROW(pf.at("dropped").asUint());
     EXPECT_TRUE(pf.at("timeliness").has("p90_cycles"));
+    EXPECT_FALSE(v.has("cpi_stack"));
 
-    // The acceptance bar: at least two interval samples.
+    // The acceptance bar: at least two interval samples, each a full
+    // counter delta, together covering the measurement window.
     const JsonValue &intervals = v.at("intervals");
     ASSERT_EQ(intervals.kind, JsonValue::Array);
     EXPECT_GE(intervals.items.size(), 2u);
+    std::uint64_t instrs = 0, issued = 0;
+    for (const JsonValue &iv : intervals.items) {
+        Expected<SimResults> d = resultsFromJson(iv.at("results"));
+        ASSERT_TRUE(d.ok()) << d.error().what();
+        instrs += d.value().instructions;
+        issued += d.value().pfIssued;
+    }
+    EXPECT_EQ(instrs, res.at("instructions").asUint());
+    EXPECT_EQ(issued, res.at("pf_issued").asUint());
+    EXPECT_EQ(intervals.items.back().at("end_instructions").asUint(),
+              instrs);
 
     EXPECT_TRUE(v.at("stats").at("children").has("hierarchy"));
     EXPECT_TRUE(v.at("stats").at("children").has("prefetch.0"));

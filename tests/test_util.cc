@@ -19,6 +19,7 @@
 
 #include "util/bitutil.hh"
 #include "util/histogram.hh"
+#include "util/json.hh"
 #include "util/options.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -578,4 +579,30 @@ TEST(ThreadPool, DestructorDrainsQueue)
             });
     }
     EXPECT_EQ(count.load(), 50);
+}
+
+// --- JSON counters ----------------------------------------------------
+
+TEST(Json, AsUintAcceptsIntegralNumbersAndHexCounters)
+{
+    EXPECT_EQ(parseJson("0").asUint(), 0u);
+    EXPECT_EQ(parseJson("4096").asUint(), 4096u);
+    EXPECT_EQ(parseJson("\"0x0\"").asUint(), 0u);
+    EXPECT_EQ(parseJson("\"0xdeadBEEF\"").asUint(), 0xdeadbeefu);
+    EXPECT_EQ(parseJson("\"0xffffffffffffffff\"").asUint(),
+              ~std::uint64_t{0});
+    EXPECT_EQ(parseJson(jsonString(jsonHex(0x123456789abcdefULL)))
+                  .asUint(),
+              0x123456789abcdefULL);
+}
+
+TEST(Json, AsUintRejectsMalformedCounters)
+{
+    for (const char *text :
+         {"\"0x-1\"", "\"0x12zz\"", "\"0x 7\"", "\"0x\"", "\"0x+7\"",
+          "\"0x0x1\"", "\"12\"", "\"0X12\"", "\"0x10000000000000000\"",
+          "-1", "1e30", "18446744073709551616", "1.5", "true", "null",
+          "[1]"})
+        EXPECT_THROW(parseJson(text).asUint(), std::runtime_error)
+            << text;
 }
