@@ -34,7 +34,7 @@
  *                        off and retry (default 1 = no retries)
  *   --timeout-ms N       per-run deadline; runaway runs are marked
  *                        timed out instead of hanging the batch
- *   --manifest FILE      campaign checkpoint written atomically
+ *   --manifest FILE      campaign checkpoint: one line appended
  *                        after every run
  *   --resume             skip runs the manifest already completed
  *   --seed N             base RNG seed for every run (default 1;

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Chaos smoke test for the distributed campaign coordinator: run a
 # fig02-sized spec grid on 4 crash-isolated workers under a scheduled
-# fault-injection campaign — three worker kills (two SIGKILL crashes,
-# one wedged worker caught by the heartbeat deadline), then the
+# fault-injection campaign — two SIGKILL worker crashes, then the
 # coordinator itself dying hard (_exit right after checkpointing an
-# outcome), then a resume that kills one more worker — and require the
+# outcome), then a resume that kills two more workers (a crash and a
+# wedged worker caught by the heartbeat deadline) — and require the
 # final JSON report to be byte-identical to an unperturbed sequential
 # single-process run, modulo the wall-clock "profile" subtree and the
 # process-global campaign_summary trailer.
@@ -12,14 +12,17 @@
 # The coordinator kill uses the deterministic coord.exit_after_death
 # fault point rather than a racy external kill -9: the process dies
 # with no unwinding at an exactly known point (right after the first
-# outcome recorded after the third worker death), which is the same
-# failure mode at the worst possible moment, reproducibly. Counting
-# from worker deaths instead of a fixed outcome index keeps the kill
-# behind the heartbeat-deadline reap of the wedged worker on hosts of
-# any speed.
+# outcome recorded after the second worker death), which is the same
+# failure mode at the worst possible moment, reproducibly. Both deaths
+# before it are crashes on early runs, so it lands mid-campaign on
+# hosts of any speed; the wedged worker belongs to the resume, which
+# cannot finish before the heartbeat deadline reaps it.
 #
 # Usage: scripts/chaos_campaign_smoke.sh [build-dir]
 set -euo pipefail
+
+SCRIPTS=$(dirname "$0")
+RUNS=$SCRIPTS/manifest_runs.py
 
 BUILD=${1:-build}
 CAMPAIGN=$BUILD/tools/ipref_campaign
@@ -39,12 +42,12 @@ echo "== sequential single-process baseline ($SPECS specs)"
     --stats-json "$tmp/clean.json" \
     --manifest "$tmp/clean_manifest.json" > "$tmp/clean.log"
 
-echo "== chaos campaign: 4 workers, 3 scheduled worker kills," \
-     "coordinator _exit after the outcome that follows the third"
+echo "== chaos campaign: 4 workers, 2 scheduled worker kills," \
+     "coordinator _exit after the outcome that follows the second"
 set +e
-IPREF_FAULTS="coord.exit_after_death@3" \
+IPREF_FAULTS="coord.exit_after_death@2" \
 "$CAMPAIGN" --specs "$SPECS" --workers 4 --worker-bin "$WORKER" \
-    --worker-faults "worker.crash_run@4/spawn0,worker.crash_run@7/spawn1,worker.heartbeat_stall@1/spawn2,worker.wedge_run@5/spawn2:60000" \
+    --worker-faults "worker.crash_run@4/spawn0,worker.crash_run@7/spawn1" \
     --heartbeat-ms 25 --heartbeat-timeout-ms 1000 \
     --stats-json "$tmp/chaos.json" \
     --manifest "$tmp/manifest.json" > "$tmp/chaos.log" 2>&1
@@ -55,7 +58,7 @@ if [ "$rc" -eq 0 ]; then
     exit 1
 fi
 
-done_at_kill=$(python3 -c "import json; print(len(json.load(open('$tmp/manifest.json'))['runs']))")
+done_at_kill=$(python3 "$RUNS" "$tmp/manifest.json")
 echo "   coordinator died (exit $rc) with $done_at_kill/$SPECS runs checkpointed"
 if [ "$done_at_kill" -lt 1 ] || [ "$done_at_kill" -ge "$SPECS" ]; then
     echo "error: coordinator death did not land mid-campaign" >&2
@@ -66,9 +69,9 @@ cp "$tmp/manifest.json" "$tmp/manifest_at_kill.json"
 deaths_round1=$(grep -c "died" "$tmp/chaos.log" || true)
 echo "   $deaths_round1 worker death(s) logged before the coordinator died"
 
-echo "== resume with one more scheduled worker kill"
+echo "== resume with a crash and a wedged worker"
 "$CAMPAIGN" --specs "$SPECS" --workers 4 --worker-bin "$WORKER" \
-    --worker-faults "worker.crash_run@2/spawn0" \
+    --worker-faults "worker.crash_run@2/spawn0,worker.heartbeat_stall@1/spawn2,worker.wedge_run@5/spawn2:60000" \
     --heartbeat-ms 25 --heartbeat-timeout-ms 1000 \
     --stats-json "$tmp/final.json" \
     --manifest "$tmp/manifest.json" --resume > "$tmp/resume.log" 2>&1
@@ -83,8 +86,11 @@ if [ "$total_deaths" -lt 4 ]; then
     exit 1
 fi
 
-python3 - "$tmp" "$SPECS" <<'EOF'
+python3 - "$tmp" "$SPECS" "$SCRIPTS" <<'EOF'
 import json, sys
+
+sys.path.insert(0, sys.argv[-1])
+from manifest_runs import runs
 
 tmp, specs = sys.argv[1], int(sys.argv[2])
 
@@ -98,10 +104,10 @@ def load(name):
 # re-run: their manifest entries survive into the final manifest
 # byte-identically.
 snapshot = {r["fingerprint"]: r
-            for r in load("manifest_at_kill.json")["runs"]}
-final = {r["fingerprint"]: r for r in load("manifest.json")["runs"]}
+            for r in runs(f"{tmp}/manifest_at_kill.json")}
+final = {r["fingerprint"]: r for r in runs(f"{tmp}/manifest.json")}
 clean = {r["fingerprint"]: r
-         for r in load("clean_manifest.json")["runs"]}
+         for r in runs(f"{tmp}/clean_manifest.json")}
 
 assert set(final) == set(clean), "final manifest misses runs"
 for fp, entry in snapshot.items():

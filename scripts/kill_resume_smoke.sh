@@ -9,6 +9,9 @@
 # Usage: scripts/kill_resume_smoke.sh [build-dir]
 set -euo pipefail
 
+SCRIPTS=$(dirname "$0")
+RUNS=$SCRIPTS/manifest_runs.py
+
 BUILD=${1:-build}
 BENCH=$BUILD/bench/fig02_l2_misses
 SCALE=${IPREF_SMOKE_SCALE:-0.05}
@@ -31,7 +34,7 @@ echo "== uninterrupted baseline"
     --stats-json "$tmp/clean.json" \
     --manifest "$tmp/clean_manifest.json" >/dev/null
 
-total=$(python3 -c "import json; print(len(json.load(open('$tmp/clean_manifest.json'))['runs']))")
+total=$(python3 "$RUNS" "$tmp/clean_manifest.json")
 echo "   $total runs"
 
 echo "== start sweep, SIGKILL mid-batch"
@@ -41,7 +44,7 @@ echo "== start sweep, SIGKILL mid-batch"
 pid=$!
 # Wait until some (but not all) runs have checkpointed, then kill -9.
 for _ in $(seq 1 400); do
-    n=$(python3 -c "import json; print(len(json.load(open('$tmp/manifest.json'))['runs']))" 2>/dev/null || echo 0)
+    n=$(python3 "$RUNS" "$tmp/manifest.json" 2>/dev/null || echo 0)
     if [ "$n" -ge 1 ] && [ "$n" -lt "$total" ]; then
         break
     fi
@@ -53,7 +56,7 @@ done
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 
-done_at_kill=$(python3 -c "import json; print(len(json.load(open('$tmp/manifest.json'))['runs']))")
+done_at_kill=$(python3 "$RUNS" "$tmp/manifest.json")
 echo "   killed with $done_at_kill/$total runs checkpointed"
 if [ "$done_at_kill" -ge "$total" ]; then
     echo "warning: batch finished before the kill landed; resume is" \
@@ -67,8 +70,11 @@ echo "== resume"
     --manifest "$tmp/manifest.json" --resume >/dev/null
 pid=
 
-python3 - "$tmp" <<'EOF'
+python3 - "$tmp" "$SCRIPTS" <<'EOF'
 import json, sys
+
+sys.path.insert(0, sys.argv[-1])
+from manifest_runs import runs
 
 tmp = sys.argv[1]
 
@@ -80,9 +86,9 @@ def load(name):
 
 # (a) Entries checkpointed before the kill are byte-identical in the
 # final manifest -- completed work was restored, not re-run.
-snapshot = {r["fingerprint"]: r for r in load("manifest_at_kill.json")["runs"]}
-final = {r["fingerprint"]: r for r in load("manifest.json")["runs"]}
-clean = {r["fingerprint"]: r for r in load("clean_manifest.json")["runs"]}
+snapshot = {r["fingerprint"]: r for r in runs(f"{tmp}/manifest_at_kill.json")}
+final = {r["fingerprint"]: r for r in runs(f"{tmp}/manifest.json")}
+clean = {r["fingerprint"]: r for r in runs(f"{tmp}/clean_manifest.json")}
 
 assert set(final) == set(clean), "resumed manifest misses runs"
 for fp, entry in snapshot.items():

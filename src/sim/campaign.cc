@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -10,6 +9,7 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "sim/experiment.hh"
@@ -202,72 +202,40 @@ CampaignManifest::entriesInOrder() const
 {
     std::vector<const ManifestEntry *> out;
     out.reserve(order_.size());
-    for (std::uint64_t fp : order_) {
-        auto it = entries_.find(fp);
-        if (it != entries_.end())
-            out.push_back(&it->second);
-    }
+    for (std::uint64_t fp : order_)
+        out.push_back(&entries_.at(fp));
     return out;
 }
 
-void
-CampaignManifest::record(ManifestEntry entry)
+namespace
 {
-    auto it = entries_.find(entry.fingerprint);
-    if (it == entries_.end())
-        order_.push_back(entry.fingerprint);
-    entries_[entry.fingerprint] = std::move(entry);
-    if (!path_.empty())
-        write();
+
+/**
+ * The version a manifest's text declares, or 0 when it declares none:
+ * a journal names it on its header line, a v1/v2 manifest in its one
+ * JSON document (whose first line is a bare "{").
+ */
+double
+declaredVersion(std::string_view text, std::size_t headerEnd)
+{
+    for (std::string_view doc : {text.substr(0, headerEnd), text}) {
+        try {
+            JsonValue v = parseJson(doc);
+            if (v.kind == JsonValue::Object && v.has("version"))
+                return v.numberOr("version", 0);
+        } catch (const std::exception &) {
+            // Not this shape; try the next.
+        }
+    }
+    return 0;
 }
 
-void
-CampaignManifest::write() const
-{
-    if (fault::shouldFire("manifest.write"))
-        throw SimError(SimError::Kind::Io,
-                       "injected manifest write failure (IPREF_FAULTS "
-                       "manifest.write)",
-                       /*transient=*/true);
-    std::string tmp = path_ + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            throw SimError(SimError::Kind::Io,
-                           "cannot write campaign manifest '" + tmp +
-                               "': " + std::strerror(errno),
-                           isTransientErrno(errno));
-        out << "{\n  \"version\": " << kManifestVersion
-            << ",\n  \"runs\": [";
-        bool first = true;
-        for (std::uint64_t fp : order_) {
-            out << (first ? "\n" : ",\n") << "    {\"fingerprint\": "
-                << jsonString(jsonHex(fp));
-            writeOutcomeFields(out, entries_.at(fp).outcome);
-            out << "}";
-            first = false;
-        }
-        out << (first ? "" : "\n  ") << "]\n}\n";
-        out.flush();
-        if (!out)
-            throw SimError(SimError::Kind::Io,
-                           "short write on campaign manifest '" + tmp +
-                               "': " + std::strerror(errno),
-                           isTransientErrno(errno));
-    }
-    // rename() is atomic within a filesystem: the manifest is always
-    // either the old complete state or the new complete state.
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-        throw SimError(SimError::Kind::Io,
-                       "cannot replace campaign manifest '" + path_ +
-                           "': " + std::strerror(errno),
-                       isTransientErrno(errno));
-}
+} // namespace
 
 Expected<CampaignManifest>
 CampaignManifest::load(const std::string &path)
 {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         return SimError(SimError::Kind::Io,
                         "cannot open campaign manifest '" + path +
@@ -275,62 +243,74 @@ CampaignManifest::load(const std::string &path)
                         isTransientErrno(errno));
     std::ostringstream buf;
     buf << in.rdbuf();
+    const std::string text = buf.str();
+    auto corrupt = [&path](const std::string &what) {
+        return SimError(SimError::Kind::Io,
+                        "corrupt campaign manifest '" + path +
+                            "': " + what);
+    };
+    std::size_t headerEnd = std::min(text.find('\n'), text.size());
+    double version = declaredVersion(text, headerEnd);
+    if (version == 0)
+        return corrupt("no version header");
+    if (version != kManifestVersion) {
+        std::ostringstream msg;
+        msg << "campaign manifest '" << path << "' has version "
+            << version << "; this build reads version "
+            << kManifestVersion
+            << " (re-run the campaign without --resume)";
+        return SimError(SimError::Kind::Config, msg.str());
+    }
 
-    // Built with no path so record() does not rewrite the file we are
-    // in the middle of reading; the path is attached at the end.
+    // Everything after the last '\n' is an append cut short.
     CampaignManifest m;
+    std::size_t complete = text.rfind('\n') + 1; // npos + 1 == 0
+    m.completeBytes_ = complete;
+    m.tornBytes_ = text.size() - complete;
     try {
-        JsonValue doc = parseJson(buf.str());
-        double version = doc.numberOr("version", 0);
-        if (version != kManifestVersion) {
-            std::ostringstream msg;
-            msg << "campaign manifest '" << path << "' has version "
-                << version << "; this build reads version "
-                << kManifestVersion
-                << " (re-run the campaign without --resume)";
-            return SimError(SimError::Kind::Config, msg.str());
-        }
-        for (const JsonValue &run : doc.at("runs").items) {
+        for (std::size_t at = headerEnd + 1; at < complete;) {
+            std::size_t eol = text.find('\n', at);
+            JsonValue run =
+                parseJson(std::string_view(text).substr(at, eol - at));
+            at = eol + 1;
             Expected<RunOutcome> outcome = outcomeFromJson(run);
             if (!outcome.ok())
                 return outcome.error();
-            m.record({run.at("fingerprint").asUint(),
-                      std::move(outcome.value())});
+            std::uint64_t fp = run.at("fingerprint").asUint();
+            if (!m.entries_.count(fp))
+                m.order_.push_back(fp);
+            m.entries_[fp] = {fp, std::move(outcome.value())};
         }
     } catch (const std::exception &e) {
-        return SimError(SimError::Kind::Io,
-                        "corrupt campaign manifest '" + path +
-                            "': " + e.what());
+        return corrupt(e.what());
     }
-    m.path_ = path;
     return m;
 }
 
 ManifestLock::ManifestLock(const std::string &manifestPath)
 {
-    std::string lockPath = manifestPath + ".lock";
-    fd_ = ::open(lockPath.c_str(), O_RDWR | O_CREAT | O_CLOEXEC,
-                 0644);
+    fd_ = ::open(manifestPath.c_str(),
+                 O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
     if (fd_ < 0)
         throw SimError(SimError::Kind::Io,
-                       "cannot open manifest lock '" + lockPath +
+                       "cannot open campaign manifest '" + manifestPath +
                            "': " + std::strerror(errno),
                        isTransientErrno(errno));
-    if (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+    struct stat st {};
+    if (::flock(fd_, LOCK_EX | LOCK_NB) != 0 || ::fstat(fd_, &st) != 0) {
         int err = errno;
         ::close(fd_);
         fd_ = -1;
         if (err == EWOULDBLOCK || err == EAGAIN)
             throw SimError(SimError::Kind::Io,
                            "campaign manifest '" + manifestPath +
-                               "' is locked by another coordinator "
-                               "(remove '" + lockPath +
-                               "' only if you are sure it is dead)");
+                               "' is locked by another coordinator");
         throw SimError(SimError::Kind::Io,
-                       "cannot lock manifest '" + lockPath +
-                           "': " + std::strerror(err),
+                       "cannot lock campaign manifest '" +
+                           manifestPath + "': " + std::strerror(err),
                        isTransientErrno(err));
     }
+    size_ = static_cast<std::uint64_t>(st.st_size);
 }
 
 void
@@ -341,6 +321,46 @@ ManifestLock::release()
         ::close(fd_);
         fd_ = -1;
     }
+}
+
+void
+ManifestLock::truncate(std::uint64_t bytes)
+{
+    if (::ftruncate(fd_, static_cast<off_t>(bytes)) != 0)
+        throw SimError(SimError::Kind::Io,
+                       std::string("cannot truncate campaign manifest: ") +
+                           std::strerror(errno),
+                       isTransientErrno(errno));
+    size_ = bytes;
+}
+
+void
+ManifestLock::append(std::uint64_t fingerprint, const RunOutcome &outcome)
+{
+    if (fault::shouldFire("manifest.write"))
+        throw SimError(SimError::Kind::Io,
+                       "injected manifest write failure (IPREF_FAULTS "
+                       "manifest.write)",
+                       /*transient=*/true);
+    std::ostringstream os;
+    if (size_ == 0)
+        os << "{\"version\": " << kManifestVersion << "}\n";
+    os << "{\"fingerprint\": " << jsonString(jsonHex(fingerprint));
+    writeOutcomeFields(os, outcome);
+    os << "}\n";
+    const std::string line = os.str();
+    ssize_t n = ::write(fd_, line.data(), line.size());
+    if (n == static_cast<ssize_t>(line.size())) {
+        size_ += line.size();
+        return;
+    }
+    int err = n < 0 ? errno : EIO;
+    if (n > 0)
+        truncate(size_);
+    throw SimError(SimError::Kind::Io,
+                   std::string("cannot append to campaign manifest: ") +
+                       std::strerror(err),
+                   isTransientErrno(err));
 }
 
 BatchMetrics &
@@ -377,27 +397,38 @@ CampaignLedger::CampaignLedger(const BatchOptions &opt)
     if (opt.manifestPath.empty())
         return;
     // Single-writer guard: a second coordinator or batch pointed at
-    // the same manifest fails fast instead of interleaving writes.
-    lock_ = ManifestLock(opt.manifestPath);
-    manifest_ = CampaignManifest(opt.manifestPath);
-    if (!opt.resume)
+    // the same manifest fails fast instead of interleaving appends.
+    journal_ = ManifestLock(opt.manifestPath);
+    if (!opt.resume) {
+        journal_.truncate(0);
         return;
+    }
     Expected<CampaignManifest> loaded =
         CampaignManifest::load(opt.manifestPath);
-    if (loaded.ok())
-        manifest_ = std::move(loaded.value());
-    else if (loaded.error().kind() == SimError::Kind::Config)
+    if (loaded.ok()) {
+        loaded_ = std::move(loaded.value());
+        if (loaded_.tornBytes()) {
+            ipref_warn("dropping the torn last line (%llu bytes) of "
+                       "campaign manifest '%s'",
+                       static_cast<unsigned long long>(
+                           loaded_.tornBytes()),
+                       opt.manifestPath.c_str());
+            journal_.truncate(loaded_.completeBytes());
+        }
+    } else if (loaded.error().kind() == SimError::Kind::Config) {
         throw ConfigError(loaded.error().what());
-    else
+    } else {
         ipref_warn("starting campaign fresh: %s",
                    loaded.error().what());
+        journal_.truncate(0);
+    }
 }
 
 bool
 CampaignLedger::restore(std::uint64_t fingerprint, RunOutcome &out,
                         unsigned &priorAttempts)
 {
-    const ManifestEntry *e = manifest_.find(fingerprint);
+    const ManifestEntry *e = loaded_.find(fingerprint);
     priorAttempts = e ? e->outcome.attempts : 0;
     if (!e || !e->outcome.ok())
         return false;
@@ -412,10 +443,10 @@ void
 CampaignLedger::record(std::uint64_t fingerprint,
                        const RunOutcome &outcome)
 {
-    if (manifest_.path().empty())
+    if (!journal_.held())
         return;
     try {
-        manifest_.record({fingerprint, outcome});
+        journal_.append(fingerprint, outcome);
     } catch (const SimError &err) {
         ipref_warn("checkpoint write failed: %s", err.what());
     }

@@ -1,12 +1,12 @@
 /**
  * @file
- * Campaign checkpointing: a JSON manifest mapping spec fingerprints to
- * run outcomes, written atomically after every run so an interrupted
- * batch (crash, SIGKILL, Ctrl-C) can resume without re-running
- * finished work — and without perturbing the results, which
- * round-trip bit-exactly (counters are serialized as hex strings).
- * The ledger on top of it is the one checkpoint policy of both the
- * in-process batch runner and the campaign coordinator.
+ * Campaign checkpointing: an append-only JSON-lines manifest mapping
+ * spec fingerprints to run outcomes, one line appended after every
+ * run so an interrupted batch (crash, SIGKILL, Ctrl-C) can resume
+ * without re-running finished work — and without perturbing the
+ * results, which round-trip bit-exactly (counters are serialized as
+ * hex strings). The ledger on top of it is the one checkpoint policy
+ * of both the in-process batch runner and the campaign coordinator.
  */
 
 #ifndef IPREF_SIM_CAMPAIGN_HH
@@ -65,10 +65,10 @@ std::string resultsToJson(const SimResults &r);
 Expected<SimResults> resultsFromJson(const JsonValue &v);
 
 /**
- * Campaign manifest format version. Manifests are keyed by
- * fingerprintSpec(), so this moves with its salt.
+ * Campaign manifest format version: the journal's header line. Entries
+ * are keyed by fingerprintSpec(), so this moves with its salt.
  */
-constexpr int kManifestVersion = 2;
+constexpr int kManifestVersion = 3;
 
 /** What one spec's failure domain produced: the only per-run record. */
 struct RunOutcome
@@ -115,74 +115,72 @@ struct ManifestEntry
 };
 
 /**
- * The on-disk campaign state. Every record() persists the whole
- * manifest via temp-file + rename, so a reader never observes a
- * partially written file no matter when the process dies.
+ * A campaign manifest as read back from disk (resume and monitoring).
+ * The file is a journal: the header line `{"version": 3}`, then one
+ * entry object per line, each `{"fingerprint": ...}` plus
+ * writeOutcomeFields(). A fingerprint recorded more than once keeps
+ * its last line.
  */
 class CampaignManifest
 {
   public:
-    CampaignManifest() = default;
-    explicit CampaignManifest(std::string path) : path_(std::move(path))
-    {}
-
     /**
-     * Read and parse @p path. A missing, unreadable or corrupt file is
-     * an answer, not an exception (the caller decides whether to start
+     * Read and parse @p path. A last line without its '\n' is an
+     * append cut short: it is dropped, and tornBytes() says how long
+     * it was. A missing, unreadable or otherwise corrupt file is an
+     * answer, not an exception (the caller decides whether to start
      * fresh), hence Expected; so is a manifest of another version,
      * whose error has kind Config.
      */
     static Expected<CampaignManifest> load(const std::string &path);
 
-    const std::string &path() const { return path_; }
     std::size_t size() const { return order_.size(); }
 
     /** Entry for @p fingerprint, or nullptr. */
     const ManifestEntry *find(std::uint64_t fingerprint) const;
 
-    /** Every entry in stable record order (monitoring / tooling). */
+    /** Every entry in first-record order (monitoring / tooling). */
     std::vector<const ManifestEntry *> entriesInOrder() const;
 
-    /** Insert/replace @p entry; persists when a path is set. */
-    void record(ManifestEntry entry);
+    /** Length of the file's complete lines: where appends resume. */
+    std::uint64_t completeBytes() const { return completeBytes_; }
 
-    /**
-     * Write the manifest atomically (temp-file + rename). Throws
-     * SimError(Io) on failure, transient-flagged when the errno is.
-     */
-    void write() const;
+    /** Length of the torn last line load() dropped (0: none). */
+    std::uint64_t tornBytes() const { return tornBytes_; }
 
   private:
-    std::string path_;
-    std::vector<std::uint64_t> order_; //!< stable dump order
+    std::vector<std::uint64_t> order_; //!< first-record order
     std::map<std::uint64_t, ManifestEntry> entries_;
+    std::uint64_t completeBytes_ = 0;
+    std::uint64_t tornBytes_ = 0;
 };
 
 /**
- * Advisory single-writer guard for a campaign manifest. Acquiring
- * takes an exclusive flock(2) on `<manifestPath>.lock` (a sidecar —
- * the manifest itself is replaced by rename() on every write, which
- * would silently drop a lock held on the old inode). A second
- * coordinator or batch targeting the same manifest fails fast with
- * SimError(Io) instead of interleaving checkpoint writes.
+ * The write side of a campaign manifest: the file itself, opened once
+ * with O_APPEND under an exclusive flock(2). The lock is the
+ * single-writer guard: a second coordinator or batch targeting the
+ * same manifest fails fast with SimError(Io) instead of interleaving
+ * appends. The file is only ever appended to or cut back, never
+ * replaced, so the lock on its inode holds for the whole campaign.
  *
  * The lock is per open-file-description, so two ManifestLocks in one
  * process conflict just like two processes do. Released (and the fd
- * closed) on destruction; the sidecar file is left behind, which is
- * harmless — flock carries no state once every holder is gone.
+ * closed) on destruction.
  */
 class ManifestLock
 {
   public:
     ManifestLock() = default;
 
-    /** Acquire for @p manifestPath; throws SimError(Io) when held
-     *  elsewhere or the sidecar cannot be opened. */
+    /** Open @p manifestPath (created empty when missing, its bytes
+     *  otherwise left as they are) and lock it; throws SimError(Io)
+     *  when it is held elsewhere or cannot be opened. */
     explicit ManifestLock(const std::string &manifestPath);
 
     ~ManifestLock() { release(); }
 
-    ManifestLock(ManifestLock &&other) noexcept : fd_(other.fd_)
+    ManifestLock(ManifestLock &&other) noexcept
+        : fd_(other.fd_), size_(other.size_)
     {
         other.fd_ = -1;
     }
@@ -193,6 +191,7 @@ class ManifestLock
         if (this != &other) {
             release();
             fd_ = other.fd_;
+            size_ = other.size_;
             other.fd_ = -1;
         }
         return *this;
@@ -205,8 +204,22 @@ class ManifestLock
 
     void release();
 
+    /** Cut the file back to its first @p bytes (0: start fresh).
+     *  Throws SimError(Io). */
+    void truncate(std::uint64_t bytes);
+
+    /**
+     * Append the entry line for @p fingerprint and @p outcome with one
+     * write(2); into an empty file, the header line goes first in the
+     * same write. Throws SimError(Io), transient-flagged when the
+     * errno is; a write that fails part-way is cut back off, so the
+     * next line never lands on a torn one.
+     */
+    void append(std::uint64_t fingerprint, const RunOutcome &outcome);
+
   private:
     int fd_ = -1;
+    std::uint64_t size_ = 0; //!< file length after our last change
 };
 
 /**
@@ -244,12 +257,14 @@ class CampaignLedger
 {
   public:
     /**
-     * Lock opt.manifestPath (none = no checkpointing) and, with
-     * opt.resume, load it. A missing, unreadable or corrupt manifest
-     * warns and starts fresh; one of another version throws
-     * ConfigError naming both versions, so an old campaign is never
-     * overwritten. Throws SimError(Io) when another process holds the
-     * lock.
+     * Lock opt.manifestPath (none = no checkpointing). Without
+     * opt.resume the manifest is emptied; with it, it is loaded and
+     * later outcomes are appended to it (a torn last line is cut off
+     * with a warning first). A missing, unreadable or corrupt
+     * manifest warns and starts fresh; one of another version throws
+     * ConfigError naming both versions and is left untouched, so an
+     * old campaign is never overwritten. Throws SimError(Io) when
+     * another process holds the lock.
      */
     explicit CampaignLedger(const BatchOptions &opt);
 
@@ -264,9 +279,9 @@ class CampaignLedger
                  unsigned &priorAttempts);
 
     /**
-     * Checkpoint @p outcome (no-op without a manifest). A failed
-     * write warns and the campaign goes on: results are still
-     * returned, only resumability is lost.
+     * Checkpoint @p outcome: append its line (no-op without a
+     * manifest). A failed write warns and the campaign goes on:
+     * results are still returned, only resumability is lost.
      */
     void record(std::uint64_t fingerprint, const RunOutcome &outcome);
 
@@ -284,8 +299,8 @@ class CampaignLedger
     static void countFinal(RunStatus s);
 
   private:
-    ManifestLock lock_;
-    CampaignManifest manifest_;
+    ManifestLock journal_;
+    CampaignManifest loaded_; //!< what a resume read back
 };
 
 } // namespace ipref

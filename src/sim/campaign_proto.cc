@@ -108,11 +108,9 @@ specFromJson(const JsonValue &v)
             s.workloads.push_back(parseWorkloadKind(w.str));
         s.schemeToken = v.at("scheme").str;
         s.schemeKnobs = v.stringOr("scheme_knobs", "");
-        s.degree = static_cast<unsigned>(v.numberOr("degree", 4));
-        s.tableEntries = static_cast<unsigned>(
-            v.numberOr("table_entries", 8192));
-        s.targetWays =
-            static_cast<unsigned>(v.numberOr("target_ways", 2));
+        s.degree = v.intOr("degree", 4u);
+        s.tableEntries = v.intOr("table_entries", 8192u);
+        s.targetWays = v.intOr("target_ways", 2u);
         s.bypassL2 = boolOr(v, "bypass_l2", false);
         const JsonValue &elim = v.at("ideal_eliminate");
         if (elim.items.size() != s.idealEliminate.size())
@@ -121,16 +119,14 @@ specFromJson(const JsonValue &v)
         for (std::size_t i = 0; i < s.idealEliminate.size(); ++i)
             s.idealEliminate[i] = elim.items[i].boolean;
         s.useConfidenceFilter = boolOr(v, "confidence_filter", false);
-        s.historySize =
-            static_cast<int>(v.numberOr("history_size", -1));
-        s.queueSize = static_cast<int>(v.numberOr("queue_size", -1));
+        s.historySize = v.intOr("history_size", -1);
+        s.queueSize = v.intOr("queue_size", -1);
         s.memGbPerSec = bitsToDouble(v.at("mem_gb_bits").asUint());
         s.functional = boolOr(v, "functional", false);
         s.l2Bytes = v.at("l2_bytes").asUint();
         s.l1iBytes = v.at("l1i_bytes").asUint();
-        s.l1iAssoc = static_cast<unsigned>(v.numberOr("l1i_assoc", 4));
-        s.lineBytes =
-            static_cast<unsigned>(v.numberOr("line_bytes", 64));
+        s.l1iAssoc = v.intOr("l1i_assoc", 4u);
+        s.lineBytes = v.intOr("line_bytes", 64u);
         s.instrScale =
             bitsToDouble(v.at("instr_scale_bits").asUint());
         s.baseSeed = v.at("base_seed").asUint();
@@ -142,8 +138,7 @@ specFromJson(const JsonValue &v)
         s.trace.shared = boolOr(t, "shared", true);
         s.faultAtInstr = v.at("fault_at_instr").asUint();
         s.faultTransient = boolOr(v, "fault_transient", false);
-        s.faultAttempts = static_cast<unsigned>(
-            v.numberOr("fault_attempts", 0));
+        s.faultAttempts = v.intOr("fault_attempts", 0u);
         // Re-validate exactly as a locally built spec would be.
         return RunSpec::Builder(std::move(s)).build();
     } catch (const std::exception &e) {
@@ -241,8 +236,8 @@ parseProtoLine(const std::string &line)
         ProtoMessage m;
         if (type == "hello") {
             m.type = ProtoMessage::Type::Hello;
-            m.pid = static_cast<int>(v.numberOr("pid", 0));
-            m.spawn = static_cast<unsigned>(v.numberOr("spawn", 0));
+            m.pid = v.intOr("pid", 0);
+            m.spawn = v.intOr("spawn", 0u);
         } else if (type == "config") {
             m.type = ProtoMessage::Type::Config;
             m.config.wantReport = boolOr(v, "want_report", false);
@@ -250,29 +245,27 @@ parseProtoLine(const std::string &line)
                 v.at("interval_instrs").asUint();
             m.config.traceCapacity = v.at("trace_capacity").asUint();
             m.config.profileSites = v.at("profile_sites").asUint();
-            m.config.maxAttempts = static_cast<unsigned>(
-                v.numberOr("max_attempts", 3));
-            m.config.retryBaseMs = static_cast<std::uint64_t>(
-                v.numberOr("retry_base_ms", 10));
-            m.config.retryCapMs = static_cast<std::uint64_t>(
-                v.numberOr("retry_cap_ms", 1000));
-            m.config.runTimeoutMs = static_cast<std::uint64_t>(
-                v.numberOr("run_timeout_ms", 0));
-            m.config.heartbeatMs = static_cast<std::uint64_t>(
-                v.numberOr("heartbeat_ms", 100));
+            m.config.maxAttempts = v.intOr("max_attempts", 3u);
+            m.config.retryBaseMs =
+                v.intOr<std::uint64_t>("retry_base_ms", 10);
+            m.config.retryCapMs =
+                v.intOr<std::uint64_t>("retry_cap_ms", 1000);
+            m.config.runTimeoutMs =
+                v.intOr<std::uint64_t>("run_timeout_ms", 0);
+            m.config.heartbeatMs =
+                v.intOr<std::uint64_t>("heartbeat_ms", 100);
         } else if (type == "run") {
             m.type = ProtoMessage::Type::Run;
-            m.id = static_cast<std::int64_t>(v.numberOr("id", -1));
+            m.id = v.intOr<std::int64_t>("id", -1);
             m.fingerprint = v.at("fingerprint").asUint();
-            m.priorAttempts = static_cast<unsigned>(
-                v.numberOr("prior_attempts", 0));
+            m.priorAttempts = v.intOr("prior_attempts", 0u);
             Expected<RunSpec> spec = specFromJson(v.at("spec"));
             if (!spec.ok())
                 return spec.error();
             m.spec = std::move(spec.value());
         } else if (type == "outcome") {
             m.type = ProtoMessage::Type::Outcome;
-            m.id = static_cast<std::int64_t>(v.numberOr("id", -1));
+            m.id = v.intOr<std::int64_t>("id", -1);
             m.fingerprint = v.at("fingerprint").asUint();
             Expected<RunOutcome> outcome = outcomeFromJson(v);
             if (!outcome.ok())
@@ -280,10 +273,9 @@ parseProtoLine(const std::string &line)
             m.outcome = std::move(outcome.value());
         } else if (type == "heartbeat") {
             m.type = ProtoMessage::Type::Heartbeat;
-            m.pid = static_cast<int>(v.numberOr("pid", 0));
+            m.pid = v.intOr("pid", 0);
             m.instrs = v.at("instrs").asUint();
-            m.runningId = static_cast<std::int64_t>(
-                v.numberOr("running_id", -1));
+            m.runningId = v.intOr<std::int64_t>("running_id", -1);
         } else if (type == "abort") {
             m.type = ProtoMessage::Type::Abort;
         } else if (type == "shutdown") {

@@ -301,8 +301,8 @@ Coordinator::finalize(std::size_t idx, RunOutcome outcome)
     CampaignLedger::countFinal(outcomes_[idx].status);
     ledger_.record(fingerprints_[idx], outcomes_[idx]);
     // Chaos hook: the coordinator dies right after persisting an
-    // outcome — the worst moment short of mid-rename (which the
-    // temp+rename write already makes atomic).
+    // outcome — the worst moment short of mid-append (whose torn
+    // line a resume drops).
     if (!opt_.batch.manifestPath.empty() &&
         (exitAtNextRecord_ || fault::shouldFire("coord.exit_record")))
         ::_exit(137);

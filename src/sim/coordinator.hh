@@ -1,8 +1,8 @@
 /**
  * @file
  * The distributed campaign coordinator: shards RunSpecs across a
- * fleet of crash-isolated worker processes, streams RunOutcomes back
- * into the atomic CampaignManifest, and survives anything short of
+ * fleet of crash-isolated worker processes, appends RunOutcomes to
+ * the campaign manifest, and survives anything short of
  * the host losing power — worker crashes/OOM kills (requeue with the
  * batch runner's capped-backoff semantics), wedged workers (heartbeat
  * deadline, SIGKILL, requeue), poison specs (quarantine after

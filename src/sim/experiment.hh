@@ -288,8 +288,8 @@ struct BatchOptions
     std::uint64_t runTimeoutMs = 0;
 
     /**
-     * Campaign manifest path (empty = no checkpointing). Written
-     * atomically after each run completes. With resume, specs whose
+     * Campaign manifest path (empty = no checkpointing). One line is
+     * appended after each run completes. With resume, specs whose
      * fingerprint has an Ok entry are restored from the manifest
      * (bit-identical results, buffered JSON report and all) instead
      * of re-run; failed entries re-run with continued attempt counts.

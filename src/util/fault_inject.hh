@@ -23,7 +23,7 @@
  *                         run N without heartbeating progress
  *   worker.heartbeat_stall stop the heartbeat thread at beat N
  *   worker.truncate_outcome write half the outcome line, then _exit
- *   manifest.write        fail CampaignManifest::write() transiently
+ *   manifest.write        fail a manifest append transiently
  *   coord.exit_record     _exit(137) after recording outcome N
  *   coord.exit_after_death _exit(137) after recording the first
  *                         outcome that follows worker death N

@@ -13,23 +13,36 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace ipref
 {
 
-/** Escape @p s for use inside a JSON string literal. */
-inline std::string
-jsonEscape(const std::string &s)
+namespace detail
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
+
+/**
+ * Append @p s escaped for a JSON string literal to @p out. Runs of
+ * characters that need no escape are appended in bulk.
+ */
+inline void
+appendJsonEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -37,17 +50,23 @@ jsonEscape(const std::string &s)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
+            out += "\\u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
         }
     }
+    out.append(s.data() + run, s.size() - run);
+}
+
+} // namespace detail
+
+/** Escape @p s for use inside a JSON string literal. */
+inline std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    detail::appendJsonEscaped(out, s);
     return out;
 }
 
@@ -58,7 +77,7 @@ jsonString(const std::string &s)
     std::string out;
     out.reserve(s.size() + 2);
     out += '"';
-    out += jsonEscape(s);
+    detail::appendJsonEscaped(out, s);
     out += '"';
     return out;
 }
@@ -67,9 +86,9 @@ jsonString(const std::string &s)
 inline std::string
 jsonHex(std::uint64_t v)
 {
-    std::ostringstream os;
-    os << "0x" << std::hex << v;
-    return os.str();
+    char buf[18] = {'0', 'x'};
+    return std::string(
+        buf, std::to_chars(buf + 2, buf + sizeof(buf), v, 16).ptr);
 }
 
 /** Finite JSON number for @p v (NaN/inf become 0). */
@@ -143,19 +162,75 @@ struct JsonValue
     std::uint64_t
     asUint() const
     {
-        if (kind == Number && number >= 0 && number < 0x1p64 &&
-            number == std::floor(number))
-            return static_cast<std::uint64_t>(number);
         std::uint64_t v = 0;
-        if (kind == String && str.size() > 2 && str.size() <= 18 &&
-            str.compare(0, 2, "0x") == 0 &&
-            std::from_chars(str.data() + 2, str.data() + str.size(), v,
-                            16)
-                    .ptr == str.data() + str.size())
+        if (toUint(v))
             return v;
+        throw std::runtime_error("JSON: not a uint: " + text());
+    }
+
+    /**
+     * Member @p key as an integer of type T, or @p def when absent:
+     * read as asUint() does (a signed T: a finite integral number in
+     * [-2^63, 2^63)) and range-checked to T. Anything else throws an
+     * error that names @p key.
+     */
+    template <class T>
+    T
+    intOr(const std::string &key, T def) const
+    {
+        static_assert(std::is_integral_v<T> && sizeof(T) <= 8);
+        auto it = fields.find(key);
+        if (it == fields.end())
+            return def;
+        using Limits = std::numeric_limits<T>;
+        if constexpr (std::is_signed_v<T>) {
+            std::int64_t v = 0;
+            if (it->second.toInt(v) && v >= Limits::min() &&
+                v <= Limits::max())
+                return static_cast<T>(v);
+        } else {
+            std::uint64_t v = 0;
+            if (it->second.toUint(v) && v <= Limits::max())
+                return static_cast<T>(v);
+        }
         throw std::runtime_error(
-            "JSON: not a uint: " +
-            (kind == Number ? jsonNumber(number) : str));
+            "JSON: " + key + " is not " +
+            (std::is_signed_v<T> ? "a signed " : "an unsigned ") +
+            std::to_string(Limits::digits + Limits::is_signed) +
+            "-bit integer: " + it->second.text());
+    }
+
+  private:
+    bool
+    toUint(std::uint64_t &v) const
+    {
+        if (kind == Number && number >= 0 && number < 0x1p64 &&
+            number == std::floor(number)) {
+            v = static_cast<std::uint64_t>(number);
+            return true;
+        }
+        return kind == String && str.size() > 2 && str.size() <= 18 &&
+               str.compare(0, 2, "0x") == 0 &&
+               std::from_chars(str.data() + 2, str.data() + str.size(),
+                               v, 16)
+                       .ptr == str.data() + str.size();
+    }
+
+    bool
+    toInt(std::int64_t &v) const
+    {
+        if (kind != Number || number < -0x1p63 || number >= 0x1p63 ||
+            number != std::floor(number))
+            return false;
+        v = static_cast<std::int64_t>(number);
+        return true;
+    }
+
+    /** The value as an error message shows it. */
+    std::string
+    text() const
+    {
+        return kind == Number ? jsonNumber(number) : str;
     }
 };
 
@@ -386,7 +461,7 @@ class JsonParser
 
 /** Parse one complete JSON document; throws std::runtime_error. */
 inline JsonValue
-parseJson(const std::string &text)
+parseJson(std::string_view text)
 {
     return detail::JsonParser(text.data(), text.size()).parse();
 }

@@ -24,10 +24,11 @@ run() {
         --manifest "$manifest" "$@" >>"$tmp/log" 2>&1
 }
 
-# The manifest writes one run per line; print "fingerprint status
-# attempts" for each.
+# The manifest is a journal of one run per line, where the last line
+# of a fingerprint wins; print "fingerprint status attempts" for each.
 entries() {
-    sed -n 's/.*"fingerprint": "\([^"]*\)", "status": "\([^"]*\)", "attempts": \([0-9]*\).*/\1 \2 \3/p' "$1"
+    sed -n 's/.*"fingerprint": "\([^"]*\)", "status": "\([^"]*\)", "attempts": \([0-9]*\).*/\1 \2 \3/p' "$1" |
+        awk '{ last[$1] = $0 } END { for (fp in last) print last[fp] }'
 }
 
 fail() {

@@ -15,6 +15,11 @@
  * encodeTraceBlockV3Bytewise is the v3 block encoder that the
  * pointer-writing encodeTraceBlockV3 replaced: one push_back per
  * output byte and bitmaps or-ed into zeroed bytes.
+ *
+ * jsonEscapeBytewise and jsonHexStream are the JSON emit helpers that
+ * util/json.hh's bulk-appending jsonEscape and to_chars jsonHex
+ * replaced: one switch and append per character, and an
+ * ostringstream per number.
  */
 
 #ifndef IPREF_TESTS_REFERENCE_MODELS_HH
@@ -23,8 +28,11 @@
 #include <cstddef>
 #include <deque>
 #include <iterator>
+#include <cstdio>
 #include <optional>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "prefetch/prefetch_queue.hh"
@@ -287,6 +295,41 @@ encodeTraceBlockV3Bytewise(std::span<const InstrRecord> records,
         out.push_back(records[r].srcReg[1]);
         out.push_back(records[r].dstReg);
     }
+}
+
+inline std::string
+jsonEscapeBytewise(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+inline std::string
+jsonHexStream(std::uint64_t v)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << v;
+    return os.str();
 }
 
 } // namespace ipref::ref

@@ -14,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -70,6 +73,14 @@ tmpPath(const std::string &tag)
     std::remove(p.c_str());
     std::remove((p + ".lock").c_str());
     return p;
+}
+
+/** The whole of file @p path. */
+std::string
+readText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 /** RAII: clear any armed fault schedule when a test ends. */
@@ -166,10 +177,11 @@ TEST(CampaignProto, SpecWithBadQueueOrHistorySizeIsAnIoError)
                                             .queueSize(12)
                                             .build());
     ASSERT_TRUE(specFromJson(parseJson(good)).ok());
-    const struct
+    struct Edit
     {
         std::string from, to, why;
-    } edits[] = {
+    };
+    std::vector<Edit> edits = {
         {"\"queue_size\": 12", "\"queue_size\": 0", "queueSize"},
         {"\"queue_size\": 12", "\"queue_size\": -7", "queueSize"},
         {"\"history_size\": 16", "\"history_size\": -3",
@@ -187,7 +199,18 @@ TEST(CampaignProto, SpecWithBadQueueOrHistorySizeIsAnIoError)
          "\"mem_gb_bits\": \"0x7ff8000000000000\"", "memGbPerSec"},
         {"\"mem_gb_bits\": \"0x0\"",
          "\"mem_gb_bits\": \"0x7ff0000000000000\"", "memGbPerSec"},
+        // Integers are read strictly, range-checked to their field.
+        {"\"history_size\": 16", "\"history_size\": 2147483648",
+         "history_size"},
+        {"\"queue_size\": 12", "\"queue_size\": 1.5", "queue_size"},
     };
+    const std::pair<std::string, std::string> unsignedFields[] = {
+        {"degree", "4"}, {"line_bytes", "64"}, {"fault_attempts", "0"}};
+    for (const auto &[field, value] : unsignedFields) {
+        const std::string key = "\"" + field + "\": ";
+        for (const char *bad : {"-1", "4.5", "1e30", "4294967296"})
+            edits.push_back({key + value, key + bad, field});
+    }
     for (const auto &e : edits) {
         std::string line = good;
         std::size_t at = line.find(e.from);
@@ -330,22 +353,29 @@ TEST(FaultInject, ManifestWritePointInjectsTransientIoError)
 {
     FaultGuard guard;
     std::string path = tmpPath("faultwrite");
-    fault::configure("manifest.write@1");
+    ManifestLock journal(path);
+    RunOutcome outcome;
+    outcome.status = RunStatus::Failed;
+    journal.append(6, outcome);
+    const std::string before = readText(path);
 
-    CampaignManifest manifest(path);
-    ManifestEntry entry;
-    entry.fingerprint = 7;
-    entry.outcome.status = RunStatus::Ok;
+    fault::configure("manifest.write@1");
     try {
-        manifest.record(entry);
+        journal.append(7, outcome);
         FAIL() << "injected manifest.write fault did not throw";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimError::Kind::Io);
         EXPECT_TRUE(e.transient());
     }
+    EXPECT_EQ(readText(path), before);
     // The fault fires once; the retry (what runBatch would do for a
-    // transient IoError) succeeds.
-    EXPECT_NO_THROW(manifest.record(entry));
+    // transient IoError) appends exactly one line.
+    EXPECT_NO_THROW(journal.append(7, outcome));
+    const std::string after = readText(path);
+    ASSERT_EQ(after.compare(0, before.size(), before), 0);
+    std::string added = after.substr(before.size());
+    EXPECT_EQ(std::count(added.begin(), added.end(), '\n'), 1) << added;
+    EXPECT_EQ(added.rfind("{\"fingerprint\": \"0x7\", ", 0), 0u) << added;
     std::remove(path.c_str());
 }
 

@@ -11,6 +11,7 @@
 #include "error_helpers.hh"
 #include "results_helpers.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -430,36 +431,40 @@ TEST(FaultTolerance, ResumeSkipsCompletedRuns)
 
 TEST(FaultTolerance, ResumeRefusesAnotherManifestVersion)
 {
-    // A manifest written before the fingerprint bump: --resume must
-    // fail loudly, in-process and on workers, and leave the file as
-    // it was rather than starting fresh over it.
+    // A whole-document manifest written before the journal format:
+    // --resume must fail loudly, in-process and on workers, and leave
+    // the file as it was rather than starting fresh over it.
     std::string path = ::testing::TempDir() + "old_version.json";
-    std::remove((path + ".lock").c_str());
-    const std::string text =
-        "{\n  \"version\": 1,\n  \"runs\": [\n    {\"fingerprint\": "
-        "\"0x1\", \"status\": \"failed\", \"attempts\": 1, "
-        "\"wall_ms\": 5, \"error_kind\": \"io\", \"error\": \"x\"}\n"
-        "  ]\n}\n";
-    const std::vector<unsigned char> old(text.begin(), text.end());
-    writeFileBytes(path, old);
+    for (int version : {1, 2}) {
+        SCOPED_TRACE(version);
+        const std::string text =
+            "{\n  \"version\": " + std::to_string(version) +
+            ",\n  \"runs\": [\n    {\"fingerprint\": "
+            "\"0x1\", \"status\": \"failed\", \"attempts\": 1, "
+            "\"wall_ms\": 5, \"error_kind\": \"io\", \"error\": \"x\"}\n"
+            "  ]\n}\n";
+        const std::vector<unsigned char> old(text.begin(), text.end());
+        writeFileBytes(path, old);
 
-    BatchOptions opt;
-    opt.maxAttempts = 1;
-    opt.manifestPath = path;
-    opt.resume = true;
-    const std::string needle = "has version 1; this build reads version 2";
-    test::expectThrows<ConfigError>(
-        [&] { runBatch({quickSpec(1)}, opt); }, needle);
+        BatchOptions opt;
+        opt.maxAttempts = 1;
+        opt.manifestPath = path;
+        opt.resume = true;
+        const std::string needle = "has version " +
+                                   std::to_string(version) +
+                                   "; this build reads version 3";
+        test::expectThrows<ConfigError>(
+            [&] { runBatch({quickSpec(1)}, opt); }, needle);
 
-    CampaignOptions campaign;
-    campaign.batch = opt;
-    campaign.workers = 2;
-    test::expectThrows<ConfigError>(
-        [&] { runCampaign({quickSpec(1)}, campaign); }, needle);
+        CampaignOptions campaign;
+        campaign.batch = opt;
+        campaign.workers = 2;
+        test::expectThrows<ConfigError>(
+            [&] { runCampaign({quickSpec(1)}, campaign); }, needle);
 
-    EXPECT_EQ(readFileBytes(path), old);
+        EXPECT_EQ(readFileBytes(path), old);
+    }
     std::remove(path.c_str());
-    std::remove((path + ".lock").c_str());
 }
 
 TEST(FaultTolerance, WatchdogTimesOutRunawayRuns)
@@ -523,15 +528,16 @@ TEST(FaultTolerance, ManifestRoundTrip)
     failed.outcome.error = "truncated trace file [/tmp/x.trc]";
 
     {
-        CampaignManifest m(path);
-        m.record(ok);
-        m.record(failed);
+        ManifestLock journal(path);
+        journal.append(ok.fingerprint, ok.outcome);
+        journal.append(failed.fingerprint, failed.outcome);
     }
 
     Expected<CampaignManifest> loaded = CampaignManifest::load(path);
     ASSERT_TRUE(loaded.ok()) << loaded.error().what();
     CampaignManifest &m = loaded.value();
     EXPECT_EQ(m.size(), 2u);
+    EXPECT_EQ(m.tornBytes(), 0u);
 
     const ManifestEntry *e = m.find(ok.fingerprint);
     ASSERT_NE(e, nullptr);
@@ -556,12 +562,197 @@ TEST(FaultTolerance, ManifestLoadErrorsAreValues)
     EXPECT_FALSE(missing.ok());
     EXPECT_EQ(missing.error().kind(), SimError::Kind::Io);
 
+    // Garbage, an empty file, a journal with no header, and one whose
+    // malformed line is not the last (so it is no torn append).
     std::string path = ::testing::TempDir() + "garbage_manifest.json";
-    std::ofstream(path) << "{not json at all";
-    Expected<CampaignManifest> corrupt = CampaignManifest::load(path);
-    EXPECT_FALSE(corrupt.ok());
-    EXPECT_NE(std::string(corrupt.error().what()).find("corrupt"),
-              std::string::npos);
+    for (const char *text :
+         {"{not json at all", "",
+          "{\"fingerprint\": \"0x1\", \"status\": \"failed\", "
+          "\"attempts\": 1, \"wall_ms\": 5}\n",
+          "{\"version\": 3}\n{\"fingerprint\": \"0x1\"\n"
+          "{\"fingerprint\": \"0x2\", \"status\": \"failed\", "
+          "\"attempts\": 1, \"wall_ms\": 5}\n"}) {
+        std::ofstream(path, std::ios::trunc) << text;
+        Expected<CampaignManifest> corrupt = CampaignManifest::load(path);
+        ASSERT_FALSE(corrupt.ok()) << text;
+        EXPECT_EQ(corrupt.error().kind(), SimError::Kind::Io);
+        EXPECT_NE(std::string(corrupt.error().what()).find("corrupt"),
+                  std::string::npos)
+            << corrupt.error().what();
+    }
+    std::remove(path.c_str());
+}
+
+namespace
+{
+
+/** FNV-1a 64 over @p bytes. */
+std::uint64_t
+fnv1a(const std::vector<unsigned char> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char b : bytes)
+        h = (h ^ b) * 0x100000001b3ULL;
+    return h;
+}
+
+/** Three fixed outcomes: Ok (every counter distinct, a report full
+ *  of characters to escape), Failed and TimedOut. */
+std::vector<ManifestEntry>
+fixedEntries()
+{
+    ManifestEntry ok;
+    ok.fingerprint = 0x0123456789abcdefULL;
+    ok.outcome.status = RunStatus::Ok;
+    ok.outcome.attempts = 2;
+    ok.outcome.wallMs = 17;
+    std::uint64_t next = 1;
+    for (const ResultsField &f : kResultsFields)
+        for (std::uint64_t &v : f.in(ok.outcome.results))
+            v = 0x9e3779b97f4a7c15ULL * next++;
+    ok.outcome.results.deriveIpc();
+    ok.outcome.jsonReport = std::string(
+        "{\"x\": \"a\\\"b\\\\c\"}\n\t\x01\x1f\x7f\xc3\xa9 end");
+    ManifestEntry failed;
+    failed.fingerprint = 0xdeadbeef;
+    failed.outcome.status = RunStatus::Failed;
+    failed.outcome.attempts = 3;
+    failed.outcome.errorKind = SimError::Kind::Trace;
+    failed.outcome.error = "truncated trace file [/tmp/x.trc] \"q\"\n";
+    ManifestEntry timedOut;
+    timedOut.fingerprint = 0;
+    timedOut.outcome.status = RunStatus::TimedOut;
+    timedOut.outcome.attempts = 1;
+    timedOut.outcome.wallMs = 50;
+    timedOut.outcome.errorKind = SimError::Kind::Timeout;
+    return {ok, failed, timedOut};
+}
+
+/** Ledger options for @p path. */
+BatchOptions
+ledgerOptions(const std::string &path, bool resume)
+{
+    BatchOptions opt;
+    opt.manifestPath = path;
+    opt.resume = resume;
+    return opt;
+}
+
+} // namespace
+
+// The journal only grows: each record() appends one line, leaving the
+// file it had as a byte prefix, and the lines are the whole-document
+// manifest's entry objects (version 2, before the journal) without
+// their indentation.
+TEST(FaultTolerance, ManifestJournalAppendsTheOldEntryBytes)
+{
+    std::string path = ::testing::TempDir() + "journal_prefix.json";
+    std::ofstream(path) << "stale bytes a fresh start must drop\n";
+    {
+        CampaignLedger ledger(ledgerOptions(path, false));
+        EXPECT_TRUE(readFileBytes(path).empty());
+        std::vector<unsigned char> before;
+        for (const ManifestEntry &e : fixedEntries()) {
+            ledger.record(e.fingerprint, e.outcome);
+            std::vector<unsigned char> after = readFileBytes(path);
+            ASSERT_GT(after.size(), before.size());
+            EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                                   after.begin()));
+            EXPECT_EQ(after.back(), '\n');
+            before = std::move(after);
+        }
+    }
+    std::vector<unsigned char> bytes = readFileBytes(path);
+    std::string text(bytes.begin(), bytes.end());
+    const std::string failedLine =
+        "{\"fingerprint\": \"0xdeadbeef\", \"status\": \"failed\", "
+        "\"attempts\": 3, \"wall_ms\": 0, \"error_kind\": \"trace\", "
+        "\"error\": \"truncated trace file [/tmp/x.trc] \\\"q\\\"\\n\"}\n";
+    EXPECT_EQ(text.rfind("{\"version\": 3}\n", 0), 0u) << text;
+    EXPECT_NE(text.find("\n" + failedLine), std::string::npos) << text;
+    // The digest of the version-2 writer's entries for the same
+    // outcomes, one per line under the header.
+    EXPECT_EQ(bytes.size(), 2594u);
+    EXPECT_EQ(fnv1a(bytes), 0x5b35a6b60b15848dULL) << text;
+
+    Expected<CampaignManifest> m = CampaignManifest::load(path);
+    ASSERT_TRUE(m.ok()) << m.error().what();
+    EXPECT_EQ(m.value().size(), 3u);
+    EXPECT_EQ(m.value().completeBytes(), bytes.size());
+    std::remove(path.c_str());
+}
+
+TEST(FaultTolerance, ManifestKeepsTheLastLineOfAFingerprint)
+{
+    std::string path = ::testing::TempDir() + "journal_last_wins.json";
+    std::vector<ManifestEntry> e = fixedEntries();
+    RunOutcome retried = e[1].outcome;
+    retried.attempts = 4;
+    retried.error = "again";
+    {
+        CampaignLedger ledger(ledgerOptions(path, false));
+        for (const ManifestEntry &x : e)
+            ledger.record(x.fingerprint, x.outcome);
+        ledger.record(e[1].fingerprint, retried);
+        ledger.record(e[0].fingerprint, e[0].outcome);
+    }
+    Expected<CampaignManifest> m = CampaignManifest::load(path);
+    ASSERT_TRUE(m.ok()) << m.error().what();
+    ASSERT_EQ(m.value().size(), 3u);
+    std::vector<const ManifestEntry *> order = m.value().entriesInOrder();
+    for (std::size_t i = 0; i < e.size(); ++i)
+        EXPECT_EQ(order[i]->fingerprint, e[i].fingerprint);
+    const ManifestEntry *f = m.value().find(e[1].fingerprint);
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(f->outcome.attempts, 4u);
+    EXPECT_EQ(f->outcome.error, "again");
+
+    // A resume restores from the last line too.
+    CampaignLedger resumed(ledgerOptions(path, true));
+    RunOutcome out;
+    unsigned prior = 0;
+    EXPECT_FALSE(resumed.restore(e[1].fingerprint, out, prior));
+    EXPECT_EQ(prior, 4u);
+    EXPECT_TRUE(resumed.restore(e[0].fingerprint, out, prior));
+    test::expectIdentical(out.results, e[0].outcome.results);
+    std::remove(path.c_str());
+}
+
+// A coordinator killed mid-append leaves a last line without its
+// '\n'. Cut there at every byte offset, the manifest still loads every
+// earlier entry, and a resume cuts the torn bytes off before its first
+// append, so the file stays well formed.
+TEST(FaultTolerance, ManifestDropsATornLastLineAtEveryOffset)
+{
+    std::string path = ::testing::TempDir() + "journal_torn.json";
+    std::vector<ManifestEntry> e = fixedEntries();
+    {
+        CampaignLedger ledger(ledgerOptions(path, false));
+        for (std::size_t i : {1u, 2u, 0u})
+            ledger.record(e[i].fingerprint, e[i].outcome);
+    }
+    const std::vector<unsigned char> full = readFileBytes(path);
+    std::size_t lastLine = full.size() - 1;
+    while (full[lastLine - 1] != '\n')
+        --lastLine;
+
+    for (std::size_t cut = lastLine; cut < full.size(); ++cut) {
+        SCOPED_TRACE(cut);
+        writeFileBytes(path, std::vector<unsigned char>(
+                                 full.begin(), full.begin() + cut));
+        Expected<CampaignManifest> m = CampaignManifest::load(path);
+        ASSERT_TRUE(m.ok()) << m.error().what();
+        EXPECT_EQ(m.value().size(), 2u);
+        EXPECT_EQ(m.value().completeBytes(), lastLine);
+        EXPECT_EQ(m.value().tornBytes(), cut - lastLine);
+        EXPECT_EQ(m.value().find(e[0].fingerprint), nullptr);
+
+        {
+            CampaignLedger ledger(ledgerOptions(path, true));
+            ledger.record(e[0].fingerprint, e[0].outcome);
+        }
+        EXPECT_EQ(readFileBytes(path), full);
+    }
     std::remove(path.c_str());
 }
 
@@ -635,10 +826,9 @@ TEST(FaultTolerance, ManifestWithAMalformedCounterIsNotRestored)
 
     std::string path = ::testing::TempDir() + "bad_counter.json";
     std::ofstream(path)
-        << "{\n  \"version\": 2,\n  \"runs\": [\n    {\"fingerprint\": "
-           "\"0x1\", \"status\": \"ok\", \"attempts\": 1, \"wall_ms\": 5, "
-           "\"results\": "
-        << results << "}\n  ]\n}\n";
+        << "{\"version\": 3}\n{\"fingerprint\": \"0x1\", \"status\": "
+           "\"ok\", \"attempts\": 1, \"wall_ms\": 5, \"results\": "
+        << results << "}\n";
     Expected<CampaignManifest> m = CampaignManifest::load(path);
     ASSERT_FALSE(m.ok());
     EXPECT_NE(std::string(m.error().what()).find("0x-1"),

@@ -14,7 +14,9 @@
  *    order for equal ready cycles decides install (and so eviction)
  *    order in the hierarchy;
  *  - the pointer-writing v3 block encoder vs the push_back encoder it
- *    replaced: identical bytes, and decode(encode(x)) == x.
+ *    replaced: identical bytes, and decode(encode(x)) == x.;
+ *  - jsonEscape / jsonString / jsonHex vs the per-character and
+ *    ostringstream helpers they replaced: identical bytes.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 #include "prefetch/prefetch_queue.hh"
 #include "reference_models.hh"
 #include "trace/trace_v3.hh"
+#include "util/json.hh"
 #include "util/line_map.hh"
 #include "util/ring.hh"
 #include "util/rng.hh"
@@ -617,6 +620,45 @@ TEST(FillHeapLockstep, TiesPopInPriorityQueueOrder)
             EXPECT_TRUE(heap.empty());
             EXPECT_GT(ties, 0u);
         }
+    }
+}
+
+TEST(JsonEmitLockstep, EscapeMatchesBytewiseEscape)
+{
+    auto check = [](const std::string &s) {
+        ASSERT_EQ(jsonEscape(s), ref::jsonEscapeBytewise(s));
+        ASSERT_EQ(jsonString(s), '"' + ref::jsonEscapeBytewise(s) + '"');
+    };
+    check("");
+    for (unsigned b = 0; b < 256; ++b)
+        check(std::string(1, static_cast<char>(b)));
+    // Random strings mixing every byte value with plain runs and
+    // well-formed UTF-8 (2-, 3- and 4-byte sequences).
+    const std::string pieces[] = {"plain text ", "\xc3\xa9", "\xe2\x82\xac",
+                                  "\xf0\x9f\x98\x80", "\"", "\\", "\n"};
+    Rng rng(29);
+    for (int round = 0; round < 2000; ++round) {
+        std::string s;
+        std::size_t n = rng.below(40);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (rng.below(2))
+                s += static_cast<char>(rng.below(256));
+            else
+                s += pieces[rng.below(std::size(pieces))];
+        }
+        check(s);
+    }
+}
+
+TEST(JsonEmitLockstep, HexMatchesStreamHex)
+{
+    for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1},
+                            std::uint64_t{1} << 32, ~std::uint64_t{0}})
+        EXPECT_EQ(jsonHex(v), ref::jsonHexStream(v));
+    Rng rng(64);
+    for (int i = 0; i < 10000; ++i) {
+        std::uint64_t v = rng.next() >> rng.below(64);
+        ASSERT_EQ(jsonHex(v), ref::jsonHexStream(v)) << v;
     }
 }
 

@@ -606,3 +606,33 @@ TEST(Json, AsUintRejectsMalformedCounters)
         EXPECT_THROW(parseJson(text).asUint(), std::runtime_error)
             << text;
 }
+
+TEST(Json, IntOrRangeChecksToTheFieldType)
+{
+    JsonValue v = parseJson(
+        "{\"u\": 4294967295, \"big\": 4294967296, \"hex\": \"0x10\", "
+        "\"neg\": -2147483648, \"low\": -2147483649, \"half\": 4.5, "
+        "\"huge\": 1e30, \"id\": -1, \"i64\": 9223372036854775808}");
+    EXPECT_EQ(v.intOr("absent", 7u), 7u);
+    EXPECT_EQ(v.intOr("u", 0u), 4294967295u);
+    EXPECT_EQ(v.intOr("hex", 0u), 16u);
+    EXPECT_EQ(v.intOr("neg", 0), -2147483647 - 1);
+    EXPECT_EQ(v.intOr<std::int64_t>("id", 0), -1);
+    EXPECT_EQ(v.intOr<std::int64_t>("low", 0), -2147483649LL);
+    EXPECT_THROW(v.intOr<std::int64_t>("i64", 0), std::runtime_error);
+    const std::pair<const char *, bool> bad[] = {
+        {"big", false}, {"neg", false}, {"half", false}, {"huge", false},
+        {"low", true},  {"hex", true},  {"half", true},  {"huge", true}};
+    for (const auto &[key, isSigned] : bad) {
+        try {
+            if (isSigned)
+                v.intOr(key, 0);
+            else
+                v.intOr(key, 0u);
+            ADD_FAILURE() << key << " read";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+}

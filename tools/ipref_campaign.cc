@@ -20,7 +20,7 @@
  *   --seed N              base RNG seed (default 1)
  *   --timing              timing simulation (default: functional)
  *   --stats-json FILE     JSON array with one report per run
- *   --manifest FILE       campaign checkpoint (atomic writes)
+ *   --manifest FILE       campaign checkpoint (a line per outcome)
  *   --resume              skip runs the manifest already completed
  *   --retries N           attempt budget per spec, spanning worker
  *                         deaths and in-worker retries (default 3)
