@@ -211,21 +211,25 @@ struct BenchContext
      * per-run failure domains: a corrupt trace, a thrown SimError or
      * a deadline overrun fails that run alone. Failures are reported
      * on stderr and their result slots are zero; check exitCode().
+     * Every batch after the first appends to the --manifest the first
+     * one started, as a resume does, so the file covers the bench.
      */
     std::vector<SimResults>
     run(const std::vector<RunSpec> &specs) const
     {
+        BatchOptions opt = batch;
+        opt.resume = batch.resume || batchesRun++ > 0;
         std::vector<RunOutcome> outcomes;
         try {
             if (workers > 0) {
                 CampaignOptions campaign;
-                campaign.batch = batch;
+                campaign.batch = opt;
                 campaign.workers = workers;
                 campaign.workerCmd = workerBin;
                 campaign.workerFaults = workerFaults;
                 outcomes = runCampaign(specs, campaign);
             } else {
-                outcomes = runBatch(specs, batch);
+                outcomes = runBatch(specs, opt);
             }
         } catch (const SimError &e) {
             // Campaign-level misconfiguration — most commonly another
@@ -291,6 +295,7 @@ struct BenchContext
     std::string workerBin;         //!< --worker-bin override
     std::string workerFaults;      //!< --worker-faults chaos schedule
     mutable unsigned failures = 0; //!< non-Ok outcomes seen by run()
+    mutable unsigned batchesRun = 0; //!< run() calls so far
     mutable std::map<RunStatus, unsigned> statusCounts;
 };
 

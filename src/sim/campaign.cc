@@ -445,6 +445,7 @@ CampaignLedger::record(std::uint64_t fingerprint,
 {
     if (!journal_.held())
         return;
+    std::lock_guard<std::mutex> lock(recordMutex_);
     try {
         journal_.append(fingerprint, outcome);
     } catch (const SimError &err) {

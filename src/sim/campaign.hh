@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -280,8 +281,9 @@ class CampaignLedger
 
     /**
      * Checkpoint @p outcome: append its line (no-op without a
-     * manifest). A failed write warns and the campaign goes on:
-     * results are still returned, only resumability is lost.
+     * manifest). Safe to call from several threads. A failed write
+     * warns and the campaign goes on: results are still returned,
+     * only resumability is lost.
      */
     void record(std::uint64_t fingerprint, const RunOutcome &outcome);
 
@@ -299,6 +301,7 @@ class CampaignLedger
     static void countFinal(RunStatus s);
 
   private:
+    std::mutex recordMutex_;  //!< serializes record()'s appends
     ManifestLock journal_;
     CampaignManifest loaded_; //!< what a resume read back
 };

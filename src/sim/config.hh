@@ -9,6 +9,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstddef>
 #include <memory>
@@ -28,18 +29,21 @@ namespace ipref
 {
 
 /**
- * Cooperative cancellation shared between a running System and the
- * batch runner's watchdog. The simulation loops poll stop and throw
- * SimError(Timeout/Interrupted) when it is raised, so a runaway or
- * cancelled run unwinds cleanly and frees its pool slot.
+ * Cooperative cancellation of one run. The simulation loops poll it
+ * at every threshold check and throw SimError(Interrupted) once the
+ * interrupt latch is raised, or SimError(Timeout) past the deadline,
+ * so a runaway or cancelled run unwinds cleanly and frees its pool
+ * slot. No thread watches it: the poll itself reads the latch, and
+ * the clock only when a deadline is set.
  */
 struct RunControl
 {
-    static constexpr int stopNone = 0;
-    static constexpr int stopTimeout = 1;
-    static constexpr int stopInterrupt = 2;
+    /** The interrupt latch to poll (null = not interruptible). */
+    const std::atomic<bool> *interrupt = nullptr;
 
-    std::atomic<int> stop{stopNone};
+    /** Stop the run past this instant (max() = no deadline). */
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
 };
 
 /** Everything needed to build and run one simulation. */
@@ -112,8 +116,8 @@ struct SystemConfig
     /** Same as `trace` (perfbench reads the input through this). */
     TraceSpec effectiveTrace() const { return trace; }
 
-    /** Cancellation handle polled by the run loops (may be null). */
-    std::shared_ptr<RunControl> control;
+    /** Cancellation polled by the run loops (default: none). */
+    RunControl control;
 
     /**
      * Fault-injection test hook: when > 0, throw a SimError once

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +33,18 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+
+/** Worker deaths on one spec before it is quarantined. */
+constexpr unsigned kQuarantineAfter = 3;
+
+/** Spawns per worker: the first one plus four respawns. */
+constexpr std::size_t kSpawnsPerWorker = 5;
+
+/** How long a worker may take to exit once told to, before SIGKILL. */
+constexpr std::chrono::milliseconds kGrace{5000};
+
+/** How often a waiting task looks at the interrupt latch. */
+constexpr int kPollMs = 20;
 
 /** Campaign-level fleet telemetry (ipref_top renders these). */
 struct CampMetricRefs
@@ -77,15 +92,6 @@ campMetrics()
     return refs;
 }
 
-/** Campaign signal latch (async-signal-safe: flag only). */
-volatile std::sig_atomic_t g_campaignSignal = 0;
-
-void
-campaignSignalHandler(int)
-{
-    g_campaignSignal = 1;
-}
-
 std::string
 selfExePath()
 {
@@ -97,110 +103,223 @@ selfExePath()
     return buf;
 }
 
-/** One fleet slot; respawns reuse the slot with a fresh ordinal. */
-struct WorkerProc
+/**
+ * One live worker process, held by the fleet or by one task. Its
+ * destructor reaps it.
+ */
+struct Worker
 {
-    pid_t pid = -1;
-    int toFd = -1;   //!< coordinator -> worker
-    int fromFd = -1; //!< worker -> coordinator
+    Worker(pid_t p, int to, int from) : pid(p), toFd(to), fromFd(from)
+    {
+        campMetrics().spawns.add(1);
+        campMetrics().workersAlive.add(1);
+    }
+
+    ~Worker();
+
+    Worker(const Worker &) = delete;
+    Worker &operator=(const Worker &) = delete;
+
+    pid_t pid;
+    int toFd;   //!< coordinator -> worker (-1 once closed)
+    int fromFd; //!< worker -> coordinator (non-blocking)
     unsigned spawn = 0;
+    std::size_t slot = 0;
     std::string rbuf;
-    std::int64_t runningIdx = -1; //!< dispatched spec index, -1 idle
-    Clock::time_point lastBeat;
     std::uint64_t lastInstrs = 0;
     /** ipref_campaign_worker<slot>_instrs: last heartbeat's count. */
     metrics::Gauge *instrsGauge = nullptr;
-    bool helloSeen = false;
-    bool shutdownSent = false;
-    bool abortSent = false;
-    bool byeSeen = false;
-
-    bool alive() const { return pid > 0; }
 };
 
-/** A requeued spec waiting out its backoff. */
-struct Delayed
+/** How a wait on a worker's pipe ended. */
+struct Reply
 {
-    std::size_t idx;
-    Clock::time_point eligibleAt;
+    std::optional<RunOutcome> outcome; //!< the awaited outcome
+    const char *death = nullptr;       //!< or why the worker is dead
 };
 
-/** The whole in-flight campaign; one per runCampaign call. */
-class Coordinator
+/** Append what @p w's pipe holds to its buffer; true at EOF. */
+bool
+readPipe(Worker &w)
+{
+    char chunk[8192];
+    for (;;) {
+        ssize_t r = ::read(w.fromFd, chunk, sizeof(chunk));
+        if (r > 0) {
+            w.rbuf.append(chunk, static_cast<std::size_t>(r));
+            continue;
+        }
+        if (r < 0 && errno == EINTR)
+            continue;
+        // 0 = closed; errors other than "nothing yet" count the same.
+        return !(r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+    }
+}
+
+/**
+ * Close the worker's stdin (an idle worker exits on it) and wait for
+ * the process, draining its pipe meanwhile so a heartbeat write cannot
+ * hold up its exit; SIGKILL it past the grace.
+ */
+Worker::~Worker()
+{
+    if (toFd >= 0)
+        ::close(toFd);
+    auto killAt = Clock::now() + kGrace;
+    int status = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+        if (Clock::now() >= killAt) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+            break;
+        }
+        pollfd p{};
+        p.fd = fromFd;
+        p.events = POLLIN;
+        if (::poll(&p, 1, 5) > 0 && readPipe(*this))
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        rbuf.clear();
+    }
+    ::close(fromFd);
+    campMetrics().workersAlive.sub(1);
+}
+
+/** An outcome for a spec no worker finished. */
+RunOutcome
+unfinished(RunStatus status, SimError::Kind kind, std::string error,
+           unsigned attempts)
+{
+    RunOutcome o;
+    o.status = status;
+    o.errorKind = kind;
+    o.error = std::move(error);
+    o.attempts = attempts;
+    return o;
+}
+
+/**
+ * The worker processes of one campaign: at most one per slot alive,
+ * each leased to one task at a time. Tasks spawn workers on demand,
+ * within kSpawnsPerWorker spawns per slot in all.
+ */
+class Fleet
 {
   public:
-    Coordinator(const std::vector<RunSpec> &specs,
-                const CampaignOptions &opt)
-        : specs_(specs), opt_(opt),
-          workers_(std::max(1u, opt.workers)), ledger_(opt.batch)
+    Fleet(const CampaignOptions &opt, std::string bin)
+        : opt_(opt), bin_(std::move(bin)),
+          slots_(std::max(1u, opt.workers), false),
+          spawnsLeft_(slots_.size() * kSpawnsPerWorker)
     {}
 
-    std::vector<RunOutcome> run();
-
-  private:
-    void spawnWorker(std::size_t slot);
-    void dispatch();
-    void pump(int timeoutMs);
-    void handleLine(std::size_t slot, const std::string &line);
-    void handleOutcome(std::size_t slot, ProtoMessage &m);
-    void handleWorkerDeath(std::size_t slot, const char *why);
-    void checkDeadlines();
-    void reapExited();
-    void beginDrain();
-    void finalize(std::size_t idx, RunOutcome outcome);
-    void requeueAfterDeath(std::size_t idx, const char *why);
-    void closeWorker(WorkerProc &w);
-    void shutdownFleet();
-
-    const std::vector<RunSpec> &specs_;
-    const CampaignOptions &opt_;
-    std::vector<WorkerProc> fleet_;
-    unsigned workers_;
-    unsigned spawnOrdinal_ = 0;
-    unsigned respawnBudget_ = 0;
-    std::string workerBin_;
-
-    std::vector<std::uint64_t> fingerprints_;
-    std::vector<RunOutcome> outcomes_;
-    std::vector<bool> finalized_;
-    std::vector<unsigned> priorAttempts_; //!< consumed before dispatch
-    std::vector<unsigned> deathCount_;    //!< worker deaths on spec
-    std::deque<std::size_t> pending_;
-    std::vector<Delayed> delayed_;
-    std::size_t remaining_ = 0;
-
-    CampaignLedger ledger_;
-    bool draining_ = false;
-    Clock::time_point drainDeadline_;
-    bool exitAtNextRecord_ = false; //!< coord.exit_after_death fired
-};
-
-void
-Coordinator::spawnWorker(std::size_t slot)
-{
-    WorkerProc &w = fleet_[slot];
-    unsigned spawn = spawnOrdinal_++;
-
-    int toPipe[2] = {-1, -1};
-    int fromPipe[2] = {-1, -1};
-    if (::pipe2(toPipe, O_CLOEXEC) != 0 ||
-        ::pipe2(fromPipe, O_CLOEXEC) != 0) {
-        if (toPipe[0] >= 0) {
-            ::close(toPipe[0]);
-            ::close(toPipe[1]);
+    /**
+     * Close every worker's stdin, so they exit side by side; idle_'s
+     * destruction then reaps them. All are idle once the batch is done.
+     */
+    ~Fleet()
+    {
+        for (std::unique_ptr<Worker> &w : idle_) {
+            ::close(w->toFd);
+            w->toFd = -1;
         }
-        throw SimError(SimError::Kind::Io,
-                       std::string("campaign: pipe2 failed: ") +
-                           std::strerror(errno),
-                       isTransientErrno(errno));
     }
 
+    Fleet(const Fleet &) = delete;
+    Fleet &operator=(const Fleet &) = delete;
+
+    /**
+     * Run spec @p index on leased workers until its outcome is final:
+     * a worker's outcome, or the verdict on the deaths it caused.
+     */
+    RunOutcome run(std::size_t index, const RunSpec &spec,
+                   std::uint64_t fingerprint, unsigned priorAttempts);
+
+  private:
+    std::unique_ptr<Worker> lease(bool &noneLeft);
+    std::unique_ptr<Worker> spawn(std::size_t slot, unsigned ordinal);
+    Reply listen(Worker &w, std::int64_t id, std::uint64_t fingerprint);
+    void giveBack(std::unique_ptr<Worker> w);
+    void bury(std::unique_ptr<Worker> w, const char *why);
+    void freeSlot(std::size_t slot);
+
+    const CampaignOptions &opt_;
+    const std::string bin_;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::vector<std::unique_ptr<Worker>> idle_;
+    std::vector<bool> slots_; //!< true while the slot's worker lives
+    std::size_t spawnsLeft_;
+    unsigned nextSpawn_ = 0;
+};
+
+/**
+ * An idle live worker, else a fresh spawn into a free slot while the
+ * budget lasts, else wait for one. Null when the batch is interrupted,
+ * or with @p noneLeft set when no worker lives and none may spawn.
+ */
+std::unique_ptr<Worker>
+Fleet::lease(bool &noneLeft)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!batchInterrupted()) {
+        if (!idle_.empty()) {
+            std::unique_ptr<Worker> w = std::move(idle_.back());
+            idle_.pop_back();
+            return w;
+        }
+        auto free = std::find(slots_.begin(), slots_.end(), false);
+        if (free != slots_.end() && spawnsLeft_ > 0) {
+            --spawnsLeft_;
+            *free = true;
+            auto slot = static_cast<std::size_t>(free - slots_.begin());
+            unsigned ordinal = nextSpawn_++;
+            lock.unlock();
+            if (std::unique_ptr<Worker> w = spawn(slot, ordinal))
+                return w;
+            lock.lock(); // died before hello; the spawn is spent
+            continue;
+        }
+        if (std::find(slots_.begin(), slots_.end(), true) ==
+            slots_.end()) {
+            noneLeft = true;
+            return nullptr;
+        }
+        cv_.wait_for(lock, std::chrono::milliseconds(kPollMs));
+    }
+    return nullptr;
+}
+
+void
+Fleet::giveBack(std::unique_ptr<Worker> w)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        idle_.push_back(std::move(w));
+    }
+    cv_.notify_one();
+}
+
+void
+Fleet::freeSlot(std::size_t slot)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        slots_[slot] = false;
+    }
+    cv_.notify_all();
+}
+
+/**
+ * Fork/exec a worker into @p slot and wait for its hello. Null when
+ * it died first (counted as a death). Throws SimError(Io) when no
+ * process can be made.
+ */
+std::unique_ptr<Worker>
+Fleet::spawn(std::size_t slot, unsigned ordinal)
+{
     // argv / envp are fully built before fork(): the child must not
-    // allocate between fork and exec (the coordinator may be
-    // multithreaded via the metrics sampler).
-    std::vector<std::string> argStore;
-    argStore.push_back(workerBin_);
-    argStore.push_back("--worker-mode");
+    // allocate between fork and exec (other threads may hold the
+    // allocator's locks).
+    std::vector<std::string> argStore = {bin_, "--worker-mode"};
     std::vector<char *> argv;
     for (std::string &a : argStore)
         argv.push_back(a.data());
@@ -215,7 +334,7 @@ Coordinator::spawnWorker(std::size_t slot)
             continue;
         envStore.push_back(*e);
     }
-    envStore.push_back("IPREF_WORKER_SPAWN=" + std::to_string(spawn));
+    envStore.push_back("IPREF_WORKER_SPAWN=" + std::to_string(ordinal));
     if (!opt_.workerFaults.empty())
         envStore.push_back("IPREF_FAULTS=" + opt_.workerFaults);
     std::vector<char *> envp;
@@ -223,38 +342,42 @@ Coordinator::spawnWorker(std::size_t slot)
         envp.push_back(e.data());
     envp.push_back(nullptr);
 
-    pid_t pid = ::fork();
+    // O_CLOEXEC: a worker spawned by another task at the same moment
+    // must not inherit this one's pipe ends.
+    int toPipe[2] = {-1, -1};
+    int fromPipe[2] = {-1, -1};
+    pid_t pid = -1;
+    if (::pipe2(toPipe, O_CLOEXEC) == 0 &&
+        ::pipe2(fromPipe, O_CLOEXEC) == 0)
+        pid = ::fork();
     if (pid < 0) {
-        ::close(toPipe[0]);
-        ::close(toPipe[1]);
-        ::close(fromPipe[0]);
-        ::close(fromPipe[1]);
+        int err = errno;
+        for (int fd : {toPipe[0], toPipe[1], fromPipe[0], fromPipe[1]})
+            if (fd >= 0)
+                ::close(fd);
+        freeSlot(slot);
         throw SimError(SimError::Kind::Io,
-                       std::string("campaign: fork failed: ") +
-                           std::strerror(errno),
-                       isTransientErrno(errno));
+                       std::string("campaign: cannot spawn a worker: ") +
+                           std::strerror(err),
+                       isTransientErrno(err));
     }
     if (pid == 0) {
         // Child: protocol on stdin/stdout, then exec. Only
         // async-signal-safe calls from here to execve.
         ::dup2(toPipe[0], STDIN_FILENO);
         ::dup2(fromPipe[1], STDOUT_FILENO);
-        ::execve(workerBin_.c_str(), argv.data(), envp.data());
+        ::execve(bin_.c_str(), argv.data(), envp.data());
         ::_exit(127);
     }
 
     ::close(toPipe[0]);
     ::close(fromPipe[1]);
-    int flags = ::fcntl(fromPipe[0], F_GETFL, 0);
-    ::fcntl(fromPipe[0], F_SETFL, flags | O_NONBLOCK);
-
-    w = WorkerProc{};
-    w.pid = pid;
-    w.toFd = toPipe[1];
-    w.fromFd = fromPipe[0];
-    w.spawn = spawn;
-    w.lastBeat = Clock::now(); // startup grace = heartbeat timeout
-    w.instrsGauge = &metrics::registry().gauge(
+    ::fcntl(fromPipe[0], F_SETFL,
+            ::fcntl(fromPipe[0], F_GETFL, 0) | O_NONBLOCK);
+    auto w = std::make_unique<Worker>(pid, toPipe[1], fromPipe[0]);
+    w->spawn = ordinal;
+    w->slot = slot;
+    w->instrsGauge = &metrics::registry().gauge(
         "ipref_campaign_worker" + std::to_string(slot) + "_instrs");
 
     WorkerConfig cfg;
@@ -263,591 +386,223 @@ Coordinator::spawnWorker(std::size_t slot)
     cfg.intervalInstrs = observability().intervalInstrs;
     cfg.traceCapacity = observability().traceCapacity;
     cfg.profileSites = observability().profileSites;
-    cfg.maxAttempts =
-        opt_.batch.maxAttempts ? opt_.batch.maxAttempts : 1;
+    cfg.maxAttempts = opt_.batch.maxAttempts ? opt_.batch.maxAttempts : 1;
     cfg.retryBaseMs = opt_.batch.retryBaseMs;
     cfg.retryCapMs = opt_.batch.retryCapMs;
     cfg.runTimeoutMs = opt_.batch.runTimeoutMs;
     cfg.heartbeatMs = opt_.heartbeatMs;
-    if (!writeAll(w.toFd, configLine(cfg) + "\n")) {
-        handleWorkerDeath(slot, "died before config");
-        return;
+    // A write to a dead worker fails, and its pipe then reads EOF.
+    writeAll(w->toFd, configLine(cfg) + "\n");
+    Reply hello = listen(*w, -1, 0);
+    if (hello.death) {
+        bury(std::move(w), hello.death);
+        return nullptr;
     }
-
-    campMetrics().spawns.add(1);
-    campMetrics().workersAlive.add(1);
+    return w;
 }
 
-void
-Coordinator::closeWorker(WorkerProc &w)
+/**
+ * Read @p w's pipe until the outcome of run @p id arrives (id < 0:
+ * until its hello) or the worker is dead: pipe EOF, a truncated last
+ * line, silence past the heartbeat deadline, or no answer within the
+ * grace after the interrupt latch sent it an abort. A worker past a
+ * deadline is SIGKILLed here.
+ */
+Reply
+Fleet::listen(Worker &w, std::int64_t id, std::uint64_t fingerprint)
 {
-    if (w.toFd >= 0)
-        ::close(w.toFd);
-    if (w.fromFd >= 0)
-        ::close(w.fromFd);
-    w.toFd = w.fromFd = -1;
-    w.pid = -1;
-}
-
-void
-Coordinator::finalize(std::size_t idx, RunOutcome outcome)
-{
-    if (finalized_[idx])
-        return;
-    outcomes_[idx] = std::move(outcome);
-    finalized_[idx] = true;
-    --remaining_;
-
-    CampaignLedger::countFinal(outcomes_[idx].status);
-    ledger_.record(fingerprints_[idx], outcomes_[idx]);
-    // Chaos hook: the coordinator dies right after persisting an
-    // outcome — the worst moment short of mid-append (whose torn
-    // line a resume drops).
-    if (!opt_.batch.manifestPath.empty() &&
-        (exitAtNextRecord_ || fault::shouldFire("coord.exit_record")))
-        ::_exit(137);
-}
-
-void
-Coordinator::requeueAfterDeath(std::size_t idx, const char *why)
-{
-    priorAttempts_[idx] += 1; // the attempt the dead worker consumed
-    deathCount_[idx] += 1;
-
-    unsigned maxAttempts =
-        opt_.batch.maxAttempts ? opt_.batch.maxAttempts : 1;
-
-    if (opt_.quarantineAfter > 0 &&
-        deathCount_[idx] >= opt_.quarantineAfter) {
-        RunOutcome o;
-        o.status = RunStatus::Quarantined;
-        o.errorKind = SimError::Kind::Invariant;
-        o.error = std::string("quarantined after ") +
-                  std::to_string(deathCount_[idx]) +
-                  " worker deaths on this spec (last: " + why + ")";
-        o.attempts = priorAttempts_[idx];
-        ipref_warn("campaign: quarantining spec %zu (%s)", idx, why);
-        campMetrics().quarantined.add(1);
-        finalize(idx, std::move(o));
-        return;
-    }
-    if (priorAttempts_[idx] >= maxAttempts) {
-        RunOutcome o;
-        o.status = RunStatus::Failed;
-        o.errorKind = SimError::Kind::Io;
-        o.error = std::string("worker died while running spec (") +
-                  why + "); attempt budget exhausted";
-        o.attempts = priorAttempts_[idx];
-        finalize(idx, std::move(o));
-        return;
-    }
-    campMetrics().requeues.add(1);
-    Delayed d;
-    d.idx = idx;
-    d.eligibleAt = Clock::now() +
-                   std::chrono::milliseconds(CampaignLedger::backoffMs(
-                       opt_.batch, fingerprints_[idx],
-                       priorAttempts_[idx]));
-    delayed_.push_back(d);
-}
-
-void
-Coordinator::handleWorkerDeath(std::size_t slot, const char *why)
-{
-    WorkerProc &w = fleet_[slot];
-    if (!w.alive())
-        return;
-    pid_t pid = w.pid;
-    std::int64_t inFlight = w.runningIdx;
-    closeWorker(w);
-
-    // Reap without blocking forever: the process is either already a
-    // zombie (crash/EOF) or was just SIGKILLed by a deadline check.
-    int status = 0;
-    for (int i = 0; i < 500; ++i) {
-        pid_t r = ::waitpid(pid, &status, WNOHANG);
-        if (r == pid || (r < 0 && errno == ECHILD))
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-
-    campMetrics().deaths.add(1);
-    campMetrics().workersAlive.sub(1);
-    ipref_warn("campaign: worker spawn %u (pid %d) died (%s)%s",
-               w.spawn, static_cast<int>(pid), why,
-               inFlight >= 0 ? "; requeueing its spec" : "");
-    // Chaos hook: arm the coordinator's own death for the next
-    // outcome it records. Counted in worker deaths rather than
-    // outcomes, it lands after the worker faults it is scheduled
-    // behind however fast the host runs specs.
-    if (fault::shouldFire("coord.exit_after_death"))
-        exitAtNextRecord_ = true;
-
-    if (inFlight >= 0) {
-        std::size_t idx = static_cast<std::size_t>(inFlight);
-        if (draining_) {
-            RunOutcome o;
-            o.status = RunStatus::Interrupted;
-            o.errorKind = SimError::Kind::Interrupted;
-            o.error = "campaign draining; worker terminated";
-            o.attempts = priorAttempts_[idx] + 1;
-            finalize(idx, std::move(o));
-        } else {
-            requeueAfterDeath(idx, why);
+    Reply reply;
+    auto lastBeat = Clock::now();
+    std::optional<Clock::time_point> killAt; // set once abort is sent
+    const auto silence = std::chrono::milliseconds(opt_.heartbeatTimeoutMs);
+    const bool watchBeats = opt_.heartbeatMs > 0 && silence.count() > 0;
+    bool hello = false;
+    for (;;) {
+        if (!killAt && batchInterrupted()) {
+            killAt = Clock::now() + kGrace;
+            writeAll(w.toFd, abortLine() + "\n");
         }
-    }
-
-    // Respawn into this slot while there is (or may become) work and
-    // budget. Dying before hello repeatedly burns the budget, so a
-    // totally broken worker binary cannot respawn-loop forever.
-    bool workLeft = !pending_.empty() || !delayed_.empty();
-    if (!draining_ && workLeft && respawnBudget_ > 0) {
-        --respawnBudget_;
-        spawnWorker(slot);
-    }
-}
-
-void
-Coordinator::handleOutcome(std::size_t slot, ProtoMessage &m)
-{
-    WorkerProc &w = fleet_[slot];
-    if (m.id < 0 || m.id != w.runningIdx ||
-        static_cast<std::size_t>(m.id) >= specs_.size() ||
-        m.fingerprint != fingerprints_[static_cast<std::size_t>(
-            m.id)]) {
-        campMetrics().protoErrors.add(1);
-        ipref_warn("campaign: dropping unexpected outcome (id %lld "
-                   "from spawn %u)",
-                   static_cast<long long>(m.id), w.spawn);
-        return;
-    }
-    std::size_t idx = static_cast<std::size_t>(m.id);
-    w.runningIdx = -1;
-    w.lastBeat = Clock::now();
-
-    BatchMetrics &bm = batchMetrics();
-    unsigned consumed =
-        m.outcome.attempts > priorAttempts_[idx]
-            ? m.outcome.attempts - priorAttempts_[idx]
-            : 1;
-    bm.attempts.add(consumed);
-    if (consumed > 1)
-        bm.retries.add(consumed - 1);
-
-    finalize(idx, std::move(m.outcome));
-}
-
-void
-Coordinator::handleLine(std::size_t slot, const std::string &line)
-{
-    WorkerProc &w = fleet_[slot];
-    Expected<ProtoMessage> msg = parseProtoLine(line);
-    if (!msg.ok()) {
-        campMetrics().protoErrors.add(1);
-        ipref_warn("campaign: bad line from worker spawn %u: %s",
-                   w.spawn, msg.error().what());
-        return;
-    }
-    ProtoMessage &m = msg.value();
-    switch (m.type) {
-      case ProtoMessage::Type::Hello:
-        w.helloSeen = true;
-        w.lastBeat = Clock::now();
-        break;
-      case ProtoMessage::Type::Heartbeat: {
-        w.lastBeat = Clock::now();
-        campMetrics().heartbeats.add(1);
-        // Fold worker progress into the process-wide instruction
-        // counter and the slot's gauge: this stream is the fleet view
-        // ipref_top renders.
-        if (m.instrs >= w.lastInstrs) {
-            campMetrics().instructions.add(m.instrs - w.lastInstrs);
-            w.lastInstrs = m.instrs;
+        auto now = Clock::now();
+        if (killAt && now >= *killAt) {
+            ::kill(w.pid, SIGKILL);
+            reply.death = "drain deadline";
+            return reply;
         }
-        w.instrsGauge->set(static_cast<std::int64_t>(m.instrs));
-        break;
-      }
-      case ProtoMessage::Type::Outcome:
-        handleOutcome(slot, m);
-        break;
-      case ProtoMessage::Type::Bye:
-        w.byeSeen = true;
-        break;
-      default:
-        campMetrics().protoErrors.add(1);
-        break;
-    }
-}
-
-void
-Coordinator::dispatch()
-{
-    if (draining_)
-        return;
-
-    // Promote requeued specs whose backoff has elapsed.
-    auto now = Clock::now();
-    for (std::size_t i = 0; i < delayed_.size();) {
-        if (delayed_[i].eligibleAt <= now) {
-            pending_.push_back(delayed_[i].idx);
-            delayed_[i] = delayed_.back();
-            delayed_.pop_back();
-        } else {
-            ++i;
+        if (watchBeats && now - lastBeat >= silence) {
+            ipref_warn("campaign: worker spawn %u silent for %lld ms; "
+                       "killing it",
+                       w.spawn, static_cast<long long>(silence.count()));
+            ::kill(w.pid, SIGKILL);
+            reply.death = "heartbeat deadline";
+            return reply;
         }
-    }
 
-    bool anyAlive = false;
-    for (std::size_t slot = 0; slot < fleet_.size(); ++slot) {
-        WorkerProc &w = fleet_[slot];
-        if (!w.alive())
-            continue;
-        anyAlive = true;
-        if (!w.helloSeen || w.runningIdx >= 0)
-            continue;
-        if (pending_.empty()) {
-            // Nothing now — and nothing in backoff either means this
-            // worker is done for good.
-            if (delayed_.empty() && !w.shutdownSent) {
-                if (writeAll(w.toFd, shutdownLine() + "\n"))
-                    w.shutdownSent = true;
-                else
-                    handleWorkerDeath(slot, "pipe closed");
-            }
-            continue;
-        }
-        std::size_t idx = pending_.front();
-        pending_.pop_front();
-        std::string line =
-            runLine(static_cast<std::int64_t>(idx),
-                    fingerprints_[idx], priorAttempts_[idx],
-                    specs_[idx]) +
-            "\n";
-        w.runningIdx = static_cast<std::int64_t>(idx);
-        batchMetrics().started.add(1);
-        campMetrics().dispatches.add(1);
-        if (!writeAll(w.toFd, line))
-            handleWorkerDeath(slot, "pipe closed on dispatch");
-    }
-
-    // Every worker dead with work still queued: respawn if we can,
-    // else fail the queue rather than spinning forever.
-    if (!anyAlive && (!pending_.empty() || !delayed_.empty())) {
-        if (respawnBudget_ > 0) {
-            --respawnBudget_;
-            spawnWorker(0);
-            return;
-        }
-        while (!delayed_.empty()) {
-            pending_.push_back(delayed_.back().idx);
-            delayed_.pop_back();
-        }
-        while (!pending_.empty()) {
-            std::size_t idx = pending_.front();
-            pending_.pop_front();
-            RunOutcome o;
-            o.status = RunStatus::Failed;
-            o.errorKind = SimError::Kind::Io;
-            o.error = "campaign: no workers left (respawn budget "
-                      "exhausted)";
-            o.attempts = priorAttempts_[idx];
-            finalize(idx, std::move(o));
-        }
-    }
-}
-
-void
-Coordinator::pump(int timeoutMs)
-{
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> slots;
-    for (std::size_t slot = 0; slot < fleet_.size(); ++slot) {
-        if (!fleet_[slot].alive())
-            continue;
         pollfd p{};
-        p.fd = fleet_[slot].fromFd;
+        p.fd = w.fromFd;
         p.events = POLLIN;
-        fds.push_back(p);
-        slots.push_back(slot);
-    }
-    if (fds.empty()) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(timeoutMs));
-        return;
-    }
-    int n = ::poll(fds.data(), fds.size(), timeoutMs);
-    if (n <= 0)
-        return;
-
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-        if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR)))
+        if (::poll(&p, 1, kPollMs) <= 0)
             continue;
-        std::size_t slot = slots[i];
-        WorkerProc &w = fleet_[slot];
-        if (!w.alive())
-            continue; // a death handler ran earlier this pass
-        bool eof = false;
-        char chunk[8192];
-        for (;;) {
-            ssize_t r = ::read(w.fromFd, chunk, sizeof(chunk));
-            if (r > 0) {
-                w.rbuf.append(chunk,
-                              static_cast<std::size_t>(r));
+        bool eof = readPipe(w);
+        for (const std::string &line : takeLines(w.rbuf)) {
+            Expected<ProtoMessage> msg = parseProtoLine(line);
+            if (!msg.ok()) {
+                campMetrics().protoErrors.add(1);
+                ipref_warn("campaign: bad line from worker spawn %u: %s",
+                           w.spawn, msg.error().what());
                 continue;
             }
-            if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            ProtoMessage &m = msg.value();
+            switch (m.type) {
+              case ProtoMessage::Type::Hello:
+                hello = true;
+                lastBeat = Clock::now();
                 break;
-            if (r < 0 && errno == EINTR)
-                continue;
-            eof = true; // 0 = closed; other errors treated the same
-            break;
+              case ProtoMessage::Type::Heartbeat:
+                lastBeat = Clock::now();
+                campMetrics().heartbeats.add(1);
+                // Fold worker progress into the process-wide
+                // instruction counter and the slot's gauge: this
+                // stream is the fleet view ipref_top renders.
+                if (m.instrs >= w.lastInstrs) {
+                    campMetrics().instructions.add(m.instrs -
+                                                   w.lastInstrs);
+                    w.lastInstrs = m.instrs;
+                }
+                w.instrsGauge->set(static_cast<std::int64_t>(m.instrs));
+                break;
+              case ProtoMessage::Type::Outcome:
+                if (id >= 0 && m.id == id &&
+                    m.fingerprint == fingerprint) {
+                    reply.outcome = std::move(m.outcome);
+                    break;
+                }
+                campMetrics().protoErrors.add(1);
+                ipref_warn("campaign: dropping unexpected outcome (id "
+                           "%lld from spawn %u)",
+                           static_cast<long long>(m.id), w.spawn);
+                break;
+              case ProtoMessage::Type::Bye:
+                break;
+              default:
+                campMetrics().protoErrors.add(1);
+                break;
+            }
         }
-        for (const std::string &line : takeLines(w.rbuf)) {
-            handleLine(slot, line);
-            if (!w.alive())
-                break; // handleLine may have killed the slot
-        }
-        if (eof && w.alive()) {
+        if (reply.outcome || (id < 0 && hello))
+            return reply;
+        if (eof) {
             if (!w.rbuf.empty()) {
-                // A partial trailing line is a truncated message —
+                // A partial trailing line is a truncated message:
                 // the worker died mid-write.
                 campMetrics().protoErrors.add(1);
                 ipref_warn("campaign: worker spawn %u left a "
                            "truncated protocol line (%zu bytes)",
                            w.spawn, w.rbuf.size());
             }
-            if (w.byeSeen && w.runningIdx < 0) {
-                // Clean exit after shutdown/abort: not a death.
-                int status = 0;
-                ::waitpid(w.pid, &status, 0);
-                closeWorker(w);
-                campMetrics().workersAlive.sub(1);
-            } else {
-                handleWorkerDeath(slot, "pipe EOF");
-            }
+            reply.death = "pipe EOF";
+            return reply;
         }
     }
 }
 
+/** A worker died (or was killed): count it, reap it, free its slot. */
 void
-Coordinator::reapExited()
+Fleet::bury(std::unique_ptr<Worker> w, const char *why)
 {
-    for (std::size_t slot = 0; slot < fleet_.size(); ++slot) {
-        WorkerProc &w = fleet_[slot];
-        if (!w.alive())
-            continue;
-        int status = 0;
-        pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-        if (r != w.pid)
-            continue;
-        // Drain any outcome it managed to write before dying so a
-        // completed run is not requeued (results are idempotent
-        // anyway — same fingerprint — but attempts would inflate).
-        char chunk[8192];
-        for (;;) {
-            ssize_t n = ::read(w.fromFd, chunk, sizeof(chunk));
-            if (n <= 0)
-                break;
-            w.rbuf.append(chunk, static_cast<std::size_t>(n));
-        }
-        for (const std::string &line : takeLines(w.rbuf))
-            handleLine(slot, line);
-        w.pid = -1; // already reaped; death handler must not waitpid
-        if (w.byeSeen && w.runningIdx < 0) {
-            closeWorker(w);
-            campMetrics().workersAlive.sub(1);
-        } else {
-            w.pid = r; // restore for logging; waitpid will ECHILD
-            handleWorkerDeath(slot, WIFSIGNALED(status)
-                                        ? "killed by signal"
-                                        : "exited");
-        }
-    }
+    campMetrics().deaths.add(1);
+    ipref_warn("campaign: worker spawn %u (pid %d) died (%s)", w->spawn,
+               static_cast<int>(w->pid), why);
+    // Chaos hook: arm the coordinator's own death for the next
+    // outcome it records. Counted in worker deaths rather than
+    // outcomes, it lands after the worker faults it is scheduled
+    // behind however fast the host runs specs.
+    if (fault::shouldFire("coord.exit_after_death"))
+        fault::armNext("coord.exit_record");
+    std::size_t slot = w->slot;
+    w.reset();
+    freeSlot(slot);
 }
 
-void
-Coordinator::checkDeadlines()
+RunOutcome
+Fleet::run(std::size_t index, const RunSpec &spec,
+           std::uint64_t fingerprint, unsigned priorAttempts)
 {
-    if (opt_.heartbeatMs == 0 || opt_.heartbeatTimeoutMs == 0)
-        return;
-    auto now = Clock::now();
-    for (std::size_t slot = 0; slot < fleet_.size(); ++slot) {
-        WorkerProc &w = fleet_[slot];
-        if (!w.alive())
-            continue;
-        auto silent =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - w.lastBeat)
-                .count();
-        if (silent < 0 ||
-            static_cast<std::uint64_t>(silent) <
-                opt_.heartbeatTimeoutMs)
-            continue;
-        ipref_warn("campaign: worker spawn %u silent for %lld ms; "
-                   "killing it",
-                   w.spawn, static_cast<long long>(silent));
-        ::kill(w.pid, SIGKILL);
-        handleWorkerDeath(slot, "heartbeat deadline");
-    }
-}
+    const unsigned maxAttempts =
+        opt_.batch.maxAttempts ? opt_.batch.maxAttempts : 1;
+    const auto id = static_cast<std::int64_t>(index);
+    unsigned deaths = 0;
+    for (;;) {
+        bool noneLeft = false;
+        std::unique_ptr<Worker> w = lease(noneLeft);
+        if (w && batchInterrupted())
+            giveBack(std::move(w));
+        if (!w && noneLeft)
+            return unfinished(RunStatus::Failed, SimError::Kind::Io,
+                              "campaign: no workers left (respawn "
+                              "budget exhausted)",
+                              priorAttempts);
+        if (!w)
+            return unfinished(RunStatus::Interrupted,
+                              SimError::Kind::Interrupted,
+                              "campaign interrupted before dispatch",
+                              priorAttempts);
 
-void
-Coordinator::beginDrain()
-{
-    if (draining_)
-        return;
-    draining_ = true;
-    drainDeadline_ = Clock::now() + std::chrono::milliseconds(
-                                        opt_.drainGraceMs);
-    ipref_warn("campaign: interrupt received; draining %zu "
-               "unfinished run(s)",
-               remaining_);
-
-    // Everything not yet dispatched is Interrupted immediately.
-    while (!delayed_.empty()) {
-        pending_.push_back(delayed_.back().idx);
-        delayed_.pop_back();
-    }
-    while (!pending_.empty()) {
-        std::size_t idx = pending_.front();
-        pending_.pop_front();
-        RunOutcome o;
-        o.status = RunStatus::Interrupted;
-        o.errorKind = SimError::Kind::Interrupted;
-        o.error = "campaign interrupted before dispatch";
-        o.attempts = priorAttempts_[idx];
-        finalize(idx, std::move(o));
-    }
-
-    // In-flight runs get an abort: the worker interrupts the run and
-    // reports an Interrupted outcome, then exits.
-    for (std::size_t slot = 0; slot < fleet_.size(); ++slot) {
-        WorkerProc &w = fleet_[slot];
-        if (!w.alive() || w.abortSent)
-            continue;
-        if (writeAll(w.toFd, abortLine() + "\n"))
-            w.abortSent = true;
-        else
-            handleWorkerDeath(slot, "pipe closed on abort");
-    }
-}
-
-void
-Coordinator::shutdownFleet()
-{
-    for (WorkerProc &w : fleet_) {
-        if (w.alive() && !w.shutdownSent)
-            writeAll(w.toFd, shutdownLine() + "\n");
-    }
-    auto deadline = Clock::now() + std::chrono::milliseconds(
-                                       opt_.drainGraceMs);
-    for (WorkerProc &w : fleet_) {
-        if (!w.alive())
-            continue;
-        int status = 0;
-        for (;;) {
-            pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-            if (r == w.pid || (r < 0 && errno == ECHILD))
-                break;
-            if (Clock::now() >= deadline) {
-                ::kill(w.pid, SIGKILL);
-                ::waitpid(w.pid, &status, 0);
-                break;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
-        }
-        closeWorker(w);
-        campMetrics().workersAlive.sub(1);
-    }
-}
-
-std::vector<RunOutcome>
-Coordinator::run()
-{
-    fingerprints_.reserve(specs_.size());
-    for (const RunSpec &spec : specs_)
-        fingerprints_.push_back(fingerprintSpec(spec));
-    outcomes_.resize(specs_.size());
-    finalized_.assign(specs_.size(), false);
-    priorAttempts_.assign(specs_.size(), 0);
-    deathCount_.assign(specs_.size(), 0);
-
-    batchMetrics().specs.add(specs_.size());
-
-    // The ledger (locked, and loaded on resume, at construction)
-    // restores Ok entries; the rest re-run with their lifetime
-    // attempt counts. Quarantine death counters reset: a resume is a
-    // fresh chance.
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-        if (ledger_.restore(fingerprints_[i], outcomes_[i],
-                            priorAttempts_[i]))
-            finalized_[i] = true;
-        else
-            pending_.push_back(i);
-    }
-    remaining_ = pending_.size();
-
-    if (remaining_ > 0) {
-        workerBin_ =
-            opt_.workerCmd.empty() ? findWorkerBinary() : opt_.workerCmd;
-        if (workerBin_.empty())
-            workerBin_ = selfExePath();
-        if (workerBin_.empty())
-            throw SimError(SimError::Kind::Config,
-                           "campaign: no worker binary (set "
-                           "IPREF_WORKER_BIN or "
-                           "CampaignOptions::workerCmd)");
-
-        respawnBudget_ = opt_.respawnLimit ? opt_.respawnLimit
-                                           : workers_ * 4;
-        fleet_.resize(workers_);
-
-        g_campaignSignal = 0;
-        auto prevInt = std::signal(SIGINT, campaignSignalHandler);
-        auto prevTerm = std::signal(SIGTERM, campaignSignalHandler);
-        auto prevPipe = std::signal(SIGPIPE, SIG_IGN);
-
-        unsigned initial = static_cast<unsigned>(
-            std::min<std::size_t>(workers_, remaining_));
-        for (unsigned slot = 0; slot < initial; ++slot)
-            spawnWorker(slot);
-
-        while (remaining_ > 0) {
-            if (g_campaignSignal)
-                beginDrain();
-            if (draining_ && Clock::now() >= drainDeadline_) {
-                // Workers that did not drain in time are killed; the
-                // death handler finalizes their specs Interrupted.
-                for (std::size_t slot = 0; slot < fleet_.size();
-                     ++slot) {
-                    if (fleet_[slot].alive()) {
-                        ::kill(fleet_[slot].pid, SIGKILL);
-                        handleWorkerDeath(slot, "drain deadline");
-                    }
-                }
-                continue;
-            }
-            dispatch();
-            if (remaining_ == 0)
-                break;
-            pump(20);
-            reapExited();
-            checkDeadlines();
+        batchMetrics().started.add(1);
+        campMetrics().dispatches.add(1);
+        writeAll(w->toFd,
+                 runLine(id, fingerprint, priorAttempts, spec) + "\n");
+        Reply reply = listen(*w, id, fingerprint);
+        if (reply.outcome) {
+            giveBack(std::move(w));
+            unsigned consumed = reply.outcome->attempts > priorAttempts
+                                    ? reply.outcome->attempts -
+                                          priorAttempts
+                                    : 1;
+            BatchMetrics &bm = batchMetrics();
+            bm.attempts.add(consumed);
+            if (consumed > 1)
+                bm.retries.add(consumed - 1);
+            return std::move(*reply.outcome);
         }
 
-        shutdownFleet();
-        std::signal(SIGINT, prevInt);
-        std::signal(SIGTERM, prevTerm);
-        std::signal(SIGPIPE, prevPipe);
-    }
+        // The dead worker consumed the attempt it was running.
+        bury(std::move(w), reply.death);
+        ++priorAttempts;
+        ++deaths;
+        if (batchInterrupted())
+            return unfinished(RunStatus::Interrupted,
+                              SimError::Kind::Interrupted,
+                              "campaign draining; worker terminated",
+                              priorAttempts);
+        if (deaths >= kQuarantineAfter) {
+            ipref_warn("campaign: quarantining spec %zu (%s)", index,
+                       reply.death);
+            campMetrics().quarantined.add(1);
+            return unfinished(
+                RunStatus::Quarantined, SimError::Kind::Invariant,
+                "quarantined after " + std::to_string(deaths) +
+                    " worker deaths on this spec (last: " + reply.death +
+                    ")",
+                priorAttempts);
+        }
+        if (priorAttempts >= maxAttempts)
+            return unfinished(RunStatus::Failed, SimError::Kind::Io,
+                              std::string("worker died while running "
+                                          "spec (") +
+                                  reply.death +
+                                  "); attempt budget exhausted",
+                              priorAttempts);
 
-    // Observability commits happen once, in input order, exactly as
-    // runBatch does — so the flushed report array is byte-identical
-    // to the single-process one.
-    for (std::size_t i = 0; i < specs_.size(); ++i)
-        commitOutcomeReport(fingerprints_[i], outcomes_[i]);
-    return outcomes_;
+        // Redispatch after the same backoff an in-process retry waits.
+        campMetrics().requeues.add(1);
+        auto until = Clock::now() +
+                     std::chrono::milliseconds(CampaignLedger::backoffMs(
+                         opt_.batch, fingerprint, priorAttempts));
+        while (!batchInterrupted() && Clock::now() < until)
+            std::this_thread::sleep_for(std::min<Clock::duration>(
+                std::chrono::milliseconds(kPollMs),
+                until - Clock::now()));
+    }
 }
 
 } // namespace
@@ -878,8 +633,24 @@ runCampaign(const std::vector<RunSpec> &specs,
 {
     if (specs.empty())
         return {};
-    Coordinator coordinator(specs, opt);
-    return coordinator.run();
+    std::string bin =
+        opt.workerCmd.empty() ? findWorkerBinary() : opt.workerCmd;
+    if (bin.empty())
+        bin = selfExePath();
+    if (bin.empty())
+        throw SimError(SimError::Kind::Config,
+                       "campaign: no worker binary (set "
+                       "IPREF_WORKER_BIN or CampaignOptions::workerCmd)");
+
+    // The fleet outlives the driver: once every task is done, all its
+    // workers are idle and its destructor reaps them.
+    Fleet fleet(opt, bin);
+    return driveBatch(specs, opt.batch, std::max(1u, opt.workers),
+                      [&](std::size_t i, std::uint64_t fingerprint,
+                          unsigned prior) {
+                          return fleet.run(i, specs[i], fingerprint,
+                                           prior);
+                      });
 }
 
 } // namespace ipref

@@ -1,13 +1,17 @@
 /**
  * @file
- * The distributed campaign coordinator: shards RunSpecs across a
- * fleet of crash-isolated worker processes, appends RunOutcomes to
- * the campaign manifest, and survives anything short of
- * the host losing power — worker crashes/OOM kills (requeue with the
- * batch runner's capped-backoff semantics), wedged workers (heartbeat
- * deadline, SIGKILL, requeue), poison specs (quarantine after
- * repeated deaths on one fingerprint), protocol corruption (count and
- * drop), and its own death (--resume from the manifest).
+ * The distributed campaign coordinator: runs RunSpecs on a fleet of
+ * crash-isolated worker processes through the same batch driver as
+ * runBatch (driveBatch: one pool task per spec, the CampaignLedger,
+ * the signal frame, reports in input order). Only where a spec runs
+ * differs: its task leases a worker, writes the `run` line and blocks
+ * on that worker's pipe. The campaign survives anything short of the
+ * host losing power: a worker that crashes, is OOM-killed, wedges
+ * past the heartbeat deadline or truncates its line is reaped and the
+ * spec redispatched after the batch retry backoff; a spec that killed
+ * three workers is quarantined; protocol corruption is counted and
+ * dropped; the coordinator's own death is a --resume from the
+ * manifest.
  *
  * Telemetry: workers write no metrics file of their own. The
  * coordinator's process-wide stream (--metrics-out) is the fleet
@@ -44,7 +48,11 @@ struct CampaignOptions
      */
     BatchOptions batch;
 
-    /** Worker processes (>= 1). */
+    /**
+     * Worker processes alive at once (>= 1), and the driver's pool
+     * threads. Each slot may spawn five times in all (four respawns);
+     * a spec fails only when no worker lives and none may spawn.
+     */
     unsigned workers = 4;
 
     /** Worker heartbeat period (0 = heartbeats off). */
@@ -52,23 +60,10 @@ struct CampaignOptions
 
     /**
      * Silence window after which a worker is declared dead, SIGKILLed
-     * and its in-flight spec requeued. Must comfortably exceed
+     * and its in-flight spec redispatched. Must comfortably exceed
      * heartbeatMs; the default tolerates heavily loaded CI hosts.
      */
     std::uint64_t heartbeatTimeoutMs = 5000;
-
-    /**
-     * Worker deaths on the same spec before it is quarantined
-     * (status Quarantined, never re-dispatched this campaign; a
-     * --resume re-runs it like any failed entry).
-     */
-    unsigned quarantineAfter = 3;
-
-    /** Extra spawns beyond the initial fleet (0 = 4 * workers). */
-    unsigned respawnLimit = 0;
-
-    /** Grace for clean worker exit on drain/shutdown before SIGKILL. */
-    std::uint64_t drainGraceMs = 5000;
 
     /**
      * Worker executable. Empty = auto-discover: $IPREF_WORKER_BIN,
@@ -85,11 +80,12 @@ struct CampaignOptions
  * Run every spec on the worker fleet and return outcomes in input
  * order. Results (and, when reporting is on, the report array the
  * sink flushes) are bit-identical to a single-process runBatch() of
- * the same specs. SIGINT/SIGTERM drains cleanly: in-flight runs are
- * aborted (Interrupted), queued specs are marked Interrupted, the
- * manifest is flushed, and workers are reaped. Throws SimError only
- * for campaign-level misconfiguration (no worker binary, manifest
- * locked by another coordinator); per-spec failures are outcomes.
+ * the same specs. SIGINT/SIGTERM drains: in-flight runs get an
+ * `abort` and end Interrupted (SIGKILL after a 5 s grace), specs not
+ * yet dispatched end Interrupted, and every worker is reaped before
+ * the call returns. Throws SimError only for campaign-level faults
+ * (no worker binary, manifest locked by another coordinator, no
+ * process can be forked); per-spec failures are outcomes.
  */
 std::vector<RunOutcome> runCampaign(const std::vector<RunSpec> &specs,
                                     const CampaignOptions &opt);

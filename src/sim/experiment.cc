@@ -1,19 +1,23 @@
 #include "sim/experiment.hh"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
 
+#include <unistd.h>
+
 #include "prefetch/scheme_registry.hh"
 #include "trace/trace_cache.hh"
+#include "util/fault_inject.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -65,14 +69,13 @@ struct RunOutput
 {
     SimResults results;
     std::string jsonReport; //!< empty when JSON reporting is off
-    std::string traceJsonl; //!< empty when tracing is off
-    bool traced = false;
+    std::optional<std::string> traceJsonl; //!< set when tracing is on
 };
 
 /** Build and run one System; no shared state is touched. */
 RunOutput
 produceRun(const RunSpec &spec, unsigned attempt = 1,
-           std::shared_ptr<RunControl> control = nullptr)
+           const RunControl &control = {})
 {
     SystemConfig cfg = makeConfig(spec);
     // Fault-injection gating: with faultAttempts set, the fault fires
@@ -80,7 +83,7 @@ produceRun(const RunSpec &spec, unsigned attempt = 1,
     // resumed) spec eventually succeeds.
     if (spec.faultAttempts > 0 && attempt > spec.faultAttempts)
         cfg.faultAtInstr = 0;
-    cfg.control = std::move(control);
+    cfg.control = control;
     System system(cfg);
     RunOutput out;
     out.results = system.run();
@@ -94,7 +97,6 @@ produceRun(const RunSpec &spec, unsigned attempt = 1,
         std::ostringstream trace;
         system.traceSink()->writeJsonLines(trace);
         out.traceJsonl = trace.str();
-        out.traced = true;
     }
     return out;
 }
@@ -362,124 +364,61 @@ runSpec(const RunSpec &spec)
     RunOutput out = produceRun(spec);
     if (!out.jsonReport.empty())
         recordReport(std::move(out.jsonReport));
-    if (out.traced)
-        recordTrace(out.traceJsonl);
+    if (out.traceJsonl)
+        recordTrace(*out.traceJsonl);
     return out.results;
 }
 
 namespace
 {
 
-/** Batch-wide SIGINT latch (async-signal-safe: flag only). */
-volatile std::sig_atomic_t g_batchSigint = 0;
+/**
+ * The batch interrupt latch: raised by SIGINT/SIGTERM inside a
+ * driveBatch() signal frame or by requestBatchInterrupt(), polled by
+ * every run's RunControl and by the fleet's waits. A lock-free atomic,
+ * so the signal handler may store to it.
+ */
+std::atomic<bool> g_interrupt{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
 void
-batchSigintHandler(int)
+onInterruptSignal(int)
 {
-    g_batchSigint = 1;
+    g_interrupt.store(true, std::memory_order_relaxed);
 }
 
 /**
- * One thread watching every in-flight run: raises stopTimeout on runs
- * past their deadline and stopInterrupt on all of them after SIGINT.
- * The runs notice cooperatively (System::checkControl) and unwind with
- * a SimError, so pool slots always drain — no thread is ever killed.
+ * The batch's signal policy, installed for the batch's lifetime:
+ * SIGINT and SIGTERM raise the interrupt latch (a drain, not a
+ * death), SIGPIPE is ignored so a dead worker pipe is a write error.
  */
-class BatchWatchdog
+struct SignalFrame
 {
-  public:
-    BatchWatchdog() : thread_([this] { loop(); }) {}
+    void (*prevInt)(int) = std::signal(SIGINT, onInterruptSignal);
+    void (*prevTerm)(int) = std::signal(SIGTERM, onInterruptSignal);
+    void (*prevPipe)(int) = std::signal(SIGPIPE, SIG_IGN);
 
-    ~BatchWatchdog()
+    ~SignalFrame()
     {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            done_ = true;
-        }
-        cv_.notify_all();
-        thread_.join();
+        std::signal(SIGINT, prevInt);
+        std::signal(SIGTERM, prevTerm);
+        std::signal(SIGPIPE, prevPipe);
     }
-
-    std::shared_ptr<RunControl>
-    add(std::uint64_t timeoutMs)
-    {
-        Watch w;
-        w.control = std::make_shared<RunControl>();
-        w.hasDeadline = timeoutMs > 0;
-        if (w.hasDeadline)
-            w.deadline = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(timeoutMs);
-        std::lock_guard<std::mutex> lock(mutex_);
-        watches_.push_back(w);
-        return w.control;
-    }
-
-    void
-    remove(const std::shared_ptr<RunControl> &control)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (auto it = watches_.begin(); it != watches_.end(); ++it) {
-            if (it->control == control) {
-                watches_.erase(it);
-                return;
-            }
-        }
-    }
-
-  private:
-    struct Watch
-    {
-        std::shared_ptr<RunControl> control;
-        std::chrono::steady_clock::time_point deadline;
-        bool hasDeadline = false;
-    };
-
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (!done_) {
-            cv_.wait_for(lock, std::chrono::milliseconds(20));
-            auto now = std::chrono::steady_clock::now();
-            for (Watch &w : watches_) {
-                if (g_batchSigint)
-                    w.control->stop.store(
-                        RunControl::stopInterrupt,
-                        std::memory_order_relaxed);
-                else if (w.hasDeadline && now >= w.deadline)
-                    w.control->stop.store(
-                        RunControl::stopTimeout,
-                        std::memory_order_relaxed);
-            }
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool done_ = false;
-    std::vector<Watch> watches_;
-    std::thread thread_;
-};
-
-/** A worker's full product: the outcome and the run's trace tail. */
-struct WorkerResult
-{
-    RunOutcome outcome;
-    RunOutput output; //!< jsonReport already moved into the outcome
 };
 
 /**
  * One spec's failure domain: run, catch, classify, retry transient
  * failures after the ledger's backoff. Attempt numbers continue from
  * @p priorAttempts (a resumed failed entry), keeping fault gating and
- * jitter reproducible across resume.
+ * jitter reproducible across resume. A traced run's event tail goes
+ * to @p traceTail when it is non-null.
  */
-WorkerResult
+RunOutcome
 runOne(const RunSpec &spec, std::uint64_t fingerprint,
        unsigned priorAttempts, const BatchOptions &opt,
-       BatchWatchdog &watchdog)
+       std::optional<std::string> *traceTail)
 {
-    WorkerResult wr;
+    RunOutcome outcome;
     auto t0 = std::chrono::steady_clock::now();
     unsigned maxAttempts = opt.maxAttempts ? opt.maxAttempts : 1;
 
@@ -489,151 +428,70 @@ runOne(const RunSpec &spec, std::uint64_t fingerprint,
 
     for (unsigned local = 1; local <= maxAttempts; ++local) {
         unsigned attempt = priorAttempts + local;
-        wr.outcome.attempts = attempt;
+        outcome.attempts = attempt;
         bm.attempts.add(1);
         if (local > 1)
             bm.retries.add(1);
-        if (g_batchSigint) {
-            wr.outcome.status = RunStatus::Interrupted;
-            wr.outcome.errorKind = SimError::Kind::Interrupted;
-            wr.outcome.error = "batch interrupted before run";
+        if (batchInterrupted()) {
+            outcome.status = RunStatus::Interrupted;
+            outcome.errorKind = SimError::Kind::Interrupted;
+            outcome.error = "batch interrupted before run";
             break;
         }
 
-        std::shared_ptr<RunControl> control =
-            watchdog.add(opt.runTimeoutMs);
+        RunControl control;
+        control.interrupt = &g_interrupt;
+        if (opt.runTimeoutMs > 0)
+            control.deadline = std::chrono::steady_clock::now() +
+                               std::chrono::milliseconds(opt.runTimeoutMs);
         try {
-            wr.output = produceRun(spec, attempt, control);
-            watchdog.remove(control);
-            wr.outcome.status = RunStatus::Ok;
-            wr.outcome.results = wr.output.results;
-            wr.outcome.jsonReport = std::move(wr.output.jsonReport);
+            RunOutput out = produceRun(spec, attempt, control);
+            outcome.status = RunStatus::Ok;
+            outcome.results = out.results;
+            outcome.jsonReport = std::move(out.jsonReport);
+            if (traceTail)
+                *traceTail = std::move(out.traceJsonl);
             break;
         } catch (const SimError &e) {
-            watchdog.remove(control);
-            wr.outcome.error = e.what();
-            wr.outcome.errorKind = e.kind();
+            outcome.error = e.what();
+            outcome.errorKind = e.kind();
             if (e.kind() == SimError::Kind::Timeout) {
-                wr.outcome.status = RunStatus::TimedOut;
+                outcome.status = RunStatus::TimedOut;
                 break;
             }
             if (e.kind() == SimError::Kind::Interrupted) {
-                wr.outcome.status = RunStatus::Interrupted;
+                outcome.status = RunStatus::Interrupted;
                 break;
             }
-            wr.outcome.status = RunStatus::Failed;
+            outcome.status = RunStatus::Failed;
             if (!e.transient() || local == maxAttempts)
                 break;
             std::this_thread::sleep_for(std::chrono::milliseconds(
                 CampaignLedger::backoffMs(opt, fingerprint, attempt)));
         } catch (const std::exception &e) {
-            watchdog.remove(control);
-            wr.outcome.status = RunStatus::Failed;
-            wr.outcome.errorKind = SimError::Kind::Invariant;
-            wr.outcome.error = e.what();
+            outcome.status = RunStatus::Failed;
+            outcome.errorKind = SimError::Kind::Invariant;
+            outcome.error = e.what();
             break;
         }
     }
 
-    wr.outcome.wallMs = static_cast<std::uint64_t>(
+    outcome.wallMs = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-
     bm.active.sub(1);
-    CampaignLedger::countFinal(wr.outcome.status);
-    return wr;
+    return outcome;
 }
 
-} // namespace
-
-std::vector<RunOutcome>
-runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
-{
-    unsigned jobs = opt.jobs;
-    if (jobs == 0)
-        jobs = std::thread::hardware_concurrency();
-    if (jobs == 0)
-        jobs = 1;
-    jobs = static_cast<unsigned>(
-        std::min<std::size_t>(jobs, specs.size()));
-    if (jobs == 0)
-        jobs = 1;
-
-    CampaignLedger ledger(opt);
-    batchMetrics().specs.add(specs.size());
-
-    std::vector<std::uint64_t> fingerprints;
-    fingerprints.reserve(specs.size());
-    for (const RunSpec &spec : specs)
-        fingerprints.push_back(fingerprintSpec(spec));
-
-    g_batchSigint = 0;
-    auto prevHandler = std::signal(SIGINT, batchSigintHandler);
-
-    std::vector<RunOutcome> outcomes(specs.size());
-    {
-        BatchWatchdog watchdog;
-        ThreadPool pool(jobs);
-        std::vector<std::future<WorkerResult>> futures(specs.size());
-
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            unsigned prior = 0;
-            if (ledger.restore(fingerprints[i], outcomes[i], prior))
-                continue;
-            const RunSpec &spec = specs[i];
-            std::uint64_t fp = fingerprints[i];
-            futures[i] = pool.submit([&spec, fp, prior, &opt,
-                                      &watchdog] {
-                return runOne(spec, fp, prior, opt, watchdog);
-            });
-        }
-
-        // Collect strictly in input order: observability commits and
-        // manifest records land deterministically, so the final JSON
-        // report is identical whether runs were live, retried, or
-        // restored from the checkpoint.
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            if (!outcomes[i].fromCheckpoint) {
-                WorkerResult wr = futures[i].get();
-                outcomes[i] = std::move(wr.outcome);
-                ledger.record(fingerprints[i], outcomes[i]);
-                if (wr.output.traced)
-                    recordTrace(wr.output.traceJsonl);
-            }
-            commitOutcomeReport(fingerprints[i], outcomes[i]);
-        }
-    }
-
-    std::signal(SIGINT, prevHandler);
-    return outcomes;
-}
-
-RunOutcome
-runIsolated(const RunSpec &spec, const BatchOptions &opt,
-            unsigned priorAttempts)
-{
-    // No signal-handler swap and no latch reset: the caller (the
-    // campaign worker) owns interruption policy across runs.
-    BatchWatchdog watchdog;
-    return runOne(spec, fingerprintSpec(spec), priorAttempts, opt,
-                  watchdog)
-        .outcome;
-}
-
+/**
+ * Buffer @p outcome's report document: the run's own jsonReport when
+ * it has one, or a small object carrying the failure, so a batch's
+ * report accounts for every spec.
+ */
 void
-requestBatchInterrupt()
+commitOutcomeReport(std::uint64_t fingerprint, const RunOutcome &outcome)
 {
-    g_batchSigint = 1;
-}
-
-void
-commitOutcomeReport(std::uint64_t fingerprint,
-                    const RunOutcome &outcome)
-{
-    // A failed run still appears in the report array, as a small
-    // object carrying the failure instead of results, so a campaign's
-    // report accounts for every spec.
     if (!outcome.ok()) {
         std::ostringstream report;
         report << "{\"fingerprint\": "
@@ -648,6 +506,109 @@ commitOutcomeReport(std::uint64_t fingerprint,
     }
     if (!outcome.jsonReport.empty())
         recordReport(outcome.jsonReport);
+}
+
+} // namespace
+
+bool
+batchInterrupted()
+{
+    return g_interrupt.load(std::memory_order_relaxed);
+}
+
+void
+requestBatchInterrupt()
+{
+    g_interrupt.store(true, std::memory_order_relaxed);
+}
+
+std::vector<RunOutcome>
+driveBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt,
+           unsigned threads, const SpecRunner &run)
+{
+    CampaignLedger ledger(opt);
+    batchMetrics().specs.add(specs.size());
+
+    std::vector<std::uint64_t> fingerprints;
+    fingerprints.reserve(specs.size());
+    for (const RunSpec &spec : specs)
+        fingerprints.push_back(fingerprintSpec(spec));
+
+    std::vector<RunOutcome> outcomes(specs.size());
+    g_interrupt.store(false, std::memory_order_relaxed);
+    {
+        SignalFrame signals;
+        ThreadPool pool(static_cast<unsigned>(
+            std::min<std::size_t>(threads, specs.size())));
+        std::vector<std::future<void>> tasks;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            unsigned prior = 0;
+            if (ledger.restore(fingerprints[i], outcomes[i], prior))
+                continue;
+            tasks.push_back(pool.submit([&, i, prior] {
+                outcomes[i] = run(i, fingerprints[i], prior);
+                CampaignLedger::countFinal(outcomes[i].status);
+                // Recorded as it becomes final, so a batch that dies
+                // keeps every finished run.
+                ledger.record(fingerprints[i], outcomes[i]);
+                // Chaos hook: die right after persisting an outcome,
+                // the worst moment short of mid-append (whose torn
+                // line a resume drops).
+                if (!opt.manifestPath.empty() &&
+                    fault::shouldFire("coord.exit_record"))
+                    ::_exit(137);
+            }));
+        }
+        for (std::future<void> &task : tasks)
+            task.get();
+    }
+
+    // Reports are committed strictly in input order, so the report
+    // array is identical whether runs were live, retried, remote or
+    // restored from the checkpoint.
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        commitOutcomeReport(fingerprints[i], outcomes[i]);
+    return outcomes;
+}
+
+std::vector<RunOutcome>
+runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
+{
+    unsigned jobs = opt.jobs;
+    if (jobs == 0)
+        jobs = std::thread::hardware_concurrency();
+
+    // The trace file keeps the tail of the traced run last in input
+    // order, as a sequential loop would leave it.
+    std::mutex traceMutex;
+    std::size_t traceIndex = 0;
+    std::optional<std::string> traceTail;
+    std::vector<RunOutcome> outcomes = driveBatch(
+        specs, opt, jobs,
+        [&](std::size_t i, std::uint64_t fingerprint, unsigned prior) {
+            std::optional<std::string> tail;
+            RunOutcome o = runOne(specs[i], fingerprint, prior, opt,
+                                  &tail);
+            std::lock_guard<std::mutex> lock(traceMutex);
+            if (tail && (!traceTail || i > traceIndex)) {
+                traceIndex = i;
+                traceTail = std::move(tail);
+            }
+            return o;
+        });
+    if (traceTail)
+        recordTrace(*traceTail);
+    return outcomes;
+}
+
+RunOutcome
+runIsolated(const RunSpec &spec, const BatchOptions &opt,
+            unsigned priorAttempts)
+{
+    // No signal frame and no latch reset: the caller (the campaign
+    // worker) owns interruption policy across runs.
+    return runOne(spec, fingerprintSpec(spec), priorAttempts, opt,
+                  nullptr);
 }
 
 std::vector<WorkloadSet>

@@ -7,6 +7,7 @@
 #ifndef IPREF_SIM_EXPERIMENT_HH
 #define IPREF_SIM_EXPERIMENT_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -280,10 +281,9 @@ struct BatchOptions
     std::uint64_t retryCapMs = 1000;
 
     /**
-     * Per-run deadline (0 = none). A watchdog thread raises the run's
-     * RunControl stop flag; the simulation loops notice, throw
-     * SimError(Timeout), and the pool slot keeps draining. Timed-out
-     * runs are not retried.
+     * Per-run deadline (0 = none), carried by the run's RunControl:
+     * the simulation loops notice it, throw SimError(Timeout), and
+     * the pool slot keeps draining. Timed-out runs are not retried.
      */
     std::uint64_t runTimeoutMs = 0;
 
@@ -299,16 +299,36 @@ struct BatchOptions
 };
 
 /**
- * Fault-tolerant batch runner: every spec runs in its own failure
- * domain, so a corrupt trace, a thrown SimError or a runaway run
- * produces a RunOutcome instead of killing the batch. Outcomes are
- * returned in input order and successful runs are bit-identical to a
- * sequential runSpec() loop at any job count: each run owns its
- * System, stats tree, RNG streams and trace ring, and reports are
- * committed in input order, so the report array does not depend on
- * the job count either. SIGINT cancels in-flight
- * runs cooperatively, flushes the manifest, and returns with the
- * remaining outcomes marked Interrupted.
+ * Where driveBatch() runs one spec: given its index in the batch, its
+ * fingerprint and the lifetime attempts it already consumed, return
+ * its final outcome. Called on a pool thread, one call per spec.
+ */
+using SpecRunner = std::function<RunOutcome(
+    std::size_t index, std::uint64_t fingerprint, unsigned priorAttempts)>;
+
+/**
+ * The one batch driver behind runBatch() and runCampaign(). It
+ * fingerprints the specs, opens the CampaignLedger (restoring Ok
+ * entries on resume), installs the signal frame (SIGINT and SIGTERM
+ * raise the interrupt latch, SIGPIPE is ignored), runs every other
+ * spec through @p run as one blocking task on a pool of @p threads,
+ * records each outcome in the ledger as it becomes final, and
+ * commits the reports in input order. Outcomes come back in input
+ * order.
+ */
+std::vector<RunOutcome> driveBatch(const std::vector<RunSpec> &specs,
+                                   const BatchOptions &opt,
+                                   unsigned threads, const SpecRunner &run);
+
+/**
+ * Fault-tolerant batch runner: driveBatch() with each spec run
+ * in-process on the --jobs pool, in its own failure domain, so a
+ * corrupt trace, a thrown SimError or a runaway run produces a
+ * RunOutcome instead of killing the batch. Successful runs are
+ * bit-identical to a sequential runSpec() loop at any job count: each
+ * run owns its System, stats tree, RNG streams and trace ring. SIGINT
+ * or SIGTERM cancels in-flight runs cooperatively and returns with
+ * the remaining outcomes marked Interrupted.
  */
 std::vector<RunOutcome> runBatch(const std::vector<RunSpec> &specs,
                                  const BatchOptions &opt = {});
@@ -319,30 +339,23 @@ std::vector<RunOutcome> runBatch(const std::vector<RunSpec> &specs,
  * report is buffered — the caller owns the outcome
  * (including its buffered jsonReport). Retry/timeout semantics match
  * runBatch, with attempt numbering continuing from @p priorAttempts.
- * This is the campaign worker's entry point; the batch SIGINT latch
+ * This is the campaign worker's entry point; the batch interrupt latch
  * is honoured but deliberately not reset.
  */
 RunOutcome runIsolated(const RunSpec &spec, const BatchOptions &opt,
                        unsigned priorAttempts = 0);
 
 /**
- * Raise the batch SIGINT latch programmatically, as if the process
+ * Raise the batch interrupt latch programmatically, as if the process
  * had received SIGINT: in-flight runs unwind with Interrupted and no
  * new attempts start. Used by the campaign worker to abort on a
- * coordinator request or a dead protocol pipe. runBatch() clears the
- * latch when it starts a new batch; runIsolated() does not.
+ * coordinator request or a dead protocol pipe. driveBatch() clears
+ * the latch when it starts a new batch; runIsolated() does not.
  */
 void requestBatchInterrupt();
 
-/**
- * Buffer @p outcome's report document for the JSON report: the
- * run's own jsonReport when it has one, or the small failure object
- * runBatch emits for specs that never produced results. Campaign
- * coordinators call this in input order so the distributed report
- * array is byte-identical to the single-process one.
- */
-void commitOutcomeReport(std::uint64_t fingerprint,
-                         const RunOutcome &outcome);
+/** True once the batch interrupt latch is raised. */
+bool batchInterrupted();
 
 /**
  * Process-wide observability options, consulted by makeConfig() and

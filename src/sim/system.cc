@@ -266,15 +266,15 @@ System::checkControl(std::uint64_t p) const
                            "injected fault at instruction %llu",
                            static_cast<unsigned long long>(p)),
                        cfg_.faultTransient);
-    if (!cfg_.control)
-        return;
-    int s = cfg_.control->stop.load(std::memory_order_relaxed);
-    if (s == RunControl::stopTimeout)
-        throw SimError(SimError::Kind::Timeout,
-                       "run exceeded its deadline");
-    if (s == RunControl::stopInterrupt)
+    const RunControl &control = cfg_.control;
+    if (control.interrupt &&
+        control.interrupt->load(std::memory_order_relaxed))
         throw SimError(SimError::Kind::Interrupted,
                        "run interrupted");
+    if (control.deadline != std::chrono::steady_clock::time_point::max() &&
+        std::chrono::steady_clock::now() >= control.deadline)
+        throw SimError(SimError::Kind::Timeout,
+                       "run exceeded its deadline");
 }
 
 std::uint64_t

@@ -137,8 +137,8 @@ class System
     /**
      * Fault-injection / cancellation poll, called from the run loops
      * at every threshold check. Throws SimError (Io/Invariant on an
-     * injected fault, Timeout/Interrupted when the RunControl stop
-     * flag is raised).
+     * injected fault, Interrupted once the RunControl latch is
+     * raised, Timeout past its deadline).
      */
     void checkControl(std::uint64_t p) const;
 

@@ -41,7 +41,7 @@ class SimError : public std::runtime_error
         Trace,       //!< trace file corruption, truncation, bad decode
         Invariant,   //!< recoverable invariant failure in one run
         Io,          //!< filesystem / OS-level failure
-        Timeout,     //!< run exceeded its deadline (batch watchdog)
+        Timeout,     //!< run exceeded its deadline (RunControl)
         Interrupted, //!< run cancelled by SIGINT / batch shutdown
     };
 

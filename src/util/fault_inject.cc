@@ -177,6 +177,19 @@ shouldFire(const char *point, std::uint64_t *param)
     return false;
 }
 
+void
+armNext(const char *point)
+{
+    State &s = state();
+    std::lock_guard<std::mutex> lock(s.mu);
+    ensureLoadedLocked(s);
+    Entry e;
+    e.point = point;
+    e.hit = s.hits[point] + 1;
+    s.entries.push_back(std::move(e));
+    g_armed.fetch_add(1, std::memory_order_acq_rel);
+}
+
 std::uint64_t
 hitCount(const char *point)
 {

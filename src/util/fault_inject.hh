@@ -25,6 +25,7 @@
  *   worker.truncate_outcome write half the outcome line, then _exit
  *   manifest.write        fail a manifest append transiently
  *   coord.exit_record     _exit(137) after recording outcome N
+ *                         (any batch with a manifest)
  *   coord.exit_after_death _exit(137) after recording the first
  *                         outcome that follows worker death N
  */
@@ -61,6 +62,13 @@ bool active();
  * if configure() was never invoked.
  */
 bool shouldFire(const char *point, std::uint64_t *param = nullptr);
+
+/**
+ * Arm @p point to fire on its next hit, whatever the schedule says:
+ * one point's firing can place another's (coord.exit_after_death
+ * arms coord.exit_record).
+ */
+void armNext(const char *point);
 
 /** Hits recorded so far for @p point (tests / diagnostics). */
 std::uint64_t hitCount(const char *point);

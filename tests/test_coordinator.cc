@@ -15,13 +15,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "scheme_params.hh"
@@ -336,6 +341,18 @@ TEST(FaultInject, ScheduleFiresOnExactHitWithParam)
     EXPECT_FALSE(fault::shouldFire("worker.crash_run"));
 }
 
+TEST(FaultInject, ArmNextFiresOnTheNextHitOnly)
+{
+    FaultGuard guard;
+    fault::configure("worker.crash_run@5");
+    EXPECT_FALSE(fault::shouldFire("coord.exit_record")); // hit 1
+    // One point's firing places another's (coord.exit_after_death
+    // arms coord.exit_record): the next hit fires, and only it.
+    fault::armNext("coord.exit_record");
+    EXPECT_TRUE(fault::shouldFire("coord.exit_record"));  // hit 2
+    EXPECT_FALSE(fault::shouldFire("coord.exit_record")); // hit 3
+}
+
 TEST(FaultInject, SpawnFilterGatesOnWorkerSpawnOrdinal)
 {
     FaultGuard guard;
@@ -558,7 +575,6 @@ TEST(CampaignE2E, PoisonSpecIsQuarantinedAfterRepeatedDeaths)
     // retried forever and not allowed to exhaust the fleet.
     CampaignOptions opt = testCampaign(1);
     opt.batch.maxAttempts = 10; // quarantine must trip first
-    opt.quarantineAfter = 3;
     opt.workerFaults = "worker.crash_run@1/spawn0,"
                        "worker.crash_run@1/spawn1,"
                        "worker.crash_run@1/spawn2";
@@ -591,6 +607,70 @@ TEST(CampaignE2E, PoisonSpecIsQuarantinedAfterRepeatedDeaths)
     EXPECT_EQ(resumed[0].attempts, 4u); // numbering spans the resume
     std::remove(manifest.c_str());
     std::remove((manifest + ".lock").c_str());
+}
+
+TEST(CampaignE2E, SpentRespawnBudgetFailsTheRestAndReturns)
+{
+    REQUIRE_WORKER();
+    std::vector<RunSpec> specs = quickSpecs(5);
+
+    // Every spawn crashes on its first run: spec 0 kills three
+    // workers and is quarantined, spec 1 spends the last of the five
+    // spawns one worker is allowed, and with no worker left and none
+    // to spawn the rest fail instead of waiting forever.
+    CampaignOptions opt = testCampaign(1);
+    opt.workerFaults = "worker.crash_run@1";
+    std::vector<RunOutcome> dist = runCampaign(specs, opt);
+
+    ASSERT_EQ(dist.size(), 5u);
+    EXPECT_EQ(dist[0].status, RunStatus::Quarantined) << dist[0].error;
+    for (std::size_t i = 1; i < dist.size(); ++i) {
+        EXPECT_EQ(dist[i].status, RunStatus::Failed) << "spec " << i;
+        EXPECT_NE(dist[i].error.find("no workers left"),
+                  std::string::npos)
+            << "spec " << i << ": " << dist[i].error;
+    }
+}
+
+TEST(CampaignE2E, SigintDrainsTheFleetWithinTheGrace)
+{
+    REQUIRE_WORKER();
+    std::vector<RunSpec> specs = quickSpecs(8);
+
+    // Spawn 1 wedges its first run for 3 s; SIGINT lands while it is
+    // wedged. Runs finished before it stay Ok, the wedged one answers
+    // its abort with Interrupted, the queue ends Interrupted, and the
+    // call returns within the 5 s drain grace with every worker
+    // reaped.
+    CampaignOptions opt = testCampaign(2);
+    opt.workerFaults = "worker.wedge_run@1/spawn1:3000";
+    std::thread signaller([] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        ::kill(::getpid(), SIGINT);
+    });
+    auto t0 = std::chrono::steady_clock::now();
+    std::vector<RunOutcome> dist = runCampaign(specs, opt);
+    auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+    signaller.join();
+
+    ASSERT_EQ(dist.size(), specs.size());
+    std::size_t interrupted = 0;
+    for (std::size_t i = 0; i < dist.size(); ++i) {
+        EXPECT_TRUE(dist[i].status == RunStatus::Ok ||
+                    dist[i].status == RunStatus::Interrupted)
+            << "spec " << i << ": " << runStatusName(dist[i].status)
+            << " " << dist[i].error;
+        interrupted += dist[i].status == RunStatus::Interrupted;
+    }
+    EXPECT_GE(interrupted, 1u);
+    EXPECT_LT(ms, 300 + 5000 + 1500);
+
+    int status = 0;
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(CampaignE2E, ResumeRestoresCompletedRunsWithoutWorkers)

@@ -12,9 +12,14 @@
 #include "results_helpers.hh"
 
 #include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "sim/campaign.hh"
 #include "sim/coordinator.hh"
@@ -503,6 +508,30 @@ TEST(FaultTolerance, WatchdogTimesOutRunawayTimingRuns)
     EXPECT_EQ(outcomes[0].errorKind, SimError::Kind::Timeout);
     EXPECT_EQ(outcomes[0].attempts, 1u);
     EXPECT_LT(outcomes[0].wallMs, 2000u);
+}
+
+TEST(FaultTolerance, SigtermDrainsAnInProcessBatch)
+{
+    // SIGTERM raises the same interrupt latch as SIGINT: the runaway
+    // run unwinds Interrupted, the spec after it never starts, and the
+    // batch returns instead of the process dying.
+    RunSpec runaway = quickSpec(9);
+    runaway.instrScale = 50000.0; // minutes: only the signal ends it
+    BatchOptions opt;
+    opt.jobs = 1;
+    std::thread signaller([] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        ::kill(::getpid(), SIGTERM);
+    });
+    std::vector<RunOutcome> outcomes =
+        runBatch({runaway, quickSpec(10)}, opt);
+    signaller.join();
+
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_EQ(outcomes[0].status, RunStatus::Interrupted);
+    EXPECT_EQ(outcomes[0].errorKind, SimError::Kind::Interrupted);
+    EXPECT_EQ(outcomes[1].status, RunStatus::Interrupted);
+    EXPECT_EQ(outcomes[1].error, "batch interrupted before run");
 }
 
 TEST(FaultTolerance, ManifestRoundTrip)

@@ -3,12 +3,14 @@
  * ipref_campaign — distributed campaign driver.
  *
  * Builds a deterministic grid of RunSpecs (schemes x workloads x
- * degrees x seeds) and executes it either on a fleet of crash-isolated
- * worker processes (`--workers N`, the default) or sequentially in
- * this process (`--workers 0`, the bit-identity baseline the chaos
- * smoke test diffs against). Prints a per-status summary and exits
- * non-zero when any spec ended failed / timed out / interrupted /
- * quarantined.
+ * degrees x seeds) and executes it through the batch driver, either on
+ * a fleet of crash-isolated worker processes (`--workers N`, the
+ * default) or sequentially in this process (`--workers 0`, the
+ * bit-identity baseline the chaos smoke test diffs against). A spec
+ * that kills three workers is quarantined; each worker may be
+ * respawned four times; SIGINT or SIGTERM drains the fleet within 5 s.
+ * Prints a per-status summary and exits non-zero when any spec ended
+ * failed / timed out / interrupted / quarantined.
  *
  * Flags:
  *   --specs N             grid size (default 24, capped at the full
@@ -29,10 +31,6 @@
  *   --heartbeat-timeout-ms N
  *                         silence before a worker is declared dead
  *                         (default 5000)
- *   --quarantine-after N  worker deaths on one spec before quarantine
- *                         (default 3)
- *   --respawn-limit N     extra spawns beyond the fleet (0 = 4x)
- *   --drain-grace-ms N    clean-exit grace on drain (default 5000)
  *   --worker-bin PATH     worker executable (default: auto-discover)
  *   --worker-faults SCHED IPREF_FAULTS schedule installed in workers
  *   --metrics-out FILE    JSON-lines telemetry; the coordinator folds
@@ -141,11 +139,6 @@ try {
     campaign.heartbeatMs = opts.getUint("heartbeat-ms", 100);
     campaign.heartbeatTimeoutMs =
         opts.getUint("heartbeat-timeout-ms", 5000);
-    campaign.quarantineAfter = static_cast<unsigned>(
-        opts.getUint("quarantine-after", 3));
-    campaign.respawnLimit = static_cast<unsigned>(
-        opts.getUint("respawn-limit", 0));
-    campaign.drainGraceMs = opts.getUint("drain-grace-ms", 5000);
     campaign.workerCmd = opts.getString("worker-bin");
     campaign.workerFaults = opts.getString("worker-faults");
 
