@@ -24,29 +24,26 @@ readTraceJsonLines(std::istream &is)
         ++lineno;
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        JsonValue v;
+        ParsedEvent ev;
         try {
-            v = parseJson(line);
+            JsonValue v = parseJson(line);
+            ev.cycle = v.intOr<std::uint64_t>("cycle", 0);
+            ev.type = v.stringOr("type", "unknown");
+            if (v.has("core") && !v.at("core").isNull()) {
+                ev.hasCore = true;
+                ev.core = v.intOr<std::uint16_t>("core", 0);
+            }
+            if (v.has("addr"))
+                ev.addr = v.at("addr").asUint();
+            if (v.has("pc"))
+                ev.pc = v.at("pc").asUint();
+            ev.arg = v.intOr<std::uint64_t>("arg", 0);
+            ev.detail = v.intOr<std::uint8_t>("detail", 0);
         } catch (const std::exception &e) {
             throw std::runtime_error("trace line " +
                                      std::to_string(lineno) + ": " +
                                      e.what());
         }
-        ParsedEvent ev;
-        ev.cycle = static_cast<std::uint64_t>(v.numberOr("cycle", 0));
-        ev.type = v.stringOr("type", "unknown");
-        if (v.has("core") && !v.at("core").isNull()) {
-            ev.hasCore = true;
-            ev.core = static_cast<std::uint16_t>(
-                v.at("core").asUint());
-        }
-        if (v.has("addr"))
-            ev.addr = v.at("addr").asUint();
-        if (v.has("pc"))
-            ev.pc = v.at("pc").asUint();
-        ev.arg = static_cast<std::uint64_t>(v.numberOr("arg", 0));
-        ev.detail =
-            static_cast<std::uint8_t>(v.numberOr("detail", 0));
         events.push_back(ev);
     }
     return events;

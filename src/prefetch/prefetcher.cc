@@ -5,6 +5,21 @@
 namespace ipref
 {
 
+std::string
+KnobValues::canonical() const
+{
+    std::string out;
+    for (const auto &[name, value] : values_) {
+        if (!out.empty())
+            out += ",";
+        out += name + "=" +
+               (value.type == KnobType::Bool
+                    ? std::string(value.v ? "true" : "false")
+                    : std::to_string(value.v));
+    }
+    return out;
+}
+
 const char *
 originName(PrefetchOrigin origin)
 {
@@ -35,11 +50,8 @@ schemeDisplayName(const PrefetchConfig &cfg)
 std::unique_ptr<InstructionPrefetcher>
 createPrefetcher(const PrefetchConfig &cfg)
 {
-    const SchemeDescriptor &desc =
-        SchemeRegistry::instance().at(cfg.schemeToken);
-    KnobValues knobs = KnobValues::fromCanonical(cfg.schemeKnobs);
-    validateKnobs(desc, knobs);
-    return desc.factory(cfg, knobs);
+    return SchemeRegistry::instance().at(cfg.schemeToken).factory(
+        cfg, cfg.schemeKnobs);
 }
 
 } // namespace ipref

@@ -12,6 +12,7 @@
 #define IPREF_PREFETCH_PREFETCHER_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -128,11 +129,65 @@ class InstructionPrefetcher
     virtual void registerStats(StatGroup &group) { (void)group; }
 };
 
+/** Value type of one scheme knob. */
+enum class KnobType : std::uint8_t
+{
+    Uint,
+    Bool,
+};
+
+/**
+ * Explicitly-set scheme knob values, each a uint64 or a bool. Knob
+ * text is read once, by parseSchemeSpec(); RunSpec::Builder::build()
+ * checks values against the scheme's schema. canonical() is the form
+ * fingerprints, labels and the wire carry.
+ */
+class KnobValues
+{
+  public:
+    struct Value
+    {
+        KnobType type = KnobType::Uint;
+        std::uint64_t v = 0; //!< 0 or 1 for a Bool knob
+    };
+
+    void set(const std::string &name, Value v) { values_[name] = v; }
+
+    bool empty() const { return values_.empty(); }
+
+    /** Knob @p name's value, or @p def when it was not set. */
+    std::uint64_t
+    getUint(const std::string &name, std::uint64_t def) const
+    {
+        auto it = values_.find(name);
+        return it == values_.end() ? def : it->second.v;
+    }
+
+    bool
+    getBool(const std::string &name, bool def) const
+    {
+        auto it = values_.find(name);
+        return it == values_.end() ? def : it->second.v != 0;
+    }
+
+    /**
+     * "k=v,k2=v2" sorted by name, uints in decimal and bools as
+     * true/false; empty when no knob is set. A knob set to its
+     * default stays in it.
+     */
+    std::string canonical() const;
+
+    const std::map<std::string, Value> &values() const { return values_; }
+
+  private:
+    std::map<std::string, Value> values_;
+};
+
 /**
  * Prefetcher configuration (one per core): the small common core
  * every scheme shares. Scheme-specific state lives in per-scheme
  * typed knob structs (e.g. DominoConfig), built by the scheme's
- * registry factory from the validated `schemeKnobs` text.
+ * registry factory from `schemeKnobs`.
  */
 struct PrefetchConfig
 {
@@ -143,12 +198,11 @@ struct PrefetchConfig
     std::string schemeToken = "none";
 
     /**
-     * Explicit scheme-specific knob values in canonical
-     * "k=v,k2=v2" form (see KnobValues::canonical()); validated
-     * against the scheme's knob schema at RunSpec::Builder::build()
-     * time. Schema defaults apply for everything unset.
+     * Explicit scheme-specific knob values, checked against the
+     * scheme's knob schema by RunSpec::Builder::build(). Schema
+     * defaults apply for everything unset.
      */
-    std::string schemeKnobs;
+    KnobValues schemeKnobs;
     /** Prefetch-ahead distance N (paper default: 4; "2NL" uses 2). */
     unsigned degree = 4;
     /** Discontinuity / target table entries (paper default: 8K). */
@@ -183,7 +237,7 @@ const char *schemeDisplayName(const PrefetchConfig &cfg);
 /**
  * Build a prefetcher for @p cfg (nullptr for scheme "none"):
  * resolves cfg.schemeToken through the registry and invokes the
- * descriptor's factory with the parsed knob values.
+ * descriptor's factory with cfg.schemeKnobs.
  */
 std::unique_ptr<InstructionPrefetcher>
 createPrefetcher(const PrefetchConfig &cfg);

@@ -1,9 +1,8 @@
 #include "prefetch/scheme_registry.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "prefetch/call_graph.hh"
 #include "prefetch/discontinuity.hh"
@@ -15,6 +14,7 @@
 #include "prefetch/wrong_path.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace ipref
 {
@@ -25,56 +25,39 @@ namespace
 const char *
 knobTypeName(KnobType t)
 {
-    switch (t) {
-      case KnobType::Uint: return "uint";
-      case KnobType::Bool: return "bool";
-      case KnobType::Double: return "double";
-    }
-    return "?";
+    return t == KnobType::Bool ? "bool" : "uint";
 }
 
-bool
-parseUintText(const std::string &text, std::uint64_t &out)
+/** @p desc's schema entry for knob @p name; ConfigError if unknown. */
+const KnobSpec &
+knobSpec(const SchemeDescriptor &desc, const std::string &name)
 {
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
-        return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
+    for (const KnobSpec &k : desc.knobSchema)
+        if (k.name == name)
+            return k;
+    std::string valid;
+    for (const KnobSpec &k : desc.knobSchema) {
+        if (!valid.empty())
+            valid += ", ";
+        valid += k.name;
+    }
+    ipref_raise(ConfigError, "scheme '%s': unknown knob '%s' (valid: %s)",
+                desc.token.c_str(), name.c_str(),
+                valid.empty() ? "none" : valid.c_str());
 }
 
-bool
-parseBoolText(const std::string &text, bool &out)
+/** Range check of uint knob value @p v, shown as @p text. */
+void
+checkRange(const SchemeDescriptor &desc, const KnobSpec &spec,
+           std::uint64_t v, const std::string &text)
 {
-    if (text == "1" || text == "true" || text == "on" ||
-        text == "yes") {
-        out = true;
-        return true;
-    }
-    if (text == "0" || text == "false" || text == "off" ||
-        text == "no") {
-        out = false;
-        return true;
-    }
-    return false;
-}
-
-bool
-parseDoubleText(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
+    if (v < spec.minUint || v > spec.maxUint)
+        ipref_raise(ConfigError,
+                    "scheme '%s': knob '%s': \"%s\" is out of range "
+                    "[%llu, %llu]",
+                    desc.token.c_str(), spec.name.c_str(), text.c_str(),
+                    static_cast<unsigned long long>(spec.minUint),
+                    static_cast<unsigned long long>(spec.maxUint));
 }
 
 void
@@ -174,80 +157,6 @@ withCommonKnobs(std::vector<KnobSpec> extra)
     return all;
 }
 
-std::uint64_t
-KnobValues::getUint(const std::string &name, std::uint64_t def) const
-{
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    std::uint64_t v = 0;
-    if (!parseUintText(it->second, v))
-        ipref_raise(ConfigError, "knob '%s': bad uint value '%s'",
-                    name.c_str(), it->second.c_str());
-    return v;
-}
-
-bool
-KnobValues::getBool(const std::string &name, bool def) const
-{
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    bool v = false;
-    if (!parseBoolText(it->second, v))
-        ipref_raise(ConfigError, "knob '%s': bad bool value '%s'",
-                    name.c_str(), it->second.c_str());
-    return v;
-}
-
-double
-KnobValues::getDouble(const std::string &name, double def) const
-{
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    double v = 0.0;
-    if (!parseDoubleText(it->second, v))
-        ipref_raise(ConfigError, "knob '%s': bad double value '%s'",
-                    name.c_str(), it->second.c_str());
-    return v;
-}
-
-std::string
-KnobValues::canonical() const
-{
-    std::string out;
-    for (const auto &[k, v] : values_) {
-        if (!out.empty())
-            out += ",";
-        out += k + "=" + v;
-    }
-    return out;
-}
-
-KnobValues
-KnobValues::fromCanonical(const std::string &text)
-{
-    KnobValues kv;
-    std::string item;
-    for (char c : text + ",") {
-        if (c != ',') {
-            item += c;
-            continue;
-        }
-        if (!item.empty()) {
-            auto eq = item.find('=');
-            if (eq == std::string::npos)
-                ipref_raise(ConfigError,
-                            "scheme knobs: '%s' is not knob=value",
-                            item.c_str());
-            kv.set(item.substr(0, eq), item.substr(eq + 1));
-        }
-        item.clear();
-    }
-    return kv;
-}
-
 SchemeRegistry::SchemeRegistry()
 {
     registerBuiltins(*this);
@@ -323,85 +232,55 @@ SchemeRegistry::all() const
 void
 validateKnobs(const SchemeDescriptor &desc, const KnobValues &knobs)
 {
-    for (const auto &[name, value] : knobs.raw()) {
-        const KnobSpec *spec = nullptr;
-        for (const KnobSpec &k : desc.knobSchema)
-            if (k.name == name) {
-                spec = &k;
-                break;
-            }
-        if (!spec) {
-            std::string valid;
-            for (const KnobSpec &k : desc.knobSchema) {
-                if (!valid.empty())
-                    valid += ", ";
-                valid += k.name;
-            }
+    for (const auto &[name, value] : knobs.values()) {
+        const KnobSpec &spec = knobSpec(desc, name);
+        if (value.type != spec.type)
             ipref_raise(ConfigError,
-                        "scheme '%s': unknown knob '%s' (valid: %s)",
+                        "scheme '%s': knob '%s' takes a %s value",
                         desc.token.c_str(), name.c_str(),
-                        valid.empty() ? "none" : valid.c_str());
-        }
-        switch (spec->type) {
-          case KnobType::Uint: {
-            std::uint64_t v = 0;
-            if (!parseUintText(value, v))
-                ipref_raise(ConfigError,
-                            "scheme '%s': knob '%s': bad uint value "
-                            "'%s'",
-                            desc.token.c_str(), name.c_str(),
-                            value.c_str());
-            if (v < spec->minUint || v > spec->maxUint)
-                ipref_raise(ConfigError,
-                            "scheme '%s': knob '%s'=%llu out of range "
-                            "[%llu, %llu]",
-                            desc.token.c_str(), name.c_str(),
-                            static_cast<unsigned long long>(v),
-                            static_cast<unsigned long long>(
-                                spec->minUint),
-                            static_cast<unsigned long long>(
-                                spec->maxUint));
-            break;
-          }
-          case KnobType::Bool: {
-            bool v = false;
-            if (!parseBoolText(value, v))
-                ipref_raise(ConfigError,
-                            "scheme '%s': knob '%s': bad bool value "
-                            "'%s'",
-                            desc.token.c_str(), name.c_str(),
-                            value.c_str());
-            break;
-          }
-          case KnobType::Double: {
-            double v = 0.0;
-            if (!parseDoubleText(value, v))
-                ipref_raise(ConfigError,
-                            "scheme '%s': knob '%s': bad double value "
-                            "'%s'",
-                            desc.token.c_str(), name.c_str(),
-                            value.c_str());
-            break;
-          }
-        }
+                        knobTypeName(spec.type));
+        if (spec.type == KnobType::Uint)
+            checkRange(desc, spec, value.v, std::to_string(value.v));
     }
 }
 
 SchemeSelection
 parseSchemeSpec(const std::string &text)
 {
-    std::string token = text;
-    std::string knobText;
-    auto colon = text.find(':');
-    if (colon != std::string::npos) {
-        token = text.substr(0, colon);
-        knobText = text.substr(colon + 1);
-    }
-    const SchemeDescriptor &desc = SchemeRegistry::instance().at(token);
+    const std::size_t colon = text.find(':');
+    const SchemeDescriptor &desc =
+        SchemeRegistry::instance().at(text.substr(0, colon));
     SchemeSelection sel;
     sel.token = desc.token;
-    sel.knobs = KnobValues::fromCanonical(knobText);
-    validateKnobs(desc, sel.knobs);
+    std::string_view rest;
+    if (colon != std::string::npos)
+        rest = std::string_view(text).substr(colon + 1);
+    while (!rest.empty()) {
+        const std::string_view item = rest.substr(0, rest.find(','));
+        rest.remove_prefix(std::min(item.size() + 1, rest.size()));
+        if (item.empty())
+            continue;
+        const std::size_t eq = item.find('=');
+        if (eq == std::string_view::npos)
+            ipref_raise(ConfigError,
+                        "scheme '%s': '%.*s' is not knob=value",
+                        desc.token.c_str(), static_cast<int>(item.size()),
+                        item.data());
+        const std::string name(item.substr(0, eq));
+        const std::string_view value = item.substr(eq + 1);
+        const KnobSpec &spec = knobSpec(desc, name);
+        const std::string what =
+            "scheme '" + desc.token + "': knob '" + name + "'";
+        std::uint64_t v = 0;
+        if (spec.type == KnobType::Bool) {
+            v = valueOrThrow(readBool(value), what, value);
+        } else {
+            v = valueOrThrow(readUint(value, Radix::DecOrHex), what,
+                             value);
+            checkRange(desc, spec, v, std::string(value));
+        }
+        sel.knobs.set(name, {spec.type, v});
+    }
     return sel;
 }
 

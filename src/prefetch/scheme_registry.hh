@@ -26,14 +26,6 @@
 namespace ipref
 {
 
-/** Value type of one scheme knob. */
-enum class KnobType : std::uint8_t
-{
-    Uint,
-    Bool,
-    Double,
-};
-
 /** Schema of one scheme-specific knob ("domino:history=16384"). */
 struct KnobSpec
 {
@@ -43,57 +35,6 @@ struct KnobSpec
     std::string help;                //!< one-line description
     std::uint64_t minUint = 0;       //!< inclusive bound (Uint only)
     std::uint64_t maxUint = ~0ull;   //!< inclusive bound (Uint only)
-};
-
-/**
- * Explicitly-set knob values of one scheme selection. Values are kept
- * as their raw text (validated against the schema at build time), so
- * serialization — the campaign wire protocol, spec fingerprints — is
- * trivially exact: the canonical form is the sorted "k=v,k2=v2"
- * string.
- */
-class KnobValues
-{
-  public:
-    /** Set (or overwrite) one knob; raw text, validated later. */
-    void set(const std::string &name, const std::string &value)
-    {
-        values_[name] = value;
-    }
-
-    bool has(const std::string &name) const
-    {
-        return values_.count(name) != 0;
-    }
-
-    bool empty() const { return values_.empty(); }
-
-    /** Typed accessors; parse the raw text, falling back to @p def
-     *  when the knob was not explicitly set. The schema validation in
-     *  validateKnobs() guarantees these cannot fail on a built spec. */
-    std::uint64_t getUint(const std::string &name,
-                          std::uint64_t def) const;
-    bool getBool(const std::string &name, bool def) const;
-    double getDouble(const std::string &name, double def) const;
-
-    /** Sorted "k=v,k2=v2" form (empty string when no knobs set). */
-    std::string canonical() const;
-
-    /** Parse a canonical "k=v,k2=v2" string (inverse of canonical). */
-    static KnobValues fromCanonical(const std::string &text);
-
-    const std::map<std::string, std::string> &raw() const
-    {
-        return values_;
-    }
-
-    bool operator==(const KnobValues &o) const
-    {
-        return values_ == o.values_;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
 };
 
 /** Everything the system needs to know about one scheme. */
@@ -160,18 +101,20 @@ struct SchemeSelection
 
 /**
  * Parse a "token" / "token:knob=val,knob=val" scheme spec against the
- * registry: the token (or alias) is canonicalized and every knob is
- * validated against the scheme's schema. Throws ConfigError on an
- * unknown token, an unknown knob, or a malformed / out-of-range
- * value.
+ * registry: the token (or alias) is canonicalized and every value is
+ * read by util/parse.hh's reader (a uint knob takes decimal or 0x
+ * hex, a bool knob 1/true/on/yes or 0/false/off/no) and checked
+ * against its schema range. Throws ConfigError quoting the text of
+ * an unknown token or knob, or a malformed or out-of-range value.
+ * This is the only reader of knob text.
  */
 SchemeSelection parseSchemeSpec(const std::string &text);
 
 /**
- * Validate explicitly-set knobs against @p desc's schema; throws
- * ConfigError naming the offending knob. Called by parseSchemeSpec()
- * and again by RunSpec::Builder::build() (specs can be aggregate-
- * initialized without going through the parser).
+ * Check typed knob values against @p desc's schema (name, type and
+ * range); throws ConfigError naming the offending knob.
+ * RunSpec::Builder checks every spec with it, since a spec can be
+ * aggregate-initialized without going through the parser.
  */
 void validateKnobs(const SchemeDescriptor &desc,
                    const KnobValues &knobs);

@@ -71,7 +71,7 @@ fingerprintSpec(const RunSpec &spec)
     for (WorkloadKind k : spec.workloads)
         mix(static_cast<std::uint64_t>(k));
     mix(hashString(spec.schemeToken));
-    mix(hashString(spec.schemeKnobs));
+    mix(hashString(spec.schemeKnobs.canonical()));
     mix(spec.degree);
     mix(spec.tableEntries);
     mix(spec.targetWays);
@@ -215,17 +215,18 @@ namespace
  * a journal names it on its header line, a v1/v2 manifest in its one
  * JSON document (whose first line is a bare "{").
  */
-double
+std::uint64_t
 declaredVersion(std::string_view text, std::size_t headerEnd)
 {
     for (std::string_view doc : {text.substr(0, headerEnd), text}) {
+        JsonValue v;
         try {
-            JsonValue v = parseJson(doc);
-            if (v.kind == JsonValue::Object && v.has("version"))
-                return v.numberOr("version", 0);
+            v = parseJson(doc);
         } catch (const std::exception &) {
-            // Not this shape; try the next.
+            continue; // not this shape; try the next
         }
+        if (v.kind == JsonValue::Object && v.has("version"))
+            return v.intOr<std::uint64_t>("version", 0);
     }
     return 0;
 }
@@ -250,7 +251,12 @@ CampaignManifest::load(const std::string &path)
                             "': " + what);
     };
     std::size_t headerEnd = std::min(text.find('\n'), text.size());
-    double version = declaredVersion(text, headerEnd);
+    std::uint64_t version = 0;
+    try {
+        version = declaredVersion(text, headerEnd);
+    } catch (const std::exception &e) {
+        return corrupt(e.what());
+    }
     if (version == 0)
         return corrupt("no version header");
     if (version != kManifestVersion) {

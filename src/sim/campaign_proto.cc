@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include "prefetch/scheme_registry.hh"
 #include "util/json.hh"
 #include "workload/presets.hh"
 
@@ -60,7 +61,7 @@ specToJson(const RunSpec &spec)
         os << (i ? ", " : "")
            << jsonString(workloadName(spec.workloads[i]));
     os << "], \"scheme\": " << jsonString(spec.schemeToken)
-       << ", \"scheme_knobs\": " << jsonString(spec.schemeKnobs)
+       << ", \"scheme_knobs\": " << jsonString(spec.schemeKnobs.canonical())
        << ", \"degree\": " << spec.degree
        << ", \"table_entries\": " << spec.tableEntries
        << ", \"target_ways\": " << spec.targetWays
@@ -106,8 +107,10 @@ specFromJson(const JsonValue &v)
         s.workloads.clear();
         for (const JsonValue &w : v.at("workloads").items)
             s.workloads.push_back(parseWorkloadKind(w.str));
-        s.schemeToken = v.at("scheme").str;
-        s.schemeKnobs = v.stringOr("scheme_knobs", "");
+        SchemeSelection scheme = parseSchemeSpec(
+            v.at("scheme").str + ":" + v.stringOr("scheme_knobs", ""));
+        s.schemeToken = scheme.token;
+        s.schemeKnobs = std::move(scheme.knobs);
         s.degree = v.intOr("degree", 4u);
         s.tableEntries = v.intOr("table_entries", 8192u);
         s.targetWays = v.intOr("target_ways", 2u);

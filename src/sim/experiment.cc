@@ -21,6 +21,7 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/parse.hh"
 #include "util/thread_pool.hh"
 #include "util/trace_event.hh"
 
@@ -196,29 +197,25 @@ RunSpec::Builder::scheme(const SchemeSelection &sel)
     // factories default those from the PrefetchConfig core, so both
     // paths agree. The residue rides in schemeKnobs.
     KnobValues residual;
-    for (const auto &kv : sel.knobs.raw()) {
-        if (kv.first == "degree")
-            spec_.degree = static_cast<unsigned>(
-                sel.knobs.getUint("degree", spec_.degree));
-        else if (kv.first == "queue_size")
-            spec_.queueSize = static_cast<int>(
-                sel.knobs.getUint("queue_size", 32));
-        else if (kv.first == "history_size")
-            spec_.historySize = static_cast<int>(
-                sel.knobs.getUint("history_size", 32));
-        else if (kv.first == "table_entries")
-            spec_.tableEntries = static_cast<unsigned>(
-                sel.knobs.getUint("table_entries",
-                                  spec_.tableEntries));
-        else if (kv.first == "target_ways")
-            spec_.targetWays = static_cast<unsigned>(
-                sel.knobs.getUint("target_ways", spec_.targetWays));
+    for (const auto &[name, value] : sel.knobs.values()) {
+        // validateKnobs() bounded every common knob below 2^25.
+        const auto v = static_cast<unsigned>(value.v);
+        if (name == "degree")
+            spec_.degree = v;
+        else if (name == "queue_size")
+            spec_.queueSize = static_cast<int>(v);
+        else if (name == "history_size")
+            spec_.historySize = static_cast<int>(v);
+        else if (name == "table_entries")
+            spec_.tableEntries = v;
+        else if (name == "target_ways")
+            spec_.targetWays = v;
         else
-            residual.set(kv.first, kv.second);
+            residual.set(name, value);
     }
 
     spec_.schemeToken = d.token;
-    spec_.schemeKnobs = residual.canonical();
+    spec_.schemeKnobs = std::move(residual);
     return *this;
 }
 
@@ -228,17 +225,14 @@ RunSpec::Builder::build() const
     RunSpec s = spec_;
     const TraceSpec &trace = s.trace;
 
-    // Specs can be aggregate-initialized (the campaign wire protocol
-    // does) without going through Builder::scheme(), so the token and
-    // knob checks repeat here. The token is canonicalized so aliases
-    // ("sisb") fingerprint identically to their canonical spelling
-    // ("isb").
+    // Specs can be aggregate-initialized without going through
+    // Builder::scheme(), so the token and knob checks repeat here.
+    // The token is canonicalized so aliases ("sisb") fingerprint
+    // identically to their canonical spelling ("isb").
     const SchemeDescriptor &d =
         SchemeRegistry::instance().at(s.schemeToken);
-    KnobValues knobs = KnobValues::fromCanonical(s.schemeKnobs);
-    validateKnobs(d, knobs);
+    validateKnobs(d, s.schemeKnobs);
     s.schemeToken = d.token;
-    s.schemeKnobs = knobs.canonical();
 
     if (!trace.enabled() && trace.preset.empty() &&
         s.workloads.empty())
@@ -631,14 +625,13 @@ envScale()
     const char *s = std::getenv("IPREF_SCALE");
     if (!s)
         return 1.0;
-    char *end = nullptr;
-    double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+    std::optional<double> v = readDouble(s);
+    if (!v || *v <= 0.0)
         ipref_raise(ConfigError,
                     "IPREF_SCALE must be a finite number > 0 (got "
                     "\"%s\")",
                     s);
-    return v;
+    return *v;
 }
 
 } // namespace ipref

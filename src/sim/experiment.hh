@@ -31,10 +31,11 @@ struct RunSpec
     /**
      * Registry scheme selection: token (canonicalized by build(), so
      * aliases fingerprint like their canonical spelling) plus the
-     * canonical "k=v,k2=v2" form of the explicitly-set scheme knobs.
+     * explicitly-set scheme knobs, fingerprinted by their canonical
+     * form.
      */
     std::string schemeToken = "none";
-    std::string schemeKnobs;
+    KnobValues schemeKnobs;
 
     unsigned degree = 4;
     unsigned tableEntries = 8192;

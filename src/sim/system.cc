@@ -835,7 +835,7 @@ System::dumpJson(std::ostream &os) const
        << "    \"scheme_token\": "
        << jsonString(cfg_.prefetch.effectiveToken()) << ",\n"
        << "    \"scheme_knobs\": "
-       << jsonString(cfg_.prefetch.schemeKnobs) << ",\n"
+       << jsonString(cfg_.prefetch.schemeKnobs.canonical()) << ",\n"
        << "    \"degree\": " << cfg_.prefetch.degree << ",\n"
        << "    \"bypass_l2\": "
        << (cfg_.hierarchy.prefetchBypassL2 ? "true" : "false") << ",\n"

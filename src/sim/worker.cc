@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <csignal>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "util/fault_inject.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/parse.hh"
 
 namespace ipref
 {
@@ -165,6 +167,13 @@ workerExit(int code)
 void
 workerMain(const Options &)
 {
+    unsigned spawn = 0;
+    if (const char *s = std::getenv("IPREF_WORKER_SPAWN")) {
+        auto v = readUint(s);
+        spawn = static_cast<unsigned>(valueOrThrow(
+            v && *v <= UINT_MAX ? v : std::nullopt, "IPREF_WORKER_SPAWN", s));
+    }
+
     // The protocol owns stdout. Re-route fd 1 to stderr so any stray
     // printf from library code lands in the log, not the stream.
     int protoOut = ::dup(STDOUT_FILENO);
@@ -181,10 +190,6 @@ workerMain(const Options &)
 
     std::thread reader([&st] { readerLoop(st); });
     reader.detach();
-
-    unsigned spawn = 0;
-    if (const char *s = std::getenv("IPREF_WORKER_SPAWN"))
-        spawn = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
 
     if (!sendLine(st, helloLine(static_cast<int>(::getpid()), spawn)))
         workerExit(0);

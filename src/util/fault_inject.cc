@@ -3,10 +3,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace ipref::fault
 {
@@ -47,7 +49,8 @@ spawnOrdinal()
     const char *s = std::getenv("IPREF_WORKER_SPAWN");
     if (!s || !*s)
         return -1;
-    return std::strtoll(s, nullptr, 10);
+    // workerMain() refuses a malformed ordinal at start-up.
+    return readInt(s).value_or(-1);
 }
 
 /** Parse "point@N[/spawnS][:param]"; returns false on malformed. */
@@ -62,7 +65,11 @@ parseEntry(const std::string &text, Entry &e)
 
     std::size_t colon = rest.find(':');
     if (colon != std::string::npos) {
-        e.param = std::strtoull(rest.c_str() + colon + 1, nullptr, 0);
+        std::optional<std::uint64_t> param =
+            readUint(rest.substr(colon + 1), Radix::DecOrHex);
+        if (!param)
+            return false;
+        e.param = *param;
         rest = rest.substr(0, colon);
     }
     std::size_t slash = rest.find('/');
@@ -70,12 +77,15 @@ parseEntry(const std::string &text, Entry &e)
         std::string sp = rest.substr(slash + 1);
         if (sp.rfind("spawn", 0) == 0)
             sp = sp.substr(5);
-        e.spawn = std::strtoll(sp.c_str(), nullptr, 10);
+        std::optional<std::int64_t> spawn = readInt(sp);
+        if (!spawn)
+            return false;
+        e.spawn = *spawn;
         rest = rest.substr(0, slash);
     }
-    char *end = nullptr;
-    e.hit = std::strtoull(rest.c_str(), &end, 10);
-    return e.hit > 0 && end && *end == '\0';
+    std::optional<std::uint64_t> hit = readUint(rest);
+    e.hit = hit.value_or(0);
+    return e.hit > 0;
 }
 
 /** Must be called with the state mutex held. */

@@ -15,12 +15,15 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "util/parse.hh"
 
 namespace ipref
 {
@@ -134,16 +137,6 @@ struct JsonValue
         return it->second;
     }
 
-    /** Member @p key as a number, or @p def when absent/null. */
-    double
-    numberOr(const std::string &key, double def) const
-    {
-        auto it = fields.find(key);
-        return it == fields.end() || it->second.kind != Number
-                   ? def
-                   : it->second.number;
-    }
-
     /** Member @p key as a string, or @p def when absent. */
     std::string
     stringOr(const std::string &key, const std::string &def) const
@@ -156,7 +149,7 @@ struct JsonValue
 
     /**
      * This value as a uint64: a finite integral number in [0, 2^64)
-     * (exact below 2^53), or "0x" and 1-16 hex digits (the writers'
+     * (exact below 2^53), or "0x" and hex digits (the writers'
      * counter and address encoding, exact). Anything else throws.
      */
     std::uint64_t
@@ -209,11 +202,12 @@ struct JsonValue
             v = static_cast<std::uint64_t>(number);
             return true;
         }
-        return kind == String && str.size() > 2 && str.size() <= 18 &&
-               str.compare(0, 2, "0x") == 0 &&
-               std::from_chars(str.data() + 2, str.data() + str.size(),
-                               v, 16)
-                       .ptr == str.data() + str.size();
+        std::optional<std::uint64_t> hex;
+        if (kind == String && str.starts_with("0x"))
+            hex = readUint(str, Radix::DecOrHex);
+        if (hex)
+            v = *hex;
+        return hex.has_value();
     }
 
     bool
@@ -444,11 +438,13 @@ class JsonParser
                 s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
                 s_[pos_] == 'e' || s_[pos_] == 'E'))
             ++pos_;
-        if (start == pos_)
+        std::optional<double> d =
+            readDouble(std::string_view(s_ + start, pos_ - start));
+        if (!d)
             fail("bad number");
         JsonValue v;
         v.kind = JsonValue::Number;
-        v.number = std::stod(std::string(s_ + start, pos_ - start));
+        v.number = *d;
         return v;
     }
 

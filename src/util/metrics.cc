@@ -64,16 +64,20 @@ parseSnapshotLine(const std::string &line)
     if (doc.kind != JsonValue::Object)
         throw std::runtime_error("metrics: snapshot is not an object");
     Snapshot s;
-    s.seq = static_cast<std::uint64_t>(doc.numberOr("seq", 0));
-    s.unixMs = static_cast<std::uint64_t>(doc.numberOr("unix_ms", 0));
-    if (doc.has("counters"))
-        for (const auto &[name, v] : doc.at("counters").fields)
+    s.seq = doc.intOr<std::uint64_t>("seq", 0);
+    s.unixMs = doc.intOr<std::uint64_t>("unix_ms", 0);
+    if (doc.has("counters")) {
+        const JsonValue &counters = doc.at("counters");
+        for (const auto &kv : counters.fields)
             s.counters.emplace_back(
-                name, static_cast<std::uint64_t>(v.number));
-    if (doc.has("gauges"))
-        for (const auto &[name, v] : doc.at("gauges").fields)
+                kv.first, counters.intOr<std::uint64_t>(kv.first, 0));
+    }
+    if (doc.has("gauges")) {
+        const JsonValue &gauges = doc.at("gauges");
+        for (const auto &kv : gauges.fields)
             s.gauges.emplace_back(
-                name, static_cast<std::int64_t>(v.number));
+                kv.first, gauges.intOr<std::int64_t>(kv.first, 0));
+    }
     return s;
 }
 

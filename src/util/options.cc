@@ -1,11 +1,6 @@
 #include "util/options.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
-
-#include "util/error.hh"
-#include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace ipref
 {
@@ -14,23 +9,19 @@ namespace
 {
 
 /**
- * Convert all of option @p name's value @p v with @p conv (a strto*
- * call). Leading space, trailing characters and out-of-range values
- * raise a ConfigError naming the flag.
+ * Flag @p name read by @p reader, @p def when absent, or a ConfigError
+ * naming the flag.
  */
-template <typename Conv>
-auto
-parseWhole(const std::string &name, const std::string &v, Conv conv)
+template <typename T, typename Reader>
+T
+readFlag(const std::map<std::string, std::string> &values,
+         const std::string &name, T def, Reader reader)
 {
-    const char *s = v.c_str();
-    char *end = nullptr;
-    errno = 0;
-    auto x = conv(s, &end);
-    if (end == s || *end != '\0' ||
-        std::isspace(static_cast<unsigned char>(*s)) || errno == ERANGE)
-        ipref_raise(ConfigError, "--%s: \"%s\" is not a valid number",
-                    name.c_str(), s);
-    return x;
+    auto it = values.find(name);
+    return it == values.end()
+               ? def
+               : valueOrThrow(reader(it->second), "--" + name,
+                              it->second);
 }
 
 } // namespace
@@ -77,48 +68,29 @@ Options::getString(const std::string &name, const std::string &def) const
 std::int64_t
 Options::getInt(const std::string &name, std::int64_t def) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return parseWhole(name, it->second, [](const char *s, char **e) {
-        return std::strtoll(s, e, 0);
+    return readFlag(values_, name, def, [](std::string_view t) {
+        return readInt(t, Radix::DecOrHex);
     });
 }
 
 std::uint64_t
 Options::getUint(const std::string &name, std::uint64_t def) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    // strtoull would wrap "-1" to 2^64 - 1.
-    if (it->second.starts_with('-'))
-        ipref_raise(ConfigError, "--%s: \"%s\" is negative",
-                    name.c_str(), it->second.c_str());
-    return parseWhole(name, it->second, [](const char *s, char **e) {
-        return std::strtoull(s, e, 0);
+    return readFlag(values_, name, def, [](std::string_view t) {
+        return readUint(t, Radix::DecOrHex);
     });
 }
 
 double
 Options::getDouble(const std::string &name, double def) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return parseWhole(name, it->second, [](const char *s, char **e) {
-        return std::strtod(s, e);
-    });
+    return readFlag(values_, name, def, readDouble);
 }
 
 bool
 Options::getBool(const std::string &name, bool def) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return def;
-    return it->second != "0" && it->second != "false" &&
-           it->second != "no";
+    return readFlag(values_, name, def, readBool);
 }
 
 } // namespace ipref

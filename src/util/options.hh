@@ -34,9 +34,12 @@ class Options
     std::string getString(const std::string &name,
                           const std::string &def = "") const;
     /**
-     * Numeric accessors: the whole value must parse (getInt/getUint
-     * take 0x / 0 prefixes) or a ConfigError naming the flag is
-     * raised; getUint also rejects negative values.
+     * Typed accessors return @p def when the flag is absent and read
+     * its value with util/parse.hh's strict reader otherwise: getInt
+     * and getUint take decimal or "0x" hex (no octal; only getInt takes
+     * a '-'), getDouble a finite number, getBool 1/true/on/yes or
+     * 0/false/off/no (a bare "--flag" is 1). Any other text, a space or
+     * an out-of-range value raises a ConfigError naming the flag.
      */
     std::int64_t getInt(const std::string &name, std::int64_t def) const;
     std::uint64_t getUint(const std::string &name, std::uint64_t def) const;

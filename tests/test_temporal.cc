@@ -26,7 +26,9 @@
 #include "error_helpers.hh"
 #include "results_helpers.hh"
 
+#include <random>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include "prefetch/domino.hh"
@@ -215,7 +217,7 @@ TEST(SchemeRegistry, CustomSchemeRoundTrips)
                     .scheme(sel)
                     .build();
     EXPECT_EQ(s.schemeToken, "unit-custom");
-    EXPECT_EQ(s.schemeKnobs, "boost=3");
+    EXPECT_EQ(s.schemeKnobs.canonical(), "boost=3");
 
     // The factory is reachable through the normal config path.
     SystemConfig cfg = makeConfig(s);
@@ -247,13 +249,173 @@ TEST(SchemeRegistry, BadSelectionsRaiseConfigError)
     // Aggregate-initialized specs are validated at build() too.
     RunSpec raw;
     raw.schemeToken = "domino";
-    raw.schemeKnobs = "bogus=1";
+    raw.schemeKnobs.set("bogus", {KnobType::Uint, 1});
     expectThrows<ConfigError>(
         [&] { RunSpec::Builder(raw).build(); }, "bogus");
     RunSpec noneWithKnobs;
-    noneWithKnobs.schemeKnobs = "history=16";
+    noneWithKnobs.schemeKnobs.set("history", {KnobType::Uint, 16});
     expectThrows<ConfigError>(
         [&] { RunSpec::Builder(noneWithKnobs).build(); }, "history");
+    RunSpec typed;
+    typed.schemeToken = "domino";
+    typed.schemeKnobs.set("history", {KnobType::Uint, 8});
+    expectThrows<ConfigError>(
+        [&] { RunSpec::Builder(typed).build(); }, "out of range");
+    typed.schemeKnobs = {};
+    typed.schemeKnobs.set("single_fallback", {KnobType::Uint, 1});
+    expectThrows<ConfigError>(
+        [&] { RunSpec::Builder(typed).build(); }, "takes a bool");
+}
+
+namespace
+{
+
+/** Fingerprint of a WEB spec with @p sel, and its label's knob part. */
+std::pair<std::uint64_t, std::string>
+knobIdentity(const SchemeSelection &sel)
+{
+    RunSpec s = RunSpec::Builder()
+                    .cmp(false)
+                    .workload(WorkloadKind::WEB)
+                    .scheme(sel)
+                    .build();
+    return {fingerprintSpec(s), sel.knobs.canonical()};
+}
+
+/**
+ * Whether parseSchemeSpec()'s error @p what quotes the part of
+ * @p input at fault: the token of an unknown scheme, an item without
+ * '=', an unknown knob's name, or a knob's value. Messages are C
+ * text, so a quoted part ends at an embedded NUL.
+ */
+bool
+quotesFault(const std::string &what, const std::string &input)
+{
+    auto has = [&what](const std::string &s) {
+        return what.find(s.c_str()) != std::string::npos;
+    };
+    std::size_t colon = input.find(':');
+    if (has("unknown prefetch scheme '" +
+            std::string(input.substr(0, colon).c_str()) + "'"))
+        return true;
+    if (colon == std::string::npos)
+        return false;
+    std::istringstream items(input.substr(colon + 1));
+    for (std::string item; std::getline(items, item, ',');) {
+        std::size_t eq = item.find('=');
+        if (eq == std::string::npos) {
+            if (has("'" + std::string(item.c_str()) +
+                    "' is not knob=value"))
+                return true;
+            continue;
+        }
+        std::string name = item.substr(0, eq).c_str();
+        std::string value = item.substr(eq + 1).c_str();
+        if (has("unknown knob '" + name + "'") ||
+            has("'" + name + "': \"" + value + "\""))
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
+TEST(SchemeRegistry, EverySpellingOfAKnobValueIsOneSpec)
+{
+    const std::vector<std::vector<std::string>> groups = {
+        {"domino:history=16384", "domino:history=0x4000",
+         "domino:history=016384"},
+        {"domino:single_fallback=true", "domino:single_fallback=yes",
+         "domino:single_fallback=on", "domino:single_fallback=1"},
+        {"domino:single_fallback=false", "domino:single_fallback=no",
+         "domino:single_fallback=off", "domino:single_fallback=0"},
+    };
+    for (const auto &group : groups)
+        for (const std::string &spelling : group) {
+            SCOPED_TRACE(spelling);
+            EXPECT_EQ(knobIdentity(parseSchemeSpec(spelling)),
+                      knobIdentity(parseSchemeSpec(group.front())));
+        }
+    EXPECT_EQ(parseSchemeSpec("domino:history=0x4000").knobs.canonical(),
+              "history=16384");
+    EXPECT_EQ(parseSchemeSpec("domino:single_fallback=1,replay=012")
+                  .knobs.canonical(),
+              "replay=12,single_fallback=true");
+    // A knob spelled at its default stays in the canonical form.
+    EXPECT_NE(knobIdentity(parseSchemeSpec("domino:history=16384")),
+              knobIdentity(parseSchemeSpec("domino")));
+}
+
+TEST(SchemeRegistry, MalformedKnobValuesQuoteTheText)
+{
+    for (const char *value : {"-1", " 4096", "+4096", "4096x", "",
+                              "99999999999999999999", "4096 ", "0x",
+                              "1e4", "0o17"}) {
+        SCOPED_TRACE(value);
+        expectThrows<ConfigError>(
+            [&] {
+                parseSchemeSpec(std::string("domino:history=") + value);
+            },
+            "'history': \"" + std::string(value) + "\"");
+    }
+    expectThrows<ConfigError>(
+        [] { parseSchemeSpec("domino:single_fallback=maybe"); },
+        "\"maybe\"");
+    expectThrows<ConfigError>(
+        [] { parseSchemeSpec("domino:replay=0x41"); },
+        "'replay': \"0x41\" is out of range");
+    expectThrows<ConfigError>(
+        [] { parseSchemeSpec("domino:history16384"); },
+        "'history16384' is not knob=value");
+}
+
+TEST(SchemeRegistry, MutatedSpecsThrowQuotingOrRoundTrip)
+{
+    // Valid --scheme strings (every knob of every registered scheme at
+    // its default), mutated: each result must either throw a
+    // ConfigError quoting the part of the input at fault, or parse to
+    // a selection whose canonical form parses back to itself.
+    std::mt19937_64 rng(20261020);
+    auto below = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const char *inserts[] = {" ", "-", "+", "0x", "0", "00",
+                             "99999999999999999999",
+                             "18446744073709551616"};
+    unsigned accepted = 0, rejected = 0;
+    for (const SchemeDescriptor *d : SchemeRegistry::instance().all()) {
+        std::string seed = d->token;
+        for (std::size_t i = 0; i < d->knobSchema.size(); ++i)
+            seed += (i ? "," : ":") + d->knobSchema[i].name + "=" +
+                    d->knobSchema[i].defaultValue;
+        for (int trial = 0; trial < 300; ++trial) {
+            std::string m = seed;
+            for (std::size_t n = 1 + below(3); n > 0; --n) {
+                std::size_t at = below(m.size() + 1);
+                std::size_t kind = below(3);
+                if (kind == 0 && !m.empty())
+                    m[below(m.size())] ^= static_cast<char>(1 << below(8));
+                else if (kind == 1)
+                    m.insert(at, inserts[below(std::size(inserts))]);
+                else
+                    m.resize(at);
+            }
+            SCOPED_TRACE("'" + m + "'");
+            try {
+                SchemeSelection sel = parseSchemeSpec(m);
+                SchemeSelection again =
+                    parseSchemeSpec(sel.token + ":" + sel.knobs.canonical());
+                EXPECT_EQ(again.token, sel.token);
+                EXPECT_EQ(knobIdentity(again), knobIdentity(sel));
+                ++accepted;
+            } catch (const ConfigError &e) {
+                EXPECT_TRUE(quotesFault(e.what(), m)) << e.what();
+                ++rejected;
+            }
+        }
+    }
+    EXPECT_GT(accepted, 100u);
+    EXPECT_GT(rejected, 100u);
 }
 
 TEST(SchemeRegistry, AliasBuildsTheCanonicalSpec)

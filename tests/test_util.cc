@@ -12,14 +12,19 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "analysis/analyzer.hh"
+#include "sim/campaign.hh"
 #include "util/bitutil.hh"
 #include "util/histogram.hh"
 #include "util/json.hh"
+#include "util/metrics.hh"
 #include "util/options.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -420,8 +425,11 @@ TEST(Options, NumbersMustParseWhole)
                           "--mask",      "0x1f",     "--delta",
                           "-3",          "--gamma",  "-2.5",
                           "--empty=",    "--huge",   "99999999999999999999",
-                          "--spaced",    " 4"};
-    Options o(20, const_cast<char **>(argv));
+                          "--spaced",    " 4",       "--octal",
+                          "010",         "--nan",    "nan",
+                          "--inf",       "-inf",     "--plus",
+                          "+4"};
+    Options o(28, const_cast<char **>(argv));
     test::expectThrows<ConfigError>([&] { o.getUint("jobs", 0); },
                                     "--jobs");
     test::expectThrows<ConfigError>([&] { o.getUint("seed", 1); },
@@ -440,8 +448,21 @@ TEST(Options, NumbersMustParseWhole)
                                     "--huge");
     test::expectThrows<ConfigError>([&] { o.getInt("spaced", 0); },
                                     "--spaced");
+    test::expectThrows<ConfigError>([&] { o.getDouble("nan", 0); },
+                                    "--nan: \"nan\"");
+    test::expectThrows<ConfigError>([&] { o.getDouble("inf", 0); },
+                                    "--inf: \"-inf\"");
+    for (const char *plus : {"plus", "spaced"}) {
+        test::expectThrows<ConfigError>([&] { o.getUint(plus, 0); },
+                                        plus);
+        test::expectThrows<ConfigError>([&] { o.getDouble(plus, 0); },
+                                        plus);
+    }
 
-    // Base prefixes and signed values where a sign is allowed.
+    // Hex prefixes (no octal) and signed values where a sign is
+    // allowed.
+    EXPECT_EQ(o.getUint("octal", 0), 10u);
+    EXPECT_EQ(o.getInt("octal", 0), 10);
     EXPECT_EQ(o.getUint("mask", 0), 31u);
     EXPECT_EQ(o.getInt("mask", 0), 31);
     EXPECT_EQ(o.getInt("retries", 0), -1);
@@ -485,14 +506,20 @@ TEST(Options, KnownMapAcceptsBothForms)
 
 TEST(Options, BoolForms)
 {
-    const char *argv[] = {"prog", "--on", "--off=0", "--no=false",
-                          "--yes=1"};
-    Options o(5, const_cast<char **>(argv));
+    const char *argv[] = {"prog",         "--on",     "--off=0",
+                          "--no=false",   "--yes=1",  "--word=on",
+                          "--maybe=maybe", "--operand", "x.trace"};
+    Options o(9, const_cast<char **>(argv));
     EXPECT_TRUE(o.getBool("on"));
     EXPECT_FALSE(o.getBool("off"));
     EXPECT_FALSE(o.getBool("no"));
     EXPECT_TRUE(o.getBool("yes"));
+    EXPECT_TRUE(o.getBool("word"));
     EXPECT_TRUE(o.getBool("missing", true));
+    test::expectThrows<ConfigError>([&] { o.getBool("maybe"); },
+                                    "--maybe: \"maybe\"");
+    test::expectThrows<ConfigError>([&] { o.getBool("operand"); },
+                                    "--operand: \"x.trace\"");
 }
 
 TEST(Options, UnknownOptionThrows)
@@ -635,4 +662,63 @@ TEST(Json, IntOrRangeChecksToTheFieldType)
                 << e.what();
         }
     }
+}
+
+TEST(Json, UntrustedReadersRefuseNonIntegers)
+{
+    // Every integer a telemetry line, an event trace line or a
+    // manifest header carries is read strictly: a negative, a
+    // fractional or an out-of-range value is an error naming its key.
+    auto snapshot = [](const std::string &key, const char *v) {
+        std::string field = "\"" + key + "\": " + v;
+        if (key == "runs_total")
+            field = "\"counters\": {" + field + "}";
+        else if (key == "active_runs")
+            field = "\"gauges\": {" + field + "}";
+        metrics::parseSnapshotLine("{" + field + "}");
+    };
+    auto event = [](const std::string &key, const char *v) {
+        std::istringstream in("{\"type\": \"x\", \"" + key + "\": " +
+                              v + "}\n");
+        readTraceJsonLines(in);
+    };
+    auto manifest = [](const std::string &key, const char *v) {
+        std::string path = ::testing::TempDir() + "strict_version.json";
+        std::ofstream(path) << "{\"" << key << "\": " << v << "}\n";
+        Expected<CampaignManifest> m = CampaignManifest::load(path);
+        if (!m.ok())
+            throw m.error();
+    };
+    using Reader = std::function<void(const std::string &, const char *)>;
+    const struct
+    {
+        Reader read;
+        std::string key;
+        std::vector<const char *> bad;
+    } cases[] = {
+        {snapshot, "seq", {"-1", "1.5", "1e300"}},
+        {snapshot, "unix_ms", {"-1", "1.5", "1e300"}},
+        {snapshot, "runs_total", {"-1", "1.5", "1e300"}},
+        {snapshot, "active_runs", {"1.5", "1e300"}}, // may be negative
+        {event, "cycle", {"-1", "1.5", "1e300"}},
+        {event, "core", {"-1", "1.5", "70000"}},
+        {event, "arg", {"-1", "1.5", "1e300"}},
+        {event, "detail", {"-1", "1.5", "256"}},
+        {manifest, "version", {"-1", "1.5", "1e300"}},
+    };
+    for (const auto &c : cases)
+        for (const char *v : c.bad) {
+            SCOPED_TRACE(c.key + " = " + v);
+            try {
+                c.read(c.key, v);
+                ADD_FAILURE() << "accepted";
+            } catch (const std::exception &e) {
+                EXPECT_NE(std::string(e.what()).find(c.key),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    // The same readers still take in-range integers.
+    EXPECT_NO_THROW(snapshot("active_runs", "-5"));
+    EXPECT_NO_THROW(event("core", "65535"));
 }

@@ -108,12 +108,11 @@ cmdVerify(const std::string &path, bool tolerant)
 }
 
 int
-cmdConvert(const std::string &in, const std::string &out,
+cmdConvert(const std::string &in, const std::string &out, bool tolerant,
            const Options &opts)
 {
-    auto reader = openTraceReader(in, opts.getBool("tolerant")
-                                          ? TraceReadMode::Tolerant
-                                          : TraceReadMode::Strict);
+    auto reader = openTraceReader(in, tolerant ? TraceReadMode::Tolerant
+                                               : TraceReadMode::Strict);
     TraceFileWriter writer(
         out, static_cast<std::uint32_t>(opts.getUint("block", 0)),
         !opts.getBool("no-data-addresses"));
@@ -147,17 +146,19 @@ try {
         return usage();
     std::string cmd = argv[1];
 
-    // Note the parser treats "--flag OPERAND" as flag=OPERAND, so
-    // boolean flags go after the file operands (or use --flag=1).
+    // The parser reads "--flag OPERAND" as flag=OPERAND, so boolean
+    // flags go after the file operands (or use --flag=1); an operand
+    // taken as --tolerant's value fails naming the flag.
     Options opts(argc - 1, argv + 1);
     const std::vector<std::string> &pos = opts.positional();
+    const bool tolerant = opts.getBool("tolerant");
 
     if (cmd == "info" && pos.size() == 1)
         return cmdInfo(pos[0]);
     if (cmd == "verify" && pos.size() == 1)
-        return cmdVerify(pos[0], opts.getBool("tolerant"));
+        return cmdVerify(pos[0], tolerant);
     if (cmd == "convert" && pos.size() == 2)
-        return cmdConvert(pos[0], pos[1], opts);
+        return cmdConvert(pos[0], pos[1], tolerant, opts);
     return usage();
 } catch (const SimError &e) {
     std::cerr << "error (" << errorKindName(e.kind())
