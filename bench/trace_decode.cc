@@ -1,12 +1,12 @@
 /**
  * @file
- * Trace-path microbenchmark: records/second sustained by the v3
+ * Trace-path microbenchmark: records/second sustained by the trace
  * writer, the mmap reader, the shared-cache load and replay from the
  * shared cache.
  *
  * A synthetic DB workload stream is generated once in memory, then
- * timed four ways: written by TraceFileWriter ("v3-write"), drained
- * through openTraceReader() with large nextBatch() reads ("v3-mmap"),
+ * timed four ways: written by TraceFileWriter ("write"), drained
+ * through openTraceReader() with large nextBatch() reads ("mmap"),
  * loaded by TraceCache::acquire() into a cleared cache
  * ("cache-load"), and drained from one loaded entry through a
  * CachedTraceSource in nextBatch(512) reads, the replay loop's batch
@@ -33,7 +33,6 @@
 
 #include "trace/trace_cache.hh"
 #include "trace/trace_file.hh"
-#include "trace/trace_v3.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "util/table.hh"
@@ -100,7 +99,7 @@ measure(const std::string &label, unsigned reps, const Pass &pass)
     return best;
 }
 
-/** Write @p recs as a v3 trace at @p path. */
+/** Write @p recs as a trace file at @p path. */
 std::uint64_t
 writeOnce(const std::string &path, const std::vector<InstrRecord> &recs)
 {
@@ -165,12 +164,12 @@ try {
     std::string out_path =
         opts.getString("out", "BENCH_trace_decode.json");
 
-    std::string path = dir + "/bench_decode_v3.trc";
+    std::string path = dir + "/bench_decode.trc";
     std::vector<InstrRecord> recs = generate(records);
     records = recs.size();
     std::vector<Sample> samples = {
-        measure("v3-write", reps, [&] { return writeOnce(path, recs); }),
-        measure("v3-mmap", reps, [&] { return drainOnce(path); }),
+        measure("write", reps, [&] { return writeOnce(path, recs); }),
+        measure("mmap", reps, [&] { return drainOnce(path); }),
         measure("cache-load", reps, [&] { return loadOnce(path); }),
     };
     TraceCache::instance().clear();

@@ -8,7 +8,7 @@
  *   trace_tools [--workload db] [--instrs N] [--save path]
  *               [--load path] [--tolerant]
  *
- * --save writes a v3 trace file; --load reads one back.
+ * --save writes a trace file; --load reads one back.
  *
  * --tolerant salvages the valid prefix of a damaged trace (with a
  * warning) instead of failing; any error exits 1 with a message.
@@ -21,7 +21,6 @@
 #include "analysis/analyzer.hh"
 #include "trace/trace_file.hh"
 #include "trace/trace_stats.hh"
-#include "trace/trace_v3.hh"
 #include "util/options.hh"
 #include "workload/presets.hh"
 

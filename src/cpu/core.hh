@@ -66,7 +66,7 @@ struct CoreParams
     unsigned fetchBlockRecords = 512;
     BranchPredictorParams bp;
     TlbParams tlb;
-    static constexpr unsigned numRegs = 32;
+    static constexpr unsigned numRegs = ipref::numRegs;
 };
 
 /** One out-of-order core bound to a trace, a hierarchy and a

@@ -6,7 +6,6 @@
 #include "prefetch/fetch_profiler.hh"
 #include "sim/campaign.hh"
 #include "trace/trace_cache.hh"
-#include "trace/trace_v3.hh"
 #include "util/error.hh"
 #include "util/json.hh"
 #include "util/logging.hh"

@@ -24,6 +24,10 @@ namespace ipref
 /** Fixed instruction size (SPARC-like RISC encoding). */
 inline constexpr Addr instrBytes = 4;
 
+/** Architectural registers: a record's register bytes lie in
+ *  [0, numRegs), and the core's scoreboard has one slot for each. */
+inline constexpr unsigned numRegs = 32;
+
 /** Broad instruction classes; CTI classes mirror the paper's taxonomy. */
 enum class OpClass : std::uint8_t
 {

@@ -1,14 +1,9 @@
 #include "trace/trace_cache.hh"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <condition_variable>
-#include <cstddef>
 #include <cstring>
-#include <limits>
 
-#include "trace/trace_v3.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
 
@@ -75,72 +70,6 @@ TraceCache::instance()
     return cache;
 }
 
-namespace
-{
-
-static_assert(static_cast<unsigned>(OpClass::NumOpClasses) <= 0x80,
-              "op classes must fit PackedRecord::opTaken bits 0-6");
-
-// unpack() writes an InstrRecord as four little-endian words: pc,
-// target, dataAddr, then op, taken and the register triple in bytes
-// 0-4 of the last (its 3 padding bytes become zero).
-static_assert(std::endian::native == std::endian::little);
-static_assert(sizeof(InstrRecord) == 32 &&
-              offsetof(InstrRecord, pc) == 0 &&
-              offsetof(InstrRecord, target) == 8 &&
-              offsetof(InstrRecord, dataAddr) == 16 &&
-              offsetof(InstrRecord, op) == 24 &&
-              offsetof(InstrRecord, taken) == 25 &&
-              offsetof(InstrRecord, srcReg) == 26 &&
-              offsetof(InstrRecord, dstReg) == 28);
-static_assert(offsetof(PackedRecord, opTaken) == 4);
-
-/** Per opTaken byte, from InstrRecord's own predicates, all-ones masks:
- *  does operandOffset hold a target (code) or a dataAddr (data), and
- *  does the op send the fetch stream to its target (redirect)? */
-struct Lanes
-{
-    std::uint64_t code, data, redirect;
-};
-const std::array<Lanes, 256> opLanes = [] {
-    std::array<Lanes, 256> lanes{};
-    for (unsigned b = 0; b < lanes.size(); ++b) {
-        InstrRecord r;
-        r.op = static_cast<OpClass>(b & 0x7f);
-        r.taken = (b & 0x80) != 0;
-        lanes[b] = {0 - std::uint64_t{r.isCti()},
-                    0 - std::uint64_t{r.isMem()},
-                    0 - std::uint64_t{r.redirects()}};
-    }
-    return lanes;
-}();
-
-/** Expand @p p, whose pc is @p pc, into @p out from a chunk based at
- *  @p codeBase and @p dataBase, branch-free; returns the next pc. */
-inline Addr
-unpack(const PackedRecord &p, Addr pc, Addr codeBase, Addr dataBase,
-       InstrRecord &out)
-{
-    std::uint64_t word; // operandOffset, opTaken, src0, src1, dst
-    std::memcpy(&word, &p, sizeof word);
-    const Addr offset = word & 0xffffffff;
-    const std::uint64_t tail = word >> 32;
-    const Lanes &lanes = opLanes[tail & 0xff];
-    const Addr target = (codeBase + offset) & lanes.code;
-    const std::uint64_t last =
-        (tail & 0x7f) | ((tail >> 7) & 1) << 8 | (tail >> 8) << 16;
-    out.pc = pc;
-    out.target = target;
-    out.dataAddr = (dataBase + offset) & lanes.data;
-    std::memcpy(reinterpret_cast<unsigned char *>(&out) +
-                    offsetof(InstrRecord, op),
-                &last, sizeof last);
-    return (target & lanes.redirect) |
-           ((pc + instrBytes) & ~lanes.redirect);
-}
-
-} // namespace
-
 std::shared_ptr<const DecodedTrace>
 DecodedTrace::load(const std::string &path, const FileFingerprint &fp)
 {
@@ -148,7 +77,7 @@ DecodedTrace::load(const std::string &path, const FileFingerprint &fp)
     out->path = path;
     out->fingerprint = fp;
 
-    TraceV3Blocks file(path);
+    TraceFrames file(path);
     out->headerCount = file.count();
     // The header's count is untrusted, so size the tables by what the
     // mapped file can hold. Reserving every record as packed (and, at
@@ -157,90 +86,39 @@ DecodedTrace::load(const std::string &path, const FileFingerprint &fp)
     // are never touched.
     const auto bound = static_cast<std::size_t>(file.recordBound());
     out->packed_.reserve(bound);
-    out->chunks_.reserve(
-        (bound + chunkRecords - 1) / chunkRecords);
+    out->chunks_.reserve((bound + chunkRecords - 1) / chunkRecords);
 
-    // Blocks decode onto the end of the staged records and count once
-    // whole; full chunks are sealed off the front. Block damage is
-    // recorded, never thrown: the one entry serves strict and tolerant
-    // acquirers, and strict ones get it re-raised per acquire.
-    std::vector<InstrRecord> stage;
-    std::size_t staged = 0;
-    std::uint64_t off = traceV3HeaderBytes;
-    std::uint64_t used = 0;
+    // Frame damage is recorded, never thrown: the one entry serves
+    // strict and tolerant acquirers, and strict ones get it re-raised
+    // per acquire.
+    TraceFrame f;
     try {
-        while (file.blockSize(used) != 0) {
-            off = file.decode(off, used, [&](std::size_t n) {
-                stage.resize(std::max(stage.size(), staged + n));
-                return stage.data() + staged;
-            });
-            staged += file.blockSize(used);
-            used += file.blockSize(used);
-            std::size_t done = 0;
-            for (; staged - done >= chunkRecords; done += chunkRecords)
-                out->seal({stage.data() + done, chunkRecords}, bound);
-            staged -= done;
-            std::memmove(stage.data(), stage.data() + done,
-                         staged * sizeof(InstrRecord));
-            file.releaseBefore(off); // hold records, not the file too
+        while (file.frame(f.next, out->size_, f)) {
+            Chunk chunk;
+            static_cast<ChunkEntry &>(chunk) = f.entry;
+            auto append = [&](auto &records) {
+                chunk.slot =
+                    static_cast<std::uint32_t>(records.size() / chunkRecords);
+                records.resize(records.size() + f.count);
+                std::memcpy(records.data() + records.size() - f.count,
+                            f.records, f.count * sizeof(records[0]));
+            };
+            if (f.entry.packed) {
+                append(out->packed_);
+            } else {
+                if (out->raw_.empty())
+                    out->raw_.reserve(bound - out->size_);
+                append(out->raw_);
+            }
+            out->chunks_.push_back(chunk);
+            out->size_ += f.count;
+            file.releaseBefore(f.next); // hold records, not the file too
         }
     } catch (const TraceError &e) {
         out->corrupt = true;
         out->corruptionDetail = e.what();
     }
-    if (staged != 0)
-        out->seal({stage.data(), staged}, bound);
     return out;
-}
-
-void
-DecodedTrace::seal(std::span<const InstrRecord> recs, std::size_t bound)
-{
-    Addr pc = recs.front().pc;
-    Addr codeLo = ~Addr{0}, codeHi = 0, dataLo = ~Addr{0}, dataHi = 0;
-    std::uint64_t stray = 0; // nonzero once any record breaks the rule
-    for (const InstrRecord &r : recs) {
-        const Lanes &l = opLanes[static_cast<unsigned>(r.op) | r.taken << 7];
-        stray |= (r.pc ^ pc) | (r.target & ~l.code) |
-                 (r.dataAddr & ~l.data) |
-                 std::uint64_t{r.op >= OpClass::NumOpClasses};
-        codeLo = std::min(codeLo, r.target | ~l.code);
-        codeHi = std::max(codeHi, r.target & l.code);
-        dataLo = std::min(dataLo, r.dataAddr | ~l.data);
-        dataHi = std::max(dataHi, r.dataAddr & l.data);
-        pc = (r.target & l.redirect) | ((r.pc + instrBytes) & ~l.redirect);
-    }
-    // With no CTI (no Load/Store) the span wraps to 1 and passes.
-    constexpr Addr span = std::numeric_limits<std::uint32_t>::max();
-    const bool packs =
-        stray == 0 && codeHi - codeLo <= span && dataHi - dataLo <= span;
-
-    chunks_.push_back({recs.front().pc, codeLo, dataLo,
-                       static_cast<std::uint32_t>(
-                           (packs ? packed_.size() : raw_.size()) /
-                           chunkRecords),
-                       packs});
-    if (packs) {
-        for (const InstrRecord &r : recs) {
-            const unsigned opTaken =
-                static_cast<unsigned>(r.op) | r.taken << 7;
-            const Lanes &l = opLanes[opTaken];
-            PackedRecord p;
-            p.operandOffset = static_cast<std::uint32_t>(
-                ((r.target - codeLo) & l.code) |
-                ((r.dataAddr - dataLo) & l.data));
-            p.opTaken = static_cast<std::uint8_t>(opTaken);
-            p.src0 = r.srcReg[0];
-            p.src1 = r.srcReg[1];
-            p.dst = r.dstReg;
-            packed_.push_back(p);
-        }
-    } else {
-        if (raw_.empty())
-            raw_.reserve(bound - size_);
-        raw_.insert(raw_.end(), recs.begin(), recs.end());
-    }
-    size_ += recs.size();
 }
 
 Addr
@@ -248,27 +126,21 @@ DecodedTrace::copy(std::size_t first, Addr pc,
                    std::span<InstrRecord> out) const
 {
     ipref_assert(first <= size_ && out.size() <= size_ - first);
-    InstrRecord *dst = out.data();
-    for (std::size_t left = out.size(); left != 0;) {
+    for (std::size_t done = 0; done < out.size();) {
         const Chunk &chunk = chunks_[first / chunkRecords];
         const std::size_t at = first % chunkRecords;
-        const std::size_t n = std::min(left, chunkRecords - at);
-        const std::size_t begin = chunk.slot * chunkRecords + at;
-        if (chunk.packed) {
-            const PackedRecord *src = packed_.data() + begin;
-            const Addr codeBase = chunk.codeBase;
-            const Addr dataBase = chunk.dataBase;
-            pc = at == 0 ? chunk.firstPc : pc;
-            for (std::size_t i = 0; i < n; ++i)
-                pc = unpack(src[i], pc, codeBase, dataBase, dst[i]);
-        } else {
-            // No pc needed: the next chunk brings its own first pc.
-            std::memcpy(dst, raw_.data() + begin,
-                        n * sizeof(InstrRecord));
-        }
-        dst += n;
+        const std::size_t n =
+            std::min(out.size() - done, chunkRecords - at);
+        const std::size_t begin = chunk.slot * chunkRecords;
+        const auto *records =
+            chunk.packed
+                ? reinterpret_cast<const unsigned char *>(packed_.data() +
+                                                          begin)
+                : reinterpret_cast<const unsigned char *>(raw_.data() +
+                                                          begin);
+        pc = unpackChunk(chunk, records, at, pc, out.subspan(done, n));
+        done += n;
         first += n;
-        left -= n;
     }
     return pc;
 }

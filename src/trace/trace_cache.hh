@@ -1,10 +1,10 @@
 /**
  * @file
  * Process-wide shared trace store: N concurrent runs replaying the
- * same trace file share one decode.
+ * same trace file share one load.
  *
  * TraceCache::instance().acquire(path) returns an immutable,
- * refcounted DecodedTrace — the decoded records, packed 8 B apiece
+ * refcounted DecodedTrace — the file's chunks, packed 8 B a record
  * where their fields allow, plus the file's header metadata. The
  * cache keys entries by (path, fingerprint): a rewritten file (size
  * or mtime changed) is decoded fresh, and concurrent acquirers of the
@@ -36,37 +36,15 @@ namespace ipref
 {
 
 /**
- * One replay record in 8 bytes. The pc is implied: a chunk's first
- * record takes it from the chunk table and every later one is the
- * nextPc() of the record before. The op class (bits 0-6 of `opTaken`,
- * the taken flag in bit 7) says what `operandOffset` holds: a
- * Load/Store's dataAddr less the chunk's data base, a CTI's target
- * less its code base, nothing for any other op.
- */
-struct PackedRecord
-{
-    std::uint32_t operandOffset = 0;
-    std::uint8_t opTaken = 0;
-    std::uint8_t src0 = 0;
-    std::uint8_t src1 = 0;
-    std::uint8_t dst = 0;
-};
-static_assert(sizeof(PackedRecord) == 8);
-
-/**
- * One decoded, immutable trace file, stored as fixed chunks of
- * chunkRecords records. A chunk is packed (PackedRecords) when each
- * record's pc is the nextPc() of the one before, only Load/Stores
- * carry a dataAddr and only CTIs a target, each of those two address
- * kinds spans less than 2^32 and every op is known; any other chunk
- * keeps its raw InstrRecords, so no input costs more than 32 B a
- * record. copy() unpacks either kind exactly.
+ * One loaded, immutable trace file: its chunks (packed_chunk.hh) as
+ * the file's frames hold them, packed records in one array and raw
+ * ones in another. copy() unpacks either kind exactly.
  */
 class DecodedTrace
 {
   public:
     /** Records per chunk (the last chunk may be shorter). */
-    static constexpr std::size_t chunkRecords = 4096;
+    static constexpr std::size_t chunkRecords = traceChunkRecords;
 
     std::string path;
     FileFingerprint fingerprint;
@@ -102,29 +80,21 @@ class DecodedTrace
   private:
     friend class TraceCache;
 
-    struct Chunk
+    /** A chunk's entry and its index in packed_ or raw_ (chunks of
+     *  records). The slot fills the entry's tail padding. */
+    struct Chunk : ChunkEntry
     {
-        Addr firstPc = 0;  //!< pc of the first record (packed chunks)
-        Addr codeBase = 0; //!< lowest CTI target (packed chunks)
-        Addr dataBase = 0; //!< lowest Load/Store dataAddr (packed)
-        std::uint32_t slot = 0; //!< chunk index in packed_ or raw_
-        bool packed = false;
+        std::uint32_t slot = 0;
     };
+    static_assert(sizeof(Chunk) == 32);
 
     /**
-     * Decode @p path block by block into chunks. Block damage is
+     * Copy @p path frame by frame into chunks. Frame damage is
      * recorded (corrupt, corruptionDetail), never thrown, and the
-     * damaged block is dropped, so the trace holds the intact prefix.
+     * damaged frame is dropped, so the trace holds the intact prefix.
      */
     static std::shared_ptr<const DecodedTrace>
     load(const std::string &path, const FileFingerprint &fp);
-
-    /**
-     * Store @p recs (one whole chunk) packed or raw. @p bound is the
-     * most records the file can hold; the first raw chunk reserves
-     * room for all that remain, so the raw array never reallocates.
-     */
-    void seal(std::span<const InstrRecord> recs, std::size_t bound);
 
     std::vector<Chunk> chunks_;
     std::vector<PackedRecord> packed_;

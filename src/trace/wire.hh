@@ -1,7 +1,7 @@
 /**
  * @file
  * Internal on-disk helpers shared by the trace writer and reader:
- * little-endian scalar packing and the v3 magic string.
+ * little-endian scalar packing and the trace file magic.
  * Not part of the public trace API.
  */
 
@@ -16,7 +16,7 @@ namespace ipref
 namespace tracewire
 {
 
-inline constexpr char magicV3[8] = {'I', 'P', 'R', 'T', 'R', 'C', '0', '3'};
+inline constexpr char traceMagic[8] = {'I', 'P', 'R', 'T', 'R', 'C', '0', '4'};
 inline constexpr std::size_t magicBytes = 8;
 
 inline void

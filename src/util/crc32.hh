@@ -1,8 +1,8 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), used by the
- * trace format to detect header and block corruption. Table-driven,
- * one byte at a time — plenty fast for trace I/O, zero dependencies.
+ * trace format to detect header and frame corruption. Table-driven,
+ * with a carry-less-multiply kernel for bulk data, zero dependencies.
  */
 
 #ifndef IPREF_UTIL_CRC32_HH
@@ -74,9 +74,7 @@ crc32(const void *data, std::size_t n, std::uint32_t seed = 0)
 /**
  * Same CRC-32, slicing-by-8: eight table lookups per 8-byte chunk
  * break the byte-serial dependency chain, roughly 5x the byte-wise
- * routine on bulk data. Used by the v3 trace reader, whose block
- * verification is bandwidth-bound; returns identical values to
- * crc32().
+ * routine on bulk data; returns identical values to crc32().
  */
 inline std::uint32_t
 crc32Sliced(const void *data, std::size_t n, std::uint32_t seed = 0)
@@ -105,6 +103,15 @@ crc32Sliced(const void *data, std::size_t n, std::uint32_t seed = 0)
         c = detail::crc32Table[(c ^ *p++) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
+
+/**
+ * Same CRC-32 for bulk data: on x86-64 CPUs with PCLMULQDQ it folds
+ * 64 bytes a step with carry-less multiplies (several GB/s, about 5x
+ * crc32Sliced()), elsewhere it is crc32Sliced(). Trace frames are
+ * checked with it on every write and load.
+ */
+std::uint32_t crc32Fast(const void *data, std::size_t n,
+                        std::uint32_t seed = 0);
 
 } // namespace ipref
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "trace/record.hh"
 #include "util/types.hh"
 
 namespace ipref
@@ -133,7 +134,7 @@ struct WorkloadConfig
     unsigned trapHandlers = 4;
 
     /** Architectural integer registers available to the generator. */
-    static constexpr unsigned numRegs = 32;
+    static constexpr unsigned numRegs = ipref::numRegs;
 };
 
 } // namespace ipref

@@ -12,10 +12,6 @@
  * DequeRing is the std::deque that FixedRing replaced in the ROB and
  * the fetch buffer, with FixedRing's capacity contract on top.
  *
- * encodeTraceBlockV3Bytewise is the v3 block encoder that the
- * pointer-writing encodeTraceBlockV3 replaced: one push_back per
- * output byte and bitmaps or-ed into zeroed bytes.
- *
  * jsonEscapeBytewise and jsonHexStream are the JSON emit helpers that
  * util/json.hh's bulk-appending jsonEscape and to_chars jsonHex
  * replaced: one switch and append per character, and an
@@ -30,14 +26,11 @@
 #include <iterator>
 #include <cstdio>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "prefetch/prefetch_queue.hh"
-#include "trace/record.hh"
-#include "util/varint.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -209,93 +202,6 @@ class DequeRing
     std::deque<T> items_;
     std::size_t capacity_ = 1;
 };
-
-inline void
-pushVarint(std::vector<unsigned char> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<unsigned char>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<unsigned char>(v));
-}
-
-inline void
-pushSvarint(std::vector<unsigned char> &out, std::int64_t v)
-{
-    pushVarint(out, zigzagEncode(v));
-}
-
-inline void
-encodeTraceBlockV3Bytewise(std::span<const InstrRecord> records,
-                           bool dataAddresses,
-                           std::vector<unsigned char> &out)
-{
-    out.clear();
-    const std::size_t n = records.size();
-    if (n == 0)
-        return;
-
-    pushVarint(out, records[0].pc);
-    for (std::size_t i = 1; i < n; ++i)
-        pushSvarint(out, static_cast<std::int64_t>(records[i].pc -
-                                                   records[i - 1].pc));
-
-    std::size_t i = 0;
-    while (i < n) {
-        std::size_t run = 1;
-        while (i + run < n && records[i + run].op == records[i].op)
-            ++run;
-        out.push_back(static_cast<unsigned char>(records[i].op));
-        pushVarint(out, run);
-        i += run;
-    }
-
-    std::size_t bitmapAt = out.size();
-    out.resize(out.size() + (n + 7) / 8, 0);
-    for (std::size_t r = 0; r < n; ++r) {
-        if (records[r].taken)
-            out[bitmapAt + r / 8] |=
-                static_cast<unsigned char>(1u << (r % 8));
-    }
-
-    bitmapAt = out.size();
-    out.resize(out.size() + (n + 7) / 8, 0);
-    for (std::size_t r = 0; r < n; ++r) {
-        if (records[r].target != 0)
-            out[bitmapAt + r / 8] |=
-                static_cast<unsigned char>(1u << (r % 8));
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-        if (records[r].target != 0)
-            pushSvarint(out, static_cast<std::int64_t>(
-                                 records[r].target - records[r].pc));
-    }
-
-    if (dataAddresses) {
-        bitmapAt = out.size();
-        out.resize(out.size() + (n + 7) / 8, 0);
-        for (std::size_t r = 0; r < n; ++r) {
-            if (records[r].dataAddr != 0)
-                out[bitmapAt + r / 8] |=
-                    static_cast<unsigned char>(1u << (r % 8));
-        }
-        Addr prev = 0;
-        for (std::size_t r = 0; r < n; ++r) {
-            if (records[r].dataAddr == 0)
-                continue;
-            pushSvarint(out, static_cast<std::int64_t>(
-                                 records[r].dataAddr - prev));
-            prev = records[r].dataAddr;
-        }
-    }
-
-    for (std::size_t r = 0; r < n; ++r) {
-        out.push_back(records[r].srcReg[0]);
-        out.push_back(records[r].srcReg[1]);
-        out.push_back(records[r].dstReg);
-    }
-}
 
 inline std::string
 jsonEscapeBytewise(const std::string &s)

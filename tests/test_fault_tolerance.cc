@@ -1,7 +1,8 @@
 /**
  * @file
  * Fault-tolerance tests: trace-corruption fuzzing (truncation at
- * every byte past the header, single-bit flips over every byte), the
+ * every frame-header byte and record boundary, single-bit flips over
+ * every byte of a packed and a raw frame), the
  * crash-isolated batch runner (injected faults, retries, timeouts),
  * and campaign checkpoint/resume.
  */
@@ -25,7 +26,6 @@
 #include "sim/coordinator.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_file.hh"
-#include "trace/trace_v3.hh"
 #include "util/json.hh"
 
 using namespace ipref;
@@ -44,14 +44,20 @@ makeInstr(Addr pc, OpClass op, bool taken = false, Addr target = 0)
     return r;
 }
 
-/** A varied but deterministic record stream for trace files. */
+/**
+ * A varied but deterministic record stream for trace files: one
+ * chunk of records whose pcs follow their taken branches and calls
+ * (it packs), then @p tail records whose pcs step by 4 past taken
+ * branches (a raw chunk).
+ */
 std::vector<InstrRecord>
-sampleRecords(unsigned n)
+sampleRecords(unsigned tail)
 {
+    const unsigned n = traceChunkRecords + tail;
     std::vector<InstrRecord> recs;
     recs.reserve(n);
+    Addr pc = 0x400000;
     for (unsigned i = 0; i < n; ++i) {
-        Addr pc = 0x400000 + 4u * i;
         if (i % 13 == 5)
             recs.push_back(makeInstr(pc, OpClass::CondBranch,
                                      i % 2 == 0, pc + 0x100));
@@ -62,16 +68,18 @@ sampleRecords(unsigned n)
             recs.push_back(makeInstr(pc, OpClass::Load));
         else
             recs.push_back(makeInstr(pc, OpClass::IntAlu));
+        recs.back().dataAddr =
+            recs.back().isMem() ? 0x900000 + 8u * i : 0;
+        pc = i < traceChunkRecords ? recs.back().nextPc() : pc + 4;
     }
     return recs;
 }
 
 void
 writeTrace(const std::string &path,
-           const std::vector<InstrRecord> &recs,
-           std::uint32_t blockRecords)
+           const std::vector<InstrRecord> &recs)
 {
-    TraceFileWriter writer(path, blockRecords);
+    TraceFileWriter writer(path);
     for (const InstrRecord &rec : recs)
         writer.write(rec);
     writer.close();
@@ -124,12 +132,12 @@ drainChecked(const std::string &path, TraceReadMode mode,
                 break;
             }
             const InstrRecord &want = truth[d.records];
-            EXPECT_EQ(r.pc, want.pc);
-            EXPECT_EQ(r.target, want.target);
-            EXPECT_EQ(r.dataAddr, want.dataAddr);
-            EXPECT_EQ(static_cast<int>(r.op),
-                      static_cast<int>(want.op));
-            EXPECT_EQ(r.taken, want.taken);
+            if (r.pc != want.pc || r.target != want.target ||
+                r.dataAddr != want.dataAddr || r.op != want.op ||
+                r.taken != want.taken) {
+                ADD_FAILURE() << "garbage record " << d.records;
+                break;
+            }
             ++d.records;
         }
         d.corrupt = reader->corrupt();
@@ -141,18 +149,17 @@ drainChecked(const std::string &path, TraceReadMode mode,
     return d;
 }
 
-/** File offset just past each block of the intact v3 file @p bytes. */
+/** File offset just past each frame of the intact trace @p bytes. */
 std::vector<std::size_t>
-blockEnds(const std::vector<unsigned char> &bytes)
+frameEnds(const std::vector<unsigned char> &bytes)
 {
     std::vector<std::size_t> ends;
-    std::size_t off = traceV3HeaderBytes;
+    std::size_t off = traceHeaderBytes;
     while (off + 8 <= bytes.size()) {
-        std::size_t payload = bytes[off] | bytes[off + 1] << 8 |
-                              bytes[off + 2] << 16 |
-                              static_cast<std::size_t>(bytes[off + 3])
-                                  << 24;
-        off += 8 + payload;
+        std::size_t size = bytes[off] | bytes[off + 1] << 8 |
+                           bytes[off + 2] << 16 |
+                           static_cast<std::size_t>(bytes[off + 3]) << 24;
+        off += 8 + size;
         ends.push_back(off);
     }
     EXPECT_EQ(off, bytes.size());
@@ -183,26 +190,33 @@ TEST(FaultTolerance, MissGroupBadTransitionThrows)
 
 TEST(FaultTolerance, TruncationFuzz)
 {
-    const unsigned kRecords = 64;
-    const std::uint32_t kBlock = 8;
     std::string path = ::testing::TempDir() + "trunc_fuzz.trc";
-    std::vector<InstrRecord> truth = sampleRecords(kRecords);
-    writeTrace(path, truth, kBlock);
+    std::vector<InstrRecord> truth = sampleRecords(40);
+    writeTrace(path, truth);
     std::vector<unsigned char> whole = readFileBytes(path);
-    std::vector<std::size_t> ends = blockEnds(whole);
-    ASSERT_EQ(ends.size(), kRecords / kBlock);
+    std::vector<std::size_t> ends = frameEnds(whole);
+    ASSERT_EQ(ends.size(), 2u);
+    ASSERT_EQ(ends[0], traceHeaderBytes + traceFrameBytes +
+                           traceChunkRecords * sizeof(PackedRecord));
+    ASSERT_EQ(ends[1] - ends[0],
+              traceFrameBytes + 40 * sizeof(InstrRecord));
 
-    // Cut the file at every byte past the header: inside a frame,
-    // inside a payload, and exactly on each block boundary.
-    for (std::size_t off = traceV3HeaderBytes; off < whole.size();
-         ++off) {
+    // Cut the file at every byte of each frame's header and at every
+    // record boundary (all records sit on 8-byte boundaries).
+    std::vector<std::size_t> cuts;
+    for (std::size_t start = traceHeaderBytes; std::size_t end : ends) {
+        for (std::size_t off = start; off < end; ++off)
+            if (off < start + traceFrameBytes || off % 8 == 0)
+                cuts.push_back(off);
+        start = end;
+    }
+    for (std::size_t off : cuts) {
         writeFileBytes(path, std::vector<unsigned char>(
                                  whole.begin(),
                                  whole.begin() +
                                      static_cast<std::ptrdiff_t>(off)));
-        std::uint64_t intact = 0;
-        for (std::size_t end : ends)
-            intact += end <= off ? kBlock : 0;
+        const std::uint64_t intact =
+            off >= ends[0] ? traceChunkRecords : 0;
 
         // Strict: the promised record count cannot be delivered, so
         // the reader must throw — after a correct prefix only.
@@ -210,7 +224,7 @@ TEST(FaultTolerance, TruncationFuzz)
         EXPECT_TRUE(strict.threw) << "truncation at byte " << off;
         EXPECT_LE(strict.records, intact);
 
-        // Tolerant: ends cleanly after the last intact block.
+        // Tolerant: ends cleanly after the last intact frame.
         Drained tolerant =
             drainChecked(path, TraceReadMode::Tolerant, truth);
         EXPECT_FALSE(tolerant.threw) << "truncation at byte " << off;
@@ -224,12 +238,19 @@ TEST(FaultTolerance, TruncationFuzz)
 
 TEST(FaultTolerance, BitFlipFuzz)
 {
-    const unsigned kRecords = 64;
-    const std::uint32_t kBlock = 8;
     std::string path = ::testing::TempDir() + "flip_fuzz.trc";
-    std::vector<InstrRecord> truth = sampleRecords(kRecords);
-    writeTrace(path, truth, kBlock);
+    std::vector<InstrRecord> truth = sampleRecords(40);
+    writeTrace(path, truth);
     std::vector<unsigned char> whole = readFileBytes(path);
+    const std::size_t firstEnd = frameEnds(whole).front();
+    {
+        // One packed frame, then one raw.
+        auto reader = openTraceReader(path);
+        std::vector<InstrRecord> all(truth.size() + 1);
+        EXPECT_EQ(reader->nextBatch(all), truth.size());
+        EXPECT_EQ(reader->packedChunks(), 1u);
+        EXPECT_EQ(reader->rawChunks(), 1u);
+    }
 
     for (std::size_t i = 0; i < whole.size(); ++i) {
         std::vector<unsigned char> damaged = whole;
@@ -237,24 +258,26 @@ TEST(FaultTolerance, BitFlipFuzz)
         writeFileBytes(path, damaged);
 
         // Strict: every byte is covered by the magic check, the
-        // header CRC, a block frame's bounds or a block CRC — a flip
+        // header CRC, a frame's size check or a frame CRC — a flip
         // anywhere must surface as TraceError (from open or from a
         // read), never as garbage.
         Drained strict = drainChecked(path, TraceReadMode::Strict, truth);
         EXPECT_TRUE(strict.threw) << "undetected bit flip at byte " << i;
 
         // Tolerant: a damaged header still throws (nothing to
-        // salvage); body damage ends the stream at a block boundary.
+        // salvage); body damage ends the stream before its frame.
         Drained tolerant =
             drainChecked(path, TraceReadMode::Tolerant, truth);
         if (tolerant.threw) {
-            EXPECT_LT(i, traceV3HeaderBytes)
+            EXPECT_LT(i, traceHeaderBytes)
                 << "only header damage may throw in tolerant mode "
                    "(byte "
                 << i << ")";
         } else {
             EXPECT_TRUE(tolerant.corrupt) << "byte " << i;
-            EXPECT_EQ(tolerant.records % kBlock, 0u) << "byte " << i;
+            EXPECT_EQ(tolerant.records,
+                      i < firstEnd ? 0u : traceChunkRecords)
+                << "byte " << i;
         }
     }
     std::remove(path.c_str());
@@ -267,7 +290,7 @@ TEST(FaultTolerance, BatchIsolatesFailures)
     // to a clean sequential baseline.
     std::string corruptPath =
         ::testing::TempDir() + "batch_corrupt.trc";
-    writeTrace(corruptPath, sampleRecords(2048), 256);
+    writeTrace(corruptPath, sampleRecords(2048));
     std::vector<unsigned char> bytes = readFileBytes(corruptPath);
     bytes.resize(bytes.size() - 1000); // rip the tail off
     writeFileBytes(corruptPath, bytes);
@@ -333,9 +356,9 @@ TEST(FaultTolerance, TolerantTraceRunSalvages)
     // The same damaged trace succeeds when the spec opts into
     // tolerant reads: the valid prefix loops for the whole run.
     std::string path = ::testing::TempDir() + "tolerant_run.trc";
-    writeTrace(path, sampleRecords(2048), 256);
+    writeTrace(path, sampleRecords(2048));
     std::vector<unsigned char> bytes = readFileBytes(path);
-    bytes.resize(bytes.size() - 1000);
+    bytes.resize(bytes.size() - 1000); // the packed chunk survives
     writeFileBytes(path, bytes);
 
     RunSpec spec = quickSpec(5);

@@ -13,8 +13,6 @@
  *  - FillHeap vs a std::priority_queue of shared fills, whose pop
  *    order for equal ready cycles decides install (and so eviction)
  *    order in the hierarchy;
- *  - the pointer-writing v3 block encoder vs the push_back encoder it
- *    replaced: identical bytes, and decode(encode(x)) == x.;
  *  - jsonEscape / jsonString / jsonHex vs the per-character and
  *    ostringstream helpers they replaced: identical bytes.
  */
@@ -32,7 +30,6 @@
 #include "cache/hierarchy.hh"
 #include "prefetch/prefetch_queue.hh"
 #include "reference_models.hh"
-#include "trace/trace_v3.hh"
 #include "util/json.hh"
 #include "util/line_map.hh"
 #include "util/ring.hh"
@@ -411,149 +408,6 @@ TEST(LineMap, EraseInChainKeepsLaterKeysReachable)
             }
         }
         EXPECT_FALSE(map.erase(0x1000 + victim * 64));
-    }
-}
-
-// --- v3 block encoder ------------------------------------------------
-
-constexpr unsigned kOpClasses =
-    static_cast<unsigned>(OpClass::NumOpClasses);
-
-/** Smallest delta whose zigzag varint takes all 10 bytes, plus one. */
-constexpr Addr kWideDelta = (Addr{1} << 62) + 1;
-
-/** @p base moved by a small, negative or 10-byte-varint delta. */
-Addr
-wildStep(Rng &rng, Addr base)
-{
-    switch (rng.below(4)) {
-      case 0: return base + rng.below(64);
-      case 1: return base - 1 - rng.below(64);
-      case 2: return base + (rng.chance(0.5) ? kWideDelta : -kWideDelta);
-      default: return rng.next();
-    }
-}
-
-/** How randomBlock picks op classes. */
-enum class OpRuns
-{
-    Cycle, //!< every class in turn: one-record runs
-    Short, //!< a new random class with chance 1/5
-    Long,  //!< chance 1/500: runs past 127 take 2-byte varints
-};
-
-/**
- * A random block of @p n records stressing every column: wild pc,
- * target and data deltas, absent targets and data addresses, and op
- * runs shaped by @p runs.
- */
-std::vector<InstrRecord>
-randomBlock(Rng &rng, std::size_t n, OpRuns runs)
-{
-    std::vector<InstrRecord> recs(n);
-    Addr pc = rng.next();
-    Addr data = rng.next();
-    OpClass op = OpClass::IntAlu;
-    for (std::size_t i = 0; i < n; ++i) {
-        InstrRecord &r = recs[i];
-        r.pc = pc = i == 0 ? pc : wildStep(rng, pc);
-        if (runs == OpRuns::Cycle)
-            op = static_cast<OpClass>(i % kOpClasses);
-        else if (rng.chance(runs == OpRuns::Short ? 0.2 : 0.002))
-            op = static_cast<OpClass>(rng.below(kOpClasses));
-        r.op = op;
-        r.taken = rng.chance(0.5);
-        r.target = rng.chance(0.3) ? 0 : wildStep(rng, pc);
-        if (rng.chance(0.6))
-            r.dataAddr = data = wildStep(rng, data);
-        r.srcReg[0] = static_cast<std::uint8_t>(rng.below(256));
-        r.srcReg[1] = static_cast<std::uint8_t>(rng.below(256));
-        r.dstReg = static_cast<std::uint8_t>(rng.below(256));
-    }
-    return recs;
-}
-
-void
-expectSameRecord(const InstrRecord &got, const InstrRecord &want,
-                 std::size_t i)
-{
-    ASSERT_EQ(got.pc, want.pc) << "record " << i;
-    ASSERT_EQ(got.op, want.op) << "record " << i;
-    ASSERT_EQ(got.taken, want.taken) << "record " << i;
-    ASSERT_EQ(got.target, want.target) << "record " << i;
-    ASSERT_EQ(got.dataAddr, want.dataAddr) << "record " << i;
-    ASSERT_EQ(got.srcReg[0], want.srcReg[0]) << "record " << i;
-    ASSERT_EQ(got.srcReg[1], want.srcReg[1]) << "record " << i;
-    ASSERT_EQ(got.dstReg, want.dstReg) << "record " << i;
-}
-
-/** Encode @p recs both ways, compare bytes, and round-trip them. */
-void
-checkEncoders(const std::vector<InstrRecord> &recs, bool dataAddresses,
-              std::vector<unsigned char> &fast,
-              std::vector<unsigned char> &ref)
-{
-    encodeTraceBlockV3(recs, dataAddresses, fast);
-    ref::encodeTraceBlockV3Bytewise(recs, dataAddresses, ref);
-    ASSERT_EQ(fast, ref);
-    ASSERT_LE(fast.size(), traceV3MaxBlockBytes(recs.size()));
-
-    std::vector<InstrRecord> back(recs.size());
-    decodeTraceBlockV3(fast.data(), fast.size(), recs.size(),
-                       dataAddresses, back.data());
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        InstrRecord want = recs[i];
-        if (!dataAddresses)
-            want.dataAddr = 0;
-        expectSameRecord(back[i], want, i);
-    }
-}
-
-TEST(TraceEncoderLockstep, MatchesBytewiseEncoderAndRoundTrips)
-{
-    // The output vectors are reused across blocks, as the writer
-    // reuses its encode scratch.
-    std::vector<unsigned char> fast, ref;
-    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-        Rng rng(seed);
-        for (std::size_t n : {1u, 7u, 8u, 9u, 4096u,
-                              1u + static_cast<unsigned>(rng.below(600))}) {
-            for (OpRuns runs :
-                 {OpRuns::Cycle, OpRuns::Short, OpRuns::Long}) {
-                std::vector<InstrRecord> recs = randomBlock(rng, n, runs);
-                for (bool data : {true, false}) {
-                    SCOPED_TRACE(::testing::Message()
-                                 << "seed " << seed << " n " << n
-                                 << " runs " << static_cast<int>(runs)
-                                 << " data " << data);
-                    checkEncoders(recs, data, fast, ref);
-                }
-            }
-        }
-    }
-}
-
-TEST(TraceEncoderLockstep, WorstCaseBlockMeetsTheBoundExactly)
-{
-    // Every varint at its 10-byte maximum and one-record op runs: the
-    // encoding fills traceV3MaxBlockBytes(n) to the byte, so the
-    // bound that sizes the encoder and vets frames is exact.
-    std::vector<unsigned char> fast, ref;
-    for (std::size_t n : {1u, 2u, 7u, 8u, 9u, 4096u}) {
-        SCOPED_TRACE(::testing::Message() << "n " << n);
-        std::vector<InstrRecord> recs(n);
-        Addr pc = ~Addr{0};
-        Addr data = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            recs[i].pc = pc;
-            recs[i].op = static_cast<OpClass>(i % 2);
-            recs[i].taken = true;
-            recs[i].target = pc + kWideDelta;
-            recs[i].dataAddr = data += kWideDelta;
-            pc += kWideDelta;
-        }
-        checkEncoders(recs, true, fast, ref);
-        EXPECT_EQ(fast.size(), traceV3MaxBlockBytes(n));
     }
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the trace layer: record semantics, sources, opening
- * trace files and the summarizer. Round trips through the v3 format
- * live in test_trace_v3.cc.
+ * trace files and the summarizer. Round trips through the trace file
+ * format live in test_trace_file.cc.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "trace/trace_file.hh"
 #include "trace/trace_source.hh"
 #include "trace/trace_stats.hh"
-#include "trace/trace_v3.hh"
 
 using namespace ipref;
 
@@ -178,10 +177,10 @@ TEST(TraceFile, BadMagicIsFatal)
 
 TEST(TraceFile, RetiredFormatsAreRejected)
 {
-    // Files in the retired v1/v2 layouts: a well-formed header of
-    // either is still refused, naming the magic it found.
+    // Files in the retired v1-v3 layouts: a well-formed header of any
+    // is still refused, naming the magic it found.
     std::string path = ::testing::TempDir() + "retired.trc";
-    for (char version : {'1', '2'}) {
+    for (char version : {'1', '2', '3'}) {
         unsigned char bytes[128] = {'I', 'P', 'R', 'T', 'R', 'C', '0'};
         bytes[7] = static_cast<unsigned char>(version);
         bytes[8] = 1; // record count
@@ -190,7 +189,7 @@ TEST(TraceFile, RetiredFormatsAreRejected)
         test::expectThrows<TraceError>(
             [&] { openTraceReader(path, TraceReadMode::Tolerant); },
             "unsupported trace magic \"" + found +
-                "\": only IPRTRC03 (v3) trace files are readable");
+                "\": only IPRTRC04");
     }
     std::remove(path.c_str());
 }

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the v3 columnar trace format, the mmap reader, the shared
- * TraceCache and the redesigned TraceSource/RunSpec APIs: round-trip
- * fidelity, corruption fuzzing and crafted headers, decode sharing
- * under a parallel batch, the packed cache's exactness against the
- * mmap reader, the reader's bounded page residency, and Builder
- * validation.
+ * Tests for the trace file format (v4: sealed packed or raw chunks,
+ * one CRC-checked frame each), the mmap reader, the shared TraceCache
+ * and the TraceSource/RunSpec APIs: round-trip fidelity, corruption
+ * fuzzing, crafted headers and frames checked against the format read
+ * plainly, load sharing under a parallel batch, the pack rule and the
+ * cache's exactness against the mmap reader, the reader's bounded
+ * page residency, and Builder validation.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +33,6 @@
 #include "trace/trace_cache.hh"
 #include "trace/trace_file.hh"
 #include "trace/trace_source.hh"
-#include "trace/trace_v3.hh"
 #include "util/crc32.hh"
 #include "util/metrics.hh"
 #include "util/mmap_file.hh"
@@ -83,11 +83,9 @@ syntheticStream(std::size_t n, std::uint32_t seed = 1)
 
 void
 writeTraceFile(const std::string &path,
-               const std::vector<InstrRecord> &recs,
-               std::uint32_t blockRecords = 0,
-               bool dataAddresses = true)
+               const std::vector<InstrRecord> &recs)
 {
-    TraceFileWriter writer(path, blockRecords, dataAddresses);
+    TraceFileWriter writer(path);
     for (const InstrRecord &rec : recs)
         writer.write(rec);
     writer.close();
@@ -170,22 +168,26 @@ writeFileBytes(const std::string &path,
 
 // --- round-trip -------------------------------------------------------
 
-TEST(TraceV3, WriterDefaultsToV3)
+TEST(TraceV4, WriterWritesV4)
 {
-    std::string path = ::testing::TempDir() + "v3_default.trc";
+    // A header, one frame header and 8 bytes a packed record.
+    std::string path = ::testing::TempDir() + "v4_layout.trc";
     writeTraceFile(path, syntheticStream(100));
     std::vector<unsigned char> bytes = readFileBytes(path);
-    ASSERT_GE(bytes.size(), traceV3HeaderBytes);
-    EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 8), "IPRTRC03");
+    ASSERT_EQ(bytes.size(), traceHeaderBytes + traceFrameBytes + 100 * 8);
+    EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 8), "IPRTRC04");
     auto reader = openTraceReader(path);
-    EXPECT_EQ(reader->blockRecords(), traceV3DefaultBlockRecords);
+    EXPECT_EQ(drainNext(*reader).size(), 100u);
+    EXPECT_EQ(reader->packedChunks(), 1u);
+    EXPECT_EQ(reader->rawChunks(), 0u);
     std::remove(path.c_str());
 }
 
 namespace
 {
 
-/** 100 copies of one record with every column set, pc stepping. */
+/** 100 copies of one record with every field set, pc stepping past
+ *  its taken branch (so the chunk is raw). */
 std::vector<InstrRecord>
 everyColumnStream()
 {
@@ -208,13 +210,13 @@ everyColumnStream()
 
 } // namespace
 
-TEST(TraceV3, RoundTripAllColumns)
+TEST(TraceV4, RoundTripAllFields)
 {
-    std::string path = ::testing::TempDir() + "v3_rt.trc";
-    // Multiple blocks plus a partial trailing block, and a short
-    // stream with every field far from zero.
+    std::string path = ::testing::TempDir() + "v4_rt.trc";
+    // A whole chunk plus a partial trailing one, and a short stream
+    // with every field far from zero.
     for (const std::vector<InstrRecord> &truth :
-         {syntheticStream(3 * traceV3DefaultBlockRecords / 2),
+         {syntheticStream(3 * traceChunkRecords / 2),
           everyColumnStream()}) {
         writeTraceFile(path, truth);
         auto reader = openTraceReader(path);
@@ -226,13 +228,13 @@ TEST(TraceV3, RoundTripAllColumns)
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, ResetRewinds)
+TEST(TraceV4, ResetRewinds)
 {
-    std::string path = ::testing::TempDir() + "v3_reset.trc";
-    // A multi-block stream, and a single record read to its end.
+    std::string path = ::testing::TempDir() + "v4_reset.trc";
+    // A multi-chunk stream, and a single record read to its end.
     for (const std::vector<InstrRecord> &truth :
-         {syntheticStream(1000), syntheticStream(1, 42)}) {
-        writeTraceFile(path, truth, 64);
+         {syntheticStream(9000), syntheticStream(1, 42)}) {
+        writeTraceFile(path, truth);
         auto reader = openTraceReader(path);
         expectSameRecords(drainNext(*reader), truth);
         InstrRecord r;
@@ -243,9 +245,9 @@ TEST(TraceV3, ResetRewinds)
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, EmptyFileRoundTrips)
+TEST(TraceV4, EmptyFileRoundTrips)
 {
-    std::string path = ::testing::TempDir() + "v3_empty.trc";
+    std::string path = ::testing::TempDir() + "v4_empty.trc";
     writeTraceFile(path, {});
     auto reader = openTraceReader(path);
     EXPECT_EQ(reader->count(), 0u);
@@ -254,11 +256,11 @@ TEST(TraceV3, EmptyFileRoundTrips)
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, SingleRecordAndTinyBlocks)
+TEST(TraceV4, SingleRecordAndShortChunks)
 {
-    std::string path = ::testing::TempDir() + "v3_tiny.trc";
-    // 11 records in blocks of 4 leave a partial trailing block; the
-    // second stream is straight-line code (one op run per block).
+    std::string path = ::testing::TempDir() + "v4_short.trc";
+    // Chunks shorter than a whole one; the second stream is
+    // straight-line code with no address at all.
     std::vector<InstrRecord> straight;
     for (unsigned i = 0; i < 11; ++i) {
         InstrRecord r;
@@ -268,55 +270,75 @@ TEST(TraceV3, SingleRecordAndTinyBlocks)
     }
     for (const std::vector<InstrRecord> &truth :
          {syntheticStream(11, 7), straight, syntheticStream(1, 3)}) {
-        writeTraceFile(path, truth, /*blockRecords=*/4);
+        writeTraceFile(path, truth);
         auto reader = openTraceReader(path);
         expectSameRecords(drainNext(*reader), truth);
     }
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, DroppedDataAddressColumn)
+TEST(TraceV4, WriterRefusesRecordsNoReaderAccepts)
 {
-    std::string path = ::testing::TempDir() + "v3_nodata.trc";
-    std::vector<InstrRecord> truth = syntheticStream(500);
-    writeTraceFile(path, truth, 0,
-                   /*dataAddresses=*/false);
-    for (InstrRecord &r : truth)
-        r.dataAddr = 0; // the column was dropped on write
-    auto reader = openTraceReader(path);
-    EXPECT_FALSE(reader->hasDataAddresses());
-    expectSameRecords(drainNext(*reader), truth);
+    // A register byte indexes the core's scoreboard: the writer must
+    // not store one the reader would refuse (or the core overrun).
+    std::string path = ::testing::TempDir() + "v4_refuse.trc";
+    std::vector<InstrRecord> recs = syntheticStream(10, 9);
+    recs[3].dstReg = numRegs - 1;
+    writeTraceFile(path, recs);
+    for (int field = 0; field < 4; ++field) {
+        InstrRecord bad = recs[5];
+        if (field == 0)
+            bad.dstReg = 250;
+        else if (field == 3)
+            bad.op = OpClass::NumOpClasses;
+        else
+            bad.srcReg[field - 1] = numRegs;
+        TraceFileWriter writer(path);
+        writer.write(recs[0]);
+        test::expectThrows<TraceError>([&] { writer.write(bad); },
+                                       "record no reader accepts");
+        EXPECT_EQ(writer.count(), 1u);
+        writer.close();
+        EXPECT_EQ(openTraceReader(path)->count(), 1u);
+    }
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, SlicedCrcMatchesBytewise)
+TEST(TraceV4, FastCrcsMatchBytewise)
 {
     std::mt19937 rng(99);
-    std::vector<unsigned char> data(4099);
+    std::vector<unsigned char> data(4099 + 16);
     for (auto &b : data)
         b = static_cast<unsigned char>(rng());
-    for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 64u, 4099u}) {
-        EXPECT_EQ(crc32Sliced(data.data(), n),
-                  crc32(data.data(), n))
-            << "n=" << n;
+    // Every length through a few folding steps, at every alignment
+    // of a 16-byte load, then whole frames.
+    for (std::size_t n = 0; n <= 4099; n = n < 300 ? n + 1 : n + 761) {
+        for (std::size_t at = 0; at < 16; at += n < 300 ? 5 : 1) {
+            const unsigned char *p = data.data() + at;
+            EXPECT_EQ(crc32Sliced(p, n), crc32(p, n)) << "n=" << n;
+            EXPECT_EQ(crc32Fast(p, n), crc32(p, n)) << "n=" << n;
+        }
     }
     // Incremental seeding agrees too.
     std::uint32_t a = crc32(data.data(), 100);
     EXPECT_EQ(crc32Sliced(data.data() + 100, 999, a),
               crc32(data.data() + 100, 999, a));
+    EXPECT_EQ(crc32Fast(data.data() + 100, 999, a),
+              crc32(data.data() + 100, 999, a));
 }
 
 // --- damage -----------------------------------------------------------
 
-TEST(TraceV3, TruncationStrictThrowsTolerantSalvages)
+TEST(TraceV4, TruncationStrictThrowsTolerantSalvages)
 {
-    std::string path = ::testing::TempDir() + "v3_trunc.trc";
-    std::vector<InstrRecord> truth = syntheticStream(2000, 3);
-    writeTraceFile(path, truth, 256);
+    std::string path = ::testing::TempDir() + "v4_trunc.trc";
+    std::vector<InstrRecord> truth = syntheticStream(10000, 3);
+    writeTraceFile(path, truth);
     std::vector<unsigned char> intact = readFileBytes(path);
 
-    // Clip at several depths, from mid-payload to mid-frame-header.
-    for (std::size_t clip : {1u, 5u, 200u, 997u}) {
+    // Clip at several depths, from the last record into the second
+    // frame's records.
+    for (std::size_t clip : {1u, 5u, 200u, 997u, 20000u}) {
         ASSERT_GT(intact.size(), clip);
         std::vector<unsigned char> cut(intact.begin(),
                                        intact.end() -
@@ -336,9 +358,10 @@ TEST(TraceV3, TruncationStrictThrowsTolerantSalvages)
         std::vector<InstrRecord> got = drainNext(*reader);
         EXPECT_TRUE(reader->corrupt());
         EXPECT_FALSE(reader->corruptionDetail().empty());
-        // Whole blocks up to the damage decode exactly; never garbage.
+        // Whole chunks up to the damage read exactly; never garbage.
         ASSERT_LE(got.size(), truth.size());
-        EXPECT_EQ(got.size() % 256, 0u);
+        EXPECT_EQ(got.size(), clip < 14000 ? 2 * traceChunkRecords
+                                           : traceChunkRecords);
         expectSameRecords(got,
                           std::vector<InstrRecord>(
                               truth.begin(),
@@ -349,11 +372,11 @@ TEST(TraceV3, TruncationStrictThrowsTolerantSalvages)
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, BitFlipFuzzNeverYieldsGarbage)
+TEST(TraceV4, BitFlipFuzzNeverYieldsGarbage)
 {
-    std::string path = ::testing::TempDir() + "v3_fuzz.trc";
-    std::vector<InstrRecord> truth = syntheticStream(3000, 11);
-    writeTraceFile(path, truth, 128);
+    std::string path = ::testing::TempDir() + "v4_fuzz.trc";
+    std::vector<InstrRecord> truth = syntheticStream(10000, 11);
+    writeTraceFile(path, truth);
     std::vector<unsigned char> intact = readFileBytes(path);
 
     std::mt19937 rng(1234);
@@ -361,8 +384,8 @@ TEST(TraceV3, BitFlipFuzzNeverYieldsGarbage)
         std::vector<unsigned char> bytes = intact;
         // Flip one bit anywhere past the header (header damage is
         // always fatal and covered separately).
-        std::size_t at = traceV3HeaderBytes +
-                         rng() % (bytes.size() - traceV3HeaderBytes);
+        std::size_t at = traceHeaderBytes +
+                         rng() % (bytes.size() - traceHeaderBytes);
         bytes[at] ^= static_cast<unsigned char>(1u << (rng() % 8));
         writeFileBytes(path, bytes);
 
@@ -385,9 +408,9 @@ TEST(TraceV3, BitFlipFuzzNeverYieldsGarbage)
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, HeaderDamageIsFatalEvenTolerant)
+TEST(TraceV4, HeaderDamageIsFatalEvenTolerant)
 {
-    std::string path = ::testing::TempDir() + "v3_hdr.trc";
+    std::string path = ::testing::TempDir() + "v4_hdr.trc";
     writeTraceFile(path, syntheticStream(100));
     std::vector<unsigned char> bytes = readFileBytes(path);
     bytes[9] ^= 0xff; // record count, protected by the header CRC
@@ -408,22 +431,37 @@ putLe(unsigned char *p, std::uint64_t v, int bytes)
         p[i] = static_cast<unsigned char>(v >> (8 * i));
 }
 
+std::uint64_t
+getLe(const unsigned char *p, int bytes)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    return v;
+}
+
+/** Set the record count in @p file 's header and re-seal its CRC. */
+void
+setHeaderCount(std::vector<unsigned char> &file, std::uint64_t count)
+{
+    putLe(file.data() + 8, count, 8);
+    putLe(file.data() + 20, crc32(file.data(), 20), 4);
+}
+
 /**
- * A 120-byte v3 file whose header is CRC-valid but promises 2^40
- * records in blocks of @p blockRecords, followed by one framed,
- * CRC-valid 64-byte payload — far too small for such a block.
+ * A trace file whose header is CRC-valid but promises 2^40 records in
+ * chunks of @p chunk, followed by one CRC-valid frame of 64 bytes —
+ * far too few for the chunk it must hold.
  */
 void
 writeCraftedHeaderFile(const std::string &path,
-                       std::uint32_t blockRecords)
+                       std::uint32_t chunk = traceChunkRecords)
 {
-    std::vector<unsigned char> bytes(traceV3HeaderBytes + 8 + 64, 0);
-    std::memcpy(bytes.data(), "IPRTRC03", 8);
-    putLe(bytes.data() + 8, std::uint64_t{1} << 40, 8);
-    putLe(bytes.data() + 16, blockRecords, 4);
-    putLe(bytes.data() + 20, traceV3FlagDataAddr, 4);
-    putLe(bytes.data() + 44, crc32(bytes.data(), 44), 4);
-    unsigned char *frame = bytes.data() + traceV3HeaderBytes;
+    std::vector<unsigned char> bytes(traceHeaderBytes + 8 + 64, 0);
+    std::memcpy(bytes.data(), "IPRTRC04", 8);
+    putLe(bytes.data() + 16, chunk, 4);
+    setHeaderCount(bytes, std::uint64_t{1} << 40);
+    unsigned char *frame = bytes.data() + traceHeaderBytes;
     putLe(frame, 64, 4);
     putLe(frame + 4, crc32(frame + 8, 64), 4);
     writeFileBytes(path, bytes);
@@ -431,83 +469,85 @@ writeCraftedHeaderFile(const std::string &path,
 
 } // namespace
 
-TEST(TraceV3, CraftedBlockSizeStrictThrows)
+TEST(TraceV4, CraftedHeaderStrictThrows)
 {
-    std::string path = ::testing::TempDir() + "v3_crafted_strict.trc";
-    writeCraftedHeaderFile(path, 0xFFFFFFFFu);
+    std::string path = ::testing::TempDir() + "v4_crafted_strict.trc";
+    writeCraftedHeaderFile(path);
     test::expectThrows<TraceError>(
         [&] {
             auto r = openTraceReader(path, TraceReadMode::Strict);
             drainNext(*r);
         },
-        "implausible v3 block size");
+        "chunk frame disagrees with the header");
+    // A chunk size other than the format's is refused at open, even
+    // tolerantly.
+    writeCraftedHeaderFile(path, 0xFFFFFFFFu);
+    test::expectThrows<TraceError>(
+        [&] { openTraceReader(path, TraceReadMode::Tolerant); },
+        "unsupported trace chunk size");
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, CraftedBlockSizeTolerantIsCorrupt)
+TEST(TraceV4, CraftedHeaderTolerantIsCorrupt)
 {
-    std::string path = ::testing::TempDir() + "v3_crafted_tolerant.trc";
-    writeCraftedHeaderFile(path, 0xFFFFFFFFu);
+    std::string path = ::testing::TempDir() + "v4_crafted_tolerant.trc";
+    writeCraftedHeaderFile(path);
     auto reader = openTraceReader(path, TraceReadMode::Tolerant);
     EXPECT_TRUE(drainBatch(*reader).empty());
     EXPECT_TRUE(reader->corrupt());
-    EXPECT_NE(reader->corruptionDetail().find("implausible"),
+    EXPECT_NE(reader->corruptionDetail().find("disagrees"),
               std::string::npos)
         << reader->corruptionDetail();
     std::remove(path.c_str());
 }
 
-// --- column decoder behind a valid CRC --------------------------------
+// --- frames behind a valid CRC ----------------------------------------
 
 namespace
 {
 
-/** One block frame of a v3 file, as laid out on disk. */
-struct BlockFrame
+/** One chunk frame of a trace file, as laid out on disk. */
+struct ChunkFrame
 {
     std::size_t off;     //!< frame offset in the file
-    std::size_t bytes;   //!< payload bytes
-    std::size_t first;   //!< index of the block's first record
-    std::size_t records; //!< records in the block
+    std::size_t bytes;   //!< bytes under the CRC: entry and records
+    std::size_t first;   //!< index of the chunk's first record
+    std::size_t records; //!< records in the chunk
+    bool packed;
+
+    /** File offset of record @p i. */
+    std::size_t
+    at(std::size_t i) const
+    {
+        return off + traceFrameBytes + i * chunkRecordBytes(packed);
+    }
 };
 
-std::vector<BlockFrame>
-blockFrames(const std::vector<unsigned char> &file, std::size_t total,
-            std::size_t blockRecords)
+std::vector<ChunkFrame>
+chunkFrames(const std::vector<unsigned char> &file)
 {
-    std::vector<BlockFrame> frames;
-    std::size_t off = traceV3HeaderBytes;
-    for (std::size_t first = 0; first < total; first += blockRecords) {
-        std::size_t bytes = file[off] | file[off + 1] << 8 |
-                            file[off + 2] << 16 |
-                            static_cast<std::size_t>(file[off + 3]) << 24;
-        frames.push_back(BlockFrame{
-            off, bytes, first, std::min(blockRecords, total - first)});
-        off += traceV3FrameBytes + bytes;
+    std::vector<ChunkFrame> frames;
+    std::size_t first = 0;
+    for (std::size_t off = traceHeaderBytes;
+         off + traceFrameBytes <= file.size();) {
+        const ChunkFrame f{off, getLe(&file[off], 4), first,
+                           getLe(&file[off + 32], 4),
+                           getLe(&file[off + 36], 4) == 1};
+        frames.push_back(f);
+        first += f.records;
+        off += 8 + f.bytes;
     }
     return frames;
 }
 
-/**
- * @p file with block @p b 's payload replaced by @p payload, its frame
- * size and CRC recomputed so the damage reaches the column decoder.
- */
-std::vector<unsigned char>
-withPayload(const std::vector<unsigned char> &file, const BlockFrame &b,
-            const std::vector<unsigned char> &payload)
+/** Re-seal the CRC of the frame at @p off over the bytes its size
+ *  field claims, where they fit the file. */
+void
+refreshCrc(std::vector<unsigned char> &file, std::size_t off)
 {
-    std::vector<unsigned char> out(
-        file.begin(), file.begin() + static_cast<std::ptrdiff_t>(b.off));
-    unsigned char frame[traceV3FrameBytes];
-    putLe(frame, payload.size(), 4);
-    putLe(frame + 4, crc32(payload.data(), payload.size()), 4);
-    out.insert(out.end(), frame, frame + traceV3FrameBytes);
-    out.insert(out.end(), payload.begin(), payload.end());
-    out.insert(out.end(),
-               file.begin() + static_cast<std::ptrdiff_t>(
-                                  b.off + traceV3FrameBytes + b.bytes),
-               file.end());
-    return out;
+    const std::size_t bytes = getLe(&file[off], 4);
+    if (off + 8 + bytes <= file.size())
+        putLe(&file[off + 4], crc32(&file[off + 8], bytes), 4);
 }
 
 std::vector<InstrRecord>
@@ -518,9 +558,24 @@ slice(const std::vector<InstrRecord> &v, std::size_t from, std::size_t to)
         v.begin() + static_cast<std::ptrdiff_t>(to));
 }
 
+bool
+sameRecords(const std::vector<InstrRecord> &a,
+            const std::vector<InstrRecord> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const InstrRecord &x, const InstrRecord &y) {
+                          return x.pc == y.pc && x.target == y.target &&
+                                 x.dataAddr == y.dataAddr &&
+                                 x.op == y.op && x.taken == y.taken &&
+                                 x.srcReg[0] == y.srcReg[0] &&
+                                 x.srcReg[1] == y.srcReg[1] &&
+                                 x.dstReg == y.dstReg;
+                      });
+}
+
 /**
  * Read @p path through the mmap reader and through strict and
- * tolerant TraceCache acquires (each a fresh decode). A strict read
+ * tolerant TraceCache acquires (each a fresh load). A strict read
  * must throw TraceError when @p damaged, else deliver @p full; a
  * tolerant one must deliver exactly @p prefix with the corrupt flag
  * when @p damaged, else @p full.
@@ -553,105 +608,293 @@ expectEveryReader(const std::string &path, bool damaged,
     cache.clear();
 }
 
+/** What a trace file holds: its records up to the first damaged
+ *  frame, and whether there was one. */
+struct Plain
+{
+    std::vector<InstrRecord> records;
+    bool damaged = false;
+};
+
+/** One record as packed_chunk.hh describes it; false if no writer
+ *  could have stored it. */
+bool
+plainRecord(const unsigned char *r, bool packed, Addr pc,
+            Addr codeBase, Addr dataBase, InstrRecord &out)
+{
+    const unsigned ops = static_cast<unsigned>(OpClass::NumOpClasses);
+    out = InstrRecord{};
+    if (packed) {
+        out.pc = pc;
+        out.op = static_cast<OpClass>(r[4] & 0x7f);
+        out.taken = (r[4] & 0x80) != 0;
+        const Addr offset = getLe(r, 4);
+        out.target = out.isCti() ? codeBase + offset : 0;
+        out.dataAddr = out.isMem() ? dataBase + offset : 0;
+        r += 5;
+    } else {
+        if (r[25] > 1 || r[29] != 0 || r[30] != 0 || r[31] != 0)
+            return false;
+        out.pc = getLe(r, 8);
+        out.target = getLe(r + 8, 8);
+        out.dataAddr = getLe(r + 16, 8);
+        out.op = static_cast<OpClass>(r[24]);
+        out.taken = r[25] == 1;
+        r += 26;
+    }
+    out.srcReg[0] = r[0];
+    out.srcReg[1] = r[1];
+    out.dstReg = r[2];
+    return static_cast<unsigned>(out.op) < ops && r[0] < numRegs &&
+           r[1] < numRegs && r[2] < numRegs;
+}
+
+/**
+ * The trace file format read plainly from its description in
+ * trace_file.hh, byte by byte: the oracle for the frame checks. The
+ * header is taken as valid.
+ */
+Plain
+readPlainly(const std::vector<unsigned char> &file)
+{
+    Plain out;
+    const std::uint64_t count = getLe(&file[8], 8);
+    std::size_t off = traceHeaderBytes;
+    for (std::uint64_t first = 0; first < count;
+         first += traceChunkRecords) {
+        const std::uint64_t n =
+            std::min<std::uint64_t>(count - first, traceChunkRecords);
+        out.damaged = true;
+        if (off + traceFrameBytes > file.size())
+            return out;
+        const std::uint64_t bytes = getLe(&file[off], 4);
+        if (bytes < 32 || off + 8 + bytes > file.size() ||
+            crc32(&file[off + 8], bytes) != getLe(&file[off + 4], 4))
+            return out;
+        const Addr firstPc = getLe(&file[off + 8], 8);
+        const Addr codeBase = getLe(&file[off + 16], 8);
+        const Addr dataBase = getLe(&file[off + 24], 8);
+        const std::uint64_t kind = getLe(&file[off + 36], 4);
+        const std::size_t stride = kind == 1 ? 8 : 32;
+        if (kind > 1 || getLe(&file[off + 32], 4) != n ||
+            bytes != 32 + n * stride ||
+            (kind == 0 && (firstPc | codeBase | dataBase) != 0))
+            return out;
+        std::vector<InstrRecord> chunk(n);
+        Addr pc = firstPc;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!plainRecord(&file[off + 40 + i * stride], kind == 1, pc,
+                             codeBase, dataBase, chunk[i]))
+                return out;
+            pc = chunk[i].nextPc();
+        }
+        out.records.insert(out.records.end(), chunk.begin(), chunk.end());
+        out.damaged = false;
+        off += 8 + bytes;
+    }
+    return out;
+}
+
+/** Two packed chunks around a raw one (a pc chain break), 2 x 4096
+ *  + 300 records. */
+std::vector<InstrRecord>
+packedRawPackedStream(std::uint32_t seed)
+{
+    std::vector<InstrRecord> recs =
+        syntheticStream(2 * traceChunkRecords + 300, seed);
+    recs[traceChunkRecords + 100].pc += instrBytes;
+    return recs;
+}
+
 } // namespace
 
-TEST(TraceV3, ColumnDecoderFuzzBehindValidCrc)
+TEST(TraceV4, FrameFuzzBehindValidCrc)
 {
-    const std::size_t kBlock = 128;
-    std::string path = ::testing::TempDir() + "v3_colfuzz.trc";
-    std::vector<InstrRecord> truth = syntheticStream(3000, 17);
-    writeTraceFile(path, truth, kBlock);
+    // Each trial mutates one field of one frame and re-seals the CRCs
+    // over it, so only the frame and record checks stand between the
+    // bytes and the consumers. Every reader must then agree with the
+    // format read plainly: a TraceError from the damaged frame on, or
+    // exactly the records the mutated bytes hold.
+    std::string path = ::testing::TempDir() + "v4_framefuzz.trc";
+    const std::vector<InstrRecord> truth = packedRawPackedStream(17);
+    writeTraceFile(path, truth);
     const std::vector<unsigned char> intact = readFileBytes(path);
-    const std::vector<BlockFrame> frames =
-        blockFrames(intact, truth.size(), kBlock);
+    const std::vector<ChunkFrame> frames = chunkFrames(intact);
+    ASSERT_EQ(frames.size(), 3u);
+    ASSERT_TRUE(frames[0].packed && !frames[1].packed && frames[2].packed);
+    ASSERT_FALSE(readPlainly(intact).damaged);
+    expectSameRecords(readPlainly(intact).records, truth);
 
     std::mt19937 rng(4242);
-    unsigned rejected = 0, trials = 300;
+    unsigned rejected = 0, altered = 0;
+    const unsigned trials = 270;
     for (unsigned trial = 0; trial < trials; ++trial) {
         SCOPED_TRACE(::testing::Message() << "trial " << trial);
-        const BlockFrame &b = frames[rng() % frames.size()];
-        std::vector<unsigned char> payload(
-            intact.begin() +
-                static_cast<std::ptrdiff_t>(b.off + traceV3FrameBytes),
-            intact.begin() + static_cast<std::ptrdiff_t>(
-                                 b.off + traceV3FrameBytes + b.bytes));
-        switch (trial % 4) {
-          case 0: // one bit
-            payload[rng() % payload.size()] ^=
+        std::vector<unsigned char> bytes = intact;
+        const ChunkFrame &f = frames[rng() % frames.size()];
+        const std::size_t rec = f.at(rng() % f.records);
+        const auto any = [&] { return static_cast<unsigned char>(rng()); };
+        switch (trial % 9) {
+          case 0: // the frame size: near its own, or anything
+            putLe(&bytes[f.off], rng() % 2 ? f.bytes + rng() % 65 - 32 : rng(),
+                  4);
+            break;
+          case 1: // the record count
+            putLe(&bytes[f.off + 32],
+                  rng() % 2 ? f.records + rng() % 3 - 1
+                            : rng() % (2 * traceChunkRecords),
+                  4);
+            break;
+          case 2: // the kind
+            bytes[f.off + 36 + rng() % 4] =
+                static_cast<unsigned char>(rng() % 3);
+            break;
+          case 3: // one bit of the first pc, code base or data base
+            bytes[f.off + 8 + rng() % 24] ^=
                 static_cast<unsigned char>(1u << (rng() % 8));
             break;
-          case 1: // one byte, any value
-            payload[rng() % payload.size()] =
-                static_cast<unsigned char>(rng());
+          case 4: // the op byte (a packed one holds the taken bit too)
+            bytes[rec + (f.packed ? 4 : 24)] = any();
             break;
-          case 2: // a byte dropped from anywhere
-            payload.erase(payload.begin() + static_cast<std::ptrdiff_t>(
-                                                rng() % payload.size()));
+          case 5: // the taken flag
+            if (f.packed)
+                bytes[rec + 4] ^= 0x80;
+            else
+                bytes[rec + 25] = static_cast<unsigned char>(rng() % 3);
             break;
-          default: // a byte inserted anywhere
-            payload.insert(payload.begin() +
-                               static_cast<std::ptrdiff_t>(
-                                   rng() % (payload.size() + 1)),
-                           static_cast<unsigned char>(rng()));
+          case 6: // a register byte, in range or not
+            bytes[rec + (f.packed ? 5 : 26) + rng() % 3] =
+                static_cast<unsigned char>(rng() % (2 * numRegs));
+            break;
+          case 7: // raw padding, or a packed operand offset
+            if (f.packed)
+                bytes[rec + rng() % 4] = any();
+            else
+                bytes[rec + 29 + rng() % 3] = rng() % 2 ? 0 : any();
+            break;
+          default: // the header's record count
+            setHeaderCount(bytes, rng() % 2 ? truth.size() + rng() % 9000 -
+                                                  4500
+                                            : rng() % (3 * traceChunkRecords));
             break;
         }
-        writeFileBytes(path, withPayload(intact, b, payload));
-
-        // The oracle: the column decoder run directly on the payload.
-        std::vector<InstrRecord> mutant(b.records);
-        bool damaged = false;
-        try {
-            decodeTraceBlockV3(payload.data(), payload.size(), b.records,
-                               true, mutant.data());
-        } catch (const TraceError &) {
-            damaged = true;
-        }
-        rejected += damaged;
-        std::vector<InstrRecord> full = slice(truth, 0, b.first);
-        full.insert(full.end(), mutant.begin(), mutant.end());
-        std::vector<InstrRecord> rest =
-            slice(truth, b.first + b.records, truth.size());
-        full.insert(full.end(), rest.begin(), rest.end());
-        expectEveryReader(path, damaged, full, slice(truth, 0, b.first));
+        refreshCrc(bytes, f.off);
+        writeFileBytes(path, bytes);
+        const Plain plain = readPlainly(bytes);
+        rejected += plain.damaged;
+        altered += !plain.damaged && !sameRecords(plain.records, truth);
+        expectEveryReader(path, plain.damaged, plain.records,
+                          plain.records);
     }
-    // Most mutations must actually reach a decoder rejection path.
-    EXPECT_GT(rejected, trials / 2);
+    // Most mutations must reach a rejection, and some must pass as
+    // other records than the ones written.
+    EXPECT_GT(rejected, trials / 3);
+    EXPECT_GT(altered, trials / 20);
     std::remove(path.c_str());
 }
 
-TEST(TraceCache, TolerantLoadDamagedInBlockKHoldsBlocksBeforeK)
+TEST(TraceV4, OutOfRangeRecordBytesAreDamage)
 {
-    // A trailing byte behind a recomputed CRC passes the frame checks
-    // and fails only the column decoder, after the block's records
-    // were decoded in place: the load must roll them back.
-    const std::size_t kBlock = 100;
-    std::string path = ::testing::TempDir() + "cache_rollback.trc";
-    std::vector<InstrRecord> truth = syntheticStream(1050, 29);
-    writeTraceFile(path, truth, kBlock);
+    // Bytes no writer stores, each behind a re-sealed CRC: strict
+    // reads throw, tolerant ones keep the frames before the damage.
+    std::string path = ::testing::TempDir() + "v4_badrecord.trc";
+    const std::vector<InstrRecord> truth = packedRawPackedStream(19);
+    writeTraceFile(path, truth);
     const std::vector<unsigned char> intact = readFileBytes(path);
-    const std::vector<BlockFrame> frames =
-        blockFrames(intact, truth.size(), kBlock);
-    ASSERT_EQ(frames.size(), 11u);
+    const std::vector<ChunkFrame> frames = chunkFrames(intact);
+    struct Case
+    {
+        std::size_t frame, byte; //!< byte within a record
+        unsigned char value;
+        const char *needle;
+    };
+    const Case cases[] = {
+        {0, 7, 250, "invalid record"},      // packed dst register
+        {0, 5, numRegs, "invalid record"},  // packed src0 register
+        {2, 4, 11, "invalid record"},       // packed op class
+        {2, 4, 0x80 | 11, "invalid record"}, // ... with the taken bit
+        {1, 28, 250, "invalid record"},     // raw dst register
+        {1, 27, numRegs, "invalid record"}, // raw src1 register
+        {1, 24, 11, "invalid record"},      // raw op class
+        {1, 25, 2, "invalid record"},       // raw taken byte
+        {1, 29, 1, "invalid record"},       // raw padding
+        {1, 31, 0x80, "invalid record"},    // raw padding
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "frame " << c.frame << " byte " << c.byte);
+        const ChunkFrame &f = frames[c.frame];
+        std::vector<unsigned char> bytes = intact;
+        bytes[f.at(f.records / 2) + c.byte] = c.value;
+        refreshCrc(bytes, f.off);
+        writeFileBytes(path, bytes);
+        test::expectThrows<TraceError>(
+            [&] { drainNext(*openTraceReader(path)); }, c.needle);
+        expectEveryReader(path, true, truth, slice(truth, 0, f.first));
+    }
+    // A raw chunk's entry must be all zero.
+    std::vector<unsigned char> bytes = intact;
+    bytes[frames[1].off + 20] = 1;
+    refreshCrc(bytes, frames[1].off);
+    writeFileBytes(path, bytes);
+    test::expectThrows<TraceError>(
+        [&] { drainNext(*openTraceReader(path)); },
+        "raw chunk with a nonzero entry");
+    std::remove(path.c_str());
+}
 
-    for (std::size_t k = 0; k < frames.size(); ++k) {
-        SCOPED_TRACE(::testing::Message() << "block " << k);
-        const BlockFrame &b = frames[k];
-        std::vector<unsigned char> payload(
-            intact.begin() +
-                static_cast<std::ptrdiff_t>(b.off + traceV3FrameBytes),
-            intact.begin() + static_cast<std::ptrdiff_t>(
-                                 b.off + traceV3FrameBytes + b.bytes));
-        payload.push_back(0);
-        writeFileBytes(path, withPayload(intact, b, payload));
+TEST(TraceV4, TimingReplayOfAnOutOfRangeRegisterThrows)
+{
+    // A CRC-valid capture naming register 250: a timing core would
+    // index its 32-entry scoreboard with it, so neither the shared
+    // cache nor a private reader may deliver the record.
+    std::string path = ::testing::TempDir() + "v4_badreg_replay.trc";
+    writeTraceFile(path, syntheticStream(traceChunkRecords, 23));
+    std::vector<unsigned char> bytes = readFileBytes(path);
+    const ChunkFrame f = chunkFrames(bytes).front();
+    bytes[f.at(10) + 7] = 250;
+    refreshCrc(bytes, f.off);
+    writeFileBytes(path, bytes);
+    for (bool shared : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "shared " << shared);
+        TraceSpec trace = TraceSpec::file(path);
+        trace.shared = shared;
+        const RunSpec spec =
+            RunSpec::builder().cmp(false).trace(trace).instrScale(0.01).build();
+        TraceCache::instance().clear();
+        test::expectThrows<TraceError>([&] { runSpec(spec); },
+                                       "invalid record");
+    }
+    TraceCache::instance().clear();
+    std::remove(path.c_str());
+}
+
+TEST(TraceCache, TolerantLoadDamagedInChunkKHoldsChunksBeforeK)
+{
+    // A damaged last record passes every frame check but the record
+    // check: the load must keep the chunks before it and none of its
+    // own.
+    std::string path = ::testing::TempDir() + "cache_rollback.trc";
+    const std::vector<InstrRecord> truth = packedRawPackedStream(29);
+    writeTraceFile(path, truth);
+    const std::vector<unsigned char> intact = readFileBytes(path);
+    const std::vector<ChunkFrame> frames = chunkFrames(intact);
+    ASSERT_EQ(frames.size(), 3u);
+
+    for (const ChunkFrame &f : frames) {
+        SCOPED_TRACE(::testing::Message() << "frame at " << f.off);
+        std::vector<unsigned char> bytes = intact;
+        bytes[f.at(f.records - 1) + (f.packed ? 7 : 28)] = 250;
+        refreshCrc(bytes, f.off);
+        writeFileBytes(path, bytes);
 
         TraceCache::instance().clear();
         auto t = TraceCache::instance().acquire(path,
                                                 TraceReadMode::Tolerant);
-        EXPECT_NE(t->corruptionDetail.find("trailing bytes"),
+        EXPECT_NE(t->corruptionDetail.find("invalid record"),
                   std::string::npos)
             << t->corruptionDetail;
-        expectEveryReader(path, true, truth,
-                          slice(truth, 0, k * kBlock));
+        expectEveryReader(path, true, truth, slice(truth, 0, f.first));
     }
     std::remove(path.c_str());
 }
@@ -695,11 +938,11 @@ residentMappedPages(int fd, unsigned char *at, std::size_t bytes)
 
 } // namespace
 
-TEST(TraceV3, StreamingReaderHoldsABoundedWindowOfTheFile)
+TEST(TraceV4, StreamingReaderHoldsABoundedWindowOfTheFile)
 {
     const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
     const std::size_t window = (3u << 19) / page; // 1.5 release strides
-    std::string path = ::testing::TempDir() + "v3_bounded.trc";
+    std::string path = ::testing::TempDir() + "v4_bounded.trc";
     writeTraceFile(path, syntheticStream(1'000'000, 3));
     const int fd = ::open(path.c_str(), O_RDONLY);
     ASSERT_GE(fd, 0);
@@ -743,30 +986,6 @@ TEST(TraceV3, StreamingReaderHoldsABoundedWindowOfTheFile)
     map.releaseBefore(map.size());
     EXPECT_LE(residentMappedPages(fd, mapped, map.size()), 1u);
     ::close(fd);
-    std::remove(path.c_str());
-}
-
-TEST(TraceV3, WorstCaseSingleRecordBlocksRoundTrip)
-{
-    // One-record blocks of maximal varints are larger per record than
-    // long blocks (each carries three whole bitmap bytes); the frame
-    // check must still accept them.
-    std::vector<InstrRecord> truth(5);
-    const Addr wide = (Addr{1} << 62) + 1;
-    for (std::size_t i = 0; i < truth.size(); ++i) {
-        truth[i].pc = ~Addr{0} - i * instrBytes;
-        truth[i].op = OpClass::Call;
-        truth[i].taken = true;
-        truth[i].target = truth[i].pc + wide;
-        truth[i].dataAddr = wide + i;
-    }
-    std::string path = ::testing::TempDir() + "v3_worst.trc";
-    writeTraceFile(path, truth, 1);
-    EXPECT_EQ(readFileBytes(path).size(),
-              traceV3HeaderBytes +
-                  truth.size() *
-                      (traceV3FrameBytes + traceV3MaxBlockBytes(1)));
-    expectEveryReader(path, false, truth, {});
     std::remove(path.c_str());
 }
 
@@ -833,7 +1052,7 @@ TEST(TraceCache, RewrittenFileIsReloaded)
 TEST(TraceCache, StrictAcquireOfDamagedFileThrows)
 {
     std::string path = ::testing::TempDir() + "cache_damaged.trc";
-    writeTraceFile(path, syntheticStream(1000), 128);
+    writeTraceFile(path, syntheticStream(1000));
     std::vector<unsigned char> bytes = readFileBytes(path);
     bytes[bytes.size() - 3] ^= 0x40;
     writeFileBytes(path, bytes);
@@ -983,12 +1202,11 @@ expectCacheMatchesReader(const std::string &path,
     expectSameRecords(a, b);
 }
 
-/** Write @p recs with @p blockRecords, load it into a cleared cache. */
+/** Write @p recs, load the file into a cleared cache. */
 std::shared_ptr<const DecodedTrace>
-loadFresh(const std::string &path, const std::vector<InstrRecord> &recs,
-          std::uint32_t blockRecords = 0)
+loadFresh(const std::string &path, const std::vector<InstrRecord> &recs)
 {
-    writeTraceFile(path, recs, blockRecords);
+    writeTraceFile(path, recs);
     TraceCache::instance().clear();
     return TraceCache::instance().acquire(path);
 }
@@ -1162,9 +1380,9 @@ everyOpStream(std::size_t n, std::uint64_t seed, Addr pc = 0x10000000)
             r.target = 0x10000000 + (rng() % (1u << 20)) * instrBytes;
         if (r.isMem())
             r.dataAddr = 0x1000000000ULL + rng() % (1u << 24);
-        r.srcReg[0] = static_cast<std::uint8_t>(rng());
-        r.srcReg[1] = static_cast<std::uint8_t>(rng());
-        r.dstReg = static_cast<std::uint8_t>(rng());
+        r.srcReg[0] = static_cast<std::uint8_t>(rng() % numRegs);
+        r.srcReg[1] = static_cast<std::uint8_t>(rng() % numRegs);
+        r.dstReg = static_cast<std::uint8_t>(rng() % numRegs);
         pc = r.nextPc();
     }
     return recs;
@@ -1242,23 +1460,17 @@ TEST(PackedTraceCache, AdversarialChunksFallBackToRaw)
     expectPacked += tail.size();
     EXPECT_EQ(plainlyPacked(recs), expectPacked);
 
-    // Every chunk's layout is fixed by its records, whatever the file
-    // blocking.
     std::string path = ::testing::TempDir() + "packed_adversarial.trc";
-    for (std::uint32_t block : {7u, 4096u}) {
-        SCOPED_TRACE(::testing::Message() << "block " << block);
-        auto t = loadFresh(path, recs, block);
-        ASSERT_EQ(t->size(), recs.size());
-        EXPECT_EQ(t->packedRecords(), expectPacked);
-        const std::size_t raw = recs.size() - expectPacked;
-        EXPECT_GE(t->residentBytes(),
-                  expectPacked * sizeof(PackedRecord) +
-                      raw * sizeof(InstrRecord));
-        EXPECT_EQ(residentGauge(),
-                  static_cast<std::int64_t>(t->residentBytes()));
-        expectSameRecords(unpackAll(*t), recs);
-        expectCacheMatchesReader(path);
-    }
+    auto t = loadFresh(path, recs);
+    ASSERT_EQ(t->size(), recs.size());
+    EXPECT_EQ(t->packedRecords(), expectPacked);
+    const std::size_t raw = recs.size() - expectPacked;
+    EXPECT_GE(t->residentBytes(), expectPacked * sizeof(PackedRecord) +
+                                      raw * sizeof(InstrRecord));
+    EXPECT_EQ(residentGauge(),
+              static_cast<std::int64_t>(t->residentBytes()));
+    expectSameRecords(unpackAll(*t), recs);
+    expectCacheMatchesReader(path);
     TraceCache::instance().clear();
     std::remove(path.c_str());
 }
@@ -1279,20 +1491,16 @@ TEST(PackedTraceCache, AllRawTraceCostsOnlyItsRecords)
     for (const auto *recs : {&bothAddrs, &unchained}) {
         const std::size_t chunks = (recs->size() + kChunk - 1) / kChunk;
         EXPECT_EQ(plainlyPacked(*recs), 0u);
-        for (std::uint32_t block : {7u, 4096u}) {
-            SCOPED_TRACE(::testing::Message() << "block " << block);
-            auto t = loadFresh(path, *recs, block);
-            ASSERT_EQ(t->size(), recs->size());
-            EXPECT_EQ(t->packedRecords(), 0u);
-            EXPECT_GT(t->residentBytes(),
-                      recs->size() * sizeof(InstrRecord));
-            EXPECT_LE(t->residentBytes(),
-                      recs->size() * sizeof(InstrRecord) + chunks * 32);
-            EXPECT_EQ(residentGauge(),
-                      static_cast<std::int64_t>(t->residentBytes()));
-            expectSameRecords(unpackAll(*t), *recs);
-            expectCacheMatchesReader(path);
-        }
+        auto t = loadFresh(path, *recs);
+        ASSERT_EQ(t->size(), recs->size());
+        EXPECT_EQ(t->packedRecords(), 0u);
+        EXPECT_GT(t->residentBytes(), recs->size() * sizeof(InstrRecord));
+        EXPECT_LE(t->residentBytes(),
+                  recs->size() * sizeof(InstrRecord) + chunks * 32);
+        EXPECT_EQ(residentGauge(),
+                  static_cast<std::int64_t>(t->residentBytes()));
+        expectSameRecords(unpackAll(*t), *recs);
+        expectCacheMatchesReader(path);
     }
     TraceCache::instance().clear();
     std::remove(path.c_str());
@@ -1346,60 +1554,45 @@ TEST(PackedTraceCache, RandomAndAdversarialStreamsMatchReader)
     EXPECT_LT(expectPacked, recs.size());
 
     std::string path = ::testing::TempDir() + "packed_random.trc";
-    for (std::uint32_t block : {1000u, 4096u}) {
-        SCOPED_TRACE(::testing::Message() << "block " << block);
-        auto t = loadFresh(path, recs, block);
-        ASSERT_EQ(t->size(), recs.size());
-        EXPECT_EQ(t->packedRecords(), expectPacked);
-        expectSameRecords(unpackAll(*t), recs);
-        expectCacheMatchesReader(path);
-    }
+    auto t = loadFresh(path, recs);
+    ASSERT_EQ(t->size(), recs.size());
+    EXPECT_EQ(t->packedRecords(), expectPacked);
+    expectSameRecords(unpackAll(*t), recs);
+    expectCacheMatchesReader(path);
 
-    // A truncated file: the tolerant cache holds the whole blocks
+    // A truncated file: the tolerant cache holds the whole chunks
     // before the cut, exactly as the tolerant reader delivers them.
-    writeTraceFile(path, recs, 1000);
     std::vector<unsigned char> bytes = readFileBytes(path);
-    const BlockFrame cut = blockFrames(bytes, recs.size(), 1000)[9];
-    bytes.resize(cut.off + traceV3FrameBytes + cut.bytes / 2);
+    const ChunkFrame cut = chunkFrames(bytes)[9];
+    bytes.resize(cut.at(cut.records / 2) + 3);
     writeFileBytes(path, bytes);
     TraceCache::instance().clear();
-    auto t = TraceCache::instance().acquire(path, TraceReadMode::Tolerant);
+    t = TraceCache::instance().acquire(path, TraceReadMode::Tolerant);
     EXPECT_TRUE(t->corrupt);
     ASSERT_EQ(t->size(), cut.first);
     expectSameRecords(unpackAll(*t), slice(recs, 0, cut.first));
     expectCacheMatchesReader(path, TraceReadMode::Tolerant);
 
-    // An unknown op byte is block damage: nothing from its block on
-    // reaches the cache.
+    // An unknown op class never reaches a file.
     std::vector<InstrRecord> unknown = slice(recs, 0, 3 * kChunk);
     unknown[2 * kChunk + 5].op = OpClass::NumOpClasses;
-    writeTraceFile(path, unknown, 1000);
-    TraceCache::instance().clear();
-    EXPECT_THROW(TraceCache::instance().acquire(path), TraceError);
-    t = TraceCache::instance().acquire(path, TraceReadMode::Tolerant);
-    EXPECT_TRUE(t->corrupt);
-    ASSERT_EQ(t->size(), 8000u);
-    expectSameRecords(unpackAll(*t), slice(unknown, 0, 8000));
-    expectCacheMatchesReader(path, TraceReadMode::Tolerant);
+    EXPECT_THROW(writeTraceFile(path, unknown), TraceError);
     TraceCache::instance().clear();
     std::remove(path.c_str());
 }
 
-TEST(PackedTraceCache, ChunkEdgesAcrossFileBlockSizes)
+TEST(PackedTraceCache, ChunkEdges)
 {
     std::string path = ::testing::TempDir() + "packed_edges.trc";
-    for (std::size_t n : {1u, 4095u, 4096u, 4097u}) {
-        for (std::uint32_t block : {1u, 7u, 4096u}) {
-            SCOPED_TRACE(::testing::Message()
-                         << n << " records, block " << block);
-            std::vector<InstrRecord> truth =
-                syntheticStream(n, static_cast<std::uint32_t>(n + block));
-            auto t = loadFresh(path, truth, block);
-            ASSERT_EQ(t->size(), n);
-            EXPECT_EQ(t->packedRecords(), n);
-            expectSameRecords(unpackAll(*t), truth);
-            expectCacheMatchesReader(path);
-        }
+    for (std::size_t n : {1u, 4095u, 4096u, 4097u, 8193u}) {
+        SCOPED_TRACE(::testing::Message() << n << " records");
+        std::vector<InstrRecord> truth =
+            syntheticStream(n, static_cast<std::uint32_t>(n));
+        auto t = loadFresh(path, truth);
+        ASSERT_EQ(t->size(), n);
+        EXPECT_EQ(t->packedRecords(), n);
+        expectSameRecords(unpackAll(*t), truth);
+        expectCacheMatchesReader(path);
     }
     TraceCache::instance().clear();
     std::remove(path.c_str());
@@ -1407,35 +1600,30 @@ TEST(PackedTraceCache, ChunkEdgesAcrossFileBlockSizes)
 
 TEST(PackedTraceCache, TolerantSalvageCutsMidChunk)
 {
-    // Blocks of 1000 records straddle the 4096-record chunks, so the
-    // damage lands inside a pending chunk; the salvaged prefix must
-    // replay exactly as the tolerant mmap reader delivers it.
-    const std::size_t kBlock = 1000;
+    // A file cut inside a chunk's records: the salvaged prefix is the
+    // chunks before it and must replay exactly as the tolerant mmap
+    // reader delivers it.
     std::string path = ::testing::TempDir() + "packed_salvage.trc";
     std::vector<InstrRecord> truth = syntheticStream(10'000, 31);
-    writeTraceFile(path, truth, kBlock);
+    writeTraceFile(path, truth);
     const std::vector<unsigned char> intact = readFileBytes(path);
-    const std::vector<BlockFrame> frames =
-        blockFrames(intact, truth.size(), kBlock);
+    const std::vector<ChunkFrame> frames = chunkFrames(intact);
+    ASSERT_EQ(frames.size(), 3u);
 
-    for (std::size_t k : {3u, 4u, 9u}) {
-        SCOPED_TRACE(::testing::Message() << "block " << k);
-        const BlockFrame &b = frames[k];
-        std::vector<unsigned char> payload(
-            intact.begin() +
-                static_cast<std::ptrdiff_t>(b.off + traceV3FrameBytes),
-            intact.begin() + static_cast<std::ptrdiff_t>(
-                                 b.off + traceV3FrameBytes + b.bytes));
-        payload.push_back(0);
-        writeFileBytes(path, withPayload(intact, b, payload));
-
+    for (const ChunkFrame &f : {frames[1], frames[2]}) { // none is empty
+        SCOPED_TRACE(::testing::Message() << "chunk from " << f.first);
+        writeFileBytes(path, std::vector<unsigned char>(
+                                 intact.begin(),
+                                 intact.begin() +
+                                     static_cast<std::ptrdiff_t>(
+                                         f.at(f.records / 2) + 5)));
         TraceCache::instance().clear();
         auto t = TraceCache::instance().acquire(path,
                                                 TraceReadMode::Tolerant);
         EXPECT_TRUE(t->corrupt);
-        ASSERT_EQ(t->size(), k * kBlock);
+        ASSERT_EQ(t->size(), f.first);
         EXPECT_EQ(t->packedRecords(), t->size());
-        expectSameRecords(unpackAll(*t), slice(truth, 0, k * kBlock));
+        expectSameRecords(unpackAll(*t), slice(truth, 0, f.first));
         expectCacheMatchesReader(path, TraceReadMode::Tolerant);
     }
     TraceCache::instance().clear();
@@ -1511,8 +1699,8 @@ TEST(TraceSourceApi, NextAndNextBatchAgreeAcrossSources)
 {
     std::vector<InstrRecord> truth = syntheticStream(701, 13);
 
-    std::string path = ::testing::TempDir() + "agree_v3.trc";
-    writeTraceFile(path, truth, 64);
+    std::string path = ::testing::TempDir() + "agree.trc";
+    writeTraceFile(path, truth);
     {
         auto a = openTraceReader(path);
         auto b = openTraceReader(path);

@@ -1,21 +1,20 @@
 /**
  * @file
- * ipref_trace: inspect, verify and re-encode v3 trace files.
+ * ipref_trace: inspect, verify and rewrite trace files.
  *
  * Usage:
- *   ipref_trace info IN                     print header + per-block
- *                                           stats (count, block size,
- *                                           bytes/record)
+ *   ipref_trace info IN                     print the record count,
+ *                                           packed and raw chunks and
+ *                                           bytes/record
  *   ipref_trace verify IN [--tolerant]      decode every record; exit
  *                                           0 iff the file is intact
  *                                           (tolerant: report salvage
  *                                           instead of failing)
- *   ipref_trace convert IN OUT [--block N] [--tolerant]
- *                  [--no-data-addresses]    re-encode IN as OUT
+ *   ipref_trace convert IN OUT [--tolerant] rewrite IN as OUT
  *
- * convert re-blocks a capture or drops its data-address column. The
- * record stream is preserved exactly, so re-encoding an intact capture
- * with its own block size and columns reproduces it byte for byte.
+ * convert preserves the record stream exactly, so rewriting an intact
+ * capture reproduces it byte for byte; with --tolerant it keeps the
+ * intact prefix of a damaged one.
  */
 
 #include <cinttypes>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "trace/trace_file.hh"
-#include "trace/trace_v3.hh"
 #include "util/options.hh"
 
 using namespace ipref;
@@ -39,8 +37,7 @@ usage()
     std::cerr
         << "usage: ipref_trace info IN\n"
         << "       ipref_trace verify IN [--tolerant]\n"
-        << "       ipref_trace convert IN OUT [--block N] [--tolerant]\n"
-        << "               [--no-data-addresses]\n";
+        << "       ipref_trace convert IN OUT [--tolerant]\n";
     return 2;
 }
 
@@ -68,10 +65,9 @@ cmdInfo(const std::string &path)
     std::cout << "file:        " << path << "\n";
     std::cout << "records:     " << reader->count() << " (header), "
               << delivered << " decodable\n";
-    std::cout << "block:       " << reader->blockRecords()
-              << " records\n";
-    std::cout << "data column: "
-              << (reader->hasDataAddresses() ? "yes" : "no") << "\n";
+    std::cout << "chunks:      " << reader->packedChunks()
+              << " packed, " << reader->rawChunks() << " raw ("
+              << traceChunkRecords << " records each)\n";
     std::cout << "size:        " << reader->fileBytes() << " bytes";
     if (delivered > 0)
         std::printf(" (%.2f bytes/record)",
@@ -108,14 +104,11 @@ cmdVerify(const std::string &path, bool tolerant)
 }
 
 int
-cmdConvert(const std::string &in, const std::string &out, bool tolerant,
-           const Options &opts)
+cmdConvert(const std::string &in, const std::string &out, bool tolerant)
 {
     auto reader = openTraceReader(in, tolerant ? TraceReadMode::Tolerant
                                                : TraceReadMode::Strict);
-    TraceFileWriter writer(
-        out, static_cast<std::uint32_t>(opts.getUint("block", 0)),
-        !opts.getBool("no-data-addresses"));
+    TraceFileWriter writer(out);
 
     std::vector<InstrRecord> buf(8192);
     for (;;) {
@@ -148,8 +141,10 @@ try {
 
     // The parser reads "--flag OPERAND" as flag=OPERAND, so boolean
     // flags go after the file operands (or use --flag=1); an operand
-    // taken as --tolerant's value fails naming the flag.
-    Options opts(argc - 1, argv + 1);
+    // taken as --tolerant's value fails naming the flag. Any other
+    // flag is refused.
+    Options opts(argc - 1, argv + 1,
+                 {{"tolerant", "salvage the intact prefix"}});
     const std::vector<std::string> &pos = opts.positional();
     const bool tolerant = opts.getBool("tolerant");
 
@@ -158,7 +153,7 @@ try {
     if (cmd == "verify" && pos.size() == 1)
         return cmdVerify(pos[0], tolerant);
     if (cmd == "convert" && pos.size() == 2)
-        return cmdConvert(pos[0], pos[1], tolerant, opts);
+        return cmdConvert(pos[0], pos[1], tolerant);
     return usage();
 } catch (const SimError &e) {
     std::cerr << "error (" << errorKindName(e.kind())
