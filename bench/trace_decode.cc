@@ -1,11 +1,14 @@
 /**
  * @file
- * Trace-path microbenchmark: records/second sustained by the trace
- * writer, the mmap reader, the shared-cache load and replay from the
- * shared cache.
+ * Trace-path microbenchmark: records/second sustained by chunk
+ * sealing, the trace writer, the mmap reader, the shared-cache load
+ * and replay from the shared cache.
  *
  * A synthetic DB workload stream is generated once in memory, then
- * timed four ways: written by TraceFileWriter ("write"), drained
+ * timed five ways: sealed and checksummed chunk by chunk into one
+ * in-memory buffer with no I/O ("seal": the writer's and the stream
+ * spill's work without their writes, so the row does not move with
+ * the page cache of --dir), written by TraceFileWriter ("write"), drained
  * through openTraceReader() with large nextBatch() reads ("mmap"),
  * loaded by TraceCache::acquire() into a cleared cache
  * ("cache-load"), and drained from one loaded entry through a
@@ -31,8 +34,10 @@
 #include <string>
 #include <vector>
 
+#include "trace/packed_chunk.hh"
 #include "trace/trace_cache.hh"
 #include "trace/trace_file.hh"
+#include "util/crc32.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "util/table.hh"
@@ -97,6 +102,26 @@ measure(const std::string &label, unsigned reps, const Pass &pass)
         }
     }
     return best;
+}
+
+/** Where sealOnce() leaves its checksums, so none is optimized out. */
+volatile std::uint32_t g_sealCrc = 0;
+
+/** Seal and checksum @p recs chunk by chunk into one buffer. */
+std::uint64_t
+sealOnce(const std::vector<InstrRecord> &recs)
+{
+    static std::vector<unsigned char> chunk(traceChunkRecords *
+                                            sizeof(InstrRecord));
+    std::uint32_t crc = 0;
+    for (std::size_t at = 0; at < recs.size(); at += traceChunkRecords) {
+        const std::size_t n =
+            std::min(traceChunkRecords, recs.size() - at);
+        ChunkEntry e = sealChunk({recs.data() + at, n}, chunk.data());
+        crc ^= crc32Fast(chunk.data(), n * chunkRecordBytes(e.packed));
+    }
+    g_sealCrc = crc;
+    return recs.size();
 }
 
 /** Write @p recs as a trace file at @p path. */
@@ -168,6 +193,7 @@ try {
     std::vector<InstrRecord> recs = generate(records);
     records = recs.size();
     std::vector<Sample> samples = {
+        measure("seal", reps, [&] { return sealOnce(recs); }),
         measure("write", reps, [&] { return writeOnce(path, recs); }),
         measure("mmap", reps, [&] { return drainOnce(path); }),
         measure("cache-load", reps, [&] { return loadOnce(path); }),

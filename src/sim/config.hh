@@ -28,6 +28,8 @@
 namespace ipref
 {
 
+class StreamSpill;
+
 /**
  * Cooperative cancellation of one run. The simulation loops poll it
  * at every threshold check and throw SimError(Interrupted) once the
@@ -118,6 +120,14 @@ struct SystemConfig
 
     /** Cancellation polled by the run loops (default: none). */
     RunControl control;
+
+    /**
+     * The batch's shared generator streams (null = none): a stream it
+     * holds is replayed from the spill instead of walked. runBatch()
+     * sets it; it must outlive the System. Not part of a spec's
+     * identity, so neither fingerprinted nor reported.
+     */
+    StreamSpill *spill = nullptr;
 
     /**
      * Fault-injection test hook: when > 0, throw a SimError once

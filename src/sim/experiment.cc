@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "prefetch/scheme_registry.hh"
+#include "sim/stream_spill.hh"
 #include "trace/trace_cache.hh"
 #include "util/fault_inject.hh"
 #include "util/json.hh"
@@ -73,10 +74,13 @@ struct RunOutput
     std::optional<std::string> traceJsonl; //!< set when tracing is on
 };
 
-/** Build and run one System; no shared state is touched. */
+/**
+ * Build and run one System; no shared state is touched but @p spill,
+ * the batch's shared streams (null outside runBatch).
+ */
 RunOutput
 produceRun(const RunSpec &spec, unsigned attempt = 1,
-           const RunControl &control = {})
+           const RunControl &control = {}, StreamSpill *spill = nullptr)
 {
     SystemConfig cfg = makeConfig(spec);
     // Fault-injection gating: with faultAttempts set, the fault fires
@@ -85,6 +89,7 @@ produceRun(const RunSpec &spec, unsigned attempt = 1,
     if (spec.faultAttempts > 0 && attempt > spec.faultAttempts)
         cfg.faultAtInstr = 0;
     cfg.control = control;
+    cfg.spill = spill;
     System system(cfg);
     RunOutput out;
     out.results = system.run();
@@ -405,12 +410,13 @@ struct SignalFrame
  * failures after the ledger's backoff. Attempt numbers continue from
  * @p priorAttempts (a resumed failed entry), keeping fault gating and
  * jitter reproducible across resume. A traced run's event tail goes
- * to @p traceTail when it is non-null.
+ * to @p traceTail when it is non-null; @p spill is the batch's shared
+ * streams (null outside runBatch).
  */
 RunOutcome
 runOne(const RunSpec &spec, std::uint64_t fingerprint,
        unsigned priorAttempts, const BatchOptions &opt,
-       std::optional<std::string> *traceTail)
+       std::optional<std::string> *traceTail, StreamSpill *spill)
 {
     RunOutcome outcome;
     auto t0 = std::chrono::steady_clock::now();
@@ -439,7 +445,7 @@ runOne(const RunSpec &spec, std::uint64_t fingerprint,
             control.deadline = std::chrono::steady_clock::now() +
                                std::chrono::milliseconds(opt.runTimeoutMs);
         try {
-            RunOutput out = produceRun(spec, attempt, control);
+            RunOutput out = produceRun(spec, attempt, control, spill);
             outcome.status = RunStatus::Ok;
             outcome.results = out.results;
             outcome.jsonReport = std::move(out.jsonReport);
@@ -572,6 +578,17 @@ runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
     if (jobs == 0)
         jobs = std::thread::hardware_concurrency();
 
+    // Streams two or more specs share are generated once, into the
+    // spill, and replayed by each run; it goes when the batch ends.
+    // The configs only name the streams, so they go at once.
+    StreamSpill spill([&] {
+        std::vector<SystemConfig> configs;
+        configs.reserve(specs.size());
+        for (const RunSpec &spec : specs)
+            configs.push_back(makeConfig(spec));
+        return configs;
+    }());
+
     // The trace file keeps the tail of the traced run last in input
     // order, as a sequential loop would leave it.
     std::mutex traceMutex;
@@ -582,7 +599,7 @@ runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
         [&](std::size_t i, std::uint64_t fingerprint, unsigned prior) {
             std::optional<std::string> tail;
             RunOutcome o = runOne(specs[i], fingerprint, prior, opt,
-                                  &tail);
+                                  &tail, &spill);
             std::lock_guard<std::mutex> lock(traceMutex);
             if (tail && (!traceTail || i > traceIndex)) {
                 traceIndex = i;
@@ -602,7 +619,7 @@ runIsolated(const RunSpec &spec, const BatchOptions &opt,
     // No signal frame and no latch reset: the caller (the campaign
     // worker) owns interruption policy across runs.
     return runOne(spec, fingerprintSpec(spec), priorAttempts, opt,
-                  nullptr);
+                  nullptr, nullptr);
 }
 
 std::vector<WorkloadSet>

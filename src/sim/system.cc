@@ -5,6 +5,7 @@
 
 #include "prefetch/fetch_profiler.hh"
 #include "sim/campaign.hh"
+#include "sim/stream_spill.hh"
 #include "trace/trace_cache.hh"
 #include "util/error.hh"
 #include "util/json.hh"
@@ -124,13 +125,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     if (cfg_.numCores == 0)
         ipref_raise(ConfigError, "numCores must be >= 1");
     const TraceSpec &trace = cfg_.trace;
-    if (cfg_.workloads.empty() && !trace.enabled())
-        ipref_raise(ConfigError, "no workloads configured");
-    if (!trace.enabled() && cfg_.workloads.size() != 1 &&
-        cfg_.workloads.size() != cfg_.numCores && cfg_.numCores != 1)
-        ipref_raise(ConfigError,
-                    "workload list must have 1 entry, numCores "
-                    "entries, or run on a single core (time-sliced)");
+    const std::vector<StreamKey> streams = generatorStreams(cfg_);
 
     cfg_.hierarchy.numCores = cfg_.numCores;
     if (cfg_.functional)
@@ -141,7 +136,8 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 
     // Instruction sources: either a replayed trace file (per-core
     // cursors over one shared decode, or per-core streaming readers)
-    // or synthetic workload walkers.
+    // or generator streams, walked here or replayed from the batch's
+    // spill.
     if (trace.enabled()) {
         TraceReadMode mode = trace.tolerant ? TraceReadMode::Tolerant
                                             : TraceReadMode::Strict;
@@ -161,20 +157,13 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
                 traceSources_.push_back(std::move(reader));
             }
         }
-    } else if (cfg_.numCores == 1 && cfg_.workloads.size() > 1) {
-        // Time-sliced mixed on one core: one walker per application.
-        for (std::size_t i = 0; i < cfg_.workloads.size(); ++i)
-            workloads_.push_back(makeWorkload(
-                cfg_.workloads[i], static_cast<CoreId>(i),
-                cfg_.baseSeed));
-    } else {
-        for (unsigned c = 0; c < cfg_.numCores; ++c) {
-            WorkloadKind kind = cfg_.workloads.size() == 1
-                                    ? cfg_.workloads[0]
-                                    : cfg_.workloads[c];
-            workloads_.push_back(
-                makeWorkload(kind, c, cfg_.baseSeed));
-        }
+    }
+    for (const StreamKey &key : streams) {
+        std::unique_ptr<TraceSource> replay =
+            cfg_.spill ? cfg_.spill->open(key) : nullptr;
+        streams_.push_back(
+            replay ? std::move(replay)
+                   : makeWorkload(key.kind, key.core, key.baseSeed));
     }
 
     for (unsigned c = 0; c < cfg_.numCores; ++c)
@@ -199,13 +188,13 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     // Core c starts on walker/reader c; a single time-sliced core
     // starts on slice 0 and rotates during run().
     auto sourceFor = [this](unsigned c) -> TraceSource * {
-        return traceSources_.empty() ? workloads_[c].get()
+        return traceSources_.empty() ? streams_[c].get()
                                      : traceSources_[c].get();
     };
     // Time-sliced runs swap the active source mid-run; batching would
     // pull records past the slice boundary from the wrong stream, so
     // they keep the scalar record-at-a-time pull.
-    const bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
+    const bool sliced = cfg_.numCores == 1 && streams_.size() > 1;
     const unsigned blockRecs =
         sliced ? 1u : std::max(1u, cfg_.core.fetchBlockRecords);
     if (cfg_.functional) {
@@ -285,7 +274,7 @@ System::nextCheckAt(std::uint64_t p, std::uint64_t targetInstrs) const
     next = std::min(next, metricsNextAt_);
     if (cfg_.faultAtInstr)
         next = std::min(next, cfg_.faultAtInstr);
-    if (cfg_.numCores == 1 && workloads_.size() > 1) // slice rotation
+    if (cfg_.numCores == 1 && streams_.size() > 1) // slice rotation
         next = std::min(next, std::max(p + 1, sliceStart_ +
                                                   cfg_.timeSliceInstrs));
     return next;
@@ -376,7 +365,7 @@ System::pushSample(const SimResults &cur)
 void
 System::runTiming(std::uint64_t targetInstrs)
 {
-    const bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
+    const bool sliced = cfg_.numCores == 1 && streams_.size() > 1;
     const Cycle guard =
         now_ + 1000 + 400 * (targetInstrs - std::min(targetInstrs,
                                                      progress()));
@@ -441,8 +430,8 @@ System::runTiming(std::uint64_t targetInstrs)
             std::uint64_t done = cores_[0]->committed();
             if (done - sliceStart_ >= cfg_.timeSliceInstrs) {
                 activeSlice_ =
-                    (activeSlice_ + 1) % workloads_.size();
-                cores_[0]->setTrace(workloads_[activeSlice_].get());
+                    (activeSlice_ + 1) % streams_.size();
+                cores_[0]->setTrace(streams_[activeSlice_].get());
                 sliceStart_ = done;
             }
         }
@@ -513,7 +502,7 @@ System::funcStep(unsigned c, FuncState &st, const InstrRecord &rec)
 void
 System::runFunctional(std::uint64_t targetInstrs)
 {
-    const bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
+    const bool sliced = cfg_.numCores == 1 && streams_.size() > 1;
     const unsigned nc = cfg_.numCores;
     while (true) {
         std::uint64_t p = progress();
@@ -552,8 +541,8 @@ System::runFunctional(std::uint64_t targetInstrs)
             FuncState &st = funcState_[0];
             if (st.emitted - sliceStart_ >= cfg_.timeSliceInstrs) {
                 activeSlice_ =
-                    (activeSlice_ + 1) % workloads_.size();
-                st.trace = workloads_[activeSlice_].get();
+                    (activeSlice_ + 1) % streams_.size();
+                st.trace = streams_[activeSlice_].get();
                 sliceStart_ = st.emitted;
             }
         }

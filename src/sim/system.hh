@@ -92,8 +92,20 @@ class System
     TraceSink *traceSink() { return traceSink_.get(); }
     const TraceSink *traceSink() const { return traceSink_.get(); }
     OoOCore &cpuCore(CoreId core) { return *cores_[core]; }
-    Workload &workload(std::size_t i) { return *workloads_[i]; }
-    std::size_t workloadCount() const { return workloads_.size(); }
+
+    /**
+     * The walker of generator stream @p i (core i, or slice i of a
+     * time-sliced core). A stream replayed from a StreamSpill has no
+     * walker here: std::bad_cast.
+     */
+    Workload &
+    workload(std::size_t i)
+    {
+        return dynamic_cast<Workload &>(*streams_[i]);
+    }
+
+    /** Generator streams (0 for trace replay). */
+    std::size_t workloadCount() const { return streams_.size(); }
 
     /** Interval samples collected by the most recent run(). */
     const std::vector<IntervalSample> &samples() const { return samples_; }
@@ -165,7 +177,9 @@ class System
 
     SystemConfig cfg_;
     std::unique_ptr<CacheHierarchy> hierarchy_;
-    std::vector<std::unique_ptr<Workload>> workloads_;
+    /** Generator input, one stream per core or slice: a walker, or a
+     *  replay from cfg_.spill. */
+    std::vector<std::unique_ptr<TraceSource>> streams_;
     /** Trace replay: per-core readers + looping wrappers (may be empty). */
     std::vector<std::unique_ptr<TraceSource>> traceReaders_;
     std::vector<std::unique_ptr<TraceSource>> traceSources_;

@@ -24,6 +24,8 @@
  *   worker.heartbeat_stall stop the heartbeat thread at beat N
  *   worker.truncate_outcome write half the outcome line, then _exit
  *   manifest.write        fail a manifest append transiently
+ *   spill.write           fail a stream spill chunk write (EIO)
+ *   spill.read            cut a stream spill chunk read short
  *   coord.exit_record     _exit(137) after recording outcome N
  *                         (any batch with a manifest)
  *   coord.exit_after_death _exit(137) after recording the first

@@ -16,6 +16,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "sim/coordinator.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_file.hh"
+#include "util/fault_inject.hh"
 #include "util/json.hh"
 
 using namespace ipref;
@@ -555,6 +558,112 @@ TEST(FaultTolerance, SigtermDrainsAnInProcessBatch)
     EXPECT_EQ(outcomes[0].errorKind, SimError::Kind::Interrupted);
     EXPECT_EQ(outcomes[1].status, RunStatus::Interrupted);
     EXPECT_EQ(outcomes[1].error, "batch interrupted before run");
+}
+
+namespace
+{
+
+/** A fresh, empty $TMPDIR for the test's lifetime; the old one comes
+ *  back and the directory goes when it ends. */
+struct ScratchTmpdir
+{
+    std::string dir;
+    std::string old;
+    bool hadOld = false;
+
+    ScratchTmpdir()
+    {
+        std::string tmpl = ::testing::TempDir() + "spill_XXXXXX";
+        dir = ::mkdtemp(tmpl.data()) ? tmpl : "";
+        if (const char *t = std::getenv("TMPDIR")) {
+            old = t;
+            hadOld = true;
+        }
+        ::setenv("TMPDIR", dir.c_str(), 1);
+    }
+
+    ~ScratchTmpdir()
+    {
+        if (hadOld)
+            ::setenv("TMPDIR", old.c_str(), 1);
+        else
+            ::unsetenv("TMPDIR");
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+    }
+
+    bool empty() const { return std::filesystem::is_empty(dir); }
+};
+
+} // namespace
+
+TEST(FaultTolerance, StreamSpillFaultsFailOnlyTheRunsTheyReach)
+{
+    ScratchTmpdir tmp;
+    ASSERT_FALSE(tmp.dir.empty());
+    struct FaultGuard
+    {
+        ~FaultGuard() { fault::reset(); }
+    } faults;
+
+    // a and b share their stream (the spill holds it); c's seed is
+    // its own, so it walks its stream directly.
+    RunSpec a = quickSpec(5);
+    RunSpec b = quickSpec(5);
+    b.schemeToken = "discontinuity";
+    RunSpec c = quickSpec(6);
+    SimResults wantB = runSpec(b);
+    SimResults wantC = runSpec(c);
+    BatchOptions opt;
+    opt.jobs = 1;
+    opt.maxAttempts = 1;
+
+    // A lost write breaks the stream for every run that reaches it.
+    fault::configure("spill.write@1");
+    std::vector<RunOutcome> out = runBatch({a, b, c}, opt);
+    ASSERT_EQ(out.size(), 3u);
+    for (std::size_t i : {0, 1}) {
+        EXPECT_EQ(out[i].status, RunStatus::Failed);
+        EXPECT_EQ(out[i].errorKind, SimError::Kind::Io);
+        EXPECT_NE(out[i].error.find(tmp.dir), std::string::npos)
+            << out[i].error;
+    }
+    ASSERT_TRUE(out[2].ok()) << out[2].error;
+    EXPECT_EQ(resultsToJson(out[2].results), resultsToJson(wantC));
+    EXPECT_TRUE(tmp.empty());
+
+    // A failed read fails its own run only.
+    fault::configure("spill.read@2");
+    out = runBatch({a, b, c}, opt);
+    EXPECT_EQ(out[0].status, RunStatus::Failed);
+    EXPECT_EQ(out[0].errorKind, SimError::Kind::Io);
+    EXPECT_NE(out[0].error.find(tmp.dir), std::string::npos)
+        << out[0].error;
+    ASSERT_TRUE(out[1].ok()) << out[1].error;
+    EXPECT_EQ(resultsToJson(out[1].results), resultsToJson(wantB));
+    ASSERT_TRUE(out[2].ok()) << out[2].error;
+    EXPECT_TRUE(tmp.empty());
+    fault::reset();
+
+    // An interrupted batch leaves nothing behind either; the spill's
+    // files have no name even while it runs.
+    RunSpec runaway = quickSpec(7);
+    runaway.instrScale = 50000.0; // minutes: only the interrupt ends it
+    RunSpec runaway2 = runaway;
+    runaway2.schemeToken = "discontinuity";
+    opt.jobs = 2;
+    bool emptyWhileRunning = false;
+    std::thread interrupter([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        emptyWhileRunning = tmp.empty();
+        requestBatchInterrupt();
+    });
+    out = runBatch({runaway, runaway2}, opt);
+    interrupter.join();
+    for (const RunOutcome &o : out)
+        EXPECT_EQ(o.status, RunStatus::Interrupted);
+    EXPECT_TRUE(emptyWhileRunning);
+    EXPECT_TRUE(tmp.empty());
 }
 
 TEST(FaultTolerance, ManifestRoundTrip)
