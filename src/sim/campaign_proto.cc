@@ -151,12 +151,9 @@ specFromJson(const JsonValue &v)
 }
 
 std::string
-helloLine(int pid, unsigned spawn)
+helloLine()
 {
-    std::ostringstream os;
-    os << "{\"type\": \"hello\", \"pid\": " << pid
-       << ", \"spawn\": " << spawn << "}";
-    return os.str();
+    return "{\"type\": \"hello\"}";
 }
 
 std::string
@@ -203,31 +200,10 @@ outcomeLine(std::int64_t id, std::uint64_t fingerprint,
 }
 
 std::string
-heartbeatLine(int pid, std::uint64_t instrs, std::int64_t runningId)
+heartbeatLine(std::uint64_t instrs)
 {
-    std::ostringstream os;
-    os << "{\"type\": \"heartbeat\", \"pid\": " << pid
-       << ", \"instrs\": " << jsonString(jsonHex(instrs))
-       << ", \"running_id\": " << runningId << "}";
-    return os.str();
-}
-
-std::string
-abortLine()
-{
-    return "{\"type\": \"abort\"}";
-}
-
-std::string
-shutdownLine()
-{
-    return "{\"type\": \"shutdown\"}";
-}
-
-std::string
-byeLine()
-{
-    return "{\"type\": \"bye\"}";
+    return "{\"type\": \"heartbeat\", \"instrs\": " +
+           jsonString(jsonHex(instrs)) + "}";
 }
 
 Expected<ProtoMessage>
@@ -239,8 +215,6 @@ parseProtoLine(const std::string &line)
         ProtoMessage m;
         if (type == "hello") {
             m.type = ProtoMessage::Type::Hello;
-            m.pid = v.intOr("pid", 0);
-            m.spawn = v.intOr("spawn", 0u);
         } else if (type == "config") {
             m.type = ProtoMessage::Type::Config;
             m.config.wantReport = boolOr(v, "want_report", false);
@@ -276,15 +250,7 @@ parseProtoLine(const std::string &line)
             m.outcome = std::move(outcome.value());
         } else if (type == "heartbeat") {
             m.type = ProtoMessage::Type::Heartbeat;
-            m.pid = v.intOr("pid", 0);
             m.instrs = v.at("instrs").asUint();
-            m.runningId = v.intOr<std::int64_t>("running_id", -1);
-        } else if (type == "abort") {
-            m.type = ProtoMessage::Type::Abort;
-        } else if (type == "shutdown") {
-            m.type = ProtoMessage::Type::Shutdown;
-        } else if (type == "bye") {
-            m.type = ProtoMessage::Type::Bye;
         } else {
             return SimError(SimError::Kind::Io,
                             "protocol: unknown message type '" + type +

@@ -3,8 +3,14 @@
  * The coordinator <-> worker wire protocol: line-delimited JSON over
  * a pipe pair, one message per line.
  *
- *   coordinator -> worker:  config, run, abort, shutdown
- *   worker -> coordinator:  hello, heartbeat, outcome, bye
+ *   coordinator -> worker:  config, run
+ *   worker -> coordinator:  hello, heartbeat, outcome
+ *
+ * A worker says hello, takes one config, then answers each run with
+ * one outcome; heartbeats carry its instruction count while it lives.
+ * Nothing else travels: the coordinator ends a worker by closing its
+ * stdin (idle) or with SIGTERM (a drain), and a worker whose
+ * heartbeat write fails knows the coordinator is gone.
  *
  * Specs travel as full JSON (schemes and workloads by registry token,
  * doubles as bit-pattern hex so the fingerprint round-trips exactly);
@@ -63,42 +69,32 @@ struct ProtoMessage
 {
     enum class Type : std::uint8_t
     {
-        Hello,     //!< worker up: pid, spawn
+        Hello,     //!< worker up
         Config,    //!< execution knobs: config
         Run,       //!< dispatch: id, fingerprint, priorAttempts, spec
         Outcome,   //!< result: id, fingerprint, outcome
-        Heartbeat, //!< liveness: pid, instrs, runningId
-        Abort,     //!< interrupt current run, then exit
-        Shutdown,  //!< exit once idle
-        Bye,       //!< worker exiting cleanly
+        Heartbeat, //!< liveness: instrs
     };
 
-    Type type = Type::Bye;
-    int pid = 0;
-    unsigned spawn = 0;
+    Type type = Type::Hello;
     std::int64_t id = -1;         //!< spec index (Run / Outcome)
     std::uint64_t fingerprint = 0;
     unsigned priorAttempts = 0;
     RunSpec spec;
     RunOutcome outcome;           //!< incl. results + jsonReport
     std::uint64_t instrs = 0;     //!< worker-lifetime instructions
-    std::int64_t runningId = -1;  //!< -1 = idle
     WorkerConfig config;
 };
 
 // Message builders: one complete line each, without the trailing
 // newline (the transport appends it).
-std::string helloLine(int pid, unsigned spawn);
+std::string helloLine();
 std::string configLine(const WorkerConfig &cfg);
 std::string runLine(std::int64_t id, std::uint64_t fingerprint,
                     unsigned priorAttempts, const RunSpec &spec);
 std::string outcomeLine(std::int64_t id, std::uint64_t fingerprint,
                         const RunOutcome &outcome);
-std::string heartbeatLine(int pid, std::uint64_t instrs,
-                          std::int64_t runningId);
-std::string abortLine();
-std::string shutdownLine();
-std::string byeLine();
+std::string heartbeatLine(std::uint64_t instrs);
 
 /** Parse one line; never throws. */
 Expected<ProtoMessage> parseProtoLine(const std::string &line);

@@ -405,7 +405,7 @@ Fleet::spawn(std::size_t slot, unsigned ordinal)
  * Read @p w's pipe until the outcome of run @p id arrives (id < 0:
  * until its hello) or the worker is dead: pipe EOF, a truncated last
  * line, silence past the heartbeat deadline, or no answer within the
- * grace after the interrupt latch sent it an abort. A worker past a
+ * grace after the interrupt latch sent it SIGTERM. A worker past a
  * deadline is SIGKILLed here.
  */
 Reply
@@ -413,14 +413,13 @@ Fleet::listen(Worker &w, std::int64_t id, std::uint64_t fingerprint)
 {
     Reply reply;
     auto lastBeat = Clock::now();
-    std::optional<Clock::time_point> killAt; // set once abort is sent
+    std::optional<Clock::time_point> killAt; // set once SIGTERM is sent
     const auto silence = std::chrono::milliseconds(opt_.heartbeatTimeoutMs);
-    const bool watchBeats = opt_.heartbeatMs > 0 && silence.count() > 0;
     bool hello = false;
     for (;;) {
         if (!killAt && batchInterrupted()) {
             killAt = Clock::now() + kGrace;
-            writeAll(w.toFd, abortLine() + "\n");
+            ::kill(w.pid, SIGTERM);
         }
         auto now = Clock::now();
         if (killAt && now >= *killAt) {
@@ -428,7 +427,7 @@ Fleet::listen(Worker &w, std::int64_t id, std::uint64_t fingerprint)
             reply.death = "drain deadline";
             return reply;
         }
-        if (watchBeats && now - lastBeat >= silence) {
+        if (now - lastBeat >= silence) {
             ipref_warn("campaign: worker spawn %u silent for %lld ms; "
                        "killing it",
                        w.spawn, static_cast<long long>(silence.count()));
@@ -480,8 +479,6 @@ Fleet::listen(Worker &w, std::int64_t id, std::uint64_t fingerprint)
                 ipref_warn("campaign: dropping unexpected outcome (id "
                            "%lld from spawn %u)",
                            static_cast<long long>(m.id), w.spawn);
-                break;
-              case ProtoMessage::Type::Bye:
                 break;
               default:
                 campMetrics().protoErrors.add(1);
@@ -631,6 +628,10 @@ std::vector<RunOutcome>
 runCampaign(const std::vector<RunSpec> &specs,
             const CampaignOptions &opt)
 {
+    if (opt.heartbeatMs == 0 || opt.heartbeatTimeoutMs == 0)
+        throw ConfigError("campaign: the heartbeat period (--heartbeat-ms) "
+                          "and timeout (--heartbeat-timeout-ms) must be "
+                          "positive");
     if (specs.empty())
         return {};
     std::string bin =

@@ -13,6 +13,13 @@
  * dropped; the coordinator's own death is a --resume from the
  * manifest.
  *
+ * Workers speak the protocol of sim/campaign_proto: config and run
+ * down, hello, heartbeat and outcome up. The fleet sends no control
+ * message: it ends an idle worker by closing its stdin and a worker
+ * in a drain with SIGTERM. A worker that outlives its coordinator
+ * ends at stdin EOF when idle, or mid-run when its next heartbeat
+ * write fails.
+ *
  * Telemetry: workers write no metrics file of their own. The
  * coordinator's process-wide stream (--metrics-out) is the fleet
  * view: it folds each heartbeat's instruction count into
@@ -55,13 +62,14 @@ struct CampaignOptions
      */
     unsigned workers = 4;
 
-    /** Worker heartbeat period (0 = heartbeats off). */
+    /** Worker heartbeat period (> 0). */
     std::uint64_t heartbeatMs = 100;
 
     /**
-     * Silence window after which a worker is declared dead, SIGKILLed
-     * and its in-flight spec redispatched. Must comfortably exceed
-     * heartbeatMs; the default tolerates heavily loaded CI hosts.
+     * Silence window (> 0) after which a worker is declared dead,
+     * SIGKILLed and its in-flight spec redispatched. Must comfortably
+     * exceed heartbeatMs; the default tolerates heavily loaded CI
+     * hosts.
      */
     std::uint64_t heartbeatTimeoutMs = 5000;
 
@@ -80,12 +88,14 @@ struct CampaignOptions
  * Run every spec on the worker fleet and return outcomes in input
  * order. Results (and, when reporting is on, the report array the
  * sink flushes) are bit-identical to a single-process runBatch() of
- * the same specs. SIGINT/SIGTERM drains: in-flight runs get an
- * `abort` and end Interrupted (SIGKILL after a 5 s grace), specs not
- * yet dispatched end Interrupted, and every worker is reaped before
- * the call returns. Throws SimError only for campaign-level faults
- * (no worker binary, manifest locked by another coordinator, no
- * process can be forked); per-spec failures are outcomes.
+ * the same specs. SIGINT/SIGTERM drains: each in-flight run's worker
+ * gets SIGTERM and the run ends Interrupted (SIGKILL after a 5 s
+ * grace), specs not yet dispatched end Interrupted, and every worker
+ * is reaped before the call returns. Throws ConfigError when
+ * heartbeatMs or heartbeatTimeoutMs is 0, and SimError for other
+ * campaign-level faults (no worker binary, manifest locked by another
+ * coordinator, no process can be forked); per-spec failures are
+ * outcomes.
  */
 std::vector<RunOutcome> runCampaign(const std::vector<RunSpec> &specs,
                                     const CampaignOptions &opt);

@@ -349,9 +349,9 @@ RunOutcome runIsolated(const RunSpec &spec, const BatchOptions &opt,
 /**
  * Raise the batch interrupt latch programmatically, as if the process
  * had received SIGINT: in-flight runs unwind with Interrupted and no
- * new attempts start. Used by the campaign worker to abort on a
- * coordinator request or a dead protocol pipe. driveBatch() clears
- * the latch when it starts a new batch; runIsolated() does not.
+ * new attempts start. Used by the campaign worker on SIGINT/SIGTERM
+ * and on a dead protocol pipe. driveBatch() clears the latch when it
+ * starts a new batch; runIsolated() does not.
  */
 void requestBatchInterrupt();
 

@@ -40,8 +40,15 @@ state()
     return s;
 }
 
-/** Armed-entry count; lets shouldFire() bail without the lock. */
+/** Armed-entry count (active()). */
 std::atomic<int> g_armed{0};
+
+/**
+ * True once IPREF_FAULTS has been read and no entry is in place:
+ * shouldFire() then returns before the lock. A fired entry is still in
+ * place (its point's hits keep being counted).
+ */
+std::atomic<bool> g_noSchedule{false};
 
 std::int64_t
 spawnOrdinal()
@@ -113,6 +120,7 @@ installLocked(State &s, const std::string &schedule)
     }
     g_armed.store(static_cast<int>(s.entries.size()),
                   std::memory_order_release);
+    g_noSchedule.store(s.entries.empty(), std::memory_order_release);
 }
 
 /** Lazily pick up IPREF_FAULTS; mutex held. */
@@ -123,8 +131,7 @@ ensureLoadedLocked(State &s)
         return;
     s.envLoaded = true;
     const char *env = std::getenv("IPREF_FAULTS");
-    if (env && *env)
-        installLocked(s, env);
+    installLocked(s, env ? env : "");
 }
 
 } // namespace
@@ -160,29 +167,29 @@ active()
 bool
 shouldFire(const char *point, std::uint64_t *param)
 {
+    // Fast path: no schedule, and the env already consulted.
+    if (g_noSchedule.load(std::memory_order_acquire))
+        return false;
     State &s = state();
-    {
-        // Fast path: nothing armed and the env already consulted.
-        std::lock_guard<std::mutex> lock(s.mu);
-        ensureLoadedLocked(s);
-        if (s.entries.empty())
-            return false;
-        std::uint64_t hit = ++s.hits[point];
-        std::int64_t spawn = spawnOrdinal();
-        for (Entry &e : s.entries) {
-            if (e.fired || e.point != point || e.hit != hit)
-                continue;
-            if (e.spawn >= 0 && e.spawn != spawn)
-                continue;
-            e.fired = true;
-            g_armed.fetch_sub(1, std::memory_order_acq_rel);
-            if (param)
-                *param = e.param;
-            ipref_warn("fault_inject: firing %s@%llu%s", point,
-                       static_cast<unsigned long long>(hit),
-                       e.param ? " (with param)" : "");
-            return true;
-        }
+    std::lock_guard<std::mutex> lock(s.mu);
+    ensureLoadedLocked(s);
+    if (s.entries.empty())
+        return false;
+    std::uint64_t hit = ++s.hits[point];
+    std::int64_t spawn = spawnOrdinal();
+    for (Entry &e : s.entries) {
+        if (e.fired || e.point != point || e.hit != hit)
+            continue;
+        if (e.spawn >= 0 && e.spawn != spawn)
+            continue;
+        e.fired = true;
+        g_armed.fetch_sub(1, std::memory_order_acq_rel);
+        if (param)
+            *param = e.param;
+        ipref_warn("fault_inject: firing %s@%llu%s", point,
+                   static_cast<unsigned long long>(hit),
+                   e.param ? " (with param)" : "");
+        return true;
     }
     return false;
 }
@@ -198,6 +205,7 @@ armNext(const char *point)
     e.hit = s.hits[point] + 1;
     s.entries.push_back(std::move(e));
     g_armed.fetch_add(1, std::memory_order_acq_rel);
+    g_noSchedule.store(false, std::memory_order_release);
 }
 
 std::uint64_t

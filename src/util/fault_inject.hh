@@ -61,7 +61,9 @@ bool active();
  * is non-null, the entry's `:param` value (or 0) is stored there.
  *
  * The schedule is lazily loaded from IPREF_FAULTS on the first call
- * if configure() was never invoked.
+ * if configure() was never invoked. With no schedule in place it
+ * returns false on one atomic load, without the lock, and counts no
+ * hit.
  */
 bool shouldFire(const char *point, std::uint64_t *param = nullptr);
 

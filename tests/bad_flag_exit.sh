@@ -1,7 +1,8 @@
 #!/bin/sh
-# A malformed numeric or bool flag value must end a command-line
-# entry point with exit status 1 and an error naming the flag on
-# stderr, never an uncaught exception (SIGABRT, exit 134).
+# A malformed numeric or bool flag value, or one the program cannot
+# use (a zero heartbeat period), must end a command-line entry point
+# with exit status 1 and an error naming the flag on stderr, never an
+# uncaught exception (SIGABRT, exit 134).
 #
 # Usage: bad_flag_exit.sh BENCH IPREF_TOP IPREF_CAMPAIGN IPREF_ANALYZE
 
@@ -27,6 +28,7 @@ check jobs "$1" --jobs abc
 check refresh-ms "$2" --once --refresh-ms abc
 check workers "$3" --workers abc
 check resume "$3" --resume=maybe
+check heartbeat-ms "$3" --heartbeat-ms 0
 check top "$4" --top abc
 
 exit $fail

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -22,10 +23,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -232,11 +238,9 @@ TEST(CampaignProto, SpecWithBadQueueOrHistorySizeIsAnIoError)
 
 TEST(CampaignProto, ControlMessagesRoundTrip)
 {
-    Expected<ProtoMessage> hello = parseProtoLine(helloLine(42, 7));
+    Expected<ProtoMessage> hello = parseProtoLine(helloLine());
     ASSERT_TRUE(hello.ok());
     EXPECT_EQ(hello.value().type, ProtoMessage::Type::Hello);
-    EXPECT_EQ(hello.value().pid, 42);
-    EXPECT_EQ(hello.value().spawn, 7u);
 
     WorkerConfig cfg;
     cfg.wantReport = true;
@@ -252,19 +256,10 @@ TEST(CampaignProto, ControlMessagesRoundTrip)
     EXPECT_EQ(conf.value().config.runTimeoutMs, 1234u);
     EXPECT_EQ(conf.value().config.heartbeatMs, 77u);
 
-    Expected<ProtoMessage> beat =
-        parseProtoLine(heartbeatLine(42, 9001, 3));
+    Expected<ProtoMessage> beat = parseProtoLine(heartbeatLine(9001));
     ASSERT_TRUE(beat.ok());
     EXPECT_EQ(beat.value().type, ProtoMessage::Type::Heartbeat);
     EXPECT_EQ(beat.value().instrs, 9001u);
-    EXPECT_EQ(beat.value().runningId, 3);
-
-    EXPECT_EQ(parseProtoLine(abortLine()).value().type,
-              ProtoMessage::Type::Abort);
-    EXPECT_EQ(parseProtoLine(shutdownLine()).value().type,
-              ProtoMessage::Type::Shutdown);
-    EXPECT_EQ(parseProtoLine(byeLine()).value().type,
-              ProtoMessage::Type::Bye);
 }
 
 TEST(CampaignProto, RunAndOutcomeRoundTripBitExactly)
@@ -317,6 +312,148 @@ TEST(CampaignProto, TruncatedAndGarbageLinesAreErrorsNotThrows)
     EXPECT_FALSE(parseProtoLine("").ok());
 }
 
+/**
+ * @p line without each of its object members in turn (at any depth),
+ * one variant per key: `"key": value` and the comma joining it to a
+ * neighbour go.
+ */
+std::vector<std::string>
+withEachKeyDeleted(const std::string &line)
+{
+    // One past the end of the string or JSON value starting at @p i.
+    auto skipString = [&](std::size_t i) {
+        for (++i; i < line.size() && line[i] != '"'; ++i)
+            i += line[i] == '\\';
+        return i + 1;
+    };
+    auto skipValue = [&](std::size_t i) {
+        if (line[i] == '"')
+            return skipString(i);
+        int depth = 0;
+        for (; i < line.size(); ++i) {
+            char c = line[i];
+            if (c == '"') {
+                i = skipString(i) - 1;
+            } else if (c == '{' || c == '[') {
+                ++depth;
+            } else if (c == '}' || c == ']') {
+                if (depth-- == 0)
+                    break;
+                if (depth == 0)
+                    return i + 1;
+            } else if (c == ',' && depth == 0) {
+                break;
+            }
+        }
+        return i;
+    };
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        if (line[i] != '"')
+            continue;
+        std::size_t end = skipString(i);
+        if (line.compare(end, 2, ": ") != 0) {
+            i = end - 1; // a string value, not a key
+            continue;
+        }
+        std::size_t from = i, to = skipValue(end + 2);
+        if (from >= 2 && line.compare(from - 2, 2, ", ") == 0)
+            from -= 2;
+        else if (line.compare(to, 2, ", ") == 0)
+            to += 2;
+        out.push_back(line.substr(0, from) + line.substr(to));
+        i = end - 1; // then the keys inside this member's value
+    }
+    return out;
+}
+
+/** A run or outcome message written back out; "" for other types. */
+std::string
+reserialize(const ProtoMessage &m)
+{
+    if (m.type == ProtoMessage::Type::Run)
+        return runLine(m.id, m.fingerprint, m.priorAttempts, m.spec);
+    if (m.type == ProtoMessage::Type::Outcome)
+        return outcomeLine(m.id, m.fingerprint, m.outcome);
+    return "";
+}
+
+// Seeded mutations of every message line: byte flips, every prefix and
+// every member deleted. parseProtoLine never throws, and a run or
+// outcome line it accepts writes back out as the same message.
+TEST(CampaignProto, MutatedLinesNeverThrowAndRoundTripWhenAccepted)
+{
+    RunSpec spec = quickSpec();
+    std::uint64_t fp = fingerprintSpec(spec);
+    RunOutcome out = runIsolated(spec, BatchOptions{});
+    ASSERT_TRUE(out.ok()) << out.error;
+    out.jsonReport = "{\"report\": [1, \"two\"]}";
+    RunOutcome fail;
+    fail.status = RunStatus::Failed;
+    fail.errorKind = SimError::Kind::Io;
+    fail.error = "disk \"full\"";
+    fail.attempts = 2;
+    WorkerConfig cfg;
+    cfg.wantReport = true;
+
+    const std::vector<std::string> seeds = {
+        helloLine(),          configLine(cfg),
+        runLine(3, fp, 1, spec), outcomeLine(3, fp, out),
+        outcomeLine(4, fp, fail), heartbeatLine(123456),
+    };
+    std::mt19937_64 rng(20051);
+    std::size_t accepted = 0, mutants = 0;
+    auto check = [&](const std::string &line) {
+        ++mutants;
+        Expected<ProtoMessage> m = ProtoMessage{};
+        EXPECT_NO_THROW(m = parseProtoLine(line)) << line;
+        if (!m.ok())
+            return;
+        ++accepted;
+        std::string once = reserialize(m.value());
+        if (once.empty())
+            return;
+        Expected<ProtoMessage> back = parseProtoLine(once);
+        ASSERT_TRUE(back.ok()) << once << ": " << back.error().what();
+        EXPECT_EQ(reserialize(back.value()), once) << line;
+    };
+    for (const std::string &seed : seeds) {
+        ASSERT_TRUE(parseProtoLine(seed).ok()) << seed;
+        std::string written = reserialize(parseProtoLine(seed).value());
+        if (!written.empty()) {
+            EXPECT_EQ(written, seed);
+        }
+        for (std::size_t cut = 0; cut < seed.size(); ++cut) {
+            check(seed.substr(0, cut));
+            EXPECT_FALSE(parseProtoLine(seed.substr(0, cut)).ok());
+        }
+        for (const std::string &line : withEachKeyDeleted(seed))
+            check(line);
+        for (int i = 0; i < 2000; ++i) {
+            std::string line = seed;
+            for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0;
+                 --flips)
+                line[rng() % line.size()] ^=
+                    static_cast<char>(1u << (rng() % 8));
+            check(line);
+        }
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(mutants, accepted);
+
+    // The retired control messages are unknown types now.
+    for (const char *type : {"abort", "shutdown", "bye"}) {
+        Expected<ProtoMessage> m = parseProtoLine(
+            std::string("{\"type\": \"") + type + "\"}");
+        ASSERT_FALSE(m.ok()) << type;
+        EXPECT_EQ(m.error().kind(), SimError::Kind::Io);
+        EXPECT_NE(std::string(m.error().what())
+                      .find("unknown message type"),
+                  std::string::npos)
+            << m.error().what();
+    }
+}
+
 // --- fault injection --------------------------------------------------
 
 TEST(FaultInject, ScheduleFiresOnExactHitWithParam)
@@ -351,6 +488,36 @@ TEST(FaultInject, ArmNextFiresOnTheNextHitOnly)
     fault::armNext("coord.exit_record");
     EXPECT_TRUE(fault::shouldFire("coord.exit_record"));  // hit 2
     EXPECT_FALSE(fault::shouldFire("coord.exit_record")); // hit 3
+}
+
+TEST(FaultInject, UnscheduledFastPathSeesAConcurrentConfigure)
+{
+    // Four threads pass a point while nothing is installed (the early
+    // return, no lock); a fifth installs a schedule for it meanwhile.
+    // The entry fires exactly once.
+    FaultGuard guard;
+    fault::reset();
+    std::atomic<bool> installed{false};
+    std::atomic<int> fired{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 4; ++t)
+        callers.emplace_back([&] {
+            for (int after = 0; after < 2000;) {
+                bool seen = installed.load();
+                fired += fault::shouldFire("test.race");
+                after += seen;
+            }
+        });
+    std::thread installer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        fault::configure("test.race@1");
+        installed = true;
+    });
+    installer.join();
+    for (std::thread &c : callers)
+        c.join();
+    EXPECT_EQ(fired.load(), 1);
+    EXPECT_GE(fault::hitCount("test.race"), 4u * 2000u);
 }
 
 TEST(FaultInject, SpawnFilterGatesOnWorkerSpawnOrdinal)
@@ -427,6 +594,205 @@ TEST(ManifestLockTest, RunBatchRefusesALockedManifest)
     EXPECT_THROW(runBatch({quickSpec()}, opt), SimError);
     held.release();
     std::remove((path + ".lock").c_str());
+}
+
+// --- worker process ---------------------------------------------------
+
+/**
+ * An ipref_worker started on two pipes as Fleet::spawn starts one,
+ * with no coordinator behind them: the test plays its part.
+ */
+struct WorkerProc
+{
+    pid_t pid = -1;
+    int toFd = -1;   //!< the worker's stdin
+    int fromFd = -1; //!< the worker's stdout
+    std::string rbuf;
+
+    WorkerProc()
+    {
+        std::string bin = findWorkerBinary();
+        std::vector<char *> argv = {bin.data(), nullptr};
+        int to[2], from[2];
+        if (::pipe2(to, O_CLOEXEC) != 0 || ::pipe2(from, O_CLOEXEC) != 0)
+            return;
+        pid = ::fork();
+        if (pid == 0) {
+            ::dup2(to[0], STDIN_FILENO);
+            ::dup2(from[1], STDOUT_FILENO);
+            ::execv(bin.c_str(), argv.data());
+            ::_exit(127);
+        }
+        ::close(to[0]);
+        ::close(from[1]);
+        toFd = to[1];
+        fromFd = from[0];
+    }
+
+    ~WorkerProc()
+    {
+        closeStdin();
+        closeStdout();
+        if (pid > 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, nullptr, 0);
+        }
+    }
+
+    void closeStdin()
+    {
+        if (toFd >= 0)
+            ::close(toFd);
+        toFd = -1;
+    }
+
+    void closeStdout()
+    {
+        if (fromFd >= 0)
+            ::close(fromFd);
+        fromFd = -1;
+    }
+
+    bool send(const std::string &line)
+    {
+        return writeAll(toFd, line + "\n");
+    }
+
+    /** The worker's next message, or nullopt after @p ms of silence. */
+    std::optional<ProtoMessage> next(int ms = 5000)
+    {
+        auto until =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+        for (;;) {
+            std::size_t nl = rbuf.find('\n');
+            if (nl != std::string::npos) {
+                Expected<ProtoMessage> m = parseProtoLine(rbuf.substr(0, nl));
+                rbuf.erase(0, nl + 1);
+                if (!m.ok())
+                    return std::nullopt;
+                return m.value();
+            }
+            auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                until - std::chrono::steady_clock::now());
+            pollfd p{fromFd, POLLIN, 0};
+            char chunk[4096];
+            ssize_t n = 0;
+            if (left.count() <= 0 ||
+                ::poll(&p, 1, static_cast<int>(left.count())) <= 0 ||
+                (n = ::read(fromFd, chunk, sizeof(chunk))) <= 0)
+                return std::nullopt;
+            rbuf.append(chunk, static_cast<std::size_t>(n));
+        }
+    }
+
+    /** The wait status once the worker exits within @p ms, else -1. */
+    int waitExit(int ms)
+    {
+        auto until =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+        int status = 0;
+        while (std::chrono::steady_clock::now() < until) {
+            if (::waitpid(pid, &status, WNOHANG) == pid) {
+                pid = -1;
+                return status;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        return -1;
+    }
+
+    /** Threads the worker runs now (its /proc task entries). */
+    std::size_t threads() const
+    {
+        std::size_t n = 0;
+        std::string dir = "/proc/" + std::to_string(pid) + "/task";
+        if (DIR *d = ::opendir(dir.c_str())) {
+            while (const dirent *e = ::readdir(d))
+                n += e->d_name[0] != '.';
+            ::closedir(d);
+        }
+        return n;
+    }
+};
+
+/** A config line with a 20 ms heartbeat. */
+std::string
+fastBeatConfig()
+{
+    WorkerConfig cfg;
+    cfg.heartbeatMs = 20;
+    return configLine(cfg);
+}
+
+bool
+exitedZero(int status)
+{
+    return status != -1 && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+TEST(WorkerProcess, IdleWorkerExitsWhenItsStdinCloses)
+{
+    REQUIRE_WORKER();
+    WorkerProc w;
+    ASSERT_GT(w.pid, 0);
+    std::optional<ProtoMessage> hello = w.next();
+    ASSERT_TRUE(hello && hello->type == ProtoMessage::Type::Hello);
+    ASSERT_TRUE(w.send(fastBeatConfig()));
+    std::optional<ProtoMessage> beat = w.next();
+    ASSERT_TRUE(beat && beat->type == ProtoMessage::Type::Heartbeat);
+
+    w.closeStdin();
+    int status = w.waitExit(5000);
+    EXPECT_TRUE(exitedZero(status)) << "wait status " << status;
+}
+
+TEST(WorkerProcess, DeadCoordinatorPipeEndsARunningWorker)
+{
+    REQUIRE_WORKER();
+    WorkerProc w;
+    ASSERT_GT(w.pid, 0);
+    std::optional<ProtoMessage> hello = w.next();
+    ASSERT_TRUE(hello && hello->type == ProtoMessage::Type::Hello);
+    ASSERT_TRUE(w.send(fastBeatConfig()));
+
+    // A run of many seconds: the worker is inside it for what follows.
+    RunSpec spec = RunSpec::builder()
+                       .workload(WorkloadKind::DB)
+                       .scheme("discontinuity")
+                       .instrScale(4.0)
+                       .build();
+    ASSERT_TRUE(w.send(runLine(0, fingerprintSpec(spec), 0, spec)));
+    for (int beats = 0; beats < 5; ++beats) {
+        std::optional<ProtoMessage> m = w.next();
+        ASSERT_TRUE(m && m->type == ProtoMessage::Type::Heartbeat);
+    }
+    // Main and heartbeat; a TSan build adds its runtime's own thread.
+#ifdef __SANITIZE_THREAD__
+    EXPECT_EQ(w.threads(), 3u);
+#else
+    EXPECT_EQ(w.threads(), 2u);
+#endif
+
+    // The coordinator's end of the worker's stdout goes, as when the
+    // coordinator dies: the next heartbeat write fails with EPIPE,
+    // the run unwinds and the worker exits by itself, stdin still open.
+    w.closeStdout();
+    int status = w.waitExit(3000);
+    EXPECT_TRUE(exitedZero(status)) << "wait status " << status;
+}
+
+TEST(WorkerProcess, SigtermEndsAWorkerWaitingForConfig)
+{
+    REQUIRE_WORKER();
+    WorkerProc w;
+    ASSERT_GT(w.pid, 0);
+    std::optional<ProtoMessage> hello = w.next();
+    ASSERT_TRUE(hello && hello->type == ProtoMessage::Type::Hello);
+    // Past its hello the worker blocks in read(2) for the config.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::kill(w.pid, SIGTERM);
+    int status = w.waitExit(2000);
+    EXPECT_TRUE(exitedZero(status)) << "wait status " << status;
 }
 
 // --- end to end -------------------------------------------------------

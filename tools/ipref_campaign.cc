@@ -27,10 +27,10 @@
  *   --retries N           attempt budget per spec, spanning worker
  *                         deaths and in-worker retries (default 3)
  *   --timeout-ms N        per-run deadline, enforced in the worker
- *   --heartbeat-ms N      worker heartbeat period (default 100)
+ *   --heartbeat-ms N      worker heartbeat period, > 0 (default 100)
  *   --heartbeat-timeout-ms N
- *                         silence before a worker is declared dead
- *                         (default 5000)
+ *                         silence before a worker is declared dead,
+ *                         > 0 (default 5000)
  *   --worker-bin PATH     worker executable (default: auto-discover)
  *   --worker-faults SCHED IPREF_FAULTS schedule installed in workers
  *   --metrics-out FILE    JSON-lines telemetry; the coordinator folds
@@ -40,8 +40,9 @@
  *   --metrics-interval-ms N
  *                         sampling period (default 1000)
  *
- * A malformed flag value (`--workers abc`) or IPREF_SCALE ends the
- * program with exit status 1 and an `error (<kind>): <what>` line.
+ * A malformed flag value (`--workers abc`), a zero heartbeat period
+ * or timeout, or a malformed IPREF_SCALE ends the program with exit
+ * status 1 and an `error (<kind>): <what>` line.
  */
 
 #include <cstdint>
